@@ -2,8 +2,7 @@
 export PYTHONPATH := src
 
 .PHONY: test test-concurrency test-shard test-kernels test-faults \
-    test-parallel-recommend docs-check bench bench-smoke bench-fig23 \
-    serve-demo
+    docs-check bench bench-smoke bench-fig23 serve-demo
 
 # The bench_*.py naming keeps the harnesses out of default pytest
 # collection (tier-1 stays fast); targets pass the files explicitly.
@@ -22,25 +21,21 @@ test-concurrency:
 	    tests/test_snapshot_properties.py tests/test_cache_boundaries.py -q
 
 # The sharded-build gate: unit coverage for the sharding layer (union
-# encoding, shared-memory blocks, a real process pool, delta routing)
-# plus hypothesis shard-equivalence properties vs the single-process
-# cube and the deltaref rebuild oracle — run without -x for the same
-# reason as the concurrency gate.
+# encoding, shared-memory and spill-dir blocks, a real process pool,
+# delta routing), hypothesis shard-equivalence properties vs the
+# single-process cube and the deltaref rebuild oracle, spill-build
+# round trips, and recommendations over sharded cubes bitwise-equal to
+# the unsharded engine — run without -x for the same reason as the
+# concurrency gate.
 test-shard:
-	python -m pytest tests/test_shard.py tests/test_shard_properties.py -q
+	python -m pytest tests/test_shard.py tests/test_shard_properties.py \
+	    tests/test_parallel_recommend.py -q
 
 # The fused-kernel gate: hypothesis bitwise-equality properties for all
-# three kernels across every backend present (numba cases auto-skip
-# when numba is not installed) plus the dispatch/counter unit coverage.
+# three kernels of the fused NumPy backend against the frozen plain tier,
+# plus the dispatch/counter unit coverage.
 test-kernels:
 	python -m pytest tests/test_kernel_properties.py -q
-
-# The parallel-recommend gate: sharded-vs-serial bitwise equality for
-# hierarchy units, Gram blocks, the partitioned rank sweep, spill-mode
-# round-trips and full recommendations. The coreutils timeout is a
-# backstop: a wedged worker pool fails the gate instead of hanging CI.
-test-parallel-recommend:
-	timeout 600 python -m pytest tests/test_parallel_recommend.py -q
 
 # The fault-tolerance gate: the fault-injection registry, supervised
 # worker-pool recovery (crash/retry/deadline/leak), kernel quarantine,

@@ -3,11 +3,10 @@
 Times the three registry-dispatched kernels of ``repro.kernels`` —
 radix group-by (``group_codes``), scatter-probe join-multiply
 (``join_multiply``), and the eq.-3 rank-1 score sweep
-(``rank1_sweep``) — against the frozen plain tier on identical inputs,
-for every fused backend present (the pure-NumPy tier always; numba only
-when it imports). Reported per kernel:
+(``rank1_sweep``) — in the fused NumPy backend against the frozen
+plain tier on identical inputs. Reported per kernel:
 
-* **cold** — first fused call (includes table allocation / JIT compile);
+* **cold** — first fused call (includes table allocation);
 * **warm** — best of repeated calls, vs the plain tier's warm best;
 * **bandwidth** — achieved memory traffic over a useful-bytes estimate,
   as a fraction of a STREAM-triad roofline measured in the same run.
@@ -20,8 +19,7 @@ the join, and ``rankref.score_drilldown_ref`` through a real
 ``score_drilldown`` for the sweep.
 
 Acceptance floor (full scale only): the NumPy-fused tier is ≥2x over
-plain at 1e6 keys for at least two of the three kernels; the same floor
-applies to the numba tier when numba is installed.
+plain at 1e6 keys for at least two of the three kernels.
 """
 
 import time
@@ -33,7 +31,7 @@ from repro.core import rankref
 from repro.core.complaint import Complaint
 from repro.core.ranker import score_drilldown
 from repro.core.repair import ModelRepairer
-from repro.kernels import numba_backend, numpy_fused, plain
+from repro.kernels import numpy_fused, plain
 from repro.relational import (Cube, HierarchicalDataset, Relation, Schema,
                               dimension, measure)
 from repro.relational.countmap import CountMap
@@ -193,11 +191,8 @@ def test_rank1_sweep_oracle():
 
 # -- the timed series ------------------------------------------------------------
 
-def _backends():
-    tiers = [("numpy", numpy_fused)]
-    if numba_backend.available():
-        tiers.append(("numba", numba_backend))
-    return tiers
+#: The fused backends timed against the plain tier.
+BACKENDS = [("numpy", numpy_fused)]
 
 
 def _run_group(backend_mod, workload):
@@ -274,7 +269,7 @@ def test_figure23_series(benchmark):
              "speedup  bw(GB/s)  bw-frac"]
     rows = []
     floors = {}
-    for backend, backend_mod in _backends():
+    for backend, backend_mod in BACKENDS:
         for op, (runner, workload) in workloads.items():
             p_warm, cold, warm, est_bytes = runner(backend_mod, workload)
             speedup = p_warm / warm if warm > 0 else float("inf")
@@ -305,7 +300,7 @@ def test_figure23_series(benchmark):
             floors.setdefault(backend, []).append((op, speedup))
     report("fig23_kernels", lines)
     report_json("fig23_kernels", rows)
-    # Acceptance floor: at full scale each present fused tier beats the
+    # Acceptance floor: at full scale each fused tier beats the
     # plain tier ≥2x on at least two of the three kernels.
     if not smoke(True, False):
         for backend, results in floors.items():
@@ -317,10 +312,10 @@ def test_figure23_series(benchmark):
 
 
 @pytest.mark.parametrize("backend_mod",
-                         [m for _, m in _backends()],
-                         ids=[name for name, _ in _backends()])
+                         [m for _, m in BACKENDS],
+                         ids=[name for name, _ in BACKENDS])
 def test_group_codes_kernel(benchmark, backend_mod):
     workload = _group_workload(np.random.default_rng(0))
     combined, radix = workload[2], workload[3]
-    backend_mod.group_codes(combined, radix)   # warm tables / JIT
+    backend_mod.group_codes(combined, radix)   # warm tables
     benchmark(lambda: backend_mod.group_codes(combined, radix))

@@ -1,35 +1,17 @@
-"""Figure 25 (repro-only): parallel recommend path + out-of-core spill.
+"""Figure 25 (repro-only): the out-of-core spill build.
 
-Two legs, in this order (peak RSS is a per-process high-water mark, so
-the leg that must stay *below* a baseline runs first):
+``spill_build_from_chunks`` streams 1e8 rows into per-shard on-disk
+column files and builds the leaf block shard-at-a-time over memory
+maps. The coordinator never holds more than one chunk plus one shard's
+decoded image plus the merged stats. Peak RSS is a per-process
+high-water mark, so the spill leg runs first; the acceptance check is
+that the *1e7* all-in-one-image build, run afterwards, pushes the
+process high-water mark **above** the spill leg's — i.e. an out-of-core
+build 10x the rows costs less coordinator memory than one materialized
+image. A small spill build is also checked bitwise against the
+single-process ``Cube``.
 
-* **out-of-core spill build** — ``spill_build_from_chunks`` streams 1e8
-  rows into per-shard on-disk column files and builds the leaf block
-  shard-at-a-time over memory maps. The coordinator never holds more
-  than one chunk plus one shard's decoded image plus the merged stats;
-  the acceptance check is that the *1e7* all-in-one-image build, run
-  afterwards, pushes the process high-water mark **above** the spill
-  leg's — i.e. an out-of-core build 10x the rows costs less coordinator
-  memory than one materialized image. A small spill build is also
-  checked bitwise against the single-process ``Cube``.
-* **parallel recommend** — the same ``HierarchicalDataset`` drives a
-  serial ``Reptile`` engine and a sharded one
-  (``ReptileConfig(shards=, workers=)``); the whole recommend pipeline
-  (per-shard hierarchy units, cluster-Gram stacks, feature fill,
-  rank-1 sweep) fans out over the worker pool. Every run asserts the
-  sharded recommendation is **bitwise identical** to the serial one —
-  per-hierarchy base penalties and every ranked group's key, score,
-  observed/expected statistics and repaired value — and reports
-  per-stage worker utilization from the shard executor's timings.
-
-Dataset cardinality scales with the row count
-(``villages_per_district = n / (64 * 25)``) so the recommend-path work —
-which is *group*-bound, not row-bound — grows with the scale instead of
-saturating at a fixed 80k-group cube.
-
-Acceptance floors (full scale, ≥4 cpus and ≥4 workers only): sharded
-end-to-end recommend ≥2.5x over serial at 1e7 rows, and the spill-leg
-RSS ordering above at full scale.
+Acceptance floor (full scale only): the RSS ordering above.
 """
 
 import os
@@ -39,8 +21,6 @@ import time
 
 import numpy as np
 
-from repro.core.complaint import Complaint
-from repro.core.session import Reptile, ReptileConfig
 from repro.datagen.perf import (DROUGHT_HIERARCHIES, DROUGHT_MEASURE,
                                 drought_chunks)
 from repro.relational import (Cube, Relation, Schema, dataset_from_chunks,
@@ -50,15 +30,9 @@ from repro.relational.shard import spill_build_from_chunks
 from bench_utils import (SMOKE, fmt, peak_rss_bytes, report, report_json,
                          smoke)
 
-SIZES = smoke([3_000], [1_000_000, 10_000_000])
 CHUNK_ROWS = smoke(1_000, 1_000_000)
 N_SHARDS = smoke(3, 8)
 WORKERS = smoke(2, min(8, os.cpu_count() or 1))
-REPS = smoke(1, 3)
-#: End-to-end recommend floor (sharded vs serial), gated below.
-FLOOR = 2.5
-#: The recommend floor applies from this scale up.
-FLOOR_SCALE = 10_000_000
 #: Out-of-core leg: spill-mode rows vs the one-image RSS baseline rows.
 SPILL_ROWS = smoke(6_000, 100_000_000)
 BASELINE_ROWS = smoke(3_000, 10_000_000)
@@ -77,14 +51,8 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
-def _chunks(n, villages_per_district=50):
-    return drought_chunks(n, CHUNK_ROWS, seed=0,
-                          villages_per_district=villages_per_district)
-
-
-def _scaled_vpd(n):
-    """Villages per district such that leaf groups track the row count."""
-    return max(50, n // (64 * 25))
+def _chunks(n):
+    return drought_chunks(n, CHUNK_ROWS, seed=0)
 
 
 def _one_image_build(n):
@@ -101,24 +69,6 @@ def _one_image_build(n):
     dataset = HierarchicalDataset.build(relation, DROUGHT_HIERARCHIES,
                                         DROUGHT_MEASURE, validate=False)
     return Cube(dataset)
-
-
-def _assert_recommendation_equal(sharded, serial, label):
-    """Field-by-field bitwise equality of two recommendations."""
-    assert set(sharded.per_hierarchy) == set(serial.per_hierarchy), label
-    for name, ref in serial.per_hierarchy.items():
-        got = sharded.per_hierarchy[name]
-        assert got.attribute == ref.attribute, (label, name)
-        assert got.base_penalty == ref.base_penalty, (label, name)
-        assert len(got.groups) == len(ref.groups), (label, name)
-        for a, b in zip(got.groups, ref.groups):
-            assert a.key == b.key, (label, name, b.key)
-            assert a.coordinates == b.coordinates, (label, name, b.key)
-            assert a.score == b.score, (label, name, b.key)
-            assert a.margin_gain == b.margin_gain, (label, name, b.key)
-            assert a.repaired_value == b.repaired_value, (label, name, b.key)
-            assert a.observed == b.observed, (label, name, b.key)
-            assert a.expected == b.expected, (label, name, b.key)
 
 
 def test_figure25_spill_build(benchmark):
@@ -193,68 +143,3 @@ def test_figure25_spill_build(benchmark):
     report_json("fig25_spill_build", json_rows)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
-
-def test_figure25_recommend_series(benchmark):
-    lines = ["n         serial(s)  sharded(s)  speedup  "
-             "util feat/gram/sweep      rss(MB)"]
-    json_rows = []
-    floors = []
-    complaint = Complaint.too_low({"district": "d0003"}, "mean")
-    try:
-        for n in SIZES:
-            vpd = _scaled_vpd(n)
-            dataset = dataset_from_chunks(
-                _chunks(n, villages_per_district=vpd), DROUGHT_HIERARCHIES,
-                DROUGHT_MEASURE, validate=False)
-            serial = Reptile(dataset, config=ReptileConfig())
-            sharded = Reptile(dataset, config=ReptileConfig(
-                shards=N_SHARDS, workers=WORKERS))
-
-            ref, t_serial_cold = _timed(lambda: serial.recommend(
-                complaint, group_by=("district",)))
-            got, t_sharded_cold = _timed(lambda: sharded.recommend(
-                complaint, group_by=("district",)))
-            _assert_recommendation_equal(got, ref, f"n={n} cold")
-            best_serial, best_sharded = t_serial_cold, t_sharded_cold
-            for _ in range(REPS):
-                ref, t_serial = _timed(lambda: serial.recommend(
-                    complaint, group_by=("district",)))
-                got, t_sharded = _timed(lambda: sharded.recommend(
-                    complaint, group_by=("district",)))
-                _assert_recommendation_equal(got, ref, f"n={n} warm")
-                best_serial = min(best_serial, t_serial)
-                best_sharded = min(best_sharded, t_sharded)
-
-            util = sharded.sharder.utilization() \
-                if sharded.sharder is not None else {}
-            stage_util = "/".join(
-                f"{util.get(stage, 0.0):4.2f}"
-                for stage in ("features", "gram", "sweep"))
-            speedup = best_serial / best_sharded if best_sharded else 0.0
-            rss = peak_rss_bytes()
-            lines.append(
-                f"{n:<9d} {fmt(best_serial)}     {fmt(best_sharded)}      "
-                f"{speedup:5.2f}x  {stage_util}        {rss / 1e6:9.1f}")
-            json_rows.append({
-                "op": "parallel-recommend", "scale": n,
-                "cold": t_serial_cold, "warm": best_sharded,
-                "serial_warm": best_serial, "speedup": speedup,
-                "shards": N_SHARDS, "workers": WORKERS,
-                "villages_per_district": vpd,
-                "util_features": util.get("features"),
-                "util_gram": util.get("gram"),
-                "util_sweep": util.get("sweep"),
-                "peak_rss_bytes": rss})
-            if n >= FLOOR_SCALE and (os.cpu_count() or 1) >= 4 \
-                    and WORKERS >= 4:
-                floors.append((n, speedup))
-    finally:
-        shutdown_worker_pools()
-    report("fig25_parallel_recommend", lines)
-    report_json("fig25_parallel_recommend", json_rows)
-    if not SMOKE:
-        for n, speedup in floors:
-            assert speedup >= FLOOR, (
-                f"sharded recommend at n={n}: {speedup:.2f}x < {FLOOR}x "
-                f"floor ({WORKERS} workers, {os.cpu_count()} cpus)")
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -625,8 +625,9 @@ or a list in schema order. --retract takes the same format; each
 retracted row must match an existing row on every column.
 
 --kernels selects the fused-kernel backend for the delta-merge and
-recommend kernels (same choices as serve); --shards/--shard-workers run
-the sharded pipeline and --spill-dir puts its shard blocks out of core.
+recommend kernels (same choices as serve); --shards/--shard-workers build
+the cube shard by shard and --spill-dir sends a pool build's packed shard
+blocks to files.
 
 examples:
   python -m repro ingest
@@ -681,12 +682,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="worker processes for sharded cube builds "
                                 "(0 = serial in-process shards)")
             p.add_argument("--spill-dir", metavar="DIR", default=None,
-                           help="out-of-core mode: write shard blocks to "
-                                "this directory and memory-map them "
-                                "instead of using shared memory (bounds "
-                                "coordinator RSS; needs --shards > 1)")
-            p.add_argument("--kernels", choices=("auto", "numpy", "numba",
-                                                 "plain", "off"),
+                           help="write the packed shard blocks a pool "
+                                "build ships to its workers to "
+                                "memory-mapped files in this directory "
+                                "instead of shared memory; the relation "
+                                "stays resident (needs --shards > 1 and "
+                                "--shard-workers > 0; the 1e8-row "
+                                "out-of-core build is the library's "
+                                "spill_build_from_chunks)")
+            p.add_argument("--kernels", choices=("auto", "numpy", "plain",
+                                                 "off"),
                            default=None,
                            help="fused-kernel backend (default: the "
                                 "REPTILE_KERNELS env var, else auto)")

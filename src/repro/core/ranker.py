@@ -29,9 +29,6 @@ ordering) to the frozen group-at-a-time reference in
 
 from __future__ import annotations
 
-import heapq
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -40,7 +37,6 @@ import numpy as np
 from .. import kernels
 from ..relational.aggregates import AggState, GroupStats, merge_states
 from ..relational.cube import Cube, GroupView, StatesMap
-from ..relational.shard import shared_arrays
 from .complaint import Complaint
 from .repair import ModelRepairer, RepairPrediction
 
@@ -127,81 +123,15 @@ def _view_stats(drill_view: GroupView) -> tuple[list, GroupStats]:
     return keys, GroupStats(count, total, sumsq)
 
 
-def _sweep_task(source, lo: int, hi: int, n_stats: int,
-                parent: tuple[float, float, float],
-                statistics: tuple[str, ...], aggregate: str,
-                observed_stats: tuple[str, ...], complaint: Complaint,
-                k: int | None):
-    """Worker kernel: eq.-3 sweep + local top-k over one group range.
-
-    ``rank1_sweep`` is elementwise per group once the parent scalars are
-    fixed (its ``ok.any()``/``ok.all()`` branches only elide identity
-    work), so running it on a contiguous slice yields exactly the rows
-    the full-array sweep computes. The local ``np.lexsort`` order is the
-    global order restricted to the range (stable ties ascend by index),
-    so per-range top-k heaps merge exactly on the coordinator.
-    """
-    t0 = time.perf_counter()
-    arrays, release = shared_arrays(source)
-    try:
-        count = arrays["count"][lo:hi]
-        total = arrays["total"][lo:hi]
-        sumsq = arrays["sumsq"][lo:hi]
-        values = arrays["values"][lo * n_stats:hi * n_stats] \
-            .reshape(hi - lo, n_stats)
-        valid = arrays["valid"][lo * n_stats:hi * n_stats] \
-            .reshape(hi - lo, n_stats)
-        repaired, sizes = kernels.rank1_sweep(
-            count, total, sumsq, parent[0], parent[1], parent[2],
-            statistics, values, valid, aggregate, observed_stats)
-        scores = complaint.penalty_values(repaired)
-        has_nan = bool(np.isnan(scores).any() or np.isnan(sizes).any())
-        order = np.lexsort((-np.abs(sizes), scores))
-        if k is not None:
-            order = order[:k]
-        payload = ((order.astype(np.int64) + lo), scores[order],
-                   sizes[order], repaired[order], has_nan)
-        return payload, time.perf_counter() - t0, os.getpid()
-    finally:
-        release()
-
-
-def _merge_range_topk(parts: list, k: int | None
-                      ) -> list[tuple[int, float, float]]:
-    """Exact merge of per-range top-k heaps: ``(idx, score, repaired)``.
-
-    Ranges are fed in ascending-index order and ``heapq.merge`` is
-    stable across its inputs, so ties on ``(score, -|size|)`` resolve by
-    global index — the exact tie order of the full-array
-    ``np.lexsort((-np.abs(sizes), scores))``.
-    """
-    streams = []
-    for idx, scores, sizes, repaired, _ in parts:
-        streams.append([(float(s), -abs(float(z)), int(i), float(r))
-                        for i, s, z, r in zip(idx, scores, sizes, repaired)])
-    merged = heapq.merge(*streams, key=lambda t: (t[0], t[1]))
-    out: list[tuple[int, float, float]] = []
-    for score, _, i, repaired in merged:
-        out.append((i, score, repaired))
-        if k is not None and len(out) >= k:
-            break
-    return out
-
-
 def score_drilldown(drill_view: GroupView, prediction: RepairPrediction,
                     complaint: Complaint,
                     observed_stats: Sequence[str] = ("count", "mean", "std"),
-                    k: int | None = None, sharder=None,
+                    k: int | None = None,
                     ) -> tuple[float, list[ScoredGroup]]:
     """Score every group of one drill-down view (steps 3–4 above).
 
     With ``k`` set, only the top-k :class:`ScoredGroup` records are
-    materialized (the sweep itself always covers every group). With a
-    :class:`~repro.relational.shard.ShardExecutor` the sweep is
-    partitioned by candidate-group range across workers and the
-    per-range top-k heaps merge with the exact lexsort tie-break —
-    results are bitwise-equal to the serial sweep (any NaN score falls
-    back to the global reference loop, exactly like the serial path).
+    materialized (the sweep itself always covers every group).
     """
     keys, stats = _view_stats(drill_view)
     if not keys:
@@ -217,38 +147,6 @@ def score_drilldown(drill_view: GroupView, prediction: RepairPrediction,
         return base_penalty, scored if k is None else scored[:k]
     RANKER_STATS["array"] += 1
     values, valid = arrays
-
-    if sharder is not None and sharder.n_parts > 1 and len(keys) > 1:
-        n_stats = len(prediction.statistics)
-        shared = {"count": stats.count, "total": stats.total,
-                  "sumsq": stats.sumsq, "values": values.ravel(),
-                  "valid": valid.ravel()}
-        parent_t = (float(parent.count), float(parent.total),
-                    float(parent.sumsq))
-        parts = sharder.run_shared(
-            _sweep_task, shared,
-            [(lo, hi, n_stats, parent_t, prediction.statistics,
-              complaint.aggregate, tuple(observed_stats), complaint, k)
-             for lo, hi in sharder.ranges(len(keys))],
-            stage="sweep")
-        if any(part[4] for part in parts):
-            RANKER_STATS["array"] -= 1
-            RANKER_STATS["fallback"] += 1
-            scored = _score_loop(drill_view, prediction, complaint, parent,
-                                 base_penalty, observed_stats)
-            return base_penalty, scored if k is None else scored[:k]
-        scored = []
-        for i, score, repaired_value in _merge_range_topk(parts, k):
-            state = stats.state(i)
-            scored.append(ScoredGroup(
-                key=keys[i],
-                coordinates=drill_view.coordinates(keys[i]),
-                score=score,
-                margin_gain=base_penalty - score,
-                observed={s: state.statistic(s) for s in observed_stats},
-                expected=dict(prediction.expected(keys[i])),
-                repaired_value=repaired_value))
-        return base_penalty, scored
 
     # f_repair + eq. 3 + tie-break sizes, through the kernel tier: apply
     # each repaired statistic in order to the running (count, total,
@@ -329,8 +227,7 @@ def _repair_size(group: ScoredGroup) -> float:
 def rank_candidate(cube: Cube, group_attrs: Sequence[str], next_attr: str,
                    hierarchy: str, complaint: Complaint,
                    provenance: Mapping, repairer: ModelRepairer,
-                   k: int | None = None,
-                   sharder=None) -> DrilldownRecommendation:
+                   k: int | None = None) -> DrilldownRecommendation:
     """Rank one candidate hierarchy's drill-down groups."""
     drill_view = cube.drilldown_view(group_attrs, next_attr, provenance)
     if not drill_view.groups:
@@ -340,7 +237,7 @@ def rank_candidate(cube: Cube, group_attrs: Sequence[str], next_attr: str,
     prediction = repairer.predict(parallel, cluster_attrs=group_attrs,
                                   aggregate=complaint.aggregate)
     base_penalty, scored = score_drilldown(drill_view, prediction, complaint,
-                                           k=k, sharder=sharder)
+                                           k=k)
     return DrilldownRecommendation(hierarchy, next_attr, base_penalty, scored)
 
 
@@ -348,19 +245,18 @@ def rank_candidates(cube: Cube, group_attrs: Sequence[str],
                     candidates: Sequence[tuple[str, str]],
                     complaint: Complaint, provenance: Mapping,
                     repairer: ModelRepairer,
-                    k: int | None = None, sharder=None) -> Recommendation:
+                    k: int | None = None) -> Recommendation:
     """One full Reptile invocation over all candidate hierarchies (§4.5).
 
     Every candidate shares the complaint's arrays; ``k`` bounds how many
     :class:`ScoredGroup` records are materialized per hierarchy (the
     serving path passes its top-k so only what the analyst sees is built).
-    ``sharder`` fans the eq.-3 sweep out over the shard pool.
     """
     per_hierarchy = {}
     for hierarchy, next_attr in candidates:
         per_hierarchy[hierarchy] = rank_candidate(
             cube, group_attrs, next_attr, hierarchy, complaint, provenance,
-            repairer, k=k, sharder=sharder)
+            repairer, k=k)
     if not per_hierarchy:
         raise ValueError("no candidate hierarchies left to drill")
     return Recommendation(complaint, per_hierarchy)

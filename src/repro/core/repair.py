@@ -37,7 +37,6 @@ import numpy as np
 
 from ..relational.aggregates import AggState
 from ..relational.cube import GroupView
-from ..model.backends import DenseDesign, sharded_cluster_grams
 from ..model.features import FeaturePlan, ViewDesign, build_view_designs
 from ..model.linear import LinearModel
 from ..model.multilevel import MultilevelModel
@@ -232,20 +231,12 @@ class ModelRepairer:
         EM iterations for the multi-level model.
     statistics:
         Override of the statistic set to model/repair.
-    sharder:
-        Optional :class:`~repro.relational.shard.ShardExecutor` fanning
-        the design fill and the per-cluster Gram stack out over the
-        shard pool. Both sharded computations are bitwise-equal to their
-        serial forms, so the repairer's predictions (and its cache
-        signature) are unchanged — the field is deliberately *not* part
-        of ``repairer_signature``.
     """
 
     feature_plan: FeaturePlan = field(default_factory=FeaturePlan)
     model: str = "multilevel"
     n_iterations: int = 20
     statistics: tuple[str, ...] | None = None
-    sharder: object | None = None
 
     def statistics_for(self, aggregate: str) -> tuple[str, ...]:
         if self.statistics is not None:
@@ -267,7 +258,7 @@ class ModelRepairer:
             raise ValueError(f"unknown model kind {self.model!r}")
         stats = self.statistics_for(aggregate)
         designs = build_view_designs(parallel, stats, self.feature_plan,
-                                     cluster_attrs, sharder=self.sharder)
+                                     cluster_attrs)
         matrix = np.empty((len(designs[0].keys), len(stats)))
         for bucket in self._design_buckets(designs):
             fitted = self._fit_bucket(designs[bucket[0]],
@@ -297,21 +288,8 @@ class ModelRepairer:
                     ) -> list[np.ndarray]:
         if self.model == "linear":
             return LinearModel().fit_predict_many(vd.design, ys)
-        design = vd.design
-        if self.sharder is not None \
-                and getattr(self.sharder, "n_parts", 1) > 1 \
-                and getattr(design, "_cluster_gram_cache", False) is None \
-                and isinstance(design, DenseDesign) and design.n_clusters > 1:
-            # Bitwise-safe injection: the sharded per-cluster Gram stack
-            # equals design.cluster_grams() exactly (reduceat segments
-            # only read their own rows). XᵀX stays serial — a sharded
-            # partial-sum is reproducible but not bitwise (see
-            # sum_design_products) and the recommend path promises exact
-            # equality with the serial reference.
-            design._cluster_gram_cache = sharded_cluster_grams(
-                design, self.sharder)
         return MultilevelModel(
-            n_iterations=self.n_iterations).fit_predict_many(design, ys)
+            n_iterations=self.n_iterations).fit_predict_many(vd.design, ys)
 
 
 @dataclass

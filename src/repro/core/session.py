@@ -82,12 +82,15 @@ class ReptileConfig:
         Worker processes for sharded builds; ``0`` (default) runs the
         sharded pipeline serially in-process. Ignored when ``shards <= 1``.
     spill_dir:
-        Out-of-core mode: shard blocks shipped to workers are written to
-        this directory and memory-mapped instead of living in shared
-        memory, bounding the coordinator's resident footprint to one
-        shard's decoded image plus merged stats (the 1e8-row tier).
-        ``None`` (default) keeps blocks in shared memory. Ignored when
-        ``shards <= 1``.
+        Where a pool build (``shards > 1`` and ``workers > 0``) writes
+        the packed shard blocks it ships to its workers: memory-mapped
+        files in this directory instead of ``/dev/shm`` segments. The
+        relation itself stays resident, and with ``workers=0`` the build
+        packs nothing, so the directory is never used. The out-of-core
+        1e8-row build is
+        :func:`~repro.relational.shard.spill_build_from_chunks`.
+        ``None`` (default) keeps packed blocks in shared memory. Ignored
+        when ``shards <= 1``.
     """
 
     model: str = "multilevel"
@@ -139,17 +142,6 @@ class Reptile:
                                     workers=workers, spill_dir=spill_dir)
         else:
             self.cube = Cube(dataset)
-        # The general shard-compute tier: unit builds, design fills,
-        # cluster-Gram stacks and the eq.-3 sweep all fan out through
-        # this executor (sharing the cube's worker-pool registry). Every
-        # sharded stage is bitwise-equal to its serial form, so caches
-        # and oracles are oblivious to it.
-        self.sharder = None
-        if shards > 1:
-            from ..relational.shard import ShardExecutor, worker_pool
-            pool = worker_pool(min(workers, shards)) if workers > 0 else None
-            self.sharder = ShardExecutor(shards, pool=pool,
-                                         spill_dir=spill_dir)
         self._repairer = repairer
         self._full_paths: dict[str, HierarchyPaths] | None = None
         # Monotonically increasing data version: bumped by every
@@ -192,8 +184,7 @@ class Reptile:
                         extra.append(spec)
             plan = replace(plan, extra_specs=extra)
         return ModelRepairer(feature_plan=plan, model=self.config.model,
-                             n_iterations=self.config.n_em_iterations,
-                             sharder=self.sharder)
+                             n_iterations=self.config.n_em_iterations)
 
     # -- decomposed aggregates (§4.4) ---------------------------------------------------
     def full_paths(self) -> dict[str, HierarchyPaths]:
@@ -205,18 +196,9 @@ class Reptile:
         return self._full_paths
 
     def build_unit(self, paths: HierarchyPaths) -> HierarchyAggregates:
-        """One hierarchy's aggregate unit, via the serving cache if present.
-
-        With the shard-compute tier active the unit's stored relations are
-        built in workers (distinct-edge sets per level, merged exactly);
-        the result is bitwise-equal to the serial build, so the cache key
-        is unchanged.
-        """
+        """One hierarchy's aggregate unit, via the serving cache if present."""
         def compute() -> HierarchyAggregates:
             self.unit_builds += 1
-            if self.sharder is not None:
-                from ..factorized.multiquery import sharded_hierarchy_unit
-                return sharded_hierarchy_unit(paths, sharder=self.sharder)
             return hierarchy_unit(paths)
         if self.cache is None:
             return compute()
@@ -601,8 +583,7 @@ class DrillSession:
         # ScoredGroup records only for the groups the analyst will see.
         recommendation = rank_candidates(
             self.engine.cube, self.group_by, candidates, complaint,
-            self.provenance(complaint), repairer, k=top_k,
-            sharder=self.engine.sharder)
+            self.provenance(complaint), repairer, k=top_k)
         for rec in recommendation.per_hierarchy.values():
             rec.groups = rec.top(top_k)
         self.history.append(recommendation)

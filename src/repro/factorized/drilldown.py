@@ -30,8 +30,7 @@ from typing import Callable, Mapping, Sequence
 
 from .forder import FactorizationError, HierarchyPaths
 from .multiquery import (AggregateSet, HierarchyAggregates, combine_units,
-                         hierarchy_unit, merge_unit_delta,
-                         sharded_unit_builder)
+                         hierarchy_unit, merge_unit_delta)
 
 MODES = ("static", "dynamic", "cache")
 
@@ -63,15 +62,10 @@ class DrilldownEngine:
                  mode: str = "cache",
                  builder: Callable[[HierarchyPaths], HierarchyAggregates]
                  = hierarchy_unit,
-                 combiner: Callable[[list], AggregateSet] = combine_units,
-                 sharder=None):
+                 combiner: Callable[[list], AggregateSet] = combine_units):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.mode = mode
-        if sharder is not None and builder is hierarchy_unit:
-            # The shard-parallel unit build is bitwise-equal to the
-            # serial builder, so caching/reuse semantics are unchanged.
-            builder = sharded_unit_builder(sharder)
         self._builder = builder
         self._combiner = combiner
         self.full_paths: dict[str, HierarchyPaths] = {

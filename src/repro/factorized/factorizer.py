@@ -34,20 +34,6 @@ class Factorizer:
         self.order = order
         self._encoded: dict[str, EncodedCountMap] = {}
 
-    @classmethod
-    def seeded(cls, order: AttributeOrder,
-               encoded: dict[str, EncodedCountMap]) -> "Factorizer":
-        """A factorizer whose encoded-relation memo is pre-populated.
-
-        The sharded unit builder computes each stored relation's distinct
-        edge set in workers and seeds it here; every consumer then reads
-        the merged relations through the ordinary memoized interface
-        (attributes not seeded still build lazily from the level codes).
-        """
-        factorizer = cls(order)
-        factorizer._encoded.update(encoded)
-        return factorizer
-
     # -- relation interface (Appendix C.2) -----------------------------------------
     def relation_for(self, attribute: str) -> CountMap:
         """The stored relation that introduces ``attribute``.

@@ -29,7 +29,6 @@ unit and combine the rest in O(1) per aggregate.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -87,44 +86,6 @@ class HierarchyAggregates:
         return self.within_counts[attribute].dense_counts()
 
 
-def _unit_from_relations(paths: HierarchyPaths,
-                         relation_for: Callable[[str], EncodedCountMap]
-                         ) -> HierarchyAggregates:
-    """The shared leaf-up chain algebra over stored relations.
-
-    Factored out of :func:`hierarchy_unit` so the sharded unit builder
-    can replay the *identical* chain over relations whose distinct edge
-    sets were computed in workers — every kernel call, cast and key order
-    below is shared by both paths, which is what makes the sharded unit
-    bitwise-equal by construction.
-    """
-    attrs = paths.attributes
-    within: dict[str, EncodedCountMap] = {}
-    leaf = attrs[-1]
-    within[leaf] = relation_for(leaf).project_keep([leaf])
-    for i in range(len(attrs) - 2, -1, -1):
-        child = attrs[i + 1]
-        rel = relation_for(child)  # schema [B_i, B_{i+1}]
-        within[attrs[i]] = rel.join(within[child]).marginalize(child)
-
-    cofs: dict[tuple[str, str], EncodedCountMap] = {}
-    for j in range(1, len(attrs)):
-        bj = attrs[j]
-        chain = relation_for(bj).join(within[bj])
-        cofs[(attrs[j - 1], bj)] = chain
-        for i in range(j - 2, -1, -1):
-            mid = attrs[i + 1]
-            rel = relation_for(mid)
-            chain = rel.join(cofs[(mid, bj)]).marginalize(mid)
-            cofs[(attrs[i], bj)] = chain
-
-    h_total = within[attrs[0]].total()
-    domains = {a: paths.level_domain(level)
-               for level, a in enumerate(attrs)}
-    return HierarchyAggregates(paths.name, attrs, within, cofs, h_total,
-                               domains)
-
-
 def hierarchy_unit(paths: HierarchyPaths) -> HierarchyAggregates:
     """Compute one hierarchy's unit with the shared leaf-up plan.
 
@@ -135,90 +96,31 @@ def hierarchy_unit(paths: HierarchyPaths) -> HierarchyAggregates:
     each COF chain extension is one gather/``bincount`` pair.
     """
     factorizer = Factorizer(AttributeOrder([paths]))
-    return _unit_from_relations(paths, factorizer.encoded_relation_for)
-
-
-def _unit_edge_task(source, n_levels: int, dom_sizes: Sequence[int],
-                    lo: int, hi: int):
-    """Worker kernel: per-level sorted-unique combined edge codes.
-
-    Operates on the packed level-code columns restricted to the leaf-path
-    range ``[lo, hi)``. For level ``l >= 1`` the combined code is
-    ``parent_code * |dom_l| + child_code`` — exactly the expression
-    :meth:`Factorizer.encoded_relation_for` evaluates globally — and the
-    per-range sorted uniques union exactly on the coordinator
-    (``unique ∘ concat ∘ unique == unique``).
-
-    Within-counts and COFs themselves are **not** additive across path
-    ranges (a mid-level value split across ranges would double-count its
-    chains), which is why shards return edge *sets*, not aggregates; the
-    cheap pair-sized chain algebra replays on the coordinator.
-    """
-    import time as _time
-
-    from ..relational.shard import shared_arrays
-    t0 = _time.perf_counter()
-    arrays, release = shared_arrays(source)
-    try:
-        uniqs = []
-        for level in range(1, n_levels):
-            combined = (arrays[f"l{level - 1}"][lo:hi].astype(np.int64)
-                        * dom_sizes[level] + arrays[f"l{level}"][lo:hi])
-            uniqs.append(np.unique(combined))
-        return uniqs, _time.perf_counter() - t0, os.getpid()
-    finally:
-        release()
-
-
-def sharded_hierarchy_unit(paths: HierarchyPaths, *,
-                           sharder) -> HierarchyAggregates:
-    """:func:`hierarchy_unit` with the edge scan fanned out over shards.
-
-    The only part of a unit build that touches all ``n_leaves`` paths is
-    the distinct-edge extraction per level; everything after operates on
-    pair-sized arrays. Workers scan contiguous leaf-path ranges of the
-    shared level-code columns and return per-level sorted-unique edge
-    codes; the coordinator unions them (``np.unique`` of the
-    concatenation — identical to the global unique), reconstructs the
-    stored relations verbatim, and replays the serial chain algebra via
-    :func:`_unit_from_relations`. Bitwise-equal to
-    :func:`hierarchy_unit` by construction; gated by the frozen
-    :mod:`repro.factorized.reference` oracle in the property tests.
-    """
     attrs = paths.attributes
-    k = len(attrs)
-    if sharder is None or sharder.n_parts <= 1 or k == 1:
-        return hierarchy_unit(paths)
-    dom_sizes = [len(paths.level_domain(level)) for level in range(k)]
-    arrays = {f"l{level}": paths.level_codes(level) for level in range(k)}
-    parts = sharder.ranges(paths.n_leaves)
-    results = sharder.run_shared(
-        _unit_edge_task, arrays,
-        [(k, dom_sizes, lo, hi) for lo, hi in parts], stage="units")
+    within: dict[str, EncodedCountMap] = {}
+    leaf = attrs[-1]
+    within[leaf] = factorizer.encoded_relation_for(leaf).project_keep([leaf])
+    for i in range(len(attrs) - 2, -1, -1):
+        child = attrs[i + 1]
+        rel = factorizer.encoded_relation_for(child)  # schema [B_i, B_{i+1}]
+        within[attrs[i]] = rel.join(within[child]).marginalize(child)
 
-    rels: dict[str, EncodedCountMap] = {
-        attrs[0]: EncodedCountMap.dense_unary(attrs[0],
-                                              paths.level_domain(0))}
-    for level in range(1, k):
-        uniq = np.unique(np.concatenate(
-            [part[level - 1] for part in results]))
-        pdom = paths.level_domain(level - 1)
-        cdom = paths.level_domain(level)
-        rels[attrs[level]] = EncodedCountMap(
-            (attrs[level - 1], attrs[level]), (pdom, cdom),
-            ((uniq // len(cdom)).astype(np.int32),
-             (uniq % len(cdom)).astype(np.int32)),
-            np.ones(len(uniq)))
-    factorizer = Factorizer.seeded(AttributeOrder([paths]), rels)
-    return _unit_from_relations(paths, factorizer.encoded_relation_for)
+    cofs: dict[tuple[str, str], EncodedCountMap] = {}
+    for j in range(1, len(attrs)):
+        bj = attrs[j]
+        chain = factorizer.encoded_relation_for(bj).join(within[bj])
+        cofs[(attrs[j - 1], bj)] = chain
+        for i in range(j - 2, -1, -1):
+            mid = attrs[i + 1]
+            rel = factorizer.encoded_relation_for(mid)
+            chain = rel.join(cofs[(mid, bj)]).marginalize(mid)
+            cofs[(attrs[i], bj)] = chain
 
-
-def sharded_unit_builder(sharder) -> Callable[[HierarchyPaths],
-                                              HierarchyAggregates]:
-    """A drop-in ``builder`` for the drill/plan layers, bound to a sharder."""
-    def build(paths: HierarchyPaths) -> HierarchyAggregates:
-        return sharded_hierarchy_unit(paths, sharder=sharder)
-    return build
+    h_total = within[attrs[0]].total()
+    domains = {a: paths.level_domain(level)
+               for level, a in enumerate(attrs)}
+    return HierarchyAggregates(paths.name, attrs, within, cofs, h_total,
+                               domains)
 
 
 def merge_unit_delta(old: HierarchyAggregates,

@@ -9,15 +9,13 @@ Backends:
 ======== ==============================================================
 plain    the pre-tier NumPy code, frozen (:mod:`repro.kernels.plain`)
 numpy    fused pure-NumPy fast paths (:mod:`repro.kernels.numpy_fused`)
-numba    nopython loops, optional (:mod:`repro.kernels.numba_backend`)
 ======== ==============================================================
 
-Selection is ``REPTILE_KERNELS`` (``auto``/``numpy``/``numba``/``plain``/
-``off``) or :func:`set_backend`; ``auto`` picks numba only when it
-imports, and nothing imports numba at module load. Every kernel result
-is bitwise-equal across backends — a fused backend whose guard declines
-returns ``None`` and the call falls through to the plain tier, counted
-in :data:`KERNEL_STATS` and surfaced at ``/stats``.
+Selection is ``REPTILE_KERNELS`` (``auto``/``numpy``/``plain``/``off``)
+or :func:`set_backend`; ``auto`` resolves to ``numpy``. Every kernel
+result is bitwise-equal across backends — a fused backend whose guard
+declines returns ``None`` and the call falls through to the plain tier,
+counted in :data:`KERNEL_STATS` and surfaced at ``/stats``.
 
 Call sites bind this package as a module (``from .. import kernels``)
 rather than importing names from it, which keeps the
@@ -31,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from ..robustness.faultinject import fault_point
-from . import numba_backend, numpy_fused, plain
+from . import numpy_fused, plain
 from .dispatch import (BACKEND_NAMES, ENV_VAR, KERNEL_STATS,
                        KernelBackendError, _count, backend_name,
                        clear_quarantine, is_quarantined, kernel_stats,
@@ -56,8 +54,6 @@ def _fused_module():
     backend = backend_name()
     if is_quarantined(backend):
         return None
-    if backend == "numba":
-        return numba_backend
     if backend == "numpy":
         return numpy_fused
     return None

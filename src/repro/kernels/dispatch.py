@@ -1,7 +1,7 @@
 """Backend registry and dispatch for the fused-kernel tier.
 
-The tier has three interchangeable backends, all bitwise-equal on every
-kernel (the property suite and the fig23 harness enforce it):
+The tier has two interchangeable backends, bitwise-equal on every kernel
+(the property suite and the fig23 harness enforce it):
 
 * ``plain`` — the pre-kernel-tier NumPy code paths, frozen verbatim.
   Every other backend's guard failure lands here, so the engine can
@@ -9,17 +9,11 @@ kernel (the property suite and the fig23 harness enforce it):
 * ``numpy`` — fused pure-NumPy fast paths (radix/counting group-by,
   scatter-probe join, workspace-reusing rank-1 sweep). The default
   production tier; requires nothing beyond NumPy.
-* ``numba`` — the same three kernels as nopython loops. Optional:
-  selected only when numba imports, and ``numba`` is *never* imported at
-  module load — only inside :func:`resolve_backend` when the environment
-  or an explicit :func:`set_backend` asks for it.
 
 Selection: the ``REPTILE_KERNELS`` environment variable (read once, at
 first dispatch) or :func:`set_backend`. Values:
 
-* ``auto`` (default) — ``numba`` when importable, else ``numpy``;
-* ``numpy`` — the fused NumPy tier (forced fallback from numba);
-* ``numba`` — require numba (raise if it cannot be imported);
+* ``auto`` (default) / ``numpy`` — the fused NumPy tier;
 * ``plain`` / ``off`` — disable the fused tier entirely.
 
 Every public kernel wrapper counts its dispatches in
@@ -39,7 +33,7 @@ import time
 ENV_VAR = "REPTILE_KERNELS"
 
 #: Recognized backend names. "off" is an alias of "plain".
-BACKEND_NAMES = ("auto", "numpy", "numba", "plain", "off")
+BACKEND_NAMES = ("auto", "numpy", "plain", "off")
 
 #: Per-kernel dispatch counters (process-wide, like RANKER_STATS).
 KERNEL_STATS: dict[str, dict[str, int]] = {
@@ -61,23 +55,14 @@ _quarantined: dict[str, dict] = {}
 
 
 class KernelBackendError(ValueError):
-    """Raised for unknown backend names or an unavailable numba request."""
-
-
-def _numba_available() -> bool:
-    try:
-        import numba  # noqa: F401  (deliberately lazy: only on request)
-    except Exception:
-        return False
-    return True
+    """Raised for unknown backend names."""
 
 
 def resolve_backend(name: str | None = None) -> str:
     """Resolve a requested name to the concrete backend that will run.
 
-    ``None`` reads :data:`ENV_VAR` (default ``auto``). ``auto`` probes
-    for numba; ``numba`` requires it. The result is one of ``plain``,
-    ``numpy``, ``numba``.
+    ``None`` reads :data:`ENV_VAR` (default ``auto``). The result is
+    ``plain`` or ``numpy``.
     """
     if name is None:
         name = os.environ.get(ENV_VAR, "") or "auto"
@@ -89,11 +74,7 @@ def resolve_backend(name: str | None = None) -> str:
     if name == "off":
         return "plain"
     if name == "auto":
-        return "numba" if _numba_available() else "numpy"
-    if name == "numba" and not _numba_available():
-        raise KernelBackendError(
-            "REPTILE_KERNELS=numba but numba cannot be imported; install "
-            "numba or use REPTILE_KERNELS=numpy")
+        return "numpy"
     return name
 
 
@@ -111,9 +92,8 @@ def set_backend(name: str | None) -> str:
     """Force the backend for this process (``None`` = back to the env).
 
     Returns the resolved name. Used by the CLI ``--kernels`` flag and by
-    the tests/benchmarks to pin a tier; resolution errors (e.g. numba
-    requested but missing) surface immediately rather than at first
-    dispatch.
+    the tests/benchmarks to pin a tier; resolution errors (an unknown
+    name) surface immediately rather than at first dispatch.
     """
     global _active, _requested
     with _lock:
@@ -130,7 +110,7 @@ def kernel_stats() -> dict:
     """Snapshot of the dispatch counters plus the backend name.
 
     ``backend`` reports the *resolved* tier only if resolution already
-    happened; it never forces a numba probe just to be observed.
+    happened; observing it never forces a resolution.
     """
     return {
         "backend": _active if _active is not None else "unresolved",

@@ -132,133 +132,6 @@ class DenseDesign:
         return np.add.reduceat(v * v, self.offsets[:-1])
 
 
-def _cluster_gram_task(source, r, offs, lo_c, hi_c):
-    """Worker: ``Z_iᵀZ_i`` blocks for clusters ``[lo_c, hi_c)``.
-
-    ``offs`` is the global offsets slice ``offsets[lo_c:hi_c+1]``; the
-    per-row outer products and the per-segment ``np.add.reduceat`` sums
-    read exactly the rows (in exactly the order) the full computation
-    reads for these clusters, so each block is bitwise-equal to the
-    matching slice of :meth:`DenseDesign.cluster_grams`.
-    """
-    import os
-    import time
-
-    from ..relational.shard import shared_arrays
-
-    start = time.perf_counter()
-    arrays, release = shared_arrays(source)
-    try:
-        if hi_c > lo_c:
-            lo, hi = int(offs[0]), int(offs[-1])
-            z = arrays["z"].reshape(-1, r)[lo:hi]
-            outer = np.einsum("ni,nj->nij", z, z)
-            block = np.ascontiguousarray(
-                np.add.reduceat(outer, np.asarray(offs[:-1]) - lo, axis=0))
-        else:
-            block = np.zeros((0, r, r))
-    finally:
-        release()
-    return block, time.perf_counter() - start, os.getpid()
-
-
-def sharded_cluster_grams(design: DenseDesign, sharder) -> np.ndarray:
-    """The per-cluster Gram stack computed over cluster-aligned ranges.
-
-    Each worker owns a contiguous cluster range; because every
-    ``reduceat`` segment depends only on its own rows, concatenating the
-    per-range blocks reproduces ``design.cluster_grams()`` bitwise.
-    Callers inject the result via ``design._cluster_gram_cache``.
-    """
-    r = design.r
-    if r == 0 or design.n_clusters == 0:
-        return design.cluster_grams()
-    shared = {"z": np.ascontiguousarray(design._z).ravel()}
-    ranges = sharder.ranges(design.n_clusters)
-    args = [(r, design.offsets[lo_c:hi_c + 1].astype(np.int64), lo_c, hi_c)
-            for lo_c, hi_c in ranges]
-    blocks = sharder.run_shared(_cluster_gram_task, shared, args,
-                                stage="gram")
-    return np.concatenate(blocks, axis=0)
-
-
-def partial_design_products(x: np.ndarray, ys: Sequence[np.ndarray],
-                            lo: int, hi: int
-                            ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Partial ``XᵀX`` and ``Xᵀy`` over the row range ``[lo, hi)``.
-
-    One shard's contribution to the normal-equation products; see
-    :func:`sum_design_products` for the summation-order caveat.
-    """
-    xs = x[lo:hi]
-    return xs.T @ xs, [xs.T @ np.asarray(y, dtype=float)[lo:hi] for y in ys]
-
-
-def sum_design_products(parts: Sequence[tuple[np.ndarray, list[np.ndarray]]]
-                        ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Sum partial products in ascending-range (cluster-sorted) order.
-
-    Summation-order caveat: a single BLAS ``X.T @ X`` over all n rows
-    accumulates dot products in an implementation-chosen (blocked) order,
-    so the sharded sum is *reproducible* for a fixed range decomposition
-    but NOT bitwise-equal to the one-shot product — only equal to within
-    floating-point reassociation (~1 ulp per partial). The recommend path
-    therefore keeps its promise of bitwise equality by assembling the full
-    design and computing ``design.gram()`` serially; these partial
-    products serve out-of-core accumulation, where X never materialises
-    in one piece, and are pinned by a dedicated reproducibility test.
-    """
-    if not parts:
-        raise ValueError("no partial products to sum")
-    xtx = parts[0][0].copy()
-    xtys = [b.copy() for b in parts[0][1]]
-    for block, y_blocks in parts[1:]:
-        xtx += block
-        for acc, b in zip(xtys, y_blocks):
-            acc += b
-    return xtx, xtys
-
-
-def _design_product_task(source, m, n_targets, lo, hi):
-    """Worker: partial ``XᵀX``/``Xᵀy`` blocks for rows ``[lo, hi)``."""
-    import os
-    import time
-
-    from ..relational.shard import shared_arrays
-
-    start = time.perf_counter()
-    arrays, release = shared_arrays(source)
-    try:
-        x = arrays["x"].reshape(-1, m)
-        ys = [arrays[f"y{j}"] for j in range(n_targets)]
-        xs = x[lo:hi]
-        payload = (np.ascontiguousarray(xs.T @ xs),
-                   [np.ascontiguousarray(xs.T @ y[lo:hi]) for y in ys])
-    finally:
-        release()
-    return payload, time.perf_counter() - start, os.getpid()
-
-
-def sharded_design_products(design: DenseDesign, ys: Sequence[np.ndarray],
-                            sharder
-                            ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``XᵀX`` and every ``Xᵀy`` accumulated per shard over the pool.
-
-    Partial blocks are summed in cluster-sorted range order; see
-    :func:`sum_design_products` for why the result is reproducible but
-    not bitwise-equal to the serial one-shot products.
-    """
-    m = design.m
-    shared = {"x": np.ascontiguousarray(design.x).ravel()}
-    for j, y in enumerate(ys):
-        shared[f"y{j}"] = np.asarray(y, dtype=float)
-    ranges = sharder.ranges(design.n)
-    args = [(m, len(ys), lo, hi) for lo, hi in ranges]
-    parts = sharder.run_shared(_design_product_task, shared, args,
-                               stage="gram")
-    return sum_design_products(parts)
-
-
 class FactorizedDesign:
     """Design over a :class:`FactorizedMatrix`; X is never materialised."""
 

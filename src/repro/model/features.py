@@ -498,71 +498,6 @@ def _feature_column(view: GroupView, built: BuiltFeature,
     return domain_arr[codes]
 
 
-def _x_fill_task(source, spec, lo, hi):
-    """Worker: gather one row range of a design's feature columns.
-
-    ``spec`` is ``[(shared array name, per-domain lookup array), ...]``,
-    one entry per feature column; the gather is elementwise, so the block
-    is bitwise-equal to rows ``[lo, hi)`` of the serial
-    :func:`_feature_column` fill.
-    """
-    import os
-    import time
-
-    from ..relational.shard import shared_arrays
-
-    start = time.perf_counter()
-    arrays, release = shared_arrays(source)
-    try:
-        block = np.empty((hi - lo, len(spec)))
-        for j, (name, domain_arr) in enumerate(spec):
-            block[:, j] = domain_arr[arrays[name][lo:hi]]
-    finally:
-        release()
-    return block, time.perf_counter() - start, os.getpid()
-
-
-def _sharded_x_fill(view: GroupView, feature_set: FeatureSet,
-                    perm: np.ndarray, x: np.ndarray, col0: int,
-                    sharder) -> bool:
-    """Fill the feature columns of ``x`` through the shard executor.
-
-    Workers gather contiguous row ranges from the perm-ordered key codes
-    (shared-memory) against per-feature domain lookup arrays — the exact
-    arrays the serial :func:`_feature_column` path gathers from, so the
-    assembled matrix is bitwise-identical. Returns False (nothing
-    written) when any feature lacks the single-attribute fast path; the
-    caller then falls back to the serial fill.
-    """
-    arrays = _view_arrays(view)
-    if arrays is None:
-        return False
-    _, codes_m, encs = arrays
-    shared: dict[str, np.ndarray] = {}
-    spec: list[tuple[str, np.ndarray]] = []
-    for built in feature_set.features:
-        if len(built.attributes) != 1 \
-                or built.attributes[0] not in view.group_attrs:
-            return False
-        pos = view.group_attrs.index(built.attributes[0])
-        name = f"a{pos}"
-        if name not in shared:
-            shared[name] = np.ascontiguousarray(codes_m[:, pos][perm])
-        domain_arr = built.domain_table(encs[pos])
-        if domain_arr is None:
-            mapping, default = built.mapping, built.default
-            domain_arr = np.asarray([float(mapping.get(v, default))
-                                     for v in encs[pos].domain], dtype=float)
-        spec.append((name, domain_arr))
-    ranges = sharder.ranges(x.shape[0])
-    blocks = sharder.run_shared(_x_fill_task, shared,
-                                [(spec, lo, hi) for lo, hi in ranges],
-                                stage="features")
-    for (lo, hi), block in zip(ranges, blocks):
-        x[lo:hi, col0:] = block
-    return True
-
-
 #: Domain-rank memo keyed by domain-list identity. Safe because
 #: encodings share (never copy) their domain list across ``take`` views
 #: and ``extend_domain`` only ever *appends* — the length check catches
@@ -680,8 +615,8 @@ def _cluster_sizes(view: GroupView, keys_sorted: list,
 
 
 def build_view_designs(view: GroupView, targets: Sequence[str],
-                       plan: FeaturePlan, cluster_attrs: Sequence[str],
-                       sharder=None) -> list[ViewDesign]:
+                       plan: FeaturePlan, cluster_attrs: Sequence[str]
+                       ) -> list[ViewDesign]:
     """One cluster-sorted dense design per target statistic.
 
     The structural work — the cluster sort, the cluster run lengths, the
@@ -690,11 +625,6 @@ def build_view_designs(view: GroupView, targets: Sequence[str],
     On array-backed views both are vectorized: feature columns come from
     encoded-domain lookups (no per-row ``value_for`` calls) and y from
     :meth:`~repro.relational.aggregates.GroupStats.statistic_array`.
-
-    ``sharder`` (a :class:`~repro.relational.shard.ShardExecutor`) fans
-    the per-target feature-column fill out over contiguous row ranges;
-    the gathers are elementwise, so the assembled designs are
-    bitwise-identical to the serial ones.
     """
     cluster_attrs = tuple(cluster_attrs)
     for a in cluster_attrs:
@@ -717,18 +647,13 @@ def build_view_designs(view: GroupView, targets: Sequence[str],
         if feature_set.intercept:
             x[:, 0] = 1.0
             col = 1
-        filled = False
-        if sharder is not None and getattr(sharder, "n_parts", 1) > 1 \
-                and feature_set.features:
-            filled = _sharded_x_fill(view, feature_set, perm, x, col, sharder)
-        if not filled:
-            for built in feature_set.features:
-                column = _feature_column(view, built, perm)
-                if column is None:
-                    column = [built.value_for(view.group_attrs, k)
-                              for k in keys_sorted]
-                x[:, col] = column
-                col += 1
+        for built in feature_set.features:
+            column = _feature_column(view, built, perm)
+            if column is None:
+                column = [built.value_for(view.group_attrs, k)
+                          for k in keys_sorted]
+            x[:, col] = column
+            col += 1
         if stats is not None:
             y = stats.statistic_array(target)[perm]
         else:

@@ -289,11 +289,11 @@ def with_statistic_arrays(count: np.ndarray, total: np.ndarray,
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized :meth:`AggState.with_statistic` over whole levels.
 
-    The fused-kernel tier carries bitwise-synced variants of this chain
+    The fused-kernel tier carries a bitwise-synced variant of this chain
     (``kernels.numpy_fused._with_statistic_lean`` skips the dead
-    mean/std preamble per branch; the numba backend transliterates it to
-    scalars) — a change to any branch here must land in both, or the
-    kernel property suite's fused-vs-plain equality gate will fail.
+    mean/std preamble per branch) — a change to any branch here must
+    land in both, or the kernel property suite's fused-vs-plain equality
+    gate will fail.
     """
     mean = mean_array(count, total)
     std = np.sqrt(var_array(count, total, sumsq))

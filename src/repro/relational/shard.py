@@ -188,11 +188,10 @@ class SharedCodes:
              spill: bool = False) -> "SharedCodes":
         """Pack arrays into one segment workers can attach.
 
-        With ``spill=True`` (the out-of-core tier, ``--spill-dir``) the
-        block always goes to a memory-mapped file under ``directory``
-        instead of ``/dev/shm``: the resident budget is then whatever the
-        page cache keeps warm, not the full block, so coordinator RSS
-        stays bounded while workers still get zero-pickle views.
+        With ``spill=True`` (``--spill-dir``) the block always goes to a
+        memory-mapped file under ``directory`` instead of ``/dev/shm``:
+        its pages live in the page cache rather than pinned shared
+        memory, and workers still get zero-pickle views.
         """
         prepared, layout, size = cls._layout(arrays)
         if spill:
@@ -292,21 +291,6 @@ class SharedCodes:
                 except OSError:
                     pass
                 _unregister_segment(self.handle)
-
-
-def shared_arrays(source) -> tuple[dict, "Callable[[], None]"]:
-    """Resolve a task's array source to ``(arrays, release)``.
-
-    Shard-compute tasks accept either a :class:`BlockHandle` (pool mode —
-    the worker attaches the shared segment) or a plain ``{name: array}``
-    dict (serial in-process mode — no packing, no copies). The returned
-    ``release`` drops any attached views; it never unlinks (only the
-    packer owns the segment).
-    """
-    if isinstance(source, BlockHandle):
-        block = SharedCodes.attach(source)
-        return dict(block.arrays), block.release
-    return source, lambda: None
 
 
 class ShardSpillWriter:
@@ -578,10 +562,6 @@ class ShardWorkerPool:
                 failures)
         return results
 
-    def map_tasks(self, fn, argtuples: Iterable[tuple]) -> list:
-        """Back-compat name for :meth:`run_tasks`."""
-        return self.run_tasks(fn, argtuples)
-
     def stats(self) -> dict:
         """Supervision counters, shaped for ``/healthz``."""
         return {
@@ -630,121 +610,6 @@ def shutdown_worker_pools() -> None:
 
 
 atexit.register(shutdown_worker_pools)
-
-
-# ---------------------------------------------------------------------------
-# The general shard-compute tier
-
-
-class ShardExecutor:
-    """Range-partitioned fan-out of pure array tasks over the worker pool.
-
-    The cube build taught :class:`ShardWorkerPool` one task shape; the
-    executor generalises it so the whole recommend pipeline — hierarchy
-    units, design-matrix row blocks, cluster Grams, the rank-1 score
-    sweep — runs through the same supervised pool with the same
-    guarantees:
-
-    * **contiguous ranges** — :meth:`ranges` splits ``n`` items into
-      ``n_parts`` near-equal contiguous ``[lo, hi)`` slices (empty slices
-      allowed), so every stage's partition respects the global sort order
-      and per-range results concatenate back bitwise;
-    * **shared inputs** — :meth:`run_shared` packs the stage's arrays
-      once (shared memory, or spill files under ``spill_dir``) and ships
-      only the :class:`BlockHandle` plus scalars per task; with no pool
-      the same task functions run in-process on the un-packed arrays;
-    * **serial fallback** — a :class:`PoolFailure` degrades to the
-      in-process path (results are bitwise-identical either way) and is
-      recorded in ``timings[stage]["fallback"]``;
-    * **utilization accounting** — every task returns
-      ``(payload, busy_seconds, pid)``; per-stage wall/busy/pids land in
-      ``timings`` for the fig25 utilization report.
-    """
-
-    def __init__(self, n_parts: int, *, pool: ShardWorkerPool | None = None,
-                 spill_dir: str | None = None):
-        if n_parts < 1:
-            raise ShardError(f"n_parts must be >= 1, got {n_parts}")
-        self.n_parts = int(n_parts)
-        self.pool = pool
-        self.spill_dir = spill_dir
-        #: Per-stage accounting: ``{stage: {wall_s, busy_s, pids, calls}}``.
-        self.timings: dict[str, dict] = {}
-
-    def ranges(self, n: int) -> list[tuple[int, int]]:
-        """``n_parts`` contiguous near-equal ``[lo, hi)`` slices of ``n``."""
-        if n < 0:
-            raise ShardError(f"cannot partition {n} items")
-        base, rem = divmod(n, self.n_parts)
-        out: list[tuple[int, int]] = []
-        lo = 0
-        for s in range(self.n_parts):
-            hi = lo + base + (1 if s < rem else 0)
-            out.append((lo, hi))
-            lo = hi
-        return out
-
-    def _record(self, stage: str, wall: float, busy: Sequence[float],
-                pids: Sequence[int], fallback: str | None) -> None:
-        rec = self.timings.setdefault(
-            stage, {"wall_s": 0.0, "busy_s": [], "pids": [], "calls": 0})
-        rec["wall_s"] += wall
-        rec["busy_s"].extend(busy)
-        rec["pids"].extend(pids)
-        rec["calls"] += 1
-        if fallback is not None:
-            rec["fallback"] = fallback
-
-    def run(self, fn, argtuples: Sequence[tuple], *, stage: str) -> list:
-        """Run ``fn(*args)`` per tuple; payloads in submission order.
-
-        ``fn`` must be pure (retry-safe) and return
-        ``(payload, busy_seconds, pid)``.
-        """
-        args = list(argtuples)
-        t0 = time.perf_counter()
-        fallback = None
-        if self.pool is not None and args:
-            try:
-                raw = self.pool.run_tasks(fn, args)
-            except PoolFailure as exc:
-                fallback = f"{type(exc).__name__}: {exc}"
-                raw = [fn(*a) for a in args]
-        else:
-            raw = [fn(*a) for a in args]
-        payloads = [r[0] for r in raw]
-        self._record(stage, time.perf_counter() - t0,
-                     [r[1] for r in raw], [r[2] for r in raw], fallback)
-        return payloads
-
-    def run_shared(self, fn, arrays: Mapping[str, np.ndarray],
-                   argtuples: Sequence[tuple], *, stage: str) -> list:
-        """:meth:`run` with ``arrays`` packed once and prepended per task.
-
-        Pool mode packs into one segment (spilled to ``spill_dir`` when
-        set) and prepends its handle; serial mode prepends the dict
-        itself — :func:`shared_arrays` resolves either inside the task.
-        """
-        if self.pool is None:
-            source: object = dict(arrays)
-            return self.run(fn, [(source, *t) for t in argtuples],
-                            stage=stage)
-        block = SharedCodes.pack(arrays, directory=self.spill_dir,
-                                 spill=self.spill_dir is not None)
-        try:
-            return self.run(fn, [(block.handle, *t) for t in argtuples],
-                            stage=stage)
-        finally:
-            block.release()
-
-    def utilization(self) -> dict[str, float]:
-        """Per-stage ``sum(busy) / (distinct workers × wall)`` in [0, 1]."""
-        out: dict[str, float] = {}
-        for stage, rec in self.timings.items():
-            eff = max(len(set(rec["pids"])), 1)
-            wall = rec["wall_s"]
-            out[stage] = (sum(rec["busy_s"]) / (eff * wall)) if wall else 0.0
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1014,10 +879,11 @@ class ShardedCube(Cube):
         Inject a :class:`ShardWorkerPool` (tests); defaults to the shared
         module pool for ``min(workers, n_shards)``.
     spill_dir:
-        When set, packed shard blocks go to memory-mapped files under
-        this directory instead of ``/dev/shm`` (the out-of-core tier):
-        worker inputs are paged from disk on demand and the coordinator
-        never holds the packed images resident.
+        When set, a pool build packs its shard blocks into memory-mapped
+        files under this directory instead of ``/dev/shm``: worker
+        inputs are paged from disk on demand. The relation itself stays
+        resident; :func:`spill_build_from_chunks` is the out-of-core
+        build.
     """
 
     def __init__(self, dataset: HierarchicalDataset, *, n_shards: int = 2,
@@ -1132,7 +998,7 @@ class ShardedCube(Cube):
                 tasks.append((block.handle, k, list(sizes)))
             timings["pack_s"] = time.perf_counter() - t0
             t1 = time.perf_counter()
-            raw = pool.map_tasks(_worker_build, tasks)
+            raw = pool.run_tasks(_worker_build, tasks)
             timings["build_wall_s"] = time.perf_counter() - t1
         finally:
             for block in packed:

@@ -75,7 +75,7 @@ class FaultInjected(RuntimeError):
     """The default exception raised by an ``error`` fault.
 
     Picklable (plain message argument), so a worker-process fault
-    travels back to the coordinator through the executor intact.
+    travels back to the coordinator through the shard worker pool intact.
     """
 
 

@@ -501,26 +501,14 @@ class ExplanationService:
         reference ordering path.
 
         ``kernels`` reports the fused-kernel tier: the active backend
-        name (``plain``/``numpy``/``numba``, or ``unresolved`` before the
-        first dispatch) and per-kernel fused/fallback dispatch counts —
-        a fallback is a call whose guard dropped it to the plain tier.
+        name (``plain``/``numpy``, or ``unresolved`` before the first
+        dispatch) and per-kernel fused/fallback dispatch counts — a
+        fallback is a call whose guard dropped it to the plain tier.
         """
         from .. import kernels
         from ..core.ranker import RANKER_STATS
         cache_stats = self.cache.stats
-        sharding = {}
-        with self._lock:
-            engines = list(self._engines.items())
-        for name, engine in engines:
-            sharder = getattr(engine, "sharder", None)
-            if sharder is not None:
-                sharding[name] = {
-                    "n_parts": sharder.n_parts,
-                    "spill_dir": sharder.spill_dir,
-                    "stages": sharder.utilization(),
-                }
         return {
-            "sharding": sharding,
             "ranker": dict(RANKER_STATS),
             "kernels": kernels.kernel_stats(),
             "cache": {

@@ -1,13 +1,12 @@
-"""Property tests: every fused-kernel backend ≡ the frozen plain tier.
+"""Property tests: the fused-kernel backend ≡ the frozen plain tier.
 
-The kernel-tier contract is *bitwise* equality: for any input, a fused
+The kernel-tier contract is *bitwise* equality: for any input, the fused
 backend either declines (returns ``None``; the dispatcher falls back) or
 produces ``tobytes()``-identical arrays to ``repro.kernels.plain`` —
 which the pre-existing suites pin to the frozen row/rank oracles. The
-properties here drive all three kernels across dtypes, NaN domains,
-empty inputs, single-group views, and radix products straddling the
-``int64``-overflow guard, for the NumPy-fused tier always and the numba
-tier whenever numba is installed (its cases auto-skip otherwise).
+properties here drive all three kernels of the NumPy-fused tier across
+dtypes, NaN domains, empty inputs, single-group views, and radix
+products straddling the ``int64``-overflow guard.
 
 Also covers the dispatch layer itself: ``REPTILE_KERNELS`` resolution,
 ``set_backend``, the fused/fallback counters, and their exposure through
@@ -22,14 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.kernels import dispatch, numba_backend, numpy_fused, plain
+from repro.kernels import numpy_fused, plain
 from repro.relational.encoding import _RADIX_LIMIT, combine_codes
 
-BACKENDS = [pytest.param(numpy_fused, id="numpy")] + ([
-    pytest.param(numba_backend, id="numba")]
-    if numba_backend.available() else [
-    pytest.param(None, id="numba",
-                 marks=pytest.mark.skip(reason="numba not installed"))])
+BACKENDS = [pytest.param(numpy_fused, id="numpy")]
 
 SWEEP_STATS = ("count", "mean", "std")
 
@@ -234,16 +229,13 @@ def test_resolve_backend_names(monkeypatch):
     assert kernels.resolve_backend("off") == "plain"
     assert kernels.resolve_backend("plain") == "plain"
     assert kernels.resolve_backend("numpy") == "numpy"
-    expect = "numba" if numba_backend.available() else "numpy"
-    assert kernels.resolve_backend("auto") == expect
-    assert kernels.resolve_backend(None) == expect
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
+    assert kernels.resolve_backend("auto") == "numpy"
     assert kernels.resolve_backend(None) == "numpy"
-    with pytest.raises(kernels.KernelBackendError):
-        kernels.resolve_backend("cuda")
-    if not numba_backend.available():
+    monkeypatch.setenv(kernels.ENV_VAR, "plain")
+    assert kernels.resolve_backend(None) == "plain"
+    for unknown in ("cuda", "numba"):
         with pytest.raises(kernels.KernelBackendError):
-            kernels.resolve_backend("numba")
+            kernels.resolve_backend(unknown)
 
 
 def test_set_backend_switches_dispatch(restore_backend):
@@ -283,20 +275,3 @@ def test_service_stats_expose_kernels(restore_backend):
     stats = ExplanationService().stats()
     assert stats["kernels"]["backend"] == "numpy"
     assert set(stats["kernels"]["counters"]) == set(kernels.KERNEL_STATS)
-
-
-def test_no_numba_import_on_default_path():
-    """The default (numpy) tier must never import numba at module load."""
-    import subprocess
-    import sys
-
-    code = ("import sys\n"
-            "import repro\n"
-            "from repro import kernels\n"
-            "kernels.set_backend('numpy')\n"
-            "import numpy as np\n"
-            "kernels.group_codes(np.array([1, 0], dtype=np.int64), 2)\n"
-            "assert 'numba' not in sys.modules, 'numba leaked in'\n")
-    result = subprocess.run([sys.executable, "-c", code],
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr

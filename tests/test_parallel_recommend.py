@@ -1,18 +1,14 @@
-"""The parallel recommend path is bitwise-equal to the serial one.
+"""A sharded cube build leaves every recommendation bitwise-unchanged.
 
-Every stage the shard-compute tier fans out — hierarchy-unit edge scans,
-per-cluster Gram stacks, the feature fill, the eq.-3 rank-1 sweep — and
-the full end-to-end recommendation are checked against their serial
-forms (and, for units and designs, against the frozen oracles in
-:mod:`repro.factorized.reference` and :mod:`repro.core.rankref`).
-Shard counts 1/2/7 make empty shard ranges routine; NaN keys exercise
-the domain-rank decline path. The out-of-core pieces — spilled
-shared-code blocks and ``spill_build_from_chunks`` — must round-trip
-bitwise through their memory maps, including across a worker-pool
-respawn. The one knowingly *non*-bitwise kernel, the sharded partial
-``XᵀX`` accumulation, is pinned to its documented contract:
-reproducible for a fixed range decomposition, allclose to the one-shot
-BLAS product (see ``sum_design_products``).
+Recommendations run on the one serial path whatever the cube's shard
+layout, so a ``ReptileConfig(shards=N)`` engine — built in-process or
+through a real worker pool — must answer exactly like the unsharded
+one. Shard counts 1/2/7 make empty shards routine; NaN keys exercise
+the domain-rank decline path of the design sort, which is also checked
+against the frozen Python-sort oracle in :mod:`repro.core.rankref`.
+The out-of-core pieces — spilled shared-code blocks and
+``spill_build_from_chunks`` — must round-trip bitwise through their
+memory maps, including across a worker-pool respawn.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,18 +25,10 @@ from repro.core.rankref import build_view_design_ref
 from repro.core.session import Reptile, ReptileConfig
 from repro.datagen.perf import (DROUGHT_HIERARCHIES, DROUGHT_MEASURE,
                                 drought_chunks)
-from repro.factorized.forder import HierarchyPaths
-from repro.factorized.multiquery import (hierarchy_unit,
-                                         sharded_hierarchy_unit)
-from repro.factorized.reference import reference_hierarchy_unit
-from repro.model.backends import (DenseDesign, partial_design_products,
-                                  sharded_cluster_grams,
-                                  sum_design_products)
 from repro.model.features import FeaturePlan, build_view_design
 from repro.relational import Cube, dataset_from_chunks
 from repro.relational.aggregates import GroupStats
-from repro.relational.countmap import EncodedCountMap
-from repro.relational.shard import (ShardedCube, ShardExecutor, SharedCodes,
+from repro.relational.shard import (ShardedCube, SharedCodes,
                                     merge_shard_blocks,
                                     shutdown_worker_pools,
                                     spill_build_from_chunks)
@@ -70,10 +57,8 @@ def _row(draw, districts, years):
 
 
 @st.composite
-def relations(draw, allow_nan: bool = False):
-    districts = DISTRICTS + ((NAN,) if allow_nan else ())
-    years = [2000, 2001] + ([NAN] if allow_nan else [])
-    extra = [_row(draw, districts, years)
+def relations(draw):
+    extra = [_row(draw, DISTRICTS, [2000, 2001])
              for _ in range(draw(st.integers(0, 12)))]
     return BASE_ROWS + extra
 
@@ -81,31 +66,6 @@ def relations(draw, allow_nan: bool = False):
 def _dataset(rows) -> HierarchicalDataset:
     return HierarchicalDataset.build(
         Relation.from_rows(SCHEMA, rows), HIERARCHIES, "sev")
-
-
-def _assert_maps_equal(got, want, label) -> None:
-    """Value equality always; bitwise storage equality when both sides
-    are array-backed (CountMap/EncodedCountMap __eq__ bridge types)."""
-    assert got == want, label
-    if isinstance(got, EncodedCountMap) and isinstance(want,
-                                                       EncodedCountMap):
-        for a, b in zip(got.key_codes, want.key_codes):
-            assert np.array_equal(a, b), label
-        assert np.array_equal(got.counts, want.counts), label
-
-
-def _assert_units_equal(got, want) -> None:
-    assert got.name == want.name
-    assert got.attributes == want.attributes
-    assert got.h_total == want.h_total
-    assert got.ordered_domains == want.ordered_domains
-    assert got.within_counts.keys() == want.within_counts.keys()
-    for a in want.within_counts:
-        _assert_maps_equal(got.within_counts[a], want.within_counts[a], a)
-    assert got.within_cofs.keys() == want.within_cofs.keys()
-    for pair in want.within_cofs:
-        _assert_maps_equal(got.within_cofs[pair], want.within_cofs[pair],
-                           pair)
 
 
 def _assert_recommendations_equal(got, ref) -> None:
@@ -123,44 +83,6 @@ def _assert_recommendations_equal(got, ref) -> None:
             assert a.repaired_value == b.repaired_value, (name, b.key)
             assert a.observed == b.observed, (name, b.key)
             assert a.expected == b.expected, (name, b.key)
-
-
-# -- hierarchy units -----------------------------------------------------------
-
-class TestShardedUnits:
-    @settings(deadline=None)
-    @given(relations(), st.sampled_from(SHARD_COUNTS))
-    def test_sharded_unit_bitwise_vs_serial_and_reference(self, rows,
-                                                          n_parts):
-        dataset = _dataset(rows)
-        for hier in dataset.dimensions:
-            paths = HierarchyPaths.from_relation(hier, dataset.relation)
-            want = hierarchy_unit(paths)
-            got = sharded_hierarchy_unit(paths,
-                                         sharder=ShardExecutor(n_parts))
-            _assert_units_equal(got, want)
-            _assert_units_equal(got, reference_hierarchy_unit(paths))
-
-    @settings(deadline=None)
-    @given(relations(allow_nan=True), st.sampled_from((2, 7)))
-    def test_sharded_unit_with_nan_keys(self, rows, n_parts):
-        dataset = _dataset(rows)
-        for hier in dataset.dimensions:
-            paths = HierarchyPaths.from_relation(hier, dataset.relation)
-            _assert_units_equal(
-                sharded_hierarchy_unit(paths, sharder=ShardExecutor(n_parts)),
-                hierarchy_unit(paths))
-
-    def test_unit_merge_with_empty_shard_ranges(self):
-        """More shards than leaf paths: empty edge scans merge exactly."""
-        dataset = _dataset(BASE_ROWS[:2])  # 2 leaf paths, 7 shards
-        for hier in dataset.dimensions:
-            paths = HierarchyPaths.from_relation(hier, dataset.relation)
-            sharder = ShardExecutor(7)
-            assert any(lo == hi for lo, hi in sharder.ranges(paths.n_leaves))
-            _assert_units_equal(
-                sharded_hierarchy_unit(paths, sharder=sharder),
-                hierarchy_unit(paths))
 
 
 # -- leaf-block merges ---------------------------------------------------------
@@ -187,54 +109,9 @@ class TestBlockMerges:
                                   getattr(cube.leaf_stats, name)), name
 
 
-# -- designs, Gram stacks and the documented non-bitwise caveat ----------------
+# -- design sorts vs the Python-sort oracle -----------------------------------
 
 class TestDesignProducts:
-    def test_sharded_cluster_grams_bitwise(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(60, 3))
-        sizes = [7, 13, 20, 11, 9]
-        got = sharded_cluster_grams(
-            DenseDesign(x, sizes, z_columns=[0, 1, 2]), ShardExecutor(3))
-        want = DenseDesign(x, sizes, z_columns=[0, 1, 2]).cluster_grams()
-        assert np.array_equal(got, want)
-
-    def test_sharded_cluster_grams_with_empty_ranges(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(9, 2))
-        sizes = [4, 5]  # 2 clusters over 7 shard ranges
-        got = sharded_cluster_grams(
-            DenseDesign(x, sizes, z_columns=[0, 1]), ShardExecutor(7))
-        want = DenseDesign(x, sizes, z_columns=[0, 1]).cluster_grams()
-        assert np.array_equal(got, want)
-
-    def test_partial_products_reproducible_and_allclose(self):
-        """The documented ``sum_design_products`` caveat, pinned.
-
-        A fixed range decomposition must reproduce bit for bit run to
-        run; against the one-shot BLAS product the contract is only
-        allclose (summation-order reassociation), which is exactly why
-        the recommend path computes ``design.gram()`` serially.
-        """
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(97, 4))
-        ys = [rng.normal(size=97), rng.normal(size=97)]
-        ranges = [(0, 40), (40, 71), (71, 97)]
-
-        def accumulate():
-            return sum_design_products(
-                [partial_design_products(x, ys, lo, hi)
-                 for lo, hi in ranges])
-
-        xtx_a, xtys_a = accumulate()
-        xtx_b, xtys_b = accumulate()
-        assert np.array_equal(xtx_a, xtx_b)
-        for a, b in zip(xtys_a, xtys_b):
-            assert np.array_equal(a, b)
-        assert np.allclose(xtx_a, x.T @ x)
-        for got, y in zip(xtys_a, ys):
-            assert np.allclose(got, x.T @ y)
-
     def test_chunk_streamed_design_matches_python_sort_oracle(self):
         """Chunk-streamed domains (not sort-friendly) take the
         domain-rank lexsort; the design must equal the frozen Python-sort
@@ -353,8 +230,8 @@ class TestParallelRecommend:
             serial.recommend(complaint, group_by=("district",)))
 
     def test_recommend_with_real_worker_pool(self):
-        """One pass through a real process pool (not the serial
-        executor): the recommendation must still be bitwise-equal."""
+        """A cube built through a real 2-process pool: the serial
+        recommend over it must still be bitwise-equal."""
         rows = [(f"d{i % 3}", f"d{i % 3}-v{i % 4}", 2000 + i % 3,
                  (i % 11) / 2.0) for i in range(64)]
         dataset = _dataset(rows)
@@ -363,6 +240,9 @@ class TestParallelRecommend:
             serial = Reptile(dataset, config=ReptileConfig())
             sharded = Reptile(dataset,
                               config=ReptileConfig(shards=3, workers=2))
+            timings = sharded.cube.timings
+            assert "fallback" not in timings, timings.get("fallback")
+            assert os.getpid() not in timings["worker_pids"]
             _assert_recommendations_equal(
                 sharded.recommend(complaint, group_by=("district",)),
                 serial.recommend(complaint, group_by=("district",)))

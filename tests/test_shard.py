@@ -16,6 +16,7 @@ construction, ``ReptileConfig(shards=...)``, service ingest's
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from repro.relational.encoding import DictEncoding, factorize
 from repro.relational.shard import (SharedCodes, ShardedCube, ShardError,
                                     dataset_from_chunks,
                                     encode_columns_chunked,
-                                    merge_shard_blocks,
+                                    leaked_segments, merge_shard_blocks,
                                     shutdown_worker_pools)
 from repro.serving import CachingShardedCube, ExplanationService
 
@@ -286,17 +287,36 @@ class TestShardedBuild:
 
 
 class TestShardedPoolBuild:
-    def test_process_pool_build_is_bitwise_equal(self):
+    @pytest.mark.parametrize("spill", [False, True],
+                             ids=["shared-memory", "spill-dir"])
+    def test_process_pool_build_is_bitwise_equal(self, spill, tmp_path,
+                                                 monkeypatch):
+        packed = []
+        pack = SharedCodes.pack.__func__
+
+        def recording_pack(cls, arrays, directory=None, *, spill=False):
+            block = pack(cls, arrays, directory, spill=spill)
+            packed.append(block.handle)
+            return block
+
+        monkeypatch.setattr(SharedCodes, "pack", classmethod(recording_pack))
         dataset = _dataset()
         try:
-            sc = ShardedCube(dataset, n_shards=3, workers=2)
+            sc = ShardedCube(dataset, n_shards=3, workers=2,
+                             spill_dir=str(tmp_path) if spill else None)
             assert sc.timings.get("fallback") is None, sc.timings
             # real out-of-process workers did the shard builds
-            assert any(pid != __import__("os").getpid()
+            assert any(pid != os.getpid()
                        for pid in sc.timings["worker_pids"])
             _assert_cubes_bitwise(sc, Cube(dataset))
         finally:
             shutdown_worker_pools()
+        spilled = [h.kind == "mmap"
+                   and os.path.dirname(h.name) == str(tmp_path)
+                   for h in packed]
+        assert packed and spilled == [spill] * len(packed)
+        assert os.listdir(tmp_path) == []
+        assert leaked_segments() == []
 
 
 # ---------------------------------------------------------------------------
