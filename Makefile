@@ -2,7 +2,7 @@
 export PYTHONPATH := src
 
 .PHONY: test test-concurrency test-shard test-kernels test-faults \
-    docs-check bench bench-smoke bench-fig23 serve-demo
+    docs-check bench bench-smoke bench-selftest bench-fig23 serve-demo
 
 # The bench_*.py naming keeps the harnesses out of default pytest
 # collection (tier-1 stays fast); targets pass the files explicitly.
@@ -20,13 +20,11 @@ test-concurrency:
 	python -m pytest tests/test_server_concurrency.py \
 	    tests/test_snapshot_properties.py tests/test_cache_boundaries.py -q
 
-# The sharded-build gate: unit coverage for the sharding layer (union
-# encoding, shared-memory and spill-dir blocks, a real process pool,
-# delta routing), hypothesis shard-equivalence properties vs the
-# single-process cube and the deltaref rebuild oracle, spill-build
-# round trips, and recommendations over sharded cubes bitwise-equal to
-# the unsharded engine — run without -x for the same reason as the
-# concurrency gate.
+# The chunked/spill-build gate: unit coverage for chunked construction
+# and the out-of-core spill build (union encoding, block merges, a real
+# process pool, failed-stream cleanup), hypothesis properties of the
+# spill build vs the one-pass cube, and spill round trips across a pool
+# respawn — run without -x for the same reason as the concurrency gate.
 test-shard:
 	python -m pytest tests/test_shard.py tests/test_shard_properties.py \
 	    tests/test_parallel_recommend.py -q
@@ -61,6 +59,12 @@ bench:
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 python -m pytest $(BENCHES) -q --benchmark-disable
 	python benchmarks/check_smoke.py
+
+# The benchmark's self-test: every workload at 20k rows emits each metric
+# of BENCHMARK.json, and the layer boundaries perfbench/tracer.py wraps
+# by name still exist.
+bench-selftest:
+	python3 perfbench/selftest.py
 
 # The kernel-tier figure alone, at full scale (speedup floors + memory
 # bandwidth vs the measured STREAM-triad roofline).

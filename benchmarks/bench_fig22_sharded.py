@@ -1,58 +1,41 @@
-"""Figure 22 (repro-only): sharded parallel cube build at 1e6–1e7 rows.
+"""Figure 22 (repro-only): chunked cube construction at 1e6–1e7 rows.
 
-The single-process cube tops out where one core (and one memory image)
-does. This harness drives the sharding layer end to end at 1e6–1e7 rows:
+The coordinator of a chunked build never holds a row-object image, or
+even full value arrays. This harness drives that pipeline end to end at
+1e6–1e7 rows and sets it against the all-in-one-image build:
 
 * **chunked datagen** — ``drought_chunks`` streams ``{column: array}``
   chunks and ``dataset_from_chunks`` encodes them incrementally
-  (per-chunk factorize + ``DictEncoding.merge``), so the coordinator
-  never holds a row-object image or even full value arrays;
-* **sharded build** — ``ShardedCube`` partitions by the hierarchy-prefix
-  key, ships shard code columns through shared memory to a persistent
-  worker pool, and k-way merges the per-shard blocks with
-  ``merge_stats_blocks``;
-* **in-run equality** — at every scale the sharded arrays (key codes,
-  count/total/sumsq) must be *bitwise* identical to the single-process
-  ``Cube`` built on the same dataset, and to a single-shard
-  ``ShardedCube`` oracle at the largest scale that fits one image;
-* **delta locality** — a batch confined to one district must patch
-  exactly one shard block (patch counters prove it) while staying
-  bitwise-equal to the single-process incremental path.
+  (per-chunk factorize + ``DictEncoding.merge``);
+* **one-pass build** — the ``Cube`` built on the chunked dataset, timed
+  as the best of ``REPS`` builds;
+* **one image** — the alternative that materializes every column as one
+  concatenated value array and pays the cold whole-column encode.
 
-Reported per scale: single vs sharded build seconds, merge/pack seconds,
-per-worker utilization, and the coordinator's peak RSS for the
-chunked+sharded pipeline vs the all-in-one-image build (full value
-columns materialized, cold encode). Acceptance floors (full scale only):
-sharded build ≥3x over single-process at 1e6+ rows when ≥4 workers are
-available, and at 1e7 rows the all-in-one image must push peak RSS well
-above the chunked coordinator's high-water mark.
+Reported per scale: the chunked encode and one-pass build seconds, the
+one-image build seconds, and the coordinator's peak RSS for the chunked
+pipeline vs the all-in-one-image build. Acceptance floor (full scale
+only): at 1e7 rows the all-in-one image must push peak RSS well above
+the chunked coordinator's high-water mark.
 """
 
-import os
 import time
 
 import numpy as np
 
 from repro.datagen.perf import (DROUGHT_HIERARCHIES, DROUGHT_MEASURE,
                                 drought_chunks)
-from repro.relational import (Cube, Delta, Relation, Schema, ShardedCube,
-                              dataset_from_chunks, dimension, measure,
-                              shutdown_worker_pools)
+from repro.relational import (Cube, Relation, Schema, dataset_from_chunks,
+                              dimension, measure)
 
 from bench_utils import (SMOKE, fmt, peak_rss_bytes, report, report_json,
                          smoke)
 
 SIZES = smoke([3_000], [1_000_000, 10_000_000])
 CHUNK_ROWS = smoke(1_000, 1_000_000)
-N_SHARDS = smoke(3, 8)
-WORKERS = smoke(2, min(8, os.cpu_count() or 1))
 REPS = smoke(1, 3)
-#: Largest scale at which the single-shard oracle build also runs.
-ORACLE_MAX = smoke(3_000, 1_000_000)
 #: The chunked-vs-one-image RSS floor applies from this scale up.
 RSS_SCALE = 10_000_000
-FLOOR = 3.0
-DELTA_DISTRICT = "d0003"
 
 SCHEMA = Schema([dimension("district"), dimension("village"),
                  dimension("year"), measure(DROUGHT_MEASURE)])
@@ -68,17 +51,8 @@ def _chunks(n):
     return drought_chunks(n, CHUNK_ROWS, seed=0)
 
 
-def _assert_bitwise_equal(sharded, oracle, label):
-    assert np.array_equal(sharded._key_codes, oracle._key_codes), \
-        f"{label}: key blocks differ"
-    for name in ("count", "total", "sumsq"):
-        a = getattr(sharded.leaf_stats, name)
-        b = getattr(oracle.leaf_stats, name)
-        assert np.array_equal(a, b), f"{label}: {name} not bitwise-equal"
-
-
 def _one_image_build(n):
-    """The pre-sharding alternative: full value columns in one image.
+    """The alternative to chunked loading: full value columns in one image.
 
     Materializes every column as one concatenated value array (what a
     non-streaming loader holds) and pays the cold whole-column encode —
@@ -102,113 +76,40 @@ def _as_dataset(relation):
                                      DROUGHT_MEASURE, validate=False)
 
 
-def _district_delta(dataset, seed=7):
-    """A mixed batch confined to one district: the locality workload."""
-    rng = np.random.default_rng(seed)
-    appended = [(DELTA_DISTRICT, f"v{3 * 50 + int(v):06d}",
-                 int(1980 + rng.integers(0, 25)),
-                 float(rng.integers(0, 100)))
-                for v in rng.integers(0, 50, 64)]
-    appended += [(DELTA_DISTRICT, f"newv-{j}", 2010, float(j))
-                 for j in range(8)]
-    return Delta.from_rows(SCHEMA, appended)
-
-
 def test_figure22_series(benchmark):
-    lines = ["n         single(s)  sharded(s)  speedup  merge(s)  util   "
-             "rss-chunked(MB)  rss-1image(MB)"]
+    lines = ["n         encode(s)  build(s)  1image(s)  rss-chunked(MB)  "
+             "rss-1image(MB)"]
     json_rows = []
-    build_floors = []
     rss_floors = []
-    try:
-        for n in SIZES:
-            # -- chunked + sharded coordinator --------------------------------
-            dataset, t_encode = _timed(
-                lambda: dataset_from_chunks(_chunks(n), DROUGHT_HIERARCHIES,
-                                            DROUGHT_MEASURE, validate=False))
-            best_single, best_sharded = float("inf"), float("inf")
-            sharded = None
-            for _ in range(REPS):
-                cube, t_single = _timed(lambda: Cube(dataset))
-                sharded, t_sharded = _timed(
-                    lambda: ShardedCube(dataset, n_shards=N_SHARDS,
-                                        workers=WORKERS))
-                best_single = min(best_single, t_single)
-                best_sharded = min(best_sharded, t_sharded)
-            _assert_bitwise_equal(sharded, cube, f"n={n} vs Cube")
-            if n <= ORACLE_MAX:
-                oracle = ShardedCube(dataset, n_shards=1, workers=0)
-                _assert_bitwise_equal(sharded, oracle,
-                                      f"n={n} vs single-shard oracle")
-            timings = sharded.timings
-            busy = timings.get("worker_busy_s", [])
-            wall = timings.get("build_wall_s", 0.0)
-            eff_workers = min(WORKERS, max(len(busy), 1)) or 1
-            utilization = (sum(busy) / (eff_workers * wall)) if wall else 0.0
-            rss_chunked = peak_rss_bytes()
+    for n in SIZES:
+        # -- chunked coordinator + one-pass build ---------------------------
+        dataset, t_encode = _timed(
+            lambda: dataset_from_chunks(_chunks(n), DROUGHT_HIERARCHIES,
+                                        DROUGHT_MEASURE, validate=False))
+        best_build = min(_timed(lambda: Cube(dataset))[1]
+                         for _ in range(REPS))
+        rss_chunked = peak_rss_bytes()
 
-            # -- delta locality: one district, one shard ----------------------
-            delta = _district_delta(dataset)
-            cube_ref = Cube(dataset)
-            before = list(sharded.shard_patches)
-            _, t_apply = _timed(lambda: sharded.apply_delta(delta))
-            cube_ref.apply_delta(delta)
-            touched = [s for s, (a, b) in
-                       enumerate(zip(before, sharded.shard_patches)) if b > a]
-            assert len(touched) == 1, \
-                f"district delta touched shards {touched}, expected one"
-            _assert_bitwise_equal(sharded, cube_ref, f"n={n} post-delta")
-            _, t_rebuild = _timed(
-                lambda: ShardedCube(dataset, n_shards=N_SHARDS,
-                                    workers=WORKERS))
+        # -- the all-in-one-image alternative -------------------------------
+        _, t_one_image = _timed(lambda: _one_image_build(n))
+        rss_one_image = peak_rss_bytes()
 
-            # -- the all-in-one-image alternative -----------------------------
-            _, t_one_image = _timed(lambda: _one_image_build(n))
-            rss_one_image = peak_rss_bytes()
-
-            ratio = best_single / best_sharded if best_sharded else 0.0
-            delta_ratio = t_rebuild / t_apply if t_apply else 0.0
-            rss_ratio = rss_one_image / rss_chunked if rss_chunked else 0.0
-            lines.append(
-                f"{n:<9d} {fmt(best_single)}     {fmt(best_sharded)}      "
-                f"{ratio:5.1f}x  {fmt(timings.get('merge_s', 0.0))}    "
-                f"{utilization:4.2f}   {rss_chunked / 1e6:12.1f}     "
-                f"{rss_one_image / 1e6:10.1f}")
-            json_rows.append({
-                "op": "sharded-build", "scale": n, "cold": best_single,
-                "warm": best_sharded, "speedup": ratio,
-                "shards": N_SHARDS, "workers": WORKERS,
-                "encode_s": t_encode, "merge_s": timings.get("merge_s"),
-                "pack_s": timings.get("pack_s"),
-                "build_wall_s": wall, "utilization": utilization,
-                "fallback": timings.get("fallback"),
-                "peak_rss_bytes": rss_chunked})
-            json_rows.append({
-                "op": "delta-route", "scale": n, "cold": t_rebuild,
-                "warm": t_apply, "speedup": delta_ratio,
-                "shards_touched": touched,
-                "peak_rss_bytes": rss_chunked})
-            json_rows.append({
-                "op": "one-image-build", "scale": n, "cold": t_one_image,
-                "warm": best_sharded,
-                "speedup": t_one_image / best_sharded if best_sharded
-                else 0.0,
-                "rss_ratio": rss_ratio,
-                "peak_rss_bytes": rss_one_image})
-            if n >= 1_000_000 and (os.cpu_count() or 1) >= 4 \
-                    and WORKERS >= 4:
-                build_floors.append((n, ratio))
-            if n >= RSS_SCALE:
-                rss_floors.append((n, rss_chunked, rss_one_image))
-    finally:
-        shutdown_worker_pools()
+        rss_ratio = rss_one_image / rss_chunked if rss_chunked else 0.0
+        lines.append(
+            f"{n:<9d} {fmt(t_encode)}     {fmt(best_build)}    "
+            f"{fmt(t_one_image)}     {rss_chunked / 1e6:12.1f}     "
+            f"{rss_one_image / 1e6:10.1f}")
+        json_rows.append({
+            "op": "one-image-build", "scale": n, "cold": t_one_image,
+            "warm": best_build,
+            "speedup": t_one_image / best_build if best_build else 0.0,
+            "encode_s": t_encode, "rss_ratio": rss_ratio,
+            "peak_rss_bytes": rss_one_image})
+        if n >= RSS_SCALE:
+            rss_floors.append((n, rss_chunked, rss_one_image))
     report("fig22_sharded", lines)
     report_json("fig22_sharded", json_rows)
     if not SMOKE:
-        for n, ratio in build_floors:
-            assert ratio >= FLOOR, (
-                f"sharded build at n={n}: {ratio:.1f}x < {FLOOR}x floor "
-                f"({WORKERS} workers)")
         for n, rss_chunked, rss_one_image in rss_floors:
             assert rss_one_image >= 1.5 * rss_chunked, (
                 f"n={n}: one-image peak RSS {rss_one_image / 1e6:.0f}MB is "

@@ -1,16 +1,15 @@
 """Figure 24 (repro-only): availability and recovery under injected faults.
 
-The fault-tolerance claim quantified: a serving stack that loses a shard
-worker mid-rebuild and suffers an ingest-commit failure mid-traffic must
-keep answering — reads from the last good snapshot, failures as degraded
+The fault-tolerance claim quantified: a serving stack that suffers
+ingest-commit failures and a forced rebuild mid-traffic must keep
+answering — reads from the last good snapshot, failures as degraded
 503s, never a bare 5xx — and must return to full health on its own.
 
 Protocol per scale: a baseline run (no faults) and a faulted run of the
 identical mixed workload (80% one-shot recommends, 20% hot-leaf ingest
 bursts from CLIENTS threads). Mid-way through the faulted run a
-controller injects two one-shot ``ingest.commit`` failures and a
-``worker.build=crash@once`` (an abrupt worker death), then POSTs a
-``/refresh`` so the sharded rebuild actually crosses the crashing pool.
+controller injects two one-shot ``ingest.commit`` failures, then POSTs
+a ``/refresh`` so a full rebuild runs under the read/ingest traffic.
 A monitor thread samples the dataset's health state at 2ms resolution;
 ``recovery_seconds`` is the span from the first degraded sample to the
 first healthy sample after it (background auto-rebuild does the
@@ -37,7 +36,6 @@ from repro import HierarchicalDataset, Relation, ReptileConfig, Schema, \
     dimension, measure
 import repro.robustness.faultinject as fi
 from repro.relational import deltaref
-from repro.relational.shard import leaked_segments, shutdown_worker_pools
 from repro.serving import ExplanationService, ServerApp
 
 from bench_utils import SMOKE, fmt, report, report_json, smoke
@@ -51,7 +49,7 @@ N_YEARS = 10
 AVAILABILITY_FLOOR = 0.90   # faulted run, full scale
 RECOVERY_FLOOR_S = 10.0     # full scale
 
-CONFIG = ReptileConfig(n_em_iterations=2, shards=2, workers=2)
+CONFIG = ReptileConfig(n_em_iterations=2)
 
 RECOMMEND_BODY = {"aggregate": "mean", "direction": "too_low",
                   "coordinates": {"district": "d001"},
@@ -132,15 +130,13 @@ class _Run:
             time.sleep(0.002)
 
     def _controller(self, traffic_estimate_s: float) -> None:
-        """Mid-bench fault burst: failed commits + a worker kill."""
+        """Mid-bench fault burst: failed commits + a forced rebuild."""
         time.sleep(max(0.01, traffic_estimate_s * 0.15))
         fi.inject("ingest.commit", kind="error", once=True)
         fi.inject("ingest.commit", kind="error", once=True)
-        fi.inject("worker.build", kind="crash", once=True)
-        # Force the sharded rebuild across the now-crashing pool. The
-        # response may be a clean 200 (pool respawned within budget) or
-        # a degraded 503 (rebuild fell to the recovery loop) — both keep
-        # the availability contract.
+        # Force a full rebuild under traffic. The response may be a clean
+        # 200 or a degraded 503 (a failed commit left the dataset to the
+        # recovery loop) — both keep the availability contract.
         status, _, payload = self.app.dispatch(
             "POST", "/datasets/data/refresh", {})
         with self._lock:
@@ -225,7 +221,6 @@ def test_figure24_faults_series(benchmark):
         deltaref.assert_groups_equal(
             engine.cube.leaf_states,
             deltaref.rebuilt_leaf_states(engine.dataset))
-        assert leaked_segments() == []
 
         speedup = base_elapsed / fault_elapsed if fault_elapsed else 0.0
         lines.append(
@@ -247,7 +242,6 @@ def test_figure24_faults_series(benchmark):
             assert faulted.recovery_seconds <= RECOVERY_FLOOR_S, (
                 f"recovery took {faulted.recovery_seconds:.2f}s > "
                 f"{RECOVERY_FLOOR_S}s floor at n={n}")
-        shutdown_worker_pools()
     report("fig24_faults", lines)
     report_json("fig24_faults", json_rows)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -283,10 +283,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit("serve: --cache-entries must be >= 1")
     service = ExplanationService(
         max_entries=args.cache_entries,
-        config=ReptileConfig(n_em_iterations=args.iterations, top_k=args.k,
-                             shards=args.shards,
-                             workers=args.shard_workers,
-                             spill_dir=args.spill_dir))
+        config=ReptileConfig(n_em_iterations=args.iterations, top_k=args.k))
     service.register("data", dataset)
     print(f"{dataset!r}")
     print(f"batch: {len(requests)} complaints")
@@ -395,10 +392,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         if args.retract else []
 
     service = ExplanationService(
-        config=ReptileConfig(n_em_iterations=args.iterations, top_k=args.k,
-                             shards=args.shards,
-                             workers=args.shard_workers,
-                             spill_dir=args.spill_dir))
+        config=ReptileConfig(n_em_iterations=args.iterations, top_k=args.k))
     engine = service.register("data", dataset)
     print(f"{dataset!r}")
 
@@ -454,10 +448,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         raise SystemExit("serve-http: --cache-entries must be >= 1")
     service = ExplanationService(
         max_entries=args.cache_entries,
-        config=ReptileConfig(n_em_iterations=args.iterations, top_k=args.k,
-                             shards=args.shards,
-                             workers=args.shard_workers,
-                             spill_dir=args.spill_dir))
+        config=ReptileConfig(n_em_iterations=args.iterations, top_k=args.k))
     service.register("data", dataset)
     app = ServerApp(service, max_concurrent=args.workers,
                     max_queue=args.queue,
@@ -625,13 +616,11 @@ or a list in schema order. --retract takes the same format; each
 retracted row must match an existing row on every column.
 
 --kernels selects the fused-kernel backend for the delta-merge and
-recommend kernels (same choices as serve); --shards/--shard-workers build
-the cube shard by shard and --spill-dir sends a pool build's packed shard
-blocks to files.
+recommend kernels (same choices as serve).
 
 examples:
   python -m repro ingest
-  python -m repro ingest --kernels numpy --shards 4 --shard-workers 2
+  python -m repro ingest --kernels numpy
   python -m repro ingest --rows new_rows.json --retract corrections.json \\
       --csv survey.csv --hierarchy geo=district,village \\
       --hierarchy time=year --measure severity""",
@@ -675,21 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--measure", help="measure column for --csv")
             p.add_argument("--k", type=int, default=5,
                            help="top groups per recommendation")
-            p.add_argument("--shards", type=int, default=0,
-                           help="partition the cube into N shards "
-                                "(hierarchy-prefix key; 0/1 = unsharded)")
-            p.add_argument("--shard-workers", type=int, default=0,
-                           help="worker processes for sharded cube builds "
-                                "(0 = serial in-process shards)")
-            p.add_argument("--spill-dir", metavar="DIR", default=None,
-                           help="write the packed shard blocks a pool "
-                                "build ships to its workers to "
-                                "memory-mapped files in this directory "
-                                "instead of shared memory; the relation "
-                                "stays resident (needs --shards > 1 and "
-                                "--shard-workers > 0; the 1e8-row "
-                                "out-of-core build is the library's "
-                                "spill_build_from_chunks)")
             p.add_argument("--kernels", choices=("auto", "numpy", "plain",
                                                  "off"),
                            default=None,

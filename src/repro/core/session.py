@@ -73,33 +73,16 @@ class ReptileConfig:
     auto_auxiliary:
         Automatically add features from registered auxiliary datasets when
         the drill-down level contains their join attributes (§3.3.2).
-    shards:
-        ``> 1`` builds the cube shard-parallel
-        (:class:`~repro.relational.shard.ShardedCube`): the relation is
-        partitioned by the hierarchy-prefix key and rebuilds/deltas scale
-        with shard count. ``0``/``1`` (default) keep the single-block cube.
-    workers:
-        Worker processes for sharded builds; ``0`` (default) runs the
-        sharded pipeline serially in-process. Ignored when ``shards <= 1``.
-    spill_dir:
-        Where a pool build (``shards > 1`` and ``workers > 0``) writes
-        the packed shard blocks it ships to its workers: memory-mapped
-        files in this directory instead of ``/dev/shm`` segments. The
-        relation itself stays resident, and with ``workers=0`` the build
-        packs nothing, so the directory is never used. The out-of-core
-        1e8-row build is
-        :func:`~repro.relational.shard.spill_build_from_chunks`.
-        ``None`` (default) keeps packed blocks in shared memory. Ignored
-        when ``shards <= 1``.
+
+    The cube is always built in one vectorized pass over the relation;
+    inputs too large for one in-memory relation go through
+    :func:`~repro.relational.shard.spill_build_from_chunks` instead.
     """
 
     model: str = "multilevel"
     n_em_iterations: int = 20
     top_k: int = 5
     auto_auxiliary: bool = True
-    shards: int = 0
-    workers: int = 0
-    spill_dir: str | None = None
     #: Default per-session staleness policy: "sync" fast-forwards a
     #: session automatically when the engine ingested newer data;
     #: "strict" raises :class:`StaleDataError` until an explicit
@@ -120,26 +103,14 @@ class Reptile:
         self.feature_plan = feature_plan or FeaturePlan()
         self.cache = cache
         self.fingerprint: str | None = None
-        shards = max(int(self.config.shards or 0), 0)
-        workers = max(int(self.config.workers or 0), 0)
-        spill_dir = self.config.spill_dir
         if cache is not None:
             from ..serving.cache import dataset_fingerprint
-            from ..serving.engine import CachingCube, CachingShardedCube
+            from ..serving.engine import CachingCube
             # refresh=True: never trust a fingerprint memoized before an
             # in-place mutation — a fresh engine must hash what the data
             # says *now*, or it would silently serve pre-mutation entries.
             self.fingerprint = dataset_fingerprint(dataset, refresh=True)
-            if shards > 1:
-                self.cube: Cube = CachingShardedCube(
-                    dataset, cache, self.fingerprint, n_shards=shards,
-                    workers=workers, spill_dir=spill_dir)
-            else:
-                self.cube = CachingCube(dataset, cache, self.fingerprint)
-        elif shards > 1:
-            from ..relational.shard import ShardedCube
-            self.cube = ShardedCube(dataset, n_shards=shards,
-                                    workers=workers, spill_dir=spill_dir)
+            self.cube: Cube = CachingCube(dataset, cache, self.fingerprint)
         else:
             self.cube = Cube(dataset)
         self._repairer = repairer
@@ -219,14 +190,11 @@ class Reptile:
         self.data_version += 1
         self._log_version(self.data_version, None)
         if self.cache is not None:
-            from ..serving.engine import CachingViews
-            assert isinstance(self.cube, CachingViews)
             base = self.cube.refresh()
             self.fingerprint = f"{base}@{self.data_version}"
             self.cube.fingerprint = self.fingerprint
         else:
-            # In place: sharded cubes keep their partitioning (and worker
-            # pool), and everything holding a cube reference stays valid.
+            # In place: everything holding a cube reference stays valid.
             self.cube.rebuild()
 
     #: Delta-log entries kept; a trickle of ingests must not grow the

@@ -269,9 +269,8 @@ class Cube:
     def _build(self) -> None:
         """One vectorized pass over the relation into the leaf stats block.
 
-        Subclasses (the sharded build) override this; everything else in
-        the cube only touches the ``_encodings``/``_key_codes``/``_stats``
-        arrays this produces.
+        Everything else in the cube only touches the
+        ``_encodings``/``_key_codes``/``_stats`` arrays this produces.
         """
         relation = self.dataset.relation
         gidx = relation.group_index(list(self.leaf_attrs))
@@ -322,27 +321,6 @@ class Cube:
         raised with the cube untouched. Returns the :class:`CubeDelta`
         summary the upper layers patch themselves with.
         """
-        new_encs, delta_codes, delta_stats, sizes = self._delta_blocks(delta)
-        key_codes, stats, _, added, removed = merge_stats_blocks(
-            self._key_codes, self._stats, delta_codes, delta_stats, sizes)
-        self._encodings = tuple(new_encs)
-        self._key_codes = key_codes
-        self._stats = stats
-        self._keys = None  # decoded-key cache is stale
-        return CubeDelta(delta_codes, delta_stats, self._encodings,
-                         added, removed)
-
-    def _delta_blocks(self, delta: Delta
-                      ) -> tuple[tuple[DictEncoding, ...], np.ndarray,
-                                 GroupStats, list[int]]:
-        """Validate ``delta`` and collapse it to signed leaf-group stats.
-
-        Shared by the single-process and sharded apply paths: returns the
-        extended encodings, the distinct touched leaf key codes, their
-        signed stat deltas (retractions as negative counts), and the
-        extended per-attribute domain sizes. Nothing on the cube is
-        mutated.
-        """
         delta.check_against(self.dataset.relation.schema)
         appended, retracted = delta.appended, delta.retracted
         n_app, n_ret = len(appended), len(retracted)
@@ -371,7 +349,14 @@ class Cube:
                         minlength=len(delta_codes)),
             np.bincount(gids, weights=sign * values * values,
                         minlength=len(delta_codes)))
-        return tuple(new_encs), delta_codes, delta_stats, sizes
+        key_codes, stats, _, added, removed = merge_stats_blocks(
+            self._key_codes, self._stats, delta_codes, delta_stats, sizes)
+        self._encodings = tuple(new_encs)
+        self._key_codes = key_codes
+        self._stats = stats
+        self._keys = None  # decoded-key cache is stale
+        return CubeDelta(delta_codes, delta_stats, self._encodings,
+                         added, removed)
 
     def hierarchy_paths(self, attributes: Sequence[str]) -> list[tuple]:
         """Distinct projections of the current leaf keys onto ``attributes``.

@@ -1,36 +1,32 @@
-"""Sharded parallel cube build: partition, fan out, k-way merge.
+"""Chunked construction and the out-of-core spill build.
 
-The single-process :class:`~repro.relational.cube.Cube` tops out at the
-largest relation one core can scan in acceptable time. This module scales
-the leaf-cube build across processes without changing a single observable
-bit of the result:
+Every Reptile aggregate is distributive, so an in-memory relation's leaf
+block is one vectorized pass (:class:`~repro.relational.cube.Cube`). This
+module covers the inputs that never exist as one in-memory image:
 
-* the relation is partitioned by a **hierarchy-prefix partition key** (by
-  default the root attribute of the first hierarchy). The partition
-  attribute is part of every leaf key, so each leaf group lives wholly in
-  exactly one shard — per-shard ``np.bincount`` accumulates the same
-  values in the same row order as the global pass, making per-group stats
-  bitwise identical;
-* each shard's ``int32`` code columns (plus the ``float64`` measure) are
-  packed into one :mod:`multiprocessing.shared_memory` segment — or a
-  memory-mapped temp file when shared memory is unavailable — so the
-  persistent worker pool attaches without pickling a byte of column data;
-* per-shard ``(key_codes, GroupStats)`` blocks come back small (one row
-  per distinct leaf) and fold together through the existing
-  :func:`~repro.relational.cube.merge_stats_blocks` kernel; a final
-  ``np.lexsort`` restores the exact lexicographic key order the
-  single-process ``combine_codes`` pass produces.
-
-Deltas route to the **owning shard**: the partition attribute is in every
-delta key, so ``code % n_shards`` names the one shard block a batch
-touches, and ingest cost scales with shard size, not relation size.
-``ShardedCube.shard_patches`` counts per-shard patches so tests (and the
-fig22 bench) can prove locality.
+* :func:`dataset_from_chunks` streams ``{column: array}`` chunks into a
+  dataset: each chunk is factorized independently and the per-chunk
+  domains are unioned with :meth:`DictEncoding.merge`, so the
+  coordinator holds ``int32`` codes plus the measure, never a
+  value-object image;
+* :func:`spill_build_from_chunks` never builds the relation at all: rows
+  are routed by a **hierarchy-prefix partition key** (by default the
+  root attribute of the first hierarchy) into per-shard on-disk column
+  files. The partition attribute is part of every leaf key, so each
+  leaf group lives wholly in one shard — per-shard ``np.bincount``
+  accumulates the same values in the same row order as the one-pass
+  build, making per-group stats bitwise identical. Shards are built one
+  at a time in-process or by the supervised :class:`ShardWorkerPool`
+  over read-only memory maps, and the small per-shard
+  ``(key_codes, GroupStats)`` blocks fold together through
+  :func:`~repro.relational.cube.merge_stats_blocks`; a final
+  ``np.lexsort`` restores the exact key order of the one-pass build.
 """
 
 from __future__ import annotations
 
 import atexit
+import glob
 import os
 import tempfile
 import threading
@@ -39,16 +35,14 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..robustness.faultinject import fault_point
 from .aggregates import GroupStats
-from .cube import Cube, CubeDelta, merge_stats_blocks
+from .cube import merge_stats_blocks
 from .dataset import HierarchicalDataset
-from .delta import Delta
 from .encoding import DictEncoding, combine_codes, factorize
 from .relation import Relation
 from .schema import Schema, dimension, measure as measure_attr
@@ -60,36 +54,33 @@ class ShardError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory column blocks
+# Spilled column blocks
 
 
 @dataclass(frozen=True)
 class BlockHandle:
-    """A picklable reference to one packed column block.
+    """A picklable reference to one spilled shard block.
 
-    ``kind`` is ``"shm"`` (POSIX shared memory), ``"mmap"`` (one packed
-    temp file) or ``"spill"`` (one streamed file per array, written by
-    :class:`ShardSpillWriter`; ``name`` is the path prefix and the byte
-    offset in ``layout`` is unused). ``layout`` lists
-    ``(name, dtype_str, length, byte_offset)`` per array.
+    ``name`` is the path prefix of the block's files (one streamed file
+    per array, written by :class:`ShardSpillWriter`); ``kind`` is
+    ``"spill"``. ``layout`` lists ``(name, dtype_str, length)`` per array.
     """
 
     kind: str
     name: str
-    size: int
-    layout: tuple[tuple[str, str, int, int], ...]
+    layout: tuple[tuple[str, str, int], ...]
 
 
 def _spill_path(prefix: str, array_name: str) -> str:
     return f"{prefix}.{array_name}.bin"
 
 
-# Every segment the coordinator packs is registered here until its owner
-# releases it. A worker crash cannot leak silently: the name stays in the
-# registry, tests assert it empty after recovery, and the atexit sweep
-# unlinks stragglers eagerly instead of leaving /dev/shm litter.
+# Every spilled block is registered here until its owner releases it. A
+# worker crash cannot leak silently: the name stays in the registry,
+# tests assert it empty after recovery, and the atexit sweep unlinks
+# stragglers eagerly instead of leaving spill files behind.
 _SEGMENTS_LOCK = threading.Lock()
-_LIVE_SEGMENTS: dict[str, str] = {}  # segment name -> "shm" | "mmap"
+_LIVE_SEGMENTS: dict[str, str] = {}  # block name -> kind
 
 
 def _register_segment(handle: BlockHandle) -> None:
@@ -103,194 +94,76 @@ def _unregister_segment(handle: BlockHandle) -> None:
 
 
 def leaked_segments() -> list[tuple[str, str]]:
-    """``(name, kind)`` of every packed-but-unreleased segment."""
+    """``(name, kind)`` of every spilled-but-unreleased block."""
     with _SEGMENTS_LOCK:
         return sorted(_LIVE_SEGMENTS.items())
 
 
 def purge_leaked_segments() -> list[str]:
-    """Unlink every registered segment still alive; returns their names.
+    """Unlink every registered block still alive; returns their names.
 
     Only safe when no build is in flight (shutdown, test teardown): a
-    healthy build's segments are registered too, between pack and
+    healthy build's blocks are registered too, between spill and
     release.
     """
     purged: list[str] = []
-    for name, kind in leaked_segments():
-        try:
-            if kind == "shm":
-                seg = _attach_shm(name)
-                seg.close()
-                seg.unlink()
-            elif kind == "spill":
-                import glob
-                for path in glob.glob(name + ".*.bin"):
-                    os.unlink(path)
-            else:
-                os.unlink(name)
-        except (OSError, FileNotFoundError):
-            pass
+    for name, _ in leaked_segments():
+        for path in glob.glob(name + ".*.bin"):
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
         with _SEGMENTS_LOCK:
             _LIVE_SEGMENTS.pop(name, None)
         purged.append(name)
     return purged
 
 
-def _attach_shm(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without tracker side effects.
-
-    Python < 3.13 registers *attached* segments with the resource tracker
-    as if this process owned them; ``track=False`` (3.13+) keeps ownership
-    with the packer. On older versions forked workers share the parent's
-    tracker, so the duplicate register is a set no-op — the coordinator's
-    unlink still balances it — and no workaround is needed.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        return shared_memory.SharedMemory(name=name)
+def _map_spill(handle: BlockHandle) -> dict[str, np.ndarray]:
+    """Read-only memory maps of a spilled block's files."""
+    views: dict[str, np.ndarray] = {}
+    for name, dtype, length in handle.layout:
+        if length:
+            views[name] = np.memmap(_spill_path(handle.name, name),
+                                    dtype=dtype, mode="r", shape=(length,))
+        else:
+            # An empty file cannot be memory-mapped; an empty shard's
+            # columns are plain empty arrays.
+            views[name] = np.empty(0, dtype=dtype)
+    return views
 
 
 class SharedCodes:
-    """Named 1-D arrays packed into one shared (or memmapped) segment.
+    """Named 1-D arrays of one spilled shard block.
 
-    The coordinator ``pack()``s a shard's code columns + measure once;
-    workers ``attach()`` by handle and see zero-copy numpy views. The
-    packer owns the segment: ``release()`` on the owner unlinks it.
+    :meth:`ShardSpillWriter.finish` returns the owner blocks; workers
+    ``attach()`` by handle and see zero-copy memory maps. The owner's
+    ``release()`` unlinks the files.
     """
 
     def __init__(self, handle: BlockHandle, arrays: dict[str, np.ndarray],
-                 shm: shared_memory.SharedMemory | None = None,
-                 mmap_arr: np.memmap | None = None, owner: bool = False):
+                 owner: bool = False):
         self.handle = handle
         self.arrays: dict[str, np.ndarray] | None = arrays
-        self._shm = shm
-        self._mm = mmap_arr
         self._owner = owner
-
-    @staticmethod
-    def _layout(arrays: Mapping[str, np.ndarray]
-                ) -> tuple[dict[str, np.ndarray], list, int]:
-        prepared: dict[str, np.ndarray] = {}
-        layout: list[tuple[str, str, int, int]] = []
-        offset = 0
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
-            prepared[name] = arr
-            layout.append((name, arr.dtype.str, len(arr), offset))
-            # 64-byte alignment keeps every view aligned for numpy kernels.
-            offset = -(-(offset + arr.nbytes) // 64) * 64
-        return prepared, layout, max(offset, 1)
-
-    @classmethod
-    def pack(cls, arrays: Mapping[str, np.ndarray],
-             directory: str | None = None, *,
-             spill: bool = False) -> "SharedCodes":
-        """Pack arrays into one segment workers can attach.
-
-        With ``spill=True`` (``--spill-dir``) the block always goes to a
-        memory-mapped file under ``directory`` instead of ``/dev/shm``:
-        its pages live in the page cache rather than pinned shared
-        memory, and workers still get zero-pickle views.
-        """
-        prepared, layout, size = cls._layout(arrays)
-        if spill:
-            return cls._pack_mmap(prepared, layout, size, directory)
-        try:
-            shm = shared_memory.SharedMemory(create=True, size=size)
-        except OSError:
-            return cls._pack_mmap(prepared, layout, size, directory)
-        views: dict[str, np.ndarray] = {}
-        for name, dtype, length, off in layout:
-            view = np.ndarray((length,), dtype=dtype, buffer=shm.buf,
-                              offset=off)
-            view[:] = prepared[name]
-            views[name] = view
-        handle = BlockHandle("shm", shm.name, size, tuple(layout))
-        _register_segment(handle)
-        return cls(handle, views, shm=shm, owner=True)
-
-    @classmethod
-    def _pack_mmap(cls, prepared: dict[str, np.ndarray], layout: list,
-                   size: int, directory: str | None) -> "SharedCodes":
-        fd, path = tempfile.mkstemp(prefix="repro-shard-", suffix=".bin",
-                                    dir=directory)
-        os.close(fd)
-        mm = np.memmap(path, dtype=np.uint8, mode="w+", shape=(size,))
-        views: dict[str, np.ndarray] = {}
-        for name, dtype, length, off in layout:
-            view = np.ndarray((length,), dtype=dtype, buffer=mm, offset=off)
-            view[:] = prepared[name]
-            views[name] = view
-        mm.flush()
-        handle = BlockHandle("mmap", path, size, tuple(layout))
-        _register_segment(handle)
-        return cls(handle, views, mmap_arr=mm, owner=True)
 
     @classmethod
     def attach(cls, handle: BlockHandle) -> "SharedCodes":
         fault_point("shm.attach", name=handle.name, kind=handle.kind)
-        if handle.kind == "shm":
-            shm = _attach_shm(handle.name)
-            buf = shm.buf
-            views = {name: np.ndarray((length,), dtype=dtype, buffer=buf,
-                                      offset=off)
-                     for name, dtype, length, off in handle.layout}
-            return cls(handle, views, shm=shm)
-        if handle.kind == "spill":
-            views = {}
-            for name, dtype, length, _ in handle.layout:
-                if length:
-                    views[name] = np.memmap(_spill_path(handle.name, name),
-                                            dtype=dtype, mode="r",
-                                            shape=(length,))
-                else:
-                    # An empty file cannot be memory-mapped; an empty
-                    # shard's columns are plain empty arrays.
-                    views[name] = np.empty(0, dtype=dtype)
-            return cls(handle, views)
-        mm = np.memmap(handle.name, dtype=np.uint8, mode="r",
-                       shape=(handle.size,))
-        views = {name: np.ndarray((length,), dtype=dtype, buffer=mm,
-                                  offset=off)
-                 for name, dtype, length, off in handle.layout}
-        return cls(handle, views, mmap_arr=mm)
+        return cls(handle, _map_spill(handle))
 
     def release(self) -> None:
-        """Drop the views and close/unlink the segment (owner only)."""
+        """Drop the views; the owner also unlinks the files."""
         self.arrays = None
-        if self.handle.kind == "spill":
-            if self._owner:
-                for name, _, length, _ in self.handle.layout:
-                    if length:
-                        try:
-                            os.unlink(_spill_path(self.handle.name, name))
-                        except OSError:
-                            pass
-                _unregister_segment(self.handle)
-                self._owner = False
-            return
-        if self._shm is not None:
-            try:
-                self._shm.close()
-            except BufferError:
-                pass  # a caller still holds a view; the map stays until GC
-            if self._owner:
-                try:
-                    self._shm.unlink()
-                except FileNotFoundError:
-                    pass
-                _unregister_segment(self.handle)
-            self._shm = None
-        if self._mm is not None:
-            path = self.handle.name if self._owner else None
-            self._mm = None
-            if path is not None:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-                _unregister_segment(self.handle)
+        if self._owner:
+            for name, _, length in self.handle.layout:
+                if length:
+                    try:
+                        os.unlink(_spill_path(self.handle.name, name))
+                    except OSError:
+                        pass
+            _unregister_segment(self.handle)
+            self._owner = False
 
 
 class ShardSpillWriter:
@@ -302,10 +175,10 @@ class ShardSpillWriter:
     in-memory ``codes[shard_rows]`` gather would produce them. The
     coordinator's resident cost is one chunk, never a shard image.
 
-    ``finish()`` returns one ``kind="spill"`` :class:`BlockHandle` per
-    shard; :meth:`SharedCodes.attach` memory-maps the files read-only.
-    The handles are registered like any packed segment — release the
-    returned owner blocks (or :func:`purge_leaked_segments`) to unlink.
+    ``finish()`` returns one owner :class:`SharedCodes` per shard over
+    read-only memory maps of the files. The blocks are registered until
+    released (or :func:`purge_leaked_segments`); :meth:`discard` is the
+    failure path that removes every file before ``finish()``.
     """
 
     def __init__(self, directory: str, n_shards: int):
@@ -354,19 +227,33 @@ class ShardSpillWriter:
         self._finished = True
         for f in self._files.values():
             f.close()
-        self._files.clear()
         blocks: list[SharedCodes] = []
         for shard, meta in enumerate(self._meta):
-            layout = tuple((name, dtype_str, length, 0)
+            layout = tuple((name, dtype_str, length)
                            for name, (dtype_str, length) in meta.items())
-            size = sum(np.dtype(d).itemsize * n for _, d, n, _ in layout)
-            handle = BlockHandle("spill", self._shard_prefix(shard),
-                                 max(size, 1), layout)
+            handle = BlockHandle("spill", self._shard_prefix(shard), layout)
             _register_segment(handle)
-            block = SharedCodes.attach(handle)
-            block._owner = True
-            blocks.append(block)
+            blocks.append(SharedCodes(handle, _map_spill(handle),
+                                      owner=True))
         return blocks
+
+    def discard(self) -> None:
+        """Close and unlink every file this writer opened.
+
+        The failure path of a stream that raised before its blocks were
+        handed out: nothing is left on disk or in the leak registry.
+        """
+        self._finished = True
+        for (shard, name), f in self._files.items():
+            f.close()
+            try:
+                os.unlink(_spill_path(self._shard_prefix(shard), name))
+            except OSError:
+                pass
+        self._files.clear()
+        with _SEGMENTS_LOCK:
+            for shard in range(self.n_shards):
+                _LIVE_SEGMENTS.pop(self._shard_prefix(shard), None)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +312,8 @@ class PoolFailure(RuntimeError):
 class ShardWorkerPool:
     """A supervised, lazily-started, reusable process pool for shard builds.
 
-    Kept alive across rebuilds (and across cubes, via :func:`worker_pool`)
-    so repeated builds pay process start-up once. On top of the bare
+    Kept alive across builds (via :func:`worker_pool`) so repeated
+    builds pay process start-up once. On top of the bare
     executor it supervises every task (the chaos suite drives each path
     through :mod:`repro.robustness`):
 
@@ -437,11 +324,11 @@ class ShardWorkerPool:
       injected ``os._exit``) surfaces as ``BrokenProcessPool``; the
       executor is torn down and respawned with capped exponential backoff
       (``backoff_base * 2**attempt``, capped at ``backoff_cap``);
-    * **retry budget** — shard builds are pure functions of the packed
+    * **retry budget** — shard builds are pure functions of the spilled
       blocks, so resubmitting a failed task is always safe; after
       ``retry_budget`` extra rounds :class:`PoolFailure` propagates and
-      :class:`ShardedCube` falls back to the bitwise-identical serial
-      path;
+      :func:`spill_build_from_chunks` falls back to its bitwise-identical
+      serial loop;
     * **partial-result salvage** — results collected before a crash are
       kept; only the failed tasks re-run.
     """
@@ -563,7 +450,7 @@ class ShardWorkerPool:
         return results
 
     def stats(self) -> dict:
-        """Supervision counters, shaped for ``/healthz``."""
+        """Supervision counters."""
         return {
             "workers": self.workers,
             "alive": self.alive(),
@@ -580,7 +467,7 @@ class ShardWorkerPool:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        # Leak gate: with no build in flight, every packed segment must
+        # Leak gate: with no build in flight, every spilled block must
         # have been released. Tests assert this list is empty.
         self.leaked_at_shutdown = [name for name, _ in leaked_segments()]
 
@@ -599,9 +486,9 @@ def worker_pool(workers: int) -> ShardWorkerPool:
 def shutdown_worker_pools() -> None:
     """Stop every shared pool (atexit, and explicit in tests/benches).
 
-    With every pool stopped no build can be in flight, so any segment
+    With every pool stopped no build can be in flight, so any block
     still registered is a leak — sweep it eagerly rather than leaving
-    ``/dev/shm`` litter for the OS.
+    spill files behind.
     """
     for pool in _POOLS.values():
         pool.shutdown()
@@ -706,9 +593,9 @@ class SpillBuildResult:
     """Leaf block of an out-of-core build: same arrays as a cube's.
 
     ``key_codes``/``stats`` are bitwise-equal to what
-    ``ShardedCube(dataset_from_chunks(...))`` produces over the same
-    chunks; ``encodings`` carry the union domains (with empty code
-    columns — the out-of-core path never materialises a row image).
+    ``Cube(dataset_from_chunks(...))`` produces over the same chunks;
+    ``encodings`` carry the union domains (with empty code columns — the
+    out-of-core path never materialises a row image).
     """
 
     key_codes: np.ndarray
@@ -756,37 +643,41 @@ def spill_build_from_chunks(chunks: Iterable[Mapping[str, np.ndarray]],
     accs: dict[str, DictEncoding | None] = {a: None for a in attrs}
     n_rows = 0
     shard_rows = [0] * n_shards
-    for chunk in chunks:
-        chunk_codes: list[np.ndarray] = []
-        for a in attrs:
-            enc = factorize(np.asarray(chunk[a]))
-            acc = accs[a]
-            if acc is None:
-                # Chunk 0 seeds the union; its codes survive verbatim
-                # (DictEncoding.merge's remaps[0] is the identity).
-                accs[a] = DictEncoding(np.empty(0, dtype=np.int32),
-                                       enc.domain, enc.domain_sorted,
-                                       lossy=enc.lossy)
-                accs[a]._positions = enc._positions
-                codes = enc.codes
-            else:
-                acc, remap = acc.extend_domain(enc.domain)
-                acc.lossy = acc.lossy or enc.lossy
-                accs[a] = acc
-                codes = remap[enc.codes]
-            chunk_codes.append(codes.astype(np.int32, copy=False))
-        m = np.asarray(chunk[measure_name], dtype=float)
-        assign = chunk_codes[part_pos].astype(np.int64) % n_shards
-        for s in range(n_shards):
-            sel = np.flatnonzero(assign == s)
-            if not len(sel):
-                continue
-            arrays = {f"c{j}": chunk_codes[j][sel] for j in range(k)}
-            arrays["m"] = m[sel]
-            writer.append(s, arrays)
-            shard_rows[s] += len(sel)
-        n_rows += len(m)
-    blocks = writer.finish()
+    try:
+        for chunk in chunks:
+            chunk_codes: list[np.ndarray] = []
+            for a in attrs:
+                enc = factorize(np.asarray(chunk[a]))
+                acc = accs[a]
+                if acc is None:
+                    # Chunk 0 seeds the union; its codes survive verbatim
+                    # (DictEncoding.merge's remaps[0] is the identity).
+                    accs[a] = DictEncoding(np.empty(0, dtype=np.int32),
+                                           enc.domain, enc.domain_sorted,
+                                           lossy=enc.lossy)
+                    accs[a]._positions = enc._positions
+                    codes = enc.codes
+                else:
+                    acc, remap = acc.extend_domain(enc.domain)
+                    acc.lossy = acc.lossy or enc.lossy
+                    accs[a] = acc
+                    codes = remap[enc.codes]
+                chunk_codes.append(codes.astype(np.int32, copy=False))
+            m = np.asarray(chunk[measure_name], dtype=float)
+            assign = chunk_codes[part_pos].astype(np.int64) % n_shards
+            for s in range(n_shards):
+                sel = np.flatnonzero(assign == s)
+                if not len(sel):
+                    continue
+                arrays = {f"c{j}": chunk_codes[j][sel] for j in range(k)}
+                arrays["m"] = m[sel]
+                writer.append(s, arrays)
+                shard_rows[s] += len(sel)
+            n_rows += len(m)
+        blocks = writer.finish()
+    except BaseException:
+        writer.discard()
+        raise
     timings["stream_s"] = time.perf_counter() - t0
 
     encodings = tuple(
@@ -848,225 +739,3 @@ def spill_build_from_chunks(chunks: Iterable[Mapping[str, np.ndarray]],
     timings["merge_s"] = time.perf_counter() - t2
     return SpillBuildResult(key_codes, stats, encodings, tuple(attrs),
                             n_rows, shard_rows, timings)
-
-
-# ---------------------------------------------------------------------------
-# The sharded cube
-
-
-class ShardedCube(Cube):
-    """A :class:`Cube` built shard-parallel, bitwise-equal to the original.
-
-    Parameters
-    ----------
-    dataset:
-        The hierarchical dataset to summarize.
-    n_shards:
-        Number of partitions of the relation. Shards are assigned by
-        ``partition_code % n_shards``; empty shards are fine.
-    workers:
-        Worker processes for the build. ``0`` (default) runs the sharded
-        pipeline serially in-process — same blocks, no pool — which is
-        the deterministic mode tests use. With ``workers > 0`` a
-        persistent process pool builds shards concurrently; any pool
-        failure falls back to the serial path (recorded in
-        ``timings["fallback"]``).
-    partition_attr:
-        The leaf attribute to partition on. Defaults to the root of the
-        first hierarchy — the hierarchy-prefix partition key, guaranteed
-        to be part of every leaf group key.
-    pool:
-        Inject a :class:`ShardWorkerPool` (tests); defaults to the shared
-        module pool for ``min(workers, n_shards)``.
-    spill_dir:
-        When set, a pool build packs its shard blocks into memory-mapped
-        files under this directory instead of ``/dev/shm``: worker
-        inputs are paged from disk on demand. The relation itself stays
-        resident; :func:`spill_build_from_chunks` is the out-of-core
-        build.
-    """
-
-    def __init__(self, dataset: HierarchicalDataset, *, n_shards: int = 2,
-                 workers: int = 0, partition_attr: str | None = None,
-                 pool: ShardWorkerPool | None = None,
-                 spill_dir: str | None = None):
-        if n_shards < 1:
-            raise ShardError(f"n_shards must be >= 1, got {n_shards}")
-        if workers < 0:
-            raise ShardError(f"workers must be >= 0, got {workers}")
-        self.n_shards = int(n_shards)
-        self.workers = int(workers)
-        self.partition_attr = partition_attr
-        self._pool = pool
-        self.spill_dir = spill_dir
-        #: Cumulative per-shard patch counts: proof of delta locality.
-        self.shard_patches: list[int] = [0] * self.n_shards
-        self.timings: dict = {}
-        super().__init__(dataset)
-
-    # -- build ------------------------------------------------------------------
-    def _resolve_pool(self) -> ShardWorkerPool | None:
-        if self._pool is not None:
-            return self._pool
-        if self.workers > 0:
-            return worker_pool(min(self.workers, self.n_shards))
-        return None
-
-    def _build(self) -> None:
-        dataset = self.dataset
-        attrs = list(self.leaf_attrs)
-        if self.partition_attr is None:
-            first = next(iter(dataset.dimensions))
-            self.partition_attr = first.attributes[0]
-        if self.partition_attr not in attrs:
-            raise ShardError(
-                f"partition attribute {self.partition_attr!r} is not a "
-                f"leaf attribute of {attrs}")
-        self._part_pos = attrs.index(self.partition_attr)
-        relation = dataset.relation
-        encodings = tuple(relation.encoding(a) for a in attrs)
-        sizes = [e.cardinality for e in encodings]
-        measure_values = relation.measure_array(dataset.measure)
-        k = len(attrs)
-        timings: dict = {"n_shards": self.n_shards, "workers": self.workers}
-
-        t0 = time.perf_counter()
-        assign = (encodings[self._part_pos].codes.astype(np.int64)
-                  % self.n_shards)
-        shard_rows = [np.flatnonzero(assign == s)
-                      for s in range(self.n_shards)]
-        timings["partition_s"] = time.perf_counter() - t0
-
-        jobs = [s for s in range(self.n_shards) if len(shard_rows[s])]
-        pool = self._resolve_pool()
-        results: dict[int, tuple[np.ndarray, GroupStats]] | None = None
-        if pool is not None and jobs:
-            try:
-                results = self._pool_build(pool, jobs, encodings,
-                                           measure_values, shard_rows,
-                                           sizes, timings)
-            except Exception as exc:
-                timings["fallback"] = f"{type(exc).__name__}: {exc}"
-                results = None
-        if results is None:
-            t1 = time.perf_counter()
-            results = {}
-            busy = []
-            for s in jobs:
-                rows = shard_rows[s]
-                cols = [enc.codes[rows] for enc in encodings]
-                key_codes, stats, elapsed = _build_block_arrays(
-                    cols, measure_values[rows], sizes)
-                results[s] = (key_codes, stats)
-                busy.append(elapsed)
-            timings["build_wall_s"] = time.perf_counter() - t1
-            timings["worker_busy_s"] = busy
-            timings["worker_pids"] = [os.getpid()] * len(jobs)
-
-        empty_block = (np.empty((0, k), dtype=np.int32),
-                       GroupStats(np.zeros(0), np.zeros(0), np.zeros(0)))
-        blocks = [results.get(s, empty_block) for s in range(self.n_shards)]
-        t2 = time.perf_counter()
-        key_codes, stats = merge_shard_blocks(blocks, sizes)
-        timings["merge_s"] = time.perf_counter() - t2
-
-        self._shard_blocks = blocks
-        self._encodings = encodings
-        self._key_codes = key_codes
-        self._stats = stats
-        self._keys = None
-        self.timings = timings
-
-    def _pool_build(self, pool: ShardWorkerPool, jobs: list[int],
-                    encodings: Sequence[DictEncoding],
-                    measure_values: np.ndarray,
-                    shard_rows: list[np.ndarray], sizes: list[int],
-                    timings: dict) -> dict[int, tuple[np.ndarray, GroupStats]]:
-        k = len(encodings)
-        packed: list[SharedCodes] = []
-        t0 = time.perf_counter()
-        try:
-            tasks = []
-            for s in jobs:
-                rows = shard_rows[s]
-                arrays = {f"c{j}": enc.codes[rows]
-                          for j, enc in enumerate(encodings)}
-                arrays["m"] = measure_values[rows]
-                block = SharedCodes.pack(arrays, directory=self.spill_dir,
-                                         spill=self.spill_dir is not None)
-                packed.append(block)
-                tasks.append((block.handle, k, list(sizes)))
-            timings["pack_s"] = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            raw = pool.run_tasks(_worker_build, tasks)
-            timings["build_wall_s"] = time.perf_counter() - t1
-        finally:
-            for block in packed:
-                block.release()
-        results: dict[int, tuple[np.ndarray, GroupStats]] = {}
-        busy, pids = [], []
-        for s, (key_codes, count, total, sumsq, elapsed, pid) in zip(jobs,
-                                                                     raw):
-            results[s] = (key_codes, GroupStats(count, total, sumsq))
-            busy.append(elapsed)
-            pids.append(pid)
-        timings["worker_busy_s"] = busy
-        timings["worker_pids"] = pids
-        return results
-
-    # -- deltas -----------------------------------------------------------------
-    def apply_delta(self, delta: Delta) -> CubeDelta:
-        """Merge a delta batch, patching only the owning shard blocks.
-
-        The partition attribute is part of every delta leaf key, so
-        ``code % n_shards`` names each touched group's home shard. The
-        global leaf arrays are patched with the exact single-process
-        kernel call (bitwise-identical to ``Cube.apply_delta``), and each
-        owning shard's block absorbs its slice of the delta, keeping the
-        invariant *merge(shard blocks) == global block*. Untouched shard
-        blocks are not even read.
-        """
-        new_encs, delta_codes, delta_stats, sizes = self._delta_blocks(delta)
-        key_codes, stats, _, added, removed = merge_stats_blocks(
-            self._key_codes, self._stats, delta_codes, delta_stats, sizes)
-        assign = (delta_codes[:, self._part_pos].astype(np.int64)
-                  % self.n_shards)
-        patched: list[tuple[int, np.ndarray, GroupStats]] = []
-        for s in np.unique(assign):
-            s = int(s)
-            sel = np.flatnonzero(assign == s)
-            block_codes, block_stats = self._shard_blocks[s]
-            merged_codes, merged_stats, _, _, _ = merge_stats_blocks(
-                block_codes, block_stats, delta_codes[sel],
-                delta_stats.select(sel), sizes)
-            patched.append((s, merged_codes, merged_stats))
-        # All merges validated: commit shard blocks and globals together.
-        for s, merged_codes, merged_stats in patched:
-            self._shard_blocks[s] = (merged_codes, merged_stats)
-            self.shard_patches[s] += 1
-        self._encodings = new_encs
-        self._key_codes = key_codes
-        self._stats = stats
-        self._keys = None
-        return CubeDelta(delta_codes, delta_stats, self._encodings,
-                         added, removed)
-
-    # -- introspection ----------------------------------------------------------
-    @property
-    def shard_blocks(self) -> list[tuple[np.ndarray, GroupStats]]:
-        """Per-shard ``(key_codes, stats)`` blocks (read-only view)."""
-        return list(self._shard_blocks)
-
-    def shard_sizes(self) -> list[int]:
-        """Distinct leaf groups per shard."""
-        return [len(codes) for codes, _ in self._shard_blocks]
-
-    def pool_health(self) -> dict | None:
-        """Supervision counters of this cube's pool (None when serial)."""
-        pool = self._resolve_pool()
-        if pool is None:
-            return None
-        health = pool.stats()
-        if "fallback" in self.timings:
-            health["last_build_fallback"] = self.timings["fallback"]
-        return health

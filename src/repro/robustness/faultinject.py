@@ -14,7 +14,7 @@ Registered points (the chaos suite drives every one of them):
 ========================  =====================================================
 ``pool.submit``           coordinator submits one shard task to the pool
 ``pool.result``           coordinator collects one shard task result
-``shm.attach``            a worker attaches a shared-memory/memmap block
+``shm.attach``            a worker memory-maps one spilled shard block
 ``worker.build``          a worker starts one shard build (in-process)
 ``kernel.dispatch``       a fused kernel backend is about to run
 ``cache.fill``            a cache miss is about to compute its value

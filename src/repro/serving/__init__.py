@@ -12,10 +12,9 @@ from .cache import (AggregateCache, CacheStats, StageTiming,
 from .concurrency import (AdmissionController, BatchWindow, DatasetLocks,
                           LatencyStats, LockTimeout, ReadWriteLock,
                           ServerOverloaded, Telemetry, set_trace_hook)
-from .engine import (CachingCube, CachingRepairer, CachingShardedCube,
-                     CachingViews, freeze_filters, patch_cache_for_delta,
-                     patch_view, plan_signature, repairer_signature,
-                     spec_signature)
+from .engine import (CachingCube, CachingRepairer, freeze_filters,
+                     patch_cache_for_delta, patch_view, plan_signature,
+                     repairer_signature, spec_signature)
 from .server import (ReptileHTTPServer, RequestError, ServerApp,
                      parse_complaint_spec, serve_http)
 from .service import (BatchItem, BatchResult, ComplaintRequest,
@@ -26,7 +25,6 @@ __all__ = [
     "refresh_fingerprint", "AdmissionController", "BatchWindow",
     "DatasetLocks", "LatencyStats", "LockTimeout", "ReadWriteLock",
     "ServerOverloaded", "Telemetry", "set_trace_hook", "CachingCube",
-    "CachingShardedCube", "CachingViews",
     "CachingRepairer", "freeze_filters", "patch_cache_for_delta",
     "patch_view", "plan_signature", "repairer_signature",
     "spec_signature", "ReptileHTTPServer", "RequestError", "ServerApp",

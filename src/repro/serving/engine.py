@@ -38,7 +38,6 @@ from ..relational.cube import (Cube, CubeDelta, GroupView, StatesMap,
                                merge_stats_blocks)
 from ..relational.dataset import HierarchicalDataset
 from ..relational.encoding import combine_codes, decode_keys
-from ..relational.shard import ShardedCube
 from .cache import AggregateCache, dataset_fingerprint
 
 #: Attribute attached to every GroupView a :class:`CachingCube` returns;
@@ -101,17 +100,19 @@ def repairer_signature(repairer: object) -> tuple | None:
             repairer.statistics, plan_sig)
 
 
-class CachingViews(Cube):
-    """Mixin: memoized roll-ups over any :class:`Cube`-shaped build.
+class CachingCube(Cube):
+    """The memoizing cube (drop-in :class:`Cube`).
 
-    Subclasses combine it with a concrete cube (single-block or sharded);
     ``drilldown_view`` and ``parallel_view`` route through the overridden
     :meth:`view`, so the whole recommend path hits the cache. Call
     :meth:`refresh` after mutating the dataset in place.
     """
 
-    cache: AggregateCache
-    fingerprint: str
+    def __init__(self, dataset: HierarchicalDataset, cache: AggregateCache,
+                 fingerprint: str | None = None):
+        Cube.__init__(self, dataset)
+        self.cache = cache
+        self.fingerprint = fingerprint or dataset_fingerprint(dataset)
 
     def view(self, group_attrs: Sequence[str],
              filters: Mapping[str, object] | None = None) -> GroupView:
@@ -127,39 +128,15 @@ class CachingViews(Cube):
     def refresh(self) -> str:
         """Re-read the (mutated) dataset; returns the new fingerprint.
 
-        One rebuild, one new fingerprint — a sharded rebuild included: the
-        service holds the dataset's exclusive lock across this call, so
-        readers only ever observe the pre- or post-rebuild version. Old
-        entries stay keyed to the old fingerprint — harmless for
-        correctness; reclaim them with ``cache.invalidate(old_fp)``.
+        One rebuild, one new fingerprint: the service holds the dataset's
+        exclusive lock across this call, so readers only ever observe the
+        pre- or post-rebuild version. Old entries stay keyed to the old
+        fingerprint — harmless for correctness; reclaim them with
+        ``cache.invalidate(old_fp)``.
         """
         self.rebuild()
         self.fingerprint = dataset_fingerprint(self.dataset, refresh=True)
         return self.fingerprint
-
-
-class CachingCube(CachingViews, Cube):
-    """The memoizing single-block cube (drop-in :class:`Cube`)."""
-
-    def __init__(self, dataset: HierarchicalDataset, cache: AggregateCache,
-                 fingerprint: str | None = None):
-        Cube.__init__(self, dataset)
-        self.cache = cache
-        self.fingerprint = fingerprint or dataset_fingerprint(dataset)
-
-
-class CachingShardedCube(CachingViews, ShardedCube):
-    """The memoizing sharded cube: parallel builds, cached roll-ups."""
-
-    def __init__(self, dataset: HierarchicalDataset, cache: AggregateCache,
-                 fingerprint: str | None = None, *, n_shards: int = 2,
-                 workers: int = 0, partition_attr: str | None = None,
-                 spill_dir: str | None = None):
-        ShardedCube.__init__(self, dataset, n_shards=n_shards,
-                             workers=workers, partition_attr=partition_attr,
-                             spill_dir=spill_dir)
-        self.cache = cache
-        self.fingerprint = fingerprint or dataset_fingerprint(dataset)
 
 
 def patch_view(view: GroupView, cube_delta: CubeDelta,

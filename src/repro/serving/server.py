@@ -395,7 +395,7 @@ class ServerApp:
 
     # -- read-only endpoints -----------------------------------------------------
     def _healthz(self, body=None):
-        """Real health: per-dataset state machine, pools, quarantines.
+        """Real health: per-dataset state machine and quarantines.
 
         Always 200 — a degraded dataset still *serves* (that is the
         point); the body says what is degraded so orchestrators can act.
@@ -403,11 +403,6 @@ class ServerApp:
         """
         from .. import kernels
         datasets = self.service.health.snapshot()
-        pools = {}
-        for name in self.service.datasets:
-            cube = self.service.engine(name).cube
-            pool_health = getattr(cube, "pool_health", None)
-            pools[name] = pool_health() if callable(pool_health) else None
         quarantined = kernels.quarantined_backends()
         degraded = sorted(name for name, state in datasets.items()
                           if state["state"] != "healthy")
@@ -418,7 +413,6 @@ class ServerApp:
             "uptime_seconds": time.time() - self.started,
             "datasets": datasets,
             "degraded_datasets": degraded,
-            "pools": pools,
             "quarantined_backends": quarantined,
         })
 

@@ -346,7 +346,6 @@ class ExplanationService:
         # before the delta lands, and no read starts until it has.
         with self.locks.write(dataset):
             before = self.cache.stats
-            patches_before = list(getattr(engine.cube, "shard_patches", ()))
             try:
                 version = engine.apply_delta(delta)
             except DeltaError:
@@ -359,7 +358,7 @@ class ExplanationService:
             self.health.mark_healthy(
                 dataset, version, recovered=self.health.is_degraded(dataset))
             after = self.cache.stats
-            summary = {
+            return {
                 "dataset": dataset,
                 "version": version,
                 "appended": len(delta.appended),
@@ -367,15 +366,6 @@ class ExplanationService:
                 "cache_patched": after.patched - before.patched,
                 "cache_retained": after.retained - before.retained,
             }
-            patches_after = list(getattr(engine.cube, "shard_patches", ()))
-            if patches_after:
-                # Sharded engine: which shard blocks this delta touched —
-                # the locality evidence (owning-shard routing) per batch.
-                summary["shards_touched"] = [
-                    s for s, (a, b) in enumerate(zip(patches_before,
-                                                     patches_after))
-                    if b > a]
-            return summary
 
     def _bump_sessions(self, dataset: str) -> None:
         """Fast-forward the dataset's open auto-sync sessions now.

@@ -9,8 +9,8 @@ Exercises every registered fault point (``pool.submit``, ``pool.result``,
   ``REPTILE_FAULTS`` environment path, clean teardown);
 * the supervised :class:`~repro.relational.shard.ShardWorkerPool`
   (retry + salvage on task errors, respawn after crashes, per-task
-  deadlines, ``PoolFailure`` after the budget, serial fallback keeping
-  builds bitwise-equal, no leaked shared-memory segments — ever);
+  deadlines, ``PoolFailure`` after the budget, the spill build's serial
+  fallback keeping results bitwise-equal, no leaked spill files — ever);
 * kernel-backend quarantine (a raising fused tier serves plain, the
   quarantine is visible and liftable);
 * atomic ingest (a failed commit leaves version, cube, fingerprints and
@@ -43,15 +43,17 @@ from repro import kernels
 from repro.kernels import plain as plain_kernels
 from repro.relational import deltaref
 from repro.relational.cube import Cube
-from repro.relational.shard import (PoolFailure, ShardedCube,
-                                    ShardWorkerPool, leaked_segments,
-                                    shutdown_worker_pools)
+from repro.relational.shard import (PoolFailure, ShardWorkerPool,
+                                    dataset_from_chunks, leaked_segments,
+                                    spill_build_from_chunks)
 from repro.robustness.faultinject import (FaultInjected, faults,
                                           parse_spec)
 from repro.serving.health import (DEGRADED, HEALTHY, REBUILDING,
                                   HealthRegistry, IngestFailure)
 from repro.serving.server import ServerApp
 from repro.serving.service import ExplanationService
+
+from chunk_helpers import rows_to_chunks
 
 SCHEMA = Schema([dimension("district"), dimension("village"),
                  dimension("year"), measure("sev")])
@@ -78,10 +80,20 @@ def _dataset(rows=ROWS) -> HierarchicalDataset:
         Relation.from_rows(SCHEMA, rows), HIERARCHIES, "sev")
 
 
-def _assert_cubes_bitwise(actual: Cube, expected: Cube) -> None:
-    assert np.array_equal(actual._key_codes, expected._key_codes)
+def _chunks() -> list[dict]:
+    return rows_to_chunks(ROWS, chunk_rows=4)
+
+
+def _spill_build(spill_dir, pool: ShardWorkerPool):
+    return spill_build_from_chunks(_chunks(), HIERARCHIES, "sev",
+                                   spill_dir=str(spill_dir), n_shards=3,
+                                   pool=pool)
+
+
+def _assert_spill_bitwise(result, expected: Cube) -> None:
+    assert np.array_equal(result.key_codes, expected._key_codes)
     for name in ("count", "total", "sumsq"):
-        assert np.array_equal(getattr(actual.leaf_stats, name),
+        assert np.array_equal(getattr(result.stats, name),
                               getattr(expected.leaf_stats, name)), name
 
 
@@ -237,43 +249,43 @@ class TestSupervisedPool:
         finally:
             pool.shutdown()
 
-    def test_pool_failure_falls_back_to_bitwise_serial_build(self):
-        dataset = _dataset()
+    def test_pool_failure_falls_back_to_bitwise_serial_build(self,
+                                                             tmp_path):
+        expected = Cube(dataset_from_chunks(_chunks(), HIERARCHIES, "sev"))
         pool = self._pool(retry_budget=0)
         try:
             fi.inject("worker.build", kind="error")
-            sc = ShardedCube(dataset, n_shards=3, workers=2, pool=pool)
-            assert "fallback" in sc.timings
-            _assert_cubes_bitwise(sc, Cube(dataset))
-            health = sc.pool_health()
-            assert health["last_build_fallback"]
-            assert health["task_failures"] >= 1
-        finally:
-            pool.shutdown()
-        assert pool.leaked_at_shutdown == []
-
-    def test_no_segments_leak_after_injected_crash(self, tmp_path):
-        """Regression: a worker crash mid-build must not leak segments.
-
-        Checks both the in-process registry and the filesystem: every
-        name the build registered is released even though a worker died
-        between pack and release, so ``/dev/shm`` (or the tempdir, for
-        the mmap fallback) holds nothing of ours afterwards.
-        """
-        shm_dir = "/dev/shm" if os.path.isdir("/dev/shm") else None
-        before = set(os.listdir(shm_dir)) if shm_dir else set()
-        dataset = _dataset()
-        pool = self._pool()
-        try:
-            fi.inject("worker.build", kind="crash", once=True)
-            sc = ShardedCube(dataset, n_shards=3, workers=2, pool=pool)
-            _assert_cubes_bitwise(sc, Cube(dataset))
+            result = _spill_build(tmp_path, pool)
+            assert "fallback" in result.timings
+            _assert_spill_bitwise(result, expected)
+            assert pool.stats()["task_failures"] >= 1
         finally:
             pool.shutdown()
         assert pool.leaked_at_shutdown == []
         assert leaked_segments() == []
-        if shm_dir:
-            assert set(os.listdir(shm_dir)) - before == set()
+        assert os.listdir(tmp_path) == []
+
+    def test_no_segments_leak_after_injected_crash(self, tmp_path):
+        """Regression: a worker crash mid-build must not leak spill files.
+
+        Checks both the in-process registry and the filesystem: every
+        block the build spilled is released even though a worker died
+        while it was mapped, so the spill directory is empty afterwards.
+        """
+        expected = Cube(dataset_from_chunks(_chunks(), HIERARCHIES, "sev"))
+        pool = self._pool()
+        try:
+            # Injected before the pool forks, so its workers inherit it.
+            fi.inject("worker.build", kind="crash", once=True)
+            result = _spill_build(tmp_path, pool)
+            assert pool.respawns >= 1  # the crash really fired
+            assert "fallback" not in result.timings
+            _assert_spill_bitwise(result, expected)
+        finally:
+            pool.shutdown()
+        assert pool.leaked_at_shutdown == []
+        assert leaked_segments() == []
+        assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
@@ -606,11 +618,10 @@ class TestChaosSchedules:
         assert leaked_segments() == []
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_pool_chaos(self, seed):
+    def test_pool_chaos(self, seed, tmp_path):
         rng = np.random.default_rng(1000 + seed)
         point, kind, arg, once = _POOL_MENU[seed % len(_POOL_MENU)]
-        dataset = _dataset()
-        expected = Cube(dataset)
+        expected = Cube(dataset_from_chunks(_chunks(), HIERARCHIES, "sev"))
         pool = ShardWorkerPool(2, task_timeout=5.0, retry_budget=2,
                                backoff_base=0.001, backoff_cap=0.002)
         try:
@@ -619,16 +630,14 @@ class TestChaosSchedules:
             else:
                 fi.inject(point, kind=kind, arg=arg,
                           hits=(int(rng.integers(1, 4)),))
-            sc = ShardedCube(dataset, n_shards=3, workers=2, pool=pool)
             # Pooled-with-retries or serial fallback: bitwise either way.
-            _assert_cubes_bitwise(sc, expected)
+            _assert_spill_bitwise(_spill_build(tmp_path, pool), expected)
             fi.clear_faults()
-            # The pool (or its respawned successor) still serves rebuilds.
-            sc.rebuild()
-            _assert_cubes_bitwise(sc, expected)
-            health = sc.pool_health()
-            assert health["retry_budget"] == 2
+            # The pool (or its respawned successor) still serves builds.
+            _assert_spill_bitwise(_spill_build(tmp_path, pool), expected)
+            assert pool.stats()["retry_budget"] == 2
         finally:
             pool.shutdown()
         assert pool.leaked_at_shutdown == []
         assert leaked_segments() == []
+        assert os.listdir(tmp_path) == []

@@ -1,12 +1,11 @@
-"""A sharded cube build leaves every recommendation bitwise-unchanged.
+"""Leaf-block merges, design sorts and the spill tier's round trips.
 
-Recommendations run on the one serial path whatever the cube's shard
-layout, so a ``ReptileConfig(shards=N)`` engine — built in-process or
-through a real worker pool — must answer exactly like the unsharded
-one. Shard counts 1/2/7 make empty shards routine; NaN keys exercise
-the domain-rank decline path of the design sort, which is also checked
-against the frozen Python-sort oracle in :mod:`repro.core.rankref`.
-The out-of-core pieces — spilled shared-code blocks and
+Per-shard leaf blocks built over a hierarchy-prefix partition of the
+relation — shard counts 2/5/7 make empty shards routine — must merge
+back into exactly the one-pass cube's block. NaN keys exercise the
+domain-rank decline path of the design sort, which is checked against
+the frozen Python-sort oracle in :mod:`repro.core.rankref`. The
+out-of-core pieces — spilled shard blocks and
 ``spill_build_from_chunks`` — must round-trip bitwise through their
 memory maps, including across a worker-pool respawn.
 """
@@ -20,15 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import HierarchicalDataset, Relation, Schema, dimension, measure
-from repro.core.complaint import Complaint
 from repro.core.rankref import build_view_design_ref
-from repro.core.session import Reptile, ReptileConfig
 from repro.datagen.perf import (DROUGHT_HIERARCHIES, DROUGHT_MEASURE,
                                 drought_chunks)
 from repro.model.features import FeaturePlan, build_view_design
 from repro.relational import Cube, dataset_from_chunks
 from repro.relational.aggregates import GroupStats
-from repro.relational.shard import (ShardedCube, SharedCodes,
+from repro.relational.shard import (SharedCodes, ShardSpillWriter,
+                                    _build_block_arrays, leaked_segments,
                                     merge_shard_blocks,
                                     shutdown_worker_pools,
                                     spill_build_from_chunks)
@@ -38,14 +36,13 @@ SCHEMA = Schema([dimension("district"), dimension("village"),
 HIERARCHIES = {"geo": ["district", "village"], "time": ["year"]}
 NAN = float("nan")
 DISTRICTS = ("d0", "d1", "d2")
-SHARD_COUNTS = (1, 2, 7)
 
 #: Dyadic measures: every float sum is exact, so any summation order
 #: must agree bitwise.
 measures = st.integers(-8, 24).map(lambda v: v / 2.0)
 
-#: Rows that are always present, so the complaint's district exists and
-#: every hierarchy has at least two levels' worth of structure.
+#: Rows that are always present, so every hierarchy has at least two
+#: levels' worth of structure.
 BASE_ROWS = [("d0", "d0-v0", 2000, 1.0), ("d0", "d0-v1", 2001, 3.5),
              ("d1", "d1-v0", 2000, 2.0), ("d1", "d1-v1", 2001, 0.5)]
 
@@ -68,23 +65,6 @@ def _dataset(rows) -> HierarchicalDataset:
         Relation.from_rows(SCHEMA, rows), HIERARCHIES, "sev")
 
 
-def _assert_recommendations_equal(got, ref) -> None:
-    assert set(got.per_hierarchy) == set(ref.per_hierarchy)
-    for name, want in ref.per_hierarchy.items():
-        have = got.per_hierarchy[name]
-        assert have.attribute == want.attribute, name
-        assert have.base_penalty == want.base_penalty, name
-        assert len(have.groups) == len(want.groups), name
-        for a, b in zip(have.groups, want.groups):
-            assert a.key == b.key, (name, b.key)
-            assert a.coordinates == b.coordinates, (name, b.key)
-            assert a.score == b.score, (name, b.key)
-            assert a.margin_gain == b.margin_gain, (name, b.key)
-            assert a.repaired_value == b.repaired_value, (name, b.key)
-            assert a.observed == b.observed, (name, b.key)
-            assert a.expected == b.expected, (name, b.key)
-
-
 # -- leaf-block merges ---------------------------------------------------------
 
 class TestBlockMerges:
@@ -93,15 +73,24 @@ class TestBlockMerges:
     def test_merge_tolerates_empty_shard_blocks(self, rows, n_shards):
         """Empty blocks (leading, interleaved, trailing) are no-ops."""
         dataset = _dataset(rows)
-        sharded = ShardedCube(dataset, n_shards=n_shards)
         cube = Cube(dataset)
-        sizes = [e.cardinality for e in sharded._encodings]
+        relation = dataset.relation
+        encodings = [relation.encoding(a) for a in cube.leaf_attrs]
+        sizes = [e.cardinality for e in encodings]
+        measure_values = relation.measure_array(dataset.measure)
         k = cube._key_codes.shape[1]
-        empty = (np.empty((0, k), dtype=sharded._key_codes.dtype),
+        empty = (np.empty((0, k), dtype=cube._key_codes.dtype),
                  GroupStats(np.zeros(0), np.zeros(0), np.zeros(0)))
+        # Partition by district code, as the spill build does: every leaf
+        # group lives wholly in one shard.
+        assign = encodings[0].codes % n_shards
         blocks = [empty]
-        for block in sharded.shard_blocks:
-            blocks.extend([block, empty])
+        for s in range(n_shards):
+            rows_s = np.flatnonzero(assign == s)
+            key_codes, stats, _ = _build_block_arrays(
+                [e.codes[rows_s] for e in encodings],
+                measure_values[rows_s], sizes)
+            blocks.extend([(key_codes, stats), empty])
         key_codes, stats = merge_shard_blocks(blocks, sizes)
         assert np.array_equal(key_codes, cube._key_codes)
         for name in ("count", "total", "sumsq"):
@@ -164,17 +153,25 @@ class TestSpillRoundTrips:
         arrays = {"c0": rng.integers(0, 9, 64).astype(np.int32),
                   "c1": rng.integers(0, 5, 64).astype(np.int32),
                   "m": rng.normal(size=64)}
-        owner = SharedCodes.pack(arrays, directory=str(tmp_path), spill=True)
+        writer = ShardSpillWriter(str(tmp_path), n_shards=2)
+        # Two appends to shard 1: the file keeps append order.
+        writer.append(1, {name: arr[:40] for name, arr in arrays.items()})
+        writer.append(1, {name: arr[40:] for name, arr in arrays.items()})
+        empty_owner, owner = writer.finish()
         try:
-            assert owner.handle.kind == "mmap"
+            assert owner.handle.kind == "spill"
+            assert empty_owner.arrays == {}
             view = SharedCodes.attach(owner.handle)
             for name, arr in arrays.items():
                 assert np.array_equal(np.asarray(view.arrays[name]), arr), \
                     name
             view.release()
+            assert os.listdir(tmp_path), "a non-owner released the files"
         finally:
+            empty_owner.release()
             owner.release()
         assert not os.listdir(tmp_path), "spill files not reclaimed"
+        assert leaked_segments() == []
 
     def test_spill_build_bitwise_across_pool_respawn(self, tmp_path):
         """Two spill builds — with a pool shutdown (forced respawn) in
@@ -202,49 +199,3 @@ class TestSpillRoundTrips:
                                       getattr(cube.leaf_stats, name)), \
                     (label, name)
         assert not os.listdir(tmp_path), "spill files not reclaimed"
-
-
-# -- end-to-end recommendations ------------------------------------------------
-
-class TestParallelRecommend:
-    @settings(deadline=None, max_examples=25)
-    @given(relations(), st.sampled_from(SHARD_COUNTS))
-    def test_sharded_recommend_bitwise_equals_serial(self, rows, shards):
-        dataset = _dataset(rows)
-        complaint = Complaint.too_low({"district": "d0"}, "mean")
-        serial = Reptile(dataset, config=ReptileConfig())
-        sharded = Reptile(dataset, config=ReptileConfig(shards=shards))
-        _assert_recommendations_equal(
-            sharded.recommend(complaint, group_by=("district",)),
-            serial.recommend(complaint, group_by=("district",)))
-
-    def test_recommend_with_nan_keys_and_empty_shards(self):
-        rows = BASE_ROWS + [(NAN, NAN, 2000, 2.0), ("d2", "d2-v0", NAN, 4.0),
-                            ("d2", "d2-v0", 2001, 0.25)]
-        dataset = _dataset(rows)
-        complaint = Complaint.too_low({"district": "d0"}, "mean")
-        serial = Reptile(dataset, config=ReptileConfig())
-        sharded = Reptile(dataset, config=ReptileConfig(shards=7))
-        _assert_recommendations_equal(
-            sharded.recommend(complaint, group_by=("district",)),
-            serial.recommend(complaint, group_by=("district",)))
-
-    def test_recommend_with_real_worker_pool(self):
-        """A cube built through a real 2-process pool: the serial
-        recommend over it must still be bitwise-equal."""
-        rows = [(f"d{i % 3}", f"d{i % 3}-v{i % 4}", 2000 + i % 3,
-                 (i % 11) / 2.0) for i in range(64)]
-        dataset = _dataset(rows)
-        complaint = Complaint.too_low({"district": "d0"}, "mean")
-        try:
-            serial = Reptile(dataset, config=ReptileConfig())
-            sharded = Reptile(dataset,
-                              config=ReptileConfig(shards=3, workers=2))
-            timings = sharded.cube.timings
-            assert "fallback" not in timings, timings.get("fallback")
-            assert os.getpid() not in timings["worker_pids"]
-            _assert_recommendations_equal(
-                sharded.recommend(complaint, group_by=("district",)),
-                serial.recommend(complaint, group_by=("district",)))
-        finally:
-            shutdown_worker_pools()

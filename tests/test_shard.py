@@ -1,16 +1,14 @@
-"""Sharded parallel cube build: unit coverage for the sharding layer.
+"""Chunked construction and the spill build: unit coverage.
 
 Pins down (1) ``DictEncoding.merge`` union semantics — shard 0's codes
 survive verbatim, NaN domain entries match by object identity, and
-cross-type ``==``-equal merges flag the union lossy; (2) the
-shared-memory column blocks (pack/attach roundtrip, mmap fallback,
-owner-side release); (3) ``merge_shard_blocks`` canonical ordering;
-(4) ``ShardedCube`` bitwise equality against the single-process
-``Cube`` across shard counts, including empty shards and a real
-process pool; (5) owning-shard delta routing with patch counters; and
-(6) the upward wiring: ``Relation.from_encoded``, chunked dataset
-construction, ``ReptileConfig(shards=...)``, service ingest's
-``shards_touched``, and the CLI flags.
+cross-type ``==``-equal merges flag the union lossy; (2)
+``merge_shard_blocks`` canonical ordering; (3)
+``spill_build_from_chunks`` bitwise equality against the one-pass
+``Cube`` across shard counts and partition attributes, including empty
+shards and a real process pool; (4) a failed chunk stream leaving no
+spill file behind; and (5) ``Relation.from_encoded``, chunked dataset
+construction, and the CLI rejecting the removed shard flags.
 """
 
 from __future__ import annotations
@@ -21,18 +19,18 @@ import os
 import numpy as np
 import pytest
 
-from repro import (Delta, HierarchicalDataset, Relation, Reptile,
-                   ReptileConfig, Schema, dimension, measure)
+from repro import HierarchicalDataset, Relation, Schema, dimension, measure
 from repro.cli import build_parser
 from repro.relational import deltaref
 from repro.relational.cube import Cube
 from repro.relational.encoding import DictEncoding, factorize
-from repro.relational.shard import (SharedCodes, ShardedCube, ShardError,
-                                    dataset_from_chunks,
+from repro.relational.shard import (ShardError, dataset_from_chunks,
                                     encode_columns_chunked,
                                     leaked_segments, merge_shard_blocks,
-                                    shutdown_worker_pools)
-from repro.serving import CachingShardedCube, ExplanationService
+                                    shutdown_worker_pools,
+                                    spill_build_from_chunks)
+
+from chunk_helpers import rows_to_chunks
 
 SCHEMA = Schema([dimension("district"), dimension("village"),
                  dimension("year"), measure("sev")])
@@ -56,20 +54,27 @@ def _dataset(rows=ROWS) -> HierarchicalDataset:
         Relation.from_rows(SCHEMA, rows), HIERARCHIES, "sev")
 
 
-def _assert_cubes_bitwise(actual: Cube, expected: Cube) -> None:
-    assert np.array_equal(actual._key_codes, expected._key_codes)
-    assert actual._key_codes.dtype == expected._key_codes.dtype
+def _chunks(rows=ROWS) -> list[dict]:
+    return rows_to_chunks(rows, chunk_rows=3)
+
+
+def _spill_build(spill_dir, rows=ROWS, **kwargs):
+    return spill_build_from_chunks(_chunks(rows), HIERARCHIES, "sev",
+                                   spill_dir=str(spill_dir), **kwargs)
+
+
+def _one_pass(rows=ROWS) -> Cube:
+    return Cube(dataset_from_chunks(_chunks(rows), HIERARCHIES, "sev"))
+
+
+def _assert_spill_bitwise(result, expected: Cube) -> None:
+    assert np.array_equal(result.key_codes, expected._key_codes)
+    assert result.key_codes.dtype == expected._key_codes.dtype
     for name in ("count", "total", "sumsq"):
-        a = getattr(actual.leaf_stats, name)
+        a = getattr(result.stats, name)
         b = getattr(expected.leaf_stats, name)
         assert np.array_equal(a, b), name
         assert a.dtype == b.dtype, name
-
-
-def _block_map(key_codes, stats):
-    return {tuple(int(c) for c in row):
-            (stats.count[i], stats.total[i], stats.sumsq[i])
-            for i, row in enumerate(key_codes)}
 
 
 # ---------------------------------------------------------------------------
@@ -146,48 +151,6 @@ class TestDictEncodingMerge:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory blocks
-
-
-class TestSharedCodes:
-    ARRAYS = {"c0": np.array([0, 1, 2, 1], dtype=np.int32),
-              "c1": np.array([3, 3, 0, 1], dtype=np.int32),
-              "m": np.array([0.5, 1.25, -2.0, 8.0])}
-
-    def test_pack_attach_roundtrip(self):
-        block = SharedCodes.pack(self.ARRAYS)
-        try:
-            attached = SharedCodes.attach(block.handle)
-            try:
-                for name, arr in self.ARRAYS.items():
-                    got = attached.arrays[name]
-                    assert np.array_equal(got, arr)
-                    assert got.dtype == arr.dtype
-            finally:
-                attached.release()
-        finally:
-            block.release()
-
-    def test_mmap_fallback_roundtrip(self, tmp_path):
-        prepared, layout, size = SharedCodes._layout(self.ARRAYS)
-        block = SharedCodes._pack_mmap(prepared, layout, size,
-                                       str(tmp_path))
-        try:
-            assert block.handle.kind == "mmap"
-            attached = SharedCodes.attach(block.handle)
-            for name, arr in self.ARRAYS.items():
-                assert np.array_equal(attached.arrays[name], arr)
-            attached.release()
-        finally:
-            block.release()
-        assert not list(tmp_path.iterdir())  # owner unlinked the file
-
-    def test_views_are_64_byte_aligned(self):
-        _, layout, _ = SharedCodes._layout(self.ARRAYS)
-        assert all(off % 64 == 0 for _, _, _, off in layout)
-
-
-# ---------------------------------------------------------------------------
 # Block merge
 
 
@@ -220,158 +183,99 @@ class TestMergeShardBlocks:
 
 
 # ---------------------------------------------------------------------------
-# ShardedCube: build equality
+# Spill build: equality with the one-pass cube
 
 
 class TestShardedBuild:
     @pytest.mark.parametrize("n_shards", [1, 2, 7])
-    def test_bitwise_equal_to_single_process(self, n_shards):
-        dataset = _dataset()
-        _assert_cubes_bitwise(ShardedCube(dataset, n_shards=n_shards),
-                              Cube(dataset))
+    def test_bitwise_equal_to_single_process(self, n_shards, tmp_path):
+        _assert_spill_bitwise(_spill_build(tmp_path, n_shards=n_shards),
+                              _one_pass())
+        assert os.listdir(tmp_path) == []
 
-    def test_more_shards_than_districts_leaves_empty_shards(self):
-        dataset = _dataset()
-        sc = ShardedCube(dataset, n_shards=11)
-        assert sc.shard_sizes().count(0) >= 8  # only 3 districts
-        _assert_cubes_bitwise(sc, Cube(dataset))
+    def test_more_shards_than_districts_leaves_empty_shards(self, tmp_path):
+        result = _spill_build(tmp_path, n_shards=11)
+        assert result.shard_rows.count(0) >= 8  # only 3 districts
+        _assert_spill_bitwise(result, _one_pass())
 
-    def test_partition_attr_defaults_to_first_hierarchy_root(self):
-        sc = ShardedCube(_dataset(), n_shards=2)
-        assert sc.partition_attr == "district"
+    def test_partition_attr_defaults_to_first_hierarchy_root(self,
+                                                             tmp_path):
+        result = _spill_build(tmp_path, n_shards=2)
+        district = result.encodings[0]
+        expected = [0, 0]
+        for row in ROWS:
+            expected[district.code_of(row[0]) % 2] += 1
+        assert result.shard_rows == expected
 
-    def test_explicit_partition_attr(self):
-        dataset = _dataset()
-        sc = ShardedCube(dataset, n_shards=3, partition_attr="year")
-        _assert_cubes_bitwise(sc, Cube(dataset))
+    def test_explicit_partition_attr(self, tmp_path):
+        result = _spill_build(tmp_path, n_shards=3, partition_attr="year")
+        _assert_spill_bitwise(result, _one_pass())
 
-    def test_rejects_non_leaf_partition_attr(self):
+    def test_rejects_non_leaf_partition_attr(self, tmp_path):
         with pytest.raises(ShardError):
-            ShardedCube(_dataset(), n_shards=2, partition_attr="sev")
+            _spill_build(tmp_path, n_shards=2, partition_attr="sev")
 
     @pytest.mark.parametrize("kwargs", [{"n_shards": 0}, {"n_shards": -2},
-                                        {"workers": -1}])
-    def test_rejects_bad_configuration(self, kwargs):
+                                        {"partition_attr": "nowhere"}])
+    def test_rejects_bad_configuration(self, kwargs, tmp_path):
         with pytest.raises(ShardError):
-            ShardedCube(_dataset(), **kwargs)
+            _spill_build(tmp_path, **kwargs)
+        assert os.listdir(tmp_path) == []
 
-    def test_nan_partition_keys_build(self):
+    def test_nan_partition_keys_build(self, tmp_path):
         rows = ROWS + [(NAN, "no-district", 2000, 7.0),
                        (NAN, "no-district", 2001, 1.0)]
-        dataset = _dataset(rows)
-        _assert_cubes_bitwise(ShardedCube(dataset, n_shards=4),
-                              Cube(dataset))
+        _assert_spill_bitwise(_spill_build(tmp_path, rows, n_shards=4),
+                              _one_pass(rows))
 
-    def test_views_match_single_process(self):
-        dataset = _dataset()
-        sc = ShardedCube(dataset, n_shards=3)
-        cube = Cube(dataset)
-        for attrs, filters in [((), None), (("district",), None),
-                               (("village", "year"), {"district": "d0"})]:
-            deltaref.assert_groups_equal(sc.view(attrs, filters).groups,
-                                         cube.view(attrs, filters).groups)
-
-    def test_rebuild_keeps_identity_and_equality(self):
-        dataset = _dataset()
-        sc = ShardedCube(dataset, n_shards=3)
-        before = id(sc)
-        sc.rebuild()
-        assert id(sc) == before
-        _assert_cubes_bitwise(sc, Cube(dataset))
-
-    def test_timings_recorded(self):
-        sc = ShardedCube(_dataset(), n_shards=3)
-        for key in ("partition_s", "build_wall_s", "merge_s",
+    def test_timings_recorded(self, tmp_path):
+        result = _spill_build(tmp_path, n_shards=3)
+        for key in ("stream_s", "build_wall_s", "merge_s",
                     "worker_busy_s"):
-            assert key in sc.timings
+            assert key in result.timings
 
 
 class TestShardedPoolBuild:
-    @pytest.mark.parametrize("spill", [False, True],
-                             ids=["shared-memory", "spill-dir"])
-    def test_process_pool_build_is_bitwise_equal(self, spill, tmp_path,
-                                                 monkeypatch):
-        packed = []
-        pack = SharedCodes.pack.__func__
-
-        def recording_pack(cls, arrays, directory=None, *, spill=False):
-            block = pack(cls, arrays, directory, spill=spill)
-            packed.append(block.handle)
-            return block
-
-        monkeypatch.setattr(SharedCodes, "pack", classmethod(recording_pack))
-        dataset = _dataset()
+    def test_process_pool_build_is_bitwise_equal(self, tmp_path):
         try:
-            sc = ShardedCube(dataset, n_shards=3, workers=2,
-                             spill_dir=str(tmp_path) if spill else None)
-            assert sc.timings.get("fallback") is None, sc.timings
+            result = _spill_build(tmp_path, n_shards=3, workers=2)
+            assert result.timings.get("fallback") is None, result.timings
             # real out-of-process workers did the shard builds
             assert any(pid != os.getpid()
-                       for pid in sc.timings["worker_pids"])
-            _assert_cubes_bitwise(sc, Cube(dataset))
+                       for pid in result.timings["worker_pids"])
+            _assert_spill_bitwise(result, _one_pass())
         finally:
             shutdown_worker_pools()
-        spilled = [h.kind == "mmap"
-                   and os.path.dirname(h.name) == str(tmp_path)
-                   for h in packed]
-        assert packed and spilled == [spill] * len(packed)
         assert os.listdir(tmp_path) == []
         assert leaked_segments() == []
 
 
-# ---------------------------------------------------------------------------
-# Delta routing
+def _failing_stream():
+    chunks = _chunks()
+    yield chunks[0]
+    yield chunks[1]
+    raise OSError("chunk source went away")
 
 
-class TestDeltaRouting:
-    def _delta(self, district="d1"):
-        return Delta.from_rows(
-            SCHEMA,
-            appended=[(district, f"{district}-v0", 2000, 2.5),
-                      (district, f"{district}-v9", 2002, 1.0)],
-            retracted=[(district, f"{district}-v0", 2000,
-                        2.0 if district == "d1" else 1.5)])
+def _stream_missing_a_column():
+    chunks = _chunks()
+    del chunks[1]["year"]
+    return chunks
 
-    def test_single_district_delta_touches_one_shard(self):
-        sc = ShardedCube(_dataset(), n_shards=4)
-        untouched_before = [sc.shard_blocks[s] for s in (0, 2, 3)]
-        sc.apply_delta(self._delta("d1"))
-        assert sc.shard_patches == [0, 1, 0, 0]
-        # untouched shard blocks were not even rebuilt (same objects)
-        for (codes_a, stats_a), (codes_b, stats_b) in zip(
-                untouched_before, [sc.shard_blocks[s] for s in (0, 2, 3)]):
-            assert codes_a is codes_b and stats_a is stats_b
 
-    def test_global_arrays_match_single_process_incremental(self):
-        dataset = _dataset()
-        sc = ShardedCube(dataset, n_shards=4)
-        cube = Cube(dataset)
-        for district in ("d1", "d0", "d9"):  # d9: new partition value
-            delta = self._delta(district) if district != "d9" else \
-                Delta.from_rows(SCHEMA, [("d9", "d9-v0", 2003, 5.0)])
-            sc.apply_delta(delta)
-            cube.apply_delta(delta)
-            _assert_cubes_bitwise(sc, cube)
+class TestFailedStream:
+    """A chunk stream that raises leaves no spill file behind."""
 
-    def test_shard_blocks_still_partition_the_global_arrays(self):
-        sc = ShardedCube(_dataset(), n_shards=3)
-        sc.apply_delta(self._delta("d2"))
-        sizes = [e.cardinality for e in sc._encodings]
-        merged_keys, merged_stats = merge_shard_blocks(sc.shard_blocks,
-                                                       sizes)
-        # after a delta the global arrays append fresh keys at the end,
-        # so compare as mappings, not positionally
-        assert _block_map(merged_keys, merged_stats) == \
-            _block_map(sc._key_codes, sc.leaf_stats)
-
-    def test_matches_rebuild_oracle(self):
-        base = _dataset()
-        sc = ShardedCube(base, n_shards=3)
-        delta = self._delta("d0")
-        sc.apply_delta(delta)
-        oracle = deltaref.rebuilt_dataset(base, [delta])
-        deltaref.assert_groups_equal(sc.leaf_states,
-                                     deltaref.rebuilt_leaf_states(oracle))
+    @pytest.mark.parametrize("make, error", [
+        (_failing_stream, OSError), (_stream_missing_a_column, KeyError)],
+        ids=["iterator-error", "missing-column"])
+    def test_failed_stream_removes_spill_files(self, make, error,
+                                               tmp_path):
+        with pytest.raises(error):
+            spill_build_from_chunks(make(), HIERARCHIES, "sev",
+                                    spill_dir=str(tmp_path), n_shards=3)
+        assert os.listdir(tmp_path) == []
+        assert leaked_segments() == []
 
 
 # ---------------------------------------------------------------------------
@@ -418,70 +322,29 @@ class TestChunkedConstruction:
         flat = Relation.from_rows(SCHEMA, self.FLAT_ROWS)
         assert list(relation.rows()) == list(flat.rows())
 
-    def test_dataset_from_chunks_builds_equal_cube(self):
+    def test_dataset_from_chunks_builds_equal_cube(self, tmp_path):
         # Code spaces differ (chunked keeps first-appearance order,
         # from_rows sorts), so compare decoded groups — and bitwise
-        # between sharded and unsharded over the *same* dataset.
+        # between the spill build and the one-pass cube over the *same*
+        # chunks.
         dataset = dataset_from_chunks(self.CHUNKS, HIERARCHIES, "sev")
         flat = _dataset(self.FLAT_ROWS)
         deltaref.assert_groups_equal(
             Cube(dataset).leaf_states, Cube(flat).leaf_states)
-        _assert_cubes_bitwise(ShardedCube(dataset, n_shards=3),
-                              Cube(dataset))
+        _assert_spill_bitwise(
+            spill_build_from_chunks(self.CHUNKS, HIERARCHIES, "sev",
+                                    spill_dir=str(tmp_path), n_shards=3),
+            Cube(dataset))
 
 
 # ---------------------------------------------------------------------------
-# Engine, serving and CLI wiring
+# CLI
 
 
-class TestUpwardWiring:
-    def test_reptile_config_selects_sharded_cube(self):
-        dataset = _dataset()
-        engine = Reptile(dataset, config=ReptileConfig(
-            n_em_iterations=1, shards=3))
-        assert isinstance(engine.cube, ShardedCube)
-        plain = Reptile(_dataset(), config=ReptileConfig(n_em_iterations=1))
-        assert not isinstance(plain.cube, ShardedCube)
-        _assert_cubes_bitwise(engine.cube, plain.cube)
-
-    def test_engine_refresh_keeps_sharded_cube(self):
-        engine = Reptile(_dataset(), config=ReptileConfig(
-            n_em_iterations=1, shards=2))
-        cube = engine.cube
-        engine.refresh()
-        assert engine.cube is cube  # rebuilt in place, not replaced
-
-    def test_service_ingest_reports_shards_touched(self):
-        service = ExplanationService()
-        service.register("drought", _dataset(),
-                         config=ReptileConfig(n_em_iterations=1, shards=4))
-        engine = service.engine("drought")
-        assert isinstance(engine.cube, CachingShardedCube)
-        summary = service.ingest(
-            "drought", rows=[("d1", "d1-v7", 2002, 3.0)])
-        assert summary["shards_touched"] == [1]
-        plain = ExplanationService()
-        plain.register("drought", _dataset(),
-                       config=ReptileConfig(n_em_iterations=1))
-        assert "shards_touched" not in plain.ingest(
-            "drought", rows=[("d1", "d1-v7", 2002, 3.0)])
-
-    def test_sharded_engine_answers_match_unsharded(self):
-        sharded = Reptile(_dataset(), config=ReptileConfig(
-            n_em_iterations=1, shards=3))
-        plain = Reptile(_dataset(), config=ReptileConfig(n_em_iterations=1))
-        view_s = sharded.cube.view(("district",))
-        view_p = plain.cube.view(("district",))
-        deltaref.assert_groups_equal(view_s.groups, view_p.groups)
-
-    @pytest.mark.parametrize("command", ["serve", "serve-http", "ingest"])
-    def test_cli_accepts_shard_flags(self, command):
-        args = build_parser().parse_args(
-            [command, "--shards", "4", "--shard-workers", "2"])
-        assert args.shards == 4
-        assert args.shard_workers == 2
-
-    def test_cli_shard_flags_default_off(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.shards == 0
-        assert args.shard_workers == 0
+@pytest.mark.parametrize("command", ["serve", "serve-http", "ingest"])
+@pytest.mark.parametrize("flag", ["--shards", "--shard-workers",
+                                  "--spill-dir"])
+def test_cli_rejects_removed_shard_flags(command, flag, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, flag, "2"])
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,35 +1,32 @@
-"""Sharded cube ≡ single-process cube ≡ rebuild oracle (hypothesis).
+"""Spill build ≡ one-pass cube over the same chunks (hypothesis).
 
-Every property builds a :class:`ShardedCube` over randomly generated
-relations — shard counts 1/2/7 (7 usually exceeds the district
-cardinality, so empty shards are routine), NaN partition keys, random
-partition attributes — and asserts *bitwise* equality against the
-single-process :class:`Cube` on the same dataset: identical key-code
-arrays and identical count/total/sumsq bits (measures are dyadic
-rationals, so float sums are order-independent). Delta sequences are
-routed through ``ShardedCube.apply_delta`` and checked three ways: the
-global arrays stay bitwise-equal to ``Cube.apply_delta``'s, the shard
-blocks keep partitioning the global block (merge-as-mapping), and the
-end state matches the frozen row-at-a-time rebuild in
-:mod:`repro.relational.deltaref`.
+Every property streams randomly generated relations, cut into random
+chunks, through :func:`~repro.relational.shard.spill_build_from_chunks`
+(``workers=0``: the serial one-shard-at-a-time loop) — shard counts
+1/2/7 (7 usually exceeds the district cardinality, so empty shards are
+routine), NaN partition keys, every leaf attribute as the partition
+attribute — and asserts *bitwise* equality against the one-pass
+:class:`Cube` over ``dataset_from_chunks`` of the same chunks: identical
+key-code arrays and identical count/total/sumsq bits (measures are
+dyadic rationals, so float sums are order-independent). Every build
+must also leave its spill directory empty.
 """
 
 from __future__ import annotations
 
-import math
+import os
+import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import (Delta, HierarchicalDataset, Relation, Schema, dimension,
-                   measure)
-from repro.relational import deltaref
 from repro.relational.cube import Cube
-from repro.relational.shard import ShardedCube, merge_shard_blocks
+from repro.relational.shard import (dataset_from_chunks, leaked_segments,
+                                    spill_build_from_chunks)
 
-SCHEMA = Schema([dimension("district"), dimension("village"),
-                 dimension("year"), measure("sev")])
+from chunk_helpers import DIMENSIONS, rows_to_chunks
+
 HIERARCHIES = {"geo": ["district", "village"], "time": ["year"]}
 
 #: One shared NaN object: rows drawn with it form a single group (dict
@@ -37,11 +34,10 @@ HIERARCHIES = {"geo": ["district", "village"], "time": ["year"]}
 NAN = float("nan")
 
 DISTRICTS = ("d0", "d1", "d2")
-NEW_DISTRICTS = ("n0", "n1")
 SHARD_COUNTS = (1, 2, 7)
 
-# Dyadic measures: every sum is exactly representable, so sharded and
-# single-process accumulations must agree bitwise.
+# Dyadic measures: every sum is exactly representable, so spilled and
+# one-pass accumulations must agree bitwise.
 measures = st.integers(-8, 24).map(lambda v: v / 2.0)
 
 
@@ -63,146 +59,37 @@ def relations(draw, allow_nan: bool = False):
             for _ in range(draw(st.integers(1, 16)))]
 
 
-@st.composite
-def evolutions(draw, max_deltas: int = 3):
-    """A base row set plus a sequence of valid deltas over it."""
-    base = [_row(draw, DISTRICTS, 2, [2000, 2001])
-            for _ in range(draw(st.integers(1, 12)))]
-    current = list(base)
-    deltas = []
-    for _ in range(draw(st.integers(1, max_deltas))):
-        appends = [_row(draw, DISTRICTS + NEW_DISTRICTS, 4,
-                        [2000, 2001, 2002])
-                   for _ in range(draw(st.integers(0, 5)))]
-        n_retract = draw(st.integers(0, min(3, len(current))))
-        retracts = []
-        if n_retract:
-            idx = draw(st.lists(
-                st.integers(0, len(current) - 1), min_size=n_retract,
-                max_size=n_retract, unique=True))
-            retracts = [current[i] for i in idx]
-        for r in retracts:
-            current.remove(r)
-        current.extend(appends)
-        if not current:  # keep at least one row so the cube stays valid
-            keep = _row(draw, DISTRICTS, 2, [2000])
-            appends = appends + [keep]
-            current.append(keep)
-        deltas.append(Delta.from_rows(SCHEMA, appends, retracts))
-    return base, deltas
-
-
-def _dataset(rows) -> HierarchicalDataset:
-    return HierarchicalDataset.build(
-        Relation.from_rows(SCHEMA, rows), HIERARCHIES, "sev")
-
-
-def _assert_bitwise(sharded: ShardedCube, cube: Cube) -> None:
-    assert np.array_equal(sharded._key_codes, cube._key_codes)
+def _assert_spill_bitwise(rows, chunk_rows: int, n_shards: int,
+                          partition_attr: str | None = None) -> None:
+    chunks = rows_to_chunks(rows, chunk_rows)
+    cube = Cube(dataset_from_chunks(chunks, HIERARCHIES, "sev"))
+    with tempfile.TemporaryDirectory() as spill_dir:
+        result = spill_build_from_chunks(
+            chunks, HIERARCHIES, "sev", spill_dir=spill_dir,
+            n_shards=n_shards, workers=0, partition_attr=partition_attr)
+        assert os.listdir(spill_dir) == []
+    assert leaked_segments() == []
+    assert np.array_equal(result.key_codes, cube._key_codes)
     for name in ("count", "total", "sumsq"):
-        assert np.array_equal(getattr(sharded.leaf_stats, name),
+        assert np.array_equal(getattr(result.stats, name),
                               getattr(cube.leaf_stats, name)), name
+    assert sum(result.shard_rows) == result.n_rows == len(rows)
 
 
-def _block_map(key_codes, stats):
-    return {tuple(int(c) for c in row):
-            (stats.count[i], stats.total[i], stats.sumsq[i])
-            for i, row in enumerate(key_codes)}
+@given(relations(), st.sampled_from(SHARD_COUNTS), st.integers(1, 6))
+def test_sharded_build_bitwise_equals_single_process(rows, n_shards,
+                                                     chunk_rows):
+    _assert_spill_bitwise(rows, chunk_rows, n_shards)
 
 
-def _assert_blocks_partition_global(sharded: ShardedCube) -> None:
-    """merge(shard blocks) == global block, compared as mappings.
-
-    After a delta the global arrays append fresh keys at the end while
-    the block merge re-sorts, so positional comparison is wrong by
-    design — the invariant is the key→stats mapping.
-    """
-    sizes = [e.cardinality for e in sharded._encodings]
-    merged_keys, merged_stats = merge_shard_blocks(sharded.shard_blocks,
-                                                   sizes)
-    assert _block_map(merged_keys, merged_stats) == \
-        _block_map(sharded._key_codes, sharded.leaf_stats)
+@given(relations(allow_nan=True), st.sampled_from(SHARD_COUNTS),
+       st.integers(1, 6))
+def test_sharded_build_with_nan_partition_keys(rows, n_shards, chunk_rows):
+    _assert_spill_bitwise(rows, chunk_rows, n_shards)
 
 
-@given(relations(), st.sampled_from(SHARD_COUNTS))
-def test_sharded_build_bitwise_equals_single_process(rows, n_shards):
-    dataset = _dataset(rows)
-    sharded = ShardedCube(dataset, n_shards=n_shards)
-    _assert_bitwise(sharded, Cube(dataset))
-    _assert_blocks_partition_global(sharded)
-    assert sum(sharded.shard_sizes()) == len(sharded._key_codes)
-
-
-@given(relations(allow_nan=True), st.sampled_from(SHARD_COUNTS))
-def test_sharded_build_with_nan_partition_keys(rows, n_shards):
-    dataset = _dataset(rows)
-    _assert_bitwise(ShardedCube(dataset, n_shards=n_shards), Cube(dataset))
-
-
-@given(relations(), st.sampled_from(("district", "village", "year")),
-       st.sampled_from(SHARD_COUNTS))
-def test_any_leaf_attribute_partitions_correctly(rows, attr, n_shards):
-    dataset = _dataset(rows)
-    sharded = ShardedCube(dataset, n_shards=n_shards, partition_attr=attr)
-    _assert_bitwise(sharded, Cube(dataset))
-    _assert_blocks_partition_global(sharded)
-
-
-@given(evolutions(), st.sampled_from(SHARD_COUNTS))
-def test_delta_sequence_bitwise_equals_single_process(evolution, n_shards):
-    base, deltas = evolution
-    dataset = _dataset(base)
-    sharded = ShardedCube(dataset, n_shards=n_shards)
-    cube = Cube(dataset)
-    for delta in deltas:
-        sharded.apply_delta(delta)
-        cube.apply_delta(delta)
-        _assert_bitwise(sharded, cube)
-    _assert_blocks_partition_global(sharded)
-
-
-@settings(deadline=None)
-@given(evolutions(), st.sampled_from(SHARD_COUNTS))
-def test_delta_sequence_matches_rebuild_oracle(evolution, n_shards):
-    base, deltas = evolution
-    sharded = ShardedCube(_dataset(base), n_shards=n_shards)
-    for delta in deltas:
-        sharded.apply_delta(delta)
-    oracle = deltaref.rebuilt_dataset(_dataset(base), deltas)
-    deltaref.assert_groups_equal(sharded.leaf_states,
-                                 deltaref.rebuilt_leaf_states(oracle))
-    for attrs, filters in [((), None), (("district",), None),
-                           (("district", "year"), None),
-                           (("village",), {"district": "d0"})]:
-        deltaref.assert_groups_equal(
-            sharded.view(attrs, filters).groups,
-            deltaref.rebuilt_view(oracle, attrs, filters))
-
-
-@given(evolutions(max_deltas=2), st.sampled_from((2, 7)))
-def test_deltas_only_touch_owning_shards(evolution, n_shards):
-    base, deltas = evolution
-    sharded = ShardedCube(_dataset(base), n_shards=n_shards)
-    for delta in deltas:
-        # which shards *should* a batch touch: the partition codes of
-        # its rows (mod n_shards), computed from the post-merge domain
-        before = list(sharded.shard_patches)
-        blocks_before = list(sharded.shard_blocks)
-        sharded.apply_delta(delta)
-        touched = {s for s, (a, b) in
-                   enumerate(zip(before, sharded.shard_patches)) if b > a}
-        enc = sharded._encodings[sharded._part_pos]
-        domain_pos = {id(v): c for c, v in enumerate(enc.domain)}
-        expected = set()
-        for row in list(delta.appended) + list(delta.retracted):
-            d = row[0]
-            code = domain_pos.get(id(d))
-            if code is None:
-                code = enc.domain.index(d)
-            expected.add(code % n_shards)
-        assert touched == expected
-        for s in range(n_shards):
-            if s not in touched:
-                a_codes, a_stats = blocks_before[s]
-                b_codes, b_stats = sharded.shard_blocks[s]
-                assert a_codes is b_codes and a_stats is b_stats
+@given(relations(), st.sampled_from(DIMENSIONS),
+       st.sampled_from(SHARD_COUNTS), st.integers(1, 6))
+def test_any_leaf_attribute_partitions_correctly(rows, attr, n_shards,
+                                                 chunk_rows):
+    _assert_spill_bitwise(rows, chunk_rows, n_shards, partition_attr=attr)
