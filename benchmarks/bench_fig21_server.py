@@ -6,7 +6,8 @@ per-dataset read lock while ingest bursts take the exclusive write lock.
 This harness drives the real dispatch stack — locks, admission control,
 cross-request batching, telemetry, JSON payload shaping; everything
 above the socket — with a mixed 90/10 read/ingest workload from many
-client threads and holds a throughput/latency floor.
+client threads and holds a throughput/latency floor. A second leg
+measures the socket itself: one HTTP ``/recommend`` round trip.
 
 Protocol per scale: CLIENTS threads each issue a fixed request sequence
 against one ServerApp (90% reads — views with periodic batched
@@ -21,10 +22,23 @@ also runs single-threaded on its own service: the reported ``speedup``
 is single-thread elapsed over concurrent elapsed for identical request
 totals.
 
-Acceptance floor (full scale, ≥1e5 rows): sustained throughput
-≥ 200 req/s with read p99 ≤ 250 ms, zero rejected requests.
+Keep-alive leg per scale: one client on one keep-alive
+``http.client`` connection sends the same warmed one-shot recommend
+KEEPALIVE_REQUESTS times, in sequence, to ``serve_http`` on the same
+dataset. The ``http-keepalive`` row's ``cold`` is that request list
+through ``ServerApp.dispatch`` in process, ``warm`` the same list over
+the socket, and ``speedup`` their ratio (below 1: the socket's cost);
+p50/p99 are the socket round trips. Every socket reply must equal the
+in-process payload.
+
+Acceptance floors (full scale, ≥1e5 rows): sustained throughput
+≥ 200 req/s with read p99 ≤ 250 ms, zero rejected requests, and a
+keep-alive round-trip p50 ≤ 20 ms (a reply that waits on the client's
+delayed ACK takes ~40 ms).
 """
 
+import http.client
+import json
 import threading
 import time
 
@@ -32,7 +46,7 @@ import numpy as np
 
 from repro import HierarchicalDataset, Relation, ReptileConfig, Schema, \
     dimension, measure
-from repro.serving import ExplanationService, ServerApp
+from repro.serving import ExplanationService, ServerApp, serve_http
 
 from bench_utils import SMOKE, fmt, report, report_json, smoke
 
@@ -44,8 +58,10 @@ VILLAGES_PER_DISTRICT = 50
 N_YEARS = 25
 #: Ingests are confined to these districts (late regional reports).
 DELTA_DISTRICTS = ("d001", "d002")
+KEEPALIVE_REQUESTS = smoke(20, 400)
 THROUGHPUT_FLOOR = 200.0   # requests / second, mixed workload
 READ_P99_FLOOR = 0.250     # seconds
+KEEPALIVE_P50_FLOOR = 0.020  # seconds, one HTTP /recommend round trip
 
 CONFIG = ReptileConfig(n_em_iterations=2)
 
@@ -120,7 +136,7 @@ def _make_app(n: int) -> ServerApp:
     service = ExplanationService(config=CONFIG)
     service.register("data", _dataset(n))
     return ServerApp(service, max_concurrent=16, max_queue=256,
-                     queue_timeout=30.0, batch_window_seconds=0.001)
+                     queue_timeout=30.0)
 
 
 class _Run:
@@ -256,6 +272,51 @@ def _oracle_final_view(run: _Run, n: int) -> dict:
             for key, state in view.groups.items()}, version
 
 
+def _keepalive_leg(n: int) -> dict:
+    """The same recommend list in process, then over one keep-alive
+    connection; returns the ``http-keepalive`` row."""
+    service = ExplanationService(config=CONFIG)
+    service.register("data", _dataset(n))
+    server, thread = serve_http(service)
+    try:
+        app = server.app
+        # Warm the view and its fit: the leg times serving, not a refit.
+        assert app.dispatch("POST", "/datasets/data/recommend",
+                            dict(RECOMMEND_BODY))[0] == 200
+        start = time.perf_counter()
+        for _ in range(KEEPALIVE_REQUESTS):
+            status, _, payload = app.dispatch(
+                "POST", "/datasets/data/recommend", dict(RECOMMEND_BODY))
+            assert status == 200, payload
+        in_process = time.perf_counter() - start
+        expected = json.loads(json.dumps(payload))
+
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=60)
+        body = json.dumps(RECOMMEND_BODY)
+        latencies = []
+        start = time.perf_counter()
+        for _ in range(KEEPALIVE_REQUESTS):
+            sent = time.perf_counter()
+            conn.request("POST", "/datasets/data/recommend", body)
+            reply = conn.getresponse()
+            payload = json.loads(reply.read())
+            latencies.append(time.perf_counter() - sent)
+            assert reply.status == 200, payload
+            assert payload == expected, "socket reply diverged from dispatch"
+        over_socket = time.perf_counter() - start
+        conn.close()
+    finally:
+        assert server.shutdown_gracefully(60.0)
+        thread.join(60.0)
+    return {
+        "op": "http-keepalive", "scale": n, "clients": 1,
+        "requests": KEEPALIVE_REQUESTS, "cold": in_process,
+        "warm": over_socket, "speedup": in_process / over_socket,
+        "p50_seconds": float(np.percentile(latencies, 50)),
+        "p99_seconds": float(np.percentile(latencies, 99))}
+
+
 def test_figure21_server_series(benchmark):
     lines = ["n        clients  req   elapsed(s)  req/s    read-p99(ms)  "
              "ingest-p99(ms)  collapse  speedup"]
@@ -312,6 +373,20 @@ def test_figure21_server_series(benchmark):
             assert read_p99 <= READ_P99_FLOOR, (
                 f"read p99 {read_p99 * 1000:.1f}ms > "
                 f"{READ_P99_FLOOR * 1000:.0f}ms floor at n={n}")
+
+    lines += ["", "n        http-keepalive req  dispatch(s)  socket(s)  "
+                  "p50(ms)  p99(ms)"]
+    for n in SIZES:
+        row = _keepalive_leg(n)
+        lines.append(
+            f"{n:<8d} {row['requests']:<19d} {fmt(row['cold'])}       "
+            f"{fmt(row['warm'])}     {row['p50_seconds'] * 1000:7.2f}  "
+            f"{row['p99_seconds'] * 1000:7.2f}")
+        json_rows.append(row)
+        if not SMOKE and n >= 100_000:
+            assert row["p50_seconds"] <= KEEPALIVE_P50_FLOOR, (
+                f"keep-alive p50 {row['p50_seconds'] * 1000:.1f}ms > "
+                f"{KEEPALIVE_P50_FLOOR * 1000:.0f}ms floor at n={n}")
     report("fig21_server", lines)
     report_json("fig21_server", json_rows)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

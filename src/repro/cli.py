@@ -452,14 +452,12 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     service.register("data", dataset)
     app = ServerApp(service, max_concurrent=args.workers,
                     max_queue=args.queue,
-                    batch_window_seconds=args.batch_window,
                     request_timeout=args.request_timeout)
     server = ReptileHTTPServer((args.host, args.port), app)
     host, port = server.server_address[:2]
     print(f"{dataset!r}")
     print(f"serving dataset 'data' on http://{host}:{port} "
-          f"({args.workers} workers, queue {args.queue}, "
-          f"batch window {args.batch_window * 1000:.1f}ms)")
+          f"({args.workers} workers, queue {args.queue})")
     print("try:")
     print(f"  curl http://{host}:{port}/healthz")
     print(f"  curl -X POST http://{host}:{port}/datasets/data/recommend "
@@ -576,8 +574,8 @@ examples:
 Starts a threaded HTTP/JSON server over the explanation service: many
 sessions across many datasets run concurrently under per-dataset
 reader/writer locks (queries share a read lock and see one data version
-per response; ingest takes the exclusive write lock), concurrent
-same-view one-shot recommends coalesce through a short batching window,
+per response; ingest takes the exclusive write lock), same-view one-shot
+recommends that arrive while one is computing share its next pass,
 and a bounded worker pool + queue answers overload with 429/503 +
 Retry-After. GET /stats reports per-endpoint p50/p99 latency, cache hit
 rate and the batch collapse ratio. Ctrl-C drains in-flight requests
@@ -686,10 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="max concurrently executing requests")
             p.add_argument("--queue", type=int, default=64,
                            help="max requests waiting for a worker")
-            p.add_argument("--batch-window", type=float, default=0.002,
-                           metavar="SECONDS",
-                           help="cross-request batching window "
-                                "(default 0.002)")
             p.add_argument("--drain-timeout", type=float, default=10.0,
                            metavar="SECONDS",
                            help="graceful-shutdown drain budget")

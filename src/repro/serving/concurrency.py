@@ -11,11 +11,12 @@ against shared datasets simultaneously, built on the stdlib only:
   aggregate in one response comes from a single version. Writers are
   preferred — a waiting writer blocks new readers — so a stream of
   cheap reads cannot starve ingestion.
-* :class:`BatchWindow` — cross-request batching. The in-process service
-  already collapses same-view complaints inside one batch; this extends
-  the idea across concurrent requests: the first request for a
-  (dataset, view) key becomes the *leader*, waits a short window for
-  followers, and answers the whole group in one cube/ranker pass.
+* :class:`BatchWindow` — cross-request batching by group commit. The
+  in-process service already collapses same-view complaints inside one
+  batch; this extends the idea across concurrent requests: a request for
+  a (dataset, view) key with no pass running runs at once, and requests
+  that arrive while that pass runs share the next one, answered in one
+  cube/ranker pass. No request ever waits on a timer.
 * :class:`AdmissionController` — a bounded worker pool plus a bounded
   wait queue. Requests beyond the pool wait briefly; requests beyond
   the queue (or waiting too long) are rejected with a Retry-After hint
@@ -217,39 +218,40 @@ class DatasetLocks:
 
 # -- cross-request batching ------------------------------------------------------
 class _PendingBatch:
-    """One open batching window: the leader's collection of requests."""
+    """One evaluation pass: the requests it answers and its outcome."""
 
-    __slots__ = ("items", "results", "error", "done", "closed")
+    __slots__ = ("items", "results", "error", "done")
 
-    def __init__(self):
-        self.items: list = []
+    def __init__(self, item):
+        self.items: list = [item]
         self.results: list | None = None
         self.error: BaseException | None = None
         self.done = threading.Event()
-        self.closed = False
 
 
 class BatchWindow:
-    """Coalesce concurrent same-key requests into one evaluation pass.
+    """Coalesce concurrent same-key requests by group commit.
 
-    The first thread to arrive for a key becomes the *leader*: it keeps
-    the window open for ``window_seconds``, then runs ``execute`` once
-    over every item that joined and hands each caller its own result.
-    Followers block on the leader's pass instead of paying their own.
+    A request for a key with no pass running runs its pass at once, on
+    its own thread. Requests that arrive while a pass for their key runs
+    share the *next* pass: the first of them leads it, the rest join it.
+    When the running pass finishes, its leader hands the key to the
+    queued pass (under ``_lock``, before it signals its own callers), so
+    at most one pass per key runs and at most one waits. Nobody waits on
+    a timer: a lone request pays nothing, and a burst of same-key
+    requests arriving together costs two passes however large it is.
+
     ``execute`` receives the item list and must return one result per
     item, in order; per-item failures belong *inside* the results (the
     serving layer passes result-or-error records through), while an
-    exception from ``execute`` itself is re-raised to every caller.
+    exception from ``execute`` itself is re-raised to every caller of
+    that pass, and only that pass.
     """
 
-    def __init__(self, window_seconds: float = 0.005,
-                 sleep: Callable[[float], None] = time.sleep):
-        if window_seconds < 0:
-            raise ValueError("window_seconds must be >= 0")
-        self.window_seconds = window_seconds
-        self._sleep = sleep
+    def __init__(self):
         self._lock = threading.Lock()
-        self._pending: dict[Hashable, _PendingBatch] = {}
+        self._running: dict[Hashable, _PendingBatch] = {}
+        self._queued: dict[Hashable, _PendingBatch] = {}
         #: Telemetry: evaluation passes run, and requests answered from a
         #: pass some *other* request led (the cross-request savings).
         self.passes = 0
@@ -258,49 +260,80 @@ class BatchWindow:
     def run(self, key: Hashable, item, execute: Callable[[list], list],
             timeout: float | None = 60.0):
         with self._lock:
-            pending = self._pending.get(key)
-            if pending is not None and not pending.closed:
-                index = len(pending.items)
-                pending.items.append(item)
-                leader = False
+            ahead = self._running.get(key)
+            batch = None if ahead is None else self._queued.get(key)
+            if batch is not None:
+                index = len(batch.items)
+                batch.items.append(item)
             else:
-                pending = _PendingBatch()
-                pending.items.append(item)
-                self._pending[key] = pending
-                index, leader = 0, True
-        if leader:
-            trace("batch.window_open", key=key)
-            if self.window_seconds > 0:
-                self._sleep(self.window_seconds)
-            with self._lock:
-                pending.closed = True
-                if self._pending.get(key) is pending:
-                    del self._pending[key]
-                items = list(pending.items)
-                self.passes += 1
-                self.collapsed += len(items) - 1
-            trace("batch.execute", key=key, n=len(items))
-            try:
-                results = execute(items)
-                if len(results) != len(items):
-                    raise RuntimeError(
-                        f"batch execute returned {len(results)} results "
-                        f"for {len(items)} items")
-                pending.results = results
-            except BaseException as exc:
-                pending.error = exc
-            finally:
-                pending.done.set()
-        else:
+                batch, index = _PendingBatch(item), 0
+                if ahead is None:
+                    self._running[key] = batch
+                else:
+                    self._queued[key] = batch
+        if index:
             trace("batch.joined", key=key)
-            if not pending.done.wait(timeout):
+            if not batch.done.wait(timeout):
                 raise LockTimeout(
                     f"batched request for {key!r} timed out waiting for "
                     f"its leader")
-        if pending.error is not None:
-            raise pending.error
-        assert pending.results is not None
-        return pending.results[index]
+        else:
+            if ahead is not None:
+                trace("batch.queued", key=key)
+                self._await_turn(key, batch, ahead, timeout)
+            self._execute(key, batch, execute)
+        if batch.error is not None:
+            raise batch.error
+        assert batch.results is not None
+        return batch.results[index]
+
+    def _await_turn(self, key: Hashable, batch: _PendingBatch,
+                    ahead: _PendingBatch, timeout: float | None) -> None:
+        """Wait until the pass ahead hands ``key`` to ``batch``.
+
+        On timeout the queued pass is withdrawn and its joiners fail
+        with the same :class:`LockTimeout`; nothing stays queued for the
+        key, so the next request queues or runs as usual. A hand-off
+        that races the deadline wins.
+        """
+        if ahead.done.wait(timeout):
+            return
+        with self._lock:
+            if self._queued.get(key) is not batch:
+                return  # handed off just as the wait expired
+            del self._queued[key]
+            batch.error = LockTimeout(
+                f"batched request for {key!r} timed out waiting for the "
+                f"pass ahead of it")
+        batch.done.set()
+        raise batch.error
+
+    def _execute(self, key: Hashable, batch: _PendingBatch,
+                 execute: Callable[[list], list]) -> None:
+        # ``batch`` is the running pass: arrivals queue behind it, so its
+        # item list is final.
+        with self._lock:
+            items = batch.items
+            self.passes += 1
+            self.collapsed += len(items) - 1
+        try:
+            trace("batch.execute", key=key, n=len(items))
+            results = execute(items)
+            if len(results) != len(items):
+                raise RuntimeError(
+                    f"batch execute returned {len(results)} results "
+                    f"for {len(items)} items")
+            batch.results = results
+        except BaseException as exc:
+            batch.error = exc
+        finally:
+            with self._lock:
+                queued = self._queued.pop(key, None)
+                if queued is None:
+                    del self._running[key]
+                else:
+                    self._running[key] = queued
+            batch.done.set()
 
     def stats(self) -> dict:
         with self._lock:
@@ -309,7 +342,6 @@ class BatchWindow:
                 "passes": self.passes,
                 "collapsed": self.collapsed,
                 "collapse_ratio": (self.collapsed / served) if served else 0.0,
-                "window_seconds": self.window_seconds,
             }
 
 

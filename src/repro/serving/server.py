@@ -10,10 +10,12 @@ serving policies the in-process API leaves to the caller:
   — reported in the response — while ``/ingest`` and ``/refresh`` take
   the exclusive write lock.
 * **Cross-request batching** — concurrent ``POST /datasets/{d}/recommend``
-  requests hitting the same (group-by, filters) view coalesce through a
-  short :class:`~repro.serving.concurrency.BatchWindow` into one
-  cube/ranker pass (the cross-request extension of the service's
-  same-view complaint collapsing).
+  requests hitting the same (group-by, filters) view coalesce by group
+  commit (:class:`~repro.serving.concurrency.BatchWindow`): a request
+  runs its pass at once unless a pass for its view is already running,
+  and requests arriving meanwhile share the next cube/ranker pass (the
+  cross-request extension of the service's same-view complaint
+  collapsing).
 * **Admission control** — a bounded worker pool plus bounded queue;
   overload answers 429/503 with a ``Retry-After`` hint instead of
   queueing without bound.
@@ -22,7 +24,12 @@ serving policies the in-process API leaves to the caller:
 
 The transport is the stdlib :class:`http.server.ThreadingHTTPServer`
 (one handler thread per connection; the admission controller bounds how
-many execute at once). :meth:`ReptileHTTPServer.shutdown_gracefully`
+many execute at once). Accepted sockets set ``TCP_NODELAY``: a reply
+goes out as a header send and a body send, and with Nagle on, the body
+would wait for the client's delayed ACK of the headers (~40 ms per
+keep-alive request). Request bodies need a ``Content-Length``; a
+malformed one answers 400, a ``Transfer-Encoding`` body 411, and both
+close the connection. :meth:`ReptileHTTPServer.shutdown_gracefully`
 stops accepting, lets in-flight requests drain, then closes.
 
 Routes (all JSON)::
@@ -214,13 +221,12 @@ class ServerApp:
     def __init__(self, service: ExplanationService,
                  max_concurrent: int = 8, max_queue: int = 64,
                  queue_timeout: float = 2.0,
-                 batch_window_seconds: float = 0.002,
                  request_timeout: float | None = None):
         self.service = service
         self.request_timeout = request_timeout
         self.admission = AdmissionController(max_concurrent, max_queue,
                                              queue_timeout)
-        self.batches = BatchWindow(batch_window_seconds)
+        self.batches = BatchWindow()
         self.telemetry = Telemetry()
         self._session_counter = 0
         self._counter_lock = threading.Lock()
@@ -623,6 +629,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     app: ServerApp  # set on the per-server subclass
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on each accepted socket. The unbuffered writer sends
+    # headers and body as two sends; under Nagle the body waits for the
+    # client's delayed ACK of the headers, ~40 ms per keep-alive request.
+    # A buffered writer is no substitute: a reply over its 8 KiB buffer
+    # still leaves as two sends.
+    disable_nagle_algorithm = True
     quiet = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -630,15 +642,20 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _handle(self, method: str) -> None:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
+        if "Transfer-Encoding" in self.headers:
+            self._refuse_body(411, "request bodies need a Content-Length; "
+                                   "Transfer-Encoding is not supported")
+            return
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self._refuse_body(400, f"invalid Content-Length {declared!r}")
+            return
+        length = int(declared)
         raw = self.rfile.read(length) if length else b""
         if raw:
             try:
                 body = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or not UTF-8/16/32
                 self._reply(400, {}, {"error": f"invalid JSON body: {exc}"})
                 return
         else:
@@ -653,6 +670,12 @@ class _Handler(BaseHTTPRequestHandler):
             status, headers, payload = 500, {}, {
                 "error": f"{type(exc).__name__}: {exc}", "degraded": True}
         self._reply(status, headers, payload)
+
+    def _refuse_body(self, status: int, error: str) -> None:
+        """Answer a request whose body cannot be framed, then hang up:
+        the stream cannot be re-synchronised past it."""
+        self.close_connection = True
+        self._reply(status, {"Connection": "close"}, {"error": error})
 
     def _reply(self, status: int, headers: dict, payload: dict) -> None:
         data = json.dumps(payload).encode()
@@ -716,7 +739,6 @@ class ReptileHTTPServer(ThreadingHTTPServer):
 def serve_http(service: ExplanationService, host: str = "127.0.0.1",
                port: int = 0, *, max_concurrent: int = 8,
                max_queue: int = 64, queue_timeout: float = 2.0,
-               batch_window_seconds: float = 0.002,
                request_timeout: float | None = None,
                ) -> tuple[ReptileHTTPServer, threading.Thread]:
     """Start a server in a background thread; returns (server, thread).
@@ -726,7 +748,6 @@ def serve_http(service: ExplanationService, host: str = "127.0.0.1",
     """
     app = ServerApp(service, max_concurrent=max_concurrent,
                     max_queue=max_queue, queue_timeout=queue_timeout,
-                    batch_window_seconds=batch_window_seconds,
                     request_timeout=request_timeout)
     server = ReptileHTTPServer((host, port), app)
     thread = threading.Thread(target=server.serve_forever,

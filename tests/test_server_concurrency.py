@@ -14,10 +14,15 @@ Three layers of evidence that concurrent serving is safe:
   interleavings that matter: an ingest arriving while a reader is
   mid-drill, writer preference over a reader convoy, and two threads
   racing a first-touch cache fill.
-* **Transport** — one real-socket HTTP round trip, overload answers
-  (429/503 + Retry-After), cross-request batch collapsing, strict
+* **Transport** — real-socket HTTP round trips (keep-alive replies
+  without the Nagle/delayed-ACK stall, request bodies that cannot be
+  framed refused), overload answers (429/503 + Retry-After), strict
   staleness over HTTP (409), and graceful shutdown draining an
   in-flight request.
+* **Group commit** — cross-request batching pinned at its trace points:
+  same-view requests share the queued pass, other views never wait on
+  it, a failed pass fails only its own callers, and a queued pass that
+  times out frees its key.
 
 Severities are integer-valued so float sums are bitwise exact.
 """
@@ -26,6 +31,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import statistics
+import sys
 import threading
 import time
 
@@ -37,7 +45,7 @@ from repro.relational import (HierarchicalDataset, Relation, Schema,
 from repro.relational.delta import Delta
 from repro.relational.deltaref import apply_delta_rows
 from repro.serving import ExplanationService, ServerApp, serve_http
-from repro.serving.concurrency import BatchWindow
+from repro.serving.concurrency import BatchWindow, LockTimeout
 
 JOIN_TIMEOUT = 30.0
 
@@ -74,12 +82,19 @@ def delta_rows(rng: np.random.Generator, tag: str, n: int) -> list[dict]:
 def make_app(seed: int, **kwargs) -> ServerApp:
     service = ExplanationService()
     service.register("data", make_dataset(seed))
-    return ServerApp(service, batch_window_seconds=0.0, **kwargs)
+    return ServerApp(service, **kwargs)
 
 
 def base_totals(dataset: HierarchicalDataset) -> tuple[int, float]:
     relation = dataset.relation
     return len(relation), float(sum(relation.column_values("severity")))
+
+
+def wait_until(predicate, what: str, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.002)
 
 
 def run_threads(threads: list[threading.Thread]) -> None:
@@ -402,7 +417,7 @@ class TestTransport:
     def test_http_round_trip(self):
         service = ExplanationService()
         service.register("data", make_dataset(5))
-        server, thread = serve_http(service, batch_window_seconds=0.0)
+        server, thread = serve_http(service)
         try:
             host, port = server.server_address[:2]
             conn = http.client.HTTPConnection(host, port, timeout=10)
@@ -428,10 +443,102 @@ class TestTransport:
             thread.join(JOIN_TIMEOUT)
             assert not thread.is_alive()
 
+    def test_keep_alive_reply_over_8k_has_no_ack_stall(self):
+        """A reply larger than 8 KiB over one keep-alive connection comes
+        back in milliseconds: the accepted socket sets TCP_NODELAY, so
+        the body does not wait for the client's delayed ACK of the
+        headers (~40 ms with Nagle on, a buffered writer included)."""
+        service = ExplanationService()
+        service.register("data", make_dataset(12, districts=8, villages=12))
+        server, thread = serve_http(service)
+        accepted: list[socket.socket] = []
+        get_request = server.get_request
+
+        def recording_get_request():
+            request, address = get_request()
+            accepted.append(request)
+            return request, address
+
+        server.get_request = recording_get_request
+        seconds = []
+        try:
+            host, port = server.server_address[:2]
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            conn.request("POST", "/datasets/data/sessions",
+                         json.dumps({"group_by": ["district", "village"],
+                                     "session_id": "wide"}))
+            reply = conn.getresponse()
+            reply.read()
+            assert reply.status == 201
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/sessions/wide/view")
+                reply = conn.getresponse()
+                body = reply.read()
+                seconds.append(time.perf_counter() - start)
+                assert reply.status == 200 and len(body) > 8192
+            nodelay = accepted[0].getsockopt(socket.IPPROTO_TCP,
+                                             socket.TCP_NODELAY)
+            conn.close()
+        finally:
+            assert server.shutdown_gracefully(JOIN_TIMEOUT)
+            thread.join(JOIN_TIMEOUT)
+        assert len(accepted) == 1 and nodelay != 0
+        assert statistics.median(seconds) < 0.020, seconds
+
+    @pytest.mark.parametrize("framing, body, status, keeps_open", [
+        pytest.param(b"Content-Length: -1", b'{"group_by": ["district"]}',
+                     400, False, id="negative-length"),
+        pytest.param(b"Content-Length: abc", b'{"group_by": ["district"]}',
+                     400, False, id="non-numeric-length"),
+        pytest.param(b"Transfer-Encoding: chunked",
+                     b'1a\r\n{"group_by": ["district"]}\r\n0\r\n\r\n',
+                     411, False, id="chunked"),
+        pytest.param(b"Content-Length: 1", b"\xff", 400, True,
+                     id="non-utf8-body"),
+    ])
+    def test_unframeable_request_bodies_are_refused(self, framing, body,
+                                                    status, keeps_open):
+        """A body the handler cannot frame answers 4xx and hangs up (the
+        stream cannot be re-synchronised); a framed body that does not
+        decode answers 400 and keeps the connection. None opens a
+        session."""
+        service = ExplanationService()
+        service.register("data", make_dataset(13))
+        server, thread = serve_http(service)
+        try:
+            with socket.create_connection(server.server_address[:2],
+                                          timeout=5) as sock:
+                sock.sendall(b"POST /datasets/data/sessions HTTP/1.1\r\n"
+                             b"Host: test\r\n" + framing + b"\r\n\r\n"
+                             + body)
+                reply = http.client.HTTPResponse(sock)
+                reply.begin()
+                payload = json.loads(reply.read())
+                assert reply.status == status, payload
+                assert "error" in payload
+                if keeps_open:
+                    sock.sendall(b"GET /healthz HTTP/1.1\r\n"
+                                 b"Host: test\r\n\r\n")
+                    health = http.client.HTTPResponse(sock)
+                    health.begin()
+                    health.read()
+                    assert health.status == 200
+                else:
+                    assert reply.getheader("Connection") == "close"
+                    try:
+                        assert sock.recv(1) == b""
+                    except ConnectionResetError:
+                        pass  # closed with the unread body still queued
+            assert service.sessions == ()
+        finally:
+            assert server.shutdown_gracefully(JOIN_TIMEOUT)
+            thread.join(JOIN_TIMEOUT)
+
     def test_graceful_shutdown_drains_inflight_request(self, race):
         service = ExplanationService()
         service.register("data", make_dataset(6))
-        server, thread = serve_http(service, batch_window_seconds=0.0)
+        server, thread = serve_http(service)
         app = server.app
         host, port = server.server_address[:2]
         app.dispatch("POST", "/datasets/data/sessions",
@@ -523,43 +630,6 @@ class TestTransport:
         assert not holder.is_alive()
         assert app.admission.stats()["timed_out"] == 1
 
-    def test_batch_window_collapses_same_view_requests(self, race):
-        app = make_app(9)
-        followers = 3
-
-        def window_sleep(_seconds: float) -> None:
-            # Deterministic window: the leader waits until every other
-            # request has joined the batch instead of a wall-clock nap.
-            deadline = time.monotonic() + 10.0
-            while (race.hits("batch.joined") < followers
-                   and time.monotonic() < deadline):
-                time.sleep(0.001)
-
-        app.batches = BatchWindow(0.001, sleep=window_sleep)
-        body = {"aggregate": "mean", "direction": "too_low",
-                "coordinates": {"year": 2001}, "group_by": ["year"], "k": 2}
-        barrier = threading.Barrier(followers + 1)
-        results: list = [None] * (followers + 1)
-
-        def submit(i: int) -> None:
-            barrier.wait(timeout=JOIN_TIMEOUT)
-            results[i] = app.dispatch(
-                "POST", "/datasets/data/recommend", dict(body))
-
-        run_threads([threading.Thread(target=submit, args=(i,),
-                                      name=f"batch-{i}")
-                     for i in range(followers + 1)])
-        statuses = [r[0] for r in results]
-        assert statuses == [200] * (followers + 1)
-        payloads = [r[2] for r in results]
-        assert all(p["batched"] for p in payloads)
-        assert all(p == payloads[0] for p in payloads[1:])
-        stats = app.batches.stats()
-        assert stats["passes"] == 1
-        assert stats["collapsed"] == followers
-        assert stats["collapse_ratio"] == pytest.approx(
-            followers / (followers + 1))
-
     def test_strict_session_conflicts_then_syncs_over_http(self):
         app = make_app(10)
         status, _, opened = app.dispatch(
@@ -595,3 +665,199 @@ class TestTransport:
         status, _, payload = app.dispatch(
             "POST", "/datasets/data/ingest", {})
         assert status == 400
+
+
+# -- group commit ----------------------------------------------------------------
+RECOMMEND_BODY = {"aggregate": "mean", "direction": "too_low",
+                  "coordinates": {"year": 2001}, "group_by": ["year"], "k": 2}
+
+
+def times_ten(items: list) -> list:
+    return [item * 10 for item in items]
+
+
+class TestGroupCommit:
+    def test_same_view_requests_share_the_queued_pass(self, race):
+        """Requests arriving while a pass for their view runs share the
+        next pass: one leads it (``batch.queued``), the rest join it."""
+        app = make_app(9)
+        followers = 3
+        results: list = [None] * (followers + 1)
+
+        def submit(i: int) -> None:
+            results[i] = app.dispatch(
+                "POST", "/datasets/data/recommend", dict(RECOMMEND_BODY))
+
+        race.gate("batch.execute")
+        first = threading.Thread(target=submit, args=(0,), name="first")
+        first.start()
+        race.wait_parked("batch.execute", 1)
+        later = [threading.Thread(target=submit, args=(i,), name=f"later-{i}")
+                 for i in range(1, followers + 1)]
+        for t in later:
+            t.start()
+        wait_until(lambda: race.hits("batch.queued")
+                   + race.hits("batch.joined") == followers,
+                   "the later requests to queue behind the running pass")
+        race.release("batch.execute")
+        for t in (first, *later):
+            t.join(JOIN_TIMEOUT)
+            assert not t.is_alive(), f"{t.name} hung"
+
+        assert [r[0] for r in results] == [200] * (followers + 1)
+        payloads = [r[2] for r in results]
+        assert all(p["batched"] for p in payloads)
+        assert all(p == payloads[0] for p in payloads[1:])
+        stats = app.batches.stats()
+        assert stats["passes"] == 2
+        assert stats["collapsed"] == followers - 1
+        assert stats["collapse_ratio"] == pytest.approx(
+            (followers - 1) / (followers + 1))
+        assert race.hits("batch.queued") == 1
+
+    def test_other_view_runs_while_a_pass_is_parked(self, race):
+        app = make_app(14)
+        results: dict[str, object] = {}
+        race.gate("batch.execute")
+        parked = threading.Thread(
+            name="parked",
+            target=lambda: results.__setitem__("year", app.dispatch(
+                "POST", "/datasets/data/recommend", dict(RECOMMEND_BODY))))
+        parked.start()
+        race.wait_parked("batch.execute", 1)
+        other = dict(RECOMMEND_BODY, coordinates={"district": "d0"},
+                     group_by=["district"])
+        status, _, payload = app.dispatch("POST", "/datasets/data/recommend",
+                                          other)
+        assert status == 200 and payload["batched"]
+        assert "year" not in results
+        race.release("batch.execute")
+        parked.join(JOIN_TIMEOUT)
+        assert not parked.is_alive()
+        assert results["year"][0] == 200
+        assert race.hits("batch.queued") == race.hits("batch.joined") == 0
+        assert app.batches.stats()["passes"] == 2
+
+    def test_execute_failure_reaches_only_its_own_pass(self, race):
+        window = BatchWindow()
+        passes: list[list] = []
+        outcomes: dict[int, object] = {}
+
+        def execute(items: list) -> list:
+            passes.append(list(items))
+            if len(passes) == 1:
+                raise RuntimeError("first pass fails")
+            return times_ten(items)
+
+        def call(item: int) -> None:
+            try:
+                outcomes[item] = window.run("k", item, execute)
+            except Exception as exc:
+                outcomes[item] = exc
+
+        race.gate("batch.execute")
+        threads = [threading.Thread(target=call, args=(i,), name=f"call-{i}")
+                   for i in (1, 2, 3)]
+        threads[0].start()
+        race.wait_parked("batch.execute", 1)
+        threads[1].start()
+        wait_until(lambda: race.hits("batch.queued") == 1, "a queued pass")
+        threads[2].start()
+        wait_until(lambda: race.hits("batch.joined") == 1, "a joiner")
+        race.release("batch.execute")
+        for t in threads:
+            t.join(JOIN_TIMEOUT)
+            assert not t.is_alive(), f"{t.name} hung"
+
+        assert isinstance(outcomes[1], RuntimeError)
+        assert outcomes[2] == 20 and outcomes[3] == 30
+        assert passes == [[1], [2, 3]]
+        assert window.stats()["passes"] == 2
+        assert window.stats()["collapsed"] == 1
+
+    def test_queued_pass_timeout_fails_its_callers_and_frees_the_key(
+            self, race):
+        window = BatchWindow()
+        outcomes: dict[int, object] = {}
+
+        def call(item: int, timeout: float) -> None:
+            try:
+                outcomes[item] = window.run("k", item, times_ten, timeout)
+            except Exception as exc:
+                outcomes[item] = exc
+
+        race.gate("batch.execute")
+        race.gate("batch.queued")
+        first = threading.Thread(target=call, args=(1, JOIN_TIMEOUT),
+                                 name="first")
+        first.start()
+        race.wait_parked("batch.execute", 1)
+        leader = threading.Thread(target=call, args=(2, 0.05), name="leader")
+        leader.start()
+        race.wait_parked("batch.queued", 1)
+        joiner = threading.Thread(target=call, args=(3, JOIN_TIMEOUT),
+                                  name="joiner")
+        joiner.start()
+        wait_until(lambda: race.hits("batch.joined") == 1, "the joiner")
+        # The leader now waits 50 ms on the still-parked pass ahead.
+        race.release("batch.queued")
+        for t in (leader, joiner):
+            t.join(JOIN_TIMEOUT)
+            assert not t.is_alive(), f"{t.name} hung"
+        assert isinstance(outcomes[2], LockTimeout)
+        assert outcomes[3] is outcomes[2]
+
+        race.release("batch.execute")
+        first.join(JOIN_TIMEOUT)
+        assert not first.is_alive()
+        assert outcomes[1] == 10
+        # The withdrawn pass left nothing queued: the next request runs
+        # at once.
+        assert window.run("k", 4, times_ten) == 40
+        assert race.hits("batch.queued") == 1
+        assert window.stats()["passes"] == 2
+
+    def test_stress_one_pass_per_key_and_every_caller_answered(self):
+        """More threads than cores hammer three keys with a tiny thread
+        switch interval: no key ever runs two passes at once, every
+        caller gets its own result, every request is counted once, and
+        no key is left held."""
+        window = BatchWindow()
+        lock = threading.Lock()
+        running: dict[str, int] = {}
+        overlaps: list[str] = []
+        results: dict[int, int] = {}
+        clients, calls = 12, 40
+
+        def execute_for(key: str):
+            def execute(items: list) -> list:
+                with lock:
+                    running[key] = running.get(key, 0) + 1
+                    if running[key] > 1:
+                        overlaps.append(key)
+                time.sleep(0.0005)
+                with lock:
+                    running[key] -= 1
+                return times_ten(items)
+            return execute
+
+        def client(i: int) -> None:
+            for j in range(calls):
+                key, item = f"k{(i + j) % 3}", i * 1000 + j
+                results[item] = window.run(key, item, execute_for(key),
+                                           JOIN_TIMEOUT)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads([threading.Thread(target=client, args=(i,),
+                                          name=f"client-{i}")
+                         for i in range(clients)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert not overlaps
+        assert len(results) == clients * calls
+        assert all(got == item * 10 for item, got in results.items())
+        stats = window.stats()
+        assert stats["passes"] + stats["collapsed"] == clients * calls
+        assert not window._running and not window._queued

@@ -8,7 +8,7 @@ cross-type ``==``-equal merges flag the union lossy; (2)
 ``Cube`` across shard counts and partition attributes, including empty
 shards and a real process pool; (4) a failed chunk stream leaving no
 spill file behind; and (5) ``Relation.from_encoded``, chunked dataset
-construction, and the CLI rejecting the removed shard flags.
+construction, and the CLI rejecting removed flags.
 """
 
 from __future__ import annotations
@@ -341,9 +341,15 @@ class TestChunkedConstruction:
 # CLI
 
 
-@pytest.mark.parametrize("command", ["serve", "serve-http", "ingest"])
-@pytest.mark.parametrize("flag", ["--shards", "--shard-workers",
-                                  "--spill-dir"])
+REMOVED_FLAGS = [(command, flag)
+                 for flag in ("--shards", "--shard-workers", "--spill-dir")
+                 for command in ("serve", "serve-http", "ingest")]
+REMOVED_FLAGS.append(("serve-http", "--batch-window"))
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=f"{flag}-{command}")
+    for command, flag in REMOVED_FLAGS])
 def test_cli_rejects_removed_shard_flags(command, flag, capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([command, flag, "2"])
