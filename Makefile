@@ -1,7 +1,7 @@
 # Convenience wrappers; every target works from a clean checkout.
 export PYTHONPATH := src
 
-.PHONY: test test-concurrency test-shard test-kernels test-faults \
+.PHONY: test test-concurrency test-kernels test-faults \
     docs-check bench bench-smoke bench-selftest bench-fig23 serve-demo
 
 # The bench_*.py naming keeps the harnesses out of default pytest
@@ -20,26 +20,16 @@ test-concurrency:
 	python -m pytest tests/test_server_concurrency.py \
 	    tests/test_snapshot_properties.py tests/test_cache_boundaries.py -q
 
-# The chunked/spill-build gate: unit coverage for chunked construction
-# and the out-of-core spill build (union encoding, block merges, a real
-# process pool, failed-stream cleanup), hypothesis properties of the
-# spill build vs the one-pass cube, and spill round trips across a pool
-# respawn — run without -x for the same reason as the concurrency gate.
-test-shard:
-	python -m pytest tests/test_shard.py tests/test_shard_properties.py \
-	    tests/test_parallel_recommend.py -q
-
 # The fused-kernel gate: hypothesis bitwise-equality properties for all
 # three kernels of the fused NumPy backend against the frozen plain tier,
 # plus the dispatch/counter unit coverage.
 test-kernels:
 	python -m pytest tests/test_kernel_properties.py -q
 
-# The fault-tolerance gate: the fault-injection registry, supervised
-# worker-pool recovery (crash/retry/deadline/leak), kernel quarantine,
-# atomic ingest, degraded-mode serving, and 32 seeded chaos schedules
-# with concurrent traffic — run without -x so one bad schedule still
-# reports every other failure.
+# The fault-tolerance gate: the fault-injection registry, kernel
+# quarantine, atomic ingest, degraded-mode serving, and 32 seeded chaos
+# schedules with concurrent traffic — run without -x so one bad schedule
+# still reports every other failure.
 test-faults:
 	python -m pytest tests/test_faults.py -q
 

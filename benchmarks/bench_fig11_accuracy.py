@@ -6,6 +6,8 @@ Sensitivity/Support are flat (no auxiliary use); Raw cannot detect
 missing/duplicated rows; Support only does well under duplication.
 """
 
+import zlib
+
 import pytest
 
 from repro.datagen.errors import CONDITIONS
@@ -18,11 +20,20 @@ N_TRIALS = smoke(2, 30)
 APPROACHES = ("reptile", "raw", "sensitivity", "support")
 
 
+def _seed(condition: str) -> int:
+    """A per-condition trial seed that is the same in every process.
+
+    ``hash`` of a ``str`` is salted per process (``PYTHONHASHSEED``), so
+    it cannot seed reproducible trials.
+    """
+    return zlib.crc32(condition.encode()) % 1000
+
+
 @pytest.mark.parametrize("condition", list(CONDITIONS))
 def test_condition_accuracy(benchmark, condition):
     results = benchmark.pedantic(
         lambda: [run_condition(condition, rho, n_trials=N_TRIALS,
-                               seed=hash(condition) % 1000 + int(rho * 10),
+                               seed=_seed(condition) + int(rho * 10),
                                n_iterations=8)
                  for rho in RHOS],
         rounds=1, iterations=1)

@@ -8,7 +8,7 @@ answering — reads from the last good snapshot, failures as degraded
 Protocol per scale: a baseline run (no faults) and a faulted run of the
 identical mixed workload (80% one-shot recommends, 20% hot-leaf ingest
 bursts from CLIENTS threads). Mid-way through the faulted run a
-controller injects two one-shot ``ingest.commit`` failures, then POSTs
+controller makes the next two ``ingest.commit`` calls fail, then POSTs
 a ``/refresh`` so a full rebuild runs under the read/ingest traffic.
 A monitor thread samples the dataset's health state at 2ms resolution;
 ``recovery_seconds`` is the span from the first degraded sample to the
@@ -132,8 +132,7 @@ class _Run:
     def _controller(self, traffic_estimate_s: float) -> None:
         """Mid-bench fault burst: failed commits + a forced rebuild."""
         time.sleep(max(0.01, traffic_estimate_s * 0.15))
-        fi.inject("ingest.commit", kind="error", once=True)
-        fi.inject("ingest.commit", kind="error", once=True)
+        fi.inject("ingest.commit", kind="error", hits=(1, 2))
         # Force a full rebuild under traffic. The response may be a clean
         # 200 or a degraded 503 (a failed commit left the dataset to the
         # recovery loop) — both keep the availability contract.
@@ -162,6 +161,11 @@ class _Run:
             assert not t.is_alive(), "benchmark traffic hung"
         elapsed = time.perf_counter() - start
         if self.faulted:
+            if not SMOKE:
+                # Both injected commit failures fired. At smoke sizes
+                # the traffic may end before the controller injects.
+                assert fi.fired_counts() == {"ingest.commit": 2}, \
+                    fi.fired_counts()
             fi.clear_faults()
             # Recovery is the background rebuild loop's job alone.
             deadline = time.monotonic() + 30.0

@@ -75,8 +75,8 @@ class ReptileConfig:
         the drill-down level contains their join attributes (§3.3.2).
 
     The cube is always built in one vectorized pass over the relation;
-    inputs too large for one in-memory relation go through
-    :func:`~repro.relational.shard.spill_build_from_chunks` instead.
+    inputs that arrive as column chunks are encoded without a row image
+    by :func:`~repro.relational.shard.dataset_from_chunks`.
     """
 
     model: str = "multilevel"

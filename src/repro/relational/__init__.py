@@ -18,9 +18,7 @@ from .hierarchy import (Dimensions, DrillState, Hierarchy, HierarchyError)
 from .relation import Relation
 from .schema import (Attribute, AttributeKind, Schema, SchemaError, dimension,
                      measure)
-from .shard import (ShardError, ShardWorkerPool, dataset_from_chunks,
-                    encode_columns_chunked, merge_shard_blocks,
-                    shutdown_worker_pools, worker_pool)
+from .shard import dataset_from_chunks, encode_columns_chunked
 
 __all__ = [
     "AggState", "AggregateError", "BASE_STATISTICS", "COMPOSITE_STATISTICS",
@@ -33,7 +31,5 @@ __all__ = [
     "DatasetError", "HierarchicalDataset", "Dimensions", "DrillState",
     "Hierarchy", "HierarchyError", "Relation", "Attribute", "AttributeKind",
     "Schema", "SchemaError", "dimension", "measure",
-    "ShardError", "ShardWorkerPool", "dataset_from_chunks",
-    "encode_columns_chunked", "merge_shard_blocks", "shutdown_worker_pools",
-    "worker_pool",
+    "dataset_from_chunks", "encode_columns_chunked",
 ]

@@ -1,21 +1,17 @@
 """Deterministic fault-point registry.
 
-The recovery machinery added for production serving — the supervised
-shard worker pool, kernel-backend quarantine, the atomic ingest commit,
-degraded-mode serving — is exercised through *named fault points*: call
-sites sprinkled through the stack in the style of the serving layer's
-trace hooks (``repro.serving.concurrency.trace``), each a single cheap
-call in production::
+The recovery machinery of the serving stack — kernel-backend
+quarantine, the atomic ingest commit, degraded-mode serving — is
+exercised through *named fault points*: call sites threaded through the
+stack in the style of the serving layer's trace hooks
+(``repro.serving.concurrency.trace``), each a single cheap call in
+production::
 
-    fault_point("pool.submit", task=3)
+    fault_point("ingest.commit", version=3)
 
 Registered points (the chaos suite drives every one of them):
 
 ========================  =====================================================
-``pool.submit``           coordinator submits one shard task to the pool
-``pool.result``           coordinator collects one shard task result
-``shm.attach``            a worker memory-maps one spilled shard block
-``worker.build``          a worker starts one shard build (in-process)
 ``kernel.dispatch``       a fused kernel backend is about to run
 ``cache.fill``            a cache miss is about to compute its value
 ``ingest.commit``         an ingest is about to commit relation + version
@@ -26,38 +22,32 @@ Faults are *specs* attached to a point. Each spec has a kind:
 
 * ``error[:ExcName]`` — raise (default :class:`FaultInjected`; any
   builtin exception name works, e.g. ``error:OSError``);
-* ``crash`` — ``os._exit(66)``: an abrupt worker death, the thing
-  ``BrokenProcessPool`` recovery exists for;
 * ``delay:seconds`` — sleep, for deadline/timeout paths.
 
 and fires deterministically: on chosen 1-based invocation numbers of its
-point (``@2`` or ``@1,3``), on every invocation (no ``@``), or at most
-once across *all* processes (``@once`` — a temp-file token shared by
-forked workers, so "crash the first build, then recover" is expressible
-even though each worker counts its own invocations).
+point (``@2`` or ``@1,3``, counted per process), or on every invocation
+(no ``@``). When several specs match one invocation they act in
+install order until the first error raises; only the specs that acted
+count as fired.
 
-Two sources feed the registry: :func:`install`/:func:`inject` (tests;
-forked pool workers inherit programmatic specs installed before the
-fork) and the ``REPTILE_FAULTS`` environment variable, re-read lazily in
-every process so freshly spawned workers honour it too. Spec strings are
-``;``-separated entries::
+Two sources feed the registry: :func:`install`/:func:`inject` (tests)
+and the ``REPTILE_FAULTS`` environment variable, re-read lazily whenever
+its value changes. Spec strings are ``;``-separated entries::
 
-    REPTILE_FAULTS="worker.build=crash@once;cache.fill=error@2"
+    REPTILE_FAULTS="ingest.commit=error@1,2;cache.fill=error:OSError@2"
 
 Nothing here imports numpy or any repro module: the registry must be
-importable from the lowest layers (shard pool, kernel dispatch) without
-creating cycles.
+importable from the lowest layers (kernel dispatch) without creating
+cycles.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import tempfile
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "FaultInjected", "FaultSpec", "clear_faults", "fault_point", "faults",
@@ -67,16 +57,12 @@ __all__ = [
 #: Environment variable holding a fault spec string.
 ENV_VAR = "REPTILE_FAULTS"
 
-#: Exit code used by ``crash`` faults — distinctive in worker post-mortems.
-CRASH_EXIT_CODE = 66
+#: The fault kinds a spec may name.
+KINDS = ("error", "delay")
 
 
 class FaultInjected(RuntimeError):
-    """The default exception raised by an ``error`` fault.
-
-    Picklable (plain message argument), so a worker-process fault
-    travels back to the coordinator through the shard worker pool intact.
-    """
+    """The default exception raised by an ``error`` fault."""
 
 
 @dataclass(frozen=True)
@@ -84,26 +70,17 @@ class FaultSpec:
     """One injected fault: where, what, and on which invocations."""
 
     point: str
-    kind: str = "error"              # "error" | "crash" | "delay"
+    kind: str = "error"              # "error" | "delay"
     arg: str | None = None           # exception name / delay seconds
     hits: tuple[int, ...] | None = None  # 1-based invocations; None = all
-    once: bool = False               # at most one fire across processes
-    token: str | None = field(default=None, compare=False)
-
-    def token_path(self) -> str | None:
-        if not self.once:
-            return None
-        return os.path.join(tempfile.gettempdir(),
-                            f"reptile-fault-{self.token}.tok")
 
 
 _lock = threading.Lock()
 _specs: dict[str, list[FaultSpec]] = {}     # programmatic installs
 _env_specs: dict[str, list[FaultSpec]] = {}  # parsed from ENV_VAR
-_env_state: tuple[int, str] | None = None    # (pid, raw value) last parsed
+_env_state: str | None = None                # raw ENV_VAR value last parsed
 _counts: dict[str, int] = {}                 # per-process invocation counts
 _fired: dict[str, int] = {}                  # per-process fire counts
-_token_counter = 0
 
 
 def _exception_for(arg: str | None) -> BaseException:
@@ -115,19 +92,11 @@ def _exception_for(arg: str | None) -> BaseException:
     return FaultInjected(f"injected fault{f' ({arg})' if arg else ''}")
 
 
-def _new_token(seed: str) -> str:
-    """A token shared by every process forked after this call."""
-    global _token_counter
-    _token_counter += 1
-    raw = f"{os.getpid()}-{_token_counter}-{seed}"
-    return hashlib.sha1(raw.encode()).hexdigest()[:16]
-
-
 def parse_spec(text: str) -> list[FaultSpec]:
     """Parse a ``point=kind[:arg][@hits]`` spec string into specs.
 
-    Entries are ``;``-separated; ``hits`` is ``once`` or a ``,``-list of
-    1-based invocation numbers. Raises ``ValueError`` on bad grammar.
+    Entries are ``;``-separated; ``hits`` is a ``,``-list of 1-based
+    invocation numbers. Raises ``ValueError`` on bad grammar.
     """
     specs: list[FaultSpec] = []
     for entry in text.split(";"):
@@ -142,7 +111,7 @@ def parse_spec(text: str) -> list[FaultSpec]:
         rest, _, hits_text = rest.partition("@")
         kind, _, arg = rest.partition(":")
         kind = (kind or "error").strip()
-        if kind not in ("error", "crash", "delay"):
+        if kind not in KINDS:
             raise ValueError(f"unknown fault kind {kind!r} in {entry!r}")
         arg = arg.strip() or None
         if kind == "delay":
@@ -152,11 +121,8 @@ def parse_spec(text: str) -> list[FaultSpec]:
                 raise ValueError(
                     f"delay fault needs numeric seconds: {entry!r}") from None
         hits: tuple[int, ...] | None = None
-        once = False
         hits_text = hits_text.strip()
-        if hits_text == "once":
-            once = True
-        elif hits_text:
+        if hits_text:
             try:
                 hits = tuple(sorted(int(h) for h in hits_text.split(",")))
             except ValueError:
@@ -164,14 +130,7 @@ def parse_spec(text: str) -> list[FaultSpec]:
                                  f"{entry!r}") from None
             if any(h < 1 for h in hits):
                 raise ValueError(f"hits are 1-based: {entry!r}")
-        token = None
-        if once:
-            # Env-parsed tokens must agree across independently spawned
-            # processes, so they derive from the entry text itself (plus
-            # an optional nonce for run isolation), not from a pid.
-            nonce = os.environ.get("REPTILE_FAULTS_NONCE", "")
-            token = hashlib.sha1(f"{entry}|{nonce}".encode()).hexdigest()[:16]
-        specs.append(FaultSpec(point, kind, arg, hits, once, token))
+        specs.append(FaultSpec(point, kind, arg, hits))
     return specs
 
 
@@ -185,45 +144,28 @@ def install(text: str) -> list[FaultSpec]:
 
 
 def inject(point: str, kind: str = "error", arg: str | None = None,
-           hits: tuple[int, ...] | None = None,
-           once: bool = False) -> FaultSpec:
+           hits: tuple[int, ...] | None = None) -> FaultSpec:
     """Activate one fault programmatically; returns the installed spec."""
-    if kind not in ("error", "crash", "delay"):
+    if kind not in KINDS:
         raise ValueError(f"unknown fault kind {kind!r}")
-    token = _new_token(point) if once else None
-    spec = FaultSpec(point, kind, arg, tuple(sorted(hits)) if hits else None,
-                     once, token)
+    spec = FaultSpec(point, kind, arg, tuple(sorted(hits)) if hits else None)
     with _lock:
         _specs.setdefault(point, []).append(spec)
     return spec
 
 
-def _remove_tokens(specs: dict[str, list[FaultSpec]]) -> None:
-    for entries in specs.values():
-        for spec in entries:
-            path = spec.token_path()
-            if path is not None:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-
-
 def clear_faults() -> None:
-    """Deactivate every fault and reset counters (token files removed).
+    """Deactivate every fault and reset counters.
 
     The environment registry is neutralized for the *current* value of
     ``REPTILE_FAULTS`` too: a still-set variable is not re-parsed until
-    it changes (or the process changes), so tests that cleared faults
-    stay fault-free.
+    it changes, so tests that cleared faults stay fault-free.
     """
     global _env_state
     with _lock:
-        _remove_tokens(_specs)
-        _remove_tokens(_env_specs)
         _specs.clear()
         _env_specs.clear()
-        _env_state = (os.getpid(), os.environ.get(ENV_VAR, ""))
+        _env_state = os.environ.get(ENV_VAR, "")
         _counts.clear()
         _fired.clear()
 
@@ -246,8 +188,7 @@ def faults(text: str):
     """Context manager: install a spec string, restore clean state after.
 
     Restores an *empty* registry on exit (the chaos-suite convention:
-    one schedule per context), removing any token files the specs
-    created.
+    one schedule per context).
     """
     install(text)
     try:
@@ -257,22 +198,18 @@ def faults(text: str):
 
 
 def _refresh_env_specs() -> None:
-    """Re-parse ``REPTILE_FAULTS`` when the process or the value changed.
+    """Re-parse ``REPTILE_FAULTS`` when its value changed.
 
-    Lazily called from :func:`fault_point`, so a freshly forked/spawned
-    worker picks the variable up without any coordination — and a parent
-    that already parsed it does not double-register in the child (the
-    recorded ``(pid, value)`` state is inherited by fork and only a
-    *change* triggers a re-parse, which replaces the env registry
-    wholesale).
+    Lazily called from :func:`fault_point`, so a fresh process picks the
+    variable up without any setup; a change replaces the env registry
+    wholesale.
     """
     global _env_state
     raw = os.environ.get(ENV_VAR, "")
-    state = (os.getpid(), raw)
-    if _env_state == state:
+    if _env_state == raw:
         return
     with _lock:
-        if _env_state == state:
+        if _env_state == raw:
             return
         _env_specs.clear()
         if raw:
@@ -282,7 +219,7 @@ def _refresh_env_specs() -> None:
                 parsed = []  # a bad env spec must never break production
             for spec in parsed:
                 _env_specs.setdefault(spec.point, []).append(spec)
-        _env_state = state
+        _env_state = raw
 
 
 def fault_point(point: str, **info) -> None:
@@ -306,21 +243,12 @@ def fault_point(point: str, **info) -> None:
         for spec in list(matching) + list(env_matching):
             if spec.hits is not None and count not in spec.hits:
                 continue
-            if spec.once:
-                path = spec.token_path()
-                try:
-                    # O_EXCL create = atomic claim; a second process (or
-                    # invocation) loses the race and skips the fault.
-                    fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                    os.close(fd)
-                except OSError:
-                    continue
             _fired[point] = _fired.get(point, 0) + 1
             actions.append(spec)
-    for spec in actions:  # act outside the lock: sleep/raise/exit
+            if spec.kind == "error":
+                break  # the raise ends the invocation: later specs never act
+    for spec in actions:  # act outside the lock: sleep/raise
         if spec.kind == "delay":
             time.sleep(float(spec.arg or 0.0))
-        elif spec.kind == "crash":
-            os._exit(CRASH_EXIT_CODE)
         else:
             raise _exception_for(spec.arg)

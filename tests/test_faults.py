@@ -1,16 +1,12 @@
 """Fault-injection and chaos suite for the robustness layer.
 
-Exercises every registered fault point (``pool.submit``, ``pool.result``,
-``shm.attach``, ``worker.build``, ``kernel.dispatch``, ``cache.fill``,
-``ingest.commit``, ``serving.rebuild``) and pins the recovery contracts:
+Exercises every registered fault point (``kernel.dispatch``,
+``cache.fill``, ``ingest.commit``, ``serving.rebuild``) and pins the
+recovery contracts:
 
 * the :mod:`repro.robustness.faultinject` registry itself (spec grammar,
-  deterministic hit selection, cross-process ``@once`` tokens, the
-  ``REPTILE_FAULTS`` environment path, clean teardown);
-* the supervised :class:`~repro.relational.shard.ShardWorkerPool`
-  (retry + salvage on task errors, respawn after crashes, per-task
-  deadlines, ``PoolFailure`` after the budget, the spill build's serial
-  fallback keeping results bitwise-equal, no leaked spill files — ever);
+  deterministic hit selection, fire counts, the ``REPTILE_FAULTS``
+  environment path, clean teardown);
 * kernel-backend quarantine (a raising fused tier serves plain, the
   quarantine is visible and liftable);
 * atomic ingest (a failed commit leaves version, cube, fingerprints and
@@ -21,8 +17,8 @@ Exercises every registered fault point (``pool.submit``, ``pool.result``,
   foreground and background rebuilds, per-request deadlines);
 * 32 seeded chaos schedules — concurrent read/ingest traffic under
   randomly placed faults — asserting the availability invariants: no
-  non-degraded 5xx, full recovery, no leaked segments, and the served
-  cube bitwise-equal to the row-at-a-time rebuild oracle.
+  non-degraded 5xx, full recovery, and the served cube bitwise-equal to
+  the row-at-a-time rebuild oracle.
 """
 
 from __future__ import annotations
@@ -42,18 +38,12 @@ from repro import (Delta, HierarchicalDataset, Relation, Reptile,
 from repro import kernels
 from repro.kernels import plain as plain_kernels
 from repro.relational import deltaref
-from repro.relational.cube import Cube
-from repro.relational.shard import (PoolFailure, ShardWorkerPool,
-                                    dataset_from_chunks, leaked_segments,
-                                    spill_build_from_chunks)
 from repro.robustness.faultinject import (FaultInjected, faults,
                                           parse_spec)
 from repro.serving.health import (DEGRADED, HEALTHY, REBUILDING,
                                   HealthRegistry, IngestFailure)
 from repro.serving.server import ServerApp
 from repro.serving.service import ExplanationService
-
-from chunk_helpers import rows_to_chunks
 
 SCHEMA = Schema([dimension("district"), dimension("village"),
                  dimension("year"), measure("sev")])
@@ -80,36 +70,12 @@ def _dataset(rows=ROWS) -> HierarchicalDataset:
         Relation.from_rows(SCHEMA, rows), HIERARCHIES, "sev")
 
 
-def _chunks() -> list[dict]:
-    return rows_to_chunks(ROWS, chunk_rows=4)
-
-
-def _spill_build(spill_dir, pool: ShardWorkerPool):
-    return spill_build_from_chunks(_chunks(), HIERARCHIES, "sev",
-                                   spill_dir=str(spill_dir), n_shards=3,
-                                   pool=pool)
-
-
-def _assert_spill_bitwise(result, expected: Cube) -> None:
-    assert np.array_equal(result.key_codes, expected._key_codes)
-    for name in ("count", "total", "sumsq"):
-        assert np.array_equal(getattr(result.stats, name),
-                              getattr(expected.leaf_stats, name)), name
-
-
 @pytest.fixture(autouse=True)
 def _clean_faults():
-    """Every test starts and ends fault-free (token files removed)."""
+    """Every test starts and ends fault-free."""
     fi.clear_faults()
     yield
     fi.clear_faults()
-
-
-# A picklable worker task with its own fault point exposure: forked pool
-# workers inherit specs installed before the pool's first submit.
-def _double(x: int) -> int:
-    fi.fault_point("worker.build", task=x)
-    return 2 * x
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +85,16 @@ def _double(x: int) -> int:
 class TestFaultSpecs:
     def test_parse_spec_roundtrip(self):
         specs = parse_spec("cache.fill=error:OSError@2,5; "
-                           "pool.submit=delay:0.01;worker.build=crash@once")
-        assert [s.point for s in specs] == ["cache.fill", "pool.submit",
-                                           "worker.build"]
+                           "ingest.commit=delay:0.01")
+        assert [s.point for s in specs] == ["cache.fill", "ingest.commit"]
         assert specs[0].kind == "error" and specs[0].arg == "OSError"
         assert specs[0].hits == (2, 5)
         assert specs[1].kind == "delay" and specs[1].arg == "0.01"
-        assert specs[1].hits is None and not specs[1].once
-        assert specs[2].kind == "crash" and specs[2].once
-        assert specs[2].token is not None
+        assert specs[1].hits is None
 
     @pytest.mark.parametrize("bad", [
         "nokind", "p=wat", "p=delay:abc", "p=error@0", "p=error@x",
-        "=error",
+        "=error", "p=crash", "p=error@once",
     ])
     def test_parse_spec_rejects_bad_grammar(self, bad):
         with pytest.raises(ValueError):
@@ -145,18 +108,20 @@ class TestFaultSpecs:
         fi.fault_point("cache.fill")  # invocation 3: clean again
         assert fi.fired_counts() == {"cache.fill": 1}
 
+    def test_only_specs_that_act_are_counted(self):
+        """Two specs matching one invocation: the first raise ends it."""
+        fi.inject("ingest.commit", kind="error", hits=(1,))
+        fi.inject("ingest.commit", kind="error", hits=(1,))
+        with pytest.raises(FaultInjected):
+            fi.fault_point("ingest.commit")
+        for _ in range(4):
+            fi.fault_point("ingest.commit")
+        assert fi.fired_counts() == {"ingest.commit": 1}
+
     def test_named_builtin_exception(self):
         fi.inject("ingest.commit", kind="error", arg="OSError")
         with pytest.raises(OSError):
             fi.fault_point("ingest.commit")
-
-    def test_once_fires_a_single_time(self):
-        fi.inject("cache.fill", kind="error", once=True)
-        with pytest.raises(FaultInjected):
-            fi.fault_point("cache.fill")
-        for _ in range(5):
-            fi.fault_point("cache.fill")  # token claimed: never again
-        assert fi.fired_counts() == {"cache.fill": 1}
 
     def test_faults_context_restores_clean_state(self):
         with faults("cache.fill=error"):
@@ -168,15 +133,16 @@ class TestFaultSpecs:
     def test_env_spec_crashes_fresh_process(self):
         """REPTILE_FAULTS drives processes that never saw install()."""
         env = dict(os.environ,
-                   REPTILE_FAULTS="worker.build=crash",
+                   REPTILE_FAULTS="ingest.commit=error",
                    PYTHONPATH="src")
         proc = subprocess.run(
             [sys.executable, "-c",
              "from repro.robustness.faultinject import fault_point; "
-             "fault_point('worker.build')"],
+             "fault_point('ingest.commit')"],
             env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
-            capture_output=True)
-        assert proc.returncode == fi.CRASH_EXIT_CODE
+            capture_output=True, text=True)
+        assert proc.returncode != 0
+        assert "FaultInjected" in proc.stderr
 
     def test_clear_faults_neutralizes_set_env_var(self, monkeypatch):
         monkeypatch.setenv(fi.ENV_VAR, "cache.fill=error")
@@ -184,108 +150,6 @@ class TestFaultSpecs:
             fi.fault_point("cache.fill")
         fi.clear_faults()
         fi.fault_point("cache.fill")  # var still set, but neutralized
-
-
-# ---------------------------------------------------------------------------
-# Supervised worker pool
-
-
-class TestSupervisedPool:
-    def _pool(self, **kw) -> ShardWorkerPool:
-        kw.setdefault("task_timeout", 30.0)
-        kw.setdefault("backoff_base", 0.001)
-        kw.setdefault("backoff_cap", 0.002)
-        return ShardWorkerPool(2, **kw)
-
-    def test_task_error_is_retried_and_salvaged(self):
-        pool = self._pool()
-        try:
-            fi.inject("worker.build", kind="error", once=True)
-            assert pool.run_tasks(_double, [(i,) for i in range(4)]) == \
-                [0, 2, 4, 6]
-            assert pool.respawns == 0  # an exception does not kill workers
-            assert pool.retried_tasks >= 1
-            assert pool.task_failures >= 1
-        finally:
-            pool.shutdown()
-        assert pool.leaked_at_shutdown == []
-
-    def test_worker_crash_respawns_pool(self):
-        pool = self._pool()
-        try:
-            fi.inject("worker.build", kind="crash", once=True)
-            assert pool.run_tasks(_double, [(i,) for i in range(4)]) == \
-                [0, 2, 4, 6]
-            assert pool.respawns >= 1
-            assert pool.alive()
-        finally:
-            pool.shutdown()
-
-    def test_deadline_terminates_stuck_worker(self):
-        pool = self._pool()
-        try:
-            fi.inject("worker.build", kind="delay", arg="30", once=True)
-            t0 = time.monotonic()
-            assert pool.run_tasks(_double, [(i,) for i in range(3)],
-                                  timeout=0.5) == [0, 2, 4]
-            assert time.monotonic() - t0 < 10.0  # never waited the 30s out
-            assert pool.respawns >= 1  # the stuck worker was terminated
-            assert any("deadline" in f for f in [pool.last_error or ""])
-        finally:
-            pool.shutdown()
-
-    def test_budget_exhaustion_raises_poolfailure_then_recovers(self):
-        pool = self._pool(retry_budget=1)
-        try:
-            fi.inject("worker.build", kind="error")  # every invocation
-            with pytest.raises(PoolFailure) as err:
-                pool.run_tasks(_double, [(0,), (1,)])
-            assert err.value.failures  # per-attempt history travels along
-            fi.clear_faults()
-            # Workers forked before clear_faults inherited the spec;
-            # respawn so fresh forks see the cleared registry.
-            pool._respawn()
-            assert pool.run_tasks(_double, [(5,)]) == [10]
-        finally:
-            pool.shutdown()
-
-    def test_pool_failure_falls_back_to_bitwise_serial_build(self,
-                                                             tmp_path):
-        expected = Cube(dataset_from_chunks(_chunks(), HIERARCHIES, "sev"))
-        pool = self._pool(retry_budget=0)
-        try:
-            fi.inject("worker.build", kind="error")
-            result = _spill_build(tmp_path, pool)
-            assert "fallback" in result.timings
-            _assert_spill_bitwise(result, expected)
-            assert pool.stats()["task_failures"] >= 1
-        finally:
-            pool.shutdown()
-        assert pool.leaked_at_shutdown == []
-        assert leaked_segments() == []
-        assert os.listdir(tmp_path) == []
-
-    def test_no_segments_leak_after_injected_crash(self, tmp_path):
-        """Regression: a worker crash mid-build must not leak spill files.
-
-        Checks both the in-process registry and the filesystem: every
-        block the build spilled is released even though a worker died
-        while it was mapped, so the spill directory is empty afterwards.
-        """
-        expected = Cube(dataset_from_chunks(_chunks(), HIERARCHIES, "sev"))
-        pool = self._pool()
-        try:
-            # Injected before the pool forks, so its workers inherit it.
-            fi.inject("worker.build", kind="crash", once=True)
-            result = _spill_build(tmp_path, pool)
-            assert pool.respawns >= 1  # the crash really fired
-            assert "fallback" not in result.timings
-            _assert_spill_bitwise(result, expected)
-        finally:
-            pool.shutdown()
-        assert pool.leaked_at_shutdown == []
-        assert leaked_segments() == []
-        assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
@@ -518,24 +382,13 @@ _SERVING_MENU = [
     ("kernel.dispatch", "error", None),
 ]
 
-#: Pool-layer fault menu. ``once`` specs cross process boundaries.
-_POOL_MENU = [
-    ("worker.build", "crash", None, True),
-    ("worker.build", "error", None, True),
-    ("worker.build", "error", "OSError", True),
-    ("worker.build", "delay", "30", True),
-    ("shm.attach", "error", None, True),
-    ("pool.submit", "error", None, False),
-    ("pool.result", "error", None, False),
-]
-
 _ALLOWED_STATUSES = {200, 400, 409, 503}
 
 
 class TestChaosSchedules:
-    """≥30 seeded fault schedules under concurrent read/ingest traffic."""
+    """32 seeded fault schedules under concurrent read/ingest traffic."""
 
-    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("seed", range(32))
     def test_serving_chaos(self, seed):
         rng = np.random.default_rng(seed)
         service, app = _make_app(auto_rebuild=False)
@@ -615,29 +468,3 @@ class TestChaosSchedules:
         deltaref.assert_groups_equal(
             engine.cube.leaf_states,
             deltaref.rebuilt_leaf_states(engine.dataset))
-        assert leaked_segments() == []
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_pool_chaos(self, seed, tmp_path):
-        rng = np.random.default_rng(1000 + seed)
-        point, kind, arg, once = _POOL_MENU[seed % len(_POOL_MENU)]
-        expected = Cube(dataset_from_chunks(_chunks(), HIERARCHIES, "sev"))
-        pool = ShardWorkerPool(2, task_timeout=5.0, retry_budget=2,
-                               backoff_base=0.001, backoff_cap=0.002)
-        try:
-            if once:
-                fi.inject(point, kind=kind, arg=arg, once=True)
-            else:
-                fi.inject(point, kind=kind, arg=arg,
-                          hits=(int(rng.integers(1, 4)),))
-            # Pooled-with-retries or serial fallback: bitwise either way.
-            _assert_spill_bitwise(_spill_build(tmp_path, pool), expected)
-            fi.clear_faults()
-            # The pool (or its respawned successor) still serves builds.
-            _assert_spill_bitwise(_spill_build(tmp_path, pool), expected)
-            assert pool.stats()["retry_budget"] == 2
-        finally:
-            pool.shutdown()
-        assert pool.leaked_at_shutdown == []
-        assert leaked_segments() == []
-        assert os.listdir(tmp_path) == []

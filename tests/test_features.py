@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.rankref import build_view_design_ref
 from repro.model.features import (AuxiliaryFeature, CustomFeature,
                                   FeatureError, FeaturePlan, LagFeature,
                                   MainEffectFeature, build_view_design)
+from repro.relational import dataset_from_chunks
 from repro.relational.aggregates import AggState
 from repro.relational.cube import Cube, GroupView
-from repro.relational.dataset import AuxiliaryDataset
+from repro.relational.dataset import AuxiliaryDataset, HierarchicalDataset
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, dimension, measure
 
@@ -182,3 +184,66 @@ class TestViewDesign:
                                cluster_attrs=("district",))
         assert vd.design.n == len(view)
         assert vd.design.m == 3  # intercept + 2 main effects
+
+
+# -- design sorts vs the Python-sort oracle -----------------------------------
+
+SCHEMA = Schema([dimension("district"), dimension("village"),
+                 dimension("year"), measure("sev")])
+HIERARCHIES = {"geo": ["district", "village"], "time": ["year"]}
+NAN = float("nan")
+
+#: Rows that are always present, so every hierarchy has at least two
+#: levels' worth of structure.
+BASE_ROWS = [("d0", "d0-v0", 2000, 1.0), ("d0", "d0-v1", 2001, 3.5),
+             ("d1", "d1-v0", 2000, 2.0), ("d1", "d1-v1", 2001, 0.5)]
+
+
+def _dataset(rows) -> HierarchicalDataset:
+    return HierarchicalDataset.build(
+        Relation.from_rows(SCHEMA, rows), HIERARCHIES, "sev")
+
+
+class TestDesignProducts:
+    def test_chunk_streamed_design_matches_python_sort_oracle(self):
+        """Chunk-streamed domains (not sort-friendly) take the
+        domain-rank lexsort; the design must equal the frozen Python-sort
+        oracle exactly."""
+        # The second chunk introduces values that sort *before* the
+        # first chunk's (extend_domain appends, so the union domain
+        # comes out unsorted).
+        chunks = [
+            {"district": np.array(["d2", "d2", "d1", "d1"]),
+             "village": np.array(["d2-v1", "d2-v0", "d1-v0", "d1-v1"]),
+             "year": np.array([2001, 2000, 2001, 2000]),
+             "sev": np.array([2.0, 1.5, 0.5, 3.0])},
+            {"district": np.array(["d0", "d1", "d0"]),
+             "village": np.array(["d0-v1", "d1-v1", "d0-v0"]),
+             "year": np.array([2000, 2001, 2000]),
+             "sev": np.array([1.0, 2.5, 4.0])},
+        ]
+        dataset = dataset_from_chunks(chunks, HIERARCHIES, "sev")
+        cube = Cube(dataset)
+        view = cube.view(("district", "village"))
+        enc = view.encodings[0]
+        assert not enc.sort_friendly()  # the path under test
+        vd = build_view_design(view, "mean", FeaturePlan(), ("district",))
+        ref_keys, ref_y, ref_design = build_view_design_ref(
+            view, "mean", FeaturePlan(), ("district",))
+        assert vd.keys == ref_keys
+        assert np.array_equal(vd.design.x, ref_design.x)
+        assert np.array_equal(vd.y, ref_y)
+        assert list(vd.design.sizes) == list(ref_design.sizes)
+
+    def test_nan_domain_design_matches_python_sort_oracle(self):
+        """NaN domain values decline the rank table; the Python-sort
+        fallback must still match the oracle."""
+        rows = BASE_ROWS + [("d2", NAN, 2000, 2.0), ("d2", NAN, 2001, 4.0)]
+        cube = Cube(_dataset(rows))
+        view = cube.view(("district", "village"))
+        vd = build_view_design(view, "mean", FeaturePlan(), ("district",))
+        ref_keys, ref_y, ref_design = build_view_design_ref(
+            view, "mean", FeaturePlan(), ("district",))
+        assert vd.keys == ref_keys
+        assert np.array_equal(vd.design.x, ref_design.x)
+        assert np.array_equal(vd.y, ref_y)
