@@ -4,9 +4,10 @@ Every harness persists its series to ``benchmarks/out/<name>.json`` via
 ``bench_utils.report_json``. This script flattens those files into one
 repo-root ``BENCH_HISTORY.json`` — one record per (figure, op, scale)
 row with the fields the cross-PR perf tracking reads: ``fig`` (the
-harness name), ``op``, ``scale``, ``speedup``, ``peak_rss_bytes`` and
-``cpu_count``. Smoke rows (``benchmarks/out/smoke/``) are excluded —
-their timings are a does-it-still-run gate, not measurements.
+harness name), ``op``, ``scale``, ``cold`` and ``warm`` (seconds),
+``speedup``, ``peak_rss_bytes`` and ``cpu_count``. Smoke rows
+(``benchmarks/out/smoke/``) are excluded — their timings are a
+does-it-still-run gate, not measurements.
 
 Usage::
 
@@ -31,7 +32,8 @@ HISTORY_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 #: The fields every history record carries (missing values become None
 #: rather than dropping the record — a hole in the series is visible,
 #: a silently skipped row is not).
-FIELDS = ("op", "scale", "speedup", "peak_rss_bytes", "cpu_count")
+FIELDS = ("op", "scale", "cold", "warm", "speedup", "peak_rss_bytes",
+          "cpu_count")
 
 
 def collect() -> list[dict]:

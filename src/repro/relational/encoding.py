@@ -9,9 +9,16 @@ natural join, distinct, sort — then reduce to integer-array kernels
 per-row Python loops, which is what lets the roll-up cube and the serving
 layer scale to 10⁵–10⁶ rows.
 
-Two factorization paths keep semantics identical to the old row engine:
+Three factorization paths keep semantics identical to the old row engine:
 
-* numpy-backed columns go through ``np.unique`` (C speed, sorted domain);
+* fixed-width string arrays (dtype kind ``U``/``S``) are hashed, not
+  sorted: each row's code units fold into one ``uint64``, the rows are
+  grouped by hash, every row is checked against its group's
+  representative (the collision guard) and only the distinct values are
+  sorted. Codes and domain are bitwise those of ``np.unique``;
+* other numpy-backed columns, and string columns whose hashes collide,
+  go through :func:`factorize_by_sort` (``np.unique``: C speed, sorted
+  domain);
 * Python-list columns go through a dict factorizer that preserves the
   *original* value objects in the domain, so decoded rows are
   indistinguishable from the pre-columnar representation.
@@ -36,6 +43,9 @@ _TYPED_KINDS = "biufUS"
 
 #: Mixed-radix composite keys must fit comfortably in int64.
 _RADIX_LIMIT = 1 << 62
+
+#: Odd 64-bit multiplier of the string row hash (2**64 / golden ratio).
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 class EncodingError(ValueError):
@@ -276,26 +286,95 @@ def _sort_domain(codes: np.ndarray, domain: list) -> DictEncoding:
     return DictEncoding(codes, domain, domain_sorted=True)
 
 
+def _row_hashes(values: np.ndarray) -> np.ndarray:
+    """A ``uint64`` hash of each row of a contiguous fixed-width array.
+
+    Each row's raw bytes are read as unsigned words (8 bytes wide, then
+    4/2/1-byte tails) and folded mod ``2**64``: before each word is added,
+    the running hash is xor-shifted (so high-bit differences reach the low
+    bits) and multiplied (so they spread back up). Equal strings have
+    equal bytes, so they always hash equally; distinct strings may
+    collide, which the caller's guard catches.
+    """
+    size = values.dtype.itemsize
+    raw = values.view(np.uint8).reshape(len(values), size)
+    hashes = shifted = None
+    start = 0
+    for width in (8, 4, 2, 1):
+        while size - start >= width:
+            word = raw[:, start:start + width].view(f"u{width}")[:, 0]
+            if hashes is None:
+                hashes = word.astype(np.uint64)
+                shifted = np.empty_like(hashes)
+            else:
+                np.right_shift(hashes, np.uint64(32), out=shifted)
+                hashes ^= shifted
+                hashes *= _HASH_MULTIPLIER
+                hashes += word
+            start += width
+    return hashes
+
+
+def _factorize_strings(values: np.ndarray) -> DictEncoding | None:
+    """Encode a fixed-width string column without sorting its rows.
+
+    Groups rows by :func:`_row_hashes`, checks that every row equals its
+    group's representative, then sorts only the distinct values. Returns
+    None when two distinct strings share a hash (the caller falls back to
+    :func:`factorize_by_sort`); otherwise the result is bitwise that of
+    :func:`factorize_by_sort`.
+    """
+    values = np.ascontiguousarray(values)
+    hashes, inverse = np.unique(_row_hashes(values), return_inverse=True)
+    inverse = inverse.reshape(-1)
+    first = np.empty(len(hashes), dtype=np.intp)
+    first[inverse] = np.arange(len(values))
+    representatives = values[first]
+    # The collision guard. Equal strings hash equally, so once every group
+    # is uniform the groups are exactly the distinct values.
+    if not np.array_equal(representatives[inverse], values):
+        return None
+    order = np.argsort(representatives)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    return DictEncoding(rank[inverse], representatives[order].tolist(),
+                        domain_sorted=True)
+
+
+def factorize_by_sort(values: np.ndarray) -> DictEncoding:
+    """Encode a typed 1-D array with ``np.unique`` (sorts every row).
+
+    The path for numeric columns, the fallback for string columns whose
+    hashes collide, and the oracle the hashed string path must equal.
+    """
+    domain_arr, inverse = np.unique(values, return_inverse=True)
+    codes = inverse.astype(np.int32, copy=False).reshape(-1)
+    return DictEncoding(codes, domain_arr.tolist(), domain_sorted=True)
+
+
 def factorize(values) -> DictEncoding:
     """Dictionary-encode one column.
 
-    numpy arrays of scalar dtype use ``np.unique`` (domain decoded to
-    Python scalars); anything else goes through a dict factorizer that
-    keeps the original value objects, so nothing observable changes for
-    relations built from Python rows.
+    Fixed-width string arrays take the hashed path, other numpy arrays of
+    scalar dtype :func:`factorize_by_sort` (either way the domain is
+    sorted and decoded to Python scalars); anything else goes through a
+    dict factorizer that keeps the original value objects, so nothing
+    observable changes for relations built from Python rows.
     """
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise EncodingError("only 1-D columns can be encoded")
-        if values.dtype.kind in _TYPED_KINDS \
-                and not (values.dtype.kind == "f"
-                         and np.isnan(values).any()):
+        kind = values.dtype.kind
+        if kind in "US":
+            enc = _factorize_strings(values)
+            if enc is not None:
+                return enc
+        if kind in _TYPED_KINDS \
+                and not (kind == "f" and np.isnan(values).any()):
             # np.unique would merge NaNs (equal_nan) into one domain
             # entry; the row engine kept every NaN its own group
             # (nan != nan), so NaN-bearing floats take the dict path.
-            domain_arr, inverse = np.unique(values, return_inverse=True)
-            codes = inverse.astype(np.int32, copy=False).reshape(-1)
-            return DictEncoding(codes, domain_arr.tolist(), domain_sorted=True)
+            return factorize_by_sort(values)
         values = values.tolist()
     table: dict = {}
     domain: list = []

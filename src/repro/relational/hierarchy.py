@@ -91,28 +91,31 @@ class Hierarchy:
         """Check ``A_{i+1} → A_i`` holds in ``relation`` for all levels.
 
         Raises :class:`HierarchyError` on the first violated dependency.
-        The check runs over the encoded code arrays — the FD holds iff
-        the number of distinct (child, parent) pairs equals the number of
-        distinct child values; the per-row loop only runs to reconstruct
-        the exact error message once a violation is detected.
+        The check is one scatter/gather pass over the encoded code
+        arrays: scatter each row's parent code to its child code, and
+        the FD holds iff gathering it back returns every row's own
+        parent code. The per-row loop only runs to reconstruct the exact
+        error message once a violation is detected (or when a column
+        cannot be encoded).
         """
         for parent, child in zip(self.attributes, self.attributes[1:]):
             try:
                 pe = relation.encoding(parent)
                 ce = relation.encoding(child)
-                if not len(ce.codes):
-                    continue  # empty relation: nothing to violate
-                pairs = ce.codes.astype(np.int64) * pe.cardinality + pe.codes
-                # Compare against the child values actually present: a
-                # derived relation may share a domain wider than its rows.
-                if len(np.unique(pairs)) == len(np.unique(ce.codes)):
+                # Sized by the child domain, which a derived relation may
+                # share wider than its rows; absent codes are never read.
+                parent_of = np.empty(ce.cardinality, dtype=pe.codes.dtype)
+                parent_of[ce.codes] = pe.codes
+                if np.array_equal(parent_of[ce.codes], pe.codes):
                     continue
             except EncodingError:
                 pass  # unencodable column: validate row by row
             seen: dict = {}
             for p, c in zip(relation.column_values(parent),
                             relation.column_values(child)):
-                if c in seen and seen[c] != p:
+                # Parents compare like dict keys, as the encoding does:
+                # one NaN object repeated is one parent.
+                if c in seen and seen[c] is not p and seen[c] != p:
                     raise HierarchyError(
                         f"FD {child} → {parent} violated: {c!r} maps to both "
                         f"{seen[c]!r} and {p!r}")

@@ -32,14 +32,16 @@ def encode_columns_chunked(chunks: Iterable[Mapping[str, np.ndarray]],
     unioned with :meth:`DictEncoding.merge` (chunk 0's codes survive
     verbatim) and the remapped code chunks concatenated. The coordinator
     holds only ``int32`` codes plus the ``float64`` measure — never a
-    full value-object image. Returns ``(columns, n_rows)`` ready for
-    :meth:`Relation.from_encoded`.
+    full value-object image. A column given as a list (not an array) is
+    encoded as it is, keeping its value objects, exactly as
+    :meth:`Relation.from_rows` would. Returns ``(columns, n_rows)`` ready
+    for :meth:`Relation.from_encoded`.
     """
     chunk_encs: dict[str, list[DictEncoding]] = {a: [] for a in attrs}
     measure_parts: list[np.ndarray] = []
     for chunk in chunks:
         for a in attrs:
-            chunk_encs[a].append(factorize(np.asarray(chunk[a])))
+            chunk_encs[a].append(factorize(chunk[a]))
         measure_parts.append(np.asarray(chunk[measure_name], dtype=float))
     columns: dict = {}
     for a in attrs:

@@ -11,6 +11,8 @@ order-independent and equality can be exact.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.relational import (Cube, CountMap, HierarchicalDataset, Relation,
                               Schema, dimension, measure)
-from repro.relational import rowref
+from repro.relational import encoding, rowref
 from repro.relational.cube import StatesMap
 
 
@@ -213,6 +215,86 @@ def test_sort_mixed_types_raises_like_row_path():
         rowref.sort(rel, ["a"])
     with pytest.raises(TypeError):
         rel.sort(["a"])
+
+
+# -- hashed string factorization -----------------------------------------------------
+#: NUL, non-ASCII, BMP-edge and astral code points, plus plain letters.
+_CHARS = ["a", "b", "\x00", "\xe9", "\uffff", "\U0001f600"]
+_BYTES = [b"a", b"b", b"\x00", b"\xff"]
+
+
+@st.composite
+def string_columns(draw):
+    """Fixed-width ``U``/``S`` columns: duplicate-heavy, possibly empty,
+    big-endian or strided."""
+    if draw(st.booleans()):
+        kind, part, join = "U", st.sampled_from(_CHARS), "".join
+    else:
+        kind, part, join = "S", st.sampled_from(_BYTES), b"".join
+    pool = draw(st.lists(st.lists(part, max_size=5).map(join), min_size=1,
+                         max_size=8))
+    values = draw(st.lists(st.sampled_from(pool), max_size=40))
+    width = max([len(v) for v in values], default=0) \
+        + draw(st.integers(0, 2))
+    order = draw(st.sampled_from("<>")) if kind == "U" else "|"
+    arr = np.array(values, dtype=f"{order}{kind}{max(width, 1)}")
+    return arr[::draw(st.sampled_from([1, 2, -1]))]
+
+
+def _assert_same_encoding(got, want) -> None:
+    assert got.codes.dtype == want.codes.dtype == np.int32
+    assert np.array_equal(got.codes, want.codes)
+    assert got.domain == want.domain
+    assert [type(v) for v in got.domain] == [type(v) for v in want.domain]
+    assert got.domain_sorted is want.domain_sorted is True
+
+
+def _constant_hash(values):
+    return np.zeros(len(values), dtype=np.uint64)
+
+
+def _low_bits_hash(values, _real=encoding._row_hashes):
+    return _real(values) & np.uint64(0xF)
+
+
+STRING_EDGE_CASES = {
+    "empty": np.array([], dtype="U3"),
+    "one": np.array(["x"]),
+    "all-equal": np.array(["same"] * 7),
+    "empty-string": np.array(["", "a", "", ""]),
+    "bytes-nul": np.array([b"a\x00b", b"a\x00c", b"a", b"a\x00", b"\x00b"]),
+    "astral": np.array(["\U0001f600", "\xe9t\xe9", "z", "\U0001f600", "\uffff"]),
+    "big-endian": np.array(["b", "\xe9", "a", "b", "\U0001f600"], dtype=">U2"),
+    "strided": np.array([f"v{i % 5}" for i in range(20)])[::3],
+}
+
+
+class TestHashedStringFactorize:
+    """The hashed ``U``/``S`` path is bitwise the ``np.unique`` oracle."""
+
+    @given(string_columns())
+    def test_hashed_path_equals_np_unique(self, arr):
+        want = encoding.factorize_by_sort(arr)
+        got = encoding._factorize_strings(arr)
+        assert got is not None  # the real hash does not collide here
+        _assert_same_encoding(got, want)
+        _assert_same_encoding(encoding.factorize(arr), want)
+
+    @pytest.mark.parametrize("name", list(STRING_EDGE_CASES))
+    def test_edge_cases_equal_np_unique(self, name):
+        arr = STRING_EDGE_CASES[name]
+        _assert_same_encoding(encoding.factorize(arr),
+                              encoding.factorize_by_sort(arr))
+
+    @pytest.mark.parametrize("degenerate", [_constant_hash, _low_bits_hash])
+    @given(arr=string_columns())
+    def test_forced_collisions_fall_back(self, degenerate, arr):
+        want = encoding.factorize_by_sort(arr)
+        with mock.patch.object(encoding, "_row_hashes", degenerate):
+            if degenerate is _constant_hash and want.cardinality > 1:
+                # Every row shares one hash: the guard must refuse.
+                assert encoding._factorize_strings(arr) is None
+            _assert_same_encoding(encoding.factorize(arr), want)
 
 
 # -- cube ----------------------------------------------------------------------------

@@ -1,11 +1,94 @@
 """Tests for hierarchy metadata, FD validation, and drill states."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.relational.hierarchy import (Dimensions, DrillState, Hierarchy,
                                         HierarchyError)
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, dimension
+
+NAN = float("nan")
+FD_SCHEMA = Schema([dimension("d"), dimension("v"), dimension("w"),
+                    dimension("s")])
+FD_HIERARCHY = Hierarchy("geo", ["d", "v", "w"])
+
+
+def _object_values(prefix: str):
+    """Object-column values: strings, ==-equal 1/1.0, one shared NaN
+    object and fresh NaN objects (the dict path keys NaN by identity)."""
+    return st.one_of(
+        st.sampled_from([f"{prefix}0", f"{prefix}1", 1, 1.0, NAN]),
+        st.builds(float, st.just("nan")))
+
+
+@st.composite
+def fd_relations(draw):
+    """Relations over ``d ← v ← w`` that satisfy the FDs or nearly do.
+
+    Typed relations hold string and int arrays (the hashed and
+    ``np.unique`` encodings); object relations hold the mixed values of
+    :func:`_object_values`. Half are cut down by ``filter_equals`` after
+    their encodings are interned, so they share domains wider than
+    their rows.
+    """
+    typed = draw(st.booleans())
+    if typed:
+        pools = {"w": st.integers(0, 3)}
+        for name in "dv":
+            pools[name] = st.sampled_from(
+                [f"{name}0", f"{name}1", f"{name}\xe9"])
+    else:
+        pools = {name: _object_values(name) for name in "dvw"}
+    n = draw(st.integers(0, 12))
+    columns = {"w": [draw(pools["w"]) for _ in range(n)]}
+    for parent, child in (("v", "w"), ("d", "v")):
+        parent_of: dict = {}
+        column = []
+        for c in columns[child]:
+            if c not in parent_of:
+                parent_of[c] = draw(pools[parent])
+            column.append(parent_of[c])
+        if n:
+            for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+                column[i] = draw(pools[parent])  # may break the FD
+        columns[parent] = column
+    columns["s"] = [draw(st.integers(0, 2)) for _ in range(n)]
+    if typed:
+        columns = {"d": np.array(columns["d"], dtype=str),
+                   "v": np.array(columns["v"], dtype=str),
+                   "w": np.array(columns["w"], dtype=np.int64),
+                   "s": np.array(columns["s"], dtype=np.int64)}
+    relation = Relation(FD_SCHEMA, columns)
+    if draw(st.booleans()):
+        for name in FD_SCHEMA.names:
+            relation.encoding(name)  # intern first, as a cube build would
+        relation = relation.filter_equals({"s": draw(st.integers(0, 2))})
+    return relation
+
+
+def _row_scan_fd_error(relation, hierarchy):
+    """The first FD violation a row-at-a-time ``{child: parent}`` scan
+    finds, as ``validate_fds`` words it, or None.
+
+    Parents compare like dict keys (identity, then ``==``), the
+    equivalence the encoded columns use: a repeated NaN object is one
+    parent, two NaN objects are two.
+    """
+    names = relation.schema.names
+    rows = list(relation.rows())
+    for parent, child in zip(hierarchy.attributes, hierarchy.attributes[1:]):
+        pi, ci = names.index(parent), names.index(child)
+        seen: dict = {}
+        for row in rows:
+            p, c = row[pi], row[ci]
+            if c in seen and seen[c] is not p and seen[c] != p:
+                return (f"FD {child} → {parent} violated: {c!r} maps to "
+                        f"both {seen[c]!r} and {p!r}")
+            seen[c] = p
+    return None
 
 
 class TestHierarchy:
@@ -42,6 +125,27 @@ class TestHierarchy:
             [("d1", "v1"), ("d2", "v1")])
         with pytest.raises(HierarchyError, match="FD"):
             Hierarchy("geo", ["d", "v"]).validate_fds(rel)
+
+    @given(fd_relations())
+    def test_linear_fd_check_decides_like_row_scan(self, rel):
+        want = _row_scan_fd_error(rel, FD_HIERARCHY)
+        if want is None:
+            FD_HIERARCHY.validate_fds(rel)
+        else:
+            with pytest.raises(HierarchyError) as info:
+                FD_HIERARCHY.validate_fds(rel)
+            assert str(info.value) == want
+
+    def test_repeated_nan_parent_object_is_one_parent(self):
+        # One NaN object under one child is no violation (the dict path
+        # gives it one code); the message names the real violation.
+        rel = Relation(Schema([dimension("d"), dimension("v")]),
+                       {"d": [NAN, NAN, "d1", "d2"],
+                        "v": ["v0", "v0", "v1", "v1"]})
+        with pytest.raises(HierarchyError) as info:
+            Hierarchy("geo", ["d", "v"]).validate_fds(rel)
+        assert str(info.value) == \
+            "FD v → d violated: 'v1' maps to both 'd1' and 'd2'"
 
 
 class TestDimensions:

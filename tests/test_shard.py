@@ -160,6 +160,24 @@ class TestChunkedConstruction:
         deltaref.assert_groups_equal(
             Cube(dataset).leaf_states, Cube(flat).leaf_states)
 
+    def test_list_columns_keep_their_value_objects(self):
+        # A list column is encoded as it is. Through np.asarray, [1, "x"]
+        # would become ["1", "x"], and a complaint on district 1 would
+        # find no group.
+        chunk = {"district": [1, "x", 1], "village": [10, "x-v0", 11],
+                 "year": [2000, 2001, 2000], "sev": [1.0, 2.0, 3.0]}
+        rows = list(zip(*(chunk[name] for name in SCHEMA.names)))
+        dataset = dataset_from_chunks([chunk], HIERARCHIES, "sev")
+        flat = _dataset(rows)
+        for attr in ("district", "village", "year"):
+            got = dataset.relation.encoding(attr).domain
+            want = flat.relation.encoding(attr).domain
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+        deltaref.assert_groups_equal(
+            Cube(dataset).leaf_states, Cube(flat).leaf_states)
+        assert len(dataset.relation.filter_equals({"district": 1})) == 2
+
 
 # ---------------------------------------------------------------------------
 # CLI
