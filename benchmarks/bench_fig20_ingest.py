@@ -18,7 +18,12 @@ entries and *retains* every untouched district's drill view and model
 fit, while refresh recomputes all of them. In-run checks assert the two
 engines' leaf states, roll-up views and decomposed aggregates are
 *exactly* equal (integer-valued measure: float sums are
-order-independent, so equality is bitwise). Acceptance floor: delta
+order-independent, so equality is bitwise), and that the delta engine's
+relation — appended segments and retracted rows kept pending, retractions
+found through the base's shared key index — materializes to exactly the
+row-at-a-time oracle's rows. A trickle leg on a small table then ingests
+until the pending rows outnumber the base and the relation compacts,
+checking the result against the oracle again. Acceptance floor: delta
 apply ≥5× faster than full refresh at ≥1e5 leaf rows with 1e2-row
 deltas.
 """
@@ -31,6 +36,7 @@ import pytest
 from repro import Delta, HierarchicalDataset, Relation, Reptile, \
     ReptileConfig, Schema, dimension, measure
 from repro.factorized.reference import assert_aggregate_sets_equal
+from repro.relational import deltaref
 from repro.serving import AggregateCache
 
 from bench_utils import SMOKE, fmt, report, report_json, smoke
@@ -41,6 +47,9 @@ N_DISTRICTS = 40
 VILLAGES_PER_DISTRICT = 50
 N_YEARS = 25
 FLOOR = 5.0
+#: The trickle leg's table: small enough that a few dozen deltas push
+#: the pending rows past the base rows, at every scale.
+TRICKLE_ROWS = 2_000
 
 CONFIG = ReptileConfig(n_em_iterations=2)
 #: The delta is confined to these districts — a batch of late reports
@@ -83,12 +92,14 @@ def _dataset(n: int, seed: int = 0) -> HierarchicalDataset:
         "severity", validate=False)
 
 
-def _make_delta(dataset: HierarchicalDataset, n_delta: int,
-                seed: int = 1) -> Delta:
+def _make_delta(relation: Relation, n_delta: int, seed: int = 1) -> Delta:
     """A mixed batch confined to :data:`DELTA_DISTRICTS`: appends to hot
-    leaves, appends opening new paths/domain values, and retractions."""
+    leaves, appends opening new paths/domain values, and retractions.
+
+    Reads ``relation``'s values, so callers pass a relation that is
+    already materialized, not the delta engine's pending one.
+    """
     rng = np.random.default_rng(seed)
-    relation = dataset.relation
     cols = {a: relation.column_values(a) for a in relation.schema.names}
     local = [i for i, d in enumerate(cols["district"])
              if d in DELTA_DISTRICTS]
@@ -158,7 +169,29 @@ def _apply_change_in_place(dataset: HierarchicalDataset,
                                                      delta.retracted))
     if len(delta.appended):
         relation = relation.with_rows_appended(delta.appended)
+    # Materialize now, untimed: the rebuilt relation is the input a
+    # refresh() starts from, not part of what it costs.
+    relation._materialize()
     dataset.relation = relation
+
+
+def _check_trickle_compacts() -> None:
+    """Ingest a steady trickle into a small table until the relation
+    compacts; its rows must then equal the row-at-a-time oracle's."""
+    engine = Reptile(_dataset(TRICKLE_ROWS), config=CONFIG)
+    oracle = engine.dataset.relation
+    compacted = False
+    for seed in range(100, 100 + TRICKLE_ROWS // DELTA_ROWS + 10):
+        delta = _make_delta(oracle, DELTA_ROWS, seed=seed)
+        engine.apply_delta(delta)
+        oracle = deltaref.apply_delta_rows(oracle, delta)
+        # Compaction materializes the relation, which becomes the base
+        # of the next pending state.
+        pending = engine.dataset.relation._pending
+        compacted |= pending is None or pending.n_base != TRICKLE_ROWS
+    assert compacted, "the pending relation never compacted"
+    assert list(engine.dataset.relation.rows()) == list(oracle.rows()), \
+        "the compacted relation diverged from the row-at-a-time oracle"
 
 
 def _timed(fn):
@@ -181,17 +214,25 @@ def test_figure20_series(benchmark):
             # Steady state: dashboards ingest a *trickle* of batches, so
             # both engines absorb one warm-up delta (each via its own
             # mechanism) before the timed batch.
-            warmup = _make_delta(inc_engine.dataset, DELTA_ROWS, seed=9)
+            warmup = _make_delta(ref_engine.dataset.relation, DELTA_ROWS,
+                                 seed=9)
             inc_engine.apply_delta(warmup)
             _query_set(inc_engine, inc_session)
             _apply_change_in_place(ref_engine.dataset, warmup)
             ref_engine.refresh()
             _query_set(ref_engine, ref_session)
-            delta = _make_delta(inc_engine.dataset, DELTA_ROWS)
+            # Drawn from the refresh side: the same rows, materialized.
+            delta = _make_delta(ref_engine.dataset.relation, DELTA_ROWS)
+            before = inc_engine.dataset.relation
 
             _, t_delta = _timed(lambda: (
                 inc_engine.apply_delta(delta),
                 _query_set(inc_engine, inc_session)))
+            # In-run row check: the maintained relation, materialized,
+            # is the oracle's relation row for row.
+            assert list(inc_engine.dataset.relation.rows()) == list(
+                deltaref.apply_delta_rows(before, delta).rows()), \
+                "the delta engine's relation diverged from the oracle"
 
             _apply_change_in_place(ref_engine.dataset, delta)
             _, t_refresh = _timed(lambda: (
@@ -220,6 +261,7 @@ def test_figure20_series(benchmark):
                           "cache_retained": retained})
         if n >= 100_000:
             floors.append((n, ratio))
+    _check_trickle_compacts()
     report("fig20_ingest", lines)
     report_json("fig20_ingest", json_rows)
     if not SMOKE:

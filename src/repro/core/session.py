@@ -251,6 +251,7 @@ class Reptile:
             return self.data_version
         paths = self.full_paths()  # memoize *pre*-delta paths to patch
         self._validate_delta_paths(delta, paths)
+        self._validate_delta_measure(delta)
         # Validate retractions at row granularity before touching state.
         removed_idx = locate_rows(relation, delta.retracted) \
             if len(delta.retracted) else None
@@ -332,6 +333,18 @@ class Reptile:
                     raise DeltaError(
                         f"appended rows violate hierarchy {h.name!r}: leaf "
                         f"{path[-1]!r} maps to both {known!r} and {path!r}")
+
+    def _validate_delta_measure(self, delta: Delta) -> None:
+        """Reject appended measure cells the cube cannot convert to float,
+        pre-mutation: a malformed cell is a bad request, not a fault."""
+        if not len(delta.appended):
+            return
+        try:
+            delta.appended.measure_array(self.dataset.measure)
+        except (TypeError, ValueError) as exc:
+            raise DeltaError(
+                f"appended measure {self.dataset.measure!r} is not "
+                f"numeric: {exc}") from None
 
     def _patch_paths(self, cube_delta: CubeDelta) -> set[str]:
         """Patch memoized hierarchy paths from a cube delta.

@@ -4,7 +4,15 @@ A :class:`Delta` is a pair of small relations over the base schema —
 rows to append and rows to retract. The delta-update engine applies one
 to every derived structure *incrementally* instead of rebuilding:
 
-* the relation extends its encoded columns (old codes untouched);
+* the relation records the delta in O(delta): it shares its parent's
+  column storage, keeps appended rows as a tail (each batch encoded at
+  append time against the extended domains, old codes untouched) and
+  retracted rows as sorted dead positions, and materializes whole
+  columns only when a reader needs them, or when the pending rows
+  outnumber the base rows (compaction, amortized O(1) per row);
+* :func:`locate_rows` finds retracted rows through a composite-key
+  index over the base rows, built once per base and shared by every
+  relation derived from it, plus a scan of the appended tail;
 * the cube bincounts only the delta batch and merges the leaf stats,
   retractions entering as negative counts;
 * hierarchy paths extend with the delta's new root-to-leaf paths;
@@ -74,40 +82,47 @@ def locate_rows(relation: Relation, retracted: Relation) -> np.ndarray:
     """Base row indices matching each retracted row (bag semantics).
 
     Matches on every column; for duplicated rows the *earliest* matching
-    base rows in storage order are taken, one per retracted occurrence.
-    Two-phase: the columns the engine has already interned (the
-    dimensions) narrow the candidate rows with one composite-key
-    membership pass; the cold columns (typically the measure) are then
-    compared per candidate — so retraction never dictionary-encodes a
-    measure column just to throw the encoding away. Falls back to a
-    per-row ``==`` scan when nothing is interned and a column resists
-    encoding. Raises :class:`DeltaError` when any retraction finds no
-    row left.
+    rows in storage order are taken, one per retracted occurrence.
+    Two-phase: the columns stored as codes (the dimensions the engine
+    has interned) find the candidate rows, and the other columns
+    (typically the measure) are compared per candidate — so retraction
+    never dictionary-encodes a measure column just to throw the encoding
+    away. Candidates come from a composite-key index over the base rows
+    (:class:`~repro.relational.encoding.KeyIndex`), built on the first
+    retraction and shared by every relation derived from that base, plus
+    a vectorized scan of the rows appended since; retracted rows are
+    skipped. A relation with pending appends and retractions is never
+    materialized. Falls back to a per-row ``==`` scan when nothing is
+    interned and a column resists encoding. Raises :class:`DeltaError`
+    when any retraction finds no row left.
     """
     if not len(retracted):
         return np.empty(0, dtype=np.int64)
     names = list(relation.schema.names)
-    keyed = [n for n in names
-             if relation.interned_encoding(n) is not None]
+    storage = relation._storage()
+    keyed = storage.encoded()
     if not keyed:
         try:
             for n in names:  # intern everything; small/cold relations
                 relation.encoding(n)
         except EncodingError:
             return _locate_rows_python(relation, retracted)
-        keyed = names
+        storage = relation._storage()
+        keyed = storage.encoded()
+        if not keyed:  # every column escaped: nothing stays interned
+            return _locate_rows_python(relation, retracted)
     rest = [n for n in names if n not in keyed]
-    base_encs = [relation.interned_encoding(n) for n in keyed]
+    heads = [storage.columns[n].head for n in keyed]
     # Retracted values are looked up per column: a value absent from the
-    # base domain (or NaN, which code_of never matches) cannot identify
-    # any base row.
+    # current domain (or NaN, which code_of never matches) cannot
+    # identify any row.
     n_ret = len(retracted)
     ret_codes = []
     missing = np.zeros(n_ret, dtype=bool)
-    for enc, name in zip(base_encs, keyed):
+    for head, name in zip(heads, keyed):
         codes = np.zeros(n_ret, dtype=np.int64)
         for i, value in enumerate(retracted.column_values(name)):
-            code = enc.code_of(value)
+            code = head.code_of(value)
             if code is None:
                 missing[i] = True
             else:
@@ -117,28 +132,19 @@ def locate_rows(relation: Relation, retracted: Relation) -> np.ndarray:
         i = int(np.flatnonzero(missing)[0])
         raise DeltaError(
             f"retracted row {retracted.row(i)!r} matches no base row")
-    sizes = [e.cardinality for e in base_encs]
-    base_keys, ret_keys = comparable_keys(
-        [e.codes for e in base_encs], ret_codes, sizes)
-    # One linear membership pass instead of sorting the whole base: the
-    # candidate set is tiny (rows whose keyed columns a retraction
-    # names), and flatnonzero leaves it in ascending row order —
-    # earliest-match bag semantics for free.
-    candidates = np.flatnonzero(np.isin(base_keys, ret_keys))
-    by_key: dict[int, list[int]] = {}
-    for idx, key in zip(candidates.tolist(),
-                        base_keys[candidates].tolist()):
-        by_key.setdefault(key, []).append(idx)
-    rest_values = {n: dict(zip(candidates.tolist(),
-                               relation.cell_values(n, candidates)))
+    candidates = _candidates(storage, keyed, heads, ret_codes)
+    positions = np.unique(np.concatenate(candidates))
+    rest_values = {n: dict(zip(positions.tolist(),
+                               storage.columns[n].cells(positions,
+                                                        storage.n_base)))
                    for n in rest}
     taken: set[int] = set()
     out: list[int] = []
     ret_rest = {n: retracted.column_values(n) for n in rest}
-    for i, key in enumerate(ret_keys.tolist()):
+    for i, rows in enumerate(candidates):
         hit = None
         exhausted = False
-        for idx in by_key.get(key, ()):
+        for idx in rows.tolist():
             ok = True
             for n in rest:
                 try:
@@ -160,7 +166,46 @@ def locate_rows(relation: Relation, retracted: Relation) -> np.ndarray:
                    else "matches no base row"))
         taken.add(hit)
         out.append(hit)
-    return np.sort(np.asarray(out, dtype=np.int64))
+    return np.sort(storage.logical(np.asarray(out, dtype=np.int64)))
+
+
+def _candidates(storage, keyed: list[str], heads: list,
+                ret_codes: list[np.ndarray]) -> list[np.ndarray]:
+    """Live physical rows matching each retracted row's keyed codes.
+
+    Base rows come from the base's shared key index, appended rows from
+    a vectorized scan of the tail; either way ascending, so the caller's
+    first acceptable candidate is the earliest match.
+    """
+    base_rows = storage.key_index(keyed).rows(ret_codes)
+    if storage.n_tail:
+        # One gather per keyed column narrows the tail to the rows whose
+        # every code some retraction names; only those few are keyed.
+        named_everywhere = np.ones(storage.n_tail, dtype=bool)
+        for name, head, codes in zip(keyed, heads, ret_codes):
+            named = np.zeros(head.cardinality, dtype=bool)
+            named[codes] = True
+            named_everywhere &= np.take(named, storage.columns[name].tail)
+        hits = np.flatnonzero(named_everywhere)
+        hit_keys, ret_keys = comparable_keys(
+            [storage.columns[n].tail[hits] for n in keyed], ret_codes,
+            [h.cardinality for h in heads])
+        by_key: dict[int, list[int]] = {}
+        for pos, key in zip((hits + storage.n_base).tolist(),
+                            hit_keys.tolist()):
+            by_key.setdefault(key, []).append(pos)
+        base_rows = [np.concatenate([rows, np.asarray(by_key[key],
+                                                      dtype=np.int64)])
+                     if key in by_key else rows
+                     for rows, key in zip(base_rows, ret_keys.tolist())]
+    dead = storage.dead
+    if not len(dead):
+        return base_rows
+    live = []
+    for rows in base_rows:
+        slot = np.minimum(np.searchsorted(dead, rows), len(dead) - 1)
+        live.append(rows[dead[slot] != rows])
+    return live
 
 
 def _locate_rows_python(relation: Relation,

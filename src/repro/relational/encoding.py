@@ -476,6 +476,63 @@ def comparable_keys(left_cols: Sequence[np.ndarray],
     return inverse[:n_left], inverse[n_left:]
 
 
+class KeyIndex:
+    """Rows sorted by their composite key over several code columns.
+
+    The retraction index: built once over a base relation's encoded
+    columns, it answers "which rows hold this code tuple" with two
+    binary searches instead of a scan. A stable argsort keeps rows with
+    equal keys in row order, so every answer is ascending. Keys are the
+    mixed-radix combine when it fits in ``int64``; otherwise the occupied
+    code combinations are densified once with a row-wise ``np.unique``
+    and a dict maps each combination to its dense id.
+    """
+
+    __slots__ = ("sizes", "order", "keys", "_dense")
+
+    def __init__(self, code_columns: Sequence[np.ndarray],
+                 sizes: Sequence[int]):
+        self.sizes = [max(int(s), 1) for s in sizes]
+        radix = 1
+        for size in self.sizes:
+            radix *= size
+        self._dense: dict | None = None
+        if radix < _RADIX_LIMIT:
+            keys = combine_radix(code_columns, self.sizes)
+        else:
+            combos, inverse = np.unique(
+                np.column_stack([np.asarray(c, dtype=np.int64)
+                                 for c in code_columns]),
+                axis=0, return_inverse=True)
+            keys = inverse.reshape(-1).astype(np.int64, copy=False)
+            self._dense = {combo: i for i, combo
+                           in enumerate(map(tuple, combos.tolist()))}
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+
+    def rows(self, code_columns: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """For each query row, the indexed rows holding its code tuple.
+
+        Query codes are in the same domains, possibly extended since the
+        build: a code past an indexed column's size matches no row.
+        """
+        inside = np.ones(len(code_columns[0]), dtype=bool)
+        for codes, size in zip(code_columns, self.sizes):
+            inside &= codes < size
+        if self._dense is None:
+            keys = combine_radix(code_columns, self.sizes)
+        else:
+            keys = np.asarray(
+                [self._dense.get(combo, -1) for combo
+                 in zip(*(c.tolist() for c in code_columns))],
+                dtype=np.int64)
+        keys[~inside] = -1
+        starts = np.searchsorted(self.keys, keys, side="left")
+        stops = np.searchsorted(self.keys, keys, side="right")
+        return [self.order[a:b] for a, b in zip(starts.tolist(),
+                                                stops.tolist())]
+
+
 class GroupIndex:
     """Composite-key grouping of ``n`` rows over several encoded columns."""
 

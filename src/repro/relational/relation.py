@@ -18,18 +18,26 @@ One observable difference: key-producing operators (``distinct``,
 ``group_rows``, ``group_measure``) iterate in lexicographic key order —
 the order the composite-key kernels produce — rather than the row
 engine's first-occurrence order; results are equal as bags/mappings.
+
+Delta maintenance is deferred: ``with_rows_appended`` and
+``without_rows`` return a *pending* relation that shares its parent's
+column storage and records the change as an appended tail plus sorted
+dead positions (:class:`_Pending`). Any other reader materializes the
+columns once, exactly as the eager concatenations and subsets would have
+built them.
 """
 
 from __future__ import annotations
 
 import csv
+import threading
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .aggregates import GroupStats
-from .encoding import (DictEncoding, EncodingError, GroupIndex, digest_parts,
-                       factorize, merge_join_indices)
+from .encoding import (DictEncoding, EncodingError, GroupIndex, KeyIndex,
+                       digest_parts, factorize, merge_join_indices)
 from .schema import Attribute, AttributeKind, Schema, SchemaError
 
 Row = tuple
@@ -159,16 +167,22 @@ class _Column:
         return np.asarray(self.peek_list(), dtype=float)
 
     # -- derivation --------------------------------------------------------------
-    def take(self, indices: np.ndarray, index_list: list | None = None
-             ) -> "_Column":
-        """Row subset; stays in code/array form whenever possible.
+    def keeps_codes(self) -> bool:
+        """Whether a row subset or an append stays in code form.
 
         A lossy encoding (==-equal values of mixed numeric types merged
-        under one code) cannot reproduce the original row objects, so
-        the subset is taken from the value list instead.
+        under one code) cannot reproduce the original row objects, so a
+        column that still holds those objects works from the values
+        instead. An escaped column caches no encoding, so it never
+        qualifies.
         """
-        if self._enc is not None \
-                and not (self._enc.lossy and self._values is not None):
+        return self._enc is not None \
+            and not (self._enc.lossy and self._values is not None)
+
+    def take(self, indices: np.ndarray, index_list: list | None = None
+             ) -> "_Column":
+        """Row subset; stays in code/array form whenever possible."""
+        if self.keeps_codes():
             return _Column(enc=self._enc.take(indices))
         if self._array is not None:
             return _Column(array=self._array[indices])
@@ -179,41 +193,50 @@ class _Column:
     def takes_list_path(self) -> bool:
         """True when :meth:`take` will subset the Python value list
         (callers then precompute the shared index list once)."""
-        if self._enc is not None \
-                and not (self._enc.lossy and self._values is not None):
-            return False
-        return self._array is None
+        return not self.keeps_codes() and self._array is None
 
-    def appended(self, other: "_Column") -> "_Column":
-        """This column with ``other``'s rows appended (delta ingestion).
+    def append_step(self, other: "_Column") -> tuple:
+        """How ``other``'s rows append to this column: the one decision.
 
-        Unlike :meth:`concat`, an interned encoding is *extended*: the
-        old domain stays a prefix of the new one and the old codes are
-        concatenated untouched — no re-encode, no domain re-sort — which
-        is what keeps delta ingestion O(delta) on the encoded columns.
-        Falls back to :meth:`concat` when this column has no clean
-        cached encoding or the extension would merge ==-equal values of
-        another type (decoding must keep returning the original objects).
+        * ``("extend", extended, codes)`` — a clean encoding extends its
+          domain (:meth:`DictEncoding.extend_domain`): the old domain
+          stays a prefix, old codes survive verbatim, ``codes`` encodes
+          ``other``;
+        * ``("typed", array)`` — a typed array takes ``other`` as an
+          array of the same dtype kind, so a small row-built delta never
+          demotes the whole column to a Python list;
+        * ``("concat", None)`` — every fallback that changes the
+          representation: an unhashable appended value, an extension
+          that would make a clean encoding lossy (decoding must keep
+          returning the original objects), a dtype-kind mismatch, a list
+          column. :meth:`concat` then rebuilds the column.
+
+        Nothing is concatenated here, so a pending relation can defer
+        the first two branches and :meth:`appended` applies them now.
         """
-        if self._enc is not None and not self._escaped \
-                and not (self._enc.lossy and self._values is not None):
+        if self.keeps_codes():
             try:
                 extended, codes = self._enc.extend_domain(other.peek_list())
             except EncodingError:
-                return self.concat(other)
+                return ("concat", None)
             if not (extended.lossy and not self._enc.lossy):
-                return _Column(enc=DictEncoding(
-                    np.concatenate([self._enc.codes, codes]),
-                    extended.domain, extended.domain_sorted,
-                    lossy=extended.lossy))
+                return ("extend", extended, codes)
         if self._array is not None and other._array is None \
                 and not other._escaped:
-            # Keep a typed array typed: a small row-built delta must not
-            # demote the whole column to a Python list (every later
-            # take/append would then pay an O(rows) loop).
             arr = np.asarray(other.peek_list())
             if arr.ndim == 1 and arr.dtype.kind == self._array.dtype.kind:
-                return _Column(array=np.concatenate([self._array, arr]))
+                return ("typed", arr)
+        return ("concat", None)
+
+    def appended(self, other: "_Column", step: tuple) -> "_Column":
+        """This column with ``other``'s rows appended as ``step`` says."""
+        if step[0] == "extend":
+            _, extended, codes = step
+            return _Column(enc=DictEncoding(
+                np.concatenate([self._enc.codes, codes]), extended.domain,
+                extended.domain_sorted, lossy=extended.lossy))
+        if step[0] == "typed":
+            return _Column(array=np.concatenate([self._array, step[1]]))
         return self.concat(other)
 
     def concat(self, other: "_Column") -> "_Column":
@@ -263,6 +286,203 @@ class _Column:
         return token
 
 
+class _Deferred:
+    """One column of a pending relation: base storage plus appended tail.
+
+    ``kind`` is the form the eager operators leave the column in:
+
+    * ``"enc"`` — codes over ``head``, the base domain as every append so
+      far extended it (``base`` is the base :class:`DictEncoding`);
+    * ``"array"`` — a typed array (``base`` is the base array);
+    * ``"list"`` — Python values (``base`` is the base list; a list
+      column defers retractions only, its appends take the fallback).
+
+    ``tail`` holds the appended rows, each batch encoded at append time
+    (codes against the extended domain, or the typed array), in the
+    dtype the eager concatenations reach: every append concatenates onto
+    the tail exactly as the eager append concatenates onto the column.
+    """
+
+    __slots__ = ("kind", "base", "head", "tail")
+
+    def __init__(self, kind: str, base, head: DictEncoding | None = None,
+                 tail: np.ndarray | None = None):
+        self.kind = kind
+        self.base = base
+        self.head = head
+        self.tail = tail
+
+    @classmethod
+    def of(cls, column: _Column, kind: str) -> "_Deferred":
+        """``column`` as the base of a deferred column of ``kind``."""
+        if kind == "enc":
+            return cls("enc", column._enc, column._enc,
+                       column._enc.codes[:0])
+        if kind == "array":
+            return cls("array", column._array, None, column._array[:0])
+        # fork() flags a shared list, so a later escape of the base
+        # column copies it before the caller can mutate it.
+        return cls("list", column.fork()._values)
+
+    @classmethod
+    def taken(cls, column: _Column) -> "_Deferred":
+        """``column`` in the form a row subset leaves it (see take())."""
+        if column.keeps_codes():
+            return cls.of(column, "enc")
+        return cls.of(column, "array" if column._array is not None
+                      else "list")
+
+    def view(self) -> _Column:
+        """A row-less stand-in with this column's representation, for
+        :meth:`_Column.append_step` to decide the next append on."""
+        if self.kind == "enc":
+            return _Column(enc=self.head)
+        if self.kind == "array":
+            return _Column(array=self.tail[:0])
+        return _Column(values=[])
+
+    def appended(self, step: tuple) -> "_Deferred":
+        """This column with one more batch on its tail, per ``step``."""
+        if step[0] == "extend":
+            _, extended, codes = step
+            return _Deferred("enc", self.base, extended,
+                             np.concatenate([self.tail, codes]))
+        return _Deferred("array", self.base, None,
+                         np.concatenate([self.tail, step[1]]))
+
+    def materialize(self, live: np.ndarray | None) -> _Column:
+        """The eager column: the physical rows at ``live`` (None: all)."""
+        if self.kind == "list":
+            values = self.base
+            return _Column(values=list(values) if live is None
+                           else [values[i] for i in live.tolist()])
+        data = self.base.codes if self.kind == "enc" else self.base
+        if len(self.tail):
+            data = np.concatenate([data, self.tail], dtype=self.tail.dtype)
+        if live is not None:
+            data = data[live]
+        if self.kind == "array":
+            return _Column(array=data)
+        head = self.head
+        enc = DictEncoding(data, head.domain, head.domain_sorted,
+                           lossy=head.lossy)
+        enc._positions = head._positions
+        return _Column(enc=enc)
+
+    def cells(self, positions: np.ndarray, n_base: int) -> list:
+        """Values at physical ``positions`` of an array or list column,
+        without materializing (encoded columns are matched by code)."""
+        if self.kind == "list":
+            values = self.base
+            return [values[i] for i in positions.tolist()]
+        in_tail = positions >= n_base
+        data = np.empty(len(positions), dtype=self.tail.dtype)
+        data[~in_tail] = self.base[positions[~in_tail]]
+        data[in_tail] = self.tail[positions[in_tail] - n_base]
+        return data.tolist()
+
+
+class _KeyIndexes:
+    """Key indexes over one base's rows, shared by every relation derived
+    from that base (see :meth:`_Pending.key_index`)."""
+
+    __slots__ = ("lock", "entries")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.entries: dict[tuple, tuple] = {}
+
+
+class _Pending:
+    """A relation stored as its base's columns plus deferred changes.
+
+    Physical order is the ``n_base`` base rows, then the ``n_tail``
+    appended rows in append order — the storage order the eager
+    operators produce. ``dead`` holds the retracted physical positions,
+    sorted; the relation's rows are the live physical rows in order.
+    ``indexes`` is the base's key-index cache, and ``lock`` serializes
+    materialization.
+    """
+
+    __slots__ = ("columns", "n_base", "n_tail", "dead", "indexes", "lock")
+
+    def __init__(self, columns: dict[str, _Deferred], n_base: int,
+                 n_tail: int, dead: np.ndarray, indexes: _KeyIndexes):
+        self.columns = columns
+        self.n_base = n_base
+        self.n_tail = n_tail
+        self.dead = dead
+        self.indexes = indexes
+        self.lock = threading.Lock()
+
+    @classmethod
+    def stored(cls, relation: "Relation") -> "_Pending":
+        """A plain relation's own columns as they are stored, for reading.
+
+        Columns with a cached encoding read as codes, the rest as typed
+        arrays or values; nothing is copied or changed.
+        """
+        columns = {}
+        for name, col in relation._store.items():
+            if col._enc is not None:
+                columns[name] = _Deferred.of(col, "enc")
+            elif col._array is not None:
+                columns[name] = _Deferred.of(col, "array")
+            else:  # read in place: no snapshot, no shared flag
+                columns[name] = _Deferred("list", col._values)
+        return cls(columns, relation._n, 0, np.empty(0, dtype=np.int64),
+                   relation._indexes)
+
+    def live(self) -> np.ndarray | None:
+        """Live physical positions, or None when no row is dead."""
+        if not len(self.dead):
+            return None
+        keep = np.ones(self.n_base + self.n_tail, dtype=bool)
+        keep[self.dead] = False
+        return np.flatnonzero(keep)
+
+    def materialize(self) -> dict[str, _Column]:
+        live = self.live()
+        return {name: col.materialize(live)
+                for name, col in self.columns.items()}
+
+    def physical(self, logical: np.ndarray) -> np.ndarray:
+        """Physical positions of sorted logical row indices."""
+        dead = self.dead
+        if not len(dead):
+            return logical
+        # dead[k] - k live rows precede the k-th dead row.
+        live_before = dead - np.arange(len(dead))
+        return logical + np.searchsorted(live_before, logical, side="right")
+
+    def logical(self, physical: np.ndarray) -> np.ndarray:
+        """Logical row indices of live physical positions."""
+        return physical - np.searchsorted(self.dead, physical)
+
+    def encoded(self) -> list[str]:
+        """Names of the columns stored as codes."""
+        return [n for n, col in self.columns.items() if col.kind == "enc"]
+
+    def key_index(self, names: Sequence[str]) -> KeyIndex:
+        """The composite-key index of the base rows over ``names``.
+
+        Built on first use and kept in the base's cache, so the plain
+        relation and every relation derived from it share one index.
+        An entry is reused only while the base encodings are the very
+        objects it was built from.
+        """
+        encs = tuple(self.columns[n].base for n in names)
+        cache = self.indexes
+        with cache.lock:
+            entry = cache.entries.get(tuple(names))
+            if entry is None or any(a is not b
+                                    for a, b in zip(entry[0], encs)):
+                entry = (encs, KeyIndex([e.codes for e in encs],
+                                        [e.cardinality for e in encs]))
+                cache.entries[tuple(names)] = entry
+        return entry[1]
+
+
 class Relation:
     """An in-memory relation with named columns.
 
@@ -278,7 +498,7 @@ class Relation:
         before.
     """
 
-    __slots__ = ("schema", "_cols", "_n")
+    __slots__ = ("schema", "_store", "_n", "_pending", "_indexes")
 
     def __init__(self, schema: Schema | Iterable[Attribute | str],
                  columns: Mapping[str, Sequence[Any]]):
@@ -297,18 +517,50 @@ class Relation:
                 raise SchemaError(
                     f"column {name!r} has length {len(col)}, expected {n}")
             cols[name] = col
-        self._cols = cols
+        self._store = cols
         self._n = n if n is not None else 0
+        self._pending = None
+        self._indexes = _KeyIndexes()
 
     @classmethod
-    def _from_cols(cls, schema: Schema, cols: dict[str, _Column],
-                   n: int) -> "Relation":
-        """Internal constructor: adopt ready-made columns without copying."""
+    def _from_cols(cls, schema: Schema, cols: dict[str, _Column] | None,
+                   n: int, pending: _Pending | None = None) -> "Relation":
+        """Internal constructor: adopt ready-made columns without copying
+        (or, with ``pending``, deferred storage that materializes on the
+        first read)."""
         rel = cls.__new__(cls)
         rel.schema = schema
-        rel._cols = cols
+        rel._store = cols
         rel._n = n
+        rel._pending = pending
+        rel._indexes = _KeyIndexes()
         return rel
+
+    @property
+    def _cols(self) -> dict[str, _Column]:
+        """The columns; a pending relation materializes here, once."""
+        cols = self._store
+        if cols is None:
+            cols = self._materialize()
+        return cols
+
+    def _materialize(self) -> dict[str, _Column]:
+        # Double-checked under the pending state's lock: concurrent
+        # readers build the columns once. _store is set before _pending
+        # is cleared, so a reader that finds _pending gone finds _store.
+        pending = self._pending
+        if pending is not None:
+            with pending.lock:
+                if self._store is None:
+                    self._store = pending.materialize()
+                    self._pending = None
+        return self._store
+
+    def _storage(self) -> _Pending:
+        """This relation's rows as base plus deferred changes, read-only:
+        the pending state itself, or a plain relation's own columns."""
+        pending = self._pending
+        return pending if pending is not None else _Pending.stored(self)
 
     # -- constructors --------------------------------------------------------------
     @classmethod
@@ -441,36 +693,6 @@ class Relation:
             return self._cols[name].encoding()
         except KeyError:
             raise SchemaError(f"no attribute named {name!r}") from None
-
-    def interned_encoding(self, name: str) -> DictEncoding | None:
-        """The already-cached encoding of ``name``, or None — never encodes.
-
-        The delta path uses this to key retraction matching on the
-        columns the engine has interned anyway (the dimensions), leaving
-        cold columns (typically the measure) to a per-candidate check.
-        """
-        try:
-            col = self._cols[name]
-        except KeyError:
-            raise SchemaError(f"no attribute named {name!r}") from None
-        return col._enc if (col._enc is not None
-                            and not col._escaped) else None
-
-    def cell_values(self, name: str, indices: Sequence[int] | np.ndarray
-                    ) -> list:
-        """Values of one column at the given rows, cheapest form first
-        (no full-column materialization for array/encoded columns)."""
-        try:
-            col = self._cols[name]
-        except KeyError:
-            raise SchemaError(f"no attribute named {name!r}") from None
-        idx = np.asarray(indices, dtype=np.int64)
-        if col._values is not None:
-            return [col._values[i] for i in idx.tolist()]
-        if col._array is not None:
-            return col._array[idx].tolist()
-        enc = col._enc
-        return enc.decode(enc.codes[idx])
 
     def content_token(self, name: str) -> bytes:
         """A stable content digest of one column (no value copies)."""
@@ -619,18 +841,82 @@ class Relation:
         under a domain whose old entries keep their positions, so every
         structure indexed by those codes (cube leaves, cached views)
         stays valid after the append.
+
+        O(delta): the result shares this relation's column storage and
+        adds ``other``'s rows, encoded now against the extended domains
+        (:meth:`_Column.append_step`), to its appended tail.
+        Columns materialize when a reader first needs them, and exactly
+        as the eager concatenations would have built them. A fallback
+        that changes a column's representation (a dtype-kind mismatch,
+        an unhashable value, an extension that would make a clean
+        encoding lossy) materializes this relation and appends eagerly.
         """
         if self.schema.names != other.schema.names:
             raise SchemaError("append requires identical schemas")
-        cols = {n: self._cols[n].appended(other._cols[n])
-                for n in self.schema.names}
-        return Relation._from_cols(self.schema, cols, self._n + other._n)
+        names = self.schema.names
+        deltas = other._cols
+        pending = self._pending
+        if pending is None:
+            cols = self._store
+            steps = {n: cols[n].append_step(deltas[n]) for n in names}
+        else:
+            steps = {n: pending.columns[n].view().append_step(deltas[n])
+                     for n in names}
+        n = self._n + other._n
+        if any(step[0] == "concat" for step in steps.values()):
+            cols = self._cols
+            return Relation._from_cols(
+                self.schema,
+                {name: cols[name].appended(deltas[name], steps[name])
+                 for name in names}, n)
+        if pending is None:
+            pending = _Pending(
+                {name: _Deferred.of(self._store[name],
+                                    "enc" if steps[name][0] == "extend"
+                                    else "array") for name in names},
+                self._n, 0, np.empty(0, dtype=np.int64), self._indexes)
+        return self._derived(_Pending(
+            {name: pending.columns[name].appended(steps[name])
+             for name in names},
+            pending.n_base, pending.n_tail + other._n, pending.dead,
+            pending.indexes), n)
 
     def without_rows(self, indices: Sequence[int] | np.ndarray) -> "Relation":
-        """Relation with the given row indices removed (delta retraction)."""
-        mask = np.ones(self._n, dtype=bool)
-        mask[np.asarray(indices, dtype=np.int64)] = False
-        return self._take(np.flatnonzero(mask))
+        """Relation with the given row indices removed (delta retraction).
+
+        Indices follow numpy's rules for an index array: negatives count
+        from the end, duplicates remove once, and an out-of-range index
+        raises :class:`IndexError`. O(delta) plus a copy of the sorted
+        dead positions: the result shares this relation's column storage
+        and tombstones the removed rows.
+        """
+        rows = np.asarray(indices, dtype=np.int64)
+        out_of_range = (rows < -self._n) | (rows >= self._n)
+        if out_of_range.any():
+            raise IndexError(
+                f"index {rows[out_of_range].flat[0]} is out of bounds for "
+                f"axis 0 with size {self._n}")
+        logical = np.unique(np.where(rows < 0, rows + self._n, rows))
+        pending = self._pending
+        if pending is None:
+            pending = _Pending(
+                {name: _Deferred.taken(col)
+                 for name, col in self._store.items()},
+                self._n, 0, np.empty(0, dtype=np.int64), self._indexes)
+        physical = pending.physical(logical)
+        dead = np.insert(pending.dead,
+                         np.searchsorted(pending.dead, physical), physical)
+        return self._derived(_Pending(
+            pending.columns, pending.n_base, pending.n_tail, dead,
+            pending.indexes), self._n - len(logical))
+
+    def _derived(self, pending: _Pending, n: int) -> "Relation":
+        """A relation over ``pending``, compacted when its deferred rows
+        (appended plus dead) outnumber the base rows: the doubling rule,
+        amortized O(1) per row."""
+        if pending.n_tail + len(pending.dead) > pending.n_base:
+            return Relation._from_cols(self.schema, pending.materialize(), n)
+        return Relation._from_cols(self.schema, None, n, pending)
 
     def natural_join(self, other: "Relation") -> "Relation":
         """Natural (equi-)join on the shared attribute names.

@@ -570,18 +570,26 @@ class ServerApp:
             raise RequestError("body must be a JSON object")
         engine = self.service.engine(name)
         schema = engine.dataset.relation.schema
+        measure = engine.dataset.measure
         rows = self._delta_rows(_rows_spec(body.get("rows"), "rows"),
-                                schema)
+                                schema, measure)
         retract = self._delta_rows(
-            _rows_spec(body.get("retract"), "retract"), schema)
+            _rows_spec(body.get("retract"), "retract"), schema, measure)
         if not rows and not retract:
             raise RequestError("ingest needs 'rows' and/or 'retract'")
         info = self.service.ingest(name, rows, retract=retract)
         return 200, {}, jsonable(info)
 
     @staticmethod
-    def _delta_rows(specs: list, schema) -> list[tuple]:
+    def _delta_rows(specs: list, schema, measure: str) -> list[tuple]:
+        """Row tuples from JSON row specs.
+
+        JSON has one number type, but ``json.loads`` returns ``int`` for
+        ``7``: measure cells that are ints (not bools) decode as floats,
+        so an integer-valued measure never demotes a float column.
+        """
         names = list(schema.names)
+        at = names.index(measure)
         rows = []
         for spec in specs:
             if isinstance(spec, dict):
@@ -589,16 +597,25 @@ class ServerApp:
                 if missing:
                     raise RequestError(
                         f"row is missing columns {missing}: {spec!r}")
-                rows.append(tuple(spec[n] for n in names))
+                row = [spec[n] for n in names]
             elif isinstance(spec, list):
                 if len(spec) != len(names):
                     raise RequestError(
                         f"row of width {len(spec)} does not match schema "
                         f"{names}")
-                rows.append(tuple(spec))
+                row = list(spec)
             else:
                 raise RequestError(
                     f"each row must be an object or a list, got {spec!r}")
+            cell = row[at]
+            if isinstance(cell, int) and not isinstance(cell, bool):
+                try:
+                    row[at] = float(cell)
+                except OverflowError:
+                    raise RequestError(
+                        f"measure {measure!r} value {cell} is out of "
+                        f"range") from None
+            rows.append(tuple(row))
         return rows
 
     def _refresh(self, name: str, body=None):

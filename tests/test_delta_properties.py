@@ -9,7 +9,9 @@ counts, and bitwise totals/sums of squares (measures are dyadic
 rationals, so float sums are order-independent and must match bit for
 bit). Covered shapes: appends to existing groups, new dimension values,
 new leaf paths, NaN dimension keys, retractions (down to emptying groups
-and removing whole paths), and drill/ingest interleavings.
+and removing whole paths), and drill/ingest interleavings. The relation
+itself is checked too: its deferred appends and retractions must
+materialize bitwise to what the eager operators build.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +30,8 @@ from repro.factorized.multiquery import shared_plan
 from repro.factorized.reference import assert_aggregate_sets_equal
 from repro.relational import deltaref
 from repro.relational.cube import Cube
+from repro.relational.delta import locate_rows
+from repro.relational.encoding import DictEncoding, factorize
 from repro.serving import AggregateCache
 
 SCHEMA = Schema([dimension("district"), dimension("village"),
@@ -231,3 +236,259 @@ def test_versioned_fingerprints_never_alias(evolution):
             assert engine.fingerprint not in seen
         assert engine.cube.fingerprint == engine.fingerprint
         seen.add(engine.fingerprint)
+
+
+# -- the maintained relation ≡ the eager one ------------------------------------------
+#
+# ``with_rows_appended``/``without_rows`` defer their work (shared base
+# storage, an appended tail, dead positions). The reference is the eager
+# code those operators replaced, a mask-and-take retraction and
+# ``_Column.appended``, which materializes after every step. Every column
+# of the maintained relation, and of the same sequence materialized after
+# every step, must equal it bitwise (representation, code dtype and
+# bytes, domain values with their types, ``domain_sorted``, ``lossy``,
+# array dtype and bytes, list values), and the rows must equal the frozen
+# row-at-a-time oracle.
+
+REL_SCHEMA = Schema([dimension("a"), dimension("b"), measure("x")])
+#: Values a delta names: mostly plain ones, some new to the domain, and
+#: now and then a troublemaker — an ==-equal cross-type value (True == 1,
+#: 2.0 == 2) that forces the lossy fallback, an int that demotes a float
+#: array, or NaN.
+A_VALUES = (("p", "q", "r", "s"), ())
+B_VALUES = ((1, 2, 3), (True, 2.0, NAN))
+X_VALUES = ((0.5, 1.0, 2.0), (7, NAN))
+
+
+def _cell(draw, values) -> object:
+    plain, odd = values
+    if odd and not draw(st.integers(0, 7)):
+        return draw(st.sampled_from(odd))
+    return draw(st.sampled_from(plain))
+
+
+def _eager_without(relation: Relation, indices) -> Relation:
+    mask = np.ones(len(relation), dtype=bool)
+    mask[np.asarray(indices, dtype=np.int64)] = False
+    return relation._take(np.flatnonzero(mask))
+
+
+def _eager_appended(relation: Relation, other: Relation) -> Relation:
+    cols, deltas = relation._cols, other._cols
+    return Relation._from_cols(
+        relation.schema,
+        {n: cols[n].appended(deltas[n], cols[n].append_step(deltas[n]))
+         for n in relation.schema.names},
+        len(relation) + len(other))
+
+
+def _objects(values) -> list:
+    return [(type(v).__name__, repr(v)) for v in values]
+
+
+def _signature(relation: Relation, name: str) -> tuple:
+    """A column's representation and contents, bit for bit."""
+    col = relation._cols[name]
+    sig = []
+    if col._enc is not None:
+        enc = col._enc
+        sig.append(("enc", enc.codes.dtype.str, enc.codes.tobytes(),
+                    _objects(enc.domain), enc.domain_sorted, enc.lossy))
+    if col._array is not None:
+        sig.append(("array", col._array.dtype.str, col._array.tobytes()))
+    if col._values is not None:
+        sig.append(("list", _objects(col._values)))
+    return tuple(sig)
+
+
+def _locate(relation: Relation, retracted: Relation):
+    try:
+        return locate_rows(relation, retracted).tolist()
+    except DeltaError as exc:
+        return str(exc)
+
+
+@st.composite
+def relation_histories(draw):
+    """A base relation spec, columns to intern up front, and deltas."""
+    shape = draw(st.sampled_from(("rows", "typed", "lossy")))
+    n = draw(st.integers(0, 14))
+    base = [(draw(st.sampled_from(("p", "q", "r"))),
+             draw(st.sampled_from((1, 2))),
+             _cell(draw, X_VALUES) if shape == "rows"
+             else draw(st.sampled_from((0.5, 1.0, 2.0))))
+            for _ in range(n)]
+    # The engine interns every dimension; sometimes the measure too.
+    intern = set(REL_SCHEMA.names) if draw(st.booleans()) \
+        else draw(st.sets(st.sampled_from(REL_SCHEMA.names)))
+    rows = list(base)
+    steps = []
+    for _ in range(draw(st.integers(1, 10))):
+        appends = [(_cell(draw, A_VALUES), _cell(draw, B_VALUES),
+                    _cell(draw, X_VALUES))
+                   for _ in range(draw(st.integers(0, 4)))]
+        retracts = []
+        for _ in range(draw(st.integers(0, 3))):
+            if rows and draw(st.integers(0, 4)):
+                retracts.append(rows[draw(st.integers(0, len(rows) - 1))])
+            else:  # unmatchable, or one copy too many
+                retracts.append((_cell(draw, A_VALUES),
+                                 _cell(draw, B_VALUES),
+                                 _cell(draw, X_VALUES)))
+        # Sometimes a reader interns a column mid-history: later appends
+        # must then take the branch its cached encoding selects.
+        reader = draw(st.none() | st.sampled_from(REL_SCHEMA.names))
+        steps.append((Delta.from_rows(REL_SCHEMA, appends, retracts),
+                      reader))
+        rows = rows + appends
+    return shape, base, intern, steps
+
+
+def _base_relation(shape: str, base: list, intern: set) -> Relation:
+    if shape == "rows":
+        relation = Relation.from_rows(REL_SCHEMA, base)
+    else:
+        # The perfbench/dataset_from_chunks shape: encoded dimensions
+        # adopted as DictEncodings, the measure a float64 array. "lossy"
+        # adopts ``b`` as an encoding whose domain merged True with 1
+        # (as a chunked load of mixed-type chunks does): codes only, so
+        # appends keep extending it.
+        cols = list(zip(*base)) if base else [(), (), ()]
+        if shape == "typed":
+            b = factorize(np.array(cols[1], dtype=np.int64))
+        else:
+            merged = factorize([True] + list(cols[1]))
+            b = DictEncoding(merged.codes[1:], merged.domain,
+                             merged.domain_sorted, lossy=merged.lossy)
+        relation = Relation.from_encoded(REL_SCHEMA, {
+            "a": factorize(np.array(cols[0], dtype="<U1")), "b": b,
+            "x": np.array(cols[2], dtype=np.float64)})
+    for name in sorted(intern):
+        relation.encoding(name)
+    return relation
+
+
+def _rows_repr(relation: Relation) -> list:
+    return [repr(r) for r in relation.rows()]
+
+
+def _same_rows(relation: Relation, oracle: Relation) -> bool:
+    """Storage-order row equality by ``==``, NaN equal to NaN (a typed
+    array stores an appended ``7`` as ``7.0``, so the oracle's row
+    objects can differ in type but not in value)."""
+    def same(a, b):
+        return a == b or (a != a and b != b)
+    return len(relation) == len(oracle) and all(
+        len(r) == len(o) and all(same(a, b) for a, b in zip(r, o))
+        for r, o in zip(relation.rows(), oracle.rows()))
+
+
+@settings(max_examples=150)
+@given(relation_histories())
+def test_maintained_relation_matches_eager(history):
+    shape, base, intern, steps = history
+    lazy = _base_relation(shape, base, intern)
+    stepwise = _base_relation(shape, base, intern)
+    eager = _base_relation(shape, base, intern)
+    oracle = Relation.from_rows(REL_SCHEMA, base)
+    for delta, reader in steps:
+        located = [_locate(r, delta.retracted) if len(delta.retracted)
+                   else [] for r in (lazy, stepwise, eager)]
+        assert located[0] == located[1] == located[2]
+        if isinstance(located[0], str):
+            # An unmatchable retraction: the oracle refuses it too, and
+            # nothing changes.
+            try:
+                deltaref.apply_delta_rows(oracle, delta)
+            except DeltaError:
+                continue
+            raise AssertionError(f"oracle accepted {delta!r}: "
+                                 f"{located[0]}")
+        oracle = deltaref.apply_delta_rows(oracle, delta)
+        if len(delta.retracted):
+            lazy = lazy.without_rows(located[0])
+            stepwise = stepwise.without_rows(located[0])
+            stepwise._materialize()  # after every step
+            eager = _eager_without(eager, located[0])
+        if len(delta.appended):
+            lazy = lazy.with_rows_appended(delta.appended)
+            stepwise = stepwise.with_rows_appended(delta.appended)
+            stepwise._materialize()
+            eager = _eager_appended(eager, delta.appended)
+        if reader is not None:
+            for relation in (lazy, stepwise, eager):
+                relation.encoding(reader)
+        pending = lazy._pending
+        # Compaction: deferred rows never outnumber the base rows.
+        assert pending is None \
+            or pending.n_tail + len(pending.dead) <= pending.n_base
+    assert len(lazy) == len(eager) == len(oracle)
+    for name in REL_SCHEMA.names:
+        want = _signature(eager, name)
+        assert _signature(lazy, name) == want, name
+        assert _signature(stepwise, name) == want, name
+        assert lazy.content_token(name) == eager.content_token(name)
+        assert stepwise.content_token(name) == eager.content_token(name)
+    assert _rows_repr(lazy) == _rows_repr(eager)
+    assert _same_rows(lazy, oracle)
+
+
+@given(st.integers(0, 8),
+       st.lists(st.integers(-12, 12), max_size=6),
+       st.booleans())
+def test_without_rows_index_rules_match_eager(n, indices, nested):
+    """Negative, duplicate and out-of-range indices: same rows removed,
+    or the same exception, as the eager mask-and-take."""
+    relation = Relation.from_rows(REL_SCHEMA,
+                                  [("p", i, float(i)) for i in range(n)])
+    arg = [indices] if nested else indices
+    try:
+        want = _rows_repr(_eager_without(relation, arg))
+    except IndexError as exc:
+        want = (type(exc), str(exc))
+    try:
+        got = _rows_repr(relation.without_rows(arg))
+    except IndexError as exc:
+        got = (type(exc), str(exc))
+    assert got == want
+
+
+def test_derived_relations_stay_isolated():
+    """Siblings never see each other's rows, and a later live-list
+    mutation of the base does not leak into a derived relation."""
+    base = Relation.from_rows(REL_SCHEMA, [("p", 1, 0.5), ("q", 2, 1.0),
+                                           ("r", 1, 2.0)])
+    base.encoding("a")
+    left = base.with_rows_appended(
+        Relation.from_rows(REL_SCHEMA, [("s", 3, 7.0)]))
+    right = base.without_rows([0])
+    base.column("x")[1] = 99.0
+    base.column("a")[2] = "z"
+    assert list(left.rows()) == [("p", 1, 0.5), ("q", 2, 1.0),
+                                 ("r", 1, 2.0), ("s", 3, 7.0)]
+    assert list(right.rows()) == [("q", 2, 1.0), ("r", 1, 2.0)]
+    assert list(base.rows()) == [("p", 1, 0.5), ("q", 2, 99.0),
+                                 ("z", 1, 2.0)]
+
+
+def test_key_index_covers_radix_overflow():
+    """Four 2**16-value domains overflow the int64 mixed radix: the index
+    densifies the keys and finds the same rows in the same order."""
+    domain = list(range(1 << 16))
+    codes = np.array([[0, 5, 9, 1], [3, 3, 3, 3], [0, 5, 9, 1],
+                      [7, 0, 0, 2], [0, 5, 9, 1]], dtype=np.int32)
+    schema = Schema([dimension(f"c{j}") for j in range(4)] + [measure("x")])
+    columns = {f"c{j}": DictEncoding(codes[:, j].copy(), domain, True)
+               for j in range(4)}
+    columns["x"] = np.ones(len(codes))
+    relation = Relation.from_encoded(schema, columns)
+    repeated = Relation.from_rows(schema, [(0, 5, 9, 1, 1.0)] * 2)
+    assert locate_rows(relation, repeated).tolist() == [0, 2]
+    # Through the shared index of a pending relation: row 0 is dead, and
+    # an appended copy sits in the tail.
+    pending = relation.without_rows([0]).with_rows_appended(
+        Relation.from_rows(schema, [(0, 5, 9, 1, 1.0)]))
+    assert locate_rows(pending, repeated).tolist() == [1, 3]
+    triple = Relation.from_rows(schema, [(0, 5, 9, 1, 1.0)] * 4)
+    with pytest.raises(DeltaError, match="exceeds the base multiplicity"):
+        locate_rows(pending, triple)

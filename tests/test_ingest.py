@@ -510,3 +510,163 @@ class TestIngestCommand:
         with pytest.raises(SystemExit, match="--rows"):
             main(["ingest", "--csv", str(csv), "--hierarchy", "h=a",
                   "--measure", "m"])
+
+
+# -- HTTP ingest: measure cells -------------------------------------------------------
+def _chunked_dataset(rows: int, seed: int = 3
+                     ) -> tuple[HierarchicalDataset, list[tuple]]:
+    """The perfbench shape (encoded dimensions, a float64 measure array)
+    and its rows, read from the chunks so the relation stays untouched."""
+    from repro.datagen import perf
+    from repro.relational import dataset_from_chunks
+    chunks = list(perf.drought_chunks(rows, seed=seed))
+    dataset = dataset_from_chunks(iter(chunks), perf.DROUGHT_HIERARCHIES,
+                                  perf.DROUGHT_MEASURE)
+    columns = [np.concatenate([c[n] for c in chunks]).tolist()
+               for n in dataset.relation.schema.names]
+    return dataset, list(zip(*columns))
+
+
+class TestHTTPIngestMeasureCells:
+    @staticmethod
+    def _app():
+        from repro.serving.server import ServerApp
+        service = ExplanationService(config=CONFIG, auto_rebuild=False)
+        dataset, rows = _chunked_dataset(2_000)
+        service.register("data", dataset)
+        return service, ServerApp(service), list(rows[0][:3])
+
+    @pytest.mark.parametrize("cell", ["abc", {"sev": 1}])
+    def test_malformed_measure_is_a_bad_request(self, cell, monkeypatch):
+        rebuilds = []
+        monkeypatch.setattr(Cube, "rebuild",
+                            lambda self: rebuilds.append(self))
+        service, app, coords = self._app()
+        status, _, payload = app.dispatch(
+            "POST", "/datasets/data/ingest", {"rows": [coords + [cell]]})
+        assert status == 400, payload
+        status, _, health = app.dispatch("GET", "/healthz")
+        assert health["status"] == "ok"
+        assert health["datasets"]["data"]["state"] == "healthy"
+        assert service.engine("data").data_version == 0
+        assert rebuilds == []
+
+    def test_json_int_measure_keeps_the_float_column(self):
+        service, app, coords = self._app()
+        status, _, _ = app.dispatch("POST", "/datasets/data/ingest",
+                                    {"rows": [coords + [7]]})
+        assert status == 200
+        relation = service.engine("data").dataset.relation
+        column = relation._cols[relation.schema.names[-1]]
+        assert column._array is not None
+        assert column._array.dtype == np.float64
+        status, _, payload = app.dispatch("POST", "/datasets/data/ingest",
+                                          {"retract": [coords + [7]]})
+        assert status == 200 and payload["retracted"] == 1
+
+
+# -- the served path keeps the relation pending ---------------------------------------
+class TestServedIngestStaysPending:
+    ROWS = 100_000
+    LAG = 8
+
+    def test_ingest_and_recommend_never_materialize(self, monkeypatch):
+        from repro.relational import relation as relation_module
+        dataset, base_rows = _chunked_dataset(self.ROWS)
+        schema = dataset.relation.schema
+        service = ExplanationService(config=CONFIG)
+        service.register("data", dataset)
+        sid = service.open_session("data", group_by=["district"])
+        materialized = []
+        real = relation_module._Pending.materialize
+        monkeypatch.setattr(relation_module._Pending, "materialize",
+                            lambda self: materialized.append(1) or real(self))
+        rng = np.random.default_rng(5)
+        batches = []
+        for i in range(50):
+            # Rows land in existing leaves (copies of base coordinates).
+            picks = rng.integers(0, self.ROWS, 8)
+            batch = [base_rows[j][:3] + (float(rng.integers(0, 100)),)
+                     for j in picks.tolist()]
+            retract = batches[i - self.LAG] if i >= self.LAG else []
+            service.ingest("data", batch, retract=retract)
+            batches.append(batch)
+            service.recommend(sid, Complaint.too_high(
+                {"district": batch[0][0]}, "sum"))
+        assert materialized == []
+        engine = service.engine("data")
+        assert engine.dataset.relation._pending is not None
+        kept = [r for batch in batches[-self.LAG:] for r in batch]
+        oracle = HierarchicalDataset.build(
+            Relation.from_rows(schema, base_rows + kept),
+            {h.name: list(h.attributes) for h in dataset.dimensions},
+            dataset.measure, validate=False)
+        deltaref.assert_groups_equal(engine.cube.leaf_states,
+                                     deltaref.rebuilt_leaf_states(oracle))
+
+    def test_failed_ingest_leaves_the_pending_relation(self):
+        from repro.robustness.faultinject import FaultInjected, faults
+        dataset, rows = _chunked_dataset(2_000)
+        schema = dataset.relation.schema
+        engine = Reptile(dataset, config=CONFIG)
+        first = Delta.from_rows(schema, rows[:3], rows[5:7])
+        engine.apply_delta(first)
+        committed = engine.dataset.relation
+        assert committed._pending is not None
+        with faults("ingest.commit=error"):
+            with pytest.raises(FaultInjected):
+                engine.apply_delta(Delta.from_rows(schema, rows[10:12],
+                                                   rows[:1]))
+        assert engine.dataset.relation is committed
+        expected = deltaref.apply_delta_rows(
+            Relation.from_rows(schema, rows), first)
+        assert list(committed.rows()) == list(expected.rows())
+
+    def test_concurrent_materialize_and_locate(self, monkeypatch):
+        import sys
+        import threading
+        from repro.relational import relation as relation_module
+        dataset, rows = _chunked_dataset(20_000)
+        relation = dataset.relation
+        extra = Relation.from_rows(relation.schema, rows[:5])
+        pending = relation.without_rows([1, 7, 300]) \
+            .with_rows_appended(extra).without_rows([0])
+        assert pending._pending is not None
+        target = Relation.from_rows(relation.schema,
+                                    [rows[2], rows[0], rows[4]])
+        materialized = []
+        real = relation_module._Pending.materialize
+        monkeypatch.setattr(relation_module._Pending, "materialize",
+                            lambda self: materialized.append(1) or real(self))
+        start = threading.Barrier(8)
+        results: list = [None] * 8
+
+        def work(i: int) -> None:
+            start.wait()
+            if i % 2:
+                cols = pending._cols
+                located = locate_rows(pending, target).tolist()
+            else:
+                located = locate_rows(pending, target).tolist()
+                cols = pending._cols
+            results[i] = (located, cols)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r is not None for r in results)
+        assert len(materialized) == 1
+        assert all(r[0] == results[0][0] for r in results)
+        assert all(r[1] is results[0][1] for r in results)
+        # Rows 0 and 1 are gone: rows[2] and rows[4] are now rows 0 and
+        # 2, and rows[0] matches its appended copy, first of the five.
+        assert results[0][0] == [0, 2, len(pending) - 5]
