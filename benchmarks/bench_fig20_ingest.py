@@ -4,28 +4,27 @@ Live-dashboard workloads receive a trickle of appends and corrections.
 The delta-update engine threads each small batch through the relation,
 the cube, the hierarchy paths and the serving cache incrementally;
 the pre-delta alternative was ``Reptile.refresh()`` — rebuild the leaf
-cube, re-hash the fingerprint, recompute every aggregate unit and throw
-the whole cache generation away.
+cube, re-hash the fingerprint and throw the whole cache generation away,
+so every view and model fit is recomputed.
 
 Protocol per scale: two identical warm engines in steady state — views,
-§4.4 units, per-district repair predictions and fingerprints populated,
-one prior delta absorbed. One then ingests a mixed batch confined to two
+per-district repair predictions and fingerprints populated, one prior
+delta absorbed. One then ingests a mixed batch confined to two
 reporting districts (appends to existing leaves, appends opening new
 leaf paths/domain values, retractions) via ``apply_delta``; the other
 applies the same logical change and pays a full ``refresh()``. Both
 re-answer the same warm query set: the delta engine patches the touched
 entries and *retains* every untouched district's drill view and model
 fit, while refresh recomputes all of them. In-run checks assert the two
-engines' leaf states, roll-up views and decomposed aggregates are
-*exactly* equal (integer-valued measure: float sums are
-order-independent, so equality is bitwise), and that the delta engine's
-relation — appended segments and retracted rows kept pending, retractions
-found through the base's shared key index — materializes to exactly the
-row-at-a-time oracle's rows. A trickle leg on a small table then ingests
-until the pending rows outnumber the base and the relation compacts,
-checking the result against the oracle again. Acceptance floor: delta
-apply ≥5× faster than full refresh at ≥1e5 leaf rows with 1e2-row
-deltas.
+engines' leaf states and roll-up views are *exactly* equal
+(integer-valued measure: float sums are order-independent, so equality
+is bitwise), and that the delta engine's relation — appended segments
+and retracted rows kept pending, retractions found through the base's
+shared key index — materializes to exactly the row-at-a-time oracle's
+rows. A trickle leg on a small table then ingests until the pending
+rows outnumber the base and the relation compacts, checking the result
+against the oracle again. Acceptance floor: delta apply ≥5× faster than
+full refresh at ≥1e5 leaf rows with 1e2-row deltas.
 """
 
 import time
@@ -35,7 +34,6 @@ import pytest
 
 from repro import Delta, HierarchicalDataset, Relation, Reptile, \
     ReptileConfig, Schema, dimension, measure
-from repro.factorized.reference import assert_aggregate_sets_equal
 from repro.relational import deltaref
 from repro.serving import AggregateCache
 
@@ -122,19 +120,14 @@ def _make_delta(relation: Relation, n_delta: int, seed: int = 1) -> Delta:
     return Delta.from_rows(relation.schema, appended, retracted)
 
 
-def _warm_engine(n: int) -> tuple[Reptile, object]:
-    # A session drilled to the village level: its geo unit is the
-    # expensive O(t²·w) build over every village path — exactly the
-    # derived state a refresh() throws away and a delta patch keeps.
+def _warm_engine(n: int) -> Reptile:
     engine = Reptile(_dataset(n), config=CONFIG, cache=AggregateCache())
-    session = engine.session(group_by=["district", "village", "year"])
-    session.aggregates()
     for attrs, filters in VIEWS:
         engine.cube.view(attrs, filters)
-    return engine, session
+    return engine
 
 
-def _query_set(engine: Reptile, session) -> tuple:
+def _query_set(engine: Reptile) -> tuple:
     views = [engine.cube.view(attrs, filters) for attrs, filters in VIEWS]
     # Per-district repair predictions: the expensive model fits a warm
     # dashboard answers complaints from. After an ingest, fits for
@@ -146,7 +139,7 @@ def _query_set(engine: Reptile, session) -> tuple:
             engine.cube.view(("village", "year"), {"district": d}),
             (), "mean")
         for d in WARM_DISTRICTS]
-    return session.aggregates(), views, predictions
+    return views, predictions
 
 
 def _assert_engines_equal(a: Reptile, b: Reptile) -> None:
@@ -209,25 +202,25 @@ def test_figure20_series(benchmark):
         best_delta, best_refresh = float("inf"), float("inf")
         patched = retained = 0
         for _ in range(smoke(1, 3)):
-            inc_engine, inc_session = _warm_engine(n)
-            ref_engine, ref_session = _warm_engine(n)
+            inc_engine = _warm_engine(n)
+            ref_engine = _warm_engine(n)
             # Steady state: dashboards ingest a *trickle* of batches, so
             # both engines absorb one warm-up delta (each via its own
             # mechanism) before the timed batch.
             warmup = _make_delta(ref_engine.dataset.relation, DELTA_ROWS,
                                  seed=9)
             inc_engine.apply_delta(warmup)
-            _query_set(inc_engine, inc_session)
+            _query_set(inc_engine)
             _apply_change_in_place(ref_engine.dataset, warmup)
             ref_engine.refresh()
-            _query_set(ref_engine, ref_session)
+            _query_set(ref_engine)
             # Drawn from the refresh side: the same rows, materialized.
             delta = _make_delta(ref_engine.dataset.relation, DELTA_ROWS)
             before = inc_engine.dataset.relation
 
             _, t_delta = _timed(lambda: (
                 inc_engine.apply_delta(delta),
-                _query_set(inc_engine, inc_session)))
+                _query_set(inc_engine)))
             # In-run row check: the maintained relation, materialized,
             # is the oracle's relation row for row.
             assert list(inc_engine.dataset.relation.rows()) == list(
@@ -237,7 +230,7 @@ def test_figure20_series(benchmark):
             _apply_change_in_place(ref_engine.dataset, delta)
             _, t_refresh = _timed(lambda: (
                 ref_engine.refresh(),
-                _query_set(ref_engine, ref_session)))
+                _query_set(ref_engine)))
 
             best_delta = min(best_delta, t_delta)
             best_refresh = min(best_refresh, t_refresh)
@@ -246,9 +239,6 @@ def test_figure20_series(benchmark):
 
             # In-run exact-equality: both engines must agree bitwise.
             _assert_engines_equal(inc_engine, ref_engine)
-            agg_inc, _, _ = _query_set(inc_engine, inc_session)
-            agg_ref, _, _ = _query_set(ref_engine, ref_session)
-            assert_aggregate_sets_equal(agg_inc, agg_ref)
 
         ratio = best_refresh / best_delta if best_delta > 0 else float("inf")
         lines.append(f"{n:<8d} {DELTA_ROWS:<6d} {fmt(best_refresh)}      "

@@ -17,9 +17,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from ..factorized.forder import HierarchyPaths
-from ..factorized.multiquery import (AggregateSet, HierarchyAggregates,
-                                     combine_units, hierarchy_unit,
-                                     plan_units)
 from ..model.features import AuxiliaryFeature, FeaturePlan
 from ..relational.cube import Cube, CubeDelta, GroupView
 from ..relational.dataset import HierarchicalDataset
@@ -117,17 +114,8 @@ class Reptile:
         self._full_paths: dict[str, HierarchyPaths] | None = None
         # Monotonically increasing data version: bumped by every
         # apply_delta() and refresh(). Sessions pin the version they last
-        # synchronized with and fast-forward through the delta log.
+        # synchronized with (see DrillSession.is_stale).
         self.data_version = 0
-        # Per version bump: the set of hierarchy names whose path
-        # structure changed (None = everything, a full refresh). Bounded:
-        # entries older than _LOG_LIMIT versions are compacted away and
-        # sessions pinned before the floor resync in full.
-        self._delta_log: list[tuple[int, frozenset[str] | None]] = []
-        self._log_floor = 0
-        # Instrumentation: hierarchy-unit builds actually executed (after
-        # any cache hit) — the expensive §4.4 recomputations.
-        self.unit_builds = 0
 
     def repairer_for(self, group_attrs: Sequence[str]) -> ModelRepairer:
         """The repair function for a drill-down level.
@@ -157,24 +145,15 @@ class Reptile:
         return ModelRepairer(feature_plan=plan, model=self.config.model,
                              n_iterations=self.config.n_em_iterations)
 
-    # -- decomposed aggregates (§4.4) ---------------------------------------------------
+    # -- hierarchy paths ----------------------------------------------------------------
     def full_paths(self) -> dict[str, HierarchyPaths]:
-        """Fully specific root-to-leaf paths of every hierarchy (memoized)."""
+        """Fully specific root-to-leaf paths of every hierarchy (memoized;
+        ingest checks appends against them and patches them per delta)."""
         if self._full_paths is None:
             self._full_paths = {
                 h.name: HierarchyPaths.from_relation(h, self.dataset.relation)
                 for h in self.dataset.dimensions}
         return self._full_paths
-
-    def build_unit(self, paths: HierarchyPaths) -> HierarchyAggregates:
-        """One hierarchy's aggregate unit, via the serving cache if present."""
-        def compute() -> HierarchyAggregates:
-            self.unit_builds += 1
-            return hierarchy_unit(paths)
-        if self.cache is None:
-            return compute()
-        key = ("hunit", self.fingerprint, paths.name, paths.attributes)
-        return self.cache.get_or_compute(key, compute)
 
     def refresh(self) -> None:
         """Re-read the dataset after an arbitrary in-place mutation.
@@ -182,13 +161,11 @@ class Reptile:
         The full-invalidation path (contrast :meth:`apply_delta`):
         rebuilds the cube's leaf states, recomputes the fingerprint (so
         cached entries for the old contents can no longer be hit), and
-        drops memoized hierarchy paths; the data version bumps with an
-        everything-changed log entry, so live sessions discard all their
-        reusable aggregate units on their next synchronization.
+        drops memoized hierarchy paths; the data version bumps, so live
+        sessions see the new data after their next synchronization.
         """
         self._full_paths = None
         self.data_version += 1
-        self._log_version(self.data_version, None)
         if self.cache is not None:
             base = self.cube.refresh()
             self.fingerprint = f"{base}@{self.data_version}"
@@ -196,32 +173,6 @@ class Reptile:
         else:
             # In place: everything holding a cube reference stays valid.
             self.cube.rebuild()
-
-    #: Delta-log entries kept; a trickle of ingests must not grow the
-    #: engine without bound. Sessions stale by more than this many
-    #: versions simply resync everything.
-    _LOG_LIMIT = 256
-
-    def touched_since(self, version: int) -> frozenset[str] | None:
-        """Hierarchies whose paths changed after ``version`` (None = all)."""
-        if version < self._log_floor:
-            return None  # history compacted away: resync in full
-        names: set[str] = set()
-        for v, touched in self._delta_log:
-            if v <= version:
-                continue
-            if touched is None:
-                return None
-            names |= touched
-        return frozenset(names)
-
-    def _log_version(self, version: int,
-                     touched: frozenset[str] | None) -> None:
-        self._delta_log.append((version, touched))
-        if len(self._delta_log) > self._LOG_LIMIT:
-            dropped = self._delta_log[:-self._LOG_LIMIT]
-            self._delta_log = self._delta_log[-self._LOG_LIMIT:]
-            self._log_floor = dropped[-1][0]
 
     def apply_delta(self, delta: Delta) -> int:
         """Ingest a delta batch incrementally; returns the new version.
@@ -231,12 +182,14 @@ class Reptile:
         layer — the relation appends/retracts with copy-on-write columns,
         the cube merges a bincount of just the delta batch, hierarchy
         paths extend with the new root-to-leaf paths, and (with a serving
-        cache attached) cached views and units are patched or retained
-        under the new versioned fingerprint rather than invalidated.
-        Sessions pinned to an older version fast-forward via
-        :meth:`DrillSession.sync`. Raises
+        cache attached) cached views and model fits are patched, retained
+        or dropped under the new versioned fingerprint rather than
+        invalidated wholesale. Sessions pinned to an older version
+        fast-forward via :meth:`DrillSession.sync`. Raises
         :class:`~repro.relational.delta.DeltaError` — with nothing
-        mutated — when a retraction matches no remaining base row.
+        mutated — when a retraction matches no remaining base row, or an
+        appended row breaks a hierarchy FD or carries a non-scalar
+        dimension cell or a non-numeric measure.
 
         Ingest is atomic: any exception between the first state mutation
         and the commit (the ``ingest.commit`` fault point sits right
@@ -261,15 +214,14 @@ class Reptile:
         if self.cache is not None:
             base = (self.fingerprint or "").split("@", 1)[0]
             new_fp = f"{base}@{version}"
-        cube_delta: CubeDelta
         try:
+            cube_delta = self.cube.apply_delta(delta)
+            self._patch_paths(cube_delta)
             if self.cache is not None:
-                cube_delta, touched = self._apply_delta_cached(delta, paths,
-                                                               new_fp)
-                self.fingerprint = new_fp
-            else:
-                cube_delta = self.cube.apply_delta(delta)
-                touched = self._patch_paths(cube_delta)
+                from ..serving.engine import patch_cache_for_delta
+                self.cube.fingerprint = self.fingerprint = new_fp
+                patch_cache_for_delta(self.cache, old_fp, new_fp, cube_delta,
+                                      self.cube.leaf_attrs)
             new_rel = relation
             if removed_idx is not None:
                 new_rel = new_rel.without_rows(removed_idx)
@@ -281,7 +233,6 @@ class Reptile:
             raise
         self.dataset.relation = new_rel
         self.data_version = version
-        self._log_version(version, frozenset(touched))
         return version
 
     def _rollback_delta(self, old_fp: str | None,
@@ -304,29 +255,22 @@ class Reptile:
             if new_fp is not None:
                 self.cache.invalidate(new_fp)
 
-    def _apply_delta_cached(self, delta: Delta,
-                            paths: dict[str, HierarchyPaths],
-                            new_fp: str) -> tuple[CubeDelta, set[str]]:
-        """Cube delta + cache patching under the new versioned fingerprint."""
-        from ..serving.engine import patch_cache_for_delta
-        old_fp = self.cube.fingerprint
-        cube_delta = self.cube.apply_delta(delta)
-        self.cube.fingerprint = new_fp
-        old_paths = dict(paths)
-        touched = self._patch_paths(cube_delta)
-        patch_cache_for_delta(
-            self.cache, old_fp, new_fp, cube_delta,
-            self.cube.leaf_attrs, touched, old_paths, self._full_paths)
-        return cube_delta, touched
-
     def _validate_delta_paths(self, delta: Delta,
                               paths: dict[str, HierarchyPaths]) -> None:
-        """Reject appends violating the leaf → ancestors FD, pre-mutation."""
+        """Reject appended dimension cells that cannot be group keys (a
+        list or an object) and appends violating the leaf → ancestors FD,
+        pre-mutation: either is a bad request, not a fault."""
         if not len(delta.appended):
             return
         for h in self.dataset.dimensions:
-            leaf_to_path = {p[-1]: p for p in paths[h.name].paths}
             cols = [delta.appended.column_values(a) for a in h.attributes]
+            for attr, values in zip(h.attributes, cols):
+                try:
+                    set(values)
+                except TypeError as exc:
+                    raise DeltaError(f"appended {attr!r} cell is not a "
+                                     f"scalar: {exc}") from None
+            leaf_to_path = {p[-1]: p for p in paths[h.name].paths}
             for path in zip(*cols):
                 known = leaf_to_path.setdefault(path[-1], path)
                 if known != path:
@@ -346,7 +290,7 @@ class Reptile:
                 f"appended measure {self.dataset.measure!r} is not "
                 f"numeric: {exc}") from None
 
-    def _patch_paths(self, cube_delta: CubeDelta) -> set[str]:
+    def _patch_paths(self, cube_delta: CubeDelta) -> None:
         """Patch memoized hierarchy paths from a cube delta.
 
         Hierarchies the delta did not touch keep their
@@ -354,11 +298,11 @@ class Reptile:
         memo downstream); touched hierarchies extend with the new
         root-to-leaf paths, or — when a retraction emptied leaf groups —
         recompute from the cube's surviving leaf keys, which is
-        O(leaf groups), never O(rows). Returns the touched names.
+        O(leaf groups), never O(rows). A leaf whose last row was
+        retracted is free again: a later append may give it a new parent.
         """
         assert self._full_paths is not None
         leaf_attrs = self.cube.leaf_attrs
-        touched: set[str] = set()
         for h in self.dataset.dimensions:
             positions = [leaf_attrs.index(a) for a in h.attributes]
             old = self._full_paths[h.name]
@@ -382,11 +326,8 @@ class Reptile:
             if lost_paths:
                 self._full_paths[h.name] = HierarchyPaths(
                     h.name, h.attributes, (known - lost_paths) | new_paths)
-                touched.add(h.name)
             elif new_paths:
                 self._full_paths[h.name] = old.extend(new_paths)
-                touched.add(h.name)
-        return touched
 
     def session(self, group_by: Sequence[str] = (),
                 filters: Mapping | None = None,
@@ -426,11 +367,12 @@ class DrillSession:
     Every session pins the engine ``data_version`` it last synchronized
     with. When the engine ingests deltas (or refreshes wholesale), the
     session's staleness policy decides what happens on its next query:
-    ``"sync"`` (default) fast-forwards automatically via :meth:`sync`,
-    re-merging only what the pending deltas touched; ``"strict"`` raises
-    :class:`StaleDataError` until :meth:`sync` is called explicitly —
-    for callers that must never mix results across data versions inside
-    one analysis step.
+    ``"sync"`` (default) fast-forwards automatically via :meth:`sync`;
+    ``"strict"`` raises :class:`StaleDataError` until :meth:`sync` is
+    called explicitly — for callers that must never mix results across
+    data versions inside one analysis step. A session holds no derived
+    data of its own: every view and fit comes from the engine's cube
+    (and serving cache), which the engine keeps current.
     """
 
     def __init__(self, engine: Reptile, state: DrillState, filters: dict,
@@ -439,10 +381,10 @@ class DrillSession:
         self.state = state
         self.filters = filters
         self.history: list[Recommendation] = []
-        # A session is single-writer: its drill state, filters, history
-        # and reusable units all mutate per request. Concurrent serving
-        # front ends serialize requests for one session id on this lock
-        # (the session itself never acquires it — no nesting).
+        # A session is single-writer: its drill state, filters and
+        # history all mutate per request. Concurrent serving front ends
+        # serialize requests for one session id on this lock (the
+        # session itself never acquires it — no nesting).
         self.lock = threading.RLock()
         policy = staleness or engine.config.staleness
         if policy not in STALENESS_POLICIES:
@@ -450,17 +392,8 @@ class DrillSession:
                 f"staleness must be one of {STALENESS_POLICIES}, "
                 f"got {policy!r}")
         self.staleness = policy
-        # Incrementally maintained per-hierarchy aggregate units (§4.4):
-        # hierarchy name -> HierarchyAggregates at the current drill depth.
-        self._units: dict[str, HierarchyAggregates] = {}
-        # Hierarchy order of the factorised matrix; each committed drill
-        # moves the drilled hierarchy to the end (§3.4).
-        self._unit_order: list[str] = [h.name
-                                       for h in engine.dataset.dimensions]
         # The engine data version this session last synchronized with.
         self.data_version = engine.data_version
-        # Units this session could not reuse from its previous state.
-        self.unit_computations = 0
 
     # -- staleness --------------------------------------------------------------------
     def is_stale(self) -> bool:
@@ -470,20 +403,10 @@ class DrillSession:
     def sync(self) -> "DrillSession":
         """Fast-forward to the engine's current data version.
 
-        Re-merges only the deltas applied since the pinned version: a
-        hierarchy untouched by every pending delta keeps its reusable
-        §4.4 aggregate unit; touched (or wholesale-refreshed) hierarchies
-        drop theirs and are rebuilt — normally straight from the patched
-        serving cache — on the next :meth:`aggregates`.
+        Only the pinned version moves: the session's next view or
+        recommend reads the engine's cube, which every ingest and
+        refresh already brought up to date.
         """
-        if not self.is_stale():
-            return self
-        touched = self.engine.touched_since(self.data_version)
-        if touched is None:
-            self._units = {}
-        else:
-            for name in touched:
-                self._units.pop(name, None)
         self.data_version = self.engine.data_version
         return self
 
@@ -508,35 +431,6 @@ class DrillSession:
         """The current aggregate view the analyst is looking at."""
         self._ensure_fresh()
         return self.engine.cube.view(self.group_by, filters=self.filters)
-
-    def aggregates(self) -> AggregateSet:
-        """Decomposed aggregates {TOTAL, COUNT, COF} of the current state.
-
-        Maintained incrementally per §4.4: after a :meth:`drill`, only the
-        drilled hierarchy's :class:`HierarchyAggregates` unit is
-        recomputed; every other hierarchy's unit is reused and merely
-        rescaled inside :func:`~repro.factorized.multiquery.combine_units`.
-        ``unit_computations`` counts the non-reused units for tests and
-        instrumentation. The same §4.4 rules power the Figure 9 benchmark's
-        :class:`~repro.factorized.drilldown.DrilldownEngine` (which adds
-        tentative candidate evaluation and per-mode accounting) — a change
-        to the reuse or ordering rule must land in both.
-        """
-        def counting_builder(paths: HierarchyPaths) -> HierarchyAggregates:
-            self.unit_computations += 1
-            return self.engine.build_unit(paths)
-        self._ensure_fresh()
-        units = plan_units(self.engine.full_paths(), self.state.depths,
-                           self._unit_order, self._units,
-                           builder=counting_builder)
-        self._units = units
-        return combine_units([units[n] for n in self._unit_order
-                              if n in units])
-
-    def reset_aggregates(self) -> None:
-        """Forget reusable units (call after the dataset was mutated)."""
-        self._units = {}
-        self.data_version = self.engine.data_version
 
     # -- the complaint loop -------------------------------------------------------------
     def provenance(self, complaint: Complaint) -> dict:
@@ -576,19 +470,15 @@ class DrillSession:
 
         ``coordinates`` (e.g. the complaint tuple's key, or a recommended
         group's coordinates) become part of the session filter, mirroring
-        the provenance replacement of Example 7.
+        the provenance replacement of Example 7. Every coordinate must
+        name a hierarchy attribute; a rejected drill changes nothing.
         """
         self._ensure_fresh()
+        coordinates = dict(coordinates or {})
+        for attr in coordinates:
+            self.engine.dataset.dimensions.hierarchy_of(attr)
         self.state = self.state.drill(hierarchy)
-        if coordinates:
-            for attr, value in coordinates.items():
-                self.filters[attr] = value
-        # §4.4 maintenance: only the drilled hierarchy's unit is stale;
-        # it also moves to the end of the matrix's hierarchy order (§3.4).
-        self._units.pop(hierarchy, None)
-        if hierarchy in self._unit_order:
-            self._unit_order.remove(hierarchy)
-            self._unit_order.append(hierarchy)
+        self.filters.update(coordinates)
         return self
 
     def __repr__(self) -> str:

@@ -15,7 +15,7 @@ from .forder import (AttributeInfo, AttributeOrder, FactorizationError,
 from .matrix import (FactorizedMatrix, FeatureColumn, intercept_column,
                      multi_attribute_column)
 from .multiquery import (AggregateSet, HierarchyAggregates, combine_units,
-                         hierarchy_unit, lmfao_plan, plan_units, shared_plan)
+                         hierarchy_unit, lmfao_plan, shared_plan)
 from .ops import (column_sums, gram, left_multiply, materialize,
                   right_multiply)
 from .reference import (assert_aggregate_sets_equal, dict_path_matrix,
@@ -30,8 +30,7 @@ __all__ = [
     "FactorizedMatrix", "FeatureColumn", "intercept_column",
     "multi_attribute_column", "AggregateSet",
     "HierarchyAggregates", "combine_units", "hierarchy_unit", "lmfao_plan",
-    "plan_units", "shared_plan", "column_sums", "gram", "left_multiply",
-    "materialize",
+    "shared_plan", "column_sums", "gram", "left_multiply", "materialize",
     "right_multiply", "reference_gram", "reference_left_multiply",
     "reference_right_multiply", "reference_shared_plan",
     "reference_lmfao_plan", "reference_hierarchy_unit", "dict_path_matrix",

@@ -17,11 +17,6 @@ independence:
 invokes it repeatedly and measures the work per mode. Instrumentation
 (`unit_computations`) counts the expensive unit builds so tests can assert
 the sharing behaviour exactly.
-
-The production drill loop applies the same reuse and ordering rules
-through :func:`~repro.factorized.multiquery.plan_units` (see
-``DrillSession.aggregates``); a change to either rule must land in both
-implementations.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ unit and combine the rest in O(1) per aggregate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -209,48 +208,10 @@ def combine_units(units: list[HierarchyAggregates]) -> AggregateSet:
     return result
 
 
-def shared_plan(factorizer: Factorizer,
-                builder: Callable[[HierarchyPaths], HierarchyAggregates]
-                = hierarchy_unit) -> AggregateSet:
-    """Work-sharing multi-query plan for the whole aggregate family.
-
-    ``builder`` computes one hierarchy's unit; the serving layer passes a
-    memoizing builder so repeated plans over the same data reuse units.
-    """
-    units = [builder(h) for h in factorizer.order.hierarchies]
-    return combine_units(units)
-
-
-def plan_units(full_paths: Mapping[str, HierarchyPaths],
-               depths: Mapping[str, int],
-               order: Sequence[str],
-               prev_units: Mapping[str, HierarchyAggregates] | None = None,
-               builder: Callable[[HierarchyPaths], HierarchyAggregates]
-               = hierarchy_unit) -> dict[str, HierarchyAggregates]:
-    """Per-hierarchy units for the given drill depths, reusing prior work.
-
-    This is the §4.4 maintenance step as a pure function: a hierarchy
-    whose depth is unchanged keeps its unit from ``prev_units``; only
-    hierarchies whose depth changed (the drilled one, normally) go back
-    through ``builder``. Hierarchies at depth 0 are omitted from the
-    matrix entirely. ``order`` fixes the output's hierarchy sequence —
-    pass the drilled hierarchy last (§3.4) before combining.
-    """
-    prev = dict(prev_units or {})
-    units: dict[str, HierarchyAggregates] = {}
-    for name in order:
-        paths = full_paths[name]
-        depth = depths.get(name, len(paths.attributes))
-        if depth == 0:
-            continue
-        old = prev.get(name)
-        if old is not None and len(old.attributes) == depth:
-            units[name] = old
-            continue
-        if depth < len(paths.attributes):
-            paths = paths.restrict(depth)
-        units[name] = builder(paths)
-    return units
+def shared_plan(factorizer: Factorizer) -> AggregateSet:
+    """Work-sharing multi-query plan for the whole aggregate family."""
+    return combine_units([hierarchy_unit(h)
+                          for h in factorizer.order.hierarchies])
 
 
 def lmfao_plan(factorizer: Factorizer) -> AggregateSet:

@@ -1,10 +1,11 @@
 """The serving layer: cached, batched, multi-session explanation queries.
 
 Turns the single-session engine into a service: an LRU
-:class:`AggregateCache` memoizes roll-ups, repair predictions and §4.4
-hierarchy units across sessions and users; :class:`ExplanationService`
-multiplexes named sessions, batches independent complaints per view, and
-reports hit rates and per-stage timings.
+:class:`AggregateCache` memoizes roll-ups and repair predictions across
+sessions and users, and carries them across ingests by patching or
+retaining each entry; :class:`ExplanationService` multiplexes named
+sessions, batches independent complaints per view, and reports hit rates
+and per-stage timings.
 """
 
 from .cache import (AggregateCache, CacheStats, StageTiming,

@@ -1,11 +1,10 @@
 """The aggregate cache backing the serving layer.
 
-Reptile's hot path recomputes three families of intermediate results that
+Reptile's hot path recomputes two families of intermediate results that
 are pure functions of the data and the query position: group-by roll-ups
-(:class:`~repro.relational.cube.GroupView`), per-level repair predictions
-(model fits over the parallel groups), and per-hierarchy decomposed
-aggregate units (§4.4 :class:`~repro.factorized.multiquery.HierarchyAggregates`).
-:class:`AggregateCache` memoizes all of them behind one LRU store keyed by
+(:class:`~repro.relational.cube.GroupView`) and per-level repair
+predictions (model fits over the parallel groups).
+:class:`AggregateCache` memoizes both behind one LRU store keyed by
 
     (kind, dataset fingerprint, ...position/configuration...)
 
@@ -86,7 +85,7 @@ class AggregateCache:
         evicted first. ``None`` disables eviction.
 
     Keys are hashable tuples whose first element names the result kind
-    (``"view"``, ``"predict"``, ``"hunit"``, ...) and whose second element
+    (``"view"`` or ``"predict"``) and whose second element
     is the owning dataset's fingerprint — the convention
     :meth:`invalidate` relies on to drop a dataset's entries wholesale.
     """

@@ -30,8 +30,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..core.repair import ModelRepairer, RepairPrediction
-from ..factorized.forder import HierarchyPaths
-from ..factorized.multiquery import hierarchy_unit, merge_unit_delta
 from ..model.features import (AuxiliaryFeature, CustomFeature, FeaturePlan,
                               LagFeature, MainEffectFeature)
 from ..relational.cube import (Cube, CubeDelta, GroupView, StatesMap,
@@ -147,8 +145,11 @@ def patch_view(view: GroupView, cube_delta: CubeDelta,
     ``delta_mask`` selects the delta leaves passing the view's filters
     (the caller already applied them); they are rolled up to
     ``group_attrs`` and merged into the view's stats block with the same
-    kernel the cube itself uses. Returns None when the view carries no
-    array form (cannot be patched — drop it).
+    kernel the cube itself uses. New groups are then sorted into place:
+    a fresh roll-up lists groups in lexicographic key-code order, and the
+    ranker's tie-breaks and the model fit read groups in view order, so
+    a patched view must match it row for row. Returns None when the view
+    carries no array form (cannot be patched — drop it).
     """
     if view.key_codes is None or view.encodings is None:
         return None
@@ -171,41 +172,36 @@ def patch_view(view: GroupView, cube_delta: CubeDelta,
     keys = old_keys if kept is None else [old_keys[i] for i in kept]
     if len(added):
         keys = list(keys) + decode_keys(added, encs)
+        if len(positions):  # the grand total has one group, no key
+            order = np.lexsort(merged_codes.T[::-1])
+            merged_codes = merged_codes[order]
+            merged_stats = merged_stats.select(order)
+            keys = [keys[i] for i in order]
     return GroupView(group_attrs, StatesMap(keys, merged_stats),
                      key_codes=merged_codes, encodings=tuple(encs))
 
 
 def patch_cache_for_delta(cache: AggregateCache, old_fp: str | None,
                           new_fp: str, cube_delta: CubeDelta,
-                          leaf_attrs: Sequence[str],
-                          touched: set[str],
-                          old_paths: Mapping[str, HierarchyPaths],
-                          new_paths: Mapping[str, HierarchyPaths]) -> None:
+                          leaf_attrs: Sequence[str]) -> None:
     """Carry one fingerprint generation of cache entries across a delta.
 
     Replaces wholesale invalidation: every entry keyed to ``old_fp`` is
     re-keyed under the new versioned fingerprint — *retained* as-is when
     the delta cannot have changed it, *patched* by a delta merge when it
-    can, and dropped only when no incremental update exists (a model
-    refit, a hierarchy that lost paths). LRU recency is preserved.
+    can (a view), and dropped when no incremental update exists (a model
+    fit over changed groups). LRU recency is preserved.
     """
     leaf_positions = {a: i for i, a in enumerate(leaf_attrs)}
-    # Per touched hierarchy: the genuinely new full paths (append-only),
-    # or None when paths were also removed (units cannot be patched).
-    fresh_paths: dict[str, list[tuple] | None] = {}
-    for name in touched:
-        old = old_paths[name]
-        known = set(old.paths)
-        fresh = [p for p in new_paths[name].paths if p not in known]
-        removed_any = len(new_paths[name].paths) != len(old.paths) + len(fresh)
-        fresh_paths[name] = None if removed_any else fresh
 
     def view_mask(frozen_filters) -> np.ndarray:
         return cube_delta.matching_mask(
             [(leaf_positions[a], v) for a, v in frozen_filters
              if a in leaf_positions])
 
-    patched = retained = dropped = 0
+    # Popped entries that are not put back are dropped: the next lookup
+    # recomputes them.
+    patched = retained = 0
     for key, value in cache.pop_fingerprint(old_fp):
         kind = key[0] if isinstance(key, tuple) and key else None
         new_key = (kind, new_fp) + tuple(key[2:])
@@ -219,34 +215,10 @@ def patch_cache_for_delta(cache: AggregateCache, old_fp: str | None,
                 fresh_view = patch_view(value, cube_delta, leaf_attrs,
                                         group_attrs, mask)
                 if fresh_view is None:
-                    dropped += 1
                     continue
                 patched += 1
             object.__setattr__(fresh_view, _VIEW_KEY_ATTR, new_key)
             cache.put(new_key, fresh_view)
-        elif kind == "hunit":
-            name, attributes = key[2], key[3]
-            if name not in touched:
-                cache.put(new_key, value)
-                retained += 1
-                continue
-            fresh = fresh_paths[name]
-            if fresh is None:  # paths were removed: no incremental form
-                dropped += 1
-                continue
-            depth = len(attributes)
-            old = old_paths[name]
-            base = old.paths if depth == len(old.attributes) \
-                else old.restrict(depth).paths
-            added = {p[:depth] for p in fresh} - set(base)
-            if not added:
-                cache.put(new_key, value)
-                retained += 1
-                continue
-            delta_unit = hierarchy_unit(
-                HierarchyPaths(name, attributes, added))
-            cache.put(new_key, merge_unit_delta(value, delta_unit))
-            patched += 1
         elif kind == "predict":
             # key[3] is the view's (group_attrs, filters) suffix; a
             # prediction only depends on its view's contents, so it
@@ -254,12 +226,10 @@ def patch_cache_for_delta(cache: AggregateCache, old_fp: str | None,
             frozen_filters = key[3][1] if len(key) > 3 and len(key[3]) > 1 \
                 else ()
             if view_mask(frozen_filters).any():
-                dropped += 1  # the fit's inputs changed: recompute
-                continue
+                continue  # the fit's inputs changed: recompute
             cache.put(new_key, value)
             retained += 1
-        else:
-            dropped += 1  # unknown kind: recompute rather than risk it
+        # Any other kind is dropped: recompute rather than risk it.
     cache.note_patched(patched, retained)
 
 

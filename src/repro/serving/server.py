@@ -527,6 +527,8 @@ class ServerApp:
 
     def _drill(self, sid: str, body):
         body = body or {}
+        if not isinstance(body, dict):
+            raise RequestError("body must be a JSON object")
         hierarchy = body.get("hierarchy")
         if not isinstance(hierarchy, str):
             raise RequestError("'hierarchy' must name a hierarchy")

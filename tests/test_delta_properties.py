@@ -23,11 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (Delta, DeltaError, HierarchicalDataset, Relation, Reptile,
-                   ReptileConfig, Schema, dimension, measure)
-from repro.factorized import AttributeOrder, Factorizer
-from repro.factorized.multiquery import shared_plan
-from repro.factorized.reference import assert_aggregate_sets_equal
+from repro import (Complaint, Delta, DeltaError, HierarchicalDataset,
+                   Relation, Reptile, ReptileConfig, Schema, dimension,
+                   measure)
+from repro.factorized import HierarchyPaths
 from repro.relational import deltaref
 from repro.relational.cube import Cube
 from repro.relational.delta import locate_rows
@@ -159,45 +158,52 @@ def test_engine_apply_delta_matches_rebuild(evolution):
                                  rebuilt_rel)
 
 
-@given(evolutions(max_deltas=2))
-def test_session_aggregates_track_deltas(evolution):
-    """Decomposed §4.4 aggregates after ingest ≡ a from-scratch plan."""
+@given(evolutions())
+def test_full_paths_track_deltas(evolution):
+    """The maintained hierarchy paths, which the FD check reads, ≡ the
+    paths of the rebuilt relation after every delta, cached or not."""
     base, deltas = evolution
-    engine = Reptile(_dataset(base), config=CONFIG)
-    session = engine.session(group_by=["district", "year"])
-    session.aggregates()  # warm the reusable units pre-delta
-    applied = sum(1 for d in deltas if not d.is_empty())
-    for delta in deltas:
-        engine.apply_delta(delta)
-    assert session.is_stale() == (applied > 0)
-    got = session.aggregates()  # auto-syncs, re-merging only the touched
-    oracle_ds = _rebuilt(base, deltas)
-    order = AttributeOrder.from_dataset(
-        oracle_ds, hierarchy_order=["geo", "time"],
-        depths={"geo": 1, "time": 1})
-    assert_aggregate_sets_equal(got, shared_plan(Factorizer(order)))
-    assert not session.is_stale()
+    for cache in (None, AggregateCache()):
+        engine = Reptile(_dataset(base), config=CONFIG, cache=cache)
+        engine.full_paths()  # memoize pre-delta: every delta patches them
+        for i, delta in enumerate(deltas):
+            engine.apply_delta(delta)
+            oracle_ds = _rebuilt(base, deltas[:i + 1])
+            for h in oracle_ds.dimensions:
+                want = HierarchyPaths.from_relation(h, oracle_ds.relation)
+                assert engine.full_paths()[h.name].paths == want.paths
+
+
+def _outcome(session, complaint):
+    """A recommendation, or the error it raised (compared by value)."""
+    try:
+        return session.recommend(complaint, k=3)
+    except Exception as exc:  # both engines must fail alike
+        return type(exc).__name__, str(exc)
 
 
 @given(evolutions(max_deltas=2))
 def test_interleaved_drill_and_ingest(evolution):
-    """drill → ingest → drill ≡ the same drills on the rebuilt data."""
+    """recommend → ingest → drill → recommend: a cached engine, whose
+    views are patched across each ingest, ranks exactly like an
+    uncached one over the same data — same groups in the same order."""
     base, deltas = evolution
-    engine = Reptile(_dataset(base), config=CONFIG)
-    session = engine.session(group_by=["district", "year"])
-    session.aggregates()
-    applied = []
+    complaints = [Complaint.too_low({"district": base[0][0]}, "mean"),
+                  Complaint.too_high({"district": base[0][0]}, "sum")]
+    sessions = [Reptile(_dataset(base), config=CONFIG, cache=cache)
+                .session(group_by=["district"])
+                for cache in (None, AggregateCache())]
+    for complaint in complaints:
+        assert _outcome(sessions[0], complaint) \
+            == _outcome(sessions[1], complaint)
     for i, delta in enumerate(deltas):
-        engine.apply_delta(delta)
-        applied.append(delta)
-        if i == 0:
-            session.drill("geo")
-        got = session.aggregates()
-        fresh = Reptile(_rebuilt(base, applied), config=CONFIG) \
-            .session(group_by=["district", "year"])
-        if session.state.depths.get("geo") == 2:
-            fresh.drill("geo")  # replay the committed drill
-        assert_aggregate_sets_equal(got, fresh.aggregates())
+        for session in sessions:
+            session.engine.apply_delta(delta)
+            if i == 0:
+                session.drill("time")
+        for complaint in complaints:
+            assert _outcome(sessions[0], complaint) \
+                == _outcome(sessions[1], complaint)
 
 
 @given(evolutions(max_deltas=2))
@@ -215,9 +221,14 @@ def test_cached_views_patched_not_rebuilt(evolution):
     oracle_ds = _rebuilt(base, deltas)
     misses_before = cache.stats.misses
     for attrs, filters in view_specs:
+        view = engine.cube.view(attrs, filters)
         deltaref.assert_groups_equal(
-            engine.cube.view(attrs, filters).groups,
-            deltaref.rebuilt_view(oracle_ds, attrs, filters))
+            view.groups, deltaref.rebuilt_view(oracle_ds, attrs, filters))
+        # Group order too: the ranker and the model fit read views in
+        # order, so a patched view lists its groups as a fresh roll-up.
+        fresh = Cube(engine.dataset).view(attrs, filters)
+        assert view.key_codes.tolist() == fresh.key_codes.tolist()
+        assert view.key_list == fresh.key_list
     # Every post-ingest view above was served from a patched/retained
     # entry — no recomputation, hence no new cache misses.
     assert cache.stats.misses == misses_before

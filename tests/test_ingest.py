@@ -259,7 +259,6 @@ class TestEngineDelta:
         assert engine.full_paths()["time"] is time_paths  # identity kept
         assert engine.full_paths()["geo"] is not geo_paths
         assert ("Ofla", "Mehoni") in engine.full_paths()["geo"].paths
-        assert engine.touched_since(0) == frozenset({"geo"})
 
     def test_fd_violating_append_rejected_atomically(self, ofla_dataset):
         engine = Reptile(ofla_dataset, config=CONFIG)
@@ -284,15 +283,12 @@ class TestEngineDelta:
         session = engine.session(group_by=["year"],
                                  filters={"district": "Ofla"},
                                  staleness="strict")
-        session.aggregates()
         engine.apply_delta(_delta(
             ofla_dataset, appended=[("Ofla", "Zata", 1984, 5.0)]))
         with pytest.raises(StaleDataError):
             session.recommend(COMPLAINT)
         with pytest.raises(StaleDataError):
             session.view()
-        with pytest.raises(StaleDataError):
-            session.aggregates()
         session.sync()
         assert session.view().total().count \
             == Cube(ofla_dataset).view(
@@ -303,26 +299,41 @@ class TestEngineDelta:
         with pytest.raises(Exception, match="staleness"):
             engine.session(staleness="yolo")
 
-    def test_sync_drops_only_touched_units(self, ofla_dataset):
-        engine = Reptile(ofla_dataset, config=CONFIG)
-        session = engine.session(group_by=["district", "year"])
-        session.aggregates()
-        assert session.unit_computations == 2  # geo@1 + time@1
-        engine.apply_delta(_delta(
-            ofla_dataset, appended=[("Ofla", "Mehoni", 1984, 5.0)]))
-        session.aggregates()
-        # Only geo's paths changed; time's unit was reused as-is.
-        assert session.unit_computations == 3
-
     def test_refresh_still_resets_everything(self, ofla_dataset):
         engine = Reptile(ofla_dataset, config=CONFIG)
         session = engine.session(group_by=["district", "year"])
-        session.aggregates()
         engine.refresh()
-        assert engine.touched_since(0) is None
         assert session.is_stale()
-        session.aggregates()
-        assert session.unit_computations == 4  # both units rebuilt
+        session.sync()
+        assert not session.is_stale()
+        assert session.data_version == engine.data_version == 1
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_retracted_leaf_can_move_parent(self, cached):
+        # The FD check reads the maintained paths: once a leaf's last row
+        # is retracted, the leaf is free to reappear under another parent;
+        # a leaf that still has rows keeps its parent.
+        schema = Schema([dimension("district"), dimension("village"),
+                         dimension("year"), measure("sev")])
+        rows = [("d0", "v0", 2000, 1.0), ("d0", "v1", 2000, 2.0),
+                ("d1", "v2", 2000, 3.0)]
+        dataset = HierarchicalDataset.build(
+            Relation.from_rows(schema, rows),
+            {"geo": ["district", "village"], "time": ["year"]}, "sev")
+        engine = Reptile(dataset, config=CONFIG,
+                         cache=AggregateCache() if cached else None)
+        engine.cube.view(("district", "village"))
+        engine.apply_delta(_delta(dataset, retracted=[rows[0]]))
+        engine.apply_delta(_delta(dataset,
+                                  appended=[("d1", "v0", 2001, 4.0)]))
+        assert ("d1", "v0") in engine.full_paths()["geo"].paths
+        assert ("d0", "v0") not in engine.full_paths()["geo"].paths
+        with pytest.raises(DeltaError, match="violate hierarchy"):
+            engine.apply_delta(_delta(dataset,
+                                      appended=[("d1", "v1", 2001, 5.0)]))
+        assert engine.data_version == 2
+        assert dict(engine.cube.view(("district", "village")).groups) \
+            == dict(Cube(engine.dataset).view(("district", "village")).groups)
 
 
 # -- serving layer --------------------------------------------------------------------
@@ -512,7 +523,7 @@ class TestIngestCommand:
                   "--measure", "m"])
 
 
-# -- HTTP ingest: measure cells -------------------------------------------------------
+# -- HTTP ingest: malformed cells -----------------------------------------------------
 def _chunked_dataset(rows: int, seed: int = 3
                      ) -> tuple[HierarchicalDataset, list[tuple]]:
     """The perfbench shape (encoded dimensions, a float64 measure array)
@@ -536,14 +547,26 @@ class TestHTTPIngestMeasureCells:
         service.register("data", dataset)
         return service, ServerApp(service), list(rows[0][:3])
 
-    @pytest.mark.parametrize("cell", ["abc", {"sev": 1}])
-    def test_malformed_measure_is_a_bad_request(self, cell, monkeypatch):
+    @pytest.mark.parametrize("column, cell", [
+        pytest.param(3, "abc", id="abc"),
+        pytest.param(3, {"sev": 1}, id="cell1"),
+        pytest.param(1, ["x"], id="leaf-list"),
+        pytest.param(0, {"a": 1}, id="new-leaf-ancestor-object"),
+        pytest.param(2, ["x"], id="year-list")])
+    def test_malformed_measure_is_a_bad_request(self, column, cell,
+                                                monkeypatch):
+        # A malformed cell in any column is a bad request: 400, nothing
+        # mutated, no rollback rebuild, and the dataset stays healthy.
         rebuilds = []
         monkeypatch.setattr(Cube, "rebuild",
                             lambda self: rebuilds.append(self))
         service, app, coords = self._app()
+        row = coords + [1.0]
+        if column == 0:
+            row[1] = "new-village"  # the object is a new leaf's ancestor
+        row[column] = cell
         status, _, payload = app.dispatch(
-            "POST", "/datasets/data/ingest", {"rows": [coords + [cell]]})
+            "POST", "/datasets/data/ingest", {"rows": [row]})
         assert status == 400, payload
         status, _, health = app.dispatch("GET", "/healthz")
         assert health["status"] == "ok"

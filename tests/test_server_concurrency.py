@@ -665,6 +665,27 @@ class TestTransport:
         status, _, payload = app.dispatch(
             "POST", "/datasets/data/ingest", {})
         assert status == 400
+        # A rejected drill answers 400 and leaves the session as it was.
+        status, _, before = app.dispatch(
+            "POST", "/datasets/data/sessions",
+            {"session_id": "v", "group_by": ["district"]})
+        assert status == 201
+        bad_drills = [{"hierarchy": "geo", "coordinates": {"nonexistent": 1}},
+                      {"hierarchy": "geo", "coordinates": {"severity": 1}},
+                      ["geo"], "geo", 3, True]
+        for body in bad_drills:
+            status, _, payload = app.dispatch(
+                "POST", "/sessions/v/drill", body)
+            assert status == 400, (body, payload)
+        status, _, after = app.dispatch("GET", "/sessions/v")
+        assert status == 200
+        assert (after["group_by"], after["filters"]) \
+            == (before["group_by"], before["filters"]) == (["district"], {})
+        assert app.dispatch("GET", "/sessions/v/view")[0] == 200
+        status, _, payload = app.dispatch(
+            "POST", "/sessions/v/recommend",
+            {"aggregate": "mean", "coordinates": {"district": "d0"}})
+        assert status == 200, payload
 
 
 # -- group commit ----------------------------------------------------------------

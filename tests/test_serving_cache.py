@@ -7,7 +7,6 @@ import pytest
 
 from repro import (Complaint, HierarchicalDataset, Relation, Reptile,
                    ReptileConfig, Schema, dimension, measure)
-from repro.factorized import AttributeOrder, Factorizer, shared_plan
 from repro.serving import (AggregateCache, CachingCube, ComplaintRequest,
                            ExplanationService, ServiceError,
                            dataset_fingerprint, refresh_fingerprint)
@@ -260,70 +259,27 @@ class TestCachedRecommendations:
         assert "predict" not in cache.timings()
 
 
-# -- §4.4 incremental units ----------------------------------------------------------
+# -- engine refresh ------------------------------------------------------------------
 class TestIncrementalUnits:
-    def test_drill_recomputes_only_drilled_unit(self, ofla_dataset):
-        engine = Reptile(ofla_dataset, config=CONFIG)
-        session = engine.session(group_by=["district", "year"])
-        session.aggregates()
-        assert session.unit_computations == 2  # geo@1 and time@1
-        session.drill("geo")
-        session.aggregates()
-        assert session.unit_computations == 3  # only geo@2 was rebuilt
-        assert engine.unit_builds == 3
-
-    def test_warm_session_builds_no_units(self, ofla_dataset):
-        cache = AggregateCache()
-        first = Reptile(ofla_dataset, config=CONFIG, cache=cache)
-        s1 = first.session(group_by=["district", "year"])
-        s1.aggregates()
-        s1.drill("geo")
-        s1.aggregates()
-        assert first.unit_builds == 3
-
-        replay = Reptile(ofla_dataset, config=CONFIG, cache=cache)
-        s2 = replay.session(group_by=["district", "year"])
-        s2.aggregates()
-        s2.drill("geo")
-        s2.aggregates()
-        assert replay.unit_builds == 0       # all units served by the cache
-        assert s2.unit_computations == 3     # same §4.4 fetch pattern
-
     def test_engine_refresh_drops_session_units(self, ofla_dataset):
+        # An in-place mutation reaches a live session after refresh():
+        # its next view reads the rebuilt cube.
+        from repro.relational import Cube
         engine = Reptile(ofla_dataset, config=CONFIG)
         session = engine.session(group_by=["district", "year"])
-        before = session.aggregates().counts["year"].as_unary_dict()
+        before = dict(session.view().groups)
         relation = ofla_dataset.relation
         years = relation.column("year")
         for i, year in enumerate(years):
             if year == 1987:
                 years[i] = 1988
         engine.refresh()
-        after = session.aggregates().counts["year"].as_unary_dict()
-        assert 1988 in after and 1987 not in after
+        assert session.is_stale()
+        after = dict(session.view().groups)
+        assert {year for _, year in after} == {1984, 1985, 1986, 1988}
         assert before != after
-
-    def test_aggregates_match_shared_plan(self, ofla_dataset):
-        engine = Reptile(ofla_dataset, config=CONFIG)
-        session = engine.session(group_by=["district", "year"])
-        session.drill("geo")
-        got = session.aggregates()
-        order = AttributeOrder.from_dataset(ofla_dataset,
-                                            hierarchy_order=["time", "geo"])
-        want = shared_plan(Factorizer(order))
-        assert got.totals == want.totals
-        for attribute, count_map in want.counts.items():
-            assert got.counts[attribute].as_unary_dict() \
-                == count_map.as_unary_dict()
-        for pair in want.cofs:
-            assert (pair in got.cofs) or (pair[::-1] in got.cofs)
-
-    def test_depth_zero_hierarchy_is_omitted(self, ofla_dataset):
-        engine = Reptile(ofla_dataset, config=CONFIG)
-        session = engine.session(group_by=["year"])  # geo not drilled yet
-        aggregates = session.aggregates()
-        assert set(aggregates.totals) == {"year"}
-        assert session.unit_computations == 1
+        assert after == dict(
+            Cube(ofla_dataset).view(("district", "year")).groups)
 
 
 # -- the explanation service ---------------------------------------------------------
