@@ -98,7 +98,7 @@ def _make_delta(relation: Relation, n_delta: int, seed: int = 1) -> Delta:
     already materialized, not the delta engine's pending one.
     """
     rng = np.random.default_rng(seed)
-    cols = {a: relation.column_values(a) for a in relation.schema.names}
+    cols = {a: relation.column(a) for a in relation.schema.names}
     local = [i for i, d in enumerate(cols["district"])
              if d in DELTA_DISTRICTS]
     n_retract = n_delta // 5

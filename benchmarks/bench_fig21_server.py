@@ -97,7 +97,7 @@ def _ingest_bodies(dataset: HierarchicalDataset, client: int,
     """Small append batches to hot leaves of the delta districts."""
     rng = np.random.default_rng(500 + client)
     relation = dataset.relation
-    cols = {a: relation.column_values(a)
+    cols = {a: relation.column(a)
             for a in ("district", "village", "year")}
     local = [i for i, d in enumerate(cols["district"])
              if d in DELTA_DISTRICTS]
@@ -147,7 +147,7 @@ class _Run:
         self.concurrent = concurrent
         dataset = app.service.engine("data").dataset
         self.base = (len(dataset.relation),
-                     float(sum(dataset.relation.column_values("severity"))))
+                     float(sum(dataset.relation.column("severity"))))
         self.plans = {i: _client_plan(REQUESTS_PER_CLIENT)
                       for i in range(CLIENTS)}
         self.bodies = {i: _ingest_bodies(dataset, i,

@@ -587,7 +587,7 @@ endpoints:
   POST /datasets/{d}/sessions            open a session
   POST /datasets/{d}/recommend           one-shot complaint (batched)
   POST /datasets/{d}/ingest              append/retract rows
-  POST /datasets/{d}/refresh             invalidate + rebuild
+  POST /datasets/{d}/refresh             rebuild from the committed relation
   GET  /sessions/{s}[/view]              session info / current view
   POST /sessions/{s}/recommend|drill|sync|close
 

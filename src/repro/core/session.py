@@ -103,10 +103,7 @@ class Reptile:
         if cache is not None:
             from ..serving.cache import dataset_fingerprint
             from ..serving.engine import CachingCube
-            # refresh=True: never trust a fingerprint memoized before an
-            # in-place mutation — a fresh engine must hash what the data
-            # says *now*, or it would silently serve pre-mutation entries.
-            self.fingerprint = dataset_fingerprint(dataset, refresh=True)
+            self.fingerprint = dataset_fingerprint(dataset)
             self.cube: Cube = CachingCube(dataset, cache, self.fingerprint)
         else:
             self.cube = Cube(dataset)
@@ -156,23 +153,25 @@ class Reptile:
         return self._full_paths
 
     def refresh(self) -> None:
-        """Re-read the dataset after an arbitrary in-place mutation.
+        """Rebuild from ``dataset.relation``, wholesale.
 
-        The full-invalidation path (contrast :meth:`apply_delta`):
-        rebuilds the cube's leaf states, recomputes the fingerprint (so
-        cached entries for the old contents can no longer be hit), and
-        drops memoized hierarchy paths; the data version bumps, so live
-        sessions see the new data after their next synchronization.
+        The recovery path, and the path for a relation swapped in whole
+        (contrast :meth:`apply_delta`): rebuilds the cube's leaf states
+        in place, so everything holding a cube reference stays valid,
+        re-hashes the fingerprint (so cached entries for the old contents
+        can no longer be hit) and drops memoized hierarchy paths. The
+        data version bumps, so live sessions see the new data after
+        their next synchronization. A rebuild that raises changes none
+        of this: the engine keeps serving its previous version.
         """
+        self.cube.rebuild()
         self._full_paths = None
         self.data_version += 1
         if self.cache is not None:
-            base = self.cube.refresh()
-            self.fingerprint = f"{base}@{self.data_version}"
+            from ..serving.cache import dataset_fingerprint
+            self.fingerprint = \
+                f"{dataset_fingerprint(self.dataset)}@{self.data_version}"
             self.cube.fingerprint = self.fingerprint
-        else:
-            # In place: everything holding a cube reference stays valid.
-            self.cube.rebuild()
 
     def apply_delta(self, delta: Delta) -> int:
         """Ingest a delta batch incrementally; returns the new version.
@@ -263,7 +262,7 @@ class Reptile:
         if not len(delta.appended):
             return
         for h in self.dataset.dimensions:
-            cols = [delta.appended.column_values(a) for a in h.attributes]
+            cols = [delta.appended.column(a) for a in h.attributes]
             for attr, values in zip(h.attributes, cols):
                 try:
                     set(values)

@@ -222,9 +222,9 @@ def apply_issue(dataset: HierarchicalDataset, issue: CovidIssue,
                 ) -> HierarchicalDataset:
     """Inject one issue into the panel's measure column."""
     relation = dataset.relation
-    locs = relation.column_values(location_attr)
-    days = relation.column_values("day")
-    cases = list(relation.column_values(dataset.measure))
+    locs = relation.column(location_attr)
+    days = relation.column("day")
+    cases = list(relation.column(dataset.measure))
     by_day = {}
     for i, (loc, d) in enumerate(zip(locs, days)):
         if loc == issue.location:
@@ -250,7 +250,7 @@ def apply_issue(dataset: HierarchicalDataset, issue: CovidIssue,
         factor = _DAY_FACTORS[issue.kind]
         cases[by_day[day]] = round(cases[by_day[day]] * factor)
 
-    cols = {name: relation.column_values(name)
+    cols = {name: relation.column(name)
             for name in relation.schema.names}
     cols[dataset.measure] = cases
     corrupted = Relation(relation.schema, cols)

@@ -48,7 +48,7 @@ class ErrorSpec:
 
 def _group_indices(relation: Relation, group: Mapping) -> list[int]:
     checks = [(attr, value) for attr, value in group.items()]
-    cols = {attr: relation.column_values(attr) for attr, _ in checks}
+    cols = {attr: relation.column(attr) for attr, _ in checks}
     return [i for i in range(len(relation))
             if all(cols[a][i] == v for a, v in checks)]
 
@@ -75,10 +75,10 @@ def inject_drift(relation: Relation, group: Mapping, measure: str,
                  delta: float) -> Relation:
     """Shift the group's measure values by ``delta`` (±)."""
     idx = set(_group_indices(relation, group))
-    values = list(relation.column_values(measure))
+    values = list(relation.column(measure))
     for i in idx:
         values[i] = values[i] + delta
-    cols = {name: relation.column_values(name)
+    cols = {name: relation.column(name)
             for name in relation.schema.names}
     cols[measure] = values
     return Relation(relation.schema, cols)

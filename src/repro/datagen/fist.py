@@ -209,10 +209,10 @@ def apply_scenario(world: FistWorld, scenario: FistScenario,
                    rng: np.random.Generator) -> HierarchicalDataset:
     """Inject one scenario's error into a copy of the clean panel."""
     relation = world.dataset.relation
-    region = relation.column_values("region")
-    district = relation.column_values("district")
-    year = list(relation.column_values("year"))
-    severity = list(relation.column_values("severity"))
+    region = relation.column("region")
+    district = relation.column("district")
+    year = list(relation.column("year"))
+    severity = list(relation.column("severity"))
 
     def rows_of(d: str, y: int) -> list[int]:
         return [i for i in range(len(relation))
@@ -251,7 +251,7 @@ def apply_scenario(world: FistWorld, scenario: FistScenario,
     else:
         raise ValueError(f"unknown scenario kind {kind}")
 
-    cols = {name: relation.column_values(name)
+    cols = {name: relation.column(name)
             for name in relation.schema.names}
     cols["year"] = year
     cols["severity"] = severity

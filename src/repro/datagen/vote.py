@@ -100,7 +100,7 @@ def inject_missing_ballots(world: VoteWorld, counties: list[str],
     its MEAN (share) intact, shifting the SUM-based margin gains.
     """
     relation = world.dataset.relation
-    county_col = relation.column_values("county")
+    county_col = relation.column("county")
     victims = set(counties)
     seen: dict[str, int] = {}
     keep = []

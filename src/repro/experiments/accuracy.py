@@ -97,7 +97,7 @@ def run_condition(condition: str, rho: float, n_trials: int = 50,
         stats_needed = sorted({_KIND_STAT[k] for k in kinds})
         for stat in stats_needed:
             base.add_auxiliary(make_auxiliary(base, stat, rho, rng))
-        groups = sorted(set(base.relation.column_values("group")))
+        groups = sorted(set(base.relation.column("group")))
         bad = groups[int(rng.integers(len(groups)))]
         specs = [ErrorSpec(kind, {"group": bad}) for kind in kinds]
         dataset = _corrupted_dataset(base, specs, rng)
@@ -150,7 +150,7 @@ def run_ablation(condition: str, rho: float, n_trials: int = 50,
                                for k in true_kinds + false_kinds})
         for stat in stats_needed:
             base.add_auxiliary(make_auxiliary(base, stat, rho, rng))
-        groups = sorted(set(base.relation.column_values("group")))
+        groups = sorted(set(base.relation.column("group")))
         chosen = rng.choice(len(groups), size=3, replace=False)
         true_groups = [groups[int(chosen[0])], groups[int(chosen[1])]]
         false_group = groups[int(chosen[2])]

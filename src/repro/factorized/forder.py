@@ -144,7 +144,7 @@ class HierarchyPaths:
             paths = relation.group_index(attrs).keys()
         except EncodingError:
             return cls.from_relation_columns(
-                hierarchy, {a: relation.column_values(a) for a in attrs})
+                hierarchy, {a: relation.column(a) for a in attrs})
         return cls(hierarchy.name, hierarchy.attributes, paths)
 
     def __len__(self) -> int:

@@ -271,14 +271,17 @@ class Cube:
 
         Everything else in the cube only touches the
         ``_encodings``/``_key_codes``/``_stats`` arrays this produces.
+        They are assigned together at the end, so a build that raises
+        leaves the previous block whole.
         """
         relation = self.dataset.relation
         gidx = relation.group_index(list(self.leaf_attrs))
-        self._encodings: tuple[DictEncoding, ...] = gidx.encodings
-        self._key_codes = gidx.key_codes
-        self._stats = GroupStats.from_groups(
+        stats = GroupStats.from_groups(
             gidx.gids, gidx.n_groups,
             relation.measure_array(self.dataset.measure))
+        self._encodings: tuple[DictEncoding, ...] = gidx.encodings
+        self._key_codes = gidx.key_codes
+        self._stats = stats
         self._keys: list[Key] | None = None
 
     def rebuild(self) -> None:
@@ -330,9 +333,9 @@ class Cube:
         for i, attr in enumerate(self.leaf_attrs):
             enc = self._encodings[i]
             ext, app_codes = enc.extend_domain(
-                appended.column_values(attr) if n_app else ())
+                appended.column(attr) if n_app else ())
             ext, ret_codes = ext.extend_domain(
-                retracted.column_values(attr) if n_ret else ())
+                retracted.column(attr) if n_ret else ())
             new_encs.append(ext)
             columns.append(np.concatenate([app_codes, ret_codes]))
         sizes = [e.cardinality for e in new_encs]

@@ -92,7 +92,7 @@ class AuxiliaryDataset:
         sums: dict[tuple, dict[str, float]] = {}
         counts: dict[tuple, int] = {}
         keys = self.relation.key_tuples(list(self.join_on))
-        cols = {m: self.relation.column_values(m) for m in self.measures}
+        cols = {m: self.relation.column(m) for m in self.measures}
         for i, key in enumerate(keys):
             acc = sums.setdefault(key, {m: 0.0 for m in self.measures})
             for m in self.measures:
@@ -169,7 +169,7 @@ class HierarchicalDataset:
         try:
             enc = self.relation.encoding(attribute)
         except EncodingError:
-            return sorted(set(self.relation.column_values(attribute)))
+            return sorted(set(self.relation.column(attribute)))
         present = np.unique(enc.codes)
         if len(present) == enc.cardinality:
             domain = list(enc.domain)

@@ -121,7 +121,7 @@ def locate_rows(relation: Relation, retracted: Relation) -> np.ndarray:
     missing = np.zeros(n_ret, dtype=bool)
     for head, name in zip(heads, keyed):
         codes = np.zeros(n_ret, dtype=np.int64)
-        for i, value in enumerate(retracted.column_values(name)):
+        for i, value in enumerate(retracted.column(name)):
             code = head.code_of(value)
             if code is None:
                 missing[i] = True
@@ -140,7 +140,7 @@ def locate_rows(relation: Relation, retracted: Relation) -> np.ndarray:
                    for n in rest}
     taken: set[int] = set()
     out: list[int] = []
-    ret_rest = {n: retracted.column_values(n) for n in rest}
+    ret_rest = {n: retracted.column(n) for n in rest}
     for i, rows in enumerate(candidates):
         hit = None
         exhausted = False

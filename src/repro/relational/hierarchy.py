@@ -111,8 +111,7 @@ class Hierarchy:
             except EncodingError:
                 pass  # unencodable column: validate row by row
             seen: dict = {}
-            for p, c in zip(relation.column_values(parent),
-                            relation.column_values(child)):
+            for p, c in zip(relation.column(parent), relation.column(child)):
                 # Parents compare like dict keys, as the encoding does:
                 # one NaN object repeated is one parent.
                 if c in seen and seen[c] is not p and seen[c] != p:

@@ -8,16 +8,18 @@ natural join, distinct — on top of a dictionary-encoded columnar core
 ``int32`` code array plus a value domain, and every hot operation runs as a
 vectorized composite-key kernel instead of a per-row Python loop.
 
-The public API is unchanged from the row-oriented engine. ``column()``
-still hands out a live Python list (materialized lazily from the codes),
-``rows()`` still yields tuples, and operations still return fresh
-relations; columns produced by encoded operators stay in code form until
-someone actually asks for the values. Columns whose list has been handed
-out are treated as externally mutable and drop their cached encodings.
-One observable difference: key-producing operators (``distinct``,
-``group_rows``, ``group_measure``) iterate in lexicographic key order —
-the order the composite-key kernels produce — rather than the row
-engine's first-occurrence order; results are equal as bags/mappings.
+A relation is immutable: ``column()`` returns a column's values as a
+tuple, ``rows()`` yields tuples, and every operator returns a new
+relation, so data changes only by building a new relation (delta ingest
+does, in O(delta)). Columns produced by encoded operators stay in code
+form until someone asks for the values. Because no column changes after
+construction, its derived forms (values, encoding, content hash) are
+computed once and cached, and derived relations share column objects.
+
+Key-producing operators (``distinct``, ``group_rows``,
+``group_measure``) iterate in lexicographic key order — the order the
+composite-key kernels produce — rather than first-occurrence order;
+results are equal as bags/mappings.
 
 Delta maintenance is deferred: ``with_rows_appended`` and
 ``without_rows`` return a *pending* relation that shares its parent's
@@ -51,15 +53,14 @@ class _Column:
     * ``array`` — a typed 1-D numpy array (fast path for bulk data);
     * ``encoding`` — codes + domain, produced by encoded operators.
 
-    Derived representations (the encoding of a list column, the list of an
-    encoded column) are cached. :meth:`live_list` — backing the public
-    ``Relation.column`` — marks the column *escaped*: the caller may mutate
-    the returned list in place, so every cached derivative is dropped and
-    nothing is cached from then on.
+    A column never changes after construction, so derived
+    representations (the encoding of a list column, the list of an
+    encoded column, the content hash) are cached, and relations derived
+    by project/extend share the column object itself. The list is
+    internal: the public ``Relation.column`` hands out a tuple copy.
     """
 
-    __slots__ = ("_values", "_array", "_enc", "_token", "_escaped",
-                 "_shared")
+    __slots__ = ("_values", "_array", "_enc", "_token")
 
     def __init__(self, values: list | None = None,
                  array: np.ndarray | None = None,
@@ -68,16 +69,11 @@ class _Column:
         self._array = array
         self._enc = enc
         self._token: bytes | None = None
-        self._escaped = False
-        # True when this column's list object may be referenced by
-        # another relation (project/extend share storage); live_list()
-        # then copies before escaping so mutations stay local.
-        self._shared = False
 
     @classmethod
     def from_input(cls, values) -> "_Column":
-        """Owning column from caller-supplied data (copies, like the old
-        list() constructor did)."""
+        """Owning column from caller-supplied data (copies, so later
+        edits of the caller's sequence never reach the relation)."""
         if isinstance(values, np.ndarray) and values.ndim == 1 \
                 and values.dtype.kind in "biufUS":
             return cls(array=values.copy())
@@ -91,68 +87,21 @@ class _Column:
         return len(self._enc.codes)
 
     # -- representations ---------------------------------------------------------
-    def peek_list(self) -> list:
-        """The values as a list for read-only use (cached, no escape)."""
+    def values(self) -> list:
+        """The values as a list (cached; never handed out)."""
         if self._values is None:
             if self._array is not None:
-                values = self._array.tolist()
+                self._values = self._array.tolist()
             else:
-                values = self._enc.decode()
-            if self._escaped:
-                return values
-            self._values = values
+                self._values = self._enc.decode()
         return self._values
 
-    def live_list(self) -> list:
-        """The canonical, mutable list (public ``column()`` contract).
-
-        The caller may mutate it in place and expects later computations
-        *on this relation* to observe the change, so all cached
-        derivatives are invalidated and caching is disabled for this
-        column. A list shared with another relation (via project/extend)
-        is copied first — derived relations stay isolated, exactly as
-        when the old engine copied every column up front.
-        """
-        values = self.peek_list()
-        if self._shared:
-            values = list(values)
-            self._shared = False
-        self._values = values
-        self._array = None
-        self._enc = None
-        self._token = None
-        self._escaped = True
-        return values
-
-    def fork(self) -> "_Column":
-        """A column for a derived relation sharing this one's storage.
-
-        Immutable representations (typed array, encoding) are shared
-        outright; a canonical list is shared but flagged on both sides
-        so whichever relation escapes it first copies it.
-        """
-        if self._escaped:
-            # The live list can mutate under us: snapshot now.
-            return _Column(values=list(self._values))
-        clone = _Column(values=self._values, array=self._array,
-                        enc=self._enc)
-        clone._token = self._token
-        if self._values is not None:
-            self._shared = True
-            clone._shared = True
-        return clone
-
     def encoding(self) -> DictEncoding:
-        """Dictionary encoding (cached unless the column has escaped)."""
-        if self._enc is not None:
-            return self._enc
-        if self._array is not None:
-            enc = factorize(self._array)
-        else:
-            enc = factorize(self._values)
-        if not self._escaped:
-            self._enc = enc
-        return enc
+        """Dictionary encoding (cached)."""
+        if self._enc is None:
+            self._enc = factorize(self._array if self._array is not None
+                                  else self._values)
+        return self._enc
 
     def float_array(self) -> np.ndarray:
         """The column as a fresh float array (measure accessor)."""
@@ -164,7 +113,7 @@ class _Column:
                                   dtype=float)[self._enc.codes]
             except (TypeError, ValueError):
                 pass
-        return np.asarray(self.peek_list(), dtype=float)
+        return np.asarray(self.values(), dtype=float)
 
     # -- derivation --------------------------------------------------------------
     def keeps_codes(self) -> bool:
@@ -173,8 +122,7 @@ class _Column:
         A lossy encoding (==-equal values of mixed numeric types merged
         under one code) cannot reproduce the original row objects, so a
         column that still holds those objects works from the values
-        instead. An escaped column caches no encoding, so it never
-        qualifies.
+        instead.
         """
         return self._enc is not None \
             and not (self._enc.lossy and self._values is not None)
@@ -216,14 +164,13 @@ class _Column:
         """
         if self.keeps_codes():
             try:
-                extended, codes = self._enc.extend_domain(other.peek_list())
+                extended, codes = self._enc.extend_domain(other.values())
             except EncodingError:
                 return ("concat", None)
             if not (extended.lossy and not self._enc.lossy):
                 return ("extend", extended, codes)
-        if self._array is not None and other._array is None \
-                and not other._escaped:
-            arr = np.asarray(other.peek_list())
+        if self._array is not None and other._array is None:
+            arr = np.asarray(other.values())
             if arr.ndim == 1 and arr.dtype.kind == self._array.dtype.kind:
                 return ("typed", arr)
         return ("concat", None)
@@ -253,16 +200,14 @@ class _Column:
             merged = self._enc.concat(other._enc)
             if not merged.lossy:  # cross-type merge across the domains
                 return _Column(enc=merged)
-        return _Column(values=self.peek_list() + other.peek_list())
+        return _Column(values=self.values() + other.values())
 
     # -- fingerprints ------------------------------------------------------------
     def hash_token(self) -> bytes:
         """Stable content digest; reuses the interned encoding's hash.
 
         Deterministic per canonical representation: a typed array hashes
-        its raw bytes, everything else hashes (domain, codes). Cached
-        until the column escapes; escaped columns re-hash on every call
-        because the list may have been mutated in place.
+        its raw bytes, everything else hashes (domain, codes). Cached.
         """
         if self._token is not None:
             return self._token
@@ -280,9 +225,8 @@ class _Column:
                 # Unencodable or lossy ([1, True] and [1, 1] share codes
                 # and domain): hash the values themselves so different
                 # contents never share a fingerprint.
-                token = digest_parts(repr(self.peek_list()).encode())
-        if not self._escaped:
-            self._token = token
+                token = digest_parts(repr(self.values()).encode())
+        self._token = token
         return token
 
 
@@ -320,9 +264,7 @@ class _Deferred:
                        column._enc.codes[:0])
         if kind == "array":
             return cls("array", column._array, None, column._array[:0])
-        # fork() flags a shared list, so a later escape of the base
-        # column copies it before the caller can mutate it.
-        return cls("list", column.fork()._values)
+        return cls("list", column._values)
 
     @classmethod
     def taken(cls, column: _Column) -> "_Deferred":
@@ -422,14 +364,11 @@ class _Pending:
         Columns with a cached encoding read as codes, the rest as typed
         arrays or values; nothing is copied or changed.
         """
-        columns = {}
-        for name, col in relation._store.items():
-            if col._enc is not None:
-                columns[name] = _Deferred.of(col, "enc")
-            elif col._array is not None:
-                columns[name] = _Deferred.of(col, "array")
-            else:  # read in place: no snapshot, no shared flag
-                columns[name] = _Deferred("list", col._values)
+        columns = {
+            name: _Deferred.of(col, "enc" if col._enc is not None
+                               else "array" if col._array is not None
+                               else "list")
+            for name, col in relation._store.items()}
         return cls(columns, relation._n, 0, np.empty(0, dtype=np.int64),
                    relation._indexes)
 
@@ -493,9 +432,11 @@ class Relation:
     columns:
         Mapping from attribute name to a sequence of values. All columns
         must have equal length. Missing columns raise. numpy arrays of
-        scalar dtype are stored as typed arrays (the zero-copy columnar
-        fast path); any other sequence is copied into a list exactly as
-        before.
+        scalar dtype are copied into typed arrays (the columnar fast
+        path); any other sequence is copied into a list.
+
+    Immutable: ``column()`` returns a tuple, and every operator, delta
+    ingest included, returns a new relation.
     """
 
     __slots__ = ("schema", "_store", "_n", "_pending", "_indexes")
@@ -663,23 +604,10 @@ class Relation:
         return sorted(map(repr, self.rows())) == sorted(map(repr, other.rows()))
 
     # -- accessors ---------------------------------------------------------------
-    def column(self, name: str) -> list:
-        """The raw column list for ``name`` (live: mutations are seen)."""
+    def column(self, name: str) -> tuple:
+        """The values of column ``name``, as a tuple (O(rows) copy)."""
         try:
-            return self._cols[name].live_list()
-        except KeyError:
-            raise SchemaError(f"no attribute named {name!r}") from None
-
-    def column_values(self, name: str) -> list:
-        """Column values for read-only use — do **not** mutate.
-
-        Unlike :meth:`column`, this does not disable the column's cached
-        encoding and hash token, so hot paths stay warm. Mutating the
-        returned list leaves those caches silently stale; callers that
-        need to write go through :meth:`column`.
-        """
-        try:
-            return self._cols[name].peek_list()
+            return tuple(self._cols[name].values())
         except KeyError:
             raise SchemaError(f"no attribute named {name!r}") from None
 
@@ -710,15 +638,15 @@ class Relation:
 
     def rows(self) -> Iterator[Row]:
         """Iterate rows as tuples in storage order."""
-        cols = [self._cols[n].peek_list() for n in self.schema.names]
+        cols = [self._cols[n].values() for n in self.schema.names]
         return zip(*cols) if cols else iter(() for _ in range(self._n))
 
     def row(self, i: int) -> Row:
-        return tuple(self._cols[n].peek_list()[i] for n in self.schema.names)
+        return tuple(self._cols[n].values()[i] for n in self.schema.names)
 
     def key_tuples(self, names: Sequence[str]) -> list[Key]:
         """Rows projected to ``names``, as a list of tuples (with duplicates)."""
-        cols = [self._cols[n].peek_list() for n in names]
+        cols = [self._cols[n].values() for n in names]
         if not cols:
             return [() for _ in range(self._n)]
         return list(zip(*cols))
@@ -740,7 +668,7 @@ class Relation:
         """Projection (keeps duplicates; shares column storage)."""
         schema = self.schema.project(names)
         return Relation._from_cols(
-            schema, {n: self._cols[n].fork() for n in names}, self._n)
+            schema, {n: self._cols[n] for n in names}, self._n)
 
     def distinct(self, names: Sequence[str] | None = None) -> "Relation":
         """Duplicate-free projection onto ``names`` (default: all columns)."""
@@ -776,7 +704,7 @@ class Relation:
         if encs is None:
             keep = None
             for name, value in conditions.items():
-                col = self._cols[name].peek_list()
+                col = self._cols[name].values()
                 matches = {i for i, v in enumerate(col) if v == value}
                 keep = matches if keep is None else keep & matches
             return self._take(sorted(keep or ()))
@@ -810,7 +738,7 @@ class Relation:
             order = np.lexsort([e.codes for e in reversed(encs)])
             return self._take(order)
         order = sorted(range(self._n),
-                       key=lambda i: tuple(self._cols[n].peek_list()[i]
+                       key=lambda i: tuple(self._cols[n].values()[i]
                                            for n in names))
         return self._take(order)
 
@@ -821,7 +749,7 @@ class Relation:
             raise SchemaError(
                 f"new column {name!r} has length {len(values)}, expected {self._n}")
         schema = Schema(list(self.schema) + [Attribute(name, kind)])
-        cols = {n: c.fork() for n, c in self._cols.items()}
+        cols = dict(self._cols)
         cols[name] = _Column.from_input(values)
         return Relation._from_cols(schema, cols, self._n)
 

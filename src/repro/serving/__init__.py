@@ -9,7 +9,7 @@ and per-stage timings.
 """
 
 from .cache import (AggregateCache, CacheStats, StageTiming,
-                    dataset_fingerprint, refresh_fingerprint)
+                    dataset_fingerprint)
 from .concurrency import (AdmissionController, BatchWindow, DatasetLocks,
                           LatencyStats, LockTimeout, ReadWriteLock,
                           ServerOverloaded, Telemetry, set_trace_hook)
@@ -23,7 +23,7 @@ from .service import (BatchItem, BatchResult, ComplaintRequest,
 
 __all__ = [
     "AggregateCache", "CacheStats", "StageTiming", "dataset_fingerprint",
-    "refresh_fingerprint", "AdmissionController", "BatchWindow",
+    "AdmissionController", "BatchWindow",
     "DatasetLocks", "LatencyStats", "LockTimeout", "ReadWriteLock",
     "ServerOverloaded", "Telemetry", "set_trace_hook", "CachingCube",
     "CachingRepairer", "freeze_filters", "patch_cache_for_delta",

@@ -11,9 +11,11 @@ predictions (model fits over the parallel groups).
 so repeated and concurrent explanation queries — several complaints about
 the same view, a replayed drill-down path, many users exploring the same
 dataset — each pay the expensive computation once. The fingerprint pins
-every entry to the exact data contents: a mutated dataset produces a new
-fingerprint and therefore never aliases stale entries, while
-:meth:`AggregateCache.invalidate` reclaims the memory explicitly.
+every entry to the exact data contents. Relations are immutable, so data
+changes only by ingest, which re-keys the entries it keeps under a new
+versioned fingerprint, or by a wholesale rebuild, which hashes the new
+relation and reclaims the old entries with
+:meth:`AggregateCache.invalidate`.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ from ..robustness.faultinject import fault_point
 from .concurrency import trace
 
 T = TypeVar("T")
-
-#: Attribute slot used to memoize fingerprints on a dataset instance.
-_FINGERPRINT_ATTR = "_serving_fingerprint"
 
 
 @dataclass
@@ -193,29 +192,11 @@ class AggregateCache:
             self._stats.retained += retained
 
     # -- invalidation -------------------------------------------------------------
-    def invalidate(self, fingerprint: str | None = None,
-                   predicate: Callable[[Hashable], bool] | None = None) -> int:
-        """Drop entries and return how many were removed.
-
-        ``fingerprint`` drops every entry keyed to that dataset
-        fingerprint (the second key element); ``predicate`` drops entries
-        whose key satisfies it; with neither, everything is dropped.
-        """
-        if fingerprint is not None and predicate is not None:
-            raise ValueError("pass fingerprint or predicate, not both")
-        if fingerprint is not None:
-            def predicate(key: Hashable) -> bool:  # noqa: A001 - local shadow
-                return (isinstance(key, tuple) and len(key) > 1
-                        and key[1] == fingerprint)
+    def invalidate(self, fingerprint: str) -> int:
+        """Drop every entry keyed to one dataset fingerprint (the second
+        key element); returns how many were removed."""
         with self._lock:
-            if predicate is None:
-                removed = len(self._entries)
-                self._entries.clear()
-            else:
-                doomed = [k for k in self._entries if predicate(k)]
-                for k in doomed:
-                    del self._entries[k]
-                removed = len(doomed)
+            removed = len(self.pop_fingerprint(fingerprint))
             self._stats.invalidations += removed
             return removed
 
@@ -253,28 +234,21 @@ class AggregateCache:
 
 
 # -- dataset fingerprinting ------------------------------------------------------
-def dataset_fingerprint(dataset: HierarchicalDataset,
-                        refresh: bool = False) -> str:
-    """A stable digest of a dataset's schema, hierarchies and contents.
+def dataset_fingerprint(dataset: HierarchicalDataset) -> str:
+    """A stable digest of a dataset's schema, hierarchies, auxiliary
+    registrations and contents.
 
     Cache keys embed this fingerprint, so two datasets with identical
     rows share warm entries while any content change diverts lookups to
-    fresh keys. The digest is memoized on the dataset instance; after
-    mutating a dataset *in place* (e.g. editing a relation column), pass
-    ``refresh=True`` — or call :func:`refresh_fingerprint` — to rehash.
+    fresh keys. The digest is recomputed on every call, so it always
+    covers the dataset's current relation and auxiliary registrations.
 
     The per-column digests come from ``Relation.content_token``, which
     reuses the interned dictionary encodings (codes + domain) or raw
-    array bytes and memoizes the result on the column — so cache-backed
-    engines that rehash at construction pay O(1) per untouched column
-    and only re-hash columns whose list was handed out for mutation.
-    Columns never materialize Python lists just to be fingerprinted.
+    array bytes and memoizes the result on the immutable column — so a
+    rehash pays O(1) per column already hashed, and columns never
+    materialize Python lists just to be fingerprinted.
     """
-    cached = getattr(dataset, _FINGERPRINT_ATTR, None)
-    if cached is not None and not refresh:
-        fingerprint, relation = cached
-        if relation is dataset.relation:
-            return fingerprint
     digest = hashlib.blake2b(digest_size=16)
     relation = dataset.relation
     digest.update(repr(tuple(relation.schema.names)).encode())
@@ -288,11 +262,4 @@ def dataset_fingerprint(dataset: HierarchicalDataset,
             digest.update(aux.relation.content_token(column))
     for name in relation.schema.names:
         digest.update(relation.content_token(name))
-    fingerprint = digest.hexdigest()
-    setattr(dataset, _FINGERPRINT_ATTR, (fingerprint, relation))
-    return fingerprint
-
-
-def refresh_fingerprint(dataset: HierarchicalDataset) -> str:
-    """Recompute a dataset's fingerprint after an in-place mutation."""
-    return dataset_fingerprint(dataset, refresh=True)
+    return digest.hexdigest()

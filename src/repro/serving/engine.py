@@ -102,8 +102,9 @@ class CachingCube(Cube):
     """The memoizing cube (drop-in :class:`Cube`).
 
     ``drilldown_view`` and ``parallel_view`` route through the overridden
-    :meth:`view`, so the whole recommend path hits the cache. Call
-    :meth:`refresh` after mutating the dataset in place.
+    :meth:`view`, so the whole recommend path hits the cache. The owning
+    :class:`~repro.core.session.Reptile` moves :attr:`fingerprint` to
+    each new data version (ingest or rebuild).
     """
 
     def __init__(self, dataset: HierarchicalDataset, cache: AggregateCache,
@@ -122,19 +123,6 @@ class CachingCube(Cube):
         # so CachingRepairer can key predictions to this exact view.
         object.__setattr__(view, _VIEW_KEY_ATTR, key)
         return view
-
-    def refresh(self) -> str:
-        """Re-read the (mutated) dataset; returns the new fingerprint.
-
-        One rebuild, one new fingerprint: the service holds the dataset's
-        exclusive lock across this call, so readers only ever observe the
-        pre- or post-rebuild version. Old entries stay keyed to the old
-        fingerprint — harmless for correctness; reclaim them with
-        ``cache.invalidate(old_fp)``.
-        """
-        self.rebuild()
-        self.fingerprint = dataset_fingerprint(self.dataset, refresh=True)
-        return self.fingerprint
 
 
 def patch_view(view: GroupView, cube_delta: CubeDelta,

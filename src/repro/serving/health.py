@@ -41,14 +41,14 @@ REBUILDING = "rebuilding"
 
 
 class IngestFailure(RuntimeError):
-    """An infrastructure failure during ingest/refresh, after rollback.
+    """An infrastructure failure during ingest, after rollback.
 
     Raised *instead of* the original exception for failures that are the
-    service's fault rather than the request's (a failed cache patch, a
-    failed refresh, an injected fault). The dataset stays up on its
-    last good snapshot: ``data_version`` is the version still being
-    served, so the HTTP layer can answer 503 + ``degraded: true`` with
-    the snapshot marker instead of a raw 500.
+    service's fault rather than the request's (a failed cache patch, an
+    injected fault). The dataset stays up on its last good snapshot:
+    ``data_version`` is the version still being served, so the HTTP
+    layer can answer 503 + ``degraded: true`` with the snapshot marker
+    instead of a raw 500.
     """
 
     def __init__(self, dataset: str, data_version: int,

@@ -181,6 +181,8 @@ def parse_complaint_spec(spec) -> ComplaintRequest:
         elif direction == "should_be":
             if "target" not in spec:
                 raise RequestError("should_be complaints need 'target'")
+            if isinstance(spec["target"], bool):
+                raise RequestError("'target' must be a number")
             complaint = Complaint.should_be(coordinates, aggregate,
                                             float(spec["target"]))
         else:
@@ -193,7 +195,8 @@ def parse_complaint_spec(spec) -> ComplaintRequest:
             isinstance(a, str) for a in group_by):
         raise RequestError("'group_by' must be a list of attribute names")
     k = spec.get("k")
-    if k is not None and (not isinstance(k, int) or k < 1):
+    if k is not None and (not isinstance(k, int) or isinstance(k, bool)
+                          or k < 1):
         raise RequestError("'k' must be a positive integer")
     return ComplaintRequest(complaint, tuple(group_by),
                             dict(spec.get("filters", {})), k=k)
@@ -205,6 +208,15 @@ def _rows_spec(spec, what: str) -> list:
     if not isinstance(spec, list):
         raise RequestError(f"{what!r} must be a JSON list of rows")
     return spec
+
+
+def _degraded_reply(error: str, dataset: str, data_version: int):
+    """503 for a failed ingest or rebuild: the dataset keeps serving its
+    last good snapshot, so the body carries the degraded marker and the
+    version still served."""
+    return 503, {"Retry-After": "1"}, {
+        "error": error, "degraded": True, "dataset": dataset,
+        "data_version": data_version, "retry_after": 1}
 
 
 # -- the application -------------------------------------------------------------
@@ -289,12 +301,7 @@ class ServerApp:
             return 503, {"Retry-After": "1"}, {"error": str(exc),
                                                "retry_after": 1}
         except IngestFailure as exc:
-            # The dataset rolled back and keeps serving its last good
-            # snapshot; the 503 carries the degraded marker + version.
-            return 503, {"Retry-After": "1"}, {
-                "error": str(exc), "degraded": True,
-                "dataset": exc.dataset, "data_version": exc.data_version,
-                "retry_after": 1}
+            return _degraded_reply(str(exc), exc.dataset, exc.data_version)
         except (RequestError, SessionError, DeltaError, ValueError,
                 TypeError) as exc:
             return 400, {}, {"error": str(exc)}
@@ -587,8 +594,10 @@ class ServerApp:
         """Row tuples from JSON row specs.
 
         JSON has one number type, but ``json.loads`` returns ``int`` for
-        ``7``: measure cells that are ints (not bools) decode as floats,
-        so an integer-valued measure never demotes a float column.
+        ``7``: measure cells that are ints decode as floats, so an
+        integer-valued measure never demotes a float column. A JSON
+        boolean is not a number: a ``true``/``false`` measure cell is a
+        bad request.
         """
         names = list(schema.names)
         at = names.index(measure)
@@ -610,7 +619,10 @@ class ServerApp:
                 raise RequestError(
                     f"each row must be an object or a list, got {spec!r}")
             cell = row[at]
-            if isinstance(cell, int) and not isinstance(cell, bool):
+            if isinstance(cell, bool):
+                raise RequestError(
+                    f"measure {measure!r} value {cell!r} is not a number")
+            if isinstance(cell, int):
                 try:
                     row[at] = float(cell)
                 except OverflowError:
@@ -621,10 +633,14 @@ class ServerApp:
         return rows
 
     def _refresh(self, name: str, body=None):
-        self.service.engine(name)  # 404 on unknown names
-        removed = self.service.invalidate(name)
-        engine = self.service.engine(name)
-        return 200, {}, {"dataset": name, "invalidated": removed,
+        engine = self.service.engine(name)  # 404 on unknown names
+        if not self.service.try_rebuild(name):
+            error = self.service.health.for_dataset(name).last_error
+            return _degraded_reply(
+                f"rebuild of {name!r} failed ({error}); still serving "
+                f"data version {engine.data_version}", name,
+                engine.data_version)
+        return 200, {}, {"dataset": name,
                          "data_version": engine.data_version}
 
 

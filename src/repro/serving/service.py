@@ -114,8 +114,10 @@ class ExplanationService:
     *read* lock for the whole request, so any number run concurrently
     while each observes exactly one ``data_version`` (snapshot
     isolation); the maintenance methods :meth:`ingest` and
-    :meth:`invalidate` hold the *write* lock, excluding every reader
-    while the delta threads through engine and cache. Requests against
+    :meth:`try_rebuild` hold the *write* lock, excluding every reader
+    while the delta or the rebuild threads through engine and cache.
+    Relations are immutable, so these two are the only ways a
+    registered dataset's data changes. Requests against
     one session id additionally serialize on the session's own lock, so
     concurrent calls for the same session are safe (they queue). Lock
     ordering is fixed everywhere: dataset lock first, then the service
@@ -130,7 +132,7 @@ class ExplanationService:
         #: Per-dataset reader/writer locks (shared with the HTTP server).
         self.locks = DatasetLocks()
         #: Per-dataset health states (shared with the HTTP server):
-        #: a failed ingest/refresh marks its dataset degraded here, reads
+        #: a failed ingest or rebuild marks its dataset degraded here, reads
         #: keep serving the last good snapshot, and a background rebuild
         #: (when ``auto_rebuild``) restores health with capped backoff.
         self.health = HealthRegistry()
@@ -322,7 +324,7 @@ class ExplanationService:
                retract: Sequence = ()) -> dict:
         """Apply an append/retract delta to a registered dataset.
 
-        The incremental counterpart of :meth:`invalidate`: the delta is
+        The incremental counterpart of :meth:`try_rebuild`: the delta is
         threaded through the relation, the cube, the hierarchy paths and
         the shared cache (entries are patched or retained under the new
         versioned fingerprint, not dropped), and every open session of
@@ -390,17 +392,26 @@ class ExplanationService:
             self._spawn_rebuild(dataset)
 
     def try_rebuild(self, dataset: str) -> bool:
-        """One synchronous recovery attempt; True when healthy again.
+        """Rebuild one dataset's engine wholesale; True on success.
 
-        Rebuilds the engine wholesale from its (consistent, last-good)
-        relation under the write lock — the same full-invalidation path
-        as :meth:`invalidate` — and returns the dataset to ``healthy``.
-        A failure (the ``serving.rebuild`` fault point included) pushes
-        the next attempt further out on the backoff schedule. Called by
-        the background rebuild loop, and directly by tests.
+        The one wholesale path, for recovery (the background rebuild
+        loop) and for the operator's forced rebuild (``POST
+        /datasets/{d}/refresh``). Under the write lock the engine
+        rebuilds from its committed relation
+        (:meth:`~repro.core.session.Reptile.refresh`), the old
+        fingerprint's cache entries are dropped, and the open sessions
+        are version-bumped: auto-sync ones fast-forward now, strict ones
+        raise until synced. A healthy dataset stays ``healthy``
+        throughout; a degraded one goes ``rebuilding`` and, on success,
+        ``healthy`` with one more recorded rebuild. A failure (the
+        ``serving.rebuild`` fault point included) degrades the dataset,
+        pushing the next attempt further out on the backoff schedule,
+        and returns False.
         """
         engine = self.engine(dataset)
-        self.health.mark_rebuilding(dataset)
+        recovering = self.health.is_degraded(dataset)
+        if recovering:
+            self.health.mark_rebuilding(dataset)
         try:
             fault_point("serving.rebuild", dataset=dataset)
             with self.locks.write(dataset):
@@ -410,10 +421,10 @@ class ExplanationService:
                     self.cache.invalidate(old_fingerprint)
                 self._bump_sessions(dataset)
         except Exception as exc:
-            self.health.mark_failed(dataset, exc)
+            self._degrade(dataset, exc)
             return False
         self.health.mark_healthy(dataset, engine.data_version,
-                                 recovered=True)
+                                 recovered=recovering)
         return True
 
     def _spawn_rebuild(self, dataset: str) -> None:
@@ -443,40 +454,6 @@ class ExplanationService:
             if not self.health.is_degraded(dataset):
                 break
             self.try_rebuild(dataset)
-
-    def invalidate(self, dataset: str | None = None) -> int:
-        """Flush cached state after data changed; returns entries dropped.
-
-        Refreshes the named engine (or all engines) against its mutated
-        dataset, drops the old fingerprint's cache entries, and
-        version-bumps the open sessions of the affected datasets so none
-        can keep serving pre-mutation aggregates (the auto-sync ones
-        fast-forward immediately; strict ones raise until synced). Each
-        dataset is refreshed under its *write* lock, so in-flight reads
-        drain first and no request can observe the engine mid-refresh.
-        """
-        with self._lock:
-            names = [dataset] if dataset is not None else list(self._engines)
-        removed = 0
-        for name in names:
-            engine = self.engine(name)
-            with self.locks.write(name):
-                old_fingerprint = engine.fingerprint
-                try:
-                    # refresh() bumps the engine's data version; sessions
-                    # must not stay pinned to the pre-mutation state.
-                    engine.refresh()
-                except Exception as exc:
-                    # Same degraded-mode contract as ingest: reads keep
-                    # serving, recovery rebuilds in the background.
-                    self._degrade(name, exc)
-                    raise IngestFailure(name, engine.data_version,
-                                        exc) from exc
-                if old_fingerprint is not None:
-                    removed += self.cache.invalidate(old_fingerprint)
-                self._bump_sessions(name)
-                self.health.mark_healthy(name, engine.data_version)
-        return removed
 
     # -- monitoring ----------------------------------------------------------------
     def stats(self) -> dict:

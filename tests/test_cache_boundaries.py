@@ -9,8 +9,6 @@ exactly at ``max_entries``, recency semantics of every operation,
 
 from __future__ import annotations
 
-import pytest
-
 from repro.serving import AggregateCache
 
 
@@ -72,9 +70,7 @@ class TestEvictionBoundary:
 class TestInvalidateReturnCounts:
     def test_empty_cache_returns_zero(self):
         cache = AggregateCache()
-        assert cache.invalidate() == 0
         assert cache.invalidate("nope") == 0
-        assert cache.invalidate(predicate=lambda k: True) == 0
         assert cache.stats.invalidations == 0
 
     def test_per_fingerprint_counts(self):
@@ -93,10 +89,6 @@ class TestInvalidateReturnCounts:
         cache.put(("solo",), 1)
         assert cache.invalidate("solo") == 0
         assert len(cache) == 1
-
-    def test_predicate_and_fingerprint_are_exclusive(self):
-        with pytest.raises(ValueError):
-            AggregateCache().invalidate("fp", predicate=lambda k: True)
 
     def test_clear_resets_statistics(self):
         cache = AggregateCache()

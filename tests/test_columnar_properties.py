@@ -172,9 +172,9 @@ def test_mixed_numeric_types_preserved_in_derived_relations():
                              [(1, 1.0), (True, 2.0), (2.0, 3.0), (2, 4.0)])
     rel.encoding("k")  # intern first, as a cube build would
     kept = rel.filter_equals({"k": 1})
-    assert kept.column_values("k") == [1, True]
-    assert [type(v) for v in kept.column_values("k")] == [int, bool]
-    assert [type(v) for v in rel.sort(["x"]).column_values("k")] \
+    assert kept.column("k") == (1, True)
+    assert [type(v) for v in kept.column("k")] == [int, bool]
+    assert [type(v) for v in rel.sort(["x"]).column("k")] \
         == [int, bool, float, int]
     # Grouping still merges ==-equal values, exactly like the row path.
     assert len(rel.group_rows(["k"])) == len(rowref.group_rows(rel, ["k"]))
@@ -190,7 +190,7 @@ def test_mixed_numeric_distinct_and_concat_preserve_originals():
     # must keep 1.0 a float even though the left domain holds int 1.
     left = Relation(Schema(["k"]), {"k": [1, 2]}).sort(["k"])
     right = Relation(Schema(["k"]), {"k": [1.0, 3.0]}).sort(["k"])
-    assert [type(v) for v in left.concat(right).column_values("k")] \
+    assert [type(v) for v in left.concat(right).column("k")] \
         == [int, int, float, float]
 
 
@@ -198,7 +198,7 @@ def test_nan_filter_value_matches_nothing():
     rel = Relation(Schema([dimension("g"), measure("x")]),
                    {"g": np.array([1.0, np.nan, 3.0]),
                     "x": np.array([1.0, 2.0, 3.0])})
-    stored_nan = rel.column_values("g")[1]
+    stored_nan = rel.column("g")[1]
     assert len(rel.filter_equals({"g": stored_nan})) == 0  # nan != nan
     assert len(rowref.filter_equals(rel, {"g": stored_nan})) == 0
 

@@ -4,7 +4,7 @@ Complements the hypothesis oracle suite (``test_delta_properties``) with
 pinned behaviours: domain extension without re-encode, retraction
 validation and atomicity, counted-map delta merges, path patching,
 session staleness policies, the serving cache's patch/retain/drop
-decisions, the ``ExplanationService.invalidate`` session regression, and
+decisions, the ``ExplanationService.try_rebuild`` session regression, and
 the CLI ``ingest`` command.
 """
 
@@ -417,8 +417,8 @@ class TestServingIngest:
             strict.view()
 
     def test_invalidate_bumps_open_sessions(self, ofla_dataset):
-        # Regression: invalidate() used to leave open sessions pinned to
-        # the pre-mutation engine state; they must be version-bumped so
+        # Regression: a wholesale rebuild used to leave open sessions
+        # pinned to the old engine state; they must be version-bumped so
         # recommend() cannot serve stale aggregates.
         service = self._service(ofla_dataset)
         sid = service.open_session("drought", group_by=["year"],
@@ -426,15 +426,26 @@ class TestServingIngest:
         service.recommend(sid, COMPLAINT)
         session = service.session(sid)
         version = session.data_version
-        severities = ofla_dataset.relation.column("severity")
-        for i, (v, y) in enumerate(zip(
-                ofla_dataset.relation.column("village"),
-                ofla_dataset.relation.column("year"))):
-            if v == "Darube" and y == 1986:
-                severities[i] = 1.0
-        service.invalidate("drought")
+        strict = service.engine("drought").session(
+            group_by=["year"], staleness="strict")
+        service._sessions["strict"] = ("drought", strict)
+        # Swap in a relation with a severe Darube-1986 under-report.
+        relation = ofla_dataset.relation
+        severity = [1.0 if (v, y) == ("Darube", 1986) else s
+                    for v, y, s in zip(relation.column("village"),
+                                       relation.column("year"),
+                                       relation.column("severity"))]
+        ofla_dataset.relation = Relation(
+            relation.schema,
+            {n: severity if n == "severity" else relation.column(n)
+             for n in relation.schema.names})
+        assert service.try_rebuild("drought")
         assert session.data_version > version  # bumped, not stale
         assert not session.is_stale()
+        with pytest.raises(StaleDataError):
+            strict.view()
+        strict.sync()
+        assert not strict.is_stale()
         after = service.recommend(sid, COMPLAINT)
         expected = Reptile(ofla_dataset, config=CONFIG) \
             .session(group_by=["year"], filters={"district": "Ofla"}) \
@@ -550,6 +561,7 @@ class TestHTTPIngestMeasureCells:
     @pytest.mark.parametrize("column, cell", [
         pytest.param(3, "abc", id="abc"),
         pytest.param(3, {"sev": 1}, id="cell1"),
+        pytest.param(3, True, id="measure-bool"),
         pytest.param(1, ["x"], id="leaf-list"),
         pytest.param(0, {"a": 1}, id="new-leaf-ancestor-object"),
         pytest.param(2, ["x"], id="year-list")])

@@ -36,7 +36,7 @@ class TestConstruction:
 
 class TestAccessors:
     def test_column_and_measure_array(self, rel):
-        assert rel.column("a")[:2] == ["a1", "a1"]
+        assert rel.column("a")[:2] == ("a1", "a1")
         np.testing.assert_allclose(rel.measure_array("x"),
                                    [1.0, 2.0, 3.0, 4.0, 5.0])
 
@@ -73,11 +73,11 @@ class TestOperators:
 
     def test_sort(self, rel):
         s = rel.sort(["x"])
-        assert s.column("x") == sorted(rel.column("x"))
+        assert list(s.column("x")) == sorted(rel.column("x"))
 
     def test_extend(self, rel):
         e = rel.extend("y", [0, 1, 2, 3, 4])
-        assert e.column("y") == [0, 1, 2, 3, 4]
+        assert e.column("y") == (0, 1, 2, 3, 4)
         with pytest.raises(SchemaError):
             rel.extend("y", [1])
 
@@ -136,29 +136,27 @@ class TestGrouping:
 
 
 class TestDerivedIsolation:
-    """Derived relations must stay isolated under column() mutation,
-    exactly as when every operation copied its columns."""
+    """Relations are immutable: no caller can edit a column, so derived
+    relations share their parent's column objects instead of copying."""
 
-    def test_extend_mutation_does_not_alias_base(self, rel):
-        extended = rel.extend("y", [0, 1, 2, 3, 4])
-        extended.column("x")[0] = 999.0
-        assert rel.column("x")[0] == 1.0
-
-    def test_base_mutation_does_not_leak_into_projection(self, rel):
-        projected = rel.project(["a", "b"])
-        rel.column("a")[0] = "mutated"
-        assert projected.column("a")[0] == "a1"
-
-    def test_projection_mutation_does_not_leak_into_base(self, rel):
-        projected = rel.project(["a", "b"])
-        projected.column("a")[0] = "mutated"
+    def test_columns_are_immutable_and_shared(self, rel):
+        column = rel.column("a")
+        assert isinstance(column, tuple)
+        with pytest.raises(TypeError):
+            column[0] = "mutated"  # type: ignore[index]
         assert rel.column("a")[0] == "a1"
+        projected = rel.project(["a", "b"])
+        extended = rel.extend("y", [0, 1, 2, 3, 4])
+        for name in ("a", "b"):
+            assert projected._cols[name] is rel._cols[name]
+        for name in rel.schema.names:
+            assert extended._cols[name] is rel._cols[name]
 
     def test_concat_mixed_dtype_arrays_preserves_values(self):
         left = Relation(Schema(["k"]), {"k": np.array([1, 2])})
         right = Relation(Schema(["k"]), {"k": np.array(["a"])})
         both = left.concat(right)
-        assert both.column("k") == [1, 2, "a"]  # no silent stringification
+        assert both.column("k") == (1, 2, "a")  # no silent stringification
 
 
 class TestCsv(object):
@@ -174,4 +172,4 @@ class TestCsv(object):
         path = str(tmp_path / "r.csv")
         r.to_csv(path)
         back = Relation.from_csv(path, schema, converters={"year": int})
-        assert back.column("year") == [1984, 1985]
+        assert back.column("year") == (1984, 1985)

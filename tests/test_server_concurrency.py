@@ -40,10 +40,12 @@ import time
 import numpy as np
 import pytest
 
+from repro import Complaint, Reptile
 from repro.relational import (HierarchicalDataset, Relation, Schema,
                               dimension, measure)
 from repro.relational.delta import Delta
 from repro.relational.deltaref import apply_delta_rows
+from repro.robustness.faultinject import faults
 from repro.serving import ExplanationService, ServerApp, serve_http
 from repro.serving.concurrency import BatchWindow, LockTimeout
 
@@ -87,7 +89,7 @@ def make_app(seed: int, **kwargs) -> ServerApp:
 
 def base_totals(dataset: HierarchicalDataset) -> tuple[int, float]:
     relation = dataset.relation
-    return len(relation), float(sum(relation.column_values("severity")))
+    return len(relation), float(sum(relation.column("severity")))
 
 
 def wait_until(predicate, what: str, timeout: float = 5.0) -> None:
@@ -662,6 +664,14 @@ class TestTransport:
         status, _, payload = app.dispatch(
             "POST", "/datasets/data/recommend", {"aggregate": "mean"})
         assert status == 400 and "coordinates" in payload["error"]
+        # A JSON boolean is not a number: neither a k nor a target.
+        complaint = {"aggregate": "mean", "coordinates": {"district": "d0"},
+                     "group_by": ["district"]}
+        for extra in ({"k": True},
+                      {"direction": "should_be", "target": True}):
+            status, _, payload = app.dispatch(
+                "POST", "/datasets/data/recommend", dict(complaint, **extra))
+            assert status == 400, (extra, payload)
         status, _, payload = app.dispatch(
             "POST", "/datasets/data/ingest", {})
         assert status == 400
@@ -686,6 +696,171 @@ class TestTransport:
             "POST", "/sessions/v/recommend",
             {"aggregate": "mean", "coordinates": {"district": "d0"}})
         assert status == 200, payload
+
+
+# -- the remaining routes -----------------------------------------------------------
+def make_service_app(seed: int) -> tuple[ExplanationService, ServerApp]:
+    """One dataset and no background rebuild: a degraded state stays put."""
+    service = ExplanationService(auto_rebuild=False)
+    service.register("data", make_dataset(seed))
+    return service, ServerApp(service)
+
+
+def degrade(app: ServerApp) -> None:
+    """Fail one ingest at its commit point: the dataset goes degraded."""
+    rows = delta_rows(np.random.default_rng(0), "f", 1)
+    with faults("ingest.commit=error"):
+        status, _, payload = app.dispatch("POST", "/datasets/data/ingest",
+                                          {"rows": rows})
+    assert status == 503 and payload["degraded"] is True
+
+
+class TestRoutes:
+    def test_dataset_listing_and_detail(self):
+        service, app = make_service_app(20)
+        status, _, listing = app.dispatch("GET", "/datasets")
+        assert status == 200
+        want = {"name": "data", "rows": 54, "data_version": 0,
+                "measure": "severity",
+                "hierarchies": {"geo": ["district", "village"],
+                                "time": ["year"]}}
+        assert listing == {"datasets": [want]}
+        assert app.dispatch("GET", "/datasets/data") == (200, {}, want)
+        rows = delta_rows(np.random.default_rng(20), "a", 2)
+        assert app.dispatch("POST", "/datasets/data/ingest",
+                            {"rows": rows})[0] == 200
+        status, _, detail = app.dispatch("GET", "/datasets/data")
+        assert status == 200
+        assert (detail["rows"], detail["data_version"]) == (56, 1)
+        assert app.dispatch("GET", "/datasets/ghost")[0] == 404
+        degrade(app)
+        status, _, detail = app.dispatch("GET", "/datasets/data")
+        assert status == 200 and detail["degraded"] is True
+        assert detail["data_version"] == 1
+        _, _, listing = app.dispatch("GET", "/datasets")
+        assert listing["datasets"][0]["degraded"] is True
+
+    def test_refresh_rebuilds_and_bumps_sessions(self):
+        service, app = make_service_app(21)
+        for sid, staleness in (("s", "sync"), ("t", "strict")):
+            status, _, _ = app.dispatch(
+                "POST", "/datasets/data/sessions",
+                {"session_id": sid, "group_by": ["district"],
+                 "staleness": staleness})
+            assert status == 201
+        assert app.dispatch("POST", "/sessions/s/recommend", {
+            "aggregate": "mean", "coordinates": {"district": "d0"}})[0] == 200
+        old = service.engine("data").fingerprint
+        assert any(key[1] == old for key in service.cache.keys())
+        status, _, payload = app.dispatch("POST", "/datasets/data/refresh")
+        assert status == 200
+        assert payload == {"dataset": "data", "data_version": 1}
+        status, _, info = app.dispatch("GET", "/sessions/s")
+        assert (info["data_version"], info["stale"]) == (1, False)
+        assert app.dispatch("GET", "/sessions/t/view")[0] == 409
+        assert app.dispatch("POST", "/sessions/t/sync")[0] == 200
+        status, _, view = app.dispatch("GET", "/sessions/t/view")
+        assert status == 200 and view["data_version"] == 1
+        assert not any(key[1] == old for key in service.cache.keys())
+        health = service.health.for_dataset("data")
+        assert (health.state, health.rebuilds) == ("healthy", 0)
+
+    def test_refresh_unknown_dataset_and_wrong_method(self):
+        _, app = make_service_app(22)
+        assert app.dispatch("POST", "/datasets/ghost/refresh")[0] == 404
+        status, headers, _ = app.dispatch("GET", "/datasets/data/refresh")
+        assert status == 405 and headers == {"Allow": "POST"}
+
+    def test_failed_refresh_answers_degraded(self):
+        service, app = make_service_app(23)
+        with faults("serving.rebuild=error"):
+            status, headers, payload = app.dispatch(
+                "POST", "/datasets/data/refresh")
+        assert status == 503 and headers == {"Retry-After": "1"}
+        assert payload["degraded"] is True
+        assert (payload["dataset"], payload["data_version"]) == ("data", 0)
+        assert "FaultInjected" in payload["error"]
+        _, _, health = app.dispatch("GET", "/healthz")
+        assert health["degraded_datasets"] == ["data"]
+        assert health["datasets"]["data"]["state"] == "degraded"
+        assert service.engine("data").data_version == 0
+
+    def test_failed_refresh_keeps_the_served_version(self):
+        # A rebuild that raises part-way (here: a relation swapped in
+        # with a non-numeric measure cell) must leave the engine on the
+        # version it served: same data, same data_version.
+        service, app = make_service_app(28)
+        app.dispatch("POST", "/datasets/data/sessions",
+                     {"session_id": "s", "group_by": ["district"]})
+        _, _, before = app.dispatch("GET", "/sessions/s/view")
+        dataset = service.engine("data").dataset
+        relation = dataset.relation
+        severity = ["oops"] + list(relation.column("severity"))[1:]
+        dataset.relation = Relation(
+            relation.schema,
+            {n: severity if n == "severity" else relation.column(n)
+             for n in relation.schema.names})
+        status, _, payload = app.dispatch("POST", "/datasets/data/refresh")
+        assert status == 503 and payload["degraded"] is True
+        assert payload["data_version"] == 0
+        assert service.engine("data").data_version == 0
+        status, _, after = app.dispatch("GET", "/sessions/s/view")
+        assert status == 200 and after["degraded"] is True
+        assert after["data_version"] == 0
+        assert after["groups"] == before["groups"]
+
+    def test_refresh_recovers_a_degraded_dataset(self):
+        service, app = make_service_app(24)
+        degrade(app)
+        assert app.dispatch("POST", "/datasets/data/refresh")[0] == 200
+        _, _, health = app.dispatch("GET", "/healthz")
+        assert health["status"] == "ok"
+        assert health["datasets"]["data"]["state"] == "healthy"
+        assert health["datasets"]["data"]["rebuilds"] == 1
+        assert health["datasets"]["data"]["data_version"] == 1
+
+    def test_close_session_routes(self):
+        _, app = make_service_app(25)
+        for sid in ("a", "b"):
+            assert app.dispatch("POST", "/datasets/data/sessions",
+                                {"session_id": sid})[0] == 201
+        assert app.dispatch("DELETE", "/sessions/a") \
+            == (200, {}, {"closed": "a"})
+        assert app.dispatch("DELETE", "/sessions/a")[0] == 404
+        assert app.dispatch("GET", "/sessions/b/close")[0] == 405
+        assert app.dispatch("POST", "/sessions/b/close") \
+            == (200, {}, {"closed": "b"})
+        assert app.dispatch("POST", "/sessions/b/close")[0] == 404
+        assert app.dispatch("GET", "/sessions/b")[0] == 404
+
+    @pytest.mark.parametrize("extra, complaint", [
+        pytest.param({"direction": "too_high"},
+                     Complaint.too_high({"district": "d0"}, "mean"),
+                     id="too_high"),
+        pytest.param({"direction": "should_be", "target": 9.5},
+                     Complaint.should_be({"district": "d0"}, "mean", 9.5),
+                     id="should_be")])
+    def test_complaint_directions(self, extra, complaint):
+        service, app = make_service_app(26)
+        body = dict({"aggregate": "mean", "coordinates": {"district": "d0"},
+                     "group_by": ["district"]}, **extra)
+        status, _, payload = app.dispatch("POST", "/datasets/data/recommend",
+                                          body)
+        assert status == 200, payload
+        want = Reptile(service.engine("data").dataset).recommend(
+            complaint, group_by=["district"])
+        assert payload["complaint"] == repr(complaint)
+        assert payload["best_hierarchy"] == want.best_hierarchy
+        assert payload["best_group"]["coordinates"] \
+            == want.best_group.coordinates
+
+    def test_should_be_needs_a_target(self):
+        _, app = make_service_app(27)
+        status, _, payload = app.dispatch(
+            "POST", "/datasets/data/recommend",
+            {"aggregate": "mean", "direction": "should_be",
+             "coordinates": {"district": "d0"}, "group_by": ["district"]})
+        assert status == 400 and "target" in payload["error"]
 
 
 # -- group commit ----------------------------------------------------------------

@@ -89,7 +89,7 @@ class TestSerializedOracle:
         service, sync_id, strict_id = fresh_service()
         dataset = service.engine("data").dataset
         base_count = len(dataset.relation)
-        base_total = float(sum(dataset.relation.column_values("severity")))
+        base_total = float(sum(dataset.relation.column("severity")))
 
         # The oracle: current version, per-version totals, pinned marks.
         current = 0
@@ -165,7 +165,7 @@ class TestConcurrentInvariants:
         service, sync_id, _ = fresh_service()
         dataset = service.engine("data").dataset
         base = (len(dataset.relation),
-                float(sum(dataset.relation.column_values("severity"))))
+                float(sum(dataset.relation.column("severity"))))
         contrib: dict[int, tuple[int, float]] = {}
         contrib_lock = threading.Lock()
         deferred: list[tuple[int, tuple[int, float]]] = []
