@@ -21,15 +21,15 @@ test-concurrency:
 	    tests/test_snapshot_properties.py tests/test_cache_boundaries.py -q
 
 # The fused-kernel gate: hypothesis bitwise-equality properties for all
-# three kernels of the fused NumPy backend against the frozen plain tier,
+# three kernels of the fused NumPy tier against the frozen plain tier,
 # plus the dispatch/counter unit coverage.
 test-kernels:
 	python -m pytest tests/test_kernel_properties.py -q
 
-# The fault-tolerance gate: the fault-injection registry, kernel
-# quarantine, atomic ingest, degraded-mode serving, and 32 seeded chaos
-# schedules with concurrent traffic — run without -x so one bad schedule
-# still reports every other failure.
+# The fault-tolerance gate: the fault-injection registry, atomic ingest,
+# degraded-mode serving, and 32 seeded chaos schedules with concurrent
+# traffic — run without -x so one bad schedule still reports every other
+# failure.
 test-faults:
 	python -m pytest tests/test_faults.py -q
 

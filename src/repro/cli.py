@@ -187,11 +187,10 @@ def _parse_request(spec: dict):
             raise SystemExit(f"serve: should_be entry needs 'target': "
                              f"{spec!r}")
         try:
-            target = float(spec["target"])
-        except (TypeError, ValueError):
-            raise SystemExit(f"serve: should_be 'target' must be a "
-                             f"number, got {spec['target']!r}")
-        complaint = Complaint.should_be(coordinates, aggregate, target)
+            complaint = Complaint.should_be(coordinates, aggregate,
+                                            float(spec["target"]))
+        except (TypeError, ValueError) as exc:
+            raise SystemExit(f"serve: bad should_be entry {spec!r}: {exc}")
     else:
         raise SystemExit(f"serve: unknown direction {direction!r} "
                          f"(use too_low, too_high or should_be)")
@@ -240,24 +239,10 @@ def _load_csv_dataset(args: argparse.Namespace):
     return HierarchicalDataset.build(relation, hierarchies, args.measure)
 
 
-def _set_kernel_backend(args: argparse.Namespace, command: str) -> None:
-    """Apply ``--kernels`` (resolution errors become CLI errors)."""
-    if getattr(args, "kernels", None) is None:
-        return
-    from . import kernels
-
-    try:
-        resolved = kernels.set_backend(args.kernels)
-    except kernels.KernelBackendError as exc:
-        raise SystemExit(f"{command}: {exc}")
-    print(f"kernel backend: {resolved}")
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .core.session import ReptileConfig
     from .serving.service import ExplanationService
 
-    _set_kernel_backend(args, "serve")
     if args.csv:
         dataset = _load_csv_dataset(args)
     else:
@@ -373,7 +358,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     from .core.session import ReptileConfig
     from .serving.service import ExplanationService
 
-    _set_kernel_backend(args, "ingest")
     if args.csv:
         dataset = _load_csv_dataset(args)
     else:
@@ -436,7 +420,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     from .serving.server import ServerApp, ReptileHTTPServer
     from .serving.service import ExplanationService
 
-    _set_kernel_backend(args, "serve-http")
     if args.csv:
         dataset = _load_csv_dataset(args)
     else:
@@ -613,12 +596,8 @@ rows JSON: a list of rows, each either an object keyed by column name
 or a list in schema order. --retract takes the same format; each
 retracted row must match an existing row on every column.
 
---kernels selects the fused-kernel backend for the delta-merge and
-recommend kernels (same choices as serve).
-
 examples:
   python -m repro ingest
-  python -m repro ingest --kernels numpy
   python -m repro ingest --rows new_rows.json --retract corrections.json \\
       --csv survey.csv --hierarchy geo=district,village \\
       --hierarchy time=year --measure severity""",
@@ -662,11 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--measure", help="measure column for --csv")
             p.add_argument("--k", type=int, default=5,
                            help="top groups per recommendation")
-            p.add_argument("--kernels", choices=("auto", "numpy", "plain",
-                                                 "off"),
-                           default=None,
-                           help="fused-kernel backend (default: the "
-                                "REPTILE_KERNELS env var, else auto)")
         if name == "serve":
             p.add_argument("--repeat", type=int, default=1,
                            help="serve the batch N times (warm passes "

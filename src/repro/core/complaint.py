@@ -50,8 +50,12 @@ class Complaint:
 
     def __post_init__(self):
         decompose(self.aggregate)  # validates the aggregate name
-        if self.direction is Direction.TARGET and self.target is None:
-            raise ValueError("TARGET complaints need a target value")
+        if self.direction is Direction.TARGET:
+            if self.target is None:
+                raise ValueError("TARGET complaints need a target value")
+            if not np.isfinite(self.target):
+                raise ValueError(f"complaint target must be a finite "
+                                 f"number, got {self.target!r}")
         object.__setattr__(self, "coordinates", dict(self.coordinates))
 
     # -- constructors --------------------------------------------------------------

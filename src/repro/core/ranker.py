@@ -20,11 +20,12 @@ The scoring sweep is array-native: the drill-down view's
 prediction's matrix are combined through the fused-kernel tier
 (``kernels.rank1_sweep`` — the "replace one group" parent update of
 eq. 3 is a rank-1 adjustment on the ``(count, sum, sumsq)`` arrays,
-identical bitwise on every backend) — then one ``np.lexsort`` ranks
-every candidate and :class:`ScoredGroup` records are materialized only
-for the returned top-k. Results are exactly equal (same keys, same scores, same
-ordering) to the frozen group-at-a-time reference in
-:mod:`repro.core.rankref`, which the property tests enforce.
+identical bitwise in the fused and plain tiers) — then one
+``np.lexsort`` ranks every candidate and :class:`ScoredGroup` records
+are materialized only for the returned top-k. Results are exactly equal
+(same keys, same scores, same ordering) to the frozen group-at-a-time
+reference in :mod:`repro.core.rankref`, which the property tests
+enforce.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def score_drilldown(drill_view: GroupView, prediction: RepairPrediction,
     # f_repair + eq. 3 + tie-break sizes, through the kernel tier: apply
     # each repaired statistic in order to the running (count, total,
     # sumsq) arrays, adjust the parent rank-1 with one group replaced,
-    # and accumulate Σ |expected − observed| per group. All backends are
+    # and accumulate Σ |expected − observed| per group. Both tiers are
     # bitwise-equal to the inline chain this replaced.
     repaired_values, sizes = kernels.rank1_sweep(
         stats.count, stats.total, stats.sumsq, parent.count, parent.total,

@@ -278,16 +278,21 @@ class Reptile:
                         f"{path[-1]!r} maps to both {known!r} and {path!r}")
 
     def _validate_delta_measure(self, delta: Delta) -> None:
-        """Reject appended measure cells the cube cannot convert to float,
-        pre-mutation: a malformed cell is a bad request, not a fault."""
+        """Reject appended measure cells the cube cannot convert to a
+        finite float, pre-mutation: a malformed cell is a bad request,
+        not a fault. (A NaN cell still passes: ``null`` decodes to it.)"""
         if not len(delta.appended):
             return
         try:
-            delta.appended.measure_array(self.dataset.measure)
+            values = delta.appended.measure_array(self.dataset.measure)
         except (TypeError, ValueError) as exc:
             raise DeltaError(
                 f"appended measure {self.dataset.measure!r} is not "
                 f"numeric: {exc}") from None
+        if np.isinf(values).any():
+            raise DeltaError(
+                f"appended measure {self.dataset.measure!r} is not "
+                f"finite: ±inf in an appended row")
 
     def _patch_paths(self, cube_delta: CubeDelta) -> None:
         """Patch memoized hierarchy paths from a cube delta.

@@ -276,15 +276,6 @@ def run_drilldown(mode: str, depth_b: int, n_attrs: int = 6,
     return DrilldownTiming(mode, depth_b, times, engine.unit_computations)
 
 
-def sweep_drilldown(depths=(3, 4, 5), cardinality: int = 200
-                    ) -> list[DrilldownTiming]:
-    out = []
-    for mode in ("static", "dynamic", "cache"):
-        for depth in depths:
-            out.append(run_drilldown(mode, depth, cardinality=cardinality))
-    return out
-
-
 # ---------------------------------------------------------------- Figure 15
 
 

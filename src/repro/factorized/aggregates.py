@@ -105,10 +105,6 @@ class DecomposedAggregates:
     def count(self, attribute: str) -> dict:
         return self.order.count_map(attribute)
 
-    def count_arrays(self, attribute: str) -> tuple[list, np.ndarray]:
-        """(ordered domain, aligned suffix counts) for vectorised use."""
-        return self.order.ordered_domain(attribute), self.order.counts(attribute)
-
     def cof(self, a: str, b: str) -> PairCOF | CrossCOF:
         """``COF_{a,b}`` with ``a`` strictly before ``b`` in attribute order."""
         ia, ib = self.order.info(a), self.order.info(b)

@@ -154,13 +154,6 @@ class HierarchyPaths:
         return (f"HierarchyPaths({self.name!r}, attrs={list(self.attributes)}, "
                 f"n_leaves={self.n_leaves})")
 
-    def level_of(self, attribute: str) -> int:
-        try:
-            return self.attributes.index(attribute)
-        except ValueError:
-            raise FactorizationError(
-                f"{attribute!r} not in hierarchy {self.name!r}") from None
-
     def path_values(self, level: int) -> list:
         """Level-``level`` value of every path, in path order (with repeats)."""
         return [p[level] for p in self.paths]

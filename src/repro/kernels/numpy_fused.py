@@ -1,4 +1,4 @@
-"""The fused pure-NumPy backend: fewer passes, zero new dependencies.
+"""The fused pure-NumPy tier: fewer passes, zero new dependencies.
 
 Three dtype-specialized fast paths, each bitwise-equal to
 :mod:`repro.kernels.plain` (identical IEEE operations in identical
@@ -23,8 +23,8 @@ intermediates are materialized):
   results are bit-for-bit identical.
 
 Every function returns ``None`` when its guard declines (radix beyond
-the table budget, duplicate probe keys); the dispatcher then runs the
-plain tier and counts a fallback.
+the table budget, duplicate probe keys); :mod:`repro.kernels` then runs
+the plain tier and counts a fallback.
 """
 
 from __future__ import annotations

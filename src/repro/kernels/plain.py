@@ -5,14 +5,15 @@ fused-kernel tier existed — the ``np.unique``-based composite group-by,
 the stable argsort + double-``searchsorted`` sort-merge join, and the
 eq.-3 score sweep written as one ufunc chain. They serve two roles:
 
-1. the universal fallback every fused backend's guards drop into, and
+1. the fallback the fused tier's guards drop into, and
 2. the equality gate — every fused result must be bitwise-equal to the
    plain result, which the property suite and fig23 check in-run (the
    plain tier itself is pinned to the frozen oracles ``rowref``,
    ``rankref``, ``factorized/reference.py`` and ``deltaref`` by the
    pre-existing test suites).
 
-Do not "optimize" this module; that is what the other backends are for.
+Do not "optimize" this module; that is what
+:mod:`repro.kernels.numpy_fused` is for.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def rank1_sweep(count: np.ndarray, total: np.ndarray, sumsq: np.ndarray,
     ``observed_stats`` and ``0.0`` otherwise.
 
     This is the exact ufunc chain ``score_drilldown`` ran inline before
-    the kernel tier; the fused backends must match it bitwise.
+    the kernel tier; the fused tier must match it bitwise.
     """
     r_count, r_total, r_sumsq = count, total, sumsq
     for j, stat in enumerate(statistics):

@@ -361,17 +361,6 @@ class Cube:
         return CubeDelta(delta_codes, delta_stats, self._encodings,
                          added, removed)
 
-    def hierarchy_paths(self, attributes: Sequence[str]) -> list[tuple]:
-        """Distinct projections of the current leaf keys onto ``attributes``.
-
-        O(leaf groups): the delta path uses this to recompute one
-        hierarchy's root-to-leaf paths after a retraction emptied leaf
-        groups, without rescanning the relation.
-        """
-        positions = [self.leaf_attrs.index(a) for a in attributes]
-        uniq = np.unique(self._key_codes[:, positions], axis=0)
-        return decode_keys(uniq, [self._encodings[p] for p in positions])
-
     def vanished_keys(self, positions: Sequence[int],
                       codes: np.ndarray) -> np.ndarray:
         """Rows of ``codes`` with no surviving leaf projecting onto them.

@@ -1,12 +1,11 @@
 """Fault-tolerance machinery: deterministic fault injection.
 
-The serving stack's recovery paths — kernel backend quarantine, atomic
-ingest commit, degraded-mode serving — are only trustworthy if every
-one of them can be *driven* in tests. :mod:`repro.robustness.faultinject`
-is a registry of named fault points threaded through the kernel
-dispatcher, the aggregate cache, the ingest commit and the recovery
-rebuild, where the chaos suite (and the ``REPTILE_FAULTS`` environment
-variable) injects exceptions and latency on chosen invocations.
+The serving stack's recovery paths — atomic ingest commit, degraded-mode
+serving — are only trustworthy if every one of them can be *driven* in
+tests. :mod:`repro.robustness.faultinject` is a registry of named fault
+points threaded through the aggregate cache, the ingest commit and the
+recovery rebuild, where the chaos suite injects exceptions and latency
+on chosen invocations.
 """
 
 from __future__ import annotations

@@ -1,18 +1,16 @@
 """Deterministic fault-point registry.
 
-The recovery machinery of the serving stack — kernel-backend
-quarantine, the atomic ingest commit, degraded-mode serving — is
-exercised through *named fault points*: call sites threaded through the
-stack in the style of the serving layer's trace hooks
-(``repro.serving.concurrency.trace``), each a single cheap call in
-production::
+The recovery machinery of the serving stack — the atomic ingest commit,
+degraded-mode serving — is exercised through *named fault points*: call
+sites threaded through the stack in the style of the serving layer's
+trace hooks (``repro.serving.concurrency.trace``), each a single cheap
+call in production::
 
     fault_point("ingest.commit", version=3)
 
 Registered points (the chaos suite drives every one of them):
 
 ========================  =====================================================
-``kernel.dispatch``       a fused kernel backend is about to run
 ``cache.fill``            a cache miss is about to compute its value
 ``ingest.commit``         an ingest is about to commit relation + version
 ``serving.rebuild``       a degraded dataset starts a recovery rebuild
@@ -30,20 +28,18 @@ point (``@2`` or ``@1,3``, counted per process), or on every invocation
 install order until the first error raises; only the specs that acted
 count as fired.
 
-Two sources feed the registry: :func:`install`/:func:`inject` (tests)
-and the ``REPTILE_FAULTS`` environment variable, re-read lazily whenever
-its value changes. Spec strings are ``;``-separated entries::
+Faults are installed in-process with :func:`inject`, :func:`install` or
+the :func:`faults` context manager. Spec strings are ``;``-separated
+entries::
 
-    REPTILE_FAULTS="ingest.commit=error@1,2;cache.fill=error:OSError@2"
+    faults("ingest.commit=error@1,2;cache.fill=error:OSError@2")
 
 Nothing here imports numpy or any repro module: the registry must be
-importable from the lowest layers (kernel dispatch) without creating
-cycles.
+importable from the lowest layers without creating cycles.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -51,11 +47,8 @@ from dataclasses import dataclass
 
 __all__ = [
     "FaultInjected", "FaultSpec", "clear_faults", "fault_point", "faults",
-    "fired_counts", "inject", "install", "parse_spec", "reset_counters",
+    "fired_counts", "inject", "install", "parse_spec",
 ]
-
-#: Environment variable holding a fault spec string.
-ENV_VAR = "REPTILE_FAULTS"
 
 #: The fault kinds a spec may name.
 KINDS = ("error", "delay")
@@ -76,11 +69,9 @@ class FaultSpec:
 
 
 _lock = threading.Lock()
-_specs: dict[str, list[FaultSpec]] = {}     # programmatic installs
-_env_specs: dict[str, list[FaultSpec]] = {}  # parsed from ENV_VAR
-_env_state: str | None = None                # raw ENV_VAR value last parsed
-_counts: dict[str, int] = {}                 # per-process invocation counts
-_fired: dict[str, int] = {}                  # per-process fire counts
+_specs: dict[str, list[FaultSpec]] = {}  # installed specs, per point
+_counts: dict[str, int] = {}             # per-process invocation counts
+_fired: dict[str, int] = {}              # per-process fire counts
 
 
 def _exception_for(arg: str | None) -> BaseException:
@@ -155,24 +146,9 @@ def inject(point: str, kind: str = "error", arg: str | None = None,
 
 
 def clear_faults() -> None:
-    """Deactivate every fault and reset counters.
-
-    The environment registry is neutralized for the *current* value of
-    ``REPTILE_FAULTS`` too: a still-set variable is not re-parsed until
-    it changes, so tests that cleared faults stay fault-free.
-    """
-    global _env_state
+    """Deactivate every fault and reset counters."""
     with _lock:
         _specs.clear()
-        _env_specs.clear()
-        _env_state = os.environ.get(ENV_VAR, "")
-        _counts.clear()
-        _fired.clear()
-
-
-def reset_counters() -> None:
-    """Zero invocation/fire counters without touching installed specs."""
-    with _lock:
         _counts.clear()
         _fired.clear()
 
@@ -197,50 +173,23 @@ def faults(text: str):
         clear_faults()
 
 
-def _refresh_env_specs() -> None:
-    """Re-parse ``REPTILE_FAULTS`` when its value changed.
-
-    Lazily called from :func:`fault_point`, so a fresh process picks the
-    variable up without any setup; a change replaces the env registry
-    wholesale.
-    """
-    global _env_state
-    raw = os.environ.get(ENV_VAR, "")
-    if _env_state == raw:
-        return
-    with _lock:
-        if _env_state == raw:
-            return
-        _env_specs.clear()
-        if raw:
-            try:
-                parsed = parse_spec(raw)
-            except ValueError:
-                parsed = []  # a bad env spec must never break production
-            for spec in parsed:
-                _env_specs.setdefault(spec.point, []).append(spec)
-        _env_state = raw
-
-
 def fault_point(point: str, **info) -> None:
     """Report reaching a named fault point; maybe injects a fault.
 
-    With nothing installed this is two dict lookups and an env read —
-    cheap enough for every call site that is not an inner loop. ``info``
-    is advisory (mirrors the trace-hook calling convention).
+    With nothing installed this is one dict truth test — cheap enough
+    for every call site that is not an inner loop. ``info`` is advisory
+    (mirrors the trace-hook calling convention).
     """
-    _refresh_env_specs()
-    if not _specs and not _env_specs:
+    if not _specs:
         return
     actions: list[FaultSpec] = []
     with _lock:
-        matching = _specs.get(point, ()) or ()
-        env_matching = _env_specs.get(point, ()) or ()
-        if not matching and not env_matching:
+        matching = _specs.get(point)
+        if not matching:
             return
         count = _counts.get(point, 0) + 1
         _counts[point] = count
-        for spec in list(matching) + list(env_matching):
+        for spec in matching:
             if spec.hits is not None and count not in spec.hits:
                 continue
             _fired[point] = _fired.get(point, 0) + 1

@@ -157,6 +157,18 @@ def view_payload(view: GroupView, data_version: int,
     }
 
 
+def _scalar_mapping(mapping, name: str) -> dict:
+    """``mapping`` if it maps attribute names to scalars, else 400.
+
+    Filters and coordinates become view keys, so a list or object value
+    would make every later query on them unhashable.
+    """
+    if not isinstance(mapping, dict) or any(
+            isinstance(v, (list, dict)) for v in mapping.values()):
+        raise RequestError(f"{name!r} must map attributes to scalar values")
+    return mapping
+
+
 def parse_complaint_spec(spec) -> ComplaintRequest:
     """A JSON complaint spec -> :class:`ComplaintRequest` (or 400)."""
     if not isinstance(spec, dict):
@@ -166,11 +178,7 @@ def parse_complaint_spec(spec) -> ComplaintRequest:
         if required not in spec:
             raise RequestError(f"complaint spec is missing {required!r}")
     for name in ("coordinates", "filters"):
-        mapping = spec.get(name, {})
-        if not isinstance(mapping, dict) or any(
-                isinstance(v, (list, dict)) for v in mapping.values()):
-            raise RequestError(
-                f"{name!r} must map attributes to scalar values")
+        _scalar_mapping(spec.get(name, {}), name)
     direction = spec.get("direction", "too_low")
     coordinates, aggregate = spec["coordinates"], spec["aggregate"]
     try:
@@ -307,7 +315,7 @@ class ServerApp:
             return 400, {}, {"error": str(exc)}
         except Exception as exc:
             # Availability backstop: an unexpected failure (an injected
-            # fault, a sick backend) must answer as a degraded 503, never
+            # fault, a bug) must answer as a degraded 503, never
             # as a raw 500 — reads of the last good snapshot keep working
             # and the client knows to retry.
             return 503, {"Retry-After": "1"}, {
@@ -408,15 +416,13 @@ class ServerApp:
 
     # -- read-only endpoints -----------------------------------------------------
     def _healthz(self, body=None):
-        """Real health: per-dataset state machine and quarantines.
+        """Real health: the per-dataset state machine.
 
         Always 200 — a degraded dataset still *serves* (that is the
         point); the body says what is degraded so orchestrators can act.
         ``status`` is the worst of: draining > degraded > ok.
         """
-        from .. import kernels
         datasets = self.service.health.snapshot()
-        quarantined = kernels.quarantined_backends()
         degraded = sorted(name for name, state in datasets.items()
                           if state["state"] != "healthy")
         status = ("draining" if self._draining
@@ -426,7 +432,6 @@ class ServerApp:
             "uptime_seconds": time.time() - self.started,
             "datasets": datasets,
             "degraded_datasets": degraded,
-            "quarantined_backends": quarantined,
         })
 
     def _degraded_marker(self, dataset: str, payload: dict) -> dict:
@@ -490,11 +495,10 @@ class ServerApp:
                 isinstance(a, str) for a in group_by):
             raise RequestError("'group_by' must be a list of attribute "
                                "names")
-        filters = body.get("filters") or {}
-        if not isinstance(filters, dict):
-            raise RequestError("'filters' must be an object")
+        filters = _scalar_mapping(body.get("filters") or {}, "filters")
         sid = body.get("session_id")
-        if sid is not None and ("/" in sid or not sid):
+        if sid is not None and (not isinstance(sid, str) or "/" in sid
+                                or not sid):
             raise RequestError("'session_id' must be a non-empty string "
                                "without '/'")
         if sid is None:
@@ -539,9 +543,8 @@ class ServerApp:
         hierarchy = body.get("hierarchy")
         if not isinstance(hierarchy, str):
             raise RequestError("'hierarchy' must name a hierarchy")
-        coordinates = body.get("coordinates") or {}
-        if not isinstance(coordinates, dict):
-            raise RequestError("'coordinates' must be an object")
+        coordinates = _scalar_mapping(body.get("coordinates") or {},
+                                      "coordinates")
         _, version = self.service.with_session(
             sid, lambda session: session.drill(hierarchy, coordinates))
         return 200, {}, dict(self._session_info(sid)[2],

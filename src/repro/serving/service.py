@@ -467,10 +467,9 @@ class ExplanationService:
         the array sweep cannot replay, or NaN predictions forced the
         reference ordering path.
 
-        ``kernels`` reports the fused-kernel tier: the active backend
-        name (``plain``/``numpy``, or ``unresolved`` before the first
-        dispatch) and per-kernel fused/fallback dispatch counts — a
-        fallback is a call whose guard dropped it to the plain tier.
+        ``kernels`` reports the fused-kernel tier's per-kernel
+        fused/fallback dispatch counts under ``counters`` — a fallback is
+        a call whose guard dropped it to the plain tier.
         """
         from .. import kernels
         from ..core.ranker import RANKER_STATS

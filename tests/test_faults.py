@@ -1,14 +1,10 @@
 """Fault-injection and chaos suite for the robustness layer.
 
-Exercises every registered fault point (``kernel.dispatch``,
-``cache.fill``, ``ingest.commit``, ``serving.rebuild``) and pins the
-recovery contracts:
+Exercises every registered fault point (``cache.fill``,
+``ingest.commit``, ``serving.rebuild``) and pins the recovery contracts:
 
 * the :mod:`repro.robustness.faultinject` registry itself (spec grammar,
-  deterministic hit selection, fire counts, the ``REPTILE_FAULTS``
-  environment path, clean teardown);
-* kernel-backend quarantine (a raising fused tier serves plain, the
-  quarantine is visible and liftable);
+  deterministic hit selection, fire counts, clean teardown);
 * atomic ingest (a failed commit leaves version, cube, fingerprints and
   cache exactly at the last good snapshot, and the same delta applies
   cleanly afterwards);
@@ -23,9 +19,6 @@ recovery contracts:
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import threading
 import time
 
@@ -35,8 +28,6 @@ import pytest
 import repro.robustness.faultinject as fi
 from repro import (Delta, HierarchicalDataset, Relation, Reptile,
                    ReptileConfig, Schema, dimension, measure)
-from repro import kernels
-from repro.kernels import plain as plain_kernels
 from repro.relational import deltaref
 from repro.robustness.faultinject import (FaultInjected, faults,
                                           parse_spec)
@@ -129,70 +120,6 @@ class TestFaultSpecs:
                 fi.fault_point("cache.fill")
         fi.fault_point("cache.fill")  # clean after the context
         assert fi.fired_counts() == {}
-
-    def test_env_spec_crashes_fresh_process(self):
-        """REPTILE_FAULTS drives processes that never saw install()."""
-        env = dict(os.environ,
-                   REPTILE_FAULTS="ingest.commit=error",
-                   PYTHONPATH="src")
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.robustness.faultinject import fault_point; "
-             "fault_point('ingest.commit')"],
-            env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
-            capture_output=True, text=True)
-        assert proc.returncode != 0
-        assert "FaultInjected" in proc.stderr
-
-    def test_clear_faults_neutralizes_set_env_var(self, monkeypatch):
-        monkeypatch.setenv(fi.ENV_VAR, "cache.fill=error")
-        with pytest.raises(FaultInjected):
-            fi.fault_point("cache.fill")
-        fi.clear_faults()
-        fi.fault_point("cache.fill")  # var still set, but neutralized
-
-
-# ---------------------------------------------------------------------------
-# Kernel-backend quarantine
-
-
-class TestKernelQuarantine:
-    @pytest.fixture(autouse=True)
-    def _restore_backend(self):
-        original = kernels.backend_name()
-        yield
-        kernels.clear_quarantine()
-        kernels.set_backend(original)
-
-    def test_raising_backend_is_quarantined_and_plain_serves(self):
-        kernels.set_backend("numpy")
-        combined = np.array([3, 1, 3, 0], dtype=np.int64)
-        expected = plain_kernels.group_codes(combined, 4)
-        fi.inject("kernel.dispatch", kind="error", hits=(1,))
-        got = kernels.group_codes(combined, 4)
-        # The injected raise was swallowed; the answer is the plain tier's.
-        assert np.array_equal(got[0], expected[0])
-        assert np.array_equal(got[1], expected[1])
-        quarantined = kernels.quarantined_backends()
-        assert "numpy" in quarantined
-        assert quarantined["numpy"]["kernel"] == "group_codes"
-        assert "quarantined" in kernels.kernel_stats()
-        # Later calls skip the fused tier entirely (no more fault hits).
-        again = kernels.group_codes(combined, 4)
-        assert np.array_equal(again[0], expected[0])
-        assert fi.fired_counts() == {"kernel.dispatch": 1}
-
-    def test_set_backend_lifts_quarantine(self):
-        kernels.set_backend("numpy")
-        fi.inject("kernel.dispatch", kind="error", hits=(1,))
-        combined = np.array([1, 0, 1], dtype=np.int64)
-        kernels.group_codes(combined, 2)
-        assert "numpy" in kernels.quarantined_backends()
-        kernels.set_backend("numpy")  # the operator forces it back
-        assert "numpy" not in kernels.quarantined_backends()
-        got = kernels.group_codes(combined, 2)
-        expected = plain_kernels.group_codes(combined, 2)
-        assert np.array_equal(got[0], expected[0])
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +306,6 @@ _SERVING_MENU = [
     ("ingest.commit", "error", None),
     ("ingest.commit", "error", "OSError"),
     ("serving.rebuild", "error", None),
-    ("kernel.dispatch", "error", None),
 ]
 
 _ALLOWED_STATUSES = {200, 400, 409, 503}

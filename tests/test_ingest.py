@@ -562,6 +562,8 @@ class TestHTTPIngestMeasureCells:
         pytest.param(3, "abc", id="abc"),
         pytest.param(3, {"sev": 1}, id="cell1"),
         pytest.param(3, True, id="measure-bool"),
+        pytest.param(3, float("inf"), id="measure-inf"),
+        pytest.param(3, float("-inf"), id="measure-neg-inf"),
         pytest.param(1, ["x"], id="leaf-list"),
         pytest.param(0, {"a": 1}, id="new-leaf-ancestor-object"),
         pytest.param(2, ["x"], id="year-list")])

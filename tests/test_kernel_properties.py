@@ -8,9 +8,10 @@ properties here drive all three kernels of the NumPy-fused tier across
 dtypes, NaN domains, empty inputs, single-group views, and radix
 products straddling the ``int64``-overflow guard.
 
-Also covers the dispatch layer itself: ``REPTILE_KERNELS`` resolution,
-``set_backend``, the fused/fallback counters, and their exposure through
-``ExplanationService.stats()``.
+Also covers the dispatch in :mod:`repro.kernels` itself: a default call
+runs fused, a guard decline runs plain and counts a fallback, a fused
+kernel that raises leaves later calls on the fused tier, and the
+counters are exposed through ``ExplanationService.stats()``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.kernels import numpy_fused, plain
+from repro.relational.aggregates import AggregateError
 from repro.relational.encoding import _RADIX_LIMIT, combine_codes
 
 BACKENDS = [pytest.param(numpy_fused, id="numpy")]
@@ -185,11 +187,12 @@ def test_rank1_sweep_aggregates_bitwise(backend, aggregate):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), overflow=st.booleans())
 def test_combine_codes_straddles_radix_limit(seed, overflow):
-    """combine_codes agrees across backends on both sides of the guard.
+    """combine_codes agrees across tiers on both sides of the guard.
 
     Just under ``_RADIX_LIMIT`` the kernel tier dispatches; at or above
-    it the pre-kernel ``np.unique(axis=0)`` branch runs for every
-    backend. Outputs must be identical either way.
+    it the pre-kernel ``np.unique(axis=0)`` branch runs for both tiers.
+    Outputs must be identical either way; the plain tier is forced by
+    making the fused function decline.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 30))
@@ -202,76 +205,61 @@ def test_combine_codes_straddles_radix_limit(seed, overflow):
     assert (radix >= _RADIX_LIMIT) == overflow
     cols = [rng.integers(0, 50, n).astype(np.int32) for _ in range(2)]
     cols.append(rng.integers(0, third, n).astype(np.int32))
-    by_backend = {}
-    before = kernels.backend_name()
-    try:
-        for name in ("plain", "numpy"):
-            kernels.set_backend(name)
-            by_backend[name] = combine_codes(cols, sizes, n)
-    finally:
-        kernels.set_backend(before)
-    _assert_bitwise(by_backend["numpy"], by_backend["plain"],
-                    "combine_codes")
+    fused = combine_codes(cols, sizes, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numpy_fused, "group_codes", lambda combined, radix: None)
+        forced_plain = combine_codes(cols, sizes, n)
+    _assert_bitwise(fused, forced_plain, "combine_codes")
 
 
 # -- dispatch, counters, stats ---------------------------------------------------
 
 @pytest.fixture
-def restore_backend():
-    before = kernels.backend_name()
+def fresh_counters():
+    kernels.reset_kernel_stats()
     yield
-    kernels.set_backend(before)
     kernels.reset_kernel_stats()
 
 
-def test_resolve_backend_names(monkeypatch):
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    assert kernels.resolve_backend("off") == "plain"
-    assert kernels.resolve_backend("plain") == "plain"
-    assert kernels.resolve_backend("numpy") == "numpy"
-    assert kernels.resolve_backend("auto") == "numpy"
-    assert kernels.resolve_backend(None) == "numpy"
-    monkeypatch.setenv(kernels.ENV_VAR, "plain")
-    assert kernels.resolve_backend(None) == "plain"
-    for unknown in ("cuda", "numba"):
-        with pytest.raises(kernels.KernelBackendError):
-            kernels.resolve_backend(unknown)
-
-
-def test_set_backend_switches_dispatch(restore_backend):
-    kernels.set_backend("plain")
-    assert kernels.backend_name() == "plain"
-    assert kernels.kernel_stats()["backend"] == "plain"
-    kernels.reset_kernel_stats()
+def test_default_dispatch_is_fused(fresh_counters):
     combined = np.array([1, 0, 1], dtype=np.int64)
     kernels.group_codes(combined, 4)
-    assert kernels.KERNEL_STATS["group_codes"] == {"fused": 0,
-                                                   "fallback": 1}
-    kernels.set_backend("numpy")
-    kernels.group_codes(combined, 4)
-    assert kernels.KERNEL_STATS["group_codes"]["fused"] == 1
+    assert kernels.KERNEL_STATS["group_codes"] == {"fused": 1,
+                                                   "fallback": 0}
 
 
-def test_counters_track_guard_fallback(restore_backend):
-    kernels.set_backend("numpy")
-    kernels.reset_kernel_stats()
+def test_fused_error_propagates_and_dispatch_stays_fused(fresh_counters):
+    """A raising fused kernel raises what plain raises, and nothing more:
+    the next call still runs the fused tier."""
+    n = 3
+    args = (np.ones(n), np.full(n, 2.0), np.full(n, 5.0), 3.0, 6.0, 15.0,
+            ("median",), np.ones((n, 1)), np.ones((n, 1), dtype=bool),
+            "sum", ())
+    with pytest.raises(AggregateError):
+        plain.rank1_sweep(*args)
+    with pytest.raises(AggregateError):
+        kernels.rank1_sweep(*args)
+    kernels.group_codes(np.array([1, 0, 1], dtype=np.int64), 4)
+    assert kernels.KERNEL_STATS["group_codes"] == {"fused": 1,
+                                                   "fallback": 0}
+
+
+def test_counters_track_guard_fallback(fresh_counters):
     dup_r = np.array([2, 2], dtype=np.int64)
     lhs = np.array([2], dtype=np.int64)
     kernels.join_multiply(lhs, dup_r, np.ones(1), np.ones(2), 4)
     assert kernels.KERNEL_STATS["join_multiply"] == {"fused": 0,
                                                      "fallback": 1}
     stats = kernels.kernel_stats()
-    assert stats["backend"] == "numpy"
     assert stats["counters"]["join_multiply"]["fallback"] == 1
     # Snapshots are copies: mutating one must not corrupt the counters.
     stats["counters"]["join_multiply"]["fallback"] = 99
     assert kernels.KERNEL_STATS["join_multiply"]["fallback"] == 1
 
 
-def test_service_stats_expose_kernels(restore_backend):
+def test_service_stats_expose_kernels(fresh_counters):
     from repro.serving.service import ExplanationService
 
-    kernels.set_backend("numpy")
     stats = ExplanationService().stats()
-    assert stats["kernels"]["backend"] == "numpy"
+    assert set(stats["kernels"]) == {"counters"}
     assert set(stats["kernels"]["counters"]) == set(kernels.KERNEL_STATS)

@@ -658,17 +658,32 @@ class TestTransport:
         assert app.dispatch("GET", "/sessions/ghost/view")[0] == 404
         assert app.dispatch("POST", "/datasets/ghost/ingest",
                             {"rows": []})[0] == 404
-        status, _, payload = app.dispatch(
-            "POST", "/datasets/data/sessions", {"session_id": "a/b"})
-        assert status == 400 and "session_id" in payload["error"]
+        for sid in ("a/b", 5):
+            status, _, payload = app.dispatch(
+                "POST", "/datasets/data/sessions", {"session_id": sid})
+            assert status == 400, (sid, payload)
+            assert "'session_id' must be a non-empty string without '/'" \
+                in payload["error"], (sid, payload)
+        # Session filters map attributes to scalars: a list or an object
+        # answers 400 and opens no session.
+        for filters in ({"district": ["d0"]}, {"district": {"a": "d0"}}):
+            status, _, payload = app.dispatch(
+                "POST", "/datasets/data/sessions",
+                {"session_id": "f", "filters": filters})
+            assert status == 400 and "filters" in payload["error"], payload
+            assert app.dispatch("GET", "/sessions/f")[0] == 404
         status, _, payload = app.dispatch(
             "POST", "/datasets/data/recommend", {"aggregate": "mean"})
         assert status == 400 and "coordinates" in payload["error"]
-        # A JSON boolean is not a number: neither a k nor a target.
+        # A JSON boolean is not a number: neither a k nor a target. A
+        # target must be finite too (JSON NaN/Infinity, or 1e400 -> inf).
         complaint = {"aggregate": "mean", "coordinates": {"district": "d0"},
                      "group_by": ["district"]}
         for extra in ({"k": True},
-                      {"direction": "should_be", "target": True}):
+                      {"direction": "should_be", "target": True},
+                      {"direction": "should_be", "target": float("nan")},
+                      {"direction": "should_be", "target": float("inf")},
+                      {"direction": "should_be", "target": float("-inf")}):
             status, _, payload = app.dispatch(
                 "POST", "/datasets/data/recommend", dict(complaint, **extra))
             assert status == 400, (extra, payload)
@@ -682,6 +697,10 @@ class TestTransport:
         assert status == 201
         bad_drills = [{"hierarchy": "geo", "coordinates": {"nonexistent": 1}},
                       {"hierarchy": "geo", "coordinates": {"severity": 1}},
+                      {"hierarchy": "geo",
+                       "coordinates": {"district": ["d0"]}},
+                      {"hierarchy": "geo",
+                       "coordinates": {"district": {"a": "d0"}}},
                       ["geo"], "geo", 3, True]
         for body in bad_drills:
             status, _, payload = app.dispatch(

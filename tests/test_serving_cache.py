@@ -443,6 +443,9 @@ class TestServeCommand:
                     [{"aggregate": "mean", "direction": "should_be",
                       "coordinates": {"year": 1986},
                       "target": "abc"}],                   # bad target
+                    [{"aggregate": "mean", "direction": "should_be",
+                      "coordinates": {"year": 1986},
+                      "target": float("nan")}],            # NaN target
                     [{"aggregate": "mean", "coordinates": {"year": 1986},
                       "group_by": "year"}],                # string group_by
                     ["not-an-object"]):
