@@ -1,7 +1,7 @@
 # Convenience wrappers; every target works from a clean checkout.
 export PYTHONPATH := src
 
-.PHONY: test test-concurrency test-kernels test-faults \
+.PHONY: test test-concurrency test-kernels test-faults test-delta \
     docs-check bench bench-smoke bench-selftest bench-fig23 serve-demo
 
 # The bench_*.py naming keeps the harnesses out of default pytest
@@ -32,6 +32,13 @@ test-kernels:
 # failure.
 test-faults:
 	python -m pytest tests/test_faults.py -q
+
+# The delta-engine gate: the hypothesis oracle properties of ingest
+# (incremental apply ≡ rebuild from the post-delta rows, FD rejections
+# included) and the layer-by-layer ingest tests — run without -x so one
+# failing property still reports every other failure.
+test-delta:
+	python -m pytest tests/test_delta_properties.py tests/test_ingest.py -q
 
 # Execute every fenced python block in README.md and docs/*.md so the
 # documented examples cannot rot.

@@ -135,7 +135,7 @@ def test_figure22_series(benchmark):
         # -- chunked coordinator + one-pass build ---------------------------
         dataset, t_encode = _timed(
             lambda: dataset_from_chunks(_chunks(n), DROUGHT_HIERARCHIES,
-                                        DROUGHT_MEASURE, validate=False))
+                                        DROUGHT_MEASURE))
         best_build = min(_timed(lambda: Cube(dataset))[1]
                          for _ in range(REPS))
         rss_chunked = peak_rss_bytes()

@@ -583,8 +583,8 @@ examples:
     "ingest": """\
 Applies an append/retract delta through the incremental delta-update
 engine: the relation extends its encoded columns, the cube merges a
-bincount of just the delta batch, hierarchy paths extend with new
-root-to-leaf paths, and cached aggregates are patched or retained under
+bincount of just the delta batch and checks the hierarchy FDs on the
+merged leaf keys, and cached aggregates are patched or retained under
 a new versioned fingerprint — no full rebuild, no wholesale cache
 invalidation. Open sessions fast-forward to the new data version.
 Prints the ingest timing, the cache patch counters, and (for the demo

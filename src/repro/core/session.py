@@ -16,12 +16,10 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ..factorized.forder import HierarchyPaths
 from ..model.features import AuxiliaryFeature, FeaturePlan
-from ..relational.cube import Cube, CubeDelta, GroupView
+from ..relational.cube import Cube, GroupView
 from ..relational.dataset import HierarchicalDataset
 from ..relational.delta import Delta, DeltaError, locate_rows
-from ..relational.encoding import decode_keys
 from ..relational.hierarchy import DrillState
 from ..robustness.faultinject import fault_point
 from .complaint import Complaint
@@ -108,7 +106,6 @@ class Reptile:
         else:
             self.cube = Cube(dataset)
         self._repairer = repairer
-        self._full_paths: dict[str, HierarchyPaths] | None = None
         # Monotonically increasing data version: bumped by every
         # apply_delta() and refresh(). Sessions pin the version they last
         # synchronized with (see DrillSession.is_stale).
@@ -142,30 +139,19 @@ class Reptile:
         return ModelRepairer(feature_plan=plan, model=self.config.model,
                              n_iterations=self.config.n_em_iterations)
 
-    # -- hierarchy paths ----------------------------------------------------------------
-    def full_paths(self) -> dict[str, HierarchyPaths]:
-        """Fully specific root-to-leaf paths of every hierarchy (memoized;
-        ingest checks appends against them and patches them per delta)."""
-        if self._full_paths is None:
-            self._full_paths = {
-                h.name: HierarchyPaths.from_relation(h, self.dataset.relation)
-                for h in self.dataset.dimensions}
-        return self._full_paths
-
     def refresh(self) -> None:
         """Rebuild from ``dataset.relation``, wholesale.
 
         The recovery path, and the path for a relation swapped in whole
         (contrast :meth:`apply_delta`): rebuilds the cube's leaf states
         in place, so everything holding a cube reference stays valid,
-        re-hashes the fingerprint (so cached entries for the old contents
-        can no longer be hit) and drops memoized hierarchy paths. The
-        data version bumps, so live sessions see the new data after
-        their next synchronization. A rebuild that raises changes none
-        of this: the engine keeps serving its previous version.
+        and re-hashes the fingerprint (so cached entries for the old
+        contents can no longer be hit). The data version bumps, so live
+        sessions see the new data after their next synchronization. A
+        rebuild that raises changes none of this: the engine keeps
+        serving its previous version.
         """
         self.cube.rebuild()
-        self._full_paths = None
         self.data_version += 1
         if self.cache is not None:
             from ..serving.cache import dataset_fingerprint
@@ -179,34 +165,37 @@ class Reptile:
         The "maintain continuously" path: instead of a full
         :meth:`refresh`, the delta's rows are threaded through every
         layer — the relation appends/retracts with copy-on-write columns,
-        the cube merges a bincount of just the delta batch, hierarchy
-        paths extend with the new root-to-leaf paths, and (with a serving
+        the cube merges a bincount of just the delta batch and checks
+        every hierarchy FD on the merged leaf keys, and (with a serving
         cache attached) cached views and model fits are patched, retained
         or dropped under the new versioned fingerprint rather than
         invalidated wholesale. Sessions pinned to an older version
         fast-forward via :meth:`DrillSession.sync`. Raises
         :class:`~repro.relational.delta.DeltaError` — with nothing
-        mutated — when a retraction matches no remaining base row, or an
-        appended row breaks a hierarchy FD or carries a non-scalar
-        dimension cell or a non-numeric measure.
+        mutated — when a retraction matches no remaining base row, the
+        post-delta rows break a hierarchy FD, or an appended row carries
+        a non-scalar dimension cell or a measure that is not a finite
+        number.
 
-        Ingest is atomic: any exception between the first state mutation
-        and the commit (the ``ingest.commit`` fault point sits right
-        before it) triggers :meth:`_rollback_delta`, so an observer never
-        sees the cube or cache patched to a version the engine does not
-        report. The relation itself is copy-on-write (``new_rel`` is
-        built aside and swapped in at commit), so it needs no rollback.
+        Ingest is atomic. ``Cube.apply_delta`` assigns nothing until its
+        checks pass, so a rejected delta needs no rollback. Any exception
+        after it and up to the commit (the ``ingest.commit`` fault point
+        sits right before it) triggers :meth:`_rollback_delta`, so an
+        observer never sees the cube or cache patched to a version the
+        engine does not report. The relation itself is copy-on-write
+        (``new_rel`` is built aside and swapped in at commit), so it
+        needs no rollback.
         """
         relation = self.dataset.relation
         delta.check_against(relation.schema)
         if delta.is_empty():
             return self.data_version
-        paths = self.full_paths()  # memoize *pre*-delta paths to patch
-        self._validate_delta_paths(delta, paths)
+        self._validate_delta_cells(delta)
         self._validate_delta_measure(delta)
         # Validate retractions at row granularity before touching state.
         removed_idx = locate_rows(relation, delta.retracted) \
             if len(delta.retracted) else None
+        cube_delta = self.cube.apply_delta(delta)
         version = self.data_version + 1
         old_fp = self.fingerprint
         new_fp: str | None = None
@@ -214,8 +203,6 @@ class Reptile:
             base = (self.fingerprint or "").split("@", 1)[0]
             new_fp = f"{base}@{version}"
         try:
-            cube_delta = self.cube.apply_delta(delta)
-            self._patch_paths(cube_delta)
             if self.cache is not None:
                 from ..serving.engine import patch_cache_for_delta
                 self.cube.fingerprint = self.fingerprint = new_fp
@@ -236,17 +223,15 @@ class Reptile:
 
     def _rollback_delta(self, old_fp: str | None,
                         new_fp: str | None) -> None:
-        """Undo a partially applied delta; the engine re-reads committed
-        state.
+        """Undo a delta the cube already merged; the engine re-reads
+        committed state.
 
         The relation was never swapped, so rebuilding the cube from it
         restores the pre-delta leaf arrays bitwise (the build kernels are
         deterministic). Cache entries the failed delta already re-keyed
         under ``new_fp`` are dropped; entries popped from ``old_fp``
         during patching are simply lost — a cold cache, not a wrong one.
-        Memoized hierarchy paths recompute lazily from the relation.
         """
-        self._full_paths = None
         self.cube.rebuild()
         if self.cache is not None:
             self.cube.fingerprint = old_fp
@@ -254,33 +239,24 @@ class Reptile:
             if new_fp is not None:
                 self.cache.invalidate(new_fp)
 
-    def _validate_delta_paths(self, delta: Delta,
-                              paths: dict[str, HierarchyPaths]) -> None:
+    def _validate_delta_cells(self, delta: Delta) -> None:
         """Reject appended dimension cells that cannot be group keys (a
-        list or an object) and appends violating the leaf → ancestors FD,
-        pre-mutation: either is a bad request, not a fault."""
+        list or an object), pre-mutation: a bad request, not a fault."""
         if not len(delta.appended):
             return
-        for h in self.dataset.dimensions:
-            cols = [delta.appended.column(a) for a in h.attributes]
-            for attr, values in zip(h.attributes, cols):
-                try:
-                    set(values)
-                except TypeError as exc:
-                    raise DeltaError(f"appended {attr!r} cell is not a "
-                                     f"scalar: {exc}") from None
-            leaf_to_path = {p[-1]: p for p in paths[h.name].paths}
-            for path in zip(*cols):
-                known = leaf_to_path.setdefault(path[-1], path)
-                if known != path:
-                    raise DeltaError(
-                        f"appended rows violate hierarchy {h.name!r}: leaf "
-                        f"{path[-1]!r} maps to both {known!r} and {path!r}")
+        for attr in self.dataset.dimensions.attributes():
+            try:
+                set(delta.appended.column(attr))
+            except TypeError as exc:
+                raise DeltaError(f"appended {attr!r} cell is not a "
+                                 f"scalar: {exc}") from None
 
     def _validate_delta_measure(self, delta: Delta) -> None:
         """Reject appended measure cells the cube cannot convert to a
         finite float, pre-mutation: a malformed cell is a bad request,
-        not a fault. (A NaN cell still passes: ``null`` decodes to it.)"""
+        not a fault. NaN (what a JSON ``null`` decodes to) is rejected
+        with ±inf: a NaN row could never be retracted (NaN matches no
+        cell) and would poison every fit over its groups."""
         if not len(delta.appended):
             return
         try:
@@ -289,49 +265,10 @@ class Reptile:
             raise DeltaError(
                 f"appended measure {self.dataset.measure!r} is not "
                 f"numeric: {exc}") from None
-        if np.isinf(values).any():
+        if not np.isfinite(values).all():
             raise DeltaError(
                 f"appended measure {self.dataset.measure!r} is not "
-                f"finite: ±inf in an appended row")
-
-    def _patch_paths(self, cube_delta: CubeDelta) -> None:
-        """Patch memoized hierarchy paths from a cube delta.
-
-        Hierarchies the delta did not touch keep their
-        :class:`HierarchyPaths` object (and with it every identity-keyed
-        memo downstream); touched hierarchies extend with the new
-        root-to-leaf paths, or — when a retraction emptied leaf groups —
-        recompute from the cube's surviving leaf keys, which is
-        O(leaf groups), never O(rows). A leaf whose last row was
-        retracted is free again: a later append may give it a new parent.
-        """
-        assert self._full_paths is not None
-        leaf_attrs = self.cube.leaf_attrs
-        for h in self.dataset.dimensions:
-            positions = [leaf_attrs.index(a) for a in h.attributes]
-            old = self._full_paths[h.name]
-            known = set(old.paths)
-            encs = [cube_delta.encodings[p] for p in positions]
-            new_paths: set[tuple] = set()
-            if len(cube_delta.added):
-                decoded = decode_keys(
-                    np.unique(cube_delta.added[:, positions], axis=0), encs)
-                new_paths = {p for p in decoded if p not in known}
-            lost_paths: set[tuple] = set()
-            if len(cube_delta.removed):
-                # A dropped leaf group may have been a path's last
-                # witness: one sorted-membership pass over the surviving
-                # leaf keys finds the paths that actually vanished.
-                vanished = self.cube.vanished_keys(
-                    positions,
-                    np.unique(cube_delta.removed[:, positions], axis=0))
-                lost_paths = {p for p in decode_keys(vanished, encs)
-                              if p in known}
-            if lost_paths:
-                self._full_paths[h.name] = HierarchyPaths(
-                    h.name, h.attributes, (known - lost_paths) | new_paths)
-            elif new_paths:
-                self._full_paths[h.name] = old.extend(new_paths)
+                f"finite: NaN or ±inf in an appended row")
 
     def session(self, group_by: Sequence[str] = (),
                 filters: Mapping | None = None,

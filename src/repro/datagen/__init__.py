@@ -1,7 +1,7 @@
 """Data generators: synthetic workloads, error injection, case-study sims."""
 
-from .correlate import (correlated_normal, induce_correlation,
-                        rank_correlation, van_der_waerden_scores)
+from .correlate import (induce_correlation, rank_correlation,
+                        van_der_waerden_scores)
 from .errors import (CONDITIONS, CorruptionReport, ErrorKind, ErrorSpec,
                      apply_error, corrupt, inject_drift, inject_duplicates,
                      inject_missing)
@@ -9,9 +9,9 @@ from .synthetic import (SyntheticConfig, group_names, make_auxiliary,
                         make_dataset)
 
 __all__ = [
-    "correlated_normal", "induce_correlation", "rank_correlation",
-    "van_der_waerden_scores", "CONDITIONS", "CorruptionReport", "ErrorKind",
-    "ErrorSpec", "apply_error", "corrupt", "inject_drift",
-    "inject_duplicates", "inject_missing", "SyntheticConfig", "group_names",
-    "make_auxiliary", "make_dataset",
+    "induce_correlation", "rank_correlation", "van_der_waerden_scores",
+    "CONDITIONS", "CorruptionReport", "ErrorKind", "ErrorSpec",
+    "apply_error", "corrupt", "inject_drift", "inject_duplicates",
+    "inject_missing", "SyntheticConfig", "group_names", "make_auxiliary",
+    "make_dataset",
 ]

@@ -60,14 +60,6 @@ def induce_correlation(target: np.ndarray, sample: np.ndarray, rho: float,
     return out
 
 
-def correlated_normal(target: np.ndarray, rho: float,
-                      rng: np.random.Generator,
-                      loc: float = 0.0, scale: float = 1.0) -> np.ndarray:
-    """Fresh N(loc, scale) draws rank-correlated ρ with ``target``."""
-    sample = rng.normal(loc, scale, size=len(np.asarray(target)))
-    return induce_correlation(target, sample, rho, rng)
-
-
 def rank_correlation(a: np.ndarray, b: np.ndarray) -> float:
     """Spearman rank correlation (no scipy dependency at runtime)."""
     a = np.asarray(a, dtype=float)

@@ -35,7 +35,7 @@ class DrilldownEngine:
 
     Parameters
     ----------
-    full_paths:
+    hierarchy_paths:
         The *fully specific* paths of every hierarchy, in hierarchy order.
         Drilling truncates/extends views of these.
     initial_depths:
@@ -52,7 +52,7 @@ class DrilldownEngine:
         identical plan structure.
     """
 
-    def __init__(self, full_paths: Sequence[HierarchyPaths],
+    def __init__(self, hierarchy_paths: Sequence[HierarchyPaths],
                  initial_depths: Mapping[str, int] | None = None,
                  mode: str = "cache",
                  builder: Callable[[HierarchyPaths], HierarchyAggregates]
@@ -63,13 +63,13 @@ class DrilldownEngine:
         self.mode = mode
         self._builder = builder
         self._combiner = combiner
-        self.full_paths: dict[str, HierarchyPaths] = {
-            p.name: p for p in full_paths}
-        if len(self.full_paths) != len(full_paths):
+        self.hierarchy_paths: dict[str, HierarchyPaths] = {
+            p.name: p for p in hierarchy_paths}
+        if len(self.hierarchy_paths) != len(hierarchy_paths):
             raise FactorizationError("duplicate hierarchy names")
-        self._order_names: list[str] = [p.name for p in full_paths]
+        self._order_names: list[str] = [p.name for p in hierarchy_paths]
         self.depths: dict[str, int] = {}
-        for name, paths in self.full_paths.items():
+        for name, paths in self.hierarchy_paths.items():
             depth = (initial_depths or {}).get(name, 1)
             if not 1 <= depth <= len(paths.attributes):
                 raise FactorizationError(
@@ -101,7 +101,7 @@ class DrilldownEngine:
         §5.1.3) reuse the structure — and, with it, the memoized level
         encodings the array-native unit builder gathers from.
         """
-        paths = self.full_paths[name]
+        paths = self.hierarchy_paths[name]
         if depth == len(paths.attributes):
             return paths
         key = (name, depth)
@@ -136,15 +136,15 @@ class DrilldownEngine:
         are retained untouched. Returns the number of genuinely new
         full-depth paths.
         """
-        if name not in self.full_paths:
+        if name not in self.hierarchy_paths:
             raise FactorizationError(f"unknown hierarchy {name!r}")
-        old_full = self.full_paths[name]
+        old_full = self.hierarchy_paths[name]
         extended = old_full.extend(new_paths)
         if extended is old_full:
             return 0
         known = set(old_full.paths)
         fresh = [p for p in extended.paths if p not in known]
-        self.full_paths[name] = extended
+        self.hierarchy_paths[name] = extended
         # Patch the truncated-structure memo for this hierarchy only.
         for key in [k for k in self._truncated_cache if k[0] == name]:
             self._truncated_cache[key] = extended.restrict(key[1])
@@ -186,7 +186,7 @@ class DrilldownEngine:
     def candidates(self) -> list[str]:
         """Hierarchies that can still be drilled one level deeper."""
         return [n for n in self._order_names
-                if self.depths[n] < len(self.full_paths[n].attributes)]
+                if self.depths[n] < len(self.hierarchy_paths[n].attributes)]
 
     def evaluate_candidate(self, name: str) -> AggregateSet:
         """Aggregates of the matrix with ``name`` drilled one level deeper.
@@ -194,10 +194,10 @@ class DrilldownEngine:
         The candidate hierarchy moves to the end of the hierarchy order
         (§3.4: the drill-down hierarchy is ordered last).
         """
-        if name not in self.full_paths:
+        if name not in self.hierarchy_paths:
             raise FactorizationError(f"unknown hierarchy {name!r}")
         new_depth = self.depths[name] + 1
-        if new_depth > len(self.full_paths[name].attributes):
+        if new_depth > len(self.hierarchy_paths[name].attributes):
             raise FactorizationError(f"hierarchy {name!r} is fully drilled")
         order_names = [n for n in self._order_names if n != name] + [name]
         units = []
@@ -222,7 +222,7 @@ class DrilldownEngine:
     def drill(self, name: str) -> None:
         """Commit the user's choice: hierarchy ``name`` gains one level."""
         new_depth = self.depths[name] + 1
-        if new_depth > len(self.full_paths[name].attributes):
+        if new_depth > len(self.hierarchy_paths[name].attributes):
             raise FactorizationError(f"hierarchy {name!r} is fully drilled")
         self.depths[name] = new_depth
         self._order_names = [n for n in self._order_names if n != name] + [name]

@@ -7,7 +7,7 @@ operators of §2.2, hierarchy/FD metadata, and the distributive roll-up cube.
 
 from .aggregates import (AggState, AggregateError, BASE_STATISTICS,
                          COMPOSITE_STATISTICS, GroupStats, decompose,
-                         evaluate_composite, merge_states, state_of_relation)
+                         evaluate_composite, merge_states)
 from .countmap import (CountMap, CountMapError, EncodedCountMap,
                        aggregate_query, aggregate_query_early, join_all)
 from .cube import Cube, CubeDelta, GroupView, StatesMap
@@ -23,8 +23,7 @@ from .shard import dataset_from_chunks, encode_columns_chunked
 __all__ = [
     "AggState", "AggregateError", "BASE_STATISTICS", "COMPOSITE_STATISTICS",
     "GroupStats", "decompose", "evaluate_composite", "merge_states",
-    "state_of_relation", "CountMap", "CountMapError", "EncodedCountMap",
-    "aggregate_query",
+    "CountMap", "CountMapError", "EncodedCountMap", "aggregate_query",
     "aggregate_query_early", "join_all", "Cube", "CubeDelta", "GroupView",
     "StatesMap", "Delta", "DeltaError", "locate_rows",
     "DictEncoding", "EncodingError", "factorize", "AuxiliaryDataset",

@@ -339,11 +339,6 @@ def merge_states(states: Iterable[AggState]) -> AggState:
     return out
 
 
-def state_of_relation(values: Sequence[float] | np.ndarray) -> AggState:
-    """Alias of :meth:`AggState.of` reading naturally at call sites."""
-    return AggState.of(values)
-
-
 def decompose(statistic: str) -> tuple[str, ...]:
     """Base statistics a (possibly composite) aggregate decomposes into.
 

@@ -30,6 +30,7 @@ from .dataset import HierarchicalDataset
 from .delta import Delta, DeltaError
 from .encoding import (DictEncoding, combine_codes, comparable_keys,
                        decode_keys)
+from .hierarchy import fd_violation
 
 Key = tuple
 
@@ -161,15 +162,12 @@ class CubeDelta:
     ``key_codes``/``stats`` are the distinct touched leaf keys with their
     *signed* stat deltas (retractions enter as negative counts) — exactly
     what the serving layer needs to patch cached views without seeing the
-    raw rows. ``added``/``removed`` are the leaf keys that appeared in /
-    vanished from the cube, for hierarchy-path maintenance.
+    raw rows.
     """
 
     key_codes: np.ndarray
     stats: GroupStats
     encodings: tuple[DictEncoding, ...]
-    added: np.ndarray
-    removed: np.ndarray
 
     def matching_mask(self, positions_values: list[tuple[int, object]]
                       ) -> np.ndarray:
@@ -187,7 +185,7 @@ def merge_stats_blocks(key_codes: np.ndarray, stats: GroupStats,
                        delta_codes: np.ndarray, delta_stats: GroupStats,
                        sizes: Sequence[int]
                        ) -> tuple[np.ndarray, GroupStats, np.ndarray | None,
-                                  np.ndarray, np.ndarray]:
+                                  np.ndarray]:
     """Merge signed delta groups into an aligned (key block, stats) pair.
 
     The shared kernel behind ``Cube.apply_delta`` and the serving layer's
@@ -195,10 +193,9 @@ def merge_stats_blocks(key_codes: np.ndarray, stats: GroupStats,
     keys append at the end, keys whose count reaches zero are dropped.
     Raises :class:`~repro.relational.delta.DeltaError` — before touching
     anything — if a count would go negative (retraction of rows that are
-    not there). Returns ``(codes, stats, kept, added, removed)`` where
-    ``kept`` indexes the surviving old rows (None when all survive in
-    place) and ``added``/``removed`` are key-code blocks of groups that
-    appeared/vanished.
+    not there). Returns ``(codes, stats, kept, added)`` where ``kept``
+    indexes the surviving old rows (None when all survive in place) and
+    ``added`` is the key-code block of the groups that appeared.
     """
     u, k = key_codes.shape
     if k == 0:
@@ -236,7 +233,6 @@ def merge_stats_blocks(key_codes: np.ndarray, stats: GroupStats,
     add_mask = fresh & (delta_stats.count > 0)
     added = delta_codes[add_mask]
     dropped = count == 0
-    removed = key_codes[dropped]
     kept: np.ndarray | None = None
     if dropped.any():
         kept = np.flatnonzero(~dropped)
@@ -247,7 +243,7 @@ def merge_stats_blocks(key_codes: np.ndarray, stats: GroupStats,
         count = np.concatenate([count, delta_stats.count[add_mask]])
         total = np.concatenate([total, delta_stats.total[add_mask]])
         sumsq = np.concatenate([sumsq, delta_stats.sumsq[add_mask]])
-    return key_codes, GroupStats(count, total, sumsq), kept, added, removed
+    return key_codes, GroupStats(count, total, sumsq), kept, added
 
 
 class Cube:
@@ -320,8 +316,10 @@ class Cube:
         signed stats block merges into the leaf arrays via one
         searchsorted pass, groups whose count reaches zero drop out.
         Retraction granularity is the leaf group: a retraction must not
-        drive any group's count negative, else :class:`DeltaError` is
-        raised with the cube untouched. Returns the :class:`CubeDelta`
+        drive any group's count negative. The merged leaf block must
+        keep every hierarchy FD (:meth:`_check_fds`). Either failure
+        raises :class:`DeltaError` with the cube untouched: nothing is
+        assigned until both checks pass. Returns the :class:`CubeDelta`
         summary the upper layers patch themselves with.
         """
         delta.check_against(self.dataset.relation.schema)
@@ -352,42 +350,47 @@ class Cube:
                         minlength=len(delta_codes)),
             np.bincount(gids, weights=sign * values * values,
                         minlength=len(delta_codes)))
-        key_codes, stats, _, added, removed = merge_stats_blocks(
+        key_codes, stats, _, added = merge_stats_blocks(
             self._key_codes, self._stats, delta_codes, delta_stats, sizes)
+        if len(added):
+            self._check_fds(key_codes, new_encs, added)
         self._encodings = tuple(new_encs)
         self._key_codes = key_codes
         self._stats = stats
         self._keys = None  # decoded-key cache is stale
-        return CubeDelta(delta_codes, delta_stats, self._encodings,
-                         added, removed)
+        return CubeDelta(delta_codes, delta_stats, self._encodings)
 
-    def vanished_keys(self, positions: Sequence[int],
-                      codes: np.ndarray) -> np.ndarray:
-        """Rows of ``codes`` with no surviving leaf projecting onto them.
+    def _check_fds(self, key_codes: np.ndarray,
+                   encodings: Sequence[DictEncoding],
+                   added: np.ndarray) -> None:
+        """Raise :class:`DeltaError` unless every hierarchy FD
+        ``A_{i+1} → A_i`` holds on the merged leaf block ``key_codes``.
 
-        ``codes`` is a small ``(r, k)`` block over the leaf-attr columns
-        ``positions``; one sorted-membership pass over the current leaf
-        keys decides which of its rows lost their last witness — the
-        O(leaf groups + r log r) retraction check of the path patcher.
+        Registration's rule (:func:`~.hierarchy.fd_violation`), over
+        leaf keys instead of rows. The leaves that were already there
+        satisfy every FD, so a violation needs an ``added`` leaf: only
+        the leaves sharing a child code with one are checked. A leaf
+        whose last row the same delta retracted is gone, so its child
+        may reappear under another parent.
         """
-        sizes = [self._encodings[p].cardinality for p in positions]
-        survivors, candidates = comparable_keys(
-            [self._key_codes[:, p] for p in positions],
-            [codes[:, j] for j in range(len(positions))], sizes)
-        radix = 1
-        for s in sizes:
-            radix *= max(int(s), 1)
-        if 0 < radix <= max(8 * len(survivors), 1 << 16):
-            # Dense radix: a scatter table beats sorting the leaf keys.
-            occupied = np.zeros(radix, dtype=bool)
-            occupied[survivors] = True
-            return codes[~occupied[candidates]]
-        survivors = np.sort(survivors)
-        pos = np.searchsorted(survivors, candidates)
-        found = pos < len(survivors)
-        if found.any():
-            found[found] = survivors[pos[found]] == candidates[found]
-        return codes[~found]
+        for h in self.dataset.dimensions:
+            for parent, child in zip(h.attributes, h.attributes[1:]):
+                p = self.leaf_attrs.index(parent)
+                c = self.leaf_attrs.index(child)
+                named = np.zeros(encodings[c].cardinality, dtype=bool)
+                named[added[:, c]] = True
+                rows = np.flatnonzero(named[key_codes[:, c]])
+                parents, children = key_codes[rows, p], key_codes[rows, c]
+                bad = fd_violation(parents, children, len(named))
+                if bad is None:
+                    continue
+                first = int(np.argmax(children == children[bad]))
+                domain = encodings[p].domain
+                raise DeltaError(
+                    f"appended rows violate hierarchy {h.name!r}: {child} "
+                    f"{encodings[c].domain[children[bad]]!r} maps to both "
+                    f"{parent} {domain[parents[first]]!r} and "
+                    f"{domain[parents[bad]]!r}")
 
     def view(self, group_attrs: Sequence[str],
              filters: Mapping[str, object] | None = None) -> GroupView:

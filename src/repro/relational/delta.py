@@ -14,8 +14,8 @@ to every derived structure *incrementally* instead of rebuilding:
   index over the base rows, built once per base and shared by every
   relation derived from it, plus a scan of the appended tail;
 * the cube bincounts only the delta batch and merges the leaf stats,
-  retractions entering as negative counts;
-* hierarchy paths extend with the delta's new root-to-leaf paths;
+  retractions entering as negative counts, then checks every hierarchy
+  FD on the merged leaf keys, the rule registration checks on rows;
 * the serving cache patches or retains entries instead of dropping a
   whole fingerprint generation.
 

@@ -55,8 +55,8 @@ def rebuilt_dataset(dataset: HierarchicalDataset,
                     deltas: Iterable[Delta]) -> HierarchicalDataset:
     """A fresh dataset over the rows after applying ``deltas`` in order.
 
-    Hierarchy validation runs (a delta violating the leaf → ancestors
-    FD makes the rebuild raise, mirroring the delta path's rejection).
+    Hierarchy validation runs: post-delta rows that break any hierarchy
+    FD make the rebuild raise, mirroring the delta path's rejection.
     """
     relation = dataset.relation
     for delta in deltas:

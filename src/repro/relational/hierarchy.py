@@ -23,6 +23,26 @@ class HierarchyError(ValueError):
     """Raised for malformed hierarchies or FD violations."""
 
 
+def fd_violation(parent_codes: np.ndarray, child_codes: np.ndarray,
+                 n_child: int) -> int | None:
+    """Where the FD ``child → parent`` first fails over aligned codes.
+
+    The one FD decision of registration and ingest: scatter each row's
+    parent code to its child code (a table of ``n_child`` slots; codes
+    absent from the rows are never read), and the FD holds iff gathering
+    it back returns every row's own parent code. Returns None when it
+    holds, else the first row whose parent differs from the parent of
+    the first row with its child code.
+    """
+    parent_of = np.empty(n_child, dtype=parent_codes.dtype)
+    parent_of[child_codes] = parent_codes
+    if np.array_equal(parent_of[child_codes], parent_codes):
+        return None
+    _, first = np.unique(child_codes, return_index=True)
+    parent_of[child_codes[first]] = parent_codes[first]
+    return int(np.argmax(parent_of[child_codes] != parent_codes))
+
+
 @dataclass(frozen=True)
 class Hierarchy:
     """An ordered list of attributes, least to most specific.
@@ -91,22 +111,18 @@ class Hierarchy:
         """Check ``A_{i+1} → A_i`` holds in ``relation`` for all levels.
 
         Raises :class:`HierarchyError` on the first violated dependency.
-        The check is one scatter/gather pass over the encoded code
-        arrays: scatter each row's parent code to its child code, and
-        the FD holds iff gathering it back returns every row's own
-        parent code. The per-row loop only runs to reconstruct the exact
-        error message once a violation is detected (or when a column
-        cannot be encoded).
+        :func:`fd_violation` decides over the encoded code arrays; the
+        per-row loop only runs to reconstruct the exact error message
+        once a violation is detected (or when a column cannot be
+        encoded).
         """
         for parent, child in zip(self.attributes, self.attributes[1:]):
             try:
                 pe = relation.encoding(parent)
                 ce = relation.encoding(child)
                 # Sized by the child domain, which a derived relation may
-                # share wider than its rows; absent codes are never read.
-                parent_of = np.empty(ce.cardinality, dtype=pe.codes.dtype)
-                parent_of[ce.codes] = pe.codes
-                if np.array_equal(parent_of[ce.codes], pe.codes):
+                # share wider than its rows.
+                if fd_violation(pe.codes, ce.codes, ce.cardinality) is None:
                     continue
             except EncodingError:
                 pass  # unencodable column: validate row by row

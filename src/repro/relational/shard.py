@@ -66,8 +66,7 @@ def encode_columns_chunked(chunks: Iterable[Mapping[str, np.ndarray]],
 
 def dataset_from_chunks(chunks: Iterable[Mapping[str, np.ndarray]],
                         hierarchies: Mapping[str, Sequence[str]],
-                        measure_name: str, *, validate: bool = True
-                        ) -> HierarchicalDataset:
+                        measure_name: str) -> HierarchicalDataset:
     """A :class:`HierarchicalDataset` streamed from column chunks."""
     attrs = [a for hier in hierarchies.values() for a in hier]
     columns, _ = encode_columns_chunked(chunks, attrs, measure_name)
@@ -75,4 +74,4 @@ def dataset_from_chunks(chunks: Iterable[Mapping[str, np.ndarray]],
                     + [measure_attr(measure_name)])
     relation = Relation.from_encoded(schema, columns)
     return HierarchicalDataset.build(relation, dict(hierarchies),
-                                     measure_name, validate=validate)
+                                     measure_name)

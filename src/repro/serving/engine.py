@@ -154,7 +154,7 @@ def patch_view(view: GroupView, cube_delta: CubeDelta,
         else None
     if old_stats is None:
         return None
-    merged_codes, merged_stats, kept, added, _ = merge_stats_blocks(
+    merged_codes, merged_stats, kept, added = merge_stats_blocks(
         view.key_codes, old_stats, delta_codes, delta_stats, sizes)
     old_keys = view.key_list
     keys = old_keys if kept is None else [old_keys[i] for i in kept]

@@ -325,9 +325,10 @@ class ExplanationService:
         """Apply an append/retract delta to a registered dataset.
 
         The incremental counterpart of :meth:`try_rebuild`: the delta is
-        threaded through the relation, the cube, the hierarchy paths and
-        the shared cache (entries are patched or retained under the new
-        versioned fingerprint, not dropped), and every open session of
+        threaded through the relation, the cube (which checks the
+        hierarchy FDs on its merged leaf keys) and the shared cache
+        (entries are patched or retained under the new versioned
+        fingerprint, not dropped), and every open session of
         the dataset fast-forwards — or, under a strict staleness policy,
         raises until explicitly synced — instead of silently serving
         pre-delta aggregates. Returns a summary with the new

@@ -26,8 +26,7 @@ from hypothesis import strategies as st
 from repro import (Complaint, Delta, DeltaError, HierarchicalDataset,
                    Relation, Reptile, ReptileConfig, Schema, dimension,
                    measure)
-from repro.factorized import HierarchyPaths
-from repro.relational import deltaref
+from repro.relational import DatasetError, deltaref
 from repro.relational.cube import Cube
 from repro.relational.delta import locate_rows
 from repro.relational.encoding import DictEncoding, factorize
@@ -158,20 +157,123 @@ def test_engine_apply_delta_matches_rebuild(evolution):
                                  rebuilt_rel)
 
 
-@given(evolutions())
-def test_full_paths_track_deltas(evolution):
-    """The maintained hierarchy paths, which the FD check reads, ≡ the
-    paths of the rebuilt relation after every delta, cached or not."""
-    base, deltas = evolution
-    for cache in (None, AggregateCache()):
-        engine = Reptile(_dataset(base), config=CONFIG, cache=cache)
-        engine.full_paths()  # memoize pre-delta: every delta patches them
-        for i, delta in enumerate(deltas):
+# -- the FD rule: ingest rejects what re-registration rejects -------------------------
+#
+# A string-valued three-level geo hierarchy, so an append can break the
+# intermediate FD (district → region) as well as the leaf one, and a
+# delta can retract a village's rows and re-append it elsewhere at once.
+
+GEO3_SCHEMA = Schema([dimension("region"), dimension("district"),
+                      dimension("village"), dimension("year"),
+                      measure("sev")])
+GEO3_HIERARCHIES = {"geo": ["region", "district", "village"],
+                    "time": ["year"]}
+REGIONS = ("r0", "r1")
+GEO3_DISTRICTS = ("d0", "d1", "d2")
+VILLAGES = ("v0", "v1", "v2", "v3")
+
+
+def _geo3_dataset(rows) -> HierarchicalDataset:
+    return HierarchicalDataset.build(
+        Relation.from_rows(GEO3_SCHEMA, rows), GEO3_HIERARCHIES, "sev")
+
+
+@st.composite
+def geo3_bases(draw):
+    """FD-consistent rows: each village in one district, each district
+    in one region."""
+    region_of = {d: draw(st.sampled_from(REGIONS)) for d in GEO3_DISTRICTS}
+    district_of = {v: draw(st.sampled_from(GEO3_DISTRICTS))
+                   for v in VILLAGES}
+    villages = draw(st.lists(st.sampled_from(VILLAGES), min_size=1,
+                             max_size=8))
+    return [(region_of[district_of[v]], district_of[v], v,
+             draw(st.sampled_from((2000, 2001))), draw(measures))
+            for v in villages]
+
+
+@st.composite
+def geo3_deltas(draw, rows):
+    """A delta over ``rows``: appends whose district and region each
+    follow the current rows or are drawn free (which may break an FD),
+    retractions of current rows, and sometimes a move — retract some or
+    all of one village's rows and re-append the village under a freely
+    drawn district, in the same delta."""
+    district_of = {r[2]: r[1] for r in rows}
+    region_of = {r[1]: r[0] for r in rows}
+
+    def path(village, district=None):
+        if district is None:
+            district = district_of.get(village) \
+                if village in district_of and draw(st.booleans()) \
+                else draw(st.sampled_from(GEO3_DISTRICTS + ("d9",)))
+        region = region_of.get(district) \
+            if district in region_of and draw(st.booleans()) \
+            else draw(st.sampled_from(REGIONS))
+        return (region, district, village,
+                draw(st.sampled_from((2000, 2001))), draw(measures))
+
+    appends, retracts = [], []
+    left = list(rows)
+    if draw(st.booleans()):
+        village = draw(st.sampled_from(sorted(district_of)))
+        mine = [r for r in left if r[2] == village]
+        retracts = mine[:draw(st.integers(1, len(mine)))]
+        for r in retracts:
+            left.remove(r)
+        appends.append(path(village, draw(st.sampled_from(GEO3_DISTRICTS))))
+    for _ in range(draw(st.integers(0, 3))):
+        appends.append(path(draw(st.sampled_from(VILLAGES + ("v9",)))))
+    for _ in range(draw(st.integers(0, max(len(left) - 1, 0)))):
+        r = draw(st.sampled_from(left))
+        left.remove(r)
+        retracts.append(r)
+    return appends, retracts
+
+
+@given(geo3_bases(), st.data())
+def test_fd_rejection_matches_rebuild(base, data):
+    """``Reptile.apply_delta`` raises DeltaError exactly when
+    re-registering the post-delta rows (``deltaref.rebuilt_dataset``)
+    fails an FD, cached or not. A rejected delta changes no version,
+    leaf state or cache entry, and never rebuilds the cube."""
+    engines = [Reptile(_geo3_dataset(base), config=CONFIG, cache=cache)
+               for cache in (None, AggregateCache())]
+    rebuilds = []
+    for engine in engines:
+        real = engine.cube.rebuild
+        engine.cube.rebuild = \
+            lambda real=real: rebuilds.append(1) or real()
+        engine.cube.view(("region", "district"))  # a warm cache entry
+    oracle_ds = _geo3_dataset(base)
+    rows = list(base)
+    for _ in range(data.draw(st.integers(1, 3))):
+        appends, retracts = data.draw(geo3_deltas(rows))
+        delta = Delta.from_rows(GEO3_SCHEMA, appends, retracts)
+        try:
+            oracle_ds = deltaref.rebuilt_dataset(oracle_ds, [delta])
+        except DatasetError:
+            for engine in engines:
+                version, fingerprint = engine.data_version, engine.fingerprint
+                leaves = deltaref.group_signature(engine.cube.leaf_states)
+                entries = None if engine.cache is None \
+                    else engine.cache.keys()
+                with pytest.raises(DeltaError, match="violate hierarchy"):
+                    engine.apply_delta(delta)
+                assert engine.data_version == version
+                assert engine.fingerprint == fingerprint
+                assert deltaref.group_signature(
+                    engine.cube.leaf_states) == leaves
+                if engine.cache is not None:
+                    assert engine.cache.keys() == entries
+            continue
+        for engine in engines:
             engine.apply_delta(delta)
-            oracle_ds = _rebuilt(base, deltas[:i + 1])
-            for h in oracle_ds.dimensions:
-                want = HierarchyPaths.from_relation(h, oracle_ds.relation)
-                assert engine.full_paths()[h.name].paths == want.paths
+            deltaref.assert_groups_equal(
+                engine.cube.leaf_states,
+                deltaref.rebuilt_leaf_states(oracle_ds))
+        rows = [tuple(r) for r in oracle_ds.relation.rows()]
+    assert rebuilds == []
 
 
 def _outcome(session, complaint):

@@ -250,16 +250,6 @@ class TestHierarchyPathsExtend:
 
 # -- engine layer ---------------------------------------------------------------------
 class TestEngineDelta:
-    def test_untouched_hierarchy_keeps_paths_object(self, ofla_dataset):
-        engine = Reptile(ofla_dataset, config=CONFIG)
-        time_paths = engine.full_paths()["time"]
-        geo_paths = engine.full_paths()["geo"]
-        engine.apply_delta(_delta(
-            ofla_dataset, appended=[("Ofla", "Mehoni", 1984, 5.0)]))
-        assert engine.full_paths()["time"] is time_paths  # identity kept
-        assert engine.full_paths()["geo"] is not geo_paths
-        assert ("Ofla", "Mehoni") in engine.full_paths()["geo"].paths
-
     def test_fd_violating_append_rejected_atomically(self, ofla_dataset):
         engine = Reptile(ofla_dataset, config=CONFIG)
         before = dict(engine.cube.leaf_states)
@@ -310,7 +300,7 @@ class TestEngineDelta:
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_retracted_leaf_can_move_parent(self, cached):
-        # The FD check reads the maintained paths: once a leaf's last row
+        # The FD check reads the post-delta leaves: once a leaf's last row
         # is retracted, the leaf is free to reappear under another parent;
         # a leaf that still has rows keeps its parent.
         schema = Schema([dimension("district"), dimension("village"),
@@ -326,14 +316,51 @@ class TestEngineDelta:
         engine.apply_delta(_delta(dataset, retracted=[rows[0]]))
         engine.apply_delta(_delta(dataset,
                                   appended=[("d1", "v0", 2001, 4.0)]))
-        assert ("d1", "v0") in engine.full_paths()["geo"].paths
-        assert ("d0", "v0") not in engine.full_paths()["geo"].paths
+        geo = engine.cube.view(("district", "village")).key_list
+        assert ("d1", "v0") in geo and ("d0", "v0") not in geo
         with pytest.raises(DeltaError, match="violate hierarchy"):
             engine.apply_delta(_delta(dataset,
                                       appended=[("d1", "v1", 2001, 5.0)]))
         assert engine.data_version == 2
         assert dict(engine.cube.view(("district", "village")).groups) \
             == dict(Cube(engine.dataset).view(("district", "village")).groups)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_fd_checked_on_the_rows_a_delta_leaves(self, cached,
+                                                   monkeypatch):
+        # Every FD of the hierarchy holds on the post-delta rows: a
+        # village may move in the delta that retracts its last row, and
+        # a district re-appended under another region is rejected with
+        # both regions named, nothing mutated and no rollback rebuild.
+        rebuilds = []
+        monkeypatch.setattr(Cube, "rebuild",
+                            lambda self: rebuilds.append(self))
+        schema = Schema([dimension("region"), dimension("district"),
+                         dimension("village"), dimension("year"),
+                         measure("sev")])
+        rows = [("r1", "d0", "v0", 2000, 1.0), ("r1", "d1", "v1", 2000, 2.0)]
+        dataset = HierarchicalDataset.build(
+            Relation.from_rows(schema, rows),
+            {"geo": ["region", "district", "village"], "time": ["year"]},
+            "sev")
+        engine = Reptile(dataset, config=CONFIG,
+                         cache=AggregateCache() if cached else None)
+        engine.cube.view(("region", "district"))
+        assert engine.apply_delta(_delta(
+            dataset, appended=[("r1", "d1", "v0", 2001, 4.0)],
+            retracted=[rows[0]])) == 1
+        leaves = dict(engine.cube.leaf_states)
+        entries = engine.cache.keys() if cached else None
+        with pytest.raises(DeltaError, match=(
+                "^appended rows violate hierarchy 'geo': district 'd1' "
+                "maps to both region 'r1' and 'r2'$")):
+            engine.apply_delta(_delta(
+                dataset, appended=[("r2", "d1", "v9", 2000, 5.0)]))
+        assert engine.data_version == 1
+        assert dict(engine.cube.leaf_states) == leaves
+        if cached:
+            assert engine.cache.keys() == entries
+        assert rebuilds == []
 
 
 # -- serving layer --------------------------------------------------------------------
@@ -564,6 +591,8 @@ class TestHTTPIngestMeasureCells:
         pytest.param(3, True, id="measure-bool"),
         pytest.param(3, float("inf"), id="measure-inf"),
         pytest.param(3, float("-inf"), id="measure-neg-inf"),
+        pytest.param(3, None, id="measure-null"),
+        pytest.param(3, float("nan"), id="measure-nan"),
         pytest.param(1, ["x"], id="leaf-list"),
         pytest.param(0, {"a": 1}, id="new-leaf-ancestor-object"),
         pytest.param(2, ["x"], id="year-list")])

@@ -20,6 +20,7 @@ from repro.core.complaint import Complaint, Direction
 from repro.core.ranker import rank_candidates, score_drilldown
 from repro.core.repair import (ModelRepairer, RepairAlignmentError,
                                RepairPrediction)
+from repro.model.features import FeaturePlan, LagFeature
 from repro.relational import (Cube, HierarchicalDataset, Relation, Schema,
                               dimension, measure)
 from repro.relational.aggregates import AggState
@@ -172,6 +173,26 @@ class TestEndToEndEquivalence:
         for h in rec.per_hierarchy:
             a, b = rec.per_hierarchy[h], ref.per_hierarchy[h]
             assert a.base_penalty == b.base_penalty
+            assert_exactly_equal((a.base_penalty, a.groups),
+                                 (b.base_penalty, b.groups))
+
+    @pytest.mark.parametrize("model", ["linear", "multilevel"])
+    def test_lag_feature_plan_matches_oracle(self, model):
+        """A non-default feature plan: the lag-1 year feature (§3.3.3)
+        of the array path equals ``rankref._build_lag``'s, end to end."""
+        cube = Cube(_random_dataset(seed=11))
+        complaint = Complaint.too_low({"district": "d2"}, "sum")
+        repairer = ModelRepairer(
+            feature_plan=FeaturePlan(extra_specs=[LagFeature("year")]),
+            model=model, n_iterations=4)
+        args = (cube, ("district",),
+                [("geo", "village"), ("time", "year")], complaint,
+                {"district": "d2"}, repairer)
+        rec = rank_candidates(*args)
+        ref = rankref.rank_candidates_ref(*args)
+        assert rec.best_hierarchy == ref.best_hierarchy
+        for h in rec.per_hierarchy:
+            a, b = rec.per_hierarchy[h], ref.per_hierarchy[h]
             assert_exactly_equal((a.base_penalty, a.groups),
                                  (b.base_penalty, b.groups))
 

@@ -184,6 +184,45 @@ class TestCachedRecommendations:
         assert repr(warm) == repr(cold)
         assert warm.best_group.score == cold.best_group.score
 
+    def test_auxiliary_and_lag_plan_cached_equals_uncached(self,
+                                                           ofla_dataset):
+        """A non-default feature plan on the served path: an auxiliary
+        dataset (§3.3.2) plus a lag feature make the cached engine key
+        its fits through ``spec_signature``, and it must still rank
+        exactly like an uncached engine, before and after an ingest.
+        Integer-valued measures keep patched sums bitwise."""
+        from repro import AuxiliaryDataset, Delta
+        from repro.model.features import FeaturePlan, LagFeature
+        rows = [(d, v, y, float(int(s)))
+                for d, v, y, s in ofla_dataset.relation.rows()]
+        sat = sorted({(v, y) for _, v, y, _ in rows})
+        aux = AuxiliaryDataset(
+            "sat", Relation.from_rows(
+                Schema([dimension("village"), dimension("year"),
+                        measure("rain")]),
+                [(v, y, float(i % 5)) for i, (v, y) in enumerate(sat)]),
+            ["village", "year"], ["rain"])
+        plan = FeaturePlan(extra_specs=[LagFeature("year")])
+        engines = [
+            Reptile(HierarchicalDataset.build(
+                Relation.from_rows(ofla_dataset.relation.schema, rows),
+                {"geo": ["district", "village"], "time": ["year"]},
+                "severity", auxiliary=[aux]),
+                feature_plan=plan, config=CONFIG, cache=cache)
+            for cache in (None, AggregateCache())]
+        delta = [("Ofla", "Zata", 1986, 1.0), ("Ofla", "Mehoni", 1987, 9.0),
+                 ("Alaje", "Bora", 1985, 2.0)]
+        for step in range(2):
+            uncached, cached = (_recommend(e) for e in engines)
+            assert cached == uncached
+            assert repr(cached) == repr(uncached)
+            assert _recommend(engines[1]) == uncached  # served warm
+            if step == 0:
+                for engine in engines:
+                    engine.apply_delta(Delta.from_rows(
+                        ofla_dataset.relation.schema, delta))
+        assert engines[1].cache.stats.hits > 0
+
     def test_warm_engine_computes_no_predictions(self, ofla_dataset):
         cache = AggregateCache()
         _recommend(Reptile(ofla_dataset, config=CONFIG, cache=cache))
