@@ -2,7 +2,8 @@
 export PYTHONPATH := src
 
 .PHONY: test test-concurrency test-kernels test-faults test-delta \
-    docs-check bench bench-smoke bench-selftest bench-fig23 serve-demo
+    test-recommend docs-check bench bench-smoke bench-selftest \
+    bench-fig23 serve-demo
 
 # The bench_*.py naming keeps the harnesses out of default pytest
 # collection (tier-1 stays fast); targets pass the files explicitly.
@@ -39,6 +40,16 @@ test-faults:
 # failing property still reports every other failure.
 test-delta:
 	python -m pytest tests/test_delta_properties.py tests/test_ingest.py -q
+
+# The recommend-path gate: the array ranker against the frozen rankref
+# oracle (scoring and end-to-end properties, the one-array-form contract
+# for hand-built views and mapping predictions), features, model
+# selection and the core engine — run without -x so one failing
+# property still reports every other failure.
+test-recommend:
+	python -m pytest tests/test_ranker_array_properties.py \
+	    tests/test_ranker_properties.py tests/test_features.py \
+	    tests/test_selection.py tests/test_core_engine.py -q
 
 # Execute every fenced python block in README.md and docs/*.md so the
 # documented examples cannot rot.

@@ -36,14 +36,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .. import kernels
-from ..relational.aggregates import AggState, GroupStats, merge_states
-from ..relational.cube import Cube, GroupView, StatesMap
+from ..relational.aggregates import AggState
+from ..relational.cube import Cube, GroupView
 from .complaint import Complaint
 from .repair import ModelRepairer, RepairPrediction
 
 #: Instrumentation: how many scoring sweeps ran vectorized vs through the
-#: group-at-a-time fallback (non-replayable hand-built predictions). The
-#: serving layer surfaces these in its stats endpoint.
+#: group-at-a-time loop, which runs only when a NaN prediction poisons a
+#: score. The serving layer surfaces these in its stats endpoint.
 RANKER_STATS = {"array": 0, "fallback": 0}
 
 
@@ -107,23 +107,6 @@ class Recommendation:
         return self.per_hierarchy[h].groups
 
 
-def _view_stats(drill_view: GroupView) -> tuple[list, GroupStats]:
-    """The view's groups as ``(keys, struct-of-arrays)``.
-
-    Cube-built views expose the arrays directly; hand-built dict views are
-    lifted into arrays once (cheaper than looping per group per statistic
-    further down).
-    """
-    groups = drill_view.groups
-    if isinstance(groups, StatesMap):
-        return groups.key_list, groups.stats
-    keys = list(groups)
-    count = np.asarray([groups[k].count for k in keys], dtype=float)
-    total = np.asarray([groups[k].total for k in keys], dtype=float)
-    sumsq = np.asarray([groups[k].sumsq for k in keys], dtype=float)
-    return keys, GroupStats(count, total, sumsq)
-
-
 def score_drilldown(drill_view: GroupView, prediction: RepairPrediction,
                     complaint: Complaint,
                     observed_stats: Sequence[str] = ("count", "mean", "std"),
@@ -134,20 +117,12 @@ def score_drilldown(drill_view: GroupView, prediction: RepairPrediction,
     With ``k`` set, only the top-k :class:`ScoredGroup` records are
     materialized (the sweep itself always covers every group).
     """
-    keys, stats = _view_stats(drill_view)
-    if not keys:
-        parent = merge_states(drill_view.groups.values())
-        return complaint.penalty_of_state(parent), []
+    keys, stats = drill_view.key_list, drill_view.stats
     parent = stats.sequential_total()
     base_penalty = complaint.penalty_of_state(parent)
-    arrays = prediction.array_form(keys)
-    if arrays is None:
-        RANKER_STATS["fallback"] += 1
-        scored = _score_loop(drill_view, prediction, complaint, parent,
-                             base_penalty, observed_stats)
-        return base_penalty, scored if k is None else scored[:k]
-    RANKER_STATS["array"] += 1
-    values, valid = arrays
+    if not keys:
+        return base_penalty, []
+    values, valid = prediction.array_form(keys)
 
     # f_repair + eq. 3 + tie-break sizes, through the kernel tier: apply
     # each repaired statistic in order to the running (count, total,
@@ -165,11 +140,11 @@ def score_drilldown(drill_view: GroupView, prediction: RepairPrediction,
         # park NaNs last while the reference's comparison sort leaves
         # them where failed comparisons happen to put them. The loop IS
         # the reference algorithm, so exact-ordering equality holds.
-        RANKER_STATS["array"] -= 1
         RANKER_STATS["fallback"] += 1
         scored = _score_loop(drill_view, prediction, complaint, parent,
                              base_penalty, observed_stats)
         return base_penalty, scored if k is None else scored[:k]
+    RANKER_STATS["array"] += 1
 
     order = np.lexsort((-np.abs(sizes), scores))
     if k is not None:
@@ -193,7 +168,7 @@ def score_drilldown(drill_view: GroupView, prediction: RepairPrediction,
 def _score_loop(drill_view: GroupView, prediction: RepairPrediction,
                 complaint: Complaint, parent: AggState, base_penalty: float,
                 observed_stats: Sequence[str]) -> list[ScoredGroup]:
-    """Group-at-a-time fallback for non-replayable predictions."""
+    """Group-at-a-time scoring, for sweeps with a NaN score or size."""
     scored: list[ScoredGroup] = []
     for key, state in drill_view.groups.items():
         repaired = prediction.repair_state(key, state)

@@ -21,10 +21,12 @@ std / var  mean, std
 
 :class:`RepairPrediction` is array-native: the predictions live in one
 ``(n_groups, n_statistics)`` matrix indexed by group id, with the group
-keys alongside. The old ``{key: {statistic: value}}`` mapping remains
-available (``predicted``/:meth:`~RepairPrediction.expected`) as a lazy
-view, and predictions may still be *constructed* from such a mapping —
-the ranker converts either form to arrays before scoring.
+keys alongside. The ``{key: {statistic: value}}`` mapping remains
+available (``predicted``/:meth:`~RepairPrediction.expected`) as a view
+of the matrix, in ``statistics`` order. A prediction may still be
+*constructed* from such a mapping (custom repair functions do): the
+constructor encodes it into the matrix once, so the ranker only ever
+reads arrays.
 """
 
 from __future__ import annotations
@@ -68,8 +70,13 @@ class RepairPrediction:
     statistics:
         The modelled statistics, in repair-application order.
     predicted:
-        Legacy mapping form ``{key: {statistic: value}}``. Mutually
-        exclusive with ``keys``/``matrix``.
+        Mapping form ``{key: {statistic: value}}``, encoded into
+        ``matrix`` and its presence ``mask`` on construction. Every
+        statistic it names must be one of ``statistics`` (else
+        :class:`ValueError`); :meth:`expected` and :meth:`repair_state`
+        then report and apply them in ``statistics`` order, whatever the
+        order of the per-key dict. Mutually exclusive with
+        ``keys``/``matrix``.
     keys:
         Group keys, aligned with the matrix rows (array form).
     matrix:
@@ -84,7 +91,7 @@ class RepairPrediction:
     """
 
     __slots__ = ("statistics", "keys", "matrix", "mask", "strict",
-                 "_row_of", "_dicts", "_warned")
+                 "_row_of", "_warned")
 
     def __init__(self, statistics: tuple[str, ...],
                  predicted: Mapping[tuple, Mapping[str, float]] | None = None,
@@ -100,13 +107,19 @@ class RepairPrediction:
             if keys is not None or matrix is not None:
                 raise ValueError("pass either a mapping or keys+matrix, "
                                  "not both")
-            self._dicts = {tuple(k): dict(v) for k, v in predicted.items()}
-            self.keys = list(self._dicts)
+            rows = {tuple(k): v for k, v in predicted.items()}
+            self.keys = list(rows)
             n, s = len(self.keys), len(self.statistics)
             self.matrix = np.full((n, s), np.nan)
             self.mask = np.zeros((n, s), dtype=bool)
-            for i, key in enumerate(self.keys):
-                per_key = self._dicts[key]
+            for i, (key, per_key) in enumerate(rows.items()):
+                unknown = [stat for stat in per_key
+                           if stat not in self.statistics]
+                if unknown:
+                    raise ValueError(
+                        f"prediction for group {key!r} names statistic "
+                        f"{unknown[0]!r}, which is not one of "
+                        f"{self.statistics}")
                 for j, stat in enumerate(self.statistics):
                     if stat in per_key:
                         self.matrix[i, j] = float(per_key[stat])
@@ -114,7 +127,6 @@ class RepairPrediction:
         else:
             if keys is None or matrix is None:
                 raise ValueError("array form needs both keys and matrix")
-            self._dicts = None
             self.keys = list(keys)
             self.matrix = np.asarray(matrix, dtype=float)
             if self.matrix.shape != (len(self.keys), len(self.statistics)):
@@ -135,7 +147,7 @@ class RepairPrediction:
     # -- mapping-compatible access ----------------------------------------------
     @property
     def predicted(self) -> dict[tuple, dict[str, float]]:
-        """The legacy ``{key: {statistic: value}}`` view (materialized)."""
+        """The ``{key: {statistic: value}}`` view (materialized)."""
         return {key: self.expected(key) for key in self.keys}
 
     def row_of(self) -> dict[tuple, int]:
@@ -156,12 +168,11 @@ class RepairPrediction:
         return {}
 
     def expected(self, key: tuple) -> dict[str, float]:
+        """The group's predicted statistics, in ``statistics`` order."""
         key = tuple(key)
         row = self.row_of().get(key)
         if row is None:
             return self._miss(key)
-        if self._dicts is not None:
-            return self._dicts[key]
         return {stat: float(self.matrix[row, j])
                 for j, stat in enumerate(self.statistics)
                 if self.mask[row, j]}
@@ -175,22 +186,16 @@ class RepairPrediction:
 
     # -- array access (the ranker's fast path) ----------------------------------
     def array_form(self, keys: Sequence[tuple]
-                   ) -> tuple[np.ndarray, np.ndarray] | None:
+                   ) -> tuple[np.ndarray, np.ndarray]:
         """Prediction rows aligned to ``keys``: ``(values, valid)``.
 
         ``values`` is ``(len(keys), n_statistics)`` with the prediction
         for each requested group (0 where absent) and ``valid`` the
-        matching presence mask. None when the mapping form cannot be
-        replayed column-by-column in ``statistics`` order (a hand-built
-        per-key dict ordered differently, or carrying extra statistics) —
-        the ranker then falls back to the group-at-a-time loop.
+        matching presence mask; the ranker applies the columns in
+        ``statistics`` order, as :meth:`repair_state` does. A strict
+        prediction raises :class:`RepairAlignmentError` for a key it
+        does not cover.
         """
-        if self._dicts is not None:
-            allowed = {s: j for j, s in enumerate(self.statistics)}
-            for per_key in self._dicts.values():
-                order = [allowed.get(s) for s in per_key]
-                if None in order or order != sorted(order):  # type: ignore[type-var]
-                    return None
         row_of = self.row_of()
         idx = np.asarray([row_of.get(tuple(k), -1) for k in keys],
                          dtype=np.int64)

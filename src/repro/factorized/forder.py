@@ -122,29 +122,14 @@ class HierarchyPaths:
         return self._run_structure()[2]
 
     @classmethod
-    def from_relation_columns(cls, hierarchy: Hierarchy,
-                              columns: Mapping[str, Sequence]) -> "HierarchyPaths":
-        """Paths observed in raw data columns (one entry per record)."""
-        cols = [columns[a] for a in hierarchy.attributes]
-        return cls(hierarchy.name, hierarchy.attributes, set(zip(*cols)))
-
-    @classmethod
     def from_relation(cls, hierarchy: Hierarchy,
                       relation) -> "HierarchyPaths":
         """Paths observed in a relation, via its encoded columns.
 
         The distinct root-to-leaf tuples come out of one composite-key
-        pass over the interned code arrays instead of a per-row
-        ``set(zip(...))``; falls back to the row path when a column
-        cannot be encoded.
+        pass over the interned code arrays.
         """
-        from ..relational.encoding import EncodingError
-        attrs = list(hierarchy.attributes)
-        try:
-            paths = relation.group_index(attrs).keys()
-        except EncodingError:
-            return cls.from_relation_columns(
-                hierarchy, {a: relation.column(a) for a in attrs})
+        paths = relation.group_index(list(hierarchy.attributes)).keys()
         return cls(hierarchy.name, hierarchy.attributes, paths)
 
     def __len__(self) -> int:

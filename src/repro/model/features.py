@@ -100,17 +100,9 @@ class BuiltFeature:
         return float(self.mapping.get(self.key_of(view_attrs, group_key),
                                       self.default))
 
-    def standardized(self, keys: list) -> "BuiltFeature":
-        """Centered/normalized copy, statistics taken over ``keys``."""
-        values = np.asarray([self.mapping.get(k, self.default) for k in keys],
-                            dtype=float)
-        return self.standardized_from(values)
-
     def standardized_from(self, values: np.ndarray) -> "BuiltFeature":
         """Centered/normalized copy; ``values`` are the per-group feature
-        values (one per view group, in view order), however materialized —
-        the array path computes them with a domain lookup instead of a
-        per-group Python loop, and both paths land here."""
+        values (one per view group, in view order)."""
         mean = float(values.mean()) if len(values) else 0.0
         std = float(values.std()) if len(values) else 1.0
         if std < 1e-12:
@@ -126,20 +118,6 @@ class BuiltFeature:
         return BuiltFeature(self.name, self.attributes, mapping, default)
 
 
-def _view_arrays(view: GroupView):
-    """The view's array-backed form ``(stats, key_codes, encodings)``.
-
-    None when any piece is missing (hand-built dict views) — callers fall
-    back to the per-group Python loops, which produce identical results.
-    """
-    stats = getattr(view, "stats", None)
-    codes = getattr(view, "key_codes", None)
-    encs = getattr(view, "encodings", None)
-    if stats is None or codes is None or encs is None:
-        return None
-    return stats, codes, encs
-
-
 #: Per-(view, target) memo of the target statistic's array/list forms
 #: plus a one-slot box for the overall median: every feature of one
 #: design build reads the identical array, and the overall median is a
@@ -149,12 +127,12 @@ _VIEW_TARGET_CACHE: dict[tuple[int, str], tuple] = {}
 _VIEW_TARGET_CACHE_MAX = 32
 
 
-def _target_values(view: GroupView, target: str, stats):
+def _target_values(view: GroupView, target: str):
     key = (id(view), target)
     hit = _VIEW_TARGET_CACHE.get(key)
     if hit is not None and hit[0] is view:
         return hit[1], hit[2], hit[3]
-    vals = stats.statistic_array(target)
+    vals = view.stats.statistic_array(target)
     entry = (view, vals, vals.tolist(), [])
     while len(_VIEW_TARGET_CACHE) >= _VIEW_TARGET_CACHE_MAX:
         _VIEW_TARGET_CACHE.pop(next(iter(_VIEW_TARGET_CACHE)))
@@ -172,20 +150,15 @@ def _overall_median(medbox: list, all_vals: list) -> float:
 def _per_value_runs(view: GroupView, target: str, pos: int):
     """Per-attribute-value runs of the target statistic, vectorized.
 
-    The array-path equivalent of the per-group loop in the main-effect and
-    lag feature builders: one ``statistic_array`` call plus a stable
-    argsort over the attribute's codes. Returns ``(encoding, run starts,
-    run ends, sorted codes, sorted values, [all values], median box)`` —
-    run ``i`` covers ``sorted_vals[starts[i]:ends[i]]``, in view order
-    within the run (stable sort), so downstream medians see the exact
-    lists the loop would have built. None when the view has no arrays.
+    One ``statistic_array`` call plus a stable argsort over the
+    attribute's codes. Returns ``(encoding, run starts, run ends, sorted
+    codes, sorted values, [all values], median box)`` — run ``i`` covers
+    ``sorted_vals[starts[i]:ends[i]]``, in view order within the run
+    (stable sort), so downstream medians see each value's groups in view
+    order.
     """
-    arrays = _view_arrays(view)
-    if arrays is None:
-        return None
-    stats, codes_m, encs = arrays
-    vals, all_vals, medbox = _target_values(view, target, stats)
-    codes = codes_m[:, pos]
+    vals, all_vals, medbox = _target_values(view, target)
+    codes = view.key_codes[:, pos]
     order = np.argsort(codes, kind="stable")
     sorted_vals = vals[order]
     sorted_codes = codes[order]
@@ -195,8 +168,8 @@ def _per_value_runs(view: GroupView, target: str, pos: int):
         ends = np.concatenate([boundaries, [len(sorted_codes)]])
     else:
         starts = ends = np.empty(0, dtype=np.int64)
-    return encs[pos], starts, ends, sorted_codes, sorted_vals, all_vals, \
-        medbox
+    return view.encodings[pos], starts, ends, sorted_codes, sorted_vals, \
+        all_vals, medbox
 
 
 class FeatureSpec(abc.ABC):
@@ -233,36 +206,21 @@ class MainEffectFeature(FeatureSpec):
                 f"attribute {self.attribute!r} not in view "
                 f"{view.group_attrs}")
         pos = view.group_attrs.index(self.attribute)
-        runs = _per_value_runs(view, target, pos)
-        if runs is None:
-            per_value: dict = {}
-            for key, state in view.groups.items():
-                per_value.setdefault(key[pos], []).append(
-                    state.statistic(target))
-            all_vals = [s.statistic(target) for s in view.groups.values()]
-            overall = statistics.median(all_vals) if all_vals else 0.0
-            mapping = {v: statistics.median(vals)
-                       if len(vals) >= self.min_groups else overall
-                       for v, vals in per_value.items()}
-        else:
-            enc, starts, ends, sorted_codes, sorted_vals, all_vals, \
-                medbox = runs
-            overall = _overall_median(medbox, all_vals)
-            # Values backed by fewer than min_groups groups never need a
-            # median (they map to the overall one) — the common case at
-            # fine-grained levels, where every run is a singleton. The
-            # result is a per-domain-code table (absent values also read
-            # ``overall``, exactly what mapping.get's default produced);
-            # the mapping dict materializes only if someone asks.
-            table = np.full(len(enc.domain), float(overall))
-            for i in np.flatnonzero(ends - starts >= self.min_groups):
-                table[sorted_codes[starts[i]]] = statistics.median(
-                    sorted_vals[starts[i]:ends[i]].tolist())
-            return BuiltFeature(f"main:{self.attribute}", (self.attribute,),
-                                default=overall, domain=enc.domain,
-                                table=table)
+        enc, starts, ends, sorted_codes, sorted_vals, all_vals, medbox = \
+            _per_value_runs(view, target, pos)
+        overall = _overall_median(medbox, all_vals)
+        # Values backed by fewer than min_groups groups never need a
+        # median (they map to the overall one) — the common case at
+        # fine-grained levels, where every run is a singleton. The result
+        # is a per-domain-code table (absent values also read ``overall``,
+        # the mapping's default); the mapping dict materializes only if
+        # someone asks.
+        table = np.full(len(enc.domain), float(overall))
+        for i in np.flatnonzero(ends - starts >= self.min_groups):
+            table[sorted_codes[starts[i]]] = statistics.median(
+                sorted_vals[starts[i]:ends[i]].tolist())
         return BuiltFeature(f"main:{self.attribute}", (self.attribute,),
-                            mapping, default=overall)
+                            default=overall, domain=enc.domain, table=table)
 
 
 @dataclass
@@ -310,19 +268,11 @@ class LagFeature(FeatureSpec):
 
     def build(self, view: GroupView, target: str) -> BuiltFeature:
         pos = view.group_attrs.index(self.attribute)
-        runs = _per_value_runs(view, target, pos)
-        if runs is None:
-            per_value: dict = {}
-            for key, state in view.groups.items():
-                per_value.setdefault(key[pos], []).append(
-                    state.statistic(target))
-            all_vals = [s.statistic(target) for s in view.groups.values()]
-        else:
-            enc, starts, ends, sorted_codes, sorted_vals, all_vals, \
-                medbox = runs
-            domain = enc.objects
-            per_value = {domain[sorted_codes[s]]: sorted_vals[s:e].tolist()
-                         for s, e in zip(starts, ends)}
+        enc, starts, ends, sorted_codes, sorted_vals, all_vals, _ = \
+            _per_value_runs(view, target, pos)
+        domain = enc.objects
+        per_value = {domain[sorted_codes[s]]: sorted_vals[s:e].tolist()
+                     for s, e in zip(starts, ends)}
         medians = {v: statistics.median(vals) for v, vals in per_value.items()}
         overall = statistics.median(all_vals) if all_vals else 0.0
         mapping = {}
@@ -479,20 +429,19 @@ def _feature_column(view: GroupView, built: BuiltFeature,
     Features that already carry an aligned :meth:`~BuiltFeature.
     domain_table` skip even the per-domain loop and gather straight from
     it. ``perm`` reorders the rows (the design's cluster sort). None when
-    the view has no arrays or the feature reads more than one attribute.
+    the feature reads more than one attribute.
     """
-    arrays = _view_arrays(view)
-    if arrays is None or len(built.attributes) != 1 \
+    if len(built.attributes) != 1 \
             or built.attributes[0] not in view.group_attrs:
         return None
-    _, codes_m, encs = arrays
     pos = view.group_attrs.index(built.attributes[0])
-    domain_arr = built.domain_table(encs[pos])
+    enc = view.encodings[pos]
+    domain_arr = built.domain_table(enc)
     if domain_arr is None:
         mapping, default = built.mapping, built.default
         domain_arr = np.asarray([float(mapping.get(v, default))
-                                 for v in encs[pos].domain], dtype=float)
-    codes = codes_m[:, pos]
+                                 for v in enc.domain], dtype=float)
+    codes = view.key_codes[:, pos]
     if perm is not None:
         codes = codes[perm]
     return domain_arr[codes]
@@ -515,11 +464,15 @@ def _domain_ranks(enc) -> np.ndarray | None:
     when every domain value has a *strict* position in the
     ``(type name, value)`` order: sort the domain once, assign ranks, and
     gather. Declines (``None``) on NaN values (not a total order under
-    ``<``) and on ``_orderable`` ties between distinct domain values (the
+    ``<``), on ``_orderable`` ties between distinct domain values (the
     Python sort would resolve those through later key columns; a rank
-    table would not). Memoized per domain list — every view built over
-    the same dataset shares the table.
+    table would not) and on a lossy encoding (see
+    :meth:`~repro.relational.encoding.DictEncoding.sort_friendly`).
+    Memoized per domain list — every view built over the same dataset
+    shares the table.
     """
+    if enc.lossy:
+        return None
     domain = enc.domain
     hit = _DOMAIN_RANK_CACHE.get(id(domain))
     if hit is not None and hit[0] is domain and hit[1] == len(domain):
@@ -557,25 +510,22 @@ def _sort_permutation(view: GroupView, keys: list,
     order then equals the ``(type name, value)`` order of
     :func:`_orderable`), or over :func:`_domain_ranks` tables when the
     domains merely *rank* cleanly (chunk-streamed encodings); otherwise
-    the original Python sort over decoded keys — same permutation every
-    way.
+    the Python sort over the keys — same permutation every way.
     """
     n = len(keys)
-    arrays = _view_arrays(view)
-    if arrays is not None:
-        _, codes, encs = arrays
-        if codes.shape[1] == 0:
-            return np.arange(n, dtype=np.int64)
-        if all(e.sort_friendly() for e in encs):
-            order_cols = [codes[:, p] for p in cluster_positions] \
-                + [codes[:, j] for j in range(codes.shape[1])]
-            return np.lexsort(tuple(reversed(order_cols)))
-        rank_tables = [_domain_ranks(e) for e in encs]
-        if all(r is not None for r in rank_tables):
-            ranked = [rank_tables[j][codes[:, j]]
-                      for j in range(codes.shape[1])]
-            order_cols = [ranked[p] for p in cluster_positions] + ranked
-            return np.lexsort(tuple(reversed(order_cols)))
+    codes, encs = view.key_codes, view.encodings
+    if codes.shape[1] == 0:
+        return np.arange(n, dtype=np.int64)
+    if all(e.sort_friendly() for e in encs):
+        order_cols = [codes[:, p] for p in cluster_positions] \
+            + [codes[:, j] for j in range(codes.shape[1])]
+        return np.lexsort(tuple(reversed(order_cols)))
+    rank_tables = [_domain_ranks(e) for e in encs]
+    if all(r is not None for r in rank_tables):
+        ranked = [rank_tables[j][codes[:, j]]
+                  for j in range(codes.shape[1])]
+        order_cols = [ranked[p] for p in cluster_positions] + ranked
+        return np.lexsort(tuple(reversed(order_cols)))
 
     def sort_key(i: int) -> tuple:
         k = keys[i]
@@ -585,33 +535,20 @@ def _sort_permutation(view: GroupView, keys: list,
     return np.asarray(sorted(range(n), key=sort_key), dtype=np.int64)
 
 
-def _cluster_sizes(view: GroupView, keys_sorted: list,
-                   cluster_positions: list[int],
+def _cluster_sizes(view: GroupView, cluster_positions: list[int],
                    perm: np.ndarray) -> list[int]:
     """Run lengths of consecutive equal cluster keys, in sorted order.
 
-    Vectorized over the encoded key codes when available (code equality is
-    value equality, including the same-NaN-object case the tuple compare
-    resolves by identity); Python run loop otherwise.
+    Vectorized over the encoded key codes (code equality is value
+    equality, including the same-NaN-object case a tuple compare
+    resolves by identity).
     """
     if not cluster_positions:
-        return [len(keys_sorted)]
-    arrays = _view_arrays(view)
-    if arrays is not None:
-        codes = arrays[1][perm][:, cluster_positions]
-        change = np.any(codes[1:] != codes[:-1], axis=1)
-        edges = np.concatenate([[0], np.flatnonzero(change) + 1,
-                                [len(keys_sorted)]])
-        return np.diff(edges).tolist()
-    sizes: list[int] = []
-    prev = object()
-    for k in keys_sorted:
-        ck = tuple(k[p] for p in cluster_positions)
-        if ck != prev:
-            sizes.append(0)
-            prev = ck
-        sizes[-1] += 1
-    return sizes
+        return [len(perm)]
+    codes = view.key_codes[perm][:, cluster_positions]
+    change = np.any(codes[1:] != codes[:-1], axis=1)
+    edges = np.concatenate([[0], np.flatnonzero(change) + 1, [len(perm)]])
+    return np.diff(edges).tolist()
 
 
 def build_view_designs(view: GroupView, targets: Sequence[str],
@@ -622,7 +559,7 @@ def build_view_designs(view: GroupView, targets: Sequence[str],
     The structural work — the cluster sort, the cluster run lengths, the
     key→row index — is computed once and shared by every target; only the
     (target-dependent) feature values and y vector are built per target.
-    On array-backed views both are vectorized: feature columns come from
+    Both are vectorized: single-attribute feature columns come from
     encoded-domain lookups (no per-row ``value_for`` calls) and y from
     :meth:`~repro.relational.aggregates.GroupStats.statistic_array`.
     """
@@ -636,8 +573,7 @@ def build_view_designs(view: GroupView, targets: Sequence[str],
         raise FeatureError("cannot build a design over an empty view")
     perm = _sort_permutation(view, keys, positions)
     keys_sorted = [keys[i] for i in perm]
-    sizes = _cluster_sizes(view, keys_sorted, positions, perm)
-    stats = getattr(view, "stats", None)
+    sizes = _cluster_sizes(view, positions, perm)
 
     designs: list[ViewDesign] = []
     for target in targets:
@@ -654,11 +590,7 @@ def build_view_designs(view: GroupView, targets: Sequence[str],
                           for k in keys_sorted]
             x[:, col] = column
             col += 1
-        if stats is not None:
-            y = stats.statistic_array(target)[perm]
-        else:
-            y = np.asarray([view.groups[k].statistic(target)
-                            for k in keys_sorted])
+        y = view.stats.statistic_array(target)[perm]
         design = DenseDesign(x, sizes, z_columns=feature_set.z_indices())
         designs.append(ViewDesign(keys=keys_sorted, y=y, design=design,
                                   feature_set=feature_set,

@@ -354,11 +354,4 @@ def decompose(statistic: str) -> tuple[str, ...]:
 def evaluate_composite(statistic: str, state: AggState) -> float:
     """Value of a possibly-composite statistic on a state."""
     decompose(statistic)  # validates the name
-    return state.statistic(statistic) if statistic in BASE_STATISTICS \
-        else _composite_value(statistic, state)
-
-
-def _composite_value(statistic: str, state: AggState) -> float:
-    if statistic == "sum":
-        return state.mean * state.count
-    raise AggregateError(f"unknown composite statistic {statistic!r}")
+    return state.statistic(statistic)

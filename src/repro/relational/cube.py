@@ -25,11 +25,11 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .aggregates import AggState, GroupStats, merge_states
+from .aggregates import AggState, GroupStats
 from .dataset import HierarchicalDataset
 from .delta import Delta, DeltaError
 from .encoding import (DictEncoding, combine_codes, comparable_keys,
-                       decode_keys)
+                       decode_keys, factorize)
 from .hierarchy import fd_violation
 
 Key = tuple
@@ -95,13 +95,16 @@ class GroupView:
     The result of ``γ_{group_attrs, F}(σ_filters(R))`` with all base
     statistics available per group.
 
-    Cube-built views additionally carry the *array-backed form*: the
-    ``(n_groups, k)`` matrix of encoded key codes plus the per-attribute
+    Every view carries the *array-backed form*: the ``(n_groups, k)``
+    matrix of encoded key codes plus the per-attribute
     :class:`~repro.relational.encoding.DictEncoding` objects, aligned with
-    the :class:`GroupStats` rows behind ``groups``. The recommend path
-    (design build, repair prediction, ranking) operates on these arrays
-    directly; the ``{key: AggState}`` mapping stays the compatibility API.
-    Hand-built views (plain dict ``groups``) leave them ``None``.
+    the :class:`GroupStats` rows behind ``groups`` (a :class:`StatesMap`).
+    The recommend path (design build, repair prediction, ranking) reads
+    these arrays and nothing else; the ``{key: AggState}`` mapping stays
+    the compatibility API. The cube builds both at once. A view built by
+    hand from a ``{key: AggState}`` mapping is encoded once, on
+    construction: each key column is factorized in iteration order, the
+    states become a :class:`GroupStats` block, and the keys stay as given.
     """
 
     group_attrs: tuple[str, ...]
@@ -111,19 +114,32 @@ class GroupView:
     encodings: "tuple[DictEncoding, ...] | None" = field(
         default=None, compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.key_codes is not None:
+            return
+        keys = list(self.groups)
+        states = [self.groups[k] for k in keys]
+        stats = GroupStats(*(np.array([getattr(s, name) for s in states],
+                                      dtype=float)
+                             for name in ("count", "total", "sumsq")))
+        encs = tuple(factorize([k[j] for k in keys])
+                     for j in range(len(self.group_attrs)))
+        codes = np.empty((len(keys), len(encs)), dtype=np.int32)
+        for j, enc in enumerate(encs):
+            codes[:, j] = enc.codes
+        object.__setattr__(self, "groups", StatesMap(keys, stats))
+        object.__setattr__(self, "key_codes", codes)
+        object.__setattr__(self, "encodings", encs)
+
     @property
-    def stats(self) -> GroupStats | None:
-        """The struct-of-arrays stats block, or None for dict-built views."""
-        groups = self.groups
-        return groups.stats if isinstance(groups, StatesMap) else None
+    def stats(self) -> GroupStats:
+        """The struct-of-arrays stats block, one row per group."""
+        return self.groups.stats
 
     @property
     def key_list(self) -> list[Key]:
         """Group keys in array-row order (= ``groups`` iteration order)."""
-        groups = self.groups
-        if isinstance(groups, StatesMap):
-            return groups.key_list
-        return list(groups)
+        return self.groups.key_list
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -139,9 +155,7 @@ class GroupView:
 
     def total(self) -> AggState:
         """``G`` over all groups — the parent aggregate."""
-        if isinstance(self.groups, StatesMap):
-            return self.groups.stats.total_state()
-        return merge_states(self.groups.values())
+        return self.groups.stats.total_state()
 
     def keys_matching(self, conditions: Mapping[str, object]) -> list[Key]:
         """Group keys consistent with equality conditions on view attrs."""

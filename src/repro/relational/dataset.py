@@ -14,7 +14,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoding import EncodingError
 from .hierarchy import Dimensions, HierarchyError
 from .relation import Relation
 
@@ -66,46 +65,33 @@ class AuxiliaryDataset:
         (the caching layer's ``spec_signature`` already relies on this),
         so every feature build after the first reuses the same mapping
         instead of re-materializing ``{tuple: dict}`` over full row
-        dicts on each access. Mixed-type/unencodable join keys keep the
-        row-path fallback (also memoized).
+        dicts on each access. An unhashable join-key cell raises
+        :class:`~repro.relational.encoding.EncodingError`.
         """
         cached = self.__dict__.get("_lookup_cache")
         if cached is not None:
             return cached
-        try:
-            gidx = self.relation.group_index(list(self.join_on))
-        except EncodingError:
-            result = self._lookup_rows()
-        else:
-            counts = np.bincount(gidx.gids, minlength=gidx.n_groups)
-            means = {m: np.bincount(gidx.gids,
-                                    weights=self.relation.measure_array(m),
-                                    minlength=gidx.n_groups) / counts
-                     for m in self.measures}
-            result = {key: {m: float(means[m][i]) for m in self.measures}
-                      for i, key in enumerate(gidx.keys())}
+        gidx = self.relation.group_index(list(self.join_on))
+        counts = np.bincount(gidx.gids, minlength=gidx.n_groups)
+        means = {m: np.bincount(gidx.gids,
+                                weights=self.relation.measure_array(m),
+                                minlength=gidx.n_groups) / counts
+                 for m in self.measures}
+        result = {key: {m: float(means[m][i]) for m in self.measures}
+                  for i, key in enumerate(gidx.keys())}
         object.__setattr__(self, "_lookup_cache", result)
         return result
-
-    def _lookup_rows(self) -> dict[tuple, dict[str, float]]:
-        """Row-at-a-time fallback for unencodable join keys."""
-        sums: dict[tuple, dict[str, float]] = {}
-        counts: dict[tuple, int] = {}
-        keys = self.relation.key_tuples(list(self.join_on))
-        cols = {m: self.relation.column(m) for m in self.measures}
-        for i, key in enumerate(keys):
-            acc = sums.setdefault(key, {m: 0.0 for m in self.measures})
-            for m in self.measures:
-                acc[m] += float(cols[m][i])
-            counts[key] = counts.get(key, 0) + 1
-        return {key: {m: acc[m] / counts[key] for m in self.measures}
-                for key, acc in sums.items()}
 
 
 class HierarchicalDataset:
     """Base relation + hierarchies + measures + auxiliary data.
 
     This is the object passed to :class:`repro.core.session.Reptile`.
+    Every measure cell must be a finite number: a non-numeric, NaN or
+    ±inf cell raises :class:`DatasetError`, the rule ingest applies to
+    appended rows (a NaN cell could never be retracted, and it poisons
+    every fit over its groups). ``validate=False`` skips only the
+    hierarchy FD check.
     """
 
     def __init__(self, relation: Relation, dimensions: Dimensions,
@@ -121,6 +107,14 @@ class HierarchicalDataset:
             if a not in relation.schema:
                 raise DatasetError(
                     f"hierarchy attribute {a!r} not in relation schema")
+        try:
+            finite = np.isfinite(relation.measure_array(measure)).all()
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(
+                f"measure {measure!r} is not numeric: {exc}") from None
+        if not finite:
+            raise DatasetError(
+                f"measure {measure!r} is not finite: NaN or ±inf in a row")
         if validate:
             try:
                 dimensions.validate(relation)
@@ -166,10 +160,7 @@ class HierarchicalDataset:
         domain is already the distinct value set, and is shared with the
         cube and the serving fingerprints.
         """
-        try:
-            enc = self.relation.encoding(attribute)
-        except EncodingError:
-            return sorted(set(self.relation.column(attribute)))
+        enc = self.relation.encoding(attribute)
         present = np.unique(enc.codes)
         if len(present) == enc.cardinality:
             domain = list(enc.domain)

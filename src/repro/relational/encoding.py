@@ -50,7 +50,8 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 class EncodingError(ValueError):
     """Raised when a column cannot be dictionary-encoded (e.g. unhashable
-    cell values); callers fall back to the row-at-a-time path."""
+    cell values). Operators with a row-at-a-time path fall back to it;
+    the grouping operators, which key a dict by the cell, raise it."""
 
 
 def digest_parts(*parts: bytes) -> bytes:
@@ -142,13 +143,16 @@ class DictEncoding:
     def sort_friendly(self) -> bool:
         """Whether code order equals ``(type name, value)`` sort order.
 
-        True when the domain is value-sorted, single-typed, and NaN-free —
-        exactly the conditions under which an ``np.lexsort`` over codes
-        reproduces the design builder's Python key sort bit for bit.
-        Memoized (O(cardinality) on first call).
+        True when the domain is value-sorted, single-typed, and NaN-free,
+        and not lossy — exactly the conditions under which an
+        ``np.lexsort`` over codes reproduces the design builder's Python
+        key sort bit for bit. (A lossy column's keys may hold an
+        ``==``-equal value of another type than the domain's, which the
+        Python sort orders by type name first.) Memoized
+        (O(cardinality) on first call).
         """
         if self._sort_friendly is None:
-            ok = self.domain_sorted
+            ok = self.domain_sorted and not self.lossy
             if ok and self.domain:
                 first = type(self.domain[0])
                 for v in self.domain:

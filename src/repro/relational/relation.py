@@ -615,7 +615,7 @@ class Relation:
         """The interned dictionary encoding of column ``name``.
 
         Raises :class:`~repro.relational.encoding.EncodingError` when the
-        column holds unhashable values; callers fall back to row paths.
+        column holds unhashable values.
         """
         try:
             return self._cols[name].encoding()
@@ -673,10 +673,10 @@ class Relation:
     def distinct(self, names: Sequence[str] | None = None) -> "Relation":
         """Duplicate-free projection onto ``names`` (default: all columns)."""
         names = list(names if names is not None else self.schema.names)
-        encs = self._encodings(names)
-        if encs is None or any(e.lossy for e in encs):
-            # Unencodable, or decoding would substitute ==-equal values
-            # of another type for the originals: keep the row path.
+        encs = [self.encoding(n) for n in names]
+        if any(e.lossy for e in encs):
+            # Decoding would substitute ==-equal values of another type
+            # for the originals: keep the row path.
             seen: dict[Key, None] = {}
             for key in self.key_tuples(names):
                 seen.setdefault(key, None)
@@ -918,13 +918,7 @@ class Relation:
     # -- grouping -------------------------------------------------------------------
     def group_rows(self, names: Sequence[str]) -> dict[Key, list[int]]:
         """Map each distinct key of ``names`` to the row indices in that group."""
-        encs = self._encodings(names)
-        if encs is None:
-            groups: dict[Key, list[int]] = {}
-            for i, key in enumerate(self.key_tuples(names)):
-                groups.setdefault(key, []).append(i)
-            return groups
-        gidx = GroupIndex(encs, self._n)
+        gidx = self.group_index(names)
         return {key: idx.tolist()
                 for key, idx in zip(gidx.keys(), gidx.group_indices())}
 
@@ -932,11 +926,7 @@ class Relation:
                       ) -> dict[Key, np.ndarray]:
         """Map each group key to the numpy array of its measure values."""
         col = self.measure_array(measure)
-        encs = self._encodings(names)
-        if encs is None:
-            return {key: col[idx]
-                    for key, idx in self.group_rows(names).items()}
-        gidx = GroupIndex(encs, self._n)
+        gidx = self.group_index(names)
         return {key: col[idx]
                 for key, idx in zip(gidx.keys(), gidx.group_indices())}
 

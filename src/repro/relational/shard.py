@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import HierarchicalDataset
+from .dataset import DatasetError, HierarchicalDataset
 from .encoding import DictEncoding, factorize
 from .relation import Relation
 from .schema import Schema, dimension, measure as measure_attr
@@ -34,15 +34,21 @@ def encode_columns_chunked(chunks: Iterable[Mapping[str, np.ndarray]],
     holds only ``int32`` codes plus the ``float64`` measure — never a
     full value-object image. A column given as a list (not an array) is
     encoded as it is, keeping its value objects, exactly as
-    :meth:`Relation.from_rows` would. Returns ``(columns, n_rows)`` ready
-    for :meth:`Relation.from_encoded`.
+    :meth:`Relation.from_rows` would. A measure cell that is not a number
+    raises :class:`~repro.relational.dataset.DatasetError`. Returns
+    ``(columns, n_rows)`` ready for :meth:`Relation.from_encoded`.
     """
     chunk_encs: dict[str, list[DictEncoding]] = {a: [] for a in attrs}
     measure_parts: list[np.ndarray] = []
     for chunk in chunks:
         for a in attrs:
             chunk_encs[a].append(factorize(chunk[a]))
-        measure_parts.append(np.asarray(chunk[measure_name], dtype=float))
+        try:
+            measure_parts.append(np.asarray(chunk[measure_name],
+                                            dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(
+                f"measure {measure_name!r} is not numeric: {exc}") from None
     columns: dict = {}
     for a in attrs:
         encs = chunk_encs[a]

@@ -127,7 +127,7 @@ class CachingCube(Cube):
 
 def patch_view(view: GroupView, cube_delta: CubeDelta,
                leaf_attrs: Sequence[str], group_attrs: tuple[str, ...],
-               delta_mask: np.ndarray) -> GroupView | None:
+               delta_mask: np.ndarray) -> GroupView:
     """Delta-merge a cached view in place of recomputing its roll-up.
 
     ``delta_mask`` selects the delta leaves passing the view's filters
@@ -136,11 +136,8 @@ def patch_view(view: GroupView, cube_delta: CubeDelta,
     kernel the cube itself uses. New groups are then sorted into place:
     a fresh roll-up lists groups in lexicographic key-code order, and the
     ranker's tie-breaks and the model fit read groups in view order, so
-    a patched view must match it row for row. Returns None when the view
-    carries no array form (cannot be patched — drop it).
+    a patched view must match it row for row.
     """
-    if view.key_codes is None or view.encodings is None:
-        return None
     positions = [list(leaf_attrs).index(a) for a in group_attrs]
     encs = [cube_delta.encodings[p] for p in positions]
     sizes = [e.cardinality for e in encs]
@@ -150,12 +147,8 @@ def patch_view(view: GroupView, cube_delta: CubeDelta,
         [cube_delta.key_codes[selected, p] for p in positions],
         sizes, len(selected))
     delta_stats = stats.merge_by(gids, len(delta_codes))
-    old_stats = view.groups.stats if isinstance(view.groups, StatesMap) \
-        else None
-    if old_stats is None:
-        return None
     merged_codes, merged_stats, kept, added = merge_stats_blocks(
-        view.key_codes, old_stats, delta_codes, delta_stats, sizes)
+        view.key_codes, view.stats, delta_codes, delta_stats, sizes)
     old_keys = view.key_list
     keys = old_keys if kept is None else [old_keys[i] for i in kept]
     if len(added):
@@ -202,8 +195,6 @@ def patch_cache_for_delta(cache: AggregateCache, old_fp: str | None,
             else:
                 fresh_view = patch_view(value, cube_delta, leaf_attrs,
                                         group_attrs, mask)
-                if fresh_view is None:
-                    continue
                 patched += 1
             object.__setattr__(fresh_view, _VIEW_KEY_ATTR, new_key)
             cache.put(new_key, fresh_view)

@@ -461,12 +461,11 @@ class ExplanationService:
         """Operational counters: cache behaviour, timings, populations.
 
         ``ranker`` reports how many scoring sweeps ran on the vectorized
-        array path versus the group-at-a-time fallback. The counters are
+        array path versus the group-at-a-time loop. The counters are
         process-wide (shared across services in one process, not reset
         between requests). A non-zero fallback count means some sweeps
-        could not run vectorized — either a repairer produced predictions
-        the array sweep cannot replay, or NaN predictions forced the
-        reference ordering path.
+        produced a NaN score — a NaN prediction — which forces the
+        reference ordering loop.
 
         ``kernels`` reports the fused-kernel tier's per-kernel
         fused/fallback dispatch counts under ``counters`` — a fallback is

@@ -8,6 +8,7 @@ from repro.relational.cube import Cube
 from repro.relational.dataset import (AuxiliaryDataset, DatasetError,
                                       HierarchicalDataset)
 from repro.relational.relation import Relation
+from repro.relational.shard import dataset_from_chunks
 from repro.relational.schema import Schema, dimension, measure
 
 
@@ -58,6 +59,33 @@ class TestDataset:
 
     def test_leaf_group_by(self, ofla_dataset):
         assert ofla_dataset.leaf_group_by() == ("district", "village", "year")
+
+
+#: Measure cells registration rejects, as ingest rejects them in appends.
+BAD_MEASURE_CELLS = {"nan": float("nan"), "+inf": float("inf"),
+                     "-inf": float("-inf"), "non-numeric": "high"}
+GEO = {"geo": ["d", "v"]}
+
+
+class TestMeasureCells:
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("cell", sorted(BAD_MEASURE_CELLS))
+    def test_build_rejects_bad_measure_cell(self, cell, validate):
+        rel = Relation.from_rows(
+            Schema([dimension("d"), dimension("v"), measure("x")]),
+            [("d1", "v1", 1.0), ("d1", "v2", BAD_MEASURE_CELLS[cell]),
+             ("d2", "v3", 3.0)])
+        with pytest.raises(DatasetError, match="measure 'x'"):
+            HierarchicalDataset.build(rel, GEO, "x", validate=validate)
+
+    @pytest.mark.parametrize("cell", sorted(BAD_MEASURE_CELLS))
+    def test_chunks_reject_bad_measure_cell(self, cell):
+        chunks = [{"d": np.array(["d1", "d1"]), "v": np.array(["v1", "v2"]),
+                   "x": np.array([1.0, 2.0])},
+                  {"d": np.array(["d2"]), "v": np.array(["v3"]),
+                   "x": np.array([BAD_MEASURE_CELLS[cell]], dtype=object)}]
+        with pytest.raises(DatasetError, match="measure 'x'"):
+            dataset_from_chunks(chunks, GEO, "x")
 
 
 class TestAuxiliary:

@@ -17,14 +17,16 @@ from hypothesis import strategies as st
 
 from repro.core import rankref
 from repro.core.complaint import Complaint, Direction
-from repro.core.ranker import rank_candidates, score_drilldown
-from repro.core.repair import (ModelRepairer, RepairAlignmentError,
-                               RepairPrediction)
-from repro.model.features import FeaturePlan, LagFeature
+from repro.core.ranker import RANKER_STATS, rank_candidates, score_drilldown
+from repro.core.repair import (CustomRepairer, ModelRepairer,
+                               RepairAlignmentError, RepairPrediction)
+from repro.model.features import (FeatureError, FeaturePlan, LagFeature,
+                                  build_view_designs)
 from repro.relational import (Cube, HierarchicalDataset, Relation, Schema,
-                              dimension, measure)
+                              dataset_from_chunks, dimension, measure)
 from repro.relational.aggregates import AggState
 from repro.relational.cube import GroupView
+from repro.relational.encoding import decode_keys
 
 AGGREGATES = ["count", "sum", "mean", "std"]
 DIRECTIONS = [Direction.TOO_HIGH, Direction.TOO_LOW, Direction.TARGET]
@@ -123,18 +125,29 @@ class TestScoringEquivalence:
         assert base_top == base_full
         assert [g.key for g in top] == [g.key for g in full[:2]]
 
-    def test_out_of_order_custom_dicts_fall_back(self):
-        """A per-key dict ordered against the statistics tuple cannot be
-        replayed column-wise; the fallback loop must still agree with the
-        oracle (they share the group-at-a-time semantics)."""
+    def test_out_of_order_custom_dicts_apply_in_statistics_order(self):
+        """A per-key dict ordered against the statistics tuple is encoded
+        into the prediction matrix: its statistics report and apply in
+        ``statistics`` order, on the array sweep, exactly as the in-order
+        dict's and the oracle's do."""
         view = build_view([(5, 2.0, 1.0), (7, 3.0, 1.0)])
-        prediction = RepairPrediction(
-            ("count", "mean"),
+        statistics = ("count", "mean")
+        shuffled = RepairPrediction(
+            statistics,
             {k: {"mean": 4.0, "count": 6.0} for k in view.groups})
+        in_order = RepairPrediction(
+            statistics,
+            {k: {"count": 6.0, "mean": 4.0} for k in view.groups})
         complaint = complaint_for("sum", Direction.TOO_LOW)
+        fallbacks = RANKER_STATS["fallback"]
+        result = score_drilldown(view, shuffled, complaint)
+        assert RANKER_STATS["fallback"] == fallbacks
+        assert [list(g.expected) for g in result[1]] == \
+            [list(statistics)] * len(view)
         assert_exactly_equal(
-            score_drilldown(view, prediction, complaint),
-            rankref.score_drilldown_ref(view, prediction, complaint))
+            result, score_drilldown(view, in_order, complaint))
+        assert_exactly_equal(
+            result, rankref.score_drilldown_ref(view, shuffled, complaint))
 
 
 def _random_dataset(seed: int, n: int = 1500,
@@ -226,6 +239,100 @@ class TestEndToEndEquivalence:
         assert len(a.groups) == len(b.groups) == 1
         assert_exactly_equal((a.base_penalty, a.groups),
                              (b.base_penalty, b.groups))
+
+
+def _bits(stats) -> tuple:
+    return tuple(a.tobytes() for a in (stats.count, stats.total,
+                                       stats.sumsq))
+
+
+def _chunked_dataset(seed: int) -> HierarchicalDataset:
+    """``_random_dataset``'s rows streamed in two chunks, the second
+    holding the districts that sort first: the union domains come out
+    unsorted, so cube views take the domain-rank sort."""
+    relation = _random_dataset(seed).relation
+    district = np.asarray(relation.column("district"))
+    late = district >= "d3"
+    chunks = [{a: np.asarray(relation.column(a))[rows]
+               for a in ("district", "village", "year", "sev")}
+              for rows in (late, ~late)]
+    return dataset_from_chunks(
+        chunks, {"geo": ["district", "village"], "time": ["year"]}, "sev")
+
+
+#: (dataset, group attributes, filters, cluster attributes) of the cube
+#: views whose hand-built copies must equal them bitwise.
+ONE_FORM_CASES = {
+    "villages": ("plain", ("district", "village"), None, ("district",)),
+    "filtered": ("plain", ("district", "year"), {"district": "d1"},
+                 ("district",)),
+    "nan-years": ("nan", ("district", "year"), None, ("district",)),
+    "nan-year-level": ("nan", ("year",), None, ()),
+    "grand-total": ("plain", (), None, ()),
+    "empty": ("plain", ("district", "village"), {"district": "nope"},
+              ("district",)),
+    "chunked": ("chunked", ("district", "village"), None, ("district",)),
+}
+
+
+class TestOneForm:
+    """Every view and every prediction carries one array form: a view
+    or prediction built by hand is encoded on construction."""
+
+    @pytest.mark.parametrize("case", sorted(ONE_FORM_CASES))
+    def test_hand_built_copy_matches_cube_view(self, case):
+        source, attrs, filters, cluster = ONE_FORM_CASES[case]
+        dataset = (_chunked_dataset(3) if source == "chunked"
+                   else _random_dataset(3, nan_years=source == "nan"))
+        view = Cube(dataset).view(attrs, filters)
+        copy = GroupView(view.group_attrs, dict(view.groups))
+        assert _bits(copy.stats) == _bits(view.stats)
+        assert copy.key_list == view.key_list
+        assert decode_keys(copy.key_codes, copy.encodings) == view.key_list
+        plan = FeaturePlan(extra_specs=[LagFeature("year")])
+        targets = ("count", "mean", "std")
+        if not len(view):
+            for v in (view, copy):
+                with pytest.raises(FeatureError):
+                    build_view_designs(v, targets, plan, cluster)
+            return
+        for a, b in zip(build_view_designs(copy, targets, plan, cluster),
+                        build_view_designs(view, targets, plan, cluster)):
+            assert a.keys == b.keys
+            assert a.design.x.tobytes() == b.design.x.tobytes()
+            assert a.y.tobytes() == b.y.tobytes()
+            assert list(a.design.sizes) == list(b.design.sizes)
+
+    def test_lossy_hand_built_keys_match_python_sort_oracle(self):
+        """Keys mixing ==-equal values of two types (1 and 1.0) share a
+        code; the design must still sort them as the oracle's Python
+        sort over the keys does (type name first)."""
+        states = [AggState.from_stats(n, m, 1.0)
+                  for n, m in ((3, 1.0), (4, 2.0), (5, 3.0), (2, 7.0))]
+        view = GroupView(("x", "y"), dict(zip(
+            [(1, "a"), (1.0, "b"), (2, "c"), (2.0, "a")], states)))
+        assert decode_keys(view.key_codes, view.encodings) == view.key_list
+        for cluster in ((), ("x",), ("y",)):
+            design, = build_view_designs(view, ("mean",), FeaturePlan(),
+                                         cluster)
+            keys, y, ref = rankref.build_view_design_ref(
+                view, "mean", FeaturePlan(), cluster)
+            assert list(map(repr, design.keys)) == list(map(repr, keys))
+            assert design.design.x.tobytes() == ref.x.tobytes()
+            assert design.y.tobytes() == y.tobytes()
+            assert list(design.design.sizes) == list(ref.sizes)
+
+    def test_statistic_outside_statistics_rejected(self):
+        with pytest.raises(ValueError, match="'count'"):
+            RepairPrediction(("mean",),
+                             {("a",): {"mean": 1.0, "count": 2.0}})
+
+    def test_custom_repairer_statistic_outside_statistics_rejected(self):
+        view = build_view([(5, 2.0, 1.0), (7, 3.0, 1.0)])
+        repairer = CustomRepairer(lambda key, state: {"std": 1.0},
+                                  statistics=("mean",))
+        with pytest.raises(ValueError, match="'std'"):
+            repairer.predict(view, (), "mean")
 
 
 class TestStrictAlignment:

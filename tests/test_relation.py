@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.factorized import HierarchyPaths
+from repro.relational.dataset import AuxiliaryDataset, HierarchicalDataset
+from repro.relational.encoding import EncodingError
+from repro.relational.hierarchy import Hierarchy
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, SchemaError, dimension, measure
 
@@ -133,6 +137,30 @@ class TestGrouping:
     def test_group_measure(self, rel):
         gm = rel.group_measure(["a"], "x")
         np.testing.assert_allclose(gm[("a2",)], [3.0, 4.0, 5.0])
+
+
+#: Entry points that group by a dimension cell: each keys a dict by it,
+#: so an unhashable (list) cell cannot be grouped and must raise the typed
+#: EncodingError, not a bare TypeError.
+LIST_CELL_CALLS = {
+    "group_rows": lambda rel: rel.group_rows(["a"]),
+    "group_measure": lambda rel: rel.group_measure(["a"], "x"),
+    "distinct": lambda rel: rel.distinct(["a"]),
+    "auxiliary_lookup": lambda rel: AuxiliaryDataset(
+        "aux", rel, ("a",), ("x",)).lookup(),
+    "attribute_domain": lambda rel: HierarchicalDataset.build(
+        rel, {"h": ["a"]}, "x").attribute_domain("a"),
+    "hierarchy_paths": lambda rel: HierarchyPaths.from_relation(
+        Hierarchy("h", ["a"]), rel),
+}
+
+
+@pytest.mark.parametrize("call", sorted(LIST_CELL_CALLS))
+def test_list_cell_raises_encoding_error(call):
+    rel = Relation.from_rows(Schema([dimension("a"), measure("x")]),
+                             [(["unhashable"], 1.0), ("a1", 2.0)])
+    with pytest.raises(EncodingError):
+        LIST_CELL_CALLS[call](rel)
 
 
 class TestDerivedIsolation:
