@@ -2,7 +2,7 @@
 export PYTHONPATH := src
 
 .PHONY: test test-concurrency test-kernels test-faults test-delta \
-    test-recommend docs-check bench bench-smoke bench-selftest \
+    test-recommend test-model docs-check bench bench-smoke bench-selftest \
     bench-fig23 serve-demo
 
 # The bench_*.py naming keeps the harnesses out of default pytest
@@ -50,6 +50,16 @@ test-recommend:
 	python -m pytest tests/test_ranker_array_properties.py \
 	    tests/test_ranker_properties.py tests/test_features.py \
 	    tests/test_selection.py tests/test_core_engine.py -q
+
+# The model-layer gate: the live EM and OLS fits against the frozen
+# emref oracle (every fit field and prediction, bitwise), the model and
+# pipeline tests, and the edge-case and extension suites that drive
+# fits — run without -x so one failing property still reports every
+# other failure.
+test-model:
+	python -m pytest tests/test_emref_properties.py tests/test_models.py \
+	    tests/test_pipeline.py tests/test_edge_cases.py \
+	    tests/test_extensions.py -q
 
 # Execute every fenced python block in README.md and docs/*.md so the
 # documented examples cannot rot.

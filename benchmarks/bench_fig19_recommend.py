@@ -10,11 +10,21 @@ group-at-a-time reference in ``repro.core.rankref`` on identical cubes:
 * **score-sweep** — the eq. 3 scoring/ranking step alone, on a shared
   prediction;
 * **top-k** — the serving configuration (only the analyst-visible groups
-  are materialized).
+  are materialized);
+* **leaf design** / **leaf fit** — the repair model's two stages on the
+  deepest drought level: the (district, village, year) parallel view of
+  1e6 rows (80k groups in 3,200 (district, village) clusters) with the
+  ``sum`` complaint's (count, mean) targets. The design build runs
+  against ``rankref.build_view_design_ref`` and the 20-iteration EM fit
+  against the frozen ``repro.model.emref``.
 
 Every timed pair is checked for *exact* result equality: same group keys,
-same scores (bitwise), same ordering, same observed/expected statistics.
-Acceptance target: ≥5× for rank-candidates at ≥10⁴ drill-down groups.
+same scores (bitwise), same ordering, same observed/expected statistics;
+the leaf rows check the design matrices and the fitted repair values
+bitwise. Each (n, op) and each leaf stage writes one JSON row: ``cold``
+is the first call, ``warm`` the best of three, ``oracle`` the frozen
+path and ``speedup`` oracle / warm. Acceptance target: ≥5× for
+rank-candidates at ≥10⁴ drill-down groups.
 """
 
 import time
@@ -25,11 +35,15 @@ import pytest
 from repro.core import rankref
 from repro.core.complaint import Complaint
 from repro.core.ranker import rank_candidates, score_drilldown
-from repro.core.repair import ModelRepairer
+from repro.core.repair import REPAIR_STATISTICS, ModelRepairer
+from repro.datagen import perf
+from repro.model import emref
+from repro.model.features import FeaturePlan, build_view_designs
+from repro.model.multilevel import MultilevelModel
 from repro.relational import (Cube, HierarchicalDataset, Relation, Schema,
-                              dimension, measure)
+                              dataset_from_chunks, dimension, measure)
 
-from bench_utils import fmt, report, smoke
+from bench_utils import fmt, report, report_json, smoke
 
 #: Drill-down group counts (items under the complained block).
 SIZES = smoke([150], [2_000, 12_000])
@@ -37,6 +51,11 @@ N_BLOCKS = 2
 N_YEARS = 3
 ROWS_PER_ITEM = 3
 TOP_K = 5
+#: Drought rows behind the leaf-level rows (80k leaf groups at 1e6).
+LEAF_ROWS = smoke(20_000, 1_000_000)
+LEAF_VIEW = ("district", "village", "year")
+LEAF_CLUSTERS = ("district", "village")
+EM_ITERATIONS = 20
 
 
 def _dataset(n_drill: int, seed: int = 0) -> HierarchicalDataset:
@@ -64,13 +83,14 @@ def _dataset(n_drill: int, seed: int = 0) -> HierarchicalDataset:
 
 
 def _timed(fn, repeats: int = 3):
-    best = float("inf")
+    """``(result, cold, warm)``: the first call's seconds and the best."""
+    times = []
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
         result = fn()
-        best = min(best, time.perf_counter() - start)
-    return result, best
+        times.append(time.perf_counter() - start)
+    return result, times[0], min(times)
 
 
 def _assert_groups_equal(array_groups, ref_groups) -> None:
@@ -112,19 +132,20 @@ def test_figure19_series(benchmark):
     """The full sweep: timings + exact-equality checks + speedup table."""
     lines = ["n_drill  op                dicts(s)   arrays(s)  speedup"]
     floors = []
+    rows = []
     for n in SIZES:
         dataset = _dataset(n)
         cube = Cube(dataset)
         repairer = ModelRepairer(n_iterations=10)
         args = _recommend_args(cube, repairer)
 
-        ref_rec, t_ref = _timed(lambda: rankref.rank_candidates_ref(*args),
-                                repeats=1)
+        ref_rec, _, t_ref = _timed(
+            lambda: rankref.rank_candidates_ref(*args), repeats=1)
         # The serving configuration (what ExplanationService runs per
         # complaint): the sweep covers every group, ScoredGroup records
         # materialize only for the top-k. The frozen dict path has no such
         # knob — it materializes everything, always.
-        rec, t_arr = _timed(lambda: rank_candidates(*args, k=TOP_K))
+        rec, c_arr, t_arr = _timed(lambda: rank_candidates(*args, k=TOP_K))
         geo_a = rec.per_hierarchy["cat"]
         geo_r = ref_rec.per_hierarchy["cat"]
         assert geo_a.base_penalty == geo_r.base_penalty
@@ -132,7 +153,8 @@ def test_figure19_series(benchmark):
         _assert_groups_equal(geo_a.groups, geo_r.groups[:TOP_K])
         # Full-list exact equality (every key, score, and rank) is
         # verified on the score sweep below, same run.
-        rec_full, t_arr_full = _timed(lambda: rank_candidates(*args))
+        rec_full, c_arr_full, t_arr_full = _timed(
+            lambda: rank_candidates(*args))
         _assert_groups_equal(rec_full.per_hierarchy["cat"].groups,
                              geo_r.groups)
 
@@ -141,28 +163,35 @@ def test_figure19_series(benchmark):
         drill = cube.drilldown_view(("block",), "item", {"block": "b0"})
         parallel = cube.parallel_view(("block",), "item")
         prediction = repairer.predict(parallel, ("block",), "sum")
-        (_, ref_scored), t_score_ref = _timed(
+        (_, ref_scored), _, t_score_ref = _timed(
             lambda: rankref.score_drilldown_ref(drill, prediction,
                                                 complaint), repeats=1)
-        (_, scored), t_score = _timed(
+        (_, scored), c_score, t_score = _timed(
             lambda: score_drilldown(drill, prediction, complaint))
         _assert_groups_equal(scored, ref_scored)
 
         # Serving configuration: materialize only the top-k.
-        (_, top), t_topk = _timed(
+        (_, top), c_topk, t_topk = _timed(
             lambda: score_drilldown(drill, prediction, complaint, k=TOP_K))
         _assert_groups_equal(top, ref_scored[:TOP_K])
 
-        for op, t_r, t_c in [("rank-candidates", t_ref, t_arr),
-                             ("rank-cand. full", t_ref, t_arr_full),
-                             ("score-sweep", t_score_ref, t_score),
-                             ("score-sweep top-k", t_score_ref, t_topk)]:
+        for op, t_r, cold, t_c in [
+                ("rank-candidates", t_ref, c_arr, t_arr),
+                ("rank-cand. full", t_ref, c_arr_full, t_arr_full),
+                ("score-sweep", t_score_ref, c_score, t_score),
+                ("score-sweep top-k", t_score_ref, c_topk, t_topk)]:
             ratio = t_r / t_c if t_c > 0 else float("inf")
             lines.append(f"{n:<8d} {op:<17s} {fmt(t_r)}     {fmt(t_c)}    "
                          f"{ratio:6.1f}x")
+            rows.append({"op": op, "scale": n, "cold": cold, "warm": t_c,
+                         "oracle": t_r, "speedup": ratio})
             if op == "rank-candidates":
                 floors.append((n, ratio))
+    leaf_lines, leaf_rows = _leaf_level_rows()
+    lines += leaf_lines
+    rows += leaf_rows
     report("fig19_recommend", lines)
+    report_json("fig19_recommend", rows)
     # Acceptance floor: the end-to-end recommend invocation must be ≥5x
     # faster than the frozen dict path at ≥1e4 drill-down groups, with
     # exact result equality (asserted above in the same run).
@@ -172,3 +201,61 @@ def test_figure19_series(benchmark):
                 assert ratio >= 5.0, \
                     f"rank-candidates at n={n}: speedup {ratio:.1f}x < 5x"
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
+def _leaf_level_rows() -> tuple[list[str], list[dict]]:
+    """The leaf level's design build and EM fit, each against its oracle.
+
+    Cold is the first call on a fresh cube (domain ranks, target sorts
+    and design products all computed), warm the best of three; the
+    ``emref`` oracle is also the best of three, ``rankref``'s design
+    (seconds at 80k groups) one run. Both
+    stages are checked bitwise in the same run: the design matrices, y
+    and cluster sizes against ``rankref.build_view_design_ref``, the
+    fitted repair values against ``emref.fit_predict_multilevel``.
+    """
+    dataset = dataset_from_chunks(perf.drought_chunks(LEAF_ROWS, seed=7),
+                                  perf.DROUGHT_HIERARCHIES,
+                                  perf.DROUGHT_MEASURE)
+    view = Cube(dataset).view(LEAF_VIEW)
+    targets = REPAIR_STATISTICS["sum"]
+    plan = FeaturePlan()
+    designs, design_cold, design_warm = _timed(
+        lambda: build_view_designs(view, targets, plan, LEAF_CLUSTERS))
+    refs, _, design_ref = _timed(lambda: [
+        rankref.build_view_design_ref(view, t, plan, LEAF_CLUSTERS)
+        for t in targets], repeats=1)
+    for vd, (keys, y, ref) in zip(designs, refs):
+        assert vd.keys == keys, "leaf design: key order differs"
+        assert vd.design.x.tobytes() == ref.x.tobytes(), \
+            "leaf design: matrix differs from rankref"
+        assert vd.y.tobytes() == y.tobytes()
+        assert list(vd.design.sizes) == list(ref.sizes)
+
+    model = MultilevelModel(n_iterations=EM_ITERATIONS)
+    fitted, fit_cold, fit_warm = _timed(lambda: [
+        model.fit_predict_many(vd.design, [vd.y])[0] for vd in designs])
+    frozen, _, fit_ref = _timed(lambda: [
+        emref.fit_predict_multilevel(ref.x, ref.sizes, ref.z_columns, y,
+                                     EM_ITERATIONS)
+        for _, y, ref in refs])
+    for got, want in zip(fitted, frozen):
+        assert got.tobytes() == want.tobytes(), \
+            "leaf fit: repair values differ from emref"
+
+    n_groups = len(designs[0].keys)
+    clusters = designs[0].design.n_clusters
+    lines = ["", f"leaf level: {LEAF_ROWS} rows, {n_groups} groups in "
+             f"{clusters} clusters, targets {targets}",
+             "op           oracle(s)  cold(s)    warm(s)    speedup"]
+    rows = []
+    for op, oracle, cold, warm in [
+            ("leaf design", design_ref, design_cold, design_warm),
+            ("leaf fit", fit_ref, fit_cold, fit_warm)]:
+        ratio = oracle / warm if warm > 0 else float("inf")
+        lines.append(f"{op:<12s} {fmt(oracle)}     {fmt(cold)}     "
+                     f"{fmt(warm)}     {ratio:6.2f}x")
+        rows.append({"op": op, "scale": n_groups, "rows": LEAF_ROWS,
+                     "clusters": clusters, "cold": cold, "warm": warm,
+                     "oracle": oracle, "speedup": ratio})
+    return lines, rows

@@ -4,8 +4,9 @@ This module freezes the group-at-a-time implementation of the §3.2/§4.5
 recommendation pipeline exactly as it ran before the array-native refactor:
 per-group Python loops over ``{key: AggState}`` mappings for feature
 building, design construction, repair prediction, and drill-down scoring.
-It mirrors :mod:`repro.relational.rowref` one layer up, and exists for the
-same two reasons:
+Its model fits run through the frozen :mod:`repro.model.emref`, not the
+live trainers. It mirrors :mod:`repro.relational.rowref` one layer up,
+and exists for the same two reasons:
 
 * **ground truth** — the property tests
   (``tests/test_ranker_array_properties.py``) assert that the array ranker
@@ -19,15 +20,13 @@ Nothing in the engine itself calls into this module; do not "optimize" it.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ..model.backends import DenseDesign
+from ..model import emref
 from ..model.features import (BuiltFeature, FeatureError, FeaturePlan,
                               FeatureSet, LagFeature, MainEffectFeature)
-from ..model.linear import LinearModel
-from ..model.multilevel import MultilevelModel
 from ..relational.aggregates import AggState, merge_states
 from ..relational.cube import Cube, GroupView
 from .complaint import Complaint
@@ -122,6 +121,14 @@ def build_features_ref(view: GroupView, target: str,
 
 # -- design building (per-row value_for loops) ---------------------------------
 
+class RefDesign(NamedTuple):
+    """The raw arrays :mod:`repro.model.emref` fits over."""
+
+    x: np.ndarray
+    sizes: list
+    z_columns: list
+
+
 def build_view_design_ref(view: GroupView, target: str, plan: FeaturePlan,
                           cluster_attrs: Sequence[str]):
     """The pre-array ``build_view_design``: Python sort + per-row rows."""
@@ -158,8 +165,7 @@ def build_view_design_ref(view: GroupView, target: str, plan: FeaturePlan,
         x[:, col] = [f.value_for(view.group_attrs, k) for k in keys]
         col += 1
     y = np.asarray([view.groups[k].statistic(target) for k in keys])
-    design = DenseDesign(x, sizes, z_columns=feature_set.z_indices())
-    return keys, y, design
+    return keys, y, RefDesign(x, sizes, feature_set.z_indices())
 
 
 # -- repair prediction (dict building) -----------------------------------------
@@ -175,10 +181,11 @@ def predict_ref(repairer: ModelRepairer, parallel: GroupView,
         keys, y, design = build_view_design_ref(
             parallel, stat, repairer.feature_plan, cluster_attrs)
         if repairer.model == "linear":
-            fitted = LinearModel().fit_predict(design, y)
+            fitted = emref.fit_predict_linear(design.x, y)
         elif repairer.model == "multilevel":
-            fitted = MultilevelModel(
-                n_iterations=repairer.n_iterations).fit_predict(design, y)
+            fitted = emref.fit_predict_multilevel(
+                design.x, design.sizes, design.z_columns, y,
+                repairer.n_iterations)
         else:
             raise ValueError(f"unknown model kind {repairer.model!r}")
         if stat in NON_NEGATIVE:

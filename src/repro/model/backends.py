@@ -76,7 +76,6 @@ class DenseDesign:
         self.offsets = np.zeros(len(self.sizes) + 1, dtype=int)
         np.cumsum(self.sizes, out=self.offsets[1:])
         self._z = self.x[:, self.z_columns]
-        self._row_cluster = np.repeat(np.arange(len(self.sizes)), self.sizes)
         # Data-only products, cached so batched fits over one design
         # (fit_predict_many) pay for them once. The design is treated as
         # immutable after construction.
@@ -122,7 +121,8 @@ class DenseDesign:
                                self.offsets[:-1], axis=0)
 
     def z_b(self, b: np.ndarray) -> np.ndarray:
-        return np.einsum("ni,ni->n", self._z, b[self._row_cluster])
+        return np.einsum("ni,ni->n", self._z,
+                         np.repeat(b, self.sizes, axis=0))
 
     def cluster_sizes(self) -> np.ndarray:
         return self.sizes.astype(float)

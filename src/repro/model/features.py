@@ -26,6 +26,8 @@ performance path.
 from __future__ import annotations
 
 import abc
+import bisect
+import operator
 import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -118,58 +120,105 @@ class BuiltFeature:
         return BuiltFeature(self.name, self.attributes, mapping, default)
 
 
-#: Per-(view, target) memo of the target statistic's array/list forms
-#: plus a one-slot box for the overall median: every feature of one
-#: design build reads the identical array, and the overall median is a
-#: function of that list alone, so sharing is bitwise-free. The strong
-#: view reference pins the id; FIFO-capped.
+#: Per-(view, target) memo of the target statistic: its array, one
+#: stable value sort of it and the overall median. Every feature of one
+#: design build reads the same entry, and each is a function of the
+#: array alone, so sharing is bitwise-free. The strong view reference
+#: pins the id; FIFO-capped.
 _VIEW_TARGET_CACHE: dict[tuple[int, str], tuple] = {}
 _VIEW_TARGET_CACHE_MAX = 32
 
 
-def _target_values(view: GroupView, target: str):
+@dataclass(frozen=True)
+class _TargetValues:
+    """One view's target statistic, sorted once for every median."""
+
+    vals: np.ndarray             # per group, in view order
+    order: np.ndarray | None     # stable value argsort; None on NaN
+    overall: float               # statistics.median of vals (0.0 if none)
+
+
+def _target_values(view: GroupView, target: str) -> _TargetValues:
     key = (id(view), target)
     hit = _VIEW_TARGET_CACHE.get(key)
     if hit is not None and hit[0] is view:
-        return hit[1], hit[2], hit[3]
+        return hit[1]
     vals = view.stats.statistic_array(target)
-    entry = (view, vals, vals.tolist(), [])
+    if not len(vals):
+        entry = _TargetValues(vals, None, 0.0)
+    elif np.isnan(vals).any():
+        # NaN has no place in a value order: Python's sort decides.
+        entry = _TargetValues(vals, None, statistics.median(vals.tolist()))
+    else:
+        order = np.argsort(vals, kind="stable")
+        overall = _sorted_medians(vals[order], np.array([0]),
+                                  np.array([len(vals)]))
+        entry = _TargetValues(vals, order, overall.item())
     while len(_VIEW_TARGET_CACHE) >= _VIEW_TARGET_CACHE_MAX:
         _VIEW_TARGET_CACHE.pop(next(iter(_VIEW_TARGET_CACHE)))
-    _VIEW_TARGET_CACHE[key] = entry
-    return entry[1], entry[2], entry[3]
+    _VIEW_TARGET_CACHE[key] = (view, entry)
+    return entry
 
 
-def _overall_median(medbox: list, all_vals: list) -> float:
-    """The memoized overall median (computed on first request)."""
-    if not medbox:
-        medbox.append(statistics.median(all_vals) if all_vals else 0.0)
-    return medbox[0]
+def _sorted_medians(vals: np.ndarray, starts: np.ndarray,
+                    ends: np.ndarray) -> np.ndarray:
+    """``statistics.median`` of each ascending run ``vals[s:e]``.
 
-
-def _per_value_runs(view: GroupView, target: str, pos: int):
-    """Per-attribute-value runs of the target statistic, vectorized.
-
-    One ``statistic_array`` call plus a stable argsort over the
-    attribute's codes. Returns ``(encoding, run starts, run ends, sorted
-    codes, sorted values, [all values], median box)`` — run ``i`` covers
-    ``sorted_vals[starts[i]:ends[i]]``, in view order within the run
-    (stable sort), so downstream medians see each value's groups in view
-    order.
+    The middle value, or the halved sum of the two middle values — the
+    same IEEE operations ``statistics.median`` performs on the sorted
+    list, so the results are bitwise-equal.
     """
-    vals, all_vals, medbox = _target_values(view, target)
-    codes = view.key_codes[:, pos]
-    order = np.argsort(codes, kind="stable")
-    sorted_vals = vals[order]
-    sorted_codes = codes[order]
+    lengths = ends - starts
+    mid = starts + lengths // 2
+    out = vals[mid]
+    even = np.flatnonzero(lengths % 2 == 0)
+    out[even] = (vals[mid[even] - 1] + vals[mid[even]]) / 2
+    return out
+
+
+def _per_value_runs(view: GroupView, tv: _TargetValues, pos: int):
+    """Per-attribute-value runs of the target statistic.
+
+    A stable argsort of the attribute's codes, taken in the shared value
+    order, so each run holds its value's groups sorted by the target
+    (ties in view order, as Python's stable sort leaves them). On NaN
+    there is no value order and each run is in view order. Returns
+    ``(sorted codes, run starts, run ends, sorted values)``.
+    """
+    rows = tv.order
+    codes = view.key_codes[:, pos] if rows is None \
+        else view.key_codes[rows, pos]
+    by_code = np.argsort(_radix_key(codes, view.encodings[pos].cardinality),
+                         kind="stable")
+    sorted_codes = codes[by_code]
+    sorted_vals = tv.vals[by_code if rows is None else rows[by_code]]
     if len(sorted_codes):
         boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
         starts = np.concatenate([[0], boundaries])
         ends = np.concatenate([boundaries, [len(sorted_codes)]])
     else:
         starts = ends = np.empty(0, dtype=np.int64)
-    return view.encodings[pos], starts, ends, sorted_codes, sorted_vals, \
-        all_vals, medbox
+    return sorted_codes, starts, ends, sorted_vals
+
+
+def _radix_key(codes: np.ndarray, bound: int) -> np.ndarray:
+    """``codes`` (each in ``[0, bound)``) as ``uint16`` when they fit.
+
+    A stable sort orders equal keys by position, so it is one
+    permutation whatever the key dtype, and numpy's stable argsort and
+    ``np.lexsort`` take a radix sort on 16-bit keys: about 8× faster
+    than on 32- or 64-bit ones at 3,200 keys.
+    """
+    return codes.astype(np.uint16) if bound <= 1 << 16 else codes
+
+
+def _run_medians(tv: _TargetValues, sorted_vals: np.ndarray,
+                 starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``statistics.median`` of each run of :func:`_per_value_runs`."""
+    if tv.order is not None:
+        return _sorted_medians(sorted_vals, starts, ends)
+    return np.asarray([statistics.median(sorted_vals[s:e].tolist())
+                       for s, e in zip(starts, ends)], dtype=float)
 
 
 class FeatureSpec(abc.ABC):
@@ -206,9 +255,11 @@ class MainEffectFeature(FeatureSpec):
                 f"attribute {self.attribute!r} not in view "
                 f"{view.group_attrs}")
         pos = view.group_attrs.index(self.attribute)
-        enc, starts, ends, sorted_codes, sorted_vals, all_vals, medbox = \
-            _per_value_runs(view, target, pos)
-        overall = _overall_median(medbox, all_vals)
+        enc = view.encodings[pos]
+        tv = _target_values(view, target)
+        sorted_codes, starts, ends, sorted_vals = _per_value_runs(view, tv,
+                                                                  pos)
+        overall = tv.overall
         # Values backed by fewer than min_groups groups never need a
         # median (they map to the overall one) — the common case at
         # fine-grained levels, where every run is a singleton. The result
@@ -216,9 +267,9 @@ class MainEffectFeature(FeatureSpec):
         # the mapping's default); the mapping dict materializes only if
         # someone asks.
         table = np.full(len(enc.domain), float(overall))
-        for i in np.flatnonzero(ends - starts >= self.min_groups):
-            table[sorted_codes[starts[i]]] = statistics.median(
-                sorted_vals[starts[i]:ends[i]].tolist())
+        backed = np.flatnonzero(ends - starts >= self.min_groups)
+        table[sorted_codes[starts[backed]]] = _run_medians(
+            tv, sorted_vals, starts[backed], ends[backed])
         return BuiltFeature(f"main:{self.attribute}", (self.attribute,),
                             default=overall, domain=enc.domain, table=table)
 
@@ -268,13 +319,13 @@ class LagFeature(FeatureSpec):
 
     def build(self, view: GroupView, target: str) -> BuiltFeature:
         pos = view.group_attrs.index(self.attribute)
-        enc, starts, ends, sorted_codes, sorted_vals, all_vals, _ = \
-            _per_value_runs(view, target, pos)
-        domain = enc.objects
-        per_value = {domain[sorted_codes[s]]: sorted_vals[s:e].tolist()
-                     for s, e in zip(starts, ends)}
-        medians = {v: statistics.median(vals) for v, vals in per_value.items()}
-        overall = statistics.median(all_vals) if all_vals else 0.0
+        tv = _target_values(view, target)
+        sorted_codes, starts, ends, sorted_vals = _per_value_runs(view, tv,
+                                                                  pos)
+        values = view.encodings[pos].objects[sorted_codes[starts]].tolist()
+        medians = dict(zip(values, _run_medians(tv, sorted_vals, starts,
+                                                ends).tolist()))
+        overall = tv.overall
         mapping = {}
         for v in medians:
             try:
@@ -455,6 +506,11 @@ def _feature_column(view: GroupView, built: BuiltFeature,
 _DOMAIN_RANK_CACHE: dict[int, tuple[list, int, "np.ndarray | None"]] = {}
 _DOMAIN_RANK_CACHE_MAX = 128
 
+#: Value types whose ``(type name, value)`` keys are totally ordered
+#: (NaN aside): one sorted arrangement exists, so inserting new values
+#: into a sorted prefix gives the order a full re-sort would.
+_TOTAL_TYPES = frozenset((bool, int, float, str))
+
 
 def _domain_ranks(enc) -> np.ndarray | None:
     """Code→rank table reproducing :func:`_orderable` order, or ``None``.
@@ -469,7 +525,8 @@ def _domain_ranks(enc) -> np.ndarray | None:
     table would not) and on a lossy encoding (see
     :meth:`~repro.relational.encoding.DictEncoding.sort_friendly`).
     Memoized per domain list — every view built over the same dataset
-    shares the table.
+    shares the table — and a domain grown by ``extend_domain`` extends
+    its prefix's table (:func:`_extended_ranks`) where it can.
     """
     if enc.lossy:
         return None
@@ -477,6 +534,18 @@ def _domain_ranks(enc) -> np.ndarray | None:
     hit = _DOMAIN_RANK_CACHE.get(id(domain))
     if hit is not None and hit[0] is domain and hit[1] == len(domain):
         return hit[2]
+    ranks = _extended_ranks(domain)
+    if ranks is None:
+        ranks = _sorted_ranks(domain)
+    while len(_DOMAIN_RANK_CACHE) >= _DOMAIN_RANK_CACHE_MAX:
+        _DOMAIN_RANK_CACHE.pop(next(iter(_DOMAIN_RANK_CACHE)))
+    _DOMAIN_RANK_CACHE[id(domain)] = (domain, len(domain), ranks)
+    return ranks
+
+
+def _sorted_ranks(domain: list) -> np.ndarray | None:
+    """The rank table of one full ``_orderable`` sort (the decline rules
+    of :func:`_domain_ranks`)."""
     ranks: np.ndarray | None = np.empty(len(domain), dtype=np.int64)
     try:
         order = sorted(range(len(domain)),
@@ -495,9 +564,49 @@ def _domain_ranks(enc) -> np.ndarray | None:
             ranks[i] = rank
     except TypeError:          # unorderable mixed values
         ranks = None
-    while len(_DOMAIN_RANK_CACHE) >= _DOMAIN_RANK_CACHE_MAX:
-        _DOMAIN_RANK_CACHE.pop(next(iter(_DOMAIN_RANK_CACHE)))
-    _DOMAIN_RANK_CACHE[id(domain)] = (domain, len(domain), ranks)
+    return ranks
+
+
+def _extended_ranks(domain: list) -> np.ndarray | None:
+    """The rank table of ``domain`` from a memoized table of its prefix.
+
+    Finds a memoized table whose domain is a strict prefix of ``domain``
+    (element identity), sorts only the new values and inserts them by
+    binary search: old ranks shift by the number of new values inserted
+    before them. A domain holds each value once (``==``-equal values of
+    one type share a code), so values of :data:`_TOTAL_TYPES` never tie.
+    ``None`` when no such prefix is memoized, when a value is not of a
+    :data:`_TOTAL_TYPES` type or when a new value is NaN;
+    :func:`_sorted_ranks` then decides, declines included.
+    """
+    n = len(domain)
+    for old, length, old_ranks in \
+            reversed(list(_DOMAIN_RANK_CACHE.values())):
+        if old_ranks is not None and 0 < length < n \
+                and domain[length - 1] is old[length - 1] \
+                and all(map(operator.is_, domain[:length], old[:length])):
+            break
+    else:
+        return None
+    new = domain[length:]
+    if not set(map(type, domain)) <= _TOTAL_TYPES \
+            or any(v != v for v in new):
+        return None
+    keys = [_orderable((v,)) for v in new]
+    order = sorted(range(len(new)), key=keys.__getitem__)
+    by_rank = np.empty(length, dtype=np.int64)
+    by_rank[old_ranks] = np.arange(length)
+    prefix = np.empty(length, dtype=object)
+    prefix[:] = old[:length]
+    ranked = prefix[by_rank]
+    slots = np.asarray([bisect.bisect_left(ranked, keys[j],
+                                           key=lambda v: _orderable((v,)))
+                        for j in order], dtype=np.int64)
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[:length] = old_ranks + np.searchsorted(slots, old_ranks,
+                                                 side="right")
+    ranks[length + np.asarray(order, dtype=np.int64)] = \
+        slots + np.arange(len(new))
     return ranks
 
 
@@ -517,13 +626,14 @@ def _sort_permutation(view: GroupView, keys: list,
     if codes.shape[1] == 0:
         return np.arange(n, dtype=np.int64)
     if all(e.sort_friendly() for e in encs):
-        order_cols = [codes[:, p] for p in cluster_positions] \
-            + [codes[:, j] for j in range(codes.shape[1])]
+        columns = [_radix_key(codes[:, j], e.cardinality)
+                   for j, e in enumerate(encs)]
+        order_cols = [columns[p] for p in cluster_positions] + columns
         return np.lexsort(tuple(reversed(order_cols)))
     rank_tables = [_domain_ranks(e) for e in encs]
     if all(r is not None for r in rank_tables):
-        ranked = [rank_tables[j][codes[:, j]]
-                  for j in range(codes.shape[1])]
+        ranked = [_radix_key(r[codes[:, j]], len(r))
+                  for j, r in enumerate(rank_tables)]
         order_cols = [ranked[p] for p in cluster_positions] + ranked
         return np.lexsort(tuple(reversed(order_cols)))
 

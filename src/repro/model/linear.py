@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,41 +56,57 @@ class LinearModel:
     def __init__(self, ridge: float = DEFAULT_RIDGE):
         self.ridge = ridge
 
-    def fit(self, design: Design, y: np.ndarray,
-            gram: np.ndarray | None = None) -> LinearFit:
+    def fit(self, design: Design, y: np.ndarray) -> LinearFit:
+        return self._ols(design, y, spd_solver(design.gram(), self.ridge))[0]
+
+    def _ols(self, design: Design, y: np.ndarray,
+             solve: Callable[[np.ndarray], np.ndarray]
+             ) -> tuple[LinearFit, np.ndarray]:
+        """The fit and its fitted values X·β̂ (computed once)."""
         y = np.asarray(y, dtype=float)
         if y.shape != (design.n,):
             raise ValueError(f"y has shape {y.shape}, expected ({design.n},)")
-        if gram is None:
-            gram = design.gram()
-        rhs = design.xt_v(y)
-        beta = solve_spd(gram, rhs, self.ridge)
-        residual = y - design.x_beta(beta)
+        beta = solve(design.xt_v(y))
+        x_beta = design.x_beta(beta)
+        residual = y - x_beta
         sigma2 = float(residual @ residual) / design.n if design.n else 0.0
-        return LinearFit(beta=beta, sigma2=sigma2, n=design.n, m=design.m)
+        return LinearFit(beta=beta, sigma2=sigma2, n=design.n,
+                         m=design.m), x_beta
 
     def fit_predict(self, design: Design, y: np.ndarray) -> np.ndarray:
         """Fitted values ŷ = X·β̂."""
-        fit = self.fit(design, y)
-        return design.x_beta(fit.beta)
+        return self._ols(design, y, spd_solver(design.gram(), self.ridge))[1]
 
     def fit_predict_many(self, design: Design,
                          ys: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Fitted values for many targets over one shared design.
 
-        ``XᵀX`` is data-only, so it is computed once and reused for every
-        target; each solve then runs per target (a batched multi-RHS
-        ``solve`` is *not* bitwise-identical to per-column solves, and the
-        recommend path promises exact equality with the per-statistic
-        reference), making each output bitwise-equal to
-        ``fit_predict(design, y)``.
+        ``XᵀX`` and its ridge system are data-only, so they are built
+        once and reused for every target; each solve then runs per target
+        (a batched multi-RHS ``solve`` is *not* bitwise-identical to
+        per-column solves, and the recommend path promises exact
+        equality with the per-statistic reference), making each output
+        bitwise-equal to ``fit_predict(design, y)``.
         """
-        gram = design.gram()
-        out = []
-        for y in ys:
-            fit = self.fit(design, y, gram=gram)
-            out.append(design.x_beta(fit.beta))
-        return out
+        solve = spd_solver(design.gram(), self.ridge)
+        return [self._ols(design, y, solve)[1] for y in ys]
+
+
+def spd_solver(a: np.ndarray, ridge: float = DEFAULT_RIDGE
+               ) -> Callable[[np.ndarray], np.ndarray]:
+    """``b ↦ solve_spd(a, b, ridge)``, with the ridge system built once."""
+    a = np.asarray(a, dtype=float)
+    m = a.shape[0]
+    scale = np.trace(a) / m if m else 1.0
+    jitter = ridge * max(scale, 1.0)
+    jittered = a + jitter * np.eye(m)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        try:
+            return np.linalg.solve(jittered, b)
+        except np.linalg.LinAlgError:
+            return np.linalg.pinv(a) @ b
+    return solve
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray, ridge: float = DEFAULT_RIDGE
@@ -100,11 +116,4 @@ def solve_spd(a: np.ndarray, b: np.ndarray, ridge: float = DEFAULT_RIDGE
     Adds ``ridge·trace/m`` to the diagonal; falls back to the
     pseudo-inverse if the system is still singular.
     """
-    a = np.asarray(a, dtype=float)
-    m = a.shape[0]
-    scale = np.trace(a) / m if m else 1.0
-    jitter = ridge * max(scale, 1.0)
-    try:
-        return np.linalg.solve(a + jitter * np.eye(m), b)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(a) @ b
+    return spd_solver(a, ridge)(b)

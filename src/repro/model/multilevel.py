@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import Design
-from .linear import solve_spd
+from .linear import spd_solver
 
 #: Floors keeping the EM iterations numerically sane on degenerate data.
 MIN_SIGMA2 = 1e-10
@@ -74,6 +74,20 @@ class MultilevelModel:
     def fit(self, design: Design, y: np.ndarray,
             precomputed: tuple[np.ndarray, np.ndarray] | None = None
             ) -> MultilevelFit:
+        return self._em(design, y, precomputed)[0]
+
+    def _em(self, design: Design, y: np.ndarray,
+            precomputed: tuple[np.ndarray, np.ndarray] | None
+            ) -> tuple[MultilevelFit, np.ndarray]:
+        """The EM loop; returns the fit and its prediction X·β̂ + Z·b̂.
+
+        Each product is computed once: the residual ``y − X·β̂`` of one
+        M step (or of the OLS start) is the next E step's, the ridge
+        system for β̂ is built once, and the prediction adds the last
+        iteration's ``X·β̂`` and ``Z·b̂``. Every value equals, bit for
+        bit, what recomputing it would give (the frozen
+        :mod:`repro.model.emref` recomputes them all).
+        """
         y = np.asarray(y, dtype=float)
         if y.shape != (design.n,):
             raise ValueError(f"y has shape {y.shape}, expected ({design.n},)")
@@ -86,45 +100,50 @@ class MultilevelModel:
         else:
             gram = design.gram()
             cluster_grams = design.cluster_grams()  # (G, r, r)
+        solve = spd_solver(gram, self.ridge)
 
         # Initialise from OLS: β from the fixed part, Σ and σ² from its
         # residual spread.
-        beta = solve_spd(gram, design.xt_v(y), self.ridge)
-        residual = y - design.x_beta(beta)
-        sigma2 = max(float(residual @ residual) / max(n, 1), MIN_SIGMA2)
+        beta = solve(design.xt_v(y))
+        x_beta = design.x_beta(beta)
+        resid = y - x_beta
+        sigma2 = max(float(resid @ resid) / max(n, 1), MIN_SIGMA2)
         cov = np.eye(r) * sigma2
         b = np.zeros((big_g, r))
+        zb = None
         history: list[float] = []
 
         for _ in range(self.n_iterations):
             # ---- E step (eqs. 8–11), batched over clusters ----
             cov_inv = _stable_inverse(cov)
             v = np.linalg.inv(cluster_grams / sigma2 + cov_inv[None, :, :])
-            resid_fixed = y - design.x_beta(beta)
-            zt_r = design.cluster_zt_v(resid_fixed)          # (G, r)
+            zt_r = design.cluster_zt_v(resid)                # (G, r)
             mu = np.einsum("gij,gj->gi", v, zt_r) / sigma2   # (G, r)
             b = mu
             ebbt = v + np.einsum("gi,gj->gij", mu, mu)       # (G, r, r)
 
             # ---- M step (eqs. 12–14) ----
             zb = design.z_b(b)
-            beta = solve_spd(gram, design.xt_v(y - zb), self.ridge)
+            beta = solve(design.xt_v(y - zb))
             cov = ebbt.mean(axis=0)
             cov = 0.5 * (cov + cov.T)  # keep symmetric under roundoff
-            resid = y - design.x_beta(beta)
+            x_beta = design.x_beta(beta)
+            resid = y - x_beta
             trace_term = float(np.einsum("gij,gij->", cluster_grams, ebbt))
             sigma2 = (float(resid @ resid) + trace_term
                       - 2.0 * float(resid @ zb)) / max(n, 1)
             sigma2 = max(sigma2, MIN_SIGMA2)
             history.append(sigma2)
 
-        return MultilevelFit(beta=beta, cov=cov, sigma2=sigma2, b=b,
-                             n=n, m=m, r=r, history=history)
+        if zb is None:
+            zb = design.z_b(b)
+        fit = MultilevelFit(beta=beta, cov=cov, sigma2=sigma2, b=b,
+                            n=n, m=m, r=r, history=history)
+        return fit, x_beta + zb
 
     def fit_predict(self, design: Design, y: np.ndarray) -> np.ndarray:
         """Fitted per-row expectations ŷ = X·β̂ + Z·b̂ (the repair values)."""
-        fit = self.fit(design, y)
-        return self.predict(design, fit)
+        return self._em(design, y, None)[1]
 
     def fit_predict_many(self, design: Design,
                          ys: "list[np.ndarray]") -> list[np.ndarray]:
@@ -137,11 +156,7 @@ class MultilevelModel:
         ``fit_predict(design, y)``.
         """
         precomputed = (design.gram(), design.cluster_grams())
-        out = []
-        for y in ys:
-            fit = self.fit(design, y, precomputed=precomputed)
-            out.append(self.predict(design, fit))
-        return out
+        return [self._em(design, y, precomputed)[1] for y in ys]
 
     @staticmethod
     def predict(design: Design, fit: MultilevelFit) -> np.ndarray:

@@ -211,26 +211,33 @@ class DictEncoding:
         cardinality with dict semantics (``==``-equal values of another
         type merge under the existing code and flag the result lossy;
         NaN matches only by object identity, so each new NaN object is
-        its own code, exactly like :func:`factorize`'s dict path).
+        its own code, exactly like :func:`factorize`'s dict path). The
+        domain list and position index are copied only when a value is
+        new; when none is and no lossy merge happens, ``extended`` is
+        this encoding itself, so its memos stay valid.
         """
-        positions: dict = dict(self._positions) if self._positions is not None \
-            else {v: i for i, v in enumerate(self.domain)}
-        domain = list(self.domain)
+        if self._positions is None:
+            self._positions = {v: i for i, v in enumerate(self.domain)}
+        positions, domain = self._positions, self.domain
         codes = np.empty(len(values), dtype=np.int32)
         lossy = self.lossy
-        grew = False
         try:
             for i, v in enumerate(values):
-                code = positions.setdefault(v, len(domain))
-                codes[i] = code
-                if code == len(domain):
+                code = positions.get(v)
+                if code is None:
+                    if domain is self.domain:  # copy on the first new value
+                        positions, domain = dict(positions), list(domain)
+                    code = positions[v] = len(domain)
                     domain.append(v)
-                    grew = True
                 elif not lossy and type(domain[code]) is not type(v):
                     lossy = True
+                codes[i] = code
         except TypeError as exc:
             raise EncodingError(
                 f"appended value is not hashable: {exc}") from exc
+        grew = domain is not self.domain
+        if not grew and lossy == self.lossy:
+            return self, codes
         extended = DictEncoding(self.codes, domain,
                                 self.domain_sorted and not grew,
                                 lossy=lossy)
@@ -258,7 +265,10 @@ class DictEncoding:
         remaps = [np.arange(acc.cardinality, dtype=np.int32)]
         for other in encodings[1:]:
             acc, remap = acc.extend_domain(other.domain)
-            acc.lossy = acc.lossy or other.lossy
+            if other.lossy and not acc.lossy:
+                # Never flag an input (extend_domain may return it).
+                acc = DictEncoding(acc.codes, acc.domain, acc.domain_sorted,
+                                   lossy=True)
             remaps.append(remap)
         return acc, remaps
 

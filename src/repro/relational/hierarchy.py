@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .encoding import EncodingError
 from .relation import Relation
 
 
@@ -110,22 +109,20 @@ class Hierarchy:
     def validate_fds(self, relation: Relation) -> None:
         """Check ``A_{i+1} → A_i`` holds in ``relation`` for all levels.
 
-        Raises :class:`HierarchyError` on the first violated dependency.
+        Raises :class:`HierarchyError` on the first violated dependency,
+        and :class:`~repro.relational.encoding.EncodingError` when a
+        hierarchy column holds an unhashable cell.
         :func:`fd_violation` decides over the encoded code arrays; the
         per-row loop only runs to reconstruct the exact error message
-        once a violation is detected (or when a column cannot be
-        encoded).
+        once a violation is detected.
         """
         for parent, child in zip(self.attributes, self.attributes[1:]):
-            try:
-                pe = relation.encoding(parent)
-                ce = relation.encoding(child)
-                # Sized by the child domain, which a derived relation may
-                # share wider than its rows.
-                if fd_violation(pe.codes, ce.codes, ce.cardinality) is None:
-                    continue
-            except EncodingError:
-                pass  # unencodable column: validate row by row
+            pe = relation.encoding(parent)
+            ce = relation.encoding(child)
+            # Sized by the child domain, which a derived relation may
+            # share wider than its rows.
+            if fd_violation(pe.codes, ce.codes, ce.cardinality) is None:
+                continue
             seen: dict = {}
             for p, c in zip(relation.column(parent), relation.column(child)):
                 # Parents compare like dict keys, as the encoding does:

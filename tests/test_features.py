@@ -1,9 +1,15 @@
 """Tests for feature generation (§3.3) and view designs."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core import rankref
 from repro.core.rankref import build_view_design_ref
+from repro.model import features
 from repro.model.features import (AuxiliaryFeature, CustomFeature,
                                   FeatureError, FeaturePlan, LagFeature,
                                   MainEffectFeature, build_view_design)
@@ -11,6 +17,7 @@ from repro.relational import dataset_from_chunks
 from repro.relational.aggregates import AggState
 from repro.relational.cube import Cube, GroupView
 from repro.relational.dataset import AuxiliaryDataset, HierarchicalDataset
+from repro.relational.encoding import factorize
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, dimension, measure
 
@@ -67,6 +74,58 @@ class TestLag:
         view = GroupView(("x",), groups)
         with pytest.raises(FeatureError):
             LagFeature("x").build(view, "mean")
+
+
+#: Target means with ties, signed zeros and extremes: the shared value
+#: sort must order them exactly as ``statistics.median``'s ``sorted``.
+MEAN_POOL = [0.0, -0.0, 1.5, -2.25, 3.0, 3.0, 1e300, -1e300, 7.0]
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def median_views(draw):
+    """A hand-built (a, year) view whose means may repeat, be ±0 or NaN."""
+    n_a = draw(st.integers(1, 4))
+    n_year = draw(st.integers(1, 5))
+    cells = [(f"a{i}", 2000 + j) for i in range(n_a) for j in range(n_year)]
+    keys = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=20,
+                         unique=True))
+    nan = draw(st.booleans())
+    groups = {}
+    for key in keys:
+        mean = draw(st.sampled_from(MEAN_POOL + ([float("nan")] if nan
+                                                 else [])))
+        groups[key] = AggState(count=1.0, total=mean, sumsq=0.0)
+    return GroupView(("a", "year"), groups)
+
+
+class TestSharedValueSort:
+    """Per-value and overall medians from one value sort ≡ the frozen
+    ``statistics.median`` loops of :mod:`repro.core.rankref`."""
+
+    @given(median_views(), st.sampled_from(["a", "year"]),
+           st.integers(1, 3))
+    def test_main_effect_matches_median_loop(self, view, attr, min_groups):
+        spec = MainEffectFeature(attr, min_groups=min_groups)
+        built = spec.build(view, "mean")
+        ref = rankref._build_main_effect(spec, view, "mean")
+        assert _bits(built.default) == _bits(ref.default)
+        assert type(built.default) is float
+        for value, want in ref.mapping.items():
+            assert _bits(built.mapping[value]) == _bits(want), value
+
+    @given(median_views(), st.integers(1, 2))
+    def test_lag_matches_median_loop(self, view, lag):
+        spec = LagFeature("year", lag=lag)
+        built = spec.build(view, "mean")
+        ref = rankref._build_lag(spec, view, "mean")
+        assert _bits(built.default) == _bits(ref.default)
+        assert set(built.mapping) == set(ref.mapping)
+        for value, want in ref.mapping.items():
+            assert _bits(built.mapping[value]) == _bits(want), value
 
 
 class TestAuxiliary:
@@ -247,3 +306,58 @@ class TestDesignProducts:
         assert vd.keys == ref_keys
         assert np.array_equal(vd.design.x, ref_design.x)
         assert np.array_equal(vd.y, ref_y)
+
+
+#: Domain values for the rank-table property: ints, floats (signed
+#: zeros, NaN), bools, strings, and tuples (not a total-order type, so
+#: a grown domain holding one is sorted in full).
+RANK_VALUES = st.one_of(
+    st.integers(-5, 5), st.sampled_from([0.5, -0.0, 2.0, -3.5, 1e9]),
+    st.just(float("nan")), st.booleans(), st.sampled_from(["a", "b", "zz"]),
+    st.tuples(st.integers(0, 2)))
+#: Only values of total-order types and no NaN: growth extends unless
+#: a value ties (an int equal to a float merges lossy and declines).
+TOTAL_RANK_VALUES = st.one_of(
+    st.integers(-50, 50), st.sampled_from([0.5, 2.0, -3.5, 1e9, 7.25]),
+    st.text("abc", max_size=3))
+
+
+class TestDomainRankGrowth:
+    """A grown domain's rank table, extended from its prefix's memoized
+    table, equals a full re-sort — decline rules included."""
+
+    @pytest.mark.parametrize("values", [RANK_VALUES, TOTAL_RANK_VALUES],
+                             ids=["mixed", "total"])
+    @given(data=st.data())
+    def test_extended_ranks_equal_full_resort(self, values, data):
+        first = data.draw(st.lists(values, min_size=1, max_size=12))
+        deltas = data.draw(st.lists(st.lists(values, max_size=4),
+                                    min_size=1, max_size=3))
+        enc = factorize(list(first))
+        features._domain_ranks(enc)
+        for delta in deltas:
+            enc, _ = enc.extend_domain(delta)
+            got = features._domain_ranks(enc)
+            want = None if enc.lossy \
+                else features._sorted_ranks(enc.domain)
+            if want is None or got is None:
+                assert got is None and want is None
+            else:
+                assert got.tolist() == want.tolist()
+
+    def test_growth_extends_without_full_sort(self, monkeypatch):
+        enc = factorize(["v3", "v1", 7, 2.5, "v2"])
+        assert features._domain_ranks(enc) is not None
+        calls = []
+        full = features._sorted_ranks
+        monkeypatch.setattr(features, "_sorted_ranks",
+                            lambda domain: calls.append(1) or full(domain))
+        grown, _ = enc.extend_domain(["v0", 3, "v9", -1.0])
+        assert grown.domain is not enc.domain
+        got = features._domain_ranks(grown)
+        assert calls == []
+        assert got.tolist() == full(grown.domain).tolist()
+        # A new NaN leaves the decline to the full sort.
+        nan_grown, _ = grown.extend_domain([float("nan")])
+        assert features._domain_ranks(nan_grown) is None
+        assert calls == [1]

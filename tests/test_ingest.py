@@ -54,10 +54,11 @@ class TestExtendDomain:
 
     def test_no_new_values_keeps_sortedness(self, ofla_dataset):
         enc = ofla_dataset.relation.encoding("district")
-        extended, _ = enc.extend_domain(["Alaje", "Ofla"])
-        assert extended.domain is not enc.domain  # still copy-on-write
-        assert extended.domain == enc.domain
+        extended, codes = enc.extend_domain(["Alaje", "Ofla"])
+        # Nothing to append: the receiver itself, no domain or index copy.
+        assert extended is enc
         assert extended.domain_sorted == enc.domain_sorted
+        assert codes.tolist() == [enc.code_of("Alaje"), enc.code_of("Ofla")]
 
     def test_nan_values_get_fresh_codes(self):
         from repro.relational.encoding import factorize
@@ -181,6 +182,26 @@ class TestCubeDelta:
         before = dict(cube.leaf_states)
         cube.apply_delta(_delta(ofla_dataset))
         assert dict(cube.leaf_states) == before
+
+    def test_no_growth_delta_keeps_encodings_identical(self, ofla_dataset):
+        cube = Cube(ofla_dataset)
+        base = cube.apply_delta(_delta(ofla_dataset)).encodings
+        row = ("Ofla", "Zata", 1984, 5.0)
+        kept = cube.apply_delta(_delta(ofla_dataset, appended=[row]))
+        assert all(new is old for new, old in zip(kept.encodings, base))
+        kept = cube.apply_delta(_delta(ofla_dataset, retracted=[row]))
+        assert all(new is old for new, old in zip(kept.encodings, base))
+        # A new village and year extend their encodings; the district
+        # encoding, which gains nothing, stays the same object.
+        grown = cube.apply_delta(_delta(
+            ofla_dataset, appended=[("Ofla", "Mekoni", 1990, 4.0)])).encodings
+        assert grown[0] is base[0]
+        for new, old in zip(grown[1:], base[1:]):
+            assert new is not old
+            assert new.domain[:old.cardinality] == old.domain
+            assert new.cardinality == old.cardinality + 1
+        assert base[1].code_of("Mekoni") is None  # the receiver is intact
+        assert ("Ofla", "Mekoni", 1990) in cube.leaf_states
 
 
 # -- factorized layer -----------------------------------------------------------------

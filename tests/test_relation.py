@@ -163,6 +163,19 @@ def test_list_cell_raises_encoding_error(call):
         LIST_CELL_CALLS[call](rel)
 
 
+@pytest.mark.parametrize("level", ["root", "non-root"])
+def test_registration_with_list_cell_raises_encoding_error(level):
+    """The FD check encodes both levels of each adjacent pair, so a list
+    cell at either level raises the typed error, not a bare TypeError."""
+    cell = ("d0", ["v0"], 1.0) if level == "non-root" \
+        else (["d0"], "v0", 1.0)
+    rel = Relation.from_rows(
+        Schema([dimension("d"), dimension("v"), measure("x")]),
+        [cell, ("d1", "v1", 2.0)])
+    with pytest.raises(EncodingError, match="not hashable"):
+        HierarchicalDataset.build(rel, {"geo": ["d", "v"]}, "x")
+
+
 class TestDerivedIsolation:
     """Relations are immutable: no caller can edit a column, so derived
     relations share their parent's column objects instead of copying."""
