@@ -7,23 +7,17 @@ We sweep d = 1..5 (w = 10 per attribute ⇒ up to 10⁵ dense rows; the
 paper's d = 7 ⇒ 10⁷ rows is not feasible in pure Python, the trend is).
 """
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.datagen.perf import flat_hierarchies, random_feature_matrix
 from repro.experiments.perf import run_matrix_oracle, sweep_matrix_ops
 from repro.factorized.forder import AttributeOrder
-from repro.relational import Relation, Schema, dimension, measure
-from repro.relational import rowref
 
 from bench_utils import SMOKE, fmt, oracle_rows, report, report_json, smoke
 
 DS = smoke([1, 2], [1, 2, 3, 4, 5])
 CARDINALITY = 10
-JOIN_SIZES = smoke([2_000], [50_000, 100_000])
-JOIN_KEYS = 500
 #: The array-vs-oracle floor scenario: d flat hierarchies ⇒ 10^d leaf
 #: paths; the full-scale point has ≥1e4 rows, where the ≥5x floor applies.
 ORACLE_DS = smoke([2], [4, 5])
@@ -85,38 +79,8 @@ def test_right_multiply_dense(benchmark, d):
     benchmark(lambda: x @ b)
 
 
-def _join_pair(n, seed=0):
-    """A fact relation and a per-key lookup table joined on one attribute."""
-    rng = np.random.default_rng(seed)
-    keys = np.array([f"k{i:05d}" for i in range(JOIN_KEYS)])
-    facts = Relation(Schema([dimension("k"), measure("x")]),
-                     {"k": keys[rng.integers(0, JOIN_KEYS, n)],
-                      "x": rng.normal(size=n)})
-    lookup = Relation(Schema([dimension("k"), measure("w")]),
-                      {"k": keys, "w": rng.normal(size=JOIN_KEYS)})
-    return facts, lookup
-
-
-@pytest.mark.parametrize("n", JOIN_SIZES)
-def test_natural_join_encoded(benchmark, n):
-    facts, lookup = _join_pair(n)
-    facts.natural_join(lookup)  # intern the encodings once
-    benchmark(lambda: facts.natural_join(lookup))
-
-
-@pytest.mark.parametrize("n", JOIN_SIZES)
-def test_natural_join_rows(benchmark, n):
-    facts, lookup = _join_pair(n)
-    benchmark(lambda: rowref.natural_join(facts, lookup))
-
-
 def test_figure7_series(benchmark):
-    """Regenerate the full Figure 7 sweep and record the series.
-
-    Also records the natural-join regression series: the old O(n·m)
-    tuple-building hash join vs the encoded sort-merge join, checked for
-    bag equality.
-    """
+    """Regenerate the full Figure 7 sweep and record the series."""
     timings = benchmark.pedantic(
         lambda: sweep_matrix_ops(max_hierarchies=max(DS),
                                  cardinality=CARDINALITY),
@@ -137,25 +101,6 @@ def test_figure7_series(benchmark):
                   if getattr(t, f"{op}_factorized") > 0 else float("inf")}
                  for t in timings
                  for op in ("materialize", "gram", "left", "right")]
-    lines.append("")
-    lines.append("n        op            rows(s)    encoded(s)     ratio")
-    for n in JOIN_SIZES:
-        facts, lookup = _join_pair(n)
-        facts.encoding("k"), lookup.encoding("k")  # interned once
-        start = time.perf_counter()
-        naive = rowref.natural_join(facts, lookup)
-        t_rows = time.perf_counter() - start
-        start = time.perf_counter()
-        encoded = facts.natural_join(lookup)
-        t_enc = time.perf_counter() - start
-        assert len(naive) == len(encoded) == n
-        assert encoded == naive  # bag equality, both orders
-        ratio = t_rows / t_enc if t_enc > 0 else float("inf")
-        lines.append(f"{n:<8d} natural-join  {fmt(t_rows)}     {fmt(t_enc)}"
-                     f"        {ratio:8.1f}")
-        json_rows.append({"op": "natural-join", "scale": n,
-                          "baseline": t_rows, "array": t_enc,
-                          "speedup": ratio})
     report("fig07_matrix_ops", lines)
     report_json("fig07_matrix_ops", json_rows)
 

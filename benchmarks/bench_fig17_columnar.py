@@ -4,18 +4,18 @@ Measures the dictionary-encoded columnar kernels against the frozen
 pre-refactor loops in ``repro.relational.rowref`` on identical data:
 
 * **leaf cube build** — the one pass that turns the fact relation into
-  per-leaf ``(count, sum, sumsq)`` states (eq. 2 of Problem 1);
-* **group-by** — per-group sufficient statistics at a coarser level;
+  per-leaf ``(count, sum, sumsq)`` states (eq. 2 of Problem 1): the
+  composite-key grouping every served cube build and ingest runs;
 * **roll-up** — deriving a coarse view from the leaf states;
 * **filtered roll-up** — the provenance-filtered drill-down view.
 
 Every timed pair is also checked for *exact* result equality (the
 measure is integer-valued, so float sums are order-independent and the
 states must match bit for bit). Acceptance target: ≥5× for leaf-cube
-build and group-by at ≥10⁵ rows. "cold" columnar timings rebuild the
-dictionary encodings from scratch; "warm" reuses the relation's
-interned code arrays, which is what every build after the first (and
-every serving-layer rebuild) actually pays.
+build at ≥10⁵ rows. "cold" columnar timings rebuild the dictionary
+encodings from scratch; "warm" reuses the relation's interned code
+arrays, which is what every build after the first (and every
+serving-layer rebuild) actually pays.
 """
 
 import time
@@ -92,20 +92,6 @@ def test_leaf_build_rows(benchmark, n):
     benchmark(lambda: rowref.leaf_states(dataset))
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_group_by_columnar(benchmark, n):
-    relation = _dataset(n).relation
-    relation.group_stats(["district", "year"], "severity")
-    benchmark(lambda: relation.group_stats(["district", "year"], "severity"))
-
-
-@pytest.mark.parametrize("n", SIZES)
-def test_group_by_rows(benchmark, n):
-    relation = _dataset(n).relation
-    benchmark(lambda: rowref.group_states(relation, ["district", "year"],
-                                          "severity"))
-
-
 def test_figure17_series(benchmark):
     """The full sweep: timings + exact-equality checks + speedup table."""
     lines = ["n        op               rows(s)    columnar(s)  cold(s)    "
@@ -120,18 +106,6 @@ def test_figure17_series(benchmark):
         naive_leaf, t_rows = _timed(lambda: rowref.leaf_states(dataset))
         cube, t_col = _timed(lambda: Cube(dataset))
         _assert_states_equal(naive_leaf, cube.leaf_states)
-
-        relation = dataset.relation
-        attrs = ["district", "year"]
-        naive_group, g_rows = _timed(
-            lambda: rowref.group_states(relation, attrs, "severity"))
-        (keys, stats), g_col = _timed(
-            lambda: relation.group_stats(attrs, "severity"))
-        cold_rel = _dataset(n).relation
-        _, g_cold = _timed(lambda: cold_rel.group_stats(attrs, "severity"),
-                           repeats=1)
-        from repro.relational.cube import StatesMap
-        _assert_states_equal(naive_group, StatesMap(keys, stats))
 
         naive_roll, r_rows = _timed(lambda: rowref.rollup_view(
             naive_leaf, dataset.leaf_group_by(), ("district", "year")))
@@ -148,20 +122,19 @@ def test_figure17_series(benchmark):
 
         for op, t_r, t_c, t_cold in [
                 ("leaf-cube build", t_rows, t_col, cold),
-                ("group-by", g_rows, g_col, g_cold),
                 ("roll-up", r_rows, r_col, r_col),
                 ("filtered roll-up", f_rows, f_col, f_col)]:
             ratio = t_r / t_c if t_c > 0 else float("inf")
             ratio_cold = t_r / t_cold if t_cold > 0 else float("inf")
             lines.append(f"{n:<8d} {op:<16s} {fmt(t_r)}     {fmt(t_c)}      "
                          f"{fmt(t_cold)}    {ratio:6.1f}x  {ratio_cold:6.1f}x")
-            if op in ("leaf-cube build", "group-by"):
+            if op == "leaf-cube build":
                 floors.append((n, op, ratio))
     report("fig17_columnar", lines)
     # The acceptance floor is on the interned-encoding path: codes are
     # interned once per relation (that is the design), so every cube
-    # build and group-by the engine actually executes runs warm. Cold
-    # numbers (encode + aggregate in one call) are reported alongside.
+    # build the engine actually executes runs warm. Cold numbers
+    # (encode + aggregate in one call) are reported alongside.
     if not smoke(True, False):
         for n, op, ratio in floors:
             assert ratio >= 5.0, \

@@ -16,12 +16,20 @@ group-at-a-time reference in ``repro.core.rankref`` on identical cubes:
   1e6 rows (80k groups in 3,200 (district, village) clusters) with the
   ``sum`` complaint's (count, mean) targets. The design build runs
   against ``rankref.build_view_design_ref`` and the 20-iteration EM fit
-  against the frozen ``repro.model.emref``.
+  against the frozen ``repro.model.emref``;
+* **leaf fit factorized** — on the same view, per target, the §4.5
+  factorised trainer (``pipeline.train_factorized``) against the dense
+  one (``pipeline.train_dense``) over the same feature columns, so both
+  fit the same model. This row is the evidence for keeping
+  ``FactorizedDesign`` out of serving: its sums run in another order,
+  so its predictions only agree with the dense fit's within
+  ``FACTORIZED_TOL``, never bitwise as ``emref`` requires.
 
 Every timed pair is checked for *exact* result equality: same group keys,
 same scores (bitwise), same ordering, same observed/expected statistics;
 the leaf rows check the design matrices and the fitted repair values
-bitwise. Each (n, op) and each leaf stage writes one JSON row: ``cold``
+bitwise, the factorized rows the predictions within ``FACTORIZED_TOL``.
+Each (n, op) and each leaf stage writes one JSON row: ``cold``
 is the first call, ``warm`` the best of three, ``oracle`` the frozen
 path and ``speedup`` oracle / warm. Acceptance target: ≥5× for
 rank-candidates at ≥10⁴ drill-down groups.
@@ -37,7 +45,8 @@ from repro.core.complaint import Complaint
 from repro.core.ranker import rank_candidates, score_drilldown
 from repro.core.repair import REPAIR_STATISTICS, ModelRepairer
 from repro.datagen import perf
-from repro.model import emref
+from repro.factorized.forder import AttributeOrder
+from repro.model import emref, pipeline
 from repro.model.features import FeaturePlan, build_view_designs
 from repro.model.multilevel import MultilevelModel
 from repro.relational import (Cube, HierarchicalDataset, Relation, Schema,
@@ -56,6 +65,10 @@ LEAF_ROWS = smoke(20_000, 1_000_000)
 LEAF_VIEW = ("district", "village", "year")
 LEAF_CLUSTERS = ("district", "village")
 EM_ITERATIONS = 20
+#: Factorized vs dense predictions may differ by this share of the
+#: largest prediction: the same EM in another summation order (a
+#: full-scale run measured them at most 3e-10 apart, on predictions ~50).
+FACTORIZED_TOL = 1e-9
 
 
 def _dataset(n_drill: int, seed: int = 0) -> HierarchicalDataset:
@@ -247,15 +260,45 @@ def _leaf_level_rows() -> tuple[list[str], list[dict]]:
     clusters = designs[0].design.n_clusters
     lines = ["", f"leaf level: {LEAF_ROWS} rows, {n_groups} groups in "
              f"{clusters} clusters, targets {targets}",
-             "op           oracle(s)  cold(s)    warm(s)    speedup"]
+             f"{'op':<25s} oracle(s)  cold(s)    warm(s)    speedup"]
     rows = []
-    for op, oracle, cold, warm in [
-            ("leaf design", design_ref, design_cold, design_warm),
-            ("leaf fit", fit_ref, fit_cold, fit_warm)]:
+    timings = [("leaf design", design_ref, design_cold, design_warm, {}),
+               ("leaf fit", fit_ref, fit_cold, fit_warm, {})]
+    timings += _factorized_fit_timings(dataset, view, targets)
+    for op, oracle, cold, warm, extra in timings:
         ratio = oracle / warm if warm > 0 else float("inf")
-        lines.append(f"{op:<12s} {fmt(oracle)}     {fmt(cold)}     "
+        lines.append(f"{op:<25s} {fmt(oracle)}     {fmt(cold)}     "
                      f"{fmt(warm)}     {ratio:6.2f}x")
         rows.append({"op": op, "scale": n_groups, "rows": LEAF_ROWS,
                      "clusters": clusters, "cold": cold, "warm": warm,
-                     "oracle": oracle, "speedup": ratio})
+                     "oracle": oracle, "speedup": ratio, **extra})
     return lines, rows
+
+
+def _factorized_fit_timings(dataset, view, targets) -> list[tuple]:
+    """Per target, ``pipeline.train_factorized`` against ``train_dense``.
+
+    Both trainers get the same feature columns and targets (built once,
+    outside the timed calls), so the timed region is matrix construction
+    plus the 20-iteration EM. Cold is the first call, warm and the dense
+    oracle the best of three; the two prediction vectors must agree
+    within ``FACTORIZED_TOL``.
+    """
+    order = AttributeOrder.from_dataset(
+        dataset, hierarchy_order=list(perf.DROUGHT_HIERARCHIES))
+    assert order.attributes == LEAF_VIEW
+    out = []
+    for target in targets:
+        columns = pipeline.feature_columns_from_view(order, view, target)
+        y = pipeline.y_vector(order, view, target)
+        fact, cold, warm = _timed(lambda: pipeline.train_factorized(
+            order, view, target, EM_ITERATIONS, columns, y))
+        dense, _, oracle = _timed(lambda: pipeline.train_dense(
+            order, view, target, EM_ITERATIONS, columns, y))
+        got, want = fact.predictions(), dense.predictions()
+        gap = float(np.max(np.abs(got - want)))
+        assert gap <= FACTORIZED_TOL * np.max(np.abs(want)), \
+            f"factorized {target} fit: predictions differ by {gap}"
+        out.append((f"leaf fit factorized {target}", oracle, cold, warm,
+                    {"target": target, "max_abs_diff": gap}))
+    return out

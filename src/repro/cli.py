@@ -213,11 +213,12 @@ def _load_csv_dataset(args: argparse.Namespace):
     for spec in args.hierarchy or ():
         name, _, attrs = spec.partition("=")
         if not attrs:
-            raise SystemExit(
-                f"serve: bad --hierarchy {spec!r} (want name=attr1,attr2)")
+            raise SystemExit(f"{args.command}: bad --hierarchy {spec!r} "
+                             f"(want name=attr1,attr2)")
         hierarchies[name] = attrs.split(",")
     if not hierarchies or not args.measure:
-        raise SystemExit("serve: --csv needs --hierarchy and --measure")
+        raise SystemExit(f"{args.command}: --csv needs --hierarchy and "
+                         f"--measure")
     def auto(text: str):
         """Numeric-looking CSV cells become numbers, so that JSON batch
         coordinates (which are typed) match the loaded dimension values.
@@ -234,9 +235,12 @@ def _load_csv_dataset(args: argparse.Namespace):
 
     names = [a for attrs in hierarchies.values() for a in attrs]
     schema = Schema([dimension(a) for a in names] + [measure(args.measure)])
-    relation = Relation.from_csv(args.csv, schema,
-                                 converters={a: auto for a in names})
-    return HierarchicalDataset.build(relation, hierarchies, args.measure)
+    try:
+        relation = Relation.from_csv(args.csv, schema,
+                                     converters={a: auto for a in names})
+        return HierarchicalDataset.build(relation, hierarchies, args.measure)
+    except (OSError, ValueError) as exc:  # SchemaError, DatasetError too
+        raise SystemExit(f"{args.command}: cannot load {args.csv}: {exc}")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -84,10 +84,6 @@ class PairCOF:
     def materialize(self) -> dict[tuple, float]:
         return dict(self.pairs)
 
-    def weighted_sum(self, f_a: dict, f_b: dict) -> float:
-        return float(sum(c * f_a[va] * f_b[vb]
-                         for (va, vb), c in self.pairs.items()))
-
 
 class DecomposedAggregates:
     """Closed-form TOTAL/COUNT/COF over an :class:`AttributeOrder`."""

@@ -164,10 +164,6 @@ class Factorizer:
         return out
 
     @property
-    def n_clusters(self) -> int:
-        return len(self.cluster_sizes())
-
-    @property
     def intra_attribute(self) -> str:
         """The cluster-varying attribute (leaf of the last hierarchy)."""
         return self.order.hierarchies[-1].attributes[-1]

@@ -348,14 +348,6 @@ class AttributeOrder:
         except KeyError:
             raise FactorizationError(f"unknown attribute {attribute!r}") from None
 
-    def hierarchy(self, attribute: str) -> HierarchyPaths:
-        return self.hierarchies[self.info(attribute).hierarchy_index]
-
-    def before(self, attribute: str) -> str | None:
-        """Attribute directly preceding ``attribute`` in order (or None)."""
-        p = self.info(attribute).position
-        return self._attrs[p - 1].name if p else None
-
     # -- structural quantities -----------------------------------------------------
     def leaf_product_before(self, hierarchy_index: int) -> float:
         """Product of leaf counts of hierarchies strictly before index."""

@@ -1,6 +1,13 @@
-"""Models: feature generation, OLS, and the EM-trained multi-level model."""
+"""Models: feature generation, OLS, and the EM-trained multi-level model.
 
-from .backends import DenseDesign, Design, FactorizedDesign
+The package exports what the served system fits with. The Figure 10
+trainers and the factorised design (:mod:`repro.model.pipeline`), the
+Matlab-style baseline (:mod:`repro.model.matlab_style`) and the frozen
+EM oracle (:mod:`repro.model.emref`) are imported by module path only,
+so loading the package loads none of them.
+"""
+
+from .backends import DenseDesign, Design
 from .features import (AuxiliaryFeature, BuiltFeature, CustomFeature,
                        FeatureError, FeaturePlan, FeatureSet, FeatureSpec,
                        LagFeature, MainEffectFeature, ViewDesign,
@@ -11,7 +18,7 @@ from .selection import (ModelScore, SUBSTANTIAL_DELTA, compare_models,
                         delta_aic, substantially_better)
 
 __all__ = [
-    "DenseDesign", "Design", "FactorizedDesign", "AuxiliaryFeature",
+    "DenseDesign", "Design", "AuxiliaryFeature",
     "BuiltFeature", "CustomFeature", "FeatureError", "FeaturePlan",
     "FeatureSet", "FeatureSpec", "LagFeature", "MainEffectFeature",
     "ViewDesign", "build_view_design", "build_view_designs", "LinearFit",

@@ -1,18 +1,18 @@
-"""Model-training backends: dense ("Matlab/Lapack") and factorized.
+"""The design the served EM and OLS fits train against.
 
 The EM algorithm of Appendix D only touches the data through six matrix
 products — ``XᵀX``, ``Xᵀv``, ``Xβ`` and their per-cluster counterparts
 ``Z_iᵀZ_i``, ``Z_iᵀv_i``, ``Z_i·b_i`` — plus per-cluster squared norms.
-A :class:`Design` bundles exactly those operations, so one EM implementation
-trains over either backend:
+A :class:`Design` bundles exactly those operations, plus the per-cluster
+sufficient statistics the marginal log-likelihood needs (model
+selection, Appendix K).
 
-* :class:`DenseDesign` materialises X (numpy = LAPACK, the paper's
-  Matlab/Lapack baseline);
-* :class:`FactorizedDesign` delegates to the factorised operators of
-  :mod:`repro.factorized` and never materialises X.
-
-Both also expose the per-cluster sufficient statistics needed for the
-marginal log-likelihood (model selection, Appendix K).
+:class:`DenseDesign` materialises X (numpy = LAPACK, the paper's
+Matlab/Lapack baseline) and is the one design the served system fits:
+``repro.model.emref`` freezes its EM bitwise. The factorised design of
+§4.5, which never materialises X, lives beside the Figure 10 trainers
+in :mod:`repro.model.pipeline`; its sums run in another order, so it
+cannot match that oracle bitwise.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from __future__ import annotations
 from typing import Protocol, Sequence
 
 import numpy as np
-
-from ..factorized.cluster_ops import ClusterOps
-from ..factorized.matrix import FactorizedMatrix
 
 
 class Design(Protocol):
@@ -126,67 +123,6 @@ class DenseDesign:
 
     def cluster_sizes(self) -> np.ndarray:
         return self.sizes.astype(float)
-
-    def cluster_sq_norms(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return np.add.reduceat(v * v, self.offsets[:-1])
-
-
-class FactorizedDesign:
-    """Design over a :class:`FactorizedMatrix`; X is never materialised."""
-
-    def __init__(self, matrix: FactorizedMatrix,
-                 z_columns: Sequence[int] | None = None):
-        self.matrix = matrix
-        self.z_columns = list(range(matrix.n_cols)) if z_columns is None \
-            else list(z_columns)
-        self._cluster_ops = ClusterOps(matrix, self.z_columns)
-        self.offsets = self._cluster_ops.offsets
-        self._gram_cache: np.ndarray | None = None
-        self._cluster_gram_cache: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n_rows
-
-    @property
-    def m(self) -> int:
-        return self.matrix.n_cols
-
-    @property
-    def r(self) -> int:
-        return len(self.z_columns)
-
-    @property
-    def n_clusters(self) -> int:
-        return self._cluster_ops.n_clusters
-
-    def gram(self) -> np.ndarray:
-        # The EM loop asks repeatedly; XᵀX is data-only, so cache it
-        # (the "precompute XᵀX and Z_iᵀZ_i" note of Appendix D).
-        if self._gram_cache is None:
-            self._gram_cache = self.matrix.gram()
-        return self._gram_cache
-
-    def xt_v(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix.left_multiply(np.asarray(v)[None, :])[0]
-
-    def x_beta(self, beta: np.ndarray) -> np.ndarray:
-        return self.matrix.right_multiply(np.asarray(beta))
-
-    def cluster_grams(self) -> np.ndarray:
-        if self._cluster_gram_cache is None:
-            self._cluster_gram_cache = self._cluster_ops.cluster_grams()
-        return self._cluster_gram_cache
-
-    def cluster_zt_v(self, v: np.ndarray) -> np.ndarray:
-        return self._cluster_ops.cluster_left(v)
-
-    def z_b(self, b: np.ndarray) -> np.ndarray:
-        return self._cluster_ops.cluster_right(b)
-
-    def cluster_sizes(self) -> np.ndarray:
-        return self._cluster_ops.cluster_sizes().astype(float)
 
     def cluster_sq_norms(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)

@@ -204,11 +204,6 @@ class MultilevelModel:
         return float(-0.5 * (n * math.log(2 * math.pi)
                              + logdets.sum() + quad.sum()))
 
-    @classmethod
-    def aic(cls, design: Design, fit: MultilevelFit, y: np.ndarray) -> float:
-        """AIC = 2k − 2·lnL̂ (Appendix K, Figure 16)."""
-        return 2.0 * fit.n_parameters - 2.0 * cls.log_likelihood(design, fit, y)
-
 
 def _stable_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric PSD matrix with an eigenvalue floor."""

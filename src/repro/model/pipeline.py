@@ -6,6 +6,11 @@ target statistic of the observed groups with the matrix's row order
 (absent parallel groups default to 0, the worst-case setting of §5.1.4),
 and train either backend. This is the code path the end-to-end runtime
 experiment (Figure 10) measures.
+
+:class:`FactorizedDesign` is evaluation code: the served system fits
+only :class:`~repro.model.backends.DenseDesign`, whose EM
+``repro.model.emref`` freezes bitwise, and no served module imports
+this one.
 """
 
 from __future__ import annotations
@@ -16,12 +21,74 @@ from typing import Sequence
 
 import numpy as np
 
+from ..factorized.cluster_ops import ClusterOps
 from ..factorized.factorizer import Factorizer
 from ..factorized.forder import AttributeOrder
 from ..factorized.matrix import FactorizedMatrix, FeatureColumn
 from ..relational.cube import GroupView
-from .backends import DenseDesign, FactorizedDesign
+from .backends import DenseDesign
 from .multilevel import MultilevelFit, MultilevelModel
+
+
+class FactorizedDesign:
+    """Design over a :class:`FactorizedMatrix`; X is never materialised."""
+
+    def __init__(self, matrix: FactorizedMatrix,
+                 z_columns: Sequence[int] | None = None):
+        self.matrix = matrix
+        self.z_columns = list(range(matrix.n_cols)) if z_columns is None \
+            else list(z_columns)
+        self._cluster_ops = ClusterOps(matrix, self.z_columns)
+        self.offsets = self._cluster_ops.offsets
+        self._gram_cache: np.ndarray | None = None
+        self._cluster_gram_cache: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return self.matrix.n_rows
+
+    @property
+    def m(self) -> int:
+        return self.matrix.n_cols
+
+    @property
+    def r(self) -> int:
+        return len(self.z_columns)
+
+    @property
+    def n_clusters(self) -> int:
+        return self._cluster_ops.n_clusters
+
+    def gram(self) -> np.ndarray:
+        # The EM loop asks repeatedly; XᵀX is data-only, so cache it
+        # (the "precompute XᵀX and Z_iᵀZ_i" note of Appendix D).
+        if self._gram_cache is None:
+            self._gram_cache = self.matrix.gram()
+        return self._gram_cache
+
+    def xt_v(self, v: np.ndarray) -> np.ndarray:
+        return self.matrix.left_multiply(np.asarray(v)[None, :])[0]
+
+    def x_beta(self, beta: np.ndarray) -> np.ndarray:
+        return self.matrix.right_multiply(np.asarray(beta))
+
+    def cluster_grams(self) -> np.ndarray:
+        if self._cluster_gram_cache is None:
+            self._cluster_gram_cache = self._cluster_ops.cluster_grams()
+        return self._cluster_gram_cache
+
+    def cluster_zt_v(self, v: np.ndarray) -> np.ndarray:
+        return self._cluster_ops.cluster_left(v)
+
+    def z_b(self, b: np.ndarray) -> np.ndarray:
+        return self._cluster_ops.cluster_right(b)
+
+    def cluster_sizes(self) -> np.ndarray:
+        return self._cluster_ops.cluster_sizes().astype(float)
+
+    def cluster_sq_norms(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        return np.add.reduceat(v * v, self.offsets[:-1])
 
 
 def feature_columns_from_view(order: AttributeOrder, view: GroupView,

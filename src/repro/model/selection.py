@@ -30,9 +30,6 @@ class ModelScore:
     log_likelihood: float
     n_parameters: int
 
-    def delta(self, best_aic: float) -> float:
-        return self.aic - best_aic
-
 
 def _linear_aic(view: GroupView, target: str, plan: FeaturePlan,
                 cluster_attrs: Sequence[str]) -> ModelScore:

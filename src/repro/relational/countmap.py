@@ -56,14 +56,6 @@ class CountMap:
 
     # -- constructors -------------------------------------------------------------
     @classmethod
-    def from_pairs(cls, schema: Iterable[str],
-                   pairs: Iterable[tuple[Key, float]]) -> "CountMap":
-        out = cls(schema)
-        for key, count in pairs:
-            out.add(key, count)
-        return out
-
-    @classmethod
     def unary(cls, attribute: str, values: Iterable, count: float = 1.0) -> "CountMap":
         """``{(v): count}`` for every value — the paper's unary relation."""
         return cls((attribute,), {(v,): count for v in values})

@@ -150,9 +150,6 @@ class GroupView:
     def state(self, key: Key) -> AggState:
         return self.groups.get(tuple(key), AggState())
 
-    def statistic(self, key: Key, name: str) -> float:
-        return self.state(key).statistic(name)
-
     def total(self) -> AggState:
         """``G`` over all groups — the parent aggregate."""
         return self.groups.stats.total_state()

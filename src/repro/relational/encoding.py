@@ -3,11 +3,11 @@
 Every dimension column is stored (or lazily interned) as a pair
 ``(codes, domain)``: an ``int32`` numpy array of per-row codes plus the
 ordered list of distinct values, so ``domain[codes[i]]`` is row ``i``'s
-value. All hot relational operations — group-by, provenance filters,
-natural join, distinct, sort — then reduce to integer-array kernels
-(``np.unique`` / ``argsort`` / ``bincount`` / ``searchsorted``) instead of
-per-row Python loops, which is what lets the roll-up cube and the serving
-layer scale to 10⁵–10⁶ rows.
+value. The hot relational operations — group-by, provenance filters,
+delta appends, and the counted relations' join — then reduce to
+integer-array kernels (``np.unique`` / ``argsort`` / ``bincount`` /
+``searchsorted``) instead of per-row Python loops, which is what lets the
+roll-up cube and the serving layer scale to 10⁵–10⁶ rows.
 
 Three factorization paths keep semantics identical to the old row engine:
 
@@ -614,13 +614,13 @@ def merge_join_indices(left_encs: Sequence[DictEncoding],
                        ) -> tuple[np.ndarray, np.ndarray] | None:
     """Matching row-index pairs of an equi-join over encoded key columns.
 
-    The shared kernel behind ``Relation.natural_join`` and the counted
-    relations' join-multiply: right codes are aligned into the left
-    domains, both sides collapse to one mixed-radix ``int64`` per row,
-    and a stable sort-merge emits ``(left_idx, right_idx)`` with left
-    rows in order and, within one left row, right matches in their
-    original order. Returns None when the radix would overflow (callers
-    fall back to their row paths).
+    The kernel behind ``CountMap.join``'s join-multiply (no served path
+    joins): right codes are aligned into the left domains, both sides
+    collapse to one mixed-radix ``int64`` per row, and a stable
+    sort-merge emits ``(left_idx, right_idx)`` with left rows in order
+    and, within one left row, right matches in their original order.
+    Returns None when the radix would overflow (the caller falls back to
+    its row path).
     """
     sizes = [e.cardinality for e in left_encs]
     radix = 1

@@ -1,12 +1,13 @@
 """A small in-memory, column-oriented relation.
 
 This is the storage substrate for Reptile's input data: raw survey records,
-auxiliary sensing datasets, and the like. It supports the handful of
-relational operations the engine needs — project, filter, sort, group-by,
-natural join, distinct — on top of a dictionary-encoded columnar core
-(:mod:`repro.relational.encoding`): each column is interned once into an
-``int32`` code array plus a value domain, and every hot operation runs as a
-vectorized composite-key kernel instead of a per-row Python loop.
+auxiliary sensing datasets, and the like. It holds what the served system
+reads — columns, dictionary encodings, composite-key grouping, equality
+filters — and the O(delta) appends and retractions of ingest, on top of a
+dictionary-encoded columnar core (:mod:`repro.relational.encoding`): each
+column is interned once into an ``int32`` code array plus a value domain,
+and every hot operation runs as a vectorized composite-key kernel instead
+of a per-row Python loop.
 
 A relation is immutable: ``column()`` returns a column's values as a
 tuple, ``rows()`` yields tuples, and every operator returns a new
@@ -14,12 +15,11 @@ relation, so data changes only by building a new relation (delta ingest
 does, in O(delta)). Columns produced by encoded operators stay in code
 form until someone asks for the values. Because no column changes after
 construction, its derived forms (values, encoding, content hash) are
-computed once and cached, and derived relations share column objects.
+computed once and cached.
 
-Key-producing operators (``distinct``, ``group_rows``,
-``group_measure``) iterate in lexicographic key order — the order the
+``group_measure`` iterates in lexicographic key order — the order the
 composite-key kernels produce — rather than first-occurrence order;
-results are equal as bags/mappings.
+results are equal as mappings.
 
 Delta maintenance is deferred: ``with_rows_appended`` and
 ``without_rows`` return a *pending* relation that shares its parent's
@@ -37,9 +37,8 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .aggregates import GroupStats
 from .encoding import (DictEncoding, EncodingError, GroupIndex, KeyIndex,
-                       digest_parts, factorize, merge_join_indices)
+                       digest_parts, factorize)
 from .schema import Attribute, AttributeKind, Schema, SchemaError
 
 Row = tuple
@@ -55,9 +54,8 @@ class _Column:
 
     A column never changes after construction, so derived
     representations (the encoding of a list column, the list of an
-    encoded column, the content hash) are cached, and relations derived
-    by project/extend share the column object itself. The list is
-    internal: the public ``Relation.column`` hands out a tuple copy.
+    encoded column, the content hash) are cached. The list is internal:
+    the public ``Relation.column`` hands out a tuple copy.
     """
 
     __slots__ = ("_values", "_array", "_enc", "_token")
@@ -563,27 +561,33 @@ class Relation:
         """Load a relation from a CSV file with a header row.
 
         Measures are converted to ``float`` by default; pass ``converters``
-        to override per-column parsing.
+        to override per-column parsing. A header without one of the
+        schema's columns, or a row whose width differs from the header's,
+        raises :class:`SchemaError`; blank lines are skipped.
         """
         converters = dict(converters or {})
         for attr in schema:
             if attr.kind is AttributeKind.MEASURE and attr.name not in converters:
                 converters[attr.name] = float
         with open(path, newline="") as f:
-            reader = csv.DictReader(f)
+            reader = csv.reader(f)
+            header = next(reader, [])
+            where = {name: i for i, name in enumerate(header)}
+            missing = [n for n in schema.names if n not in where]
+            if missing:
+                raise SchemaError(f"header has no column {missing[0]!r}")
+            parsers = [(where[n], converters.get(n, str))
+                       for n in schema.names]
             rows = []
             for rec in reader:
-                rows.append(tuple(
-                    converters.get(n, lambda s: s)(rec[n]) for n in schema.names))
+                if not rec:
+                    continue
+                if len(rec) != len(header):
+                    raise SchemaError(
+                        f"line {reader.line_num} has {len(rec)} fields, "
+                        f"the header {len(header)}")
+                rows.append(tuple(parse(rec[i]) for i, parse in parsers))
         return cls.from_rows(schema, rows)
-
-    def to_csv(self, path: str) -> None:
-        """Write the relation to a CSV file with a header row."""
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(self.schema.names)
-            for row in self.rows():
-                writer.writerow(row)
 
     # -- container protocol ----------------------------------------------------------
     def __len__(self) -> int:
@@ -664,38 +668,6 @@ class Relation:
         return GroupIndex([self.encoding(n) for n in names], self._n)
 
     # -- relational operators ------------------------------------------------------
-    def project(self, names: Sequence[str]) -> "Relation":
-        """Projection (keeps duplicates; shares column storage)."""
-        schema = self.schema.project(names)
-        return Relation._from_cols(
-            schema, {n: self._cols[n] for n in names}, self._n)
-
-    def distinct(self, names: Sequence[str] | None = None) -> "Relation":
-        """Duplicate-free projection onto ``names`` (default: all columns)."""
-        names = list(names if names is not None else self.schema.names)
-        encs = [self.encoding(n) for n in names]
-        if any(e.lossy for e in encs):
-            # Decoding would substitute ==-equal values of another type
-            # for the originals: keep the row path.
-            seen: dict[Key, None] = {}
-            for key in self.key_tuples(names):
-                seen.setdefault(key, None)
-            return Relation.from_rows(self.schema.project(names), list(seen))
-        gidx = GroupIndex(encs, self._n)
-        cols = {name: _Column(enc=DictEncoding(
-                    gidx.key_codes[:, j].astype(np.int32, copy=False),
-                    enc.domain, enc.domain_sorted, enc._objects))
-                for j, (name, enc) in enumerate(zip(names, encs))}
-        return Relation._from_cols(self.schema.project(names), cols,
-                                   gidx.n_groups)
-
-    def filter(self, predicate: Callable[[dict], bool]) -> "Relation":
-        """Rows for which ``predicate(row_dict)`` is true."""
-        names = self.schema.names
-        keep = [i for i, row in enumerate(self.rows())
-                if predicate(dict(zip(names, row)))]
-        return self._take(keep)
-
     def filter_equals(self, conditions: Mapping[str, Any]) -> "Relation":
         """Rows matching every ``attr == value`` condition (fast path)."""
         if not conditions:
@@ -728,44 +700,11 @@ class Relation:
             cols[name] = col.take(indices, index_list)
         return Relation._from_cols(self.schema, cols, int(len(indices)))
 
-    def sort(self, names: Sequence[str] | None = None) -> "Relation":
-        """Rows sorted lexicographically by ``names`` (default: all)."""
-        names = list(names if names is not None else self.schema.names)
-        encs = self._encodings(names)
-        if encs is not None and all(e.domain_sorted for e in encs):
-            if not names:
-                return self._take(np.arange(self._n, dtype=np.int64))
-            order = np.lexsort([e.codes for e in reversed(encs)])
-            return self._take(order)
-        order = sorted(range(self._n),
-                       key=lambda i: tuple(self._cols[n].values()[i]
-                                           for n in names))
-        return self._take(order)
-
-    def extend(self, name: str, values: Sequence[Any],
-               kind: AttributeKind = AttributeKind.OTHER) -> "Relation":
-        """Relation with one additional column appended."""
-        if len(values) != self._n:
-            raise SchemaError(
-                f"new column {name!r} has length {len(values)}, expected {self._n}")
-        schema = Schema(list(self.schema) + [Attribute(name, kind)])
-        cols = dict(self._cols)
-        cols[name] = _Column.from_input(values)
-        return Relation._from_cols(schema, cols, self._n)
-
-    def concat(self, other: "Relation") -> "Relation":
-        """Bag union of two relations with identical schemas."""
-        if self.schema.names != other.schema.names:
-            raise SchemaError("concat requires identical schemas")
-        cols = {n: self._cols[n].concat(other._cols[n])
-                for n in self.schema.names}
-        return Relation._from_cols(self.schema, cols, self._n + other._n)
-
     def with_rows_appended(self, other: "Relation") -> "Relation":
         """Bag union optimized for small appends (delta ingestion).
 
-        Same contract as :meth:`concat`, but interned encodings are
-        extended in place of a re-encode: old codes survive verbatim
+        The schemas must be identical. Interned encodings are extended
+        in place of a re-encode: old codes survive verbatim
         under a domain whose old entries keep their positions, so every
         structure indexed by those codes (cube leaves, cached views)
         stays valid after the append.
@@ -846,82 +785,7 @@ class Relation:
             return Relation._from_cols(self.schema, pending.materialize(), n)
         return Relation._from_cols(self.schema, None, n, pending)
 
-    def natural_join(self, other: "Relation") -> "Relation":
-        """Natural (equi-)join on the shared attribute names.
-
-        A vectorized sort-merge join over the encoded composite key: the
-        right side's codes are aligned into the left side's domains, both
-        sides collapse their key to one ``int64`` per row, and matching
-        row-index pairs come out of ``searchsorted`` + range expansion.
-        Output schema is ``self ⋈ other`` with ``other``'s non-shared
-        attributes appended; falls back to the row-at-a-time hash join
-        when a key column cannot be encoded.
-        """
-        shared = list(self.schema.intersection(other.schema))
-        other_only = [n for n in other.schema.names if n not in shared]
-        out_schema = Schema(
-            list(self.schema)
-            + [other.schema[n] for n in other_only])
-        if not shared:
-            # Cartesian product.
-            l_idx = np.repeat(np.arange(self._n, dtype=np.int64), other._n)
-            r_idx = np.tile(np.arange(other._n, dtype=np.int64), self._n)
-            return self._assemble_join(other, other_only, out_schema,
-                                       l_idx, r_idx)
-        left_encs = self._encodings(shared)
-        right_encs = other._encodings(shared)
-        if left_encs is None or right_encs is None:
-            return self._natural_join_rows(other, shared, other_only,
-                                           out_schema)
-        indices = merge_join_indices(left_encs, right_encs)
-        if indices is None:  # radix overflow
-            return self._natural_join_rows(other, shared, other_only,
-                                           out_schema)
-        l_idx, r_idx = indices
-        return self._assemble_join(other, other_only, out_schema,
-                                   l_idx, r_idx)
-
-    def _assemble_join(self, other: "Relation", other_only: Sequence[str],
-                       out_schema: Schema, l_idx: np.ndarray,
-                       r_idx: np.ndarray) -> "Relation":
-        cols: dict[str, _Column] = {}
-        l_list: list | None = None
-        r_list: list | None = None
-        for name in self.schema.names:
-            col = self._cols[name]
-            if l_list is None and col.takes_list_path():
-                l_list = l_idx.tolist()
-            cols[name] = col.take(l_idx, l_list)
-        for name in other_only:
-            col = other._cols[name]
-            if r_list is None and col.takes_list_path():
-                r_list = r_idx.tolist()
-            cols[name] = col.take(r_idx, r_list)
-        return Relation._from_cols(out_schema, cols, int(len(l_idx)))
-
-    def _natural_join_rows(self, other: "Relation", shared: Sequence[str],
-                           other_only: Sequence[str],
-                           out_schema: Schema) -> "Relation":
-        """The pre-columnar hash join (fallback for unencodable keys)."""
-        table: dict[Key, list[tuple]] = {}
-        other_keys = other.key_tuples(shared)
-        other_rest = other.key_tuples(other_only)
-        for key, rest in zip(other_keys, other_rest):
-            table.setdefault(key, []).append(rest)
-        rows = []
-        self_keys = self.key_tuples(shared)
-        for left, key in zip(self.rows(), self_keys):
-            for rest in table.get(key, ()):
-                rows.append(tuple(left) + rest)
-        return Relation.from_rows(out_schema, rows)
-
     # -- grouping -------------------------------------------------------------------
-    def group_rows(self, names: Sequence[str]) -> dict[Key, list[int]]:
-        """Map each distinct key of ``names`` to the row indices in that group."""
-        gidx = self.group_index(names)
-        return {key: idx.tolist()
-                for key, idx in zip(gidx.keys(), gidx.group_indices())}
-
     def group_measure(self, names: Sequence[str], measure: str
                       ) -> dict[Key, np.ndarray]:
         """Map each group key to the numpy array of its measure values."""
@@ -929,16 +793,3 @@ class Relation:
         gidx = self.group_index(names)
         return {key: col[idx]
                 for key, idx in zip(gidx.keys(), gidx.group_indices())}
-
-    def group_stats(self, names: Sequence[str], measure: str
-                    ) -> tuple[list[Key], GroupStats]:
-        """Per-group sufficient statistics in one vectorized pass.
-
-        Returns the distinct keys (lexicographic order) and the aligned
-        :class:`~repro.relational.aggregates.GroupStats` arrays — the
-        columnar equivalent of ``{key: AggState.of(values)}``.
-        """
-        gidx = self.group_index(names)
-        stats = GroupStats.from_groups(gidx.gids, gidx.n_groups,
-                                       self.measure_array(measure))
-        return gidx.keys(), stats

@@ -26,7 +26,6 @@ import numpy as np
 from .aggregates import AggState
 from .countmap import CountMap
 from .relation import Key, Relation
-from .schema import Schema
 
 
 def group_rows(relation: Relation, names: Sequence[str]
@@ -89,48 +88,6 @@ def filter_equals(relation: Relation, conditions: Mapping[str, Any]
         keep = matches if keep is None else keep & matches
     rows = [relation.row(i) for i in sorted(keep or ())]
     return Relation.from_rows(relation.schema, rows)
-
-
-def distinct(relation: Relation, names: Sequence[str] | None = None
-             ) -> Relation:
-    names = list(names if names is not None else relation.schema.names)
-    seen: dict[Key, None] = {}
-    for key in relation.key_tuples(names):
-        seen.setdefault(key, None)
-    return Relation.from_rows(relation.schema.project(names), list(seen))
-
-
-def sort(relation: Relation, names: Sequence[str] | None = None) -> Relation:
-    names = list(names if names is not None else relation.schema.names)
-    keys = relation.key_tuples(names)
-    order = sorted(range(len(relation)), key=keys.__getitem__)
-    return Relation.from_rows(relation.schema,
-                              [relation.row(i) for i in order])
-
-
-def natural_join(left: Relation, right: Relation) -> Relation:
-    """The pre-columnar tuple-building hash join."""
-    shared = list(left.schema.intersection(right.schema))
-    other_only = [n for n in right.schema.names if n not in shared]
-    out_schema = Schema(list(left.schema)
-                        + [right.schema[n] for n in other_only])
-    if not shared:
-        rows = []
-        right_rows = [tuple(r) for r in right.project(other_only).rows()] \
-            if other_only else [()] * len(right)
-        for lrow in left.rows():
-            for rrow in right_rows:
-                rows.append(lrow + rrow)
-        return Relation.from_rows(out_schema, rows)
-    table: dict[Key, list[tuple]] = {}
-    for key, rest in zip(right.key_tuples(shared),
-                         right.key_tuples(other_only)):
-        table.setdefault(key, []).append(rest)
-    rows = []
-    for lrow, key in zip(left.rows(), left.key_tuples(shared)):
-        for rest in table.get(key, ()):
-            rows.append(tuple(lrow) + rest)
-    return Relation.from_rows(out_schema, rows)
 
 
 def countmap_join(left: CountMap, right: CountMap) -> CountMap:

@@ -118,21 +118,12 @@ class Schema:
         return tuple(a.name for a in self._attributes if a.is_measure())
 
     # -- algebra ------------------------------------------------------------------
-    def project(self, names: Iterable[str]) -> "Schema":
-        """Schema restricted to ``names`` (kept in the order given)."""
-        return Schema([self[n] for n in names])
-
     def union(self, other: "Schema") -> "Schema":
         """Concatenation of two schemas with disjoint attribute names."""
         overlap = set(self.names) & set(other.names)
         if overlap:
             raise SchemaError(f"schemas overlap on {sorted(overlap)}")
         return Schema(list(self._attributes) + list(other._attributes))
-
-    def intersection(self, other: "Schema") -> tuple[str, ...]:
-        """Names common to both schemas, in this schema's order."""
-        other_names = set(other.names)
-        return tuple(n for n in self.names if n in other_names)
 
     def rename(self, mapping: dict[str, str]) -> "Schema":
         """Schema with attributes renamed according to ``mapping``."""

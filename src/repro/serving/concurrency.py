@@ -399,12 +399,6 @@ class AdmissionController:
         self.timed_out = 0
         self.admitted = 0
 
-    def retry_after(self) -> float:
-        """A coarse client backoff hint, never below one second."""
-        with self._cond:
-            backlog = self._queued + max(0, self._active - self.max_concurrent)
-        return max(1.0, round(0.1 * (backlog + 1), 1))
-
     def try_enter(self) -> None:
         """Claim an execution slot or raise :class:`ServerOverloaded`."""
         with self._cond:
@@ -498,15 +492,6 @@ class LatencyStats:
                 self._seed ^= (self._seed << 5) & 0xFFFFFFFF
                 del self._sorted[self._seed % len(self._sorted)]
             bisect.insort(self._sorted, seconds)
-
-    def percentile(self, p: float) -> float:
-        """The p-th percentile (0..100) of the recorded samples, or 0.0."""
-        with self._lock:
-            if not self._sorted:
-                return 0.0
-            rank = max(0, min(len(self._sorted) - 1,
-                              int(round(p / 100.0 * (len(self._sorted) - 1)))))
-            return self._sorted[rank]
 
     def snapshot(self) -> dict:
         with self._lock:

@@ -101,9 +101,10 @@ class TestErrorInjection:
 
     def test_missing_halves_count(self, dataset):
         rel = dataset.relation
-        before = rel.group_rows(["group"])
+        before = rel.group_measure(["group"], "value")
         group = sorted(before)[0][0]
-        after = inject_missing(rel, {"group": group}).group_rows(["group"])
+        after = inject_missing(rel, {"group": group}).group_measure(
+            ["group"], "value")
         assert len(after[(group,)]) == pytest.approx(
             len(before[(group,)]) / 2, abs=1)
         # Other groups untouched.
@@ -112,9 +113,10 @@ class TestErrorInjection:
 
     def test_duplicates_add_half(self, dataset):
         rel = dataset.relation
-        before = rel.group_rows(["group"])
+        before = rel.group_measure(["group"], "value")
         group = sorted(before)[0][0]
-        after = inject_duplicates(rel, {"group": group}).group_rows(["group"])
+        after = inject_duplicates(rel, {"group": group}).group_measure(
+            ["group"], "value")
         assert len(after[(group,)]) == pytest.approx(
             1.5 * len(before[(group,)]), abs=1)
 

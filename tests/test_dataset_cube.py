@@ -156,7 +156,7 @@ class TestCube:
                                                 "year": 1986})
         rel = ofla_dataset.relation.filter_equals({"district": "Ofla",
                                                    "year": 1986})
-        assert set(view.groups) == set(rel.group_rows(["village"]))
+        assert set(view.groups) == set(rel.key_tuples(["village"]))
 
     def test_total_equals_parent(self, ofla_dataset):
         cube = Cube(ofla_dataset)

@@ -11,8 +11,9 @@ from repro.core.repair import RepairPrediction
 from repro.factorized import (AttributeOrder, FactorizedMatrix,
                               FeatureColumn, HierarchyPaths,
                               intercept_column)
-from repro.model.backends import DenseDesign, FactorizedDesign
+from repro.model.backends import DenseDesign
 from repro.model.multilevel import MultilevelModel
+from repro.model.pipeline import FactorizedDesign
 from repro.relational import (AggState, Cube, GroupView,
                               HierarchicalDataset, Relation, Schema,
                               dimension, measure)

@@ -5,10 +5,11 @@ import pytest
 
 from repro.factorized import (Factorizer, FactorizedMatrix, FeatureColumn,
                               intercept_column)
-from repro.model.backends import DenseDesign, FactorizedDesign
+from repro.model.backends import DenseDesign
 from repro.model.linear import LinearModel, solve_spd
 from repro.model.matlab_style import MatlabStyleEM
 from repro.model.multilevel import MultilevelModel
+from repro.model.pipeline import FactorizedDesign
 
 from factorized_strategies import build_hierarchy
 from repro.factorized.forder import AttributeOrder

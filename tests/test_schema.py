@@ -48,10 +48,6 @@ class TestSchema:
         assert s.dimensions() == ("a", "b")
         assert s.measures() == ("m",)
 
-    def test_project_keeps_order_given(self):
-        s = Schema([dimension("a"), dimension("b"), measure("m")])
-        assert s.project(["m", "a"]).names == ("m", "a")
-
     def test_union_disjoint(self):
         s = Schema(["a"]).union(Schema(["b"]))
         assert s.names == ("a", "b")
@@ -59,11 +55,6 @@ class TestSchema:
     def test_union_overlap_rejected(self):
         with pytest.raises(SchemaError):
             Schema(["a", "b"]).union(Schema(["b"]))
-
-    def test_intersection_order(self):
-        s1 = Schema(["a", "b", "c"])
-        s2 = Schema(["c", "a"])
-        assert s1.intersection(s2) == ("a", "c")
 
     def test_rename(self):
         s = Schema([dimension("a"), measure("m")]).rename({"a": "z"})

@@ -36,6 +36,7 @@ import statistics
 import sys
 import threading
 import time
+import urllib.parse
 
 import numpy as np
 import pytest
@@ -439,6 +440,49 @@ class TestTransport:
             stats = json.loads(reply.read())
             assert reply.status == 200
             assert stats["endpoints"]["view"]["count"] == 1
+            conn.close()
+        finally:
+            assert server.shutdown_gracefully(JOIN_TIMEOUT)
+            thread.join(JOIN_TIMEOUT)
+            assert not thread.is_alive()
+
+    def test_delete_session_over_keep_alive(self):
+        """DELETE /sessions/{id} over a real socket closes the session; a
+        recommend on it, sent over the same keep-alive connection, answers
+        404 and leaves the connection framed for the next request."""
+        service = ExplanationService()
+        service.register("data", make_dataset(5))
+        server, thread = serve_http(service, port=0)
+        try:
+            url = urllib.parse.urlsplit(server.url)
+            assert url.port == server.server_address[1] != 0
+            conn = http.client.HTTPConnection(url.hostname, url.port,
+                                              timeout=10)
+            conn.request("POST", "/datasets/data/sessions",
+                         json.dumps({"group_by": ["district"],
+                                     "session_id": "gone"}))
+            reply = conn.getresponse()
+            reply.read()
+            assert reply.status == 201
+            sock = conn.sock
+            conn.request("DELETE", "/sessions/gone")
+            reply = conn.getresponse()
+            assert reply.status == 200
+            assert json.loads(reply.read()) == {"closed": "gone"}
+            conn.request("POST", "/sessions/gone/recommend",
+                         json.dumps({"aggregate": "mean",
+                                     "direction": "too_low",
+                                     "coordinates": {"district": "d0"}}))
+            reply = conn.getresponse()
+            payload = json.loads(reply.read())
+            assert reply.status == 404 and "error" in payload
+            assert reply.getheader("Connection") != "close"
+            conn.request("GET", "/healthz")
+            reply = conn.getresponse()
+            reply.read()
+            assert reply.status == 200
+            assert conn.sock is sock  # one connection throughout
+            assert service.sessions == ()
             conn.close()
         finally:
             assert server.shutdown_gracefully(JOIN_TIMEOUT)

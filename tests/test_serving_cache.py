@@ -164,8 +164,10 @@ class TestFingerprint:
 
     def test_different_measure_differs(self, ofla_dataset):
         rng = np.random.default_rng(0)
-        relation = ofla_dataset.relation.extend(
-            "other", rng.normal(size=len(ofla_dataset.relation)))
+        base = ofla_dataset.relation
+        columns = {name: base.column(name) for name in base.schema.names}
+        columns["other"] = rng.normal(size=len(base))
+        relation = Relation(list(base.schema) + ["other"], columns)
         a = HierarchicalDataset(relation, ofla_dataset.dimensions,
                                 "severity", validate=False)
         b = HierarchicalDataset(relation, ofla_dataset.dimensions,
@@ -507,6 +509,30 @@ class TestServeCommand:
         from repro.cli import main
         with pytest.raises(SystemExit, match="--csv"):
             main(["serve", "--hierarchy", "geo=district,village"])
+
+    @pytest.mark.parametrize("command", ["serve", "serve-http", "ingest"])
+    @pytest.mark.parametrize("text, reason", [
+        (None, "No such file"),
+        ("district,village,sev\nOfla,Zata,1.0\n", "no column 'year'"),
+        ("district,village,year,sev\nOfla,Zata,1986\n", "line 2 has 3"),
+        ("district,village,year,sev\nOfla,Zata,1986,abc\n", "'abc'"),
+        ("district,village,year,sev\nOfla,Zata,1986,1.0\n"
+         "Alaje,Zata,1987,2.0\n", "FD"),
+    ], ids=["missing", "header", "short-row", "measure", "fd"])
+    def test_malformed_csv_exits_with_one_line(self, tmp_path, command,
+                                               text, reason):
+        from repro.cli import main
+        path = tmp_path / "data.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--csv", str(path), "--hierarchy",
+                  "geo=district,village", "--hierarchy", "time=year",
+                  "--measure", "sev"])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"{command}: cannot load {path}: ")
+        assert reason in message
 
     def test_serve_seed_changes_demo(self, capsys):
         from repro.cli import main
