@@ -14,12 +14,15 @@ test:
 	python -m pytest -x -q
 
 # The serving concurrency gate: 50-seed stress schedules, hypothesis
-# interleavings vs the serialized oracle, and the deterministic
-# race-harness schedules — run without -x so one flaky schedule still
-# reports every other failure.
+# interleavings vs the serialized oracle (one-shot recommends included),
+# the deterministic race-harness schedules, the cache's boundaries and
+# the one-shot recommendation memo (every hit equals a cache-less answer;
+# ingest, rollback and refresh recompute; answers are immutable) — run
+# without -x so one flaky schedule still reports every other failure.
 test-concurrency:
 	python -m pytest tests/test_server_concurrency.py \
-	    tests/test_snapshot_properties.py tests/test_cache_boundaries.py -q
+	    tests/test_snapshot_properties.py tests/test_cache_boundaries.py \
+	    tests/test_recommend_memo.py -q
 
 # The fused-kernel gate: hypothesis bitwise-equality properties for all
 # three kernels of the fused NumPy tier against the frozen plain tier,

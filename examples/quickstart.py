@@ -66,7 +66,7 @@ def main() -> None:
           f"{recommendation.best_hierarchy!r}")
     print("Top groups (score = complaint after repairing the group):")
     for group in recommendation.ranked():
-        print(f"  {group.coordinates}  observed mean="
+        print(f"  {dict(group.coordinates)}  observed mean="
               f"{group.observed['mean']:5.2f}  expected="
               f"{group.expected['mean']:5.2f}  margin gain="
               f"{group.margin_gain:6.3f}")

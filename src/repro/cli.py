@@ -295,7 +295,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     continue
                 print(f"  {item.request.complaint} -> drill "
                       f"{item.recommendation.best_hierarchy!r}, "
-                      f"best group {best.coordinates} "
+                      f"best group {dict(best.coordinates)} "
                       f"(margin gain {best.margin_gain:.3f})")
 
     stats = service.stats()
@@ -305,10 +305,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"(hit rate {cache['hit_rate']:.2f}), "
           f"{cache['evictions']} evictions")
     for kind, timing in sorted(stats["stages"].items()):
-        print(f"  stage {kind:<8s} {timing['computations']:>4d} "
+        print(f"  stage {kind:<9s} {timing['computations']:>4d} "
               f"computations  {timing['seconds']:.3f}s")
     rec = stats["recommend"]
-    print(f"  recommend      {rec['count']:>4d} requests      "
+    print(f"  recommend       {rec['count']:>4d} requests      "
           f"{rec['seconds']:.3f}s")
     return 0
 
@@ -412,7 +412,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             print("post-ingest recommendation: no matching groups")
         else:
             print(f"post-ingest recommendation: drill "
-                  f"{rec.best_hierarchy!r}, best group {best.coordinates} "
+                  f"{rec.best_hierarchy!r}, best group "
+                  f"{dict(best.coordinates)} "
                   f"(margin gain {best.margin_gain:.3f})")
     return 0
 
@@ -589,7 +590,7 @@ Applies an append/retract delta through the incremental delta-update
 engine: the relation extends its encoded columns, the cube merges a
 bincount of just the delta batch and checks the hierarchy FDs on the
 merged leaf keys, and cached aggregates are patched or retained under
-a new versioned fingerprint — no full rebuild, no wholesale cache
+a new lineage fingerprint — no full rebuild, no wholesale cache
 invalidation. Open sessions fast-forward to the new data version.
 Prints the ingest timing, the cache patch counters, and (for the demo
 dataset) a post-ingest recommendation.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -33,7 +34,8 @@ class Complaint:
     Parameters
     ----------
     coordinates:
-        Group-by attribute values identifying the complained tuple ``t_c``.
+        Group-by attribute values identifying the complained tuple
+        ``t_c`` (kept as a read-only copy, so a complaint never changes).
     aggregate:
         The complained statistic: count, sum, mean, std or var (composites
         decompose per footnote 3/4).
@@ -56,7 +58,8 @@ class Complaint:
             if not np.isfinite(self.target):
                 raise ValueError(f"complaint target must be a finite "
                                  f"number, got {self.target!r}")
-        object.__setattr__(self, "coordinates", dict(self.coordinates))
+        object.__setattr__(self, "coordinates",
+                           MappingProxyType(dict(self.coordinates)))
 
     # -- constructors --------------------------------------------------------------
     @classmethod

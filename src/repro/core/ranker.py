@@ -30,7 +30,8 @@ enforce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,42 +48,58 @@ from .repair import ModelRepairer, RepairPrediction
 RANKER_STATS = {"array": 0, "fallback": 0}
 
 
+# The three result records are immutable all the way down (frozen
+# records, tuples, read-only mappings): the serving layer memoizes whole
+# recommendations and hands one object to every caller that asks the
+# same question, so no caller may change another caller's answer.
 @dataclass(frozen=True)
 class ScoredGroup:
     """One drill-down group with its repair outcome."""
 
     key: tuple
-    coordinates: dict
+    coordinates: Mapping
     score: float              # f_comp after repairing this group
     margin_gain: float        # base penalty − score (bigger = better)
-    observed: dict            # observed base statistics
-    expected: dict            # model-expected statistics
+    observed: Mapping         # observed base statistics
+    expected: Mapping         # model-expected statistics
     repaired_value: float     # parent aggregate after the repair
 
+    def __post_init__(self):
+        for name in ("coordinates", "observed", "expected"):
+            object.__setattr__(
+                self, name, MappingProxyType(dict(getattr(self, name))))
 
-@dataclass
+
+@dataclass(frozen=True)
 class DrilldownRecommendation:
     """Ranked groups for one candidate hierarchy."""
 
     hierarchy: str
     attribute: str
     base_penalty: float       # f_comp with no repair
-    groups: list[ScoredGroup] = field(default_factory=list)
+    groups: tuple[ScoredGroup, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "groups", tuple(self.groups))
 
     @property
     def best(self) -> ScoredGroup | None:
         return self.groups[0] if self.groups else None
 
-    def top(self, k: int) -> list[ScoredGroup]:
+    def top(self, k: int) -> tuple[ScoredGroup, ...]:
         return self.groups[:k]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Recommendation:
     """Result of one Reptile invocation across all candidate hierarchies."""
 
     complaint: Complaint
-    per_hierarchy: dict[str, DrilldownRecommendation]
+    per_hierarchy: Mapping[str, DrilldownRecommendation]
+
+    def __post_init__(self):
+        object.__setattr__(self, "per_hierarchy",
+                           MappingProxyType(dict(self.per_hierarchy)))
 
     @property
     def best_hierarchy(self) -> str:
@@ -102,7 +119,8 @@ class Recommendation:
         """t* of eq. 1."""
         return self.per_hierarchy[self.best_hierarchy].best
 
-    def ranked(self, hierarchy: str | None = None) -> list[ScoredGroup]:
+    def ranked(self, hierarchy: str | None = None
+               ) -> tuple[ScoredGroup, ...]:
         h = hierarchy or self.best_hierarchy
         return self.per_hierarchy[h].groups
 
@@ -160,7 +178,7 @@ def score_drilldown(drill_view: GroupView, prediction: RepairPrediction,
             score=score,
             margin_gain=base_penalty - score,
             observed={s: state.statistic(s) for s in observed_stats},
-            expected=dict(prediction.expected(keys[i])),
+            expected=prediction.expected(keys[i]),
             repaired_value=float(repaired_values[i])))
     return base_penalty, scored
 
@@ -180,7 +198,7 @@ def _score_loop(drill_view: GroupView, prediction: RepairPrediction,
             score=score,
             margin_gain=base_penalty - score,
             observed={s: state.statistic(s) for s in observed_stats},
-            expected=dict(prediction.expected(key)),
+            expected=prediction.expected(key),
             repaired_value=_composite(complaint, new_parent)))
     scored.sort(key=lambda g: (g.score, -abs(_repair_size(g))))
     return scored

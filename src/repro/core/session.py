@@ -21,6 +21,7 @@ from ..relational.cube import Cube, GroupView
 from ..relational.dataset import HierarchicalDataset
 from ..relational.delta import Delta, DeltaError, locate_rows
 from ..relational.hierarchy import DrillState
+from ..relational.relation import Relation
 from ..robustness.faultinject import fault_point
 from .complaint import Complaint
 from .ranker import Recommendation, rank_candidates
@@ -105,7 +106,10 @@ class Reptile:
             self.cube: Cube = CachingCube(dataset, cache, self.fingerprint)
         else:
             self.cube = Cube(dataset)
-        self._repairer = repairer
+        #: The repair function passed at construction, or None: every
+        #: drill level then gets a ModelRepairer from ``config`` and
+        #: ``feature_plan``.
+        self.custom_repairer = repairer
         # Monotonically increasing data version: bumped by every
         # apply_delta() and refresh(). Sessions pin the version they last
         # synchronized with (see DrillSession.is_stale).
@@ -125,8 +129,8 @@ class Reptile:
         return repairer
 
     def _base_repairer(self, group_attrs: Sequence[str]) -> ModelRepairer:
-        if self._repairer is not None:
-            return self._repairer
+        if self.custom_repairer is not None:
+            return self.custom_repairer
         plan = self.feature_plan
         if self.config.auto_auxiliary:
             extra = list(plan.extra_specs)
@@ -168,7 +172,7 @@ class Reptile:
         the cube merges a bincount of just the delta batch and checks
         every hierarchy FD on the merged leaf keys, and (with a serving
         cache attached) cached views and model fits are patched, retained
-        or dropped under the new versioned fingerprint rather than
+        or dropped under the new lineage fingerprint rather than
         invalidated wholesale. Sessions pinned to an older version
         fast-forward via :meth:`DrillSession.sync`. Raises
         :class:`~repro.relational.delta.DeltaError` — with nothing
@@ -191,17 +195,17 @@ class Reptile:
         if delta.is_empty():
             return self.data_version
         self._validate_delta_cells(delta)
-        self._validate_delta_measure(delta)
+        delta = self._float_measure(delta)
         # Validate retractions at row granularity before touching state.
         removed_idx = locate_rows(relation, delta.retracted) \
             if len(delta.retracted) else None
-        cube_delta = self.cube.apply_delta(delta)
-        version = self.data_version + 1
         old_fp = self.fingerprint
         new_fp: str | None = None
         if self.cache is not None:
-            base = (self.fingerprint or "").split("@", 1)[0]
-            new_fp = f"{base}@{version}"
+            from ..serving.cache import delta_fingerprint
+            new_fp = delta_fingerprint(old_fp, delta)
+        cube_delta = self.cube.apply_delta(delta)
+        version = self.data_version + 1
         try:
             if self.cache is not None:
                 from ..serving.engine import patch_cache_for_delta
@@ -251,24 +255,36 @@ class Reptile:
                 raise DeltaError(f"appended {attr!r} cell is not a "
                                  f"scalar: {exc}") from None
 
-    def _validate_delta_measure(self, delta: Delta) -> None:
-        """Reject appended measure cells the cube cannot convert to a
-        finite float, pre-mutation: a malformed cell is a bad request,
+    def _float_measure(self, delta: Delta) -> Delta:
+        """``delta`` with its appended measure cells as a float64 array.
+
+        Rejects, pre-mutation, appended measure cells the cube cannot
+        convert to a finite float: a malformed cell is a bad request,
         not a fault. NaN (what a JSON ``null`` decodes to) is rejected
         with ±inf: a NaN row could never be retracted (NaN matches no
-        cell) and would poison every fit over its groups."""
-        if not len(delta.appended):
-            return
+        cell) and would poison every fit over its groups. The accepted
+        cells are stored as the floats the cube sums, so an integer cell
+        (what a JSON ``7`` decodes to) appends to a float64 measure
+        column as float64 and never turns it into a Python list.
+        """
+        appended = delta.appended
+        if not len(appended):
+            return delta
+        measure = self.dataset.measure
         try:
-            values = delta.appended.measure_array(self.dataset.measure)
-        except (TypeError, ValueError) as exc:
+            values = appended.measure_array(measure)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DeltaError(
-                f"appended measure {self.dataset.measure!r} is not "
+                f"appended measure {measure!r} is not "
                 f"numeric: {exc}") from None
         if not np.isfinite(values).all():
             raise DeltaError(
-                f"appended measure {self.dataset.measure!r} is not "
+                f"appended measure {measure!r} is not "
                 f"finite: NaN or ±inf in an appended row")
+        columns = {name: values if name == measure else appended.column(name)
+                   for name in appended.schema.names}
+        return Delta(Relation.from_encoded(appended.schema, columns),
+                     delta.retracted)
 
     def session(self, group_by: Sequence[str] = (),
                 filters: Mapping | None = None,
@@ -400,8 +416,6 @@ class DrillSession:
         recommendation = rank_candidates(
             self.engine.cube, self.group_by, candidates, complaint,
             self.provenance(complaint), repairer, k=top_k)
-        for rec in recommendation.per_hierarchy.values():
-            rec.groups = rec.top(top_k)
         self.history.append(recommendation)
         return recommendation
 

@@ -167,8 +167,9 @@ class _Column:
                 return ("concat", None)
             if not (extended.lossy and not self._enc.lossy):
                 return ("extend", extended, codes)
-        if self._array is not None and other._array is None:
-            arr = np.asarray(other.values())
+        if self._array is not None:
+            arr = other._array if other._array is not None \
+                else np.asarray(other.values())
             if arr.ndim == 1 and arr.dtype.kind == self._array.dtype.kind:
                 return ("typed", arr)
         return ("concat", None)
@@ -560,15 +561,18 @@ class Relation:
                  ) -> "Relation":
         """Load a relation from a CSV file with a header row.
 
-        Measures are converted to ``float`` by default; pass ``converters``
-        to override per-column parsing. A header without one of the
-        schema's columns, or a row whose width differs from the header's,
-        raises :class:`SchemaError`; blank lines are skipped.
+        Measures are converted to ``float`` by default, and such a
+        column is stored as one float64 array; pass ``converters`` to
+        override per-column parsing (the column then keeps the values
+        the converter returns). A header without one of the schema's
+        columns, or a row whose width differs from the header's, raises
+        :class:`SchemaError`; blank lines are skipped.
         """
         converters = dict(converters or {})
-        for attr in schema:
-            if attr.kind is AttributeKind.MEASURE and attr.name not in converters:
-                converters[attr.name] = float
+        floats = [attr.name for attr in schema
+                  if attr.kind is AttributeKind.MEASURE
+                  and attr.name not in converters]
+        converters.update(dict.fromkeys(floats, float))
         with open(path, newline="") as f:
             reader = csv.reader(f)
             header = next(reader, [])
@@ -576,9 +580,9 @@ class Relation:
             missing = [n for n in schema.names if n not in where]
             if missing:
                 raise SchemaError(f"header has no column {missing[0]!r}")
-            parsers = [(where[n], converters.get(n, str))
+            columns: dict[str, list] = {n: [] for n in schema.names}
+            parsers = [(where[n], converters.get(n, str), columns[n])
                        for n in schema.names]
-            rows = []
             for rec in reader:
                 if not rec:
                     continue
@@ -586,8 +590,11 @@ class Relation:
                     raise SchemaError(
                         f"line {reader.line_num} has {len(rec)} fields, "
                         f"the header {len(header)}")
-                rows.append(tuple(parse(rec[i]) for i, parse in parsers))
-        return cls.from_rows(schema, rows)
+                for i, parse, column in parsers:
+                    column.append(parse(rec[i]))
+        return cls.from_encoded(schema, {
+            n: np.asarray(c, dtype=np.float64) if n in floats else c
+            for n, c in columns.items()})
 
     # -- container protocol ----------------------------------------------------------
     def __len__(self) -> int:

@@ -117,21 +117,6 @@ class Schema:
     def measures(self) -> tuple[str, ...]:
         return tuple(a.name for a in self._attributes if a.is_measure())
 
-    # -- algebra ------------------------------------------------------------------
-    def union(self, other: "Schema") -> "Schema":
-        """Concatenation of two schemas with disjoint attribute names."""
-        overlap = set(self.names) & set(other.names)
-        if overlap:
-            raise SchemaError(f"schemas overlap on {sorted(overlap)}")
-        return Schema(list(self._attributes) + list(other._attributes))
-
-    def rename(self, mapping: dict[str, str]) -> "Schema":
-        """Schema with attributes renamed according to ``mapping``."""
-        out = []
-        for a in self._attributes:
-            out.append(Attribute(mapping.get(a.name, a.name), a.kind))
-        return Schema(out)
-
 
 def dimension(name: str) -> Attribute:
     """Shorthand constructor for a dimension attribute."""

@@ -1,20 +1,23 @@
 """The aggregate cache backing the serving layer.
 
-Reptile's hot path recomputes two families of intermediate results that
-are pure functions of the data and the query position: group-by roll-ups
-(:class:`~repro.relational.cube.GroupView`) and per-level repair
-predictions (model fits over the parallel groups).
-:class:`AggregateCache` memoizes both behind one LRU store keyed by
+Reptile's hot path recomputes three families of results that are pure
+functions of the data and the query: group-by roll-ups
+(:class:`~repro.relational.cube.GroupView`, kind ``"view"``), per-level
+repair predictions (model fits over the parallel groups, kind
+``"predict"``) and whole one-shot recommendations (kind
+``"recommend"``, filled by
+:meth:`~repro.serving.service.ExplanationService.submit_batch`).
+:class:`AggregateCache` memoizes all three behind one LRU store keyed by
 
     (kind, dataset fingerprint, ...position/configuration...)
 
 so repeated and concurrent explanation queries — several complaints about
-the same view, a replayed drill-down path, many users exploring the same
-dataset — each pay the expensive computation once. The fingerprint pins
-every entry to the exact data contents. Relations are immutable, so data
-changes only by ingest, which re-keys the entries it keeps under a new
-versioned fingerprint, or by a wholesale rebuild, which hashes the new
-relation and reclaims the old entries with
+the same view, a replayed drill-down path, a dashboard re-asking the same
+complaint — each pay the expensive computation once. The fingerprint
+pins every entry to the exact data contents. Relations are immutable, so
+data changes only by ingest, which re-keys the entries it keeps under the
+fingerprint :func:`delta_fingerprint` derives, or by a wholesale rebuild,
+which hashes the new relation and reclaims the old entries with
 :meth:`AggregateCache.invalidate`.
 """
 
@@ -28,6 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable, TypeVar
 
 from ..relational.dataset import HierarchicalDataset
+from ..relational.delta import Delta
 from ..robustness.faultinject import fault_point
 from .concurrency import trace
 
@@ -84,9 +88,10 @@ class AggregateCache:
         evicted first. ``None`` disables eviction.
 
     Keys are hashable tuples whose first element names the result kind
-    (``"view"`` or ``"predict"``) and whose second element
-    is the owning dataset's fingerprint — the convention
-    :meth:`invalidate` relies on to drop a dataset's entries wholesale.
+    (``"view"``, ``"predict"`` or ``"recommend"``) and whose second
+    element is the owning dataset's fingerprint — the convention
+    :meth:`invalidate` and :meth:`pop_fingerprint` rely on to reach a
+    dataset's entries. All kinds share the one ``max_entries`` bound.
     """
 
     def __init__(self, max_entries: int | None = 4096):
@@ -173,7 +178,7 @@ class AggregateCache:
 
         The delta-ingestion hook: entries come back in LRU order (least
         recently used first) so the caller can patch or retain each one
-        under the new versioned fingerprint with recency preserved.
+        under the new lineage fingerprint with recency preserved.
         Neither the removal nor the later re-put counts as an
         invalidation; use :meth:`note_patched` to record the outcome.
         """
@@ -263,3 +268,23 @@ def dataset_fingerprint(dataset: HierarchicalDataset) -> str:
     for name in relation.schema.names:
         digest.update(relation.content_token(name))
     return digest.hexdigest()
+
+
+def delta_fingerprint(fingerprint: str, delta: Delta) -> str:
+    """The fingerprint of the data an ingest of ``delta`` makes from the
+    data named ``fingerprint``.
+
+    A digest of the lineage — the old fingerprint plus the delta's
+    appended and retracted rows — so two engines that start from equal
+    data and ingest equal deltas keep sharing warm entries, and engines
+    whose lineages differ never share a name, whatever their data
+    versions (a version number would name two datasets' first ingests
+    alike). The part before ``@``, the registration's content hash, is
+    kept: an ingest names its data ``base@lineage``. The rows are
+    digested by ``repr``, as a column that resists encoding is (a delta
+    is a few rows: encoding them just to hash them costs more).
+    """
+    digest = hashlib.blake2b(fingerprint.encode(), digest_size=16)
+    digest.update(repr((list(delta.appended.rows()),
+                        list(delta.retracted.rows()))).encode())
+    return f"{fingerprint.split('@', 1)[0]}@{digest.hexdigest()}"

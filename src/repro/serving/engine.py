@@ -1,6 +1,6 @@
 """Cache-backed wrappers for the engine's hot-path computations.
 
-Two memoized layers make a warm :class:`~repro.core.session.Reptile`
+Three memoized layers make a warm :class:`~repro.core.session.Reptile`
 fast:
 
 * :class:`CachingCube` — group-by roll-ups. Every ``view()`` result is a
@@ -13,8 +13,14 @@ fast:
   every replay of a drill path) shares one model fit. Repairers whose
   configuration cannot be fingerprinted (custom callables) bypass the
   cache rather than risk a stale hit.
+* Whole one-shot answers, memoized by
+  :meth:`~repro.serving.service.ExplanationService.submit_batch` as
+  ``("recommend", fingerprint, view, complaint, k, configuration)``.
+  The configuration part reuses :func:`plan_signature`, so an engine
+  whose feature plan cannot be fingerprinted, or that has a custom
+  repairer, bypasses the memo.
 
-Both layers cache the *array-backed* objects of the recommend path: a
+The first two cache the *array-backed* objects of the recommend path: a
 memoized :class:`~repro.relational.cube.GroupView` carries its
 ``GroupStats`` block plus encoded key codes, and a memoized
 :class:`~repro.core.repair.RepairPrediction` is the
@@ -168,10 +174,11 @@ def patch_cache_for_delta(cache: AggregateCache, old_fp: str | None,
     """Carry one fingerprint generation of cache entries across a delta.
 
     Replaces wholesale invalidation: every entry keyed to ``old_fp`` is
-    re-keyed under the new versioned fingerprint — *retained* as-is when
+    re-keyed under the new lineage fingerprint — *retained* as-is when
     the delta cannot have changed it, *patched* by a delta merge when it
     can (a view), and dropped when no incremental update exists (a model
-    fit over changed groups). LRU recency is preserved.
+    fit over changed groups, a memoized one-shot answer). LRU recency is
+    preserved.
     """
     leaf_positions = {a: i for i, a in enumerate(leaf_attrs)}
 
@@ -208,7 +215,9 @@ def patch_cache_for_delta(cache: AggregateCache, old_fp: str | None,
                 continue  # the fit's inputs changed: recompute
             cache.put(new_key, value)
             retained += 1
-        # Any other kind is dropped: recompute rather than risk it.
+        # Any other kind is dropped, a memoized "recommend" answer
+        # included (its sweep read views the delta may have touched):
+        # recompute rather than risk it.
     cache.note_patched(patched, retained)
 
 

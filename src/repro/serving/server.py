@@ -24,13 +24,14 @@ serving policies the in-process API leaves to the caller:
 
 The transport is the stdlib :class:`http.server.ThreadingHTTPServer`
 (one handler thread per connection; the admission controller bounds how
-many execute at once). Accepted sockets set ``TCP_NODELAY``: a reply
-goes out as a header send and a body send, and with Nagle on, the body
-would wait for the client's delayed ACK of the headers (~40 ms per
-keep-alive request). Request bodies need a ``Content-Length``; a
-malformed one answers 400, a ``Transfer-Encoding`` body 411, and both
-close the connection. :meth:`ReptileHTTPServer.shutdown_gracefully`
-stops accepting, lets in-flight requests drain, then closes.
+many execute at once). A reply's status line, headers and body go out
+in one ``sendall``, and accepted sockets set ``TCP_NODELAY``, so no
+segment of a reply waits for the client's delayed ACK (~40 ms per
+keep-alive request under Nagle). Request bodies need a
+``Content-Length``; a malformed one answers 400, a
+``Transfer-Encoding`` body 411, and both close the connection.
+:meth:`ReptileHTTPServer.shutdown_gracefully` stops accepting, lets
+in-flight requests drain, then closes.
 
 Routes (all JSON)::
 
@@ -67,7 +68,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..core.complaint import Complaint
-from ..core.ranker import DrilldownRecommendation, Recommendation, ScoredGroup
+from ..core.ranker import Recommendation, ScoredGroup
 from ..core.session import SessionError, StaleDataError
 from ..relational.cube import GroupView
 from ..relational.delta import DeltaError
@@ -101,37 +102,52 @@ def jsonable(value):
     return repr(value)
 
 
+def _finite(value) -> float | None:
+    """A float field as JSON: NaN and ±inf become null."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
+def _cell(value):
+    """A key or coordinate cell as JSON: what :func:`jsonable` gives,
+    without its generic walk for the common scalar types."""
+    cls = type(value)
+    if cls is str or cls is int or cls is bool or value is None:
+        return value
+    if cls is float:
+        return value if math.isfinite(value) else None
+    return jsonable(value)
+
+
 def _group_payload(group: ScoredGroup) -> dict:
     return {
-        "key": jsonable(group.key),
-        "coordinates": jsonable(group.coordinates),
-        "score": jsonable(group.score),
-        "margin_gain": jsonable(group.margin_gain),
-        "observed": jsonable(group.observed),
-        "expected": jsonable(group.expected),
-        "repaired_value": jsonable(group.repaired_value),
-    }
-
-
-def _hierarchy_payload(rec: DrilldownRecommendation) -> dict:
-    return {
-        "attribute": rec.attribute,
-        "base_penalty": jsonable(rec.base_penalty),
-        "groups": [_group_payload(g) for g in rec.groups],
+        "key": [_cell(v) for v in group.key],
+        "coordinates": {a: _cell(v) for a, v in group.coordinates.items()},
+        "score": _finite(group.score),
+        "margin_gain": _finite(group.margin_gain),
+        "observed": {s: _finite(v) for s, v in group.observed.items()},
+        "expected": {s: _finite(v) for s, v in group.expected.items()},
+        "repaired_value": _finite(group.repaired_value),
     }
 
 
 def recommendation_payload(recommendation: Recommendation,
                            data_version: int) -> dict:
-    best = recommendation.best_group
+    """The JSON reply for one recommendation, built field by field from
+    the ranker's records (the same JSON :func:`jsonable` would give)."""
+    hierarchies = {
+        name: {"attribute": rec.attribute,
+               "base_penalty": _finite(rec.base_penalty),
+               "groups": [_group_payload(g) for g in rec.groups]}
+        for name, rec in recommendation.per_hierarchy.items()}
+    best_hierarchy = recommendation.best_hierarchy
+    best = hierarchies[best_hierarchy]["groups"]
     return {
         "data_version": data_version,
         "complaint": repr(recommendation.complaint),
-        "best_hierarchy": recommendation.best_hierarchy,
-        "best_group": None if best is None else _group_payload(best),
-        "hierarchies": {
-            name: _hierarchy_payload(rec)
-            for name, rec in recommendation.per_hierarchy.items()},
+        "best_hierarchy": best_hierarchy,
+        "best_group": best[0] if best else None,
+        "hierarchies": hierarchies,
     }
 
 
@@ -596,11 +612,9 @@ class ServerApp:
     def _delta_rows(specs: list, schema, measure: str) -> list[tuple]:
         """Row tuples from JSON row specs.
 
-        JSON has one number type, but ``json.loads`` returns ``int`` for
-        ``7``: measure cells that are ints decode as floats, so an
-        integer-valued measure never demotes a float column. A JSON
-        boolean is not a number: a ``true``/``false`` measure cell is a
-        bad request.
+        A JSON boolean is not a number: a ``true``/``false`` measure cell
+        is a bad request. (The engine stores every accepted measure cell,
+        a JSON ``7`` included, as a float.)
         """
         names = list(schema.names)
         at = names.index(measure)
@@ -625,13 +639,6 @@ class ServerApp:
             if isinstance(cell, bool):
                 raise RequestError(
                     f"measure {measure!r} value {cell!r} is not a number")
-            if isinstance(cell, int):
-                try:
-                    row[at] = float(cell)
-                except OverflowError:
-                    raise RequestError(
-                        f"measure {measure!r} value {cell} is out of "
-                        f"range") from None
             rows.append(tuple(row))
         return rows
 
@@ -667,11 +674,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     app: ServerApp  # set on the per-server subclass
     protocol_version = "HTTP/1.1"
-    # TCP_NODELAY on each accepted socket. The unbuffered writer sends
-    # headers and body as two sends; under Nagle the body waits for the
-    # client's delayed ACK of the headers, ~40 ms per keep-alive request.
-    # A buffered writer is no substitute: a reply over its 8 KiB buffer
-    # still leaves as two sends.
+    # TCP_NODELAY on each accepted socket. _reply sends the header block
+    # and the body with one sendall, but a reply larger than one segment
+    # still leaves as several segments, and under Nagle the last, partial
+    # one would wait for the client's delayed ACK (~40 ms).
     disable_nagle_algorithm = True
     quiet = True
 
@@ -723,8 +729,15 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(data)))
             for key, value in headers.items():
                 self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(data)
+            # end_headers() would send the header block on its own: the
+            # blank line and the body join it instead, and the unbuffered
+            # writer hands all of it to one sendall. (An HTTP/0.9 reply
+            # has no header block, so the buffer never started.)
+            head = getattr(self, "_headers_buffer", [])
+            if head:
+                head.append(b"\r\n")
+            self.wfile.write(b"".join(head) + data)
+            self._headers_buffer = []
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             pass  # client went away mid-reply; nothing to salvage
 

@@ -24,10 +24,8 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
-from typing import Callable, TypeVar
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from ..core.complaint import Complaint
 from ..core.ranker import Recommendation
@@ -38,7 +36,7 @@ from ..relational.delta import Delta, DeltaError
 from ..robustness.faultinject import fault_point
 from .cache import AggregateCache
 from .concurrency import DatasetLocks
-from .engine import freeze_filters
+from .engine import freeze_filters, plan_signature
 from .health import HealthRegistry, IngestFailure
 
 R = TypeVar("R")
@@ -269,6 +267,12 @@ class ExplanationService:
         back in request order. The whole batch runs under one hold of
         the dataset's read lock, so every item is answered at the single
         ``data_version`` reported on the result.
+
+        Whole answers are memoized too, as the cache's ``"recommend"``
+        kind: a request asked before at the same data fingerprint skips
+        the session and the ranking sweep. Every caller gets the same
+        immutable :class:`~repro.core.ranker.Recommendation`, carrying
+        its own complaint.
         """
         engine = self.engine(dataset)
         with self.locks.read(dataset):
@@ -280,7 +284,6 @@ class ExplanationService:
         start = time.perf_counter()
         by_view: dict[tuple, list[int]] = {}
         items: list[BatchItem | None] = [None] * len(requests)
-        executed = 0
         for i, request in enumerate(requests):
             try:
                 # Construction or hashing raises on unhashable/unsortable
@@ -289,22 +292,31 @@ class ExplanationService:
             except TypeError as exc:
                 items[i] = BatchItem(request, None, 0.0,
                                      error=f"TypeError: {exc}")
+        executed = 0
         for view_key, indices in by_view.items():
-            first = requests[indices[0]]
-            try:
-                session = engine.session(first.group_by, dict(first.filters))
-            except Exception as exc:  # the whole view is unanswerable
-                for i in indices:
-                    items[i] = BatchItem(requests[i], None, 0.0,
-                                         error=f"{type(exc).__name__}: {exc}")
-                continue
+            session: DrillSession | None = None
+
+            def rank(request: ComplaintRequest) -> Recommendation:
+                nonlocal session
+                if session is None:  # built on the view's first miss
+                    session = engine.session(request.group_by,
+                                             dict(request.filters))
+                return session.recommend(request.complaint, k=request.k)
+
             for i in indices:
                 request = requests[i]
                 executed += 1
                 t0 = time.perf_counter()
                 try:
-                    recommendation = session.recommend(request.complaint,
-                                                       k=request.k)
+                    key = _recommend_key(engine, view_key, request)
+                    if key is None:
+                        recommendation = rank(request)
+                    else:
+                        recommendation = self.cache.get_or_compute(
+                            key, lambda: rank(request))
+                        if recommendation.complaint is not request.complaint:
+                            recommendation = replace(
+                                recommendation, complaint=request.complaint)
                     items[i] = BatchItem(request, recommendation,
                                          time.perf_counter() - t0)
                 except Exception as exc:  # isolate the failing request
@@ -327,7 +339,7 @@ class ExplanationService:
         The incremental counterpart of :meth:`try_rebuild`: the delta is
         threaded through the relation, the cube (which checks the
         hierarchy FDs on its merged leaf keys) and the shared cache
-        (entries are patched or retained under the new versioned
+        (entries are patched or retained under the new lineage
         fingerprint, not dropped), and every open session of
         the dataset fast-forwards — or, under a strict staleness policy,
         raises until explicitly synced — instead of silently serving
@@ -501,3 +513,35 @@ class ExplanationService:
     def __repr__(self) -> str:
         return (f"ExplanationService(datasets={list(self._engines)}, "
                 f"sessions={len(self._sessions)}, cache={self.cache!r})")
+
+
+def _recommend_key(engine: Reptile, view_key: tuple,
+                   request: ComplaintRequest) -> tuple | None:
+    """The ``"recommend"`` cache key of one request, or None to bypass.
+
+    Everything the answer depends on: the data (the engine fingerprint,
+    second as in every kind, so ingest and rebuild reach the entry),
+    the view, the complaint (its coordinates as a set: their order does
+    not matter), the effective k, and what each drill level's repairer
+    is built from — model, EM iterations, auto-auxiliary flag and
+    feature plan (the auxiliary registrations it adds are part of the
+    fingerprint). A custom repairer, or a plan holding a custom feature,
+    cannot be fingerprinted, so such an engine bypasses the memo, as
+    :class:`~repro.serving.engine.CachingRepairer` bypasses its fits.
+    Coordinates that cannot be hashed bypass it too, so the request
+    fails exactly as an unmemoized one does.
+    """
+    plan = plan_signature(engine.feature_plan)
+    if engine.fingerprint is None or engine.custom_repairer is not None \
+            or plan is None:
+        return None
+    complaint = request.complaint
+    try:
+        coordinates = frozenset(complaint.coordinates.items())
+    except TypeError:
+        return None
+    config = engine.config
+    return ("recommend", engine.fingerprint, view_key, complaint.aggregate,
+            complaint.direction, complaint.target, coordinates,
+            request.k or config.top_k, config.model,
+            config.n_em_iterations, config.auto_auxiliary, plan)

@@ -48,19 +48,6 @@ class TestSchema:
         assert s.dimensions() == ("a", "b")
         assert s.measures() == ("m",)
 
-    def test_union_disjoint(self):
-        s = Schema(["a"]).union(Schema(["b"]))
-        assert s.names == ("a", "b")
-
-    def test_union_overlap_rejected(self):
-        with pytest.raises(SchemaError):
-            Schema(["a", "b"]).union(Schema(["b"]))
-
-    def test_rename(self):
-        s = Schema([dimension("a"), measure("m")]).rename({"a": "z"})
-        assert s.names == ("z", "m")
-        assert s["z"].is_dimension()
-
     def test_equality_and_iteration(self):
         s1 = Schema([dimension("a")])
         s2 = Schema([dimension("a")])

@@ -13,7 +13,11 @@ relation totals per version:
   delta has landed since its pinned version — never spuriously, never
   silently serving mixed versions — and the error names both versions;
 * every answered view's totals equal the oracle's totals at the reported
-  version, bitwise (integer-valued measures).
+  version, bitwise (integer-valued measures);
+* every one-shot recommend (``submit_batch``, which memoizes whole
+  answers) reports the current version and equals a cache-less engine's
+  answer over the oracle's rows at that version: same keys, same order,
+  bitwise-equal scores.
 
 A second property drives the same operations from two real threads and
 checks the invariants that survive nondeterminism: per-session version
@@ -28,13 +32,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.session import StaleDataError
+from repro.core.complaint import Complaint
+from repro.core.session import Reptile, StaleDataError
 from repro.relational import (HierarchicalDataset, Relation, Schema,
                               dimension, measure)
 from repro.serving import ExplanationService
+from repro.serving.service import ComplaintRequest
+
+SCHEMA = Schema([dimension("district"), dimension("village"),
+                 dimension("year"), measure("severity")])
 
 
-def small_dataset(seed: int = 0) -> HierarchicalDataset:
+def small_rows(seed: int = 0) -> list[tuple]:
     rng = np.random.default_rng(seed)
     rows = []
     for d in range(2):
@@ -43,11 +52,21 @@ def small_dataset(seed: int = 0) -> HierarchicalDataset:
                 for _ in range(3):
                     rows.append((f"d{d}", f"d{d}v{v}", y,
                                  float(rng.integers(1, 10))))
-    schema = Schema([dimension("district"), dimension("village"),
-                     dimension("year"), measure("severity")])
+    return rows
+
+
+def small_dataset(seed: int = 0, rows=None) -> HierarchicalDataset:
     return HierarchicalDataset.build(
-        Relation.from_rows(schema, rows),
+        Relation.from_rows(SCHEMA, small_rows(seed) if rows is None
+                           else rows),
         {"geo": ["district", "village"], "time": ["year"]}, "severity")
+
+
+def ranking(recommendation) -> tuple:
+    """Each hierarchy's ranked keys and scores, scores bitwise."""
+    return tuple((name, rec.attribute, float(rec.base_penalty).hex(),
+                  tuple((g.key, float(g.score).hex()) for g in rec.groups))
+                 for name, rec in recommendation.per_hierarchy.items())
 
 
 def view_totals(view) -> tuple[int, float]:
@@ -78,6 +97,8 @@ OPS = st.lists(
                   st.just(0)),
         st.tuples(st.just("recommend"), st.just("auto"), st.just(0)),
         st.tuples(st.just("sync"), st.just("strict"), st.just(0)),
+        st.tuples(st.just("oneshot"), st.sampled_from(["d0", "d1"]),
+                  st.integers(min_value=1, max_value=3)),
     ),
     min_size=1, max_size=14)
 
@@ -94,6 +115,7 @@ class TestSerializedOracle:
         # The oracle: current version, per-version totals, pinned marks.
         current = 0
         totals = {0: (base_count, base_total)}
+        rows_at = {0: small_rows()}
         pinned = {"auto": 0, "strict": 0}
         last_answered = {"auto": 0, "strict": 0}
         village_counter = 0
@@ -107,6 +129,7 @@ class TestSerializedOracle:
                 current += 1
                 count, total = totals[current - 1]
                 totals[current] = (count + a, total + a * float(b))
+                rows_at[current] = rows_at[current - 1] + rows
                 assert info["version"] == current
                 # The write bumped the auto-sync session immediately.
                 pinned["auto"] = current
@@ -134,7 +157,6 @@ class TestSerializedOracle:
                 last_answered[a] = version
                 pinned[a] = version
             elif op == "recommend":
-                from repro.core.complaint import Complaint
                 _, version = service.with_session(
                     sync_id, lambda s: s.recommend(
                         Complaint.too_low({"district": "d0"}, "mean"), k=2))
@@ -142,6 +164,19 @@ class TestSerializedOracle:
                 assert version >= last_answered["auto"]
                 last_answered["auto"] = version
                 pinned["auto"] = version
+            elif op == "oneshot":
+                # Asked twice: the second answer is a memo hit.
+                complaint = Complaint.too_low({"district": a}, "mean")
+                oracle = Reptile(small_dataset(rows=rows_at[current]))
+                expected = ranking(oracle.recommend(
+                    complaint, group_by=["district"], k=b))
+                for _ in range(2):
+                    result = service.submit_batch("data", [ComplaintRequest(
+                        complaint, ("district",), k=b)])
+                    assert result.data_version == current
+                    assert result.items[0].error is None
+                    assert ranking(result.items[0].recommendation) \
+                        == expected
             else:  # sync the strict session
                 _, version = service.with_session(strict_id,
                                                   lambda s: s.sync())
