@@ -2,8 +2,8 @@
 export PYTHONPATH := src
 
 .PHONY: test test-concurrency test-kernels test-faults test-delta \
-    test-recommend test-model docs-check bench bench-smoke bench-selftest \
-    bench-fig23 serve-demo
+    test-recommend test-model docs-check cli-smoke bench bench-smoke \
+    bench-selftest bench-fig23 serve-demo
 
 # The bench_*.py naming keeps the harnesses out of default pytest
 # collection (tier-1 stays fast); targets pass the files explicitly.
@@ -68,6 +68,29 @@ test-model:
 # documented examples cannot rot.
 docs-check:
 	python -m pytest tests/test_docs.py -q
+
+# The CLI as a process (the tests call main() in process): the serve and
+# ingest demos run, and a malformed batch file and a malformed rows file
+# must each exit with status 1 and exactly one line on stderr, so a
+# traceback fails.
+cli-smoke:
+	python -m repro serve --repeat 2 --iterations 2 > /dev/null
+	python -m repro ingest --iterations 2 > /dev/null
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	echo '[{"aggregate": "mean", "coordinates": {"year": 1986}, "k": -1}]' \
+	    > "$$dir/batch.json" && \
+	echo '[["Ofla", "Zata", 1986, true]]' > "$$dir/rows.json" && \
+	for run in "serve --batch $$dir/batch.json" \
+	           "ingest --rows $$dir/rows.json"; do \
+	    status=0; \
+	    python -m repro $$run > /dev/null 2> "$$dir/stderr" || status=$$?; \
+	    cat "$$dir/stderr"; \
+	    if [ $$status -ne 1 ] || [ $$(wc -l < "$$dir/stderr") -ne 1 ]; then \
+	        echo "cli-smoke: 'repro $$run' must exit 1 with one line" \
+	             "on stderr (exit $$status)" >&2; \
+	        exit 1; \
+	    fi; \
+	done
 
 # Regenerate the paper figures (series land in benchmarks/out/).
 bench:

@@ -27,6 +27,10 @@ import argparse
 import json
 import sys
 
+from .relational.delta import DeltaError
+from .serving.server import (RequestError, parse_complaint_spec,
+                             parse_delta_rows)
+
 
 def _cmd_accuracy(args: argparse.Namespace) -> int:
     from .datagen.errors import CONDITIONS
@@ -157,53 +161,6 @@ def _demo_batch() -> list[dict]:
     ]
 
 
-def _parse_request(spec: dict):
-    """One JSON batch entry -> ComplaintRequest."""
-    from .core.complaint import Complaint
-    from .serving.service import ComplaintRequest
-    if not isinstance(spec, dict):
-        raise SystemExit(f"serve: batch entry must be an object, "
-                         f"got {spec!r}")
-    for required in ("aggregate", "coordinates"):
-        if required not in spec:
-            raise SystemExit(f"serve: batch entry missing {required!r}: "
-                             f"{spec!r}")
-    for field in ("coordinates", "filters"):
-        mapping = spec.get(field, {})
-        if not isinstance(mapping, dict) or any(
-                isinstance(v, (list, dict)) for v in mapping.values()):
-            raise SystemExit(
-                f"serve: {field} must map attributes to scalar values: "
-                f"{mapping!r}")
-    direction = spec.get("direction", "too_low")
-    coordinates = spec["coordinates"]
-    aggregate = spec["aggregate"]
-    if direction == "too_low":
-        complaint = Complaint.too_low(coordinates, aggregate)
-    elif direction == "too_high":
-        complaint = Complaint.too_high(coordinates, aggregate)
-    elif direction == "should_be":
-        if "target" not in spec:
-            raise SystemExit(f"serve: should_be entry needs 'target': "
-                             f"{spec!r}")
-        try:
-            complaint = Complaint.should_be(coordinates, aggregate,
-                                            float(spec["target"]))
-        except (TypeError, ValueError) as exc:
-            raise SystemExit(f"serve: bad should_be entry {spec!r}: {exc}")
-    else:
-        raise SystemExit(f"serve: unknown direction {direction!r} "
-                         f"(use too_low, too_high or should_be)")
-    group_by = spec.get("group_by", ())
-    if isinstance(group_by, str) or not all(
-            isinstance(a, str) for a in group_by):
-        raise SystemExit(f"serve: 'group_by' must be a list of attribute "
-                         f"names, got {group_by!r}")
-    return ComplaintRequest(complaint, tuple(group_by),
-                            dict(spec.get("filters", {})),
-                            k=spec.get("k"))
-
-
 def _load_csv_dataset(args: argparse.Namespace):
     from .relational.dataset import HierarchicalDataset
     from .relational.relation import Relation
@@ -243,38 +200,51 @@ def _load_csv_dataset(args: argparse.Namespace):
         raise SystemExit(f"{args.command}: cannot load {args.csv}: {exc}")
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _read_json_list(args: argparse.Namespace, path: str, what: str) -> list:
+    """The JSON list in a ``--batch``/``--rows``/``--retract`` file."""
+    try:
+        with open(path) as f:
+            specs = json.load(f)
+    except OSError as exc:
+        raise SystemExit(f"{args.command}: cannot read {what} file: {exc}")
+    except ValueError as exc:  # not JSON, or not text
+        raise SystemExit(f"{args.command}: {what} file is not valid JSON: "
+                         f"{exc}")
+    if not isinstance(specs, list):
+        raise SystemExit(f"{args.command}: {what} file must hold a JSON list")
+    return specs
+
+
+def _serving_setup(args: argparse.Namespace):
+    """The dataset (``--csv`` or the demo) registered as ``data`` on a
+    service configured from the command's options."""
     from .core.session import ReptileConfig
     from .serving.service import ExplanationService
 
+    max_entries = getattr(args, "cache_entries", 4096)  # ingest has none
+    for option, value in (("--cache-entries", max_entries), ("--k", args.k)):
+        if value < 1:
+            raise SystemExit(f"{args.command}: {option} must be >= 1")
     if args.csv:
         dataset = _load_csv_dataset(args)
+    elif args.hierarchy or args.measure:
+        raise SystemExit(f"{args.command}: --hierarchy/--measure only apply "
+                         f"with --csv (no dataset file was given)")
     else:
-        if args.hierarchy or args.measure:
-            raise SystemExit("serve: --hierarchy/--measure only apply "
-                             "with --csv (no dataset file was given)")
         dataset = _demo_dataset(seed=args.seed)
-    if args.batch:
-        try:
-            with open(args.batch) as f:
-                specs = json.load(f)
-        except OSError as exc:
-            raise SystemExit(f"serve: cannot read batch file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"serve: batch file is not valid JSON: {exc}")
-        if not isinstance(specs, list):
-            raise SystemExit("serve: batch file must hold a JSON list")
-    else:
-        specs = _demo_batch()
-    requests = [_parse_request(spec) for spec in specs]
-
-    if args.cache_entries < 1:
-        raise SystemExit("serve: --cache-entries must be >= 1")
     service = ExplanationService(
-        max_entries=args.cache_entries,
+        max_entries=max_entries,
         config=ReptileConfig(n_em_iterations=args.iterations, top_k=args.k))
     service.register("data", dataset)
     print(f"{dataset!r}")
+    return service
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    specs = _read_json_list(args, args.batch, "batch") if args.batch \
+        else _demo_batch()
+    requests = [parse_complaint_spec(spec) for spec in specs]
+    service = _serving_setup(args)
     print(f"batch: {len(requests)} complaints")
 
     for run in range(args.repeat):
@@ -313,41 +283,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_delta_rows(specs, schema) -> list[tuple]:
-    """JSON delta entries -> row tuples in schema order."""
-    rows = []
-    names = list(schema.names)
-    for spec in specs:
-        if isinstance(spec, dict):
-            missing = [n for n in names if n not in spec]
-            if missing:
-                raise SystemExit(f"ingest: row is missing columns "
-                                 f"{missing}: {spec!r}")
-            rows.append(tuple(spec[n] for n in names))
-        elif isinstance(spec, list):
-            if len(spec) != len(names):
-                raise SystemExit(f"ingest: row of width {len(spec)} does "
-                                 f"not match schema {names}: {spec!r}")
-            rows.append(tuple(spec))
-        else:
-            raise SystemExit(f"ingest: each row must be an object or a "
-                             f"list, got {spec!r}")
-    return rows
-
-
-def _load_delta_file(path: str) -> list:
-    try:
-        with open(path) as f:
-            specs = json.load(f)
-    except OSError as exc:
-        raise SystemExit(f"ingest: cannot read rows file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"ingest: rows file is not valid JSON: {exc}")
-    if not isinstance(specs, list):
-        raise SystemExit("ingest: rows file must hold a JSON list")
-    return specs
-
-
 def _demo_delta() -> list[dict]:
     """Appends for the demo dataset: fresh severe drought reports from a
     village the base data has never seen."""
@@ -359,30 +294,18 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     import time
 
     from .core.complaint import Complaint
-    from .core.session import ReptileConfig
-    from .serving.service import ExplanationService
 
-    if args.csv:
-        dataset = _load_csv_dataset(args)
-    else:
-        if args.hierarchy or args.measure:
-            raise SystemExit("ingest: --hierarchy/--measure only apply "
-                             "with --csv (no dataset file was given)")
-        dataset = _demo_dataset(seed=args.seed)
-    schema = dataset.relation.schema
-    if args.rows:
-        appended = _parse_delta_rows(_load_delta_file(args.rows), schema)
-    elif args.csv:
+    service = _serving_setup(args)
+    if args.csv and not args.rows:
         raise SystemExit("ingest: --csv needs --rows FILE")
-    else:
-        appended = _parse_delta_rows(_demo_delta(), schema)
-    retracted = _parse_delta_rows(_load_delta_file(args.retract), schema) \
-        if args.retract else []
-
-    service = ExplanationService(
-        config=ReptileConfig(n_em_iterations=args.iterations, top_k=args.k))
-    engine = service.register("data", dataset)
-    print(f"{dataset!r}")
+    engine = service.engine("data")
+    schema, measure = engine.dataset.relation.schema, engine.dataset.measure
+    appended = parse_delta_rows(
+        _read_json_list(args, args.rows, "rows") if args.rows
+        else _demo_delta(), schema, measure)
+    retracted = parse_delta_rows(
+        _read_json_list(args, args.retract, "retract") if args.retract
+        else None, schema, measure)
 
     # Warm the serving state the way a live dashboard would: an open
     # session with a recommendation in flight.
@@ -421,29 +344,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_serve_http(args: argparse.Namespace) -> int:
     import time
 
-    from .core.session import ReptileConfig
     from .serving.server import ServerApp, ReptileHTTPServer
-    from .serving.service import ExplanationService
 
-    if args.csv:
-        dataset = _load_csv_dataset(args)
-    else:
-        if args.hierarchy or args.measure:
-            raise SystemExit("serve-http: --hierarchy/--measure only "
-                             "apply with --csv (no dataset file was given)")
-        dataset = _demo_dataset(seed=args.seed)
-    if args.cache_entries < 1:
-        raise SystemExit("serve-http: --cache-entries must be >= 1")
-    service = ExplanationService(
-        max_entries=args.cache_entries,
-        config=ReptileConfig(n_em_iterations=args.iterations, top_k=args.k))
-    service.register("data", dataset)
-    app = ServerApp(service, max_concurrent=args.workers,
+    app = ServerApp(_serving_setup(args), max_concurrent=args.workers,
                     max_queue=args.queue,
                     request_timeout=args.request_timeout)
     server = ReptileHTTPServer((args.host, args.port), app)
     host, port = server.server_address[:2]
-    print(f"{dataset!r}")
     print(f"serving dataset 'data' on http://{host}:{port} "
           f"({args.workers} workers, queue {args.queue})")
     print("try:")
@@ -545,13 +452,16 @@ warm from the aggregate cache. Prints per-complaint recommendations, then
 cache hit rate and per-stage timings. With no --csv/--batch a built-in
 demo dataset (the quickstart drought survey) and batch are used.
 
-batch JSON: a list of objects with keys
+batch JSON: a list of objects with keys (the request grammar of
+docs/cli.md, shared with POST /datasets/{d}/recommend)
   aggregate    count | sum | mean | std | var
-  direction    too_low | too_high | should_be  (should_be needs "target")
+  direction    too_low | too_high | should_be  (should_be needs "target",
+               a finite number)
   coordinates  {attr: value} identifying the complained tuple
   group_by     view group-by attributes (optional)
   filters      view filters (optional)
-  k            per-request top-k override (optional)
+  k            per-request top-k override, a positive integer (optional)
+A malformed entry exits with status 1 and one line, "serve: <reason>".
 
 examples:
   python -m repro serve --repeat 2
@@ -599,7 +509,9 @@ rows JSON: a list of rows, each either an object keyed by column name
   {"district": "Ofla", "village": "Mehoni", "year": 1986,
    "severity": 2.0}
 or a list in schema order. --retract takes the same format; each
-retracted row must match an existing row on every column.
+retracted row must match an existing row on every column. A malformed
+row or a delta the data refuses exits with status 1 and one line,
+"ingest: <reason>".
 
 examples:
   python -m repro ingest
@@ -686,7 +598,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:<10s} {help_text}")
         return 0
     handler, _ = COMMANDS[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (RequestError, DeltaError) as exc:
+        # Malformed input (a batch entry, a row, a delta the data
+        # refuses) is the user's to fix: one line and exit status 1.
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -10,6 +10,7 @@ complain → recommend → drill → repeat.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -52,6 +53,14 @@ class StaleDataError(SessionError):
         super().__init__(message)
         self.pinned = pinned
         self.current = current
+
+
+def check_top_k(k) -> None:
+    """Raise ``ValueError`` unless ``k``, which slices the ranked groups,
+    is None (the configured ``top_k``) or a positive integer."""
+    if k is not None and (isinstance(k, bool) or
+                          not isinstance(k, numbers.Integral) or k < 1):
+        raise ValueError(f"'k' must be a positive integer, got {k!r}")
 
 
 @dataclass
@@ -404,6 +413,7 @@ class DrillSession:
     def recommend(self, complaint: Complaint,
                   k: int | None = None) -> Recommendation:
         """Recommend the next drill-down hierarchy and its top groups."""
+        check_top_k(k)
         self._ensure_fresh()
         candidates = [(h.name, attr) for h, attr in self.state.candidates()]
         if not candidates:

@@ -53,7 +53,9 @@ Routes (all JSON)::
 
 Complaint spec: ``{"aggregate": "mean", "direction": "too_low",
 "coordinates": {...}, "k"?, "target"?}`` plus, on the dataset endpoint,
-``"group_by"`` and ``"filters"`` placing the view.
+``"group_by"`` and ``"filters"`` placing the view. :func:`parse_complaint_spec`
+and :func:`parse_delta_rows` are the one request grammar of these routes
+and of ``repro serve --batch`` and ``repro ingest --rows/--retract``.
 """
 
 from __future__ import annotations
@@ -63,23 +65,24 @@ import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from ..core.complaint import Complaint
 from ..core.ranker import Recommendation, ScoredGroup
-from ..core.session import SessionError, StaleDataError
+from ..core.session import SessionError, StaleDataError, check_top_k
 from ..relational.cube import GroupView
 from ..relational.delta import DeltaError
 from .concurrency import (AdmissionController, BatchWindow, LockTimeout,
                           RequestTimeout, ServerOverloaded, Telemetry,
                           trace)
 from .health import IngestFailure
-from .service import ComplaintRequest, ExplanationService, ServiceError
+from .service import (ComplaintRequest, ExplanationService, ServiceError,
+                      SessionExists)
 
 __all__ = ["RequestError", "ServerApp", "ReptileHTTPServer", "serve_http",
-           "parse_complaint_spec"]
+           "parse_complaint_spec", "parse_delta_rows"]
 
 
 class RequestError(ValueError):
@@ -185,8 +188,18 @@ def _scalar_mapping(mapping, name: str) -> dict:
     return mapping
 
 
+def _group_by(value) -> tuple[str, ...]:
+    """``value`` as a tuple if it lists attribute names, else 400."""
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(a, str) for a in value):
+        raise RequestError("'group_by' must be a list of attribute names")
+    return tuple(value)
+
+
 def parse_complaint_spec(spec) -> ComplaintRequest:
-    """A JSON complaint spec -> :class:`ComplaintRequest` (or 400)."""
+    """A JSON complaint spec -> :class:`ComplaintRequest`, or
+    :class:`RequestError` and nothing else (400): ``k`` must be a positive
+    integer and a ``should_be`` target a finite number, neither a boolean."""
     if not isinstance(spec, dict):
         raise RequestError(f"request body must be a JSON object, "
                            f"got {type(spec).__name__}")
@@ -195,9 +208,12 @@ def parse_complaint_spec(spec) -> ComplaintRequest:
             raise RequestError(f"complaint spec is missing {required!r}")
     for name in ("coordinates", "filters"):
         _scalar_mapping(spec.get(name, {}), name)
+    group_by = _group_by(spec.get("group_by", ()))
     direction = spec.get("direction", "too_low")
     coordinates, aggregate = spec["coordinates"], spec["aggregate"]
+    k = spec.get("k")
     try:
+        check_top_k(k)
         if direction == "too_low":
             complaint = Complaint.too_low(coordinates, aggregate)
         elif direction == "too_high":
@@ -212,26 +228,48 @@ def parse_complaint_spec(spec) -> ComplaintRequest:
         else:
             raise RequestError(f"unknown direction {direction!r} "
                                f"(use too_low, too_high or should_be)")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # float(10**400)
         raise RequestError(str(exc)) from None
-    group_by = spec.get("group_by", ())
-    if isinstance(group_by, str) or not all(
-            isinstance(a, str) for a in group_by):
-        raise RequestError("'group_by' must be a list of attribute names")
-    k = spec.get("k")
-    if k is not None and (not isinstance(k, int) or isinstance(k, bool)
-                          or k < 1):
-        raise RequestError("'k' must be a positive integer")
-    return ComplaintRequest(complaint, tuple(group_by),
+    return ComplaintRequest(complaint, group_by,
                             dict(spec.get("filters", {})), k=k)
 
 
-def _rows_spec(spec, what: str) -> list:
-    if spec is None:
+def parse_delta_rows(specs, schema, measure: str) -> list[tuple]:
+    """JSON rows (a list; None reads as none) -> tuples in ``schema``
+    order, or :class:`RequestError` (400). A row is an object keyed by
+    column name or a list in schema order. A JSON boolean is not a
+    number, so a ``true`` measure cell is a bad request; ingest rejects
+    the other bad cells, unmatched retractions and broken FDs itself."""
+    if specs is None:
         return []
-    if not isinstance(spec, list):
-        raise RequestError(f"{what!r} must be a JSON list of rows")
-    return spec
+    if not isinstance(specs, list):
+        raise RequestError(f"rows must be a JSON list, "
+                           f"got {type(specs).__name__}")
+    names = list(schema.names)
+    at = names.index(measure)
+    rows = []
+    for spec in specs:
+        if isinstance(spec, dict):
+            missing = [n for n in names if n not in spec]
+            if missing:
+                raise RequestError(
+                    f"row is missing columns {missing}: {spec!r}")
+            row = [spec[n] for n in names]
+        elif isinstance(spec, list):
+            if len(spec) != len(names):
+                raise RequestError(
+                    f"row of width {len(spec)} does not match schema "
+                    f"{names}: {spec!r}")
+            row = spec
+        else:
+            raise RequestError(
+                f"each row must be an object or a list, got {spec!r}")
+        cell = row[at]
+        if isinstance(cell, bool):
+            raise RequestError(
+                f"measure {measure!r} value {cell!r} is not a number")
+        rows.append(tuple(row))
+    return rows
 
 
 def _degraded_reply(error: str, dataset: str, data_version: int):
@@ -264,8 +302,6 @@ class ServerApp:
                                              queue_timeout)
         self.batches = BatchWindow()
         self.telemetry = Telemetry()
-        self._session_counter = 0
-        self._counter_lock = threading.Lock()
         self._inflight = 0
         self._inflight_cond = threading.Condition()
         self._draining = False
@@ -319,6 +355,8 @@ class ServerApp:
         except StaleDataError as exc:
             return 409, {}, {"error": str(exc), "pinned": exc.pinned,
                              "current": exc.current}
+        except SessionExists as exc:
+            return 409, {}, {"error": str(exc.args[0])}
         except ServiceError as exc:
             return 404, {}, {"error": str(exc.args[0] if exc.args else exc)}
         except LockTimeout as exc:
@@ -503,27 +541,14 @@ class ServerApp:
 
     # -- session lifecycle -------------------------------------------------------
     def _open_session(self, name: str, body):
-        body = body or {}
+        body = {} if body is None else body
         if not isinstance(body, dict):
             raise RequestError("body must be a JSON object")
-        group_by = body.get("group_by", ())
-        if isinstance(group_by, str) or not all(
-                isinstance(a, str) for a in group_by):
-            raise RequestError("'group_by' must be a list of attribute "
-                               "names")
-        filters = _scalar_mapping(body.get("filters") or {}, "filters")
-        sid = body.get("session_id")
-        if sid is not None and (not isinstance(sid, str) or "/" in sid
-                                or not sid):
-            raise RequestError("'session_id' must be a non-empty string "
-                               "without '/'")
-        if sid is None:
-            with self._counter_lock:
-                self._session_counter += 1
-                sid = f"{name}.s{self._session_counter}"
         sid = self.service.open_session(
-            name, session_id=sid, group_by=tuple(group_by),
-            filters=filters, staleness=body.get("staleness"))
+            name, session_id=body.get("session_id"),
+            group_by=_group_by(body.get("group_by", ())),
+            filters=_scalar_mapping(body.get("filters") or {}, "filters"),
+            staleness=body.get("staleness"))
         return 201, {}, self._session_info(sid)[2]
 
     def _close_session(self, sid: str, body=None):
@@ -553,7 +578,7 @@ class ServerApp:
             recommendation_payload(recommendation, version))
 
     def _drill(self, sid: str, body):
-        body = body or {}
+        body = {} if body is None else body
         if not isinstance(body, dict):
             raise RequestError("body must be a JSON object")
         hierarchy = body.get("hierarchy")
@@ -593,54 +618,17 @@ class ServerApp:
 
     # -- maintenance (write lock) ------------------------------------------------
     def _ingest(self, name: str, body):
-        body = body or {}
+        body = {} if body is None else body
         if not isinstance(body, dict):
             raise RequestError("body must be a JSON object")
-        engine = self.service.engine(name)
-        schema = engine.dataset.relation.schema
-        measure = engine.dataset.measure
-        rows = self._delta_rows(_rows_spec(body.get("rows"), "rows"),
-                                schema, measure)
-        retract = self._delta_rows(
-            _rows_spec(body.get("retract"), "retract"), schema, measure)
+        dataset = self.service.engine(name).dataset
+        schema, measure = dataset.relation.schema, dataset.measure
+        rows = parse_delta_rows(body.get("rows"), schema, measure)
+        retract = parse_delta_rows(body.get("retract"), schema, measure)
         if not rows and not retract:
             raise RequestError("ingest needs 'rows' and/or 'retract'")
         info = self.service.ingest(name, rows, retract=retract)
         return 200, {}, jsonable(info)
-
-    @staticmethod
-    def _delta_rows(specs: list, schema, measure: str) -> list[tuple]:
-        """Row tuples from JSON row specs.
-
-        A JSON boolean is not a number: a ``true``/``false`` measure cell
-        is a bad request. (The engine stores every accepted measure cell,
-        a JSON ``7`` included, as a float.)
-        """
-        names = list(schema.names)
-        at = names.index(measure)
-        rows = []
-        for spec in specs:
-            if isinstance(spec, dict):
-                missing = [n for n in names if n not in spec]
-                if missing:
-                    raise RequestError(
-                        f"row is missing columns {missing}: {spec!r}")
-                row = [spec[n] for n in names]
-            elif isinstance(spec, list):
-                if len(spec) != len(names):
-                    raise RequestError(
-                        f"row of width {len(spec)} does not match schema "
-                        f"{names}")
-                row = list(spec)
-            else:
-                raise RequestError(
-                    f"each row must be an object or a list, got {spec!r}")
-            cell = row[at]
-            if isinstance(cell, bool):
-                raise RequestError(
-                    f"measure {measure!r} value {cell!r} is not a number")
-            rows.append(tuple(row))
-        return rows
 
     def _refresh(self, name: str, body=None):
         engine = self.service.engine(name)  # 404 on unknown names

@@ -22,6 +22,7 @@ Typical use::
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -29,7 +30,7 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 from ..core.complaint import Complaint
 from ..core.ranker import Recommendation
-from ..core.session import DrillSession, Reptile, ReptileConfig
+from ..core.session import DrillSession, Reptile, ReptileConfig, check_top_k
 from ..model.features import FeaturePlan
 from ..relational.dataset import HierarchicalDataset
 from ..relational.delta import Delta, DeltaError
@@ -44,6 +45,10 @@ R = TypeVar("R")
 
 class ServiceError(KeyError):
     """Raised for unknown dataset or session names."""
+
+
+class SessionExists(ServiceError):
+    """Raised when an explicit session id is already open."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ class ExplanationService:
         self._rebuilders: dict[str, threading.Thread] = {}
         self._rebuild_sleep = time.sleep  # injectable: tests skip waits
         self._lock = threading.RLock()
-        self._session_counter = 0
+        self._session_numbers = itertools.count(1)
         self._recommend_count = 0
         self._recommend_seconds = 0.0
 
@@ -178,17 +183,25 @@ class ExplanationService:
                      staleness: str | None = None) -> str:
         """Open a named drill session; returns its id.
 
-        Runs under the dataset's read lock so the new session pins a
-        fully-applied ``data_version`` — never one mid-ingest.
+        Without ``session_id`` the id is the first ``{dataset}.s{n}``
+        not open; an explicit id must be one URL path segment and not
+        open (:class:`SessionExists`). Runs under the dataset's read lock
+        so the new session pins a fully-applied ``data_version``.
         """
+        if session_id is not None and (not isinstance(session_id, str)
+                                       or not session_id or "/" in session_id):
+            raise ValueError("'session_id' must be a non-empty string "
+                             "without '/'")
         engine = self.engine(dataset)
         with self.locks.read(dataset):
             with self._lock:
-                if session_id is None:
-                    self._session_counter += 1
-                    session_id = f"{dataset}/s{self._session_counter}"
+                if session_id is None:  # skip ids a caller took by name
+                    for n in self._session_numbers:
+                        session_id = f"{dataset}.s{n}"
+                        if session_id not in self._sessions:
+                            break
                 elif session_id in self._sessions:
-                    raise ServiceError(f"session {session_id!r} already open")
+                    raise SessionExists(f"session {session_id!r} already open")
                 self._sessions[session_id] = (
                     dataset, engine.session(group_by, filters,
                                             staleness=staleness))
@@ -308,6 +321,8 @@ class ExplanationService:
                 executed += 1
                 t0 = time.perf_counter()
                 try:
+                    # Before the memo: its key reads k=0 as the default.
+                    check_top_k(request.k)
                     key = _recommend_key(engine, view_key, request)
                     if key is None:
                         recommendation = rank(request)
@@ -523,10 +538,12 @@ def _recommend_key(engine: Reptile, view_key: tuple,
     second as in every kind, so ingest and rebuild reach the entry),
     the view, the complaint (its coordinates as a set: their order does
     not matter), the effective k, and what each drill level's repairer
-    is built from — model, EM iterations, auto-auxiliary flag and
-    feature plan (the auxiliary registrations it adds are part of the
-    fingerprint). A custom repairer, or a plan holding a custom feature,
-    cannot be fingerprinted, so such an engine bypasses the memo, as
+    is built from — model, EM iterations, auto-auxiliary flag, feature
+    plan and the dataset's auxiliary registrations, keyed as
+    ``spec_signature`` keys an auxiliary feature (the fingerprint is
+    taken at registration, before any later ``add_auxiliary``). A
+    custom repairer, or a plan holding a custom feature, cannot be
+    fingerprinted, so such an engine bypasses the memo, as
     :class:`~repro.serving.engine.CachingRepairer` bypasses its fits.
     Coordinates that cannot be hashed bypass it too, so the request
     fails exactly as an unmemoized one does.
@@ -541,7 +558,10 @@ def _recommend_key(engine: Reptile, view_key: tuple,
     except TypeError:
         return None
     config = engine.config
+    auxiliary = tuple(("aux", name, m) for name, aux
+                      in engine.dataset.auxiliary.items()
+                      for m in aux.measures)
     return ("recommend", engine.fingerprint, view_key, complaint.aggregate,
             complaint.direction, complaint.target, coordinates,
             request.k or config.top_k, config.model,
-            config.n_em_iterations, config.auto_auxiliary, plan)
+            config.n_em_iterations, config.auto_auxiliary, plan, auxiliary)

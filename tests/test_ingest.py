@@ -562,16 +562,23 @@ class TestIngestCommand:
         out = capsys.readouterr().out
         assert "+2 -0 rows" in out
 
-    def test_ingest_rejects_malformed_rows(self, tmp_path):
+    def test_ingest_rejects_malformed_rows(self, tmp_path, capsys):
+        # Each (rows, retract) case of the shared malformed-input table
+        # ends the command with one line and exit status 1, and nothing
+        # is ingested.
         from repro.cli import main
-        for bad in ([{"district": "Ofla"}],          # missing columns
-                    [["Ofla", "Zata"]],              # wrong width
-                    ["not-a-row"],                   # not object/list
-                    "not-a-list"):
-            path = tmp_path / "bad.json"
-            path.write_text(json.dumps(bad))
-            with pytest.raises(SystemExit):
-                main(["ingest", "--rows", str(path)])
+        from test_request_grammar import BAD_ROWS, one_line
+        for rows, retract in BAD_ROWS.values():
+            argv = ["ingest", "--iterations", "2"]
+            for flag, specs in (("--rows", rows), ("--retract", retract)):
+                if specs:
+                    path = tmp_path / f"{flag[2:]}.json"
+                    path.write_text(json.dumps(specs))
+                    argv += [flag, str(path)]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            one_line(exc, "ingest")
+        assert "ingested" not in capsys.readouterr().out
 
     def test_ingest_csv_requires_rows(self, tmp_path):
         from repro.cli import main

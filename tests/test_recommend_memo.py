@@ -298,6 +298,53 @@ class TestWhatBypassesOrSplitsTheMemo:
             ask(service, probe, dataset=name)
         assert fills(service) == 2
 
+    def test_a_later_auxiliary_registration_splits_the_memo(self):
+        # The engine fingerprint is taken at registration, so it cannot
+        # see add_auxiliary; the memo key must, or the next one-shot
+        # answer is the one from before the auxiliary feature existed.
+        from repro import AuxiliaryDataset
+        dataset = make_dataset()
+        service = ExplanationService(config=CONFIG)
+        service.register("data", dataset)
+        probe = request({"year": 2001}, group_by=["year"],
+                        filters={"district": "d0"})
+        before, = ask(service, probe)
+        rng = np.random.default_rng(1)
+        dataset.add_auxiliary(AuxiliaryDataset(
+            "rain", Relation.from_rows(
+                Schema([dimension("village"), measure("rain")]),
+                [(f"{d}v{v}", float(rng.integers(1, 10)))
+                 for d in DISTRICTS for v in range(3)]),
+            ["village"], ["rain"]))
+        memo, = ask(service, probe)
+        sid = service.open_session("data", group_by=["year"],
+                                   filters={"district": "d0"})
+        session = service.recommend(sid, probe.complaint)
+        fresh = Reptile(dataset, config=CONFIG).recommend(
+            probe.complaint, probe.group_by, dict(probe.filters))
+        assert answer(memo) == answer(session) == answer(fresh)
+        assert answer(memo) != answer(before)  # the feature moved it
+        assert fills(service) == 2
+
+    @pytest.mark.parametrize("k", [-1, 0, 2.5, True])
+    def test_k_must_be_a_positive_integer(self, k):
+        # A negative k once sliced off the last groups and k=0 meant the
+        # default; the memo key reads k=0 as the default too, so a warm
+        # memo must not answer it either.
+        service = fresh_service()
+        bad = dataclasses.replace(BY_DISTRICT, k=k)
+        sid = service.open_session("data", group_by=["district"])
+        for warm in (False, True):
+            if warm:
+                ask(service, BY_DISTRICT)
+            with pytest.raises(ValueError, match="positive integer"):
+                service.recommend(sid, bad.complaint, k=k)
+            item, = service.submit_batch("data", [bad]).items
+            assert item.recommendation is None
+            assert item.error.startswith("ValueError: 'k' must be a "
+                                         "positive integer"), item.error
+        assert len(memo_keys(service)) == 1  # only the good answer
+
     def test_custom_feature_plan_bypasses(self):
         service = ExplanationService(config=CONFIG)
         plan = FeaturePlan(extra_specs=[CustomFeature(

@@ -474,26 +474,19 @@ class TestServeCommand:
         out = capsys.readouterr().out
         assert "1 complaints" in out
 
-    def test_serve_rejects_malformed_entries(self, tmp_path):
+    def test_serve_rejects_malformed_entries(self, tmp_path, capsys):
+        # Each complaint of the shared malformed-input table ends the
+        # command with one line and exit status 1 before any pass runs.
         import json
         from repro.cli import main
-        for bad in ([{"direction": "too_low"}],            # no aggregate
-                    [{"aggregate": "mean"}],               # no coordinates
-                    [{"aggregate": "mean", "direction": "should_be",
-                      "coordinates": {"year": 1986}}],     # no target
-                    [{"aggregate": "mean", "direction": "should_be",
-                      "coordinates": {"year": 1986},
-                      "target": "abc"}],                   # bad target
-                    [{"aggregate": "mean", "direction": "should_be",
-                      "coordinates": {"year": 1986},
-                      "target": float("nan")}],            # NaN target
-                    [{"aggregate": "mean", "coordinates": {"year": 1986},
-                      "group_by": "year"}],                # string group_by
-                    ["not-an-object"]):
+        from test_request_grammar import BAD_COMPLAINTS, one_line
+        for bad in BAD_COMPLAINTS.values():
             path = tmp_path / "bad.json"
-            path.write_text(json.dumps(bad))
-            with pytest.raises(SystemExit):
+            path.write_text(json.dumps([bad]))
+            with pytest.raises(SystemExit) as exc:
                 main(["serve", "--batch", str(path)])
+            one_line(exc, "serve")
+        assert "pass 1" not in capsys.readouterr().out
 
     def test_serve_rejects_non_scalar_filters(self, tmp_path):
         import json
