@@ -2,8 +2,8 @@
 export PYTHONPATH := src
 
 .PHONY: test test-concurrency test-kernels test-faults test-delta \
-    test-recommend test-model docs-check cli-smoke bench bench-smoke \
-    bench-selftest bench-fig23 serve-demo
+    test-relational test-recommend test-model docs-check cli-smoke bench \
+    bench-smoke bench-selftest bench-fig23 serve-demo
 
 # The bench_*.py naming keeps the harnesses out of default pytest
 # collection (tier-1 stays fast); targets pass the files explicitly.
@@ -43,6 +43,18 @@ test-faults:
 # failing property still reports every other failure.
 test-delta:
 	python -m pytest tests/test_delta_properties.py tests/test_ingest.py -q
+
+# The relational-layer gate: the columnar kernels against the frozen
+# rowref loops, the array counted relations against the dict CountMap's
+# §2.2 loops, the keyed/value operator rules of Relation (a list cell
+# makes every keyed operator raise EncodingError), hierarchies and the
+# chunked build — run without -x so one failing property still reports
+# every other failure.
+test-relational:
+	python -m pytest tests/test_columnar_properties.py tests/test_countmap.py \
+	    tests/test_factorized_array_properties.py tests/test_relation.py \
+	    tests/test_hierarchy.py tests/test_shard.py \
+	    tests/test_shard_properties.py -q
 
 # The recommend-path gate: the array ranker against the frozen rankref
 # oracle (scoring and end-to-end properties, the one-array-form contract

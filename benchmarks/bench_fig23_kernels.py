@@ -14,9 +14,9 @@ plain tier on identical inputs. Reported per kernel:
 Every timed pair is checked **bitwise** (``tobytes`` equality) against
 the plain tier in-run, and each kernel is additionally pinned to a
 frozen oracle at verification scale: ``np.unique`` row-encoding for the
-group-by, ``rowref.countmap_join`` through a real ``CountMap.join`` for
-the join, and ``rankref.score_drilldown_ref`` through a real
-``score_drilldown`` for the sweep.
+group-by, ``CountMap.join``'s §2.2 dict loops through a real
+``EncodedCountMap.join`` for the join, and ``rankref.score_drilldown_ref``
+through a real ``score_drilldown`` for the sweep.
 
 Acceptance floor (full scale only): the NumPy-fused tier is ≥2x over
 plain at 1e6 keys for at least two of the three kernels.
@@ -34,9 +34,8 @@ from repro.core.repair import ModelRepairer
 from repro.kernels import numpy_fused, plain
 from repro.relational import (Cube, HierarchicalDataset, Relation, Schema,
                               dimension, measure)
-from repro.relational.countmap import CountMap
+from repro.relational.countmap import CountMap, EncodedCountMap
 from repro.relational.encoding import combine_codes
-from repro.relational import rowref
 
 from bench_utils import fmt, report, report_json, smoke
 
@@ -146,7 +145,7 @@ def test_group_codes_oracle():
 
 
 def test_join_oracle():
-    """CountMap.join (kernel-dispatched) == rowref.countmap_join."""
+    """EncodedCountMap.join (kernel-dispatched) == CountMap.join's loops."""
     rng = np.random.default_rng(11)
     left = CountMap(("A", "B"), {
         (f"a{rng.integers(0, 40)}", f"b{i}"): float(rng.integers(1, 5))
@@ -154,7 +153,12 @@ def test_join_oracle():
     right = CountMap(("A", "C"), {
         (f"a{i}", f"c{rng.integers(0, 6)}"): float(rng.integers(1, 5))
         for i in range(40)})
-    assert left.join(right) == rowref.countmap_join(left, right)
+    a_domain = sorted({k[0] for k in left} | {k[0] for k in right})
+    encoded_left = EncodedCountMap.from_countmap(
+        left, [a_domain, sorted({k[1] for k in left})])
+    encoded_right = EncodedCountMap.from_countmap(
+        right, [a_domain, sorted({k[1] for k in right})])
+    assert encoded_left.join(encoded_right) == left.join(right)
 
 
 def _small_cube():

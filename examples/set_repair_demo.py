@@ -12,9 +12,9 @@ Run:  python examples/set_repair_demo.py
 
 import numpy as np
 
-from repro.core import (Complaint, Reptile, ReptileConfig,
-                        exhaustive_set_repair, greedy_set_repair)
+from repro.core import Complaint, Reptile, ReptileConfig
 from repro.core.ranker import score_drilldown
+from repro.core.set_repair import exhaustive_set_repair, greedy_set_repair
 from repro.datagen.fist import (ScenarioKind, apply_scenario,
                                 make_scenarios, make_world)
 from repro.relational import Cube

@@ -1,10 +1,13 @@
-"""Reptile's core: complaints, model-based repair, ranking, sessions."""
+"""Reptile's core: complaints, model-based repair, ranking, sessions.
+
+The package exports what the served system runs. The extensions — set
+repairs (:mod:`repro.core.set_repair`) and rendered explanations
+(:mod:`repro.core.explanation`) — and the frozen ranking oracle
+(:mod:`repro.core.rankref`) are imported by module path only, so loading
+the package loads none of them.
+"""
 
 from .complaint import Complaint, Direction
-from .explanation import (FeatureContribution, describe_complaint,
-                          describe_group, explain_prediction,
-                          render_prediction_explanation,
-                          render_recommendation, resolution_fraction)
 from .ranker import (DrilldownRecommendation, Recommendation, ScoredGroup,
                      rank_candidate, rank_candidates, score_drilldown)
 from .repair import (CustomRepairer, ModelRepairer, NON_NEGATIVE,
@@ -12,8 +15,6 @@ from .repair import (CustomRepairer, ModelRepairer, NON_NEGATIVE,
                      RepairPrediction)
 from .session import (STALENESS_POLICIES, DrillSession, Reptile,
                       ReptileConfig, SessionError, StaleDataError)
-from .set_repair import (RepairSet, exhaustive_set_repair,
-                         greedy_set_repair)
 
 __all__ = [
     "Complaint", "Direction", "DrilldownRecommendation", "Recommendation",
@@ -21,8 +22,5 @@ __all__ = [
     "CustomRepairer", "ModelRepairer", "NON_NEGATIVE", "REPAIR_STATISTICS",
     "RepairAlignmentError", "RepairPrediction", "DrillSession", "Reptile",
     "ReptileConfig", "STALENESS_POLICIES", "StaleDataError",
-    "SessionError", "FeatureContribution", "describe_complaint",
-    "describe_group", "explain_prediction", "render_prediction_explanation",
-    "render_recommendation", "resolution_fraction", "RepairSet",
-    "exhaustive_set_repair", "greedy_set_repair",
+    "SessionError",
 ]

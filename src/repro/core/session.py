@@ -187,23 +187,23 @@ class Reptile:
         :class:`~repro.relational.delta.DeltaError` — with nothing
         mutated — when a retraction matches no remaining base row, the
         post-delta rows break a hierarchy FD, or an appended row carries
-        a non-scalar dimension cell or a measure that is not a finite
-        number.
+        a hierarchy cell that cannot be a group key (unhashable) or a
+        measure that is not a finite number.
 
         Ingest is atomic. ``Cube.apply_delta`` assigns nothing until its
-        checks pass, so a rejected delta needs no rollback. Any exception
-        after it and up to the commit (the ``ingest.commit`` fault point
-        sits right before it) triggers :meth:`_rollback_delta`, so an
-        observer never sees the cube or cache patched to a version the
-        engine does not report. The relation itself is copy-on-write
-        (``new_rel`` is built aside and swapped in at commit), so it
-        needs no rollback.
+        checks pass (hashability included: its domain extension is where
+        hierarchy cells become codes), so a rejected delta needs no
+        rollback. Any exception after it and up to the commit (the
+        ``ingest.commit`` fault point sits right before it) triggers
+        :meth:`_rollback_delta`, so an observer never sees the cube or
+        cache patched to a version the engine does not report. The
+        relation itself is copy-on-write (``new_rel`` is built aside and
+        swapped in at commit), so it needs no rollback.
         """
         relation = self.dataset.relation
         delta.check_against(relation.schema)
         if delta.is_empty():
             return self.data_version
-        self._validate_delta_cells(delta)
         delta = self._float_measure(delta)
         # Validate retractions at row granularity before touching state.
         removed_idx = locate_rows(relation, delta.retracted) \
@@ -251,18 +251,6 @@ class Reptile:
             self.fingerprint = old_fp
             if new_fp is not None:
                 self.cache.invalidate(new_fp)
-
-    def _validate_delta_cells(self, delta: Delta) -> None:
-        """Reject appended dimension cells that cannot be group keys (a
-        list or an object), pre-mutation: a bad request, not a fault."""
-        if not len(delta.appended):
-            return
-        for attr in self.dataset.dimensions.attributes():
-            try:
-                set(delta.appended.column(attr))
-            except TypeError as exc:
-                raise DeltaError(f"appended {attr!r} cell is not a "
-                                 f"scalar: {exc}") from None
 
     def _float_measure(self, delta: Delta) -> Delta:
         """``delta`` with its appended measure cells as a float64 array.
@@ -346,9 +334,8 @@ class DrillSession:
         self.engine = engine
         self.state = state
         self.filters = filters
-        self.history: list[Recommendation] = []
-        # A session is single-writer: its drill state, filters and
-        # history all mutate per request. Concurrent serving front ends
+        # A session is single-writer: its drill state and filters
+        # mutate per request. Concurrent serving front ends
         # serialize requests for one session id on this lock (the
         # session itself never acquires it — no nesting).
         self.lock = threading.RLock()
@@ -423,11 +410,9 @@ class DrillSession:
         top_k = k or self.engine.config.top_k
         # k is threaded into the ranker so the array sweep materializes
         # ScoredGroup records only for the groups the analyst will see.
-        recommendation = rank_candidates(
+        return rank_candidates(
             self.engine.cube, self.group_by, candidates, complaint,
             self.provenance(complaint), repairer, k=top_k)
-        self.history.append(recommendation)
-        return recommendation
 
     def drill(self, hierarchy: str,
               coordinates: Mapping | None = None) -> "DrillSession":

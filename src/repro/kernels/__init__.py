@@ -2,8 +2,10 @@
 
 Three hot loops of the factorized evaluation pipeline — the composite-key
 group-by behind ``combine_codes``, the join-multiply behind
-``EncodedCountMap.join`` / ``merge_join_indices``, and the eq.-3 rank-1
-score sweep behind ``score_drilldown`` — run through this package. Each
+``EncodedCountMap.join``, and the eq.-3 rank-1 score sweep behind
+``score_drilldown`` — run through this package. ``join_probe``, the
+probe half of the join without the count product, has no caller in the
+package; it stays dispatched and counted as a kernel of its own. Each
 kernel has two bitwise-equal implementations:
 
 ======== ==============================================================

@@ -12,6 +12,12 @@ two operators over counted relations, which we implement verbatim:
 Early marginalization (Example 5) — pushing ``⊕`` through ``⨝`` when the
 marginalized attribute is not referenced later — is a rewrite the multi-query
 planner applies; the operators here just provide the algebra.
+
+The two classes split the work. :class:`CountMap` runs the operators as
+the plain dict loops of the definitions above and nothing else: it is
+the reference the array form is checked against, and no served module
+imports it. :class:`EncodedCountMap` is the array form the factorised
+§4 pipeline computes with.
 """
 
 from __future__ import annotations
@@ -21,17 +27,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .. import kernels
-from .encoding import (EncodingError, _RADIX_LIMIT, combine_codes,
-                       combine_radix, comparable_keys, decode_keys,
-                       factorize, merge_join_indices)
+from .encoding import (_RADIX_LIMIT, combine_codes, combine_radix,
+                       comparable_keys)
 
 Key = tuple
-
-#: Counted relations below this size keep the plain dict loops: the
-#: vectorized kernels have fixed numpy overhead that only pays off at scale.
-#: (:class:`EncodedCountMap` never dispatches on this — its operators are
-#: array kernels at every size.)
-_VECTOR_MIN = 64
 
 
 class CountMapError(ValueError):
@@ -114,28 +113,15 @@ class CountMap:
                         {tuple(k[p] for p in pos): v for k, v in self.data.items()})
 
     # -- operators (§2.2) -----------------------------------------------------------
-    def _columns(self) -> tuple[list[Key], list[tuple], np.ndarray]:
-        """Keys, per-attribute value columns and the aligned count vector."""
-        keys = list(self.data)
-        counts = np.fromiter(self.data.values(), dtype=float, count=len(keys))
-        cols = list(zip(*keys)) if keys else [() for _ in self.schema]
-        return keys, cols, counts
-
     def join(self, other: "CountMap") -> "CountMap":
         """Join-multiply ``self ⨝ other``.
 
         Counts multiply on matching join keys. With disjoint schemas this
-        is the (counted) cartesian product. Large maps run the vectorized
-        sort-merge kernel over dictionary-encoded key columns; small maps
-        keep the plain dict loops.
+        is the (counted) cartesian product.
         """
         shared = tuple(a for a in self.schema if a in other.schema)
         out_schema = self.schema + tuple(
             a for a in other.schema if a not in shared)
-        if max(len(self.data), len(other.data)) >= _VECTOR_MIN:
-            out = self._join_vectorized(other, shared, out_schema)
-            if out is not None:
-                return out
         out = CountMap(out_schema)
         if not shared:
             for lk, lc in self.data.items():
@@ -156,39 +142,6 @@ class CountMap:
                 out.add(lk + rest, lc * rc)
         return out
 
-    def _join_vectorized(self, other: "CountMap", shared: tuple[str, ...],
-                         out_schema: tuple[str, ...]) -> "CountMap | None":
-        """Encoded-key join kernel; None = fall back to the dict loops.
-
-        Output tuples are unique by construction (both inputs have unique
-        keys), so the result dict is assembled with one ``dict(zip(...))``
-        instead of per-pair ``add`` calls.
-        """
-        left_keys, left_cols, left_counts = self._columns()
-        right_keys, right_cols, right_counts = other._columns()
-        right_rest = [i for i, a in enumerate(other.schema)
-                      if a not in shared]
-        if not shared:
-            counts = np.outer(left_counts, right_counts).ravel()
-            keys = [lk + rk for lk in left_keys for rk in right_keys]
-            return CountMap(out_schema, dict(zip(keys, counts.tolist())))
-        try:
-            left_encs = [factorize(left_cols[self.schema.index(a)])
-                         for a in shared]
-            right_encs = [factorize(right_cols[other.schema.index(a)])
-                          for a in shared]
-        except EncodingError:
-            return None
-        indices = merge_join_indices(left_encs, right_encs)
-        if indices is None:  # radix overflow
-            return None
-        l_idx, r_idx = indices
-        out_counts = left_counts[l_idx] * right_counts[r_idx]
-        rest_keys = [tuple(k[p] for p in right_rest) for k in right_keys]
-        out_keys = [left_keys[i] + rest_keys[j]
-                    for i, j in zip(l_idx.tolist(), r_idx.tolist())]
-        return CountMap(out_schema, dict(zip(out_keys, out_counts.tolist())))
-
     def marginalize(self, attribute: str) -> "CountMap":
         """``⊕_attribute self``: sum counts over one attribute."""
         if attribute not in self.schema:
@@ -196,31 +149,10 @@ class CountMap:
                 f"attribute {attribute!r} not in schema {self.schema}")
         drop = self.schema.index(attribute)
         out_schema = tuple(a for i, a in enumerate(self.schema) if i != drop)
-        if len(self.data) >= _VECTOR_MIN:
-            out = self._marginalize_vectorized(drop, out_schema)
-            if out is not None:
-                return out
         out = CountMap(out_schema)
         for key, count in self.data.items():
             out.add(key[:drop] + key[drop + 1:], count)
         return out
-
-    def _marginalize_vectorized(self, drop: int,
-                                out_schema: tuple[str, ...]
-                                ) -> "CountMap | None":
-        """Group-by over the kept code columns plus one weighted bincount."""
-        _, cols, counts = self._columns()
-        kept = [i for i in range(len(self.schema)) if i != drop]
-        try:
-            encs = [factorize(cols[i]) for i in kept]
-        except EncodingError:
-            return None
-        gids, key_codes = combine_codes(
-            [e.codes for e in encs], [e.cardinality for e in encs],
-            len(counts))
-        sums = np.bincount(gids, weights=counts, minlength=len(key_codes))
-        keys = decode_keys(key_codes, encs)
-        return CountMap(out_schema, dict(zip(keys, sums.tolist())))
 
     def marginalize_all(self, attributes: Iterable[str]) -> "CountMap":
         """Marginalize a set of attributes (order-insensitive)."""
@@ -256,10 +188,10 @@ class EncodedCountMap:
     into a shared, ordered ``domain`` list) plus one aligned float count
     vector — a COO layout. Unary maps whose codes are ``0..|dom|-1`` are the
     dense per-attribute vectors the factorized aggregate family consists
-    of; binary COFs stay sparse code-pair arrays. Unlike :class:`CountMap`,
-    every operator here is an array kernel (``searchsorted`` merge joins,
-    ``bincount`` marginalization) at *every* size — there is no dict
-    round-trip and no ``_VECTOR_MIN`` dispatch on this path.
+    of; binary COFs stay sparse code-pair arrays. Every operator here is
+    an array kernel (sort-merge joins through ``kernels.join_multiply``,
+    ``bincount`` marginalization) at every size, with no dict round-trip;
+    :class:`CountMap`'s dict loops are the reference it must equal.
 
     Invariants: code tuples are distinct (inputs with unique keys stay
     unique through join/marginalize), and ``domains`` entries are plain

@@ -28,8 +28,8 @@ import numpy as np
 from .aggregates import AggState, GroupStats
 from .dataset import HierarchicalDataset
 from .delta import Delta, DeltaError
-from .encoding import (DictEncoding, combine_codes, comparable_keys,
-                       decode_keys, factorize)
+from .encoding import (DictEncoding, EncodingError, combine_codes,
+                       comparable_keys, decode_keys, factorize)
 from .hierarchy import fd_violation
 
 Key = tuple
@@ -328,10 +328,12 @@ class Cube:
         searchsorted pass, groups whose count reaches zero drop out.
         Retraction granularity is the leaf group: a retraction must not
         drive any group's count negative. The merged leaf block must
-        keep every hierarchy FD (:meth:`_check_fds`). Either failure
-        raises :class:`DeltaError` with the cube untouched: nothing is
-        assigned until both checks pass. Returns the :class:`CubeDelta`
-        summary the upper layers patch themselves with.
+        keep every hierarchy FD (:meth:`_check_fds`), and every delta cell
+        must extend its attribute's domain (an unhashable cell cannot be
+        a group key). Each failure raises :class:`DeltaError` with the
+        cube untouched: nothing is assigned until every check passes.
+        Returns the :class:`CubeDelta` summary the upper layers patch
+        themselves with.
         """
         delta.check_against(self.dataset.relation.schema)
         appended, retracted = delta.appended, delta.retracted
@@ -341,10 +343,14 @@ class Cube:
         columns: list[np.ndarray] = []
         for i, attr in enumerate(self.leaf_attrs):
             enc = self._encodings[i]
-            ext, app_codes = enc.extend_domain(
-                appended.column(attr) if n_app else ())
-            ext, ret_codes = ext.extend_domain(
-                retracted.column(attr) if n_ret else ())
+            try:
+                ext, app_codes = enc.extend_domain(
+                    appended.column(attr) if n_app else ())
+                ext, ret_codes = ext.extend_domain(
+                    retracted.column(attr) if n_ret else ())
+            except EncodingError as exc:
+                raise DeltaError(f"{attr!r} cell cannot be a group key: "
+                                 f"{exc}") from None
             new_encs.append(ext)
             columns.append(np.concatenate([app_codes, ret_codes]))
         sizes = [e.cardinality for e in new_encs]

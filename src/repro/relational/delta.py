@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoding import EncodingError, comparable_keys
+from .encoding import comparable_keys
 from .relation import Relation
 from .schema import Schema
 
@@ -92,25 +92,23 @@ def locate_rows(relation: Relation, retracted: Relation) -> np.ndarray:
     retraction and shared by every relation derived from that base, plus
     a vectorized scan of the rows appended since; retracted rows are
     skipped. A relation with pending appends and retractions is never
-    materialized. Falls back to a per-row ``==`` scan when nothing is
-    interned and a column resists encoding. Raises :class:`DeltaError`
-    when any retraction finds no row left.
+    materialized. A cold relation, with no column interned yet, interns
+    every column first, so an unhashable cell in it raises
+    :class:`~repro.relational.encoding.EncodingError`; a column left
+    uninterned beside interned ones is only compared, so it may hold
+    one. Raises :class:`DeltaError` when any retraction finds no row
+    left.
     """
     if not len(retracted):
         return np.empty(0, dtype=np.int64)
     names = list(relation.schema.names)
     storage = relation._storage()
     keyed = storage.encoded()
-    if not keyed:
-        try:
-            for n in names:  # intern everything; small/cold relations
-                relation.encoding(n)
-        except EncodingError:
-            return _locate_rows_python(relation, retracted)
+    if not keyed:  # a cold relation: intern every column
+        for n in names:
+            relation.encoding(n)
         storage = relation._storage()
         keyed = storage.encoded()
-        if not keyed:  # every column escaped: nothing stays interned
-            return _locate_rows_python(relation, retracted)
     rest = [n for n in names if n not in keyed]
     heads = [storage.columns[n].head for n in keyed]
     # Retracted values are looked up per column: a value absent from the
@@ -206,27 +204,3 @@ def _candidates(storage, keyed: list[str], heads: list,
         slot = np.minimum(np.searchsorted(dead, rows), len(dead) - 1)
         live.append(rows[dead[slot] != rows])
     return live
-
-
-def _locate_rows_python(relation: Relation,
-                        retracted: Relation) -> np.ndarray:
-    """Per-row ``==`` fallback for unencodable columns."""
-    rows = list(relation.rows())
-    taken = set()
-    out = []
-    for target in retracted.rows():
-        for i, row in enumerate(rows):
-            if i in taken:
-                continue
-            try:
-                hit = all(a == b for a, b in zip(row, target))
-            except (TypeError, ValueError):
-                hit = False
-            if hit:
-                taken.add(i)
-                out.append(i)
-                break
-        else:
-            raise DeltaError(
-                f"retracted row {tuple(target)!r} matches no base row")
-    return np.sort(np.asarray(out, dtype=np.int64))

@@ -4,10 +4,10 @@ Every dimension column is stored (or lazily interned) as a pair
 ``(codes, domain)``: an ``int32`` numpy array of per-row codes plus the
 ordered list of distinct values, so ``domain[codes[i]]`` is row ``i``'s
 value. The hot relational operations — group-by, provenance filters,
-delta appends, and the counted relations' join — then reduce to
-integer-array kernels (``np.unique`` / ``argsort`` / ``bincount`` /
-``searchsorted``) instead of per-row Python loops, which is what lets the
-roll-up cube and the serving layer scale to 10⁵–10⁶ rows.
+delta appends and retraction lookup — then reduce to integer-array
+kernels (``np.unique`` / ``argsort`` / ``bincount`` / ``searchsorted``)
+instead of per-row Python loops, which is what lets the roll-up cube and
+the serving layer scale to 10⁵–10⁶ rows.
 
 Three factorization paths keep semantics identical to the old row engine:
 
@@ -32,7 +32,7 @@ if the radix would overflow), which makes composite group-by a single
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,8 +50,10 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 class EncodingError(ValueError):
     """Raised when a column cannot be dictionary-encoded (e.g. unhashable
-    cell values). Operators with a row-at-a-time path fall back to it;
-    the grouping operators, which key a dict by the cell, raise it."""
+    cell values). Every keyed operator (grouping, equality filters,
+    retraction lookup, domain extension) raises it, with no row-loop
+    fallback; the value operators (column, rows, appends, the content
+    digest) accept any cell."""
 
 
 def digest_parts(*parts: bytes) -> bytes:
@@ -122,8 +124,8 @@ class DictEncoding:
 
         Matches the ``v == value`` semantics of the old per-row filter:
         NaN never matches anything (a dict lookup would match it by
-        object identity), and unhashable values fall back to a linear
-        ``==`` scan.
+        object identity), and an unhashable value matches no cell (an
+        encoded domain holds only hashable values).
         """
         try:
             if value != value:  # NaN: v == value is False for every row
@@ -135,9 +137,6 @@ class DictEncoding:
         try:
             return self._positions.get(value)
         except TypeError:
-            for i, v in enumerate(self.domain):
-                if v == value:
-                    return i
             return None
 
     def sort_friendly(self) -> bool:
@@ -583,22 +582,6 @@ def decode_keys(key_codes: np.ndarray,
     return list(zip(*columns))
 
 
-def align_domains(target: DictEncoding, source: DictEncoding) -> np.ndarray:
-    """Map ``source`` codes into ``target``'s code space (-1 = absent)."""
-    remap = np.full(source.cardinality, -1, dtype=np.int64)
-    if target._positions is None:
-        target._positions = {v: i for i, v in enumerate(target.domain)}
-    positions = target._positions
-    for j, v in enumerate(source.domain):
-        try:
-            code = positions.get(v)
-        except TypeError:
-            code = None
-        if code is not None:
-            remap[j] = code
-    return remap
-
-
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``arange(s, s + c)`` for every (start, count) pair."""
     total = int(counts.sum())
@@ -607,37 +590,3 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     offsets = np.cumsum(counts) - counts
     within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
     return np.repeat(starts.astype(np.int64, copy=False), counts) + within
-
-
-def merge_join_indices(left_encs: Sequence[DictEncoding],
-                       right_encs: Sequence[DictEncoding]
-                       ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Matching row-index pairs of an equi-join over encoded key columns.
-
-    The kernel behind ``CountMap.join``'s join-multiply (no served path
-    joins): right codes are aligned into the left domains, both sides
-    collapse to one mixed-radix ``int64`` per row, and a stable
-    sort-merge emits ``(left_idx, right_idx)`` with left rows in order
-    and, within one left row, right matches in their original order.
-    Returns None when the radix would overflow (the caller falls back to
-    its row path).
-    """
-    sizes = [e.cardinality for e in left_encs]
-    radix = 1
-    for s in sizes:
-        radix *= max(s, 1)
-    if radix >= _RADIX_LIMIT:
-        return None
-    n_right = len(right_encs[0]) if right_encs else 0
-    valid = np.ones(n_right, dtype=bool)
-    right_codes = []
-    for le, re in zip(left_encs, right_encs):
-        remapped = align_domains(le, re)[re.codes]
-        valid &= remapped >= 0
-        right_codes.append(remapped)
-    ridx0 = np.flatnonzero(valid)
-    combined_l = combine_radix([e.codes for e in left_encs], sizes)
-    combined_r = combine_radix([c[ridx0] for c in right_codes], sizes)
-    l_idx, r_pos = kernels.join_probe(combined_l, combined_r, radix)
-    r_idx = ridx0[r_pos]
-    return l_idx, r_idx

@@ -17,6 +17,12 @@ form until someone asks for the values. Because no column changes after
 construction, its derived forms (values, encoding, content hash) are
 computed once and cached.
 
+Each operator runs one way. The keyed ones — grouping, equality filters
+and ingest's retraction lookup — work on the encoded columns, so a column
+holding an unhashable cell makes them raise
+:class:`~repro.relational.encoding.EncodingError`. The value ones —
+``column``, ``rows``, appends and ``content_token`` — accept any cell.
+
 ``group_measure`` iterates in lexicographic key order — the order the
 composite-key kernels produce — rather than first-occurrence order;
 results are equal as mappings.
@@ -662,31 +668,21 @@ class Relation:
             return [() for _ in range(self._n)]
         return list(zip(*cols))
 
-    # -- encoded-key plumbing ------------------------------------------------------
-    def _encodings(self, names: Sequence[str]) -> list[DictEncoding] | None:
-        """Encodings for ``names``, or None if any column resists encoding."""
-        try:
-            return [self.encoding(n) for n in names]
-        except EncodingError:
-            return None
-
+    # -- keyed operators -----------------------------------------------------------
     def group_index(self, names: Sequence[str]) -> GroupIndex:
         """Composite-key grouping over the encoded columns of ``names``."""
         return GroupIndex([self.encoding(n) for n in names], self._n)
 
-    # -- relational operators ------------------------------------------------------
     def filter_equals(self, conditions: Mapping[str, Any]) -> "Relation":
-        """Rows matching every ``attr == value`` condition (fast path)."""
+        """Rows matching every ``attr == value`` condition.
+
+        Keyed: each condition's column is encoded, so a column that holds
+        an unhashable cell raises
+        :class:`~repro.relational.encoding.EncodingError`.
+        """
         if not conditions:
             return self
-        encs = self._encodings(list(conditions))
-        if encs is None:
-            keep = None
-            for name, value in conditions.items():
-                col = self._cols[name].values()
-                matches = {i for i, v in enumerate(col) if v == value}
-                keep = matches if keep is None else keep & matches
-            return self._take(sorted(keep or ()))
+        encs = [self.encoding(n) for n in conditions]
         mask: np.ndarray | None = None
         for enc, value in zip(encs, conditions.values()):
             code = enc.code_of(value)

@@ -2,10 +2,12 @@
 
 This module freezes the pre-columnar semantics of the engine: every
 function here is the per-row Python-loop implementation that
-:class:`~repro.relational.relation.Relation`,
-:class:`~repro.relational.cube.Cube` and
-:class:`~repro.relational.countmap.CountMap` used before the
-dictionary-encoded core landed. They exist for two reasons:
+:class:`~repro.relational.relation.Relation` and
+:class:`~repro.relational.cube.Cube` used before the dictionary-encoded
+core landed. (The counted relations need no copy here: the dict
+:class:`~repro.relational.countmap.CountMap` runs only its §2.2 loops,
+so it is itself the reference ``EncodedCountMap`` is checked against.)
+They exist for two reasons:
 
 * **ground truth** — the property tests assert that the vectorized
   kernels produce exactly the results these loops produce on random
@@ -24,7 +26,6 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .aggregates import AggState
-from .countmap import CountMap
 from .relation import Key, Relation
 
 
@@ -88,39 +89,3 @@ def filter_equals(relation: Relation, conditions: Mapping[str, Any]
         keep = matches if keep is None else keep & matches
     rows = [relation.row(i) for i in sorted(keep or ())]
     return Relation.from_rows(relation.schema, rows)
-
-
-def countmap_join(left: CountMap, right: CountMap) -> CountMap:
-    """The pre-columnar join-multiply dict loops."""
-    shared = tuple(a for a in left.schema if a in right.schema)
-    out_schema = left.schema + tuple(
-        a for a in right.schema if a not in shared)
-    out = CountMap(out_schema)
-    if not shared:
-        for lk, lc in left.data.items():
-            for rk, rc in right.data.items():
-                out.add(lk + rk, lc * rc)
-        return out
-    left_pos = [left.schema.index(a) for a in shared]
-    right_pos = [right.schema.index(a) for a in shared]
-    right_rest = [i for i in range(len(right.schema)) if i not in right_pos]
-    index: dict[Key, list[tuple[Key, float]]] = {}
-    for rk, rc in right.data.items():
-        jk = tuple(rk[p] for p in right_pos)
-        rest = tuple(rk[p] for p in right_rest)
-        index.setdefault(jk, []).append((rest, rc))
-    for lk, lc in left.data.items():
-        jk = tuple(lk[p] for p in left_pos)
-        for rest, rc in index.get(jk, ()):
-            out.add(lk + rest, lc * rc)
-    return out
-
-
-def countmap_marginalize(cm: CountMap, attribute: str) -> CountMap:
-    """The pre-columnar marginalize dict loop."""
-    drop = cm.schema.index(attribute)
-    out_schema = tuple(a for i, a in enumerate(cm.schema) if i != drop)
-    out = CountMap(out_schema)
-    for key, count in cm.data.items():
-        out.add(key[:drop] + key[drop + 1:], count)
-    return out

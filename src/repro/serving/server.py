@@ -51,6 +51,8 @@ Routes (all JSON)::
     POST   /sessions/{sid}/sync
     DELETE /sessions/{sid}             (or POST /sessions/{sid}/close)
 
+``{name}`` and ``{sid}`` are percent-decoded, one path segment each.
+
 Complaint spec: ``{"aggregate": "mean", "direction": "too_low",
 "coordinates": {...}, "k"?, "target"?}`` plus, on the dataset endpoint,
 ``"group_by"`` and ``"filters"`` placing the view. :func:`parse_complaint_spec`
@@ -66,6 +68,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping
+from urllib.parse import unquote
 
 import numpy as np
 
@@ -414,8 +417,12 @@ class ServerApp:
         return value
 
     def _route(self, method: str, path: str):
-        """Resolve a path to ``(endpoint, handler, args)`` or an error."""
-        parts = [p for p in path.split("/") if p]
+        """Resolve a path to ``(endpoint, handler, args)`` or an error.
+
+        Segments are percent-decoded after the split, so every session id
+        and dataset name routes once quoted into one segment.
+        """
+        parts = [unquote(p) for p in path.split("/") if p]
         if not parts:
             return ("healthz", self._healthz, ())
         head = parts[0]
@@ -570,9 +577,8 @@ class ServerApp:
                 "session recommend takes no 'group_by'/'filters' — the "
                 "session's position defines the view (use POST "
                 "/datasets/{name}/recommend for one-shot queries)")
-        recommendation, version = self.service.with_session(
-            sid, lambda session: session.recommend(request.complaint,
-                                                   k=request.k))
+        recommendation, version = self.service.recommend_versioned(
+            sid, request.complaint, request.k)
         return 200, {}, self._degraded_marker(
             self.service.session_dataset(sid),
             recommendation_payload(recommendation, version))

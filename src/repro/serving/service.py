@@ -251,14 +251,22 @@ class ExplanationService:
     def recommend(self, session_id: str, complaint: Complaint,
                   k: int | None = None) -> Recommendation:
         """Recommend the next drill-down for one session (timed)."""
+        return self.recommend_versioned(session_id, complaint, k)[0]
+
+    def recommend_versioned(self, session_id: str, complaint: Complaint,
+                            k: int | None = None
+                            ) -> tuple[Recommendation, int]:
+        """:meth:`recommend` returning ``(recommendation, data_version)``
+        like :meth:`with_session`: the one timed, counted session
+        recommend, which ``POST /sessions/{sid}/recommend`` calls too."""
         start = time.perf_counter()
-        recommendation, _ = self.with_session(
+        result = self.with_session(
             session_id, lambda session: session.recommend(complaint, k=k))
         elapsed = time.perf_counter() - start
         with self._lock:
             self._recommend_count += 1
             self._recommend_seconds += elapsed
-        return recommendation
+        return result
 
     def drill(self, session_id: str, hierarchy: str,
               coordinates: Mapping | None = None) -> DrillSession:

@@ -1,12 +1,13 @@
 """Property tests: vectorized kernels ≡ naive row-at-a-time reference.
 
 Every hot operation of the columnar core — group-by, leaf-cube build,
-roll-up (with and without provenance filters), filter, and the §2.2
-counted-relation operators — is checked for exact agreement with the
-frozen loops in ``repro.relational.rowref`` on random relations (mixed
-string/int domains, duplicate rows, empty results). Counts and measures
-are integer-valued so float sums are order-independent and equality can
-be exact.
+roll-up (with and without provenance filters) and filter — is checked
+for exact agreement with the frozen loops in ``repro.relational.rowref``
+on random relations (mixed string/int domains, duplicate rows, empty
+results), and the array form of the §2.2 counted-relation operators
+with the dict ``CountMap``'s loops. Counts and measures are
+integer-valued so float sums are order-independent and equality can be
+exact.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from repro.relational import (Cube, HierarchicalDataset, Relation, Schema,
                               dimension, measure)
 from repro.relational import encoding, rowref
-from repro.relational.countmap import CountMap
+from repro.relational.countmap import CountMap, EncodedCountMap
 
 
 # -- strategies ----------------------------------------------------------------------
@@ -287,19 +288,31 @@ class TestCubeEquivalence:
 
 # -- counted relations ---------------------------------------------------------------
 class TestCountMapEquivalence:
+    """The array form against the dict ``CountMap``, whose §2.2 loops are
+    the reference: domains here hold ints beside strings and follow
+    first-seen key order, so shared attributes take the remap path."""
+
+    @staticmethod
+    def _encoded(cm: CountMap) -> EncodedCountMap:
+        domains = [list(dict.fromkeys(key[j] for key in cm.data))
+                   for j in range(len(cm.schema))]
+        return EncodedCountMap.from_countmap(cm, domains)
+
     # Key spaces overlap on "b" (shared join attribute) by construction.
     @given(countmaps(("a", "b")), countmaps(("b", "c")))
     def test_join_shared(self, left, right):
-        assert left.join(right) == rowref.countmap_join(left, right)
+        assert self._encoded(left).join(self._encoded(right)) \
+            == left.join(right)
 
     @given(countmaps(("a",), max_keys=12), countmaps(("c",), max_keys=12))
     def test_join_cartesian(self, left, right):
-        assert left.join(right) == rowref.countmap_join(left, right)
+        assert self._encoded(left).join(self._encoded(right)) \
+            == left.join(right)
 
     @given(countmaps(("a", "b", "c")), st.sampled_from(["a", "b", "c"]))
     def test_marginalize(self, cm, attribute):
-        assert cm.marginalize(attribute) \
-            == rowref.countmap_marginalize(cm, attribute)
+        assert self._encoded(cm).marginalize(attribute) \
+            == cm.marginalize(attribute)
 
     @given(countmaps(("a", "b", "c"), max_keys=120))
     def test_marginalize_chain_matches_total(self, cm):
@@ -310,6 +323,7 @@ class TestCountMapEquivalence:
     @given(countmaps(("a", "b"), max_keys=200), countmaps(("b", "c"),
                                                           max_keys=200))
     def test_join_large_forces_vectorized_kernel(self, left, right):
-        # max_keys above the vectorization threshold: this exercises the
-        # encoded kernel even when hypothesis shrinks other examples.
-        assert left.join(right) == rowref.countmap_join(left, right)
+        # max_keys 200: the sort-merge kernel sees many matches per key
+        # even when hypothesis shrinks other examples.
+        assert self._encoded(left).join(self._encoded(right)) \
+            == left.join(right)

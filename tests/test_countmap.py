@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.relational import rowref
-from repro.relational.countmap import (CountMap, CountMapError, _VECTOR_MIN,
+from repro.relational.countmap import (CountMap, CountMapError,
                                        aggregate_query,
                                        aggregate_query_early, join_all)
 
@@ -137,56 +136,3 @@ class TestAggregateQueries:
             naive = aggregate_query([left, right], group_by)
             early = aggregate_query_early([left, right], group_by)
             assert naive == early
-
-
-class TestVectorThresholdBoundary:
-    """The `_VECTOR_MIN` dispatch boundary, exactly at and on both sides.
-
-    `CountMap.join`/`marginalize` switch between the plain dict loops and
-    the encoded-key kernels at `_VECTOR_MIN` entries; each size below is
-    pinned (no hypothesis shrinking past the boundary) so both dispatch
-    arms are provably exercised against the frozen row-path loops.
-    """
-
-    SIZES = [_VECTOR_MIN - 1, _VECTOR_MIN, _VECTOR_MIN + 1]
-
-    @staticmethod
-    def _map_of_size(schema, n, draw_count, key_of):
-        out = CountMap(schema)
-        for i in range(n):
-            out.add(key_of(i), float(draw_count(i)))
-        return out
-
-    @pytest.mark.parametrize("n", SIZES)
-    @given(data=st.data())
-    def test_join_at_boundary(self, n, data):
-        # Left size is pinned at/around the threshold; the right side is
-        # small, so dispatch is decided purely by the pinned size.
-        counts = data.draw(st.lists(st.integers(1, 9), min_size=n,
-                                    max_size=n))
-        left = self._map_of_size(
-            ("A", "B"), n, lambda i: counts[i],
-            lambda i: (f"a{i}", f"b{i % 5}"))
-        right = CountMap(("B", "C"),
-                         {(f"b{j}", f"c{j}"): float(j + 1)
-                          for j in range(data.draw(st.integers(0, 5)))})
-        assert left.join(right) == rowref.countmap_join(left, right)
-        assert right.join(left) == rowref.countmap_join(right, left)
-
-    @pytest.mark.parametrize("n", SIZES)
-    @given(data=st.data())
-    def test_marginalize_at_boundary(self, n, data):
-        counts = data.draw(st.lists(st.integers(1, 9), min_size=n,
-                                    max_size=n))
-        cm = self._map_of_size(
-            ("A", "B", "C"), n, lambda i: counts[i],
-            lambda i: (f"a{i % 7}", f"b{i % 11}", i))
-        for attribute in ("A", "B", "C"):
-            assert cm.marginalize(attribute) \
-                == rowref.countmap_marginalize(cm, attribute)
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_cartesian_join_at_boundary(self, n):
-        left = CountMap.unary("A", [f"a{i}" for i in range(n)])
-        right = CountMap.unary("B", ["b0", "b1"])
-        assert left.join(right) == rowref.countmap_join(left, right)

@@ -154,14 +154,6 @@ class TestSessionEdges:
             Complaint.too_low({"district": "Ofla", "year": 1986}, "count"))
         assert rec.per_hierarchy
 
-    def test_history_accumulates(self, ofla_dataset):
-        engine = Reptile(ofla_dataset,
-                         config=ReptileConfig(n_em_iterations=2))
-        session = engine.session(group_by=["year"])
-        session.recommend(Complaint.too_low({"year": 1986}, "count"))
-        session.recommend(Complaint.too_high({"year": 1985}, "mean"))
-        assert len(session.history) == 2
-
     def test_drill_with_coordinates_filters(self, ofla_dataset):
         engine = Reptile(ofla_dataset,
                          config=ReptileConfig(n_em_iterations=2))

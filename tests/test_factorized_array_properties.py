@@ -33,7 +33,6 @@ from repro.factorized.reference import (assert_aggregate_sets_equal,
                                         reference_hierarchy_unit,
                                         reference_lmfao_plan,
                                         reference_shared_plan)
-from repro.relational import rowref
 from repro.relational.countmap import CountMap, EncodedCountMap
 
 
@@ -293,7 +292,7 @@ class TestEncodedCountMapKernels:
             [np.asarray([8000, 2, 1], dtype=np.int32) for _ in attrs],
             np.asarray([7.0, 11.0, 13.0]))
         got = left.join(right)
-        want = rowref.countmap_join(left.to_countmap(), right.to_countmap())
+        want = left.to_countmap().join(right.to_countmap())
         assert got == want
         assert got[(1,) * 5] == 2.0 * 13.0 and got[(8000,) * 5] == 3.0 * 7.0
 

@@ -134,13 +134,6 @@ class TestRelationDelta:
         with pytest.raises(DeltaError, match="matches no base row"):
             locate_rows(relation, target)
 
-    def test_locate_rows_python_fallback(self):
-        schema = Schema([dimension("a"), measure("x")])
-        key = ["unhashable"]  # a list cell defeats dictionary encoding
-        relation = Relation.from_rows(schema, [(key, 1.0), ("p", 2.0)])
-        target = Relation.from_rows(schema, [(["unhashable"], 1.0)])
-        assert locate_rows(relation, target).tolist() == [0]
-
 
 # -- cube layer -----------------------------------------------------------------------
 class TestCubeDelta:
@@ -288,6 +281,33 @@ class TestEngineDelta:
                 ofla_dataset, retracted=[("Ofla", "Zata", 1984, -99.0)]))
         assert engine.data_version == 0
         assert len(engine.dataset.relation) == n
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_list_cell_outside_every_hierarchy_ingests_and_retracts(
+            self, cached):
+        # Only hierarchy columns are keyed: a column no hierarchy names is
+        # appended and compared by value, so a list cell there ingests and
+        # retracts. In a hierarchy column it cannot be a group key.
+        schema = Schema([dimension("district"), dimension("year"),
+                         dimension("note"), measure("sev")])
+        rows = [("Ofla", 1984, "ok", 1.0), ("Alaje", 1985, "ok", 2.0)]
+        dataset = HierarchicalDataset.build(
+            Relation.from_rows(schema, rows),
+            {"geo": ["district"], "time": ["year"]}, "sev")
+        engine = Reptile(dataset, config=CONFIG,
+                         cache=AggregateCache() if cached else None)
+        odd = ("Ofla", 1984, ["x", 1], 5.0)
+        assert engine.apply_delta(Delta.from_rows(schema, [odd])) == 1
+        assert list(engine.dataset.relation.rows())[-1] == odd
+        assert engine.cube.group_state({"district": "Ofla"}).count == 2
+        assert engine.apply_delta(Delta.from_rows(schema, (), [odd])) == 2
+        assert list(engine.dataset.relation.rows()) == rows
+        with pytest.raises(DeltaError, match="'year' cell cannot be a "
+                                             "group key"):
+            engine.apply_delta(Delta.from_rows(
+                schema, [("Ofla", ["x"], "ok", 1.0)]))
+        assert engine.data_version == 2
+        assert engine.cube.group_state({"district": "Ofla"}).count == 1
 
     def test_strict_session_raises_until_synced(self, ofla_dataset):
         engine = Reptile(ofla_dataset, config=CONFIG)

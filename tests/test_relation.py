@@ -5,6 +5,7 @@ import pytest
 
 from repro.factorized import HierarchyPaths
 from repro.relational.dataset import AuxiliaryDataset, HierarchicalDataset
+from repro.relational.delta import locate_rows
 from repro.relational.encoding import EncodingError
 from repro.relational.hierarchy import Hierarchy
 from repro.relational.relation import Relation
@@ -82,12 +83,15 @@ class TestGrouping:
         np.testing.assert_allclose(gm[("a2",)], [3.0, 4.0, 5.0])
 
 
-#: Entry points that group by a dimension cell: each keys a dict by it,
-#: so an unhashable (list) cell cannot be grouped and must raise the typed
-#: EncodingError, not a bare TypeError.
+#: Keyed entry points: each keys a dict by a dimension cell, so an
+#: unhashable (list) cell cannot be a key and must raise the typed
+#: EncodingError, not a bare TypeError, and none falls back to a row loop.
 LIST_CELL_CALLS = {
     "group_index": lambda rel: rel.group_index(["a"]),
     "group_measure": lambda rel: rel.group_measure(["a"], "x"),
+    "filter_equals": lambda rel: rel.filter_equals({"a": "a1"}),
+    "locate_rows": lambda rel: locate_rows(
+        rel, Relation.from_rows(rel.schema, [("a1", 2.0)])),
     "auxiliary_lookup": lambda rel: AuxiliaryDataset(
         "aux", rel, ("a",), ("x",)).lookup(),
     "attribute_domain": lambda rel: HierarchicalDataset.build(

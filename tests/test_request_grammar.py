@@ -13,13 +13,16 @@ the grammar answers any JSON value with a request, rows or a
 
 Session ids have one source, ``ExplanationService.open_session``: a
 generated id skips ids that are open, and a taken explicit id is a
-conflict (HTTP 409), never a silent replacement.
+conflict (HTTP 409), never a silent replacement. Every id it accepts,
+and every registered dataset name, routes once percent-quoted into one
+path segment.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import urllib.parse
 
 import pytest
 from hypothesis import given, settings
@@ -162,6 +165,40 @@ class TestSessionIds:
         assert service.session("mine").group_by == ()
         assert service.session(opened[1][2]["session_id"]).group_by \
             == ("year",)
+
+    @pytest.mark.parametrize("sid", ["a?b", "a b", "a%2Fb", "a#b",
+                                     "ok.id-1_~"])
+    def test_an_id_that_needs_escapes_routes_once_quoted(self, served, sid):
+        # Every id open_session accepts is one path segment once quoted;
+        # these once opened (201) and then answered 404 on every route.
+        service, app = served
+        status, _, opened = app.dispatch(
+            "POST", "/datasets/data/sessions",
+            {"session_id": sid, "group_by": ["year"]})
+        assert status == 201 and opened["session_id"] == sid
+        path = "/sessions/" + urllib.parse.quote(sid, safe="")
+        status, _, info = app.dispatch("GET", path)
+        assert status == 200 and info["session_id"] == sid
+        status, _, payload = app.dispatch(
+            "POST", path + "/recommend",
+            {"aggregate": "mean", "coordinates": {"year": 1986}})
+        assert status == 200, payload
+        assert app.dispatch("DELETE", path) == (200, {}, {"closed": sid})
+        assert service.sessions == ()
+
+    def test_a_dataset_name_that_needs_escapes_routes_once_quoted(self):
+        service = ExplanationService(config=CONFIG)
+        service.register("drought 86/87?", _demo_dataset())
+        app = ServerApp(service)
+        path = "/datasets/" + urllib.parse.quote("drought 86/87?", safe="")
+        status, _, info = app.dispatch("GET", path)
+        assert status == 200 and info["name"] == "drought 86/87?"
+        status, _, opened = app.dispatch("POST", path + "/sessions", {})
+        assert status == 201, opened
+        assert opened["dataset"] == "drought 86/87?"
+        # The generated id embeds the name, '/' included, and routes too.
+        sid = urllib.parse.quote(opened["session_id"], safe="")
+        assert app.dispatch("GET", "/sessions/" + sid)[0] == 200
 
     def test_generated_ids_never_replace_an_open_session(self):
         service = ExplanationService(config=CONFIG)

@@ -3,9 +3,10 @@
 Importing the package, the CLI and the HTTP server must load none of
 the paper's §4 machinery (``repro.factorized``, the counted relations,
 the Figure 10 trainers and the Matlab-style baseline), none of the
-experiment drivers, baselines or data generators, and none of the frozen
-oracles the tests compare against. The check runs in a fresh
-interpreter, because the test session itself imports all of them.
+extensions (set repairs, rendered explanations, AIC model selection),
+none of the experiment modules, baselines or data generators, and none
+of the frozen oracles the tests compare against. The check runs in a
+fresh interpreter, because the test session itself imports all of them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ DENIED_PACKAGES = ("repro.factorized", "repro.experiments",
 DENIED_MODULES = ("repro.relational.countmap", "repro.model.pipeline",
                   "repro.model.matlab_style", "repro.relational.rowref",
                   "repro.relational.deltaref", "repro.core.rankref",
-                  "repro.model.emref")
+                  "repro.model.emref", "repro.core.explanation",
+                  "repro.core.set_repair", "repro.model.selection")
 
 PROGRAM = """
 import json, sys

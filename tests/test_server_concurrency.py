@@ -489,6 +489,42 @@ class TestTransport:
             thread.join(JOIN_TIMEOUT)
             assert not thread.is_alive()
 
+    def test_escaped_session_ids_over_keep_alive(self):
+        """Ids that need percent-escapes route over a real socket: each
+        opens, answers its view at the quoted path and closes, all on
+        one keep-alive connection."""
+        service = ExplanationService()
+        service.register("data", make_dataset(5))
+        server, thread = serve_http(service)
+        try:
+            host, port = server.server_address[:2]
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            socks = set()
+            for sid in ("a?b", "a b", "a%2Fb", "a#b"):
+                conn.request("POST", "/datasets/data/sessions",
+                             json.dumps({"group_by": ["district"],
+                                         "session_id": sid}))
+                reply = conn.getresponse()
+                assert reply.status == 201
+                assert json.loads(reply.read())["session_id"] == sid
+                path = "/sessions/" + urllib.parse.quote(sid, safe="")
+                conn.request("GET", path + "/view")
+                reply = conn.getresponse()
+                view = json.loads(reply.read())
+                assert reply.status == 200 and view["groups"], view
+                conn.request("DELETE", path)
+                reply = conn.getresponse()
+                assert reply.status == 200
+                assert json.loads(reply.read()) == {"closed": sid}
+                socks.add(conn.sock)
+            assert len(socks) == 1  # one connection throughout
+            assert service.sessions == ()
+            conn.close()
+        finally:
+            assert server.shutdown_gracefully(JOIN_TIMEOUT)
+            thread.join(JOIN_TIMEOUT)
+            assert not thread.is_alive()
+
     def test_keep_alive_reply_over_8k_has_no_ack_stall(self):
         """A reply larger than 8 KiB over one keep-alive connection comes
         back in milliseconds: the accepted socket sets TCP_NODELAY, so
@@ -827,6 +863,22 @@ class TestRoutes:
         assert not any(key[1] == old for key in service.cache.keys())
         health = service.health.for_dataset("data")
         assert (health.state, health.rebuilds) == ("healthy", 0)
+
+    def test_stats_count_session_and_one_shot_recommends(self):
+        # Session recommends once skipped the counter: 3 + 1 read 1.
+        _, app = make_service_app(29)
+        assert app.dispatch("POST", "/datasets/data/sessions",
+                            {"session_id": "s",
+                             "group_by": ["district"]})[0] == 201
+        body = {"aggregate": "mean", "coordinates": {"district": "d0"}}
+        for _ in range(3):
+            assert app.dispatch("POST", "/sessions/s/recommend",
+                                body)[0] == 200
+        assert app.dispatch("POST", "/datasets/data/recommend",
+                            dict(body, group_by=["district"]))[0] == 200
+        status, _, stats = app.dispatch("GET", "/stats")
+        assert status == 200 and stats["recommend"]["count"] == 4
+        assert stats["recommend"]["seconds"] > 0
 
     def test_refresh_unknown_dataset_and_wrong_method(self):
         _, app = make_service_app(22)
