@@ -46,14 +46,17 @@ test-delta:
 
 # The relational-layer gate: the columnar kernels against the frozen
 # rowref loops, the array counted relations against the dict CountMap's
-# §2.2 loops, the keyed/value operator rules of Relation (a list cell
-# makes every keyed operator raise EncodingError), hierarchies and the
-# chunked build — run without -x so one failing property still reports
-# every other failure.
+# §2.2 loops, the keyed/value operator rules of Relation (a list cell,
+# a NaN or a second cell type makes every keyed operator raise
+# EncodingError), the typed-key rule where data and requests enter
+# (registration, auxiliary joins, CSV typing, ingest and every request
+# cell through ServerApp.dispatch), hierarchies and the chunked build —
+# run without -x so one failing property still reports every other
+# failure.
 test-relational:
 	python -m pytest tests/test_columnar_properties.py tests/test_countmap.py \
 	    tests/test_factorized_array_properties.py tests/test_relation.py \
-	    tests/test_hierarchy.py tests/test_shard.py \
+	    tests/test_typed_keys.py tests/test_hierarchy.py tests/test_shard.py \
 	    tests/test_shard_properties.py -q
 
 # The recommend-path gate: the array ranker against the frozen rankref
@@ -82,18 +85,32 @@ docs-check:
 	python -m pytest tests/test_docs.py -q
 
 # The CLI as a process (the tests call main() in process): the serve and
-# ingest demos run, and a malformed batch file and a malformed rows file
-# must each exit with status 1 and exactly one line on stderr, so a
-# traceback fails.
+# ingest demos run, serve --csv loads a village column holding 101 and
+# Zata (typed str as a whole), and a malformed batch file, a malformed
+# rows file and a str year ingested into the demo's int year column must
+# each exit with status 1 and exactly one line on stderr, so a traceback
+# fails.
 cli-smoke:
 	python -m repro serve --repeat 2 --iterations 2 > /dev/null
 	python -m repro ingest --iterations 2 > /dev/null
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	printf 'district,village,year,sev\nOfla,101,1986,2.0\nOfla,101,1987,5.0\nOfla,Zata,1986,3.0\nOfla,Zata,1987,6.0\nAlaje,Bora,1986,4.0\nAlaje,Bora,1987,5.5\n' \
+	    > "$$dir/data.csv" && \
+	echo '[{"aggregate": "mean", "coordinates": {"village": "101"}, "group_by": ["village"]}]' \
+	    > "$$dir/csv_batch.json" && \
+	python -m repro serve --csv "$$dir/data.csv" --batch "$$dir/csv_batch.json" \
+	    --hierarchy geo=district,village --hierarchy time=year \
+	    --measure sev --iterations 2 > "$$dir/csv_out" && \
+	grep -q "village': '101'" "$$dir/csv_out" || { \
+	    echo "cli-smoke: serve --csv must answer the complaint on village" \
+	         "'101' (a str column)" >&2; exit 1; } && \
 	echo '[{"aggregate": "mean", "coordinates": {"year": 1986}, "k": -1}]' \
 	    > "$$dir/batch.json" && \
 	echo '[["Ofla", "Zata", 1986, true]]' > "$$dir/rows.json" && \
+	echo '[["Ofla", "Zata", "1986", 5.0]]' > "$$dir/str_year.json" && \
 	for run in "serve --batch $$dir/batch.json" \
-	           "ingest --rows $$dir/rows.json"; do \
+	           "ingest --rows $$dir/rows.json" \
+	           "ingest --rows $$dir/str_year.json"; do \
 	    status=0; \
 	    python -m repro $$run > /dev/null 2> "$$dir/stderr" || status=$$?; \
 	    cat "$$dir/stderr"; \
@@ -102,7 +119,9 @@ cli-smoke:
 	             "on stderr (exit $$status)" >&2; \
 	        exit 1; \
 	    fi; \
-	done
+	done; \
+	grep -q "'year'" "$$dir/stderr" || { \
+	    echo "cli-smoke: the str-year ingest must name 'year'" >&2; exit 1; }
 
 # Regenerate the paper figures (series land in benchmarks/out/).
 bench:

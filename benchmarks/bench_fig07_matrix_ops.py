@@ -10,8 +10,8 @@ paper's d = 7 ⇒ 10⁷ rows is not feasible in pure Python, the trend is).
 import numpy as np
 import pytest
 
-from repro.datagen.perf import flat_hierarchies, random_feature_matrix
-from repro.experiments.perf import run_matrix_oracle, sweep_matrix_ops
+from repro.experiments.perf import (flat_hierarchies, random_feature_matrix,
+                                    run_matrix_oracle, sweep_matrix_ops)
 from repro.factorized.forder import AttributeOrder
 
 from bench_utils import SMOKE, fmt, oracle_rows, report, report_json, smoke

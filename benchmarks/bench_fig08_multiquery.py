@@ -14,8 +14,8 @@ hierarchy with ≥1e4 leaf paths, with in-run exact-equality checks and a
 
 import pytest
 
-from repro.datagen.perf import deep_hierarchies
-from repro.experiments.perf import (run_multiquery_oracle, sweep_multiquery)
+from repro.experiments.perf import (deep_hierarchies, run_multiquery_oracle,
+                                    sweep_multiquery)
 from repro.factorized.factorizer import Factorizer
 from repro.factorized.forder import AttributeOrder
 from repro.factorized.multiquery import lmfao_plan, shared_plan

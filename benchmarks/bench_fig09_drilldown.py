@@ -99,7 +99,7 @@ def test_figure9_array_vs_oracle(benchmark):
     array, oracle = benchmark.pedantic(compare, rounds=1, iterations=1)
 
     # Exact equality of the evaluated candidate aggregates, both engines.
-    from repro.datagen.perf import deep_hierarchies
+    from repro.experiments.perf import deep_hierarchies
     paths = deep_hierarchies(2, 6, ORACLE_CARDINALITY)
     depths = {paths[0].name: 3, paths[1].name: 3}
     a_eng = DrilldownEngine(paths, initial_depths=depths, mode="dynamic")

@@ -8,8 +8,8 @@ d = 1..4 (3 attributes each, w = 10) and expect the same widening gap.
 import numpy as np
 import pytest
 
-from repro.datagen.perf import deep_hierarchies, random_feature_matrix
-from repro.experiments.perf import sweep_cluster_ops
+from repro.experiments.perf import (deep_hierarchies, random_feature_matrix,
+                                    sweep_cluster_ops)
 from repro.factorized.cluster_ops import ClusterOps
 from repro.factorized.forder import AttributeOrder
 

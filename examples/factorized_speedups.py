@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from repro.datagen.perf import flat_hierarchies, random_feature_matrix
+from repro.experiments.perf import flat_hierarchies, random_feature_matrix
 from repro.factorized import (AttributeOrder, DecomposedAggregates,
                               Factorizer, shared_plan)
 

@@ -176,25 +176,10 @@ def _load_csv_dataset(args: argparse.Namespace):
     if not hierarchies or not args.measure:
         raise SystemExit(f"{args.command}: --csv needs --hierarchy and "
                          f"--measure")
-    def auto(text: str):
-        """Numeric-looking CSV cells become numbers, so that JSON batch
-        coordinates (which are typed) match the loaded dimension values.
-        Only canonical spellings convert — "01" stays a string — so two
-        distinct cells can never collapse into one dimension value."""
-        for parse in (int, float):
-            try:
-                value = parse(text)
-            except ValueError:
-                continue
-            if str(value) == text:
-                return value
-        return text
-
     names = [a for attrs in hierarchies.values() for a in attrs]
     schema = Schema([dimension(a) for a in names] + [measure(args.measure)])
     try:
-        relation = Relation.from_csv(args.csv, schema,
-                                     converters={a: auto for a in names})
+        relation = Relation.from_csv(args.csv, schema)
         return HierarchicalDataset.build(relation, hierarchies, args.measure)
     except (OSError, ValueError) as exc:  # SchemaError, DatasetError too
         raise SystemExit(f"{args.command}: cannot load {args.csv}: {exc}")

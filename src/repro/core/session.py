@@ -21,6 +21,7 @@ from ..model.features import AuxiliaryFeature, FeaturePlan
 from ..relational.cube import Cube, GroupView
 from ..relational.dataset import HierarchicalDataset
 from ..relational.delta import Delta, DeltaError, locate_rows
+from ..relational.encoding import EncodingError, check_cell_type, key_type
 from ..relational.hierarchy import DrillState
 from ..relational.relation import Relation
 from ..robustness.faultinject import fault_point
@@ -182,13 +183,15 @@ class Reptile:
         every hierarchy FD on the merged leaf keys, and (with a serving
         cache attached) cached views and model fits are patched, retained
         or dropped under the new lineage fingerprint rather than
-        invalidated wholesale. Sessions pinned to an older version
-        fast-forward via :meth:`DrillSession.sync`. Raises
+        invalidated wholesale. A "sync" session reads the new version on
+        its next request; a strict one stays pinned until
+        :meth:`DrillSession.sync`. Raises
         :class:`~repro.relational.delta.DeltaError` — with nothing
         mutated — when a retraction matches no remaining base row, the
-        post-delta rows break a hierarchy FD, or an appended row carries
-        a hierarchy cell that cannot be a group key (unhashable) or a
-        measure that is not a finite number.
+        post-delta rows break a hierarchy FD, or a row carries a
+        hierarchy cell that cannot be a group key (another cell type than
+        its column's, a NaN, a list) or a measure that is not a finite
+        number.
 
         Ingest is atomic. ``Cube.apply_delta`` assigns nothing until its
         checks pass (hashability included: its domain extension is where
@@ -283,6 +286,25 @@ class Reptile:
         return Delta(Relation.from_encoded(appended.schema, columns),
                      delta.retracted)
 
+    def check_cells(self, cells: Mapping, what: str) -> None:
+        """Raise :class:`SessionError` unless each cell of ``cells`` that
+        names a dimension attribute has that column's key cell type.
+
+        Called where a request's cells first meet the engine, before any
+        cache lookup: the recommend memo and the view cache compare keys
+        with ``==``, under which ``1986.0`` and ``True`` would find an
+        answer cached for ``1986`` (or ``1``).
+        """
+        types = self.cube.cell_types()
+        for attr, value in cells.items():
+            want = types.get(attr)
+            if want is None or (type(value) is want and value == value):
+                continue
+            try:
+                check_cell_type(key_type(value), want)
+            except EncodingError as exc:
+                raise SessionError(f"{what} {attr!r}: {exc}") from None
+
     def session(self, group_by: Sequence[str] = (),
                 filters: Mapping | None = None,
                 staleness: str | None = None) -> "DrillSession":
@@ -294,9 +316,11 @@ class Reptile:
         The effective group-by is the union of hierarchy prefixes implied
         by ``group_by`` and ``filters``. ``staleness`` overrides the
         engine's default policy for this session (see
-        :data:`STALENESS_POLICIES`).
+        :data:`STALENESS_POLICIES`). A filter cell of another type than
+        its column's raises :class:`SessionError`.
         """
         filters = dict(filters or {})
+        self.check_cells(filters, "filter")
         depths: dict[str, int] = {h.name: 0 for h in self.dataset.dimensions}
         for attr in list(group_by) + list(filters):
             h = self.dataset.dimensions.hierarchy_of(attr)
@@ -318,15 +342,16 @@ class Reptile:
 class DrillSession:
     """Tracks the analyst's position in the drill-down workflow.
 
-    Every session pins the engine ``data_version`` it last synchronized
-    with. When the engine ingests deltas (or refreshes wholesale), the
-    session's staleness policy decides what happens on its next query:
-    ``"sync"`` (default) fast-forwards automatically via :meth:`sync`;
-    ``"strict"`` raises :class:`StaleDataError` until :meth:`sync` is
-    called explicitly — for callers that must never mix results across
-    data versions inside one analysis step. A session holds no derived
-    data of its own: every view and fit comes from the engine's cube
-    (and serving cache), which the engine keeps current.
+    The session's staleness policy decides what it reads after the
+    engine ingests deltas (or refreshes wholesale): a ``"sync"``
+    (default) session always reads the engine's current data version; a
+    ``"strict"`` one pins the version it last synchronized with and
+    raises :class:`StaleDataError` until :meth:`sync` is called
+    explicitly — for callers that must never mix results across data
+    versions inside one analysis step. A session holds no derived data
+    of its own: every view and fit comes from the engine's cube (and
+    serving cache), which the engine keeps current, so no ingest ever
+    walks the open sessions.
     """
 
     def __init__(self, engine: Reptile, state: DrillState, filters: dict,
@@ -345,35 +370,41 @@ class DrillSession:
                 f"staleness must be one of {STALENESS_POLICIES}, "
                 f"got {policy!r}")
         self.staleness = policy
-        # The engine data version this session last synchronized with.
-        self.data_version = engine.data_version
+        # The engine data version a strict session last synchronized with.
+        self._pinned = engine.data_version
 
     # -- staleness --------------------------------------------------------------------
+    @property
+    def data_version(self) -> int:
+        """The data version this session reads: the engine's own under
+        ``"sync"``, the pinned one under ``"strict"``."""
+        if self.staleness == "sync":
+            return self.engine.data_version
+        return self._pinned
+
     def is_stale(self) -> bool:
-        """Whether the engine ingested data this session has not seen."""
+        """Whether the engine ingested data this session has not seen
+        (only ever true of a strict session)."""
         return self.data_version != self.engine.data_version
 
     def sync(self) -> "DrillSession":
-        """Fast-forward to the engine's current data version.
+        """Pin the engine's current data version.
 
         Only the pinned version moves: the session's next view or
         recommend reads the engine's cube, which every ingest and
         refresh already brought up to date.
         """
-        self.data_version = self.engine.data_version
+        self._pinned = self.engine.data_version
         return self
 
     def _ensure_fresh(self) -> None:
-        if not self.is_stale():
-            return
-        if self.staleness == "strict":
+        if self.is_stale():
             raise StaleDataError(
                 f"session pinned at data version {self.data_version} but "
                 f"the engine is at {self.engine.data_version}; call "
                 f"sync() to fast-forward",
                 pinned=self.data_version,
                 current=self.engine.data_version)
-        self.sync()
 
     # -- views ------------------------------------------------------------------------
     @property
@@ -401,6 +432,7 @@ class DrillSession:
                   k: int | None = None) -> Recommendation:
         """Recommend the next drill-down hierarchy and its top groups."""
         check_top_k(k)
+        self.engine.check_cells(complaint.coordinates, "complaint coordinate")
         self._ensure_fresh()
         candidates = [(h.name, attr) for h, attr in self.state.candidates()]
         if not candidates:
@@ -421,12 +453,14 @@ class DrillSession:
         ``coordinates`` (e.g. the complaint tuple's key, or a recommended
         group's coordinates) become part of the session filter, mirroring
         the provenance replacement of Example 7. Every coordinate must
-        name a hierarchy attribute; a rejected drill changes nothing.
+        name a hierarchy attribute and have its column's cell type; a
+        rejected drill changes nothing.
         """
         self._ensure_fresh()
         coordinates = dict(coordinates or {})
         for attr in coordinates:
             self.engine.dataset.dimensions.hierarchy_of(attr)
+        self.engine.check_cells(coordinates, "drill coordinate")
         self.state = self.state.drill(hierarchy)
         self.filters.update(coordinates)
         return self

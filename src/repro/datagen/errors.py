@@ -19,6 +19,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from ..relational.relation import Relation
 
 DEFAULT_DRIFT = 5.0
@@ -41,10 +43,6 @@ class ErrorSpec:
     magnitude: float = DEFAULT_DRIFT     # drift delta (ignored for rows)
     fraction: float = DEFAULT_FRACTION   # row fraction (ignored for drift)
 
-    def describe(self) -> str:
-        where = ", ".join(f"{k}={v}" for k, v in self.group.items())
-        return f"{self.kind.value}@({where})"
-
 
 def _group_indices(relation: Relation, group: Mapping) -> list[int]:
     checks = [(attr, value) for attr, value in group.items()]
@@ -58,7 +56,8 @@ def inject_missing(relation: Relation, group: Mapping,
     """Delete the first ``fraction`` of the group's rows."""
     idx = _group_indices(relation, group)
     drop = set(idx[:int(len(idx) * fraction)])
-    keep = [i for i in range(len(relation)) if i not in drop]
+    keep = np.asarray([i for i in range(len(relation)) if i not in drop],
+                      dtype=np.int64)
     return relation._take(keep)
 
 
@@ -67,7 +66,8 @@ def inject_duplicates(relation: Relation, group: Mapping,
     """Duplicate the first ``fraction`` of the group's rows."""
     idx = _group_indices(relation, group)
     extra = idx[:int(len(idx) * fraction)]
-    order = list(range(len(relation))) + extra
+    order = np.concatenate([np.arange(len(relation), dtype=np.int64),
+                            np.asarray(extra, dtype=np.int64)])
     return relation._take(order)
 
 

@@ -255,7 +255,8 @@ def apply_scenario(world: FistWorld, scenario: FistScenario,
             for name in relation.schema.names}
     cols["year"] = year
     cols["severity"] = severity
-    corrupted = Relation(relation.schema, cols)._take(keep)
+    corrupted = Relation(relation.schema, cols)._take(
+        np.asarray(keep, dtype=np.int64))
     dataset = HierarchicalDataset.build(
         corrupted,
         {"geo": ["region", "district", "village"], "time": ["year"]},

@@ -1,10 +1,9 @@
-"""Synthetic hierarchy structures for the performance experiments (§5.1).
+"""The streamed drought workload of the serving and ingest benchmarks.
 
-Figures 7–9 and 15 sweep structural parameters — number of hierarchies d,
-attributes per hierarchy t, attribute cardinality w — over synthetic BCNF
-hierarchy tables. :func:`chain_paths` builds one hierarchy with ``n_leaves``
-leaf values whose ancestors fan out by a fixed branching factor, which is
-all those benchmarks need.
+:func:`drought_chunks` yields ``{column: array}`` chunks of the drought
+survey shape for :func:`~repro.relational.shard.dataset_from_chunks`.
+The synthetic hierarchy structures of the §5.1 micro-benchmarks live
+beside their one user, :mod:`repro.experiments.perf`.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from ..factorized.forder import AttributeOrder, HierarchyPaths
-from ..factorized.matrix import FactorizedMatrix, FeatureColumn
 
 #: Schema of the streamed drought workload: the fig17/fig20 shape
 #: (two-level geo hierarchy + year), scaled up for the sharded benches.
@@ -52,58 +49,3 @@ def drought_chunks(n_rows: int, chunk_rows: int = 1_000_000, *,
             DROUGHT_MEASURE: rng.integers(0, 100, m).astype(float),
         }
         produced += m
-
-
-def chain_paths(name: str, n_attrs: int, n_leaves: int,
-                branching: int | None = None) -> HierarchyPaths:
-    """A hierarchy of ``n_attrs`` levels with ``n_leaves`` leaf paths.
-
-    Ancestor values at level ℓ group the leaves into contiguous runs of
-    ``branching^(n_attrs−1−ℓ)`` — a balanced tree when branching divides
-    evenly; the default branching spreads levels geometrically.
-    """
-    if branching is None:
-        branching = max(2, int(round(n_leaves ** (1.0 / max(n_attrs, 1)))))
-    attrs = [f"{name}_a{lvl}" for lvl in range(n_attrs)]
-    paths = []
-    for leaf in range(n_leaves):
-        path = []
-        for lvl in range(n_attrs):
-            span = branching ** (n_attrs - 1 - lvl)
-            path.append(f"{name}{lvl}_{leaf // span:06d}")
-        # Guarantee leaf uniqueness regardless of branching arithmetic.
-        path[-1] = f"{name}{n_attrs - 1}_{leaf:06d}"
-        paths.append(tuple(path))
-    return HierarchyPaths(name, attrs, paths)
-
-
-def flat_hierarchies(n_hierarchies: int, cardinality: int) -> list[HierarchyPaths]:
-    """Figure 7/15 structure: d hierarchies of one attribute each."""
-    return [chain_paths(f"h{i}", 1, cardinality)
-            for i in range(n_hierarchies)]
-
-
-def deep_hierarchies(n_hierarchies: int, n_attrs: int,
-                     cardinality: int) -> list[HierarchyPaths]:
-    """Figure 8/9 structure: d hierarchies × t attributes, w leaf values."""
-    return [chain_paths(f"h{i}", n_attrs, cardinality)
-            for i in range(n_hierarchies)]
-
-
-def random_feature_matrix(order: AttributeOrder, rng: np.random.Generator,
-                          columns_per_attribute: int = 1) -> FactorizedMatrix:
-    """Random feature columns per attribute (the benchmark matrices).
-
-    Figure 7 uses ``columns_per_attribute=3`` to match the paper's
-    10^d × 3·d matrix shape — three featurizations share one attribute's
-    block structure, which is where the factorised operators share work.
-    """
-    cols = []
-    for attr in order.attributes:
-        dom = order.ordered_domain(attr)
-        for k in range(columns_per_attribute):
-            cols.append(FeatureColumn(
-                attr, f"f{k}_{attr}",
-                {v: float(x)
-                 for v, x in zip(dom, rng.standard_normal(len(dom)))}))
-    return FactorizedMatrix(order, cols)

@@ -110,7 +110,7 @@ def inject_missing_ballots(world: VoteWorld, counties: list[str],
             if seen[c] % int(round(1 / fraction)) == 0:
                 continue
         keep.append(i)
-    corrupted = relation._take(keep)
+    corrupted = relation._take(np.asarray(keep, dtype=np.int64))
     dataset = HierarchicalDataset.build(
         corrupted, {"geo": ["state", "county"]}, "share", validate=False)
     for aux in world.dataset.auxiliary.values():

@@ -19,8 +19,7 @@ from ..baselines import SensitivityBaseline, SupportBaseline
 from ..core.complaint import Complaint
 from ..core.session import Reptile, ReptileConfig
 from ..datagen.covid import (ALL_ISSUES, COMPLAINT_DAY, CovidIssue,
-                             GLOBAL_ISSUES, US_ISSUES, apply_issue,
-                             global_panel, us_panel)
+                             apply_issue, global_panel, us_panel)
 from ..model.features import CustomFeature, FeaturePlan
 from ..relational.cube import GroupView
 
@@ -114,9 +113,6 @@ class CaseStudySummary:
     def mean_runtime(self) -> float:
         return sum(r.reptile_seconds for r in self.results) / len(self.results)
 
-    def detected(self, approach: str = "reptile") -> list[str]:
-        return [r.issue.issue_id for r in self.results if r.hits[approach]]
-
     def table_rows(self) -> list[tuple]:
         """(issue id, description, reptile, sensitivity, support) rows."""
         return [(r.issue.issue_id, r.issue.description,
@@ -132,11 +128,3 @@ def run_case_study(issues=ALL_ISSUES, seed: int = 0,
         results.append(run_issue(issue, seed=seed + k,
                                  n_iterations=n_iterations))
     return CaseStudySummary(results)
-
-
-def run_us(seed: int = 0, **kw) -> CaseStudySummary:
-    return run_case_study(US_ISSUES, seed=seed, **kw)
-
-
-def run_global(seed: int = 0, **kw) -> CaseStudySummary:
-    return run_case_study(GLOBAL_ISSUES, seed=seed, **kw)

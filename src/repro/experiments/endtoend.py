@@ -49,13 +49,6 @@ class InvocationTiming:
             return float("inf")
         return self.matlab_seconds / self.factorized_seconds
 
-    @property
-    def dense_speedup(self) -> float:
-        """Reptile vs the stronger vectorized-dense baseline."""
-        if self.factorized_seconds <= 0:
-            return float("inf")
-        return self.dense_seconds / self.factorized_seconds
-
 
 @dataclass
 class EndToEndResult:
@@ -80,12 +73,6 @@ class EndToEndResult:
         if self.total_factorized <= 0:
             return float("inf")
         return self.total_matlab / self.total_factorized
-
-    @property
-    def overall_dense_speedup(self) -> float:
-        if self.total_factorized <= 0:
-            return float("inf")
-        return self.total_dense / self.total_factorized
 
 
 def _hierarchy_order_names(dataset: HierarchicalDataset, committed: list[str],

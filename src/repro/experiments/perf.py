@@ -2,6 +2,11 @@
 
 Each function returns structured timing rows so the pytest-benchmark
 harnesses (and EXPERIMENTS.md) can print the same series the paper plots.
+The figures sweep structural parameters — number of hierarchies d,
+attributes per hierarchy t, attribute cardinality w — over synthetic
+BCNF hierarchy tables: :func:`chain_paths` builds one hierarchy with
+``n_leaves`` leaf values whose ancestors fan out by a fixed branching
+factor, which is all those benchmarks need.
 The dense comparison points use numpy — which *is* LAPACK-backed — over
 the materialised matrix, mirroring the paper's Lapack baselines.
 """
@@ -13,12 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..datagen.perf import (deep_hierarchies, flat_hierarchies,
-                            random_feature_matrix)
 from ..factorized.cluster_ops import ClusterOps
 from ..factorized.drilldown import DrilldownEngine
 from ..factorized.factorizer import Factorizer
-from ..factorized.forder import AttributeOrder
+from ..factorized.forder import AttributeOrder, HierarchyPaths
 from ..factorized.matrix import FactorizedMatrix, FeatureColumn
 from ..factorized.multiquery import lmfao_plan, shared_plan
 from ..factorized.reference import (assert_aggregate_sets_equal,
@@ -26,6 +29,61 @@ from ..factorized.reference import (assert_aggregate_sets_equal,
                                     reference_left_multiply,
                                     reference_right_multiply,
                                     reference_shared_plan)
+
+
+def chain_paths(name: str, n_attrs: int, n_leaves: int,
+                branching: int | None = None) -> HierarchyPaths:
+    """A hierarchy of ``n_attrs`` levels with ``n_leaves`` leaf paths.
+
+    Ancestor values at level ℓ group the leaves into contiguous runs of
+    ``branching^(n_attrs−1−ℓ)`` — a balanced tree when branching divides
+    evenly; the default branching spreads levels geometrically.
+    """
+    if branching is None:
+        branching = max(2, int(round(n_leaves ** (1.0 / max(n_attrs, 1)))))
+    attrs = [f"{name}_a{lvl}" for lvl in range(n_attrs)]
+    paths = []
+    for leaf in range(n_leaves):
+        path = []
+        for lvl in range(n_attrs):
+            span = branching ** (n_attrs - 1 - lvl)
+            path.append(f"{name}{lvl}_{leaf // span:06d}")
+        # Guarantee leaf uniqueness regardless of branching arithmetic.
+        path[-1] = f"{name}{n_attrs - 1}_{leaf:06d}"
+        paths.append(tuple(path))
+    return HierarchyPaths(name, attrs, paths)
+
+
+def flat_hierarchies(n_hierarchies: int, cardinality: int) -> list[HierarchyPaths]:
+    """Figure 7/15 structure: d hierarchies of one attribute each."""
+    return [chain_paths(f"h{i}", 1, cardinality)
+            for i in range(n_hierarchies)]
+
+
+def deep_hierarchies(n_hierarchies: int, n_attrs: int,
+                     cardinality: int) -> list[HierarchyPaths]:
+    """Figure 8/9 structure: d hierarchies × t attributes, w leaf values."""
+    return [chain_paths(f"h{i}", n_attrs, cardinality)
+            for i in range(n_hierarchies)]
+
+
+def random_feature_matrix(order: AttributeOrder, rng: np.random.Generator,
+                          columns_per_attribute: int = 1) -> FactorizedMatrix:
+    """Random feature columns per attribute (the benchmark matrices).
+
+    Figure 7 uses ``columns_per_attribute=3`` to match the paper's
+    10^d × 3·d matrix shape — three featurizations share one attribute's
+    block structure, which is where the factorised operators share work.
+    """
+    cols = []
+    for attr in order.attributes:
+        dom = order.ordered_domain(attr)
+        for k in range(columns_per_attribute):
+            cols.append(FeatureColumn(
+                attr, f"f{k}_{attr}",
+                {v: float(x)
+                 for v, x in zip(dom, rng.standard_normal(len(dom)))}))
+    return FactorizedMatrix(order, cols)
 
 
 def _timed(fn) -> float:

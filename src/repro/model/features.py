@@ -17,7 +17,11 @@ a mapping from attribute value(s) to a float:
   restricts which features enter Z; default Z = X.
 
 :func:`build_view_design` turns a :class:`GroupView` into a cluster-sorted
-dense design (the accuracy-experiment path); the same
+dense design (the accuracy-experiment path). A key column holds one cell
+type, so its values are totally ordered and the cluster sort is one
+``np.lexsort`` over the key codes (through
+:meth:`~repro.relational.encoding.DictEncoding.ranks` where a domain is
+not sorted); the same
 :class:`BuiltFeature` mappings convert to factorised
 :class:`~repro.factorized.matrix.FeatureColumn` objects for the
 performance path.
@@ -26,8 +30,6 @@ performance path.
 from __future__ import annotations
 
 import abc
-import bisect
-import operator
 import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -498,151 +500,24 @@ def _feature_column(view: GroupView, built: BuiltFeature,
     return domain_arr[codes]
 
 
-#: Domain-rank memo keyed by domain-list identity. Safe because
-#: encodings share (never copy) their domain list across ``take`` views
-#: and ``extend_domain`` only ever *appends* — the length check catches
-#: an in-place extension, and holding the list strongly pins its id.
-#: Bounded: oldest entries evicted past the cap.
-_DOMAIN_RANK_CACHE: dict[int, tuple[list, int, "np.ndarray | None"]] = {}
-_DOMAIN_RANK_CACHE_MAX = 128
-
-#: Value types whose ``(type name, value)`` keys are totally ordered
-#: (NaN aside): one sorted arrangement exists, so inserting new values
-#: into a sorted prefix gives the order a full re-sort would.
-_TOTAL_TYPES = frozenset((bool, int, float, str))
-
-
-def _domain_ranks(enc) -> np.ndarray | None:
-    """Code→rank table reproducing :func:`_orderable` order, or ``None``.
-
-    For a non-``sort_friendly`` encoding (chunk-streamed domains append
-    out of order) the Python key sort can still be replayed as a lexsort
-    when every domain value has a *strict* position in the
-    ``(type name, value)`` order: sort the domain once, assign ranks, and
-    gather. Declines (``None``) on NaN values (not a total order under
-    ``<``), on ``_orderable`` ties between distinct domain values (the
-    Python sort would resolve those through later key columns; a rank
-    table would not) and on a lossy encoding (see
-    :meth:`~repro.relational.encoding.DictEncoding.sort_friendly`).
-    Memoized per domain list — every view built over the same dataset
-    shares the table — and a domain grown by ``extend_domain`` extends
-    its prefix's table (:func:`_extended_ranks`) where it can.
-    """
-    if enc.lossy:
-        return None
-    domain = enc.domain
-    hit = _DOMAIN_RANK_CACHE.get(id(domain))
-    if hit is not None and hit[0] is domain and hit[1] == len(domain):
-        return hit[2]
-    ranks = _extended_ranks(domain)
-    if ranks is None:
-        ranks = _sorted_ranks(domain)
-    while len(_DOMAIN_RANK_CACHE) >= _DOMAIN_RANK_CACHE_MAX:
-        _DOMAIN_RANK_CACHE.pop(next(iter(_DOMAIN_RANK_CACHE)))
-    _DOMAIN_RANK_CACHE[id(domain)] = (domain, len(domain), ranks)
-    return ranks
-
-
-def _sorted_ranks(domain: list) -> np.ndarray | None:
-    """The rank table of one full ``_orderable`` sort (the decline rules
-    of :func:`_domain_ranks`)."""
-    ranks: np.ndarray | None = np.empty(len(domain), dtype=np.int64)
-    try:
-        order = sorted(range(len(domain)),
-                       key=lambda i: _orderable((domain[i],)))
-        prev = None
-        for rank, i in enumerate(order):
-            v = domain[i]
-            if isinstance(v, float) and v != v:
-                ranks = None
-                break
-            cur = _orderable((v,))
-            if prev is not None and not prev < cur:
-                ranks = None   # tie between distinct values: decline
-                break
-            prev = cur
-            ranks[i] = rank
-    except TypeError:          # unorderable mixed values
-        ranks = None
-    return ranks
-
-
-def _extended_ranks(domain: list) -> np.ndarray | None:
-    """The rank table of ``domain`` from a memoized table of its prefix.
-
-    Finds a memoized table whose domain is a strict prefix of ``domain``
-    (element identity), sorts only the new values and inserts them by
-    binary search: old ranks shift by the number of new values inserted
-    before them. A domain holds each value once (``==``-equal values of
-    one type share a code), so values of :data:`_TOTAL_TYPES` never tie.
-    ``None`` when no such prefix is memoized, when a value is not of a
-    :data:`_TOTAL_TYPES` type or when a new value is NaN;
-    :func:`_sorted_ranks` then decides, declines included.
-    """
-    n = len(domain)
-    for old, length, old_ranks in \
-            reversed(list(_DOMAIN_RANK_CACHE.values())):
-        if old_ranks is not None and 0 < length < n \
-                and domain[length - 1] is old[length - 1] \
-                and all(map(operator.is_, domain[:length], old[:length])):
-            break
-    else:
-        return None
-    new = domain[length:]
-    if not set(map(type, domain)) <= _TOTAL_TYPES \
-            or any(v != v for v in new):
-        return None
-    keys = [_orderable((v,)) for v in new]
-    order = sorted(range(len(new)), key=keys.__getitem__)
-    by_rank = np.empty(length, dtype=np.int64)
-    by_rank[old_ranks] = np.arange(length)
-    prefix = np.empty(length, dtype=object)
-    prefix[:] = old[:length]
-    ranked = prefix[by_rank]
-    slots = np.asarray([bisect.bisect_left(ranked, keys[j],
-                                           key=lambda v: _orderable((v,)))
-                        for j in order], dtype=np.int64)
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[:length] = old_ranks + np.searchsorted(slots, old_ranks,
-                                                 side="right")
-    ranks[length + np.asarray(order, dtype=np.int64)] = \
-        slots + np.arange(len(new))
-    return ranks
-
-
-def _sort_permutation(view: GroupView, keys: list,
+def _sort_permutation(view: GroupView,
                       cluster_positions: list[int]) -> np.ndarray:
-    """Row permutation of the design's cluster sort.
+    """Row permutation of the design's cluster sort: by cluster key,
+    then by whole key, in value order.
 
-    ``np.lexsort`` over the encoded key codes when every encoding is
-    :meth:`~repro.relational.encoding.DictEncoding.sort_friendly` (code
-    order then equals the ``(type name, value)`` order of
-    :func:`_orderable`), or over :func:`_domain_ranks` tables when the
-    domains merely *rank* cleanly (chunk-streamed encodings); otherwise
-    the Python sort over the keys — same permutation every way.
+    One ``np.lexsort`` over the key codes, each column through its
+    encoding's :meth:`~repro.relational.encoding.DictEncoding.ranks`
+    when its domain is not sorted (a key column holds one cell type, so
+    its values are totally ordered).
     """
-    n = len(keys)
     codes, encs = view.key_codes, view.encodings
     if codes.shape[1] == 0:
-        return np.arange(n, dtype=np.int64)
-    if all(e.sort_friendly() for e in encs):
-        columns = [_radix_key(codes[:, j], e.cardinality)
-                   for j, e in enumerate(encs)]
-        order_cols = [columns[p] for p in cluster_positions] + columns
-        return np.lexsort(tuple(reversed(order_cols)))
-    rank_tables = [_domain_ranks(e) for e in encs]
-    if all(r is not None for r in rank_tables):
-        ranked = [_radix_key(r[codes[:, j]], len(r))
-                  for j, r in enumerate(rank_tables)]
-        order_cols = [ranked[p] for p in cluster_positions] + ranked
-        return np.lexsort(tuple(reversed(order_cols)))
-
-    def sort_key(i: int) -> tuple:
-        k = keys[i]
-        ck = tuple(k[p] for p in cluster_positions)
-        return (_orderable(ck), _orderable(k))
-
-    return np.asarray(sorted(range(n), key=sort_key), dtype=np.int64)
+        return np.arange(len(codes), dtype=np.int64)
+    columns = [_radix_key(codes[:, j] if e.domain_sorted
+                          else e.ranks()[codes[:, j]], e.cardinality)
+               for j, e in enumerate(encs)]
+    order_cols = [columns[p] for p in cluster_positions] + columns
+    return np.lexsort(tuple(reversed(order_cols)))
 
 
 def _cluster_sizes(view: GroupView, cluster_positions: list[int],
@@ -650,8 +525,7 @@ def _cluster_sizes(view: GroupView, cluster_positions: list[int],
     """Run lengths of consecutive equal cluster keys, in sorted order.
 
     Vectorized over the encoded key codes (code equality is value
-    equality, including the same-NaN-object case a tuple compare
-    resolves by identity).
+    equality).
     """
     if not cluster_positions:
         return [len(perm)]
@@ -681,7 +555,7 @@ def build_view_designs(view: GroupView, targets: Sequence[str],
     keys = view.key_list  # view iteration order — what perm/row_of assume
     if not keys:
         raise FeatureError("cannot build a design over an empty view")
-    perm = _sort_permutation(view, keys, positions)
+    perm = _sort_permutation(view, positions)
     keys_sorted = [keys[i] for i in perm]
     sizes = _cluster_sizes(view, positions, perm)
 
@@ -718,7 +592,3 @@ def build_view_design(view: GroupView, target: str, plan: FeaturePlan,
     """
     return build_view_designs(view, (target,), plan, cluster_attrs)[0]
 
-
-def _orderable(key: tuple) -> tuple:
-    """Sort key tolerant of mixed types across attributes."""
-    return tuple((type(v).__name__, v) for v in key)

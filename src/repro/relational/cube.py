@@ -290,6 +290,7 @@ class Cube:
         self._key_codes = gidx.key_codes
         self._stats = stats
         self._keys: list[Key] | None = None
+        self._cell_types: dict[str, type] | None = None
 
     def rebuild(self) -> None:
         """Recompute the leaf block from the current relation, in place.
@@ -310,6 +311,16 @@ class Cube:
             self._keys = decode_keys(self._key_codes, self._encodings)
         return self._keys
 
+    def cell_types(self) -> dict[str, type]:
+        """Each leaf attribute's key cell type, memoized (an attribute
+        with no rows yet is absent)."""
+        if self._cell_types is None:
+            self._cell_types = {
+                a: e.cell_type for a, e in zip(self.leaf_attrs,
+                                               self._encodings)
+                if e.cell_type is not None}
+        return self._cell_types
+
     @property
     def leaf_stats(self) -> GroupStats:
         """The leaf-level struct-of-arrays stats block."""
@@ -329,8 +340,9 @@ class Cube:
         Retraction granularity is the leaf group: a retraction must not
         drive any group's count negative. The merged leaf block must
         keep every hierarchy FD (:meth:`_check_fds`), and every delta cell
-        must extend its attribute's domain (an unhashable cell cannot be
-        a group key). Each failure raises :class:`DeltaError` with the
+        must extend its attribute's domain (a cell of another type than
+        its column's, a NaN or a list cannot be a group key). Each
+        failure raises :class:`DeltaError` with the
         cube untouched: nothing is assigned until every check passes.
         Returns the :class:`CubeDelta` summary the upper layers patch
         themselves with.
@@ -375,6 +387,7 @@ class Cube:
         self._key_codes = key_codes
         self._stats = stats
         self._keys = None  # decoded-key cache is stale
+        self._cell_types = None  # an empty column may have got its type
         return CubeDelta(delta_codes, delta_stats, self._encodings)
 
     def _check_fds(self, key_codes: np.ndarray,

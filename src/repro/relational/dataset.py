@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .encoding import EncodingError
 from .hierarchy import Dimensions, HierarchyError
 from .relation import Relation
 
@@ -87,10 +88,11 @@ class HierarchicalDataset:
     """Base relation + hierarchies + measures + auxiliary data.
 
     This is the object passed to :class:`repro.core.session.Reptile`.
-    Every measure cell must be a finite number: a non-numeric, NaN or
-    ±inf cell raises :class:`DatasetError`, the rule ingest applies to
-    appended rows (a NaN cell could never be retracted, and it poisons
-    every fit over its groups). ``validate=False`` skips only the
+    Every dimension column holds one cell type — ``bool``, ``int``,
+    ``float`` or ``str``, never NaN — and every measure cell is a finite
+    number; anything else raises :class:`DatasetError`, the rule ingest
+    applies to appended rows (a NaN cell could never be retracted, and it
+    poisons every fit over its groups). ``validate=False`` skips only the
     hierarchy FD check.
     """
 
@@ -107,6 +109,7 @@ class HierarchicalDataset:
             if a not in relation.schema:
                 raise DatasetError(
                     f"hierarchy attribute {a!r} not in relation schema")
+            _cell_type(relation, a, "dimension column")
         try:
             finite = np.isfinite(relation.measure_array(measure)).all()
         except (TypeError, ValueError) as exc:
@@ -133,7 +136,12 @@ class HierarchicalDataset:
 
     # -- auxiliary data -------------------------------------------------------------
     def add_auxiliary(self, aux: AuxiliaryDataset) -> None:
-        """Register an auxiliary dataset (§3.3.2)."""
+        """Register an auxiliary dataset (§3.3.2).
+
+        Each join column must hold the base dimension column's cell
+        type: with another one (``"1986"`` against ``1986``) the join
+        would match no group, so it raises :class:`DatasetError`.
+        """
         if aux.name in self.auxiliary:
             raise DatasetError(f"duplicate auxiliary dataset {aux.name!r}")
         for a in aux.join_on:
@@ -143,6 +151,14 @@ class HierarchicalDataset:
                 raise DatasetError(
                     f"auxiliary dataset {aux.name!r} joins on {a!r}, which is "
                     f"not a dimension attribute") from None
+            want = _cell_type(self.relation, a, "dimension column")
+            got = _cell_type(aux.relation, a,
+                             f"auxiliary dataset {aux.name!r} join column")
+            if want is not None and got is not None and got is not want:
+                raise DatasetError(
+                    f"auxiliary dataset {aux.name!r} joins on {a!r} with "
+                    f"{got.__name__} cells, but the dimension column holds "
+                    f"{want.__name__} cells")
         self.auxiliary[aux.name] = aux
 
     def applicable_auxiliary(self, group_by: Sequence[str]
@@ -178,3 +194,12 @@ class HierarchicalDataset:
         dims = {h.name: list(h.attributes) for h in self.dimensions}
         return (f"HierarchicalDataset(n={len(self.relation)}, dims={dims}, "
                 f"measure={self.measure!r})")
+
+
+def _cell_type(relation: Relation, attribute: str, what: str) -> type | None:
+    """The one key cell type of a column (None when it has no rows), or
+    :class:`DatasetError` naming the column and what is wrong."""
+    try:
+        return relation.encoding(attribute).cell_type
+    except EncodingError as exc:
+        raise DatasetError(f"{what} {attribute!r}: {exc}") from None

@@ -20,8 +20,9 @@ to every derived structure *incrementally* instead of rebuilding:
   whole fingerprint generation.
 
 Retraction semantics: each retracted row must match an existing base row
-on **every** column (``==`` per cell; NaN never matches, so rows with
-NaN dimension values cannot be retracted). Duplicate rows are a bag —
+on **every** column (``==`` per cell, and a keyed cell must have its
+column's cell type: a retracted ``1984.0`` in an int column is a
+:class:`DeltaError`, never a match). Duplicate rows are a bag —
 retracting removes the earliest matches in storage order. A retraction
 that cannot be matched raises :class:`DeltaError` before anything is
 mutated. The frozen row-at-a-time counterpart of this contract lives in
@@ -35,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoding import comparable_keys
+from .encoding import EncodingError, comparable_keys
 from .relation import Relation
 from .schema import Schema
 
@@ -93,11 +94,12 @@ def locate_rows(relation: Relation, retracted: Relation) -> np.ndarray:
     a vectorized scan of the rows appended since; retracted rows are
     skipped. A relation with pending appends and retractions is never
     materialized. A cold relation, with no column interned yet, interns
-    every column first, so an unhashable cell in it raises
+    every column first, so a cell in it that cannot be a key raises
     :class:`~repro.relational.encoding.EncodingError`; a column left
     uninterned beside interned ones is only compared, so it may hold
-    one. Raises :class:`DeltaError` when any retraction finds no row
-    left.
+    one. Raises :class:`DeltaError` when a retracted cell of an interned
+    column has another cell type than the column, or when any
+    retraction finds no row left.
     """
     if not len(retracted):
         return np.empty(0, dtype=np.int64)
@@ -112,15 +114,19 @@ def locate_rows(relation: Relation, retracted: Relation) -> np.ndarray:
     rest = [n for n in names if n not in keyed]
     heads = [storage.columns[n].head for n in keyed]
     # Retracted values are looked up per column: a value absent from the
-    # current domain (or NaN, which code_of never matches) cannot
-    # identify any row.
+    # current domain cannot identify any row, and one that cannot be a
+    # cell of the column (another type, NaN) is a bad request.
     n_ret = len(retracted)
     ret_codes = []
     missing = np.zeros(n_ret, dtype=bool)
     for head, name in zip(heads, keyed):
         codes = np.zeros(n_ret, dtype=np.int64)
         for i, value in enumerate(retracted.column(name)):
-            code = head.code_of(value)
+            try:
+                code = head.code_of(value)
+            except EncodingError as exc:
+                raise DeltaError(
+                    f"retracted {name!r} cell {value!r}: {exc}") from None
             if code is None:
                 missing[i] = True
             else:

@@ -9,19 +9,27 @@ kernels (``np.unique`` / ``argsort`` / ``bincount`` / ``searchsorted``)
 instead of per-row Python loops, which is what lets the roll-up cube and
 the serving layer scale to 10⁵–10⁶ rows.
 
-Three factorization paths keep semantics identical to the old row engine:
+A key column holds one cell type — ``bool``, ``int``, ``float`` or
+``str`` (``bytes`` only from a numpy ``S`` array), never NaN; a numpy
+scalar counts as its Python type, and a domain holds only Python
+scalars. The keyed operators (:func:`factorize`,
+:meth:`DictEncoding.extend_domain`, :meth:`DictEncoding.merge`,
+:meth:`DictEncoding.code_of`) raise :class:`EncodingError` on any other
+cell, so a domain is totally ordered by ``<`` and sorting a column's
+keys is one lexsort over codes (or over :meth:`DictEncoding.ranks` when
+ingest or a chunk merge appended to the domain out of order).
 
-* fixed-width string arrays (dtype kind ``U``/``S``) are hashed, not
-  sorted: each row's code units fold into one ``uint64``, the rows are
-  grouped by hash, every row is checked against its group's
-  representative (the collision guard) and only the distinct values are
-  sorted. Codes and domain are bitwise those of ``np.unique``;
+Three factorization paths give the same codes and sorted domain:
+
+* fixed-width string arrays (dtype kind ``U``/``S``) are hashed, not sorted:
+  each row's code units fold into one ``uint64``, the rows are grouped
+  by hash, every row is checked against its group's representative (the
+  collision guard) and only the distinct values are sorted. Codes and
+  domain are bitwise those of ``np.unique``;
 * other numpy-backed columns, and string columns whose hashes collide,
-  go through :func:`factorize_by_sort` (``np.unique``: C speed, sorted
-  domain);
-* Python-list columns go through a dict factorizer that preserves the
-  *original* value objects in the domain, so decoded rows are
-  indistinguishable from the pre-columnar representation.
+  go through :func:`factorize_by_sort` (``np.unique``: C speed);
+* any other sequence goes through a dict factorizer that keeps the value
+  objects.
 
 Multi-attribute keys are combined with a mixed-radix encoding into a
 single ``int64`` per row (falling back to row-wise ``np.unique(axis=0)``
@@ -49,11 +57,12 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 class EncodingError(ValueError):
-    """Raised when a column cannot be dictionary-encoded (e.g. unhashable
-    cell values). Every keyed operator (grouping, equality filters,
-    retraction lookup, domain extension) raises it, with no row-loop
-    fallback; the value operators (column, rows, appends, the content
-    digest) accept any cell."""
+    """Raised when a cell cannot be a key: not a ``bool``, ``int``,
+    ``float`` or ``str`` (an unhashable list, say), NaN, or of another
+    type than its column's. Every keyed operator (grouping, equality
+    filters, retraction lookup, domain extension) raises it, with no
+    row-loop fallback; the value operators (column, rows, appends, the
+    content digest) accept any cell."""
 
 
 def digest_parts(*parts: bytes) -> bytes:
@@ -64,36 +73,75 @@ def digest_parts(*parts: bytes) -> bytes:
     return digest.digest()
 
 
+#: The cell types a key column may hold, one per column (``bytes`` only
+#: arrives as a numpy ``S`` array, which shares the hashed string path).
+KEY_TYPES = frozenset((bool, int, float, str, bytes))
+
+
+def key_type(value) -> type:
+    """The key cell type of ``value`` (a numpy scalar counts as its
+    Python type); :class:`EncodingError` for NaN or any other type."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    cls = type(value)
+    if cls not in KEY_TYPES:
+        raise EncodingError(f"a key cell must be bool, int, float, str or "
+                            f"bytes, got {cls.__name__} {value!r}")
+    if cls is float and value != value:
+        raise EncodingError("a key cell cannot be NaN")
+    return cls
+
+
+def check_cell_type(cls: type | None, want: type | None) -> None:
+    """Raise :class:`EncodingError` unless cells of type ``cls`` may
+    enter a column of type ``want`` (None: no cell or no column yet)."""
+    if cls is not want and cls is not None and want is not None:
+        raise EncodingError(f"a cell of type {cls.__name__} cannot enter "
+                            f"a column of {want.__name__} cells")
+
+
+def _key_cells(values) -> tuple[list, type | None]:
+    """``values`` as Python scalars of one key cell type, and that type
+    (None when there are no values); :class:`EncodingError` otherwise."""
+    values = list(values)
+    types = set(map(type, values))
+    if not types <= KEY_TYPES:  # numpy scalars, or a cell of no key type
+        values = [v.item() if isinstance(v, np.generic) else v
+                  for v in values]
+        types = set(map(key_type, values))
+    if len(types) > 1:
+        raise EncodingError("a key column holds one cell type, got "
+                            + " and ".join(sorted(t.__name__
+                                                  for t in types)[:2])
+                            + " cells")
+    if float in types and any(v != v for v in values):
+        raise EncodingError("a key cell cannot be NaN")
+    return values, next(iter(types), None)
+
+
 class DictEncoding:
     """One column as ``int32`` codes plus an ordered value domain.
 
-    ``domain`` is a plain Python list (index = code). ``domain_sorted``
-    records whether the domain is in ascending value order — when true,
-    code order equals value order and sorting by codes is sorting by
-    values.
+    ``domain`` is a plain Python list (index = code) of distinct Python
+    scalars of one key cell type (:data:`KEY_TYPES`), never NaN.
+    ``domain_sorted`` records whether the domain is in ascending value
+    order — when true, code order equals value order and sorting by
+    codes is sorting by values; otherwise :meth:`ranks` maps codes to
+    value order.
     """
 
-    __slots__ = ("codes", "domain", "domain_sorted", "lossy", "_objects",
-                 "_positions", "_token", "_sort_friendly")
+    __slots__ = ("codes", "domain", "domain_sorted", "_objects",
+                 "_positions", "_token", "_ranks")
 
     def __init__(self, codes: np.ndarray, domain: list,
-                 domain_sorted: bool, objects: np.ndarray | None = None,
-                 lossy: bool = False):
+                 domain_sorted: bool, objects: np.ndarray | None = None):
         self.codes = codes
         self.domain = domain
         self.domain_sorted = domain_sorted
-        self._sort_friendly: bool | None = None
-        #: True when decoding may not reproduce the original row objects:
-        #: the dict factorizer merges ==-equal values of different types
-        #: (1/True, 2/2.0) under one code, keeping the first-seen value
-        #: as the domain representative. Grouping/filtering semantics are
-        #: unaffected (the row engine's dict keys merged the same way),
-        #: but operators that must return the *original* values take the
-        #: row path instead of decoding.
-        self.lossy = lossy
         self._objects = objects
         self._positions: dict | None = None
         self._token: bytes | None = None
+        self._ranks: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -101,6 +149,11 @@ class DictEncoding:
     @property
     def cardinality(self) -> int:
         return len(self.domain)
+
+    @property
+    def cell_type(self) -> type | None:
+        """The column's key cell type (None while the domain is empty)."""
+        return type(self.domain[0]) if self.domain else None
 
     @property
     def objects(self) -> np.ndarray:
@@ -119,83 +172,34 @@ class DictEncoding:
             return []
         return self.objects[codes].tolist()
 
+    def ranks(self) -> np.ndarray:
+        """Each code's position in value order: one argsort of the
+        domain, memoized (the identity when the domain is sorted)."""
+        if self._ranks is None:
+            ranks = np.arange(len(self.domain), dtype=np.int64)
+            if not self.domain_sorted:
+                order = np.argsort(self.objects, kind="stable")
+                ranks[order] = np.arange(len(order), dtype=np.int64)
+            self._ranks = ranks
+        return self._ranks
+
     def code_of(self, value) -> int | None:
         """Code of ``value``, or None if it is not in the domain.
 
-        Matches the ``v == value`` semantics of the old per-row filter:
-        NaN never matches anything (a dict lookup would match it by
-        object identity), and an unhashable value matches no cell (an
-        encoded domain holds only hashable values).
+        Raises :class:`EncodingError` unless ``value`` is a key cell of
+        this column's type (:func:`key_type`).
         """
-        try:
-            if value != value:  # NaN: v == value is False for every row
-                return None
-        except (TypeError, ValueError):
-            pass  # objects with exotic __ne__ (e.g. arrays): fall through
+        check_cell_type(key_type(value), self.cell_type)
         if self._positions is None:
             self._positions = {v: i for i, v in enumerate(self.domain)}
-        try:
-            return self._positions.get(value)
-        except TypeError:
-            return None
-
-    def sort_friendly(self) -> bool:
-        """Whether code order equals ``(type name, value)`` sort order.
-
-        True when the domain is value-sorted, single-typed, and NaN-free,
-        and not lossy — exactly the conditions under which an
-        ``np.lexsort`` over codes reproduces the design builder's Python
-        key sort bit for bit. (A lossy column's keys may hold an
-        ``==``-equal value of another type than the domain's, which the
-        Python sort orders by type name first.) Memoized
-        (O(cardinality) on first call).
-        """
-        if self._sort_friendly is None:
-            ok = self.domain_sorted and not self.lossy
-            if ok and self.domain:
-                first = type(self.domain[0])
-                for v in self.domain:
-                    if type(v) is not first or (isinstance(v, float)
-                                                and v != v):
-                        ok = False
-                        break
-            self._sort_friendly = bool(ok)
-        return self._sort_friendly
+        return self._positions.get(value)
 
     def take(self, indices: np.ndarray) -> "DictEncoding":
         """Row subset sharing this encoding's domain (no value copies)."""
         enc = DictEncoding(self.codes[indices], self.domain,
-                           self.domain_sorted, self._objects, self.lossy)
+                           self.domain_sorted, self._objects)
         enc._positions = self._positions
-        enc._sort_friendly = self._sort_friendly
-        return enc
-
-    def concat(self, other: "DictEncoding") -> "DictEncoding":
-        """Concatenated rows under a merged domain."""
-        if other.domain is self.domain:
-            enc = DictEncoding(np.concatenate([self.codes, other.codes]),
-                               self.domain, self.domain_sorted, self._objects,
-                               self.lossy)
-            enc._positions = self._positions
-            return enc
-        merged = list(self.domain)
-        positions = {v: i for i, v in enumerate(merged)}
-        remap = np.empty(len(other.domain), dtype=np.int32)
-        lossy = self.lossy or other.lossy
-        for j, v in enumerate(other.domain):
-            code = positions.get(v)
-            if code is None:
-                code = len(merged)
-                positions[v] = code
-                merged.append(v)
-            elif type(merged[code]) is not type(v):
-                # ==-equal cross-type merge (1 vs 1.0): decoding would
-                # return the left side's representative.
-                lossy = True
-            remap[j] = code
-        codes = np.concatenate([self.codes, remap[other.codes]])
-        enc = _sort_domain(codes, merged)
-        enc.lossy = lossy
+        enc._ranks = self._ranks
         return enc
 
     def extend_domain(self, values: Sequence
@@ -206,40 +210,28 @@ class DictEncoding:
         column's code array over the extended domain — the old domain is
         a prefix of the new one, so every stored code (here, in the cube,
         in cached views) stays valid without a re-encode — and ``codes``
-        encodes ``values``. New values get fresh codes past the old
-        cardinality with dict semantics (``==``-equal values of another
-        type merge under the existing code and flag the result lossy;
-        NaN matches only by object identity, so each new NaN object is
-        its own code, exactly like :func:`factorize`'s dict path). The
-        domain list and position index are copied only when a value is
-        new; when none is and no lossy merge happens, ``extended`` is
-        this encoding itself, so its memos stay valid.
+        encodes ``values``. Every value must be a key cell of this
+        column's type (:class:`EncodingError` otherwise). The domain list
+        and position index are copied only when a value is new; when none
+        is, ``extended`` is this encoding itself, so its memos stay valid.
         """
+        values, cls = _key_cells(values)
+        check_cell_type(cls, self.cell_type)
         if self._positions is None:
             self._positions = {v: i for i, v in enumerate(self.domain)}
         positions, domain = self._positions, self.domain
         codes = np.empty(len(values), dtype=np.int32)
-        lossy = self.lossy
-        try:
-            for i, v in enumerate(values):
-                code = positions.get(v)
-                if code is None:
-                    if domain is self.domain:  # copy on the first new value
-                        positions, domain = dict(positions), list(domain)
-                    code = positions[v] = len(domain)
-                    domain.append(v)
-                elif not lossy and type(domain[code]) is not type(v):
-                    lossy = True
-                codes[i] = code
-        except TypeError as exc:
-            raise EncodingError(
-                f"appended value is not hashable: {exc}") from exc
-        grew = domain is not self.domain
-        if not grew and lossy == self.lossy:
+        for i, v in enumerate(values):
+            code = positions.get(v)
+            if code is None:
+                if domain is self.domain:  # copy on the first new value
+                    positions, domain = dict(positions), list(domain)
+                code = positions[v] = len(domain)
+                domain.append(v)
+            codes[i] = code
+        if domain is self.domain:
             return self, codes
-        extended = DictEncoding(self.codes, domain,
-                                self.domain_sorted and not grew,
-                                lossy=lossy)
+        extended = DictEncoding(self.codes, domain, False)
         extended._positions = positions
         return extended, codes
 
@@ -252,11 +244,9 @@ class DictEncoding:
         code array over the union domain (the first domain is a prefix of
         the union, so shard 0's codes survive verbatim), and ``remaps[i]``
         maps input ``i``'s codes into the union — ``remaps[i][enc.codes]``
-        re-expresses any shard's column in the shared code space.
-        Built on :meth:`extend_domain`, so values merge with dict-key
-        semantics: ``==``-equal values of another type collapse under the
-        first-seen code (flagging the result lossy) and NaN matches only
-        by object identity.
+        re-expresses any shard's column in the shared code space. Built
+        on :meth:`extend_domain`, so inputs of two cell types raise
+        :class:`EncodingError`.
         """
         if not encodings:
             raise ValueError("merge() needs at least one encoding")
@@ -264,10 +254,6 @@ class DictEncoding:
         remaps = [np.arange(acc.cardinality, dtype=np.int32)]
         for other in encodings[1:]:
             acc, remap = acc.extend_domain(other.domain)
-            if other.lossy and not acc.lossy:
-                # Never flag an input (extend_domain may return it).
-                acc = DictEncoding(acc.codes, acc.domain, acc.domain_sorted,
-                                   lossy=True)
             remaps.append(remap)
         return acc, remaps
 
@@ -286,10 +272,7 @@ class DictEncoding:
 
 def _sort_domain(codes: np.ndarray, domain: list) -> DictEncoding:
     """Remap an insertion-ordered factorization to a sorted domain."""
-    try:
-        order = sorted(range(len(domain)), key=domain.__getitem__)
-    except TypeError:
-        return DictEncoding(codes, domain, domain_sorted=False)
+    order = sorted(range(len(domain)), key=domain.__getitem__)
     if order != list(range(len(domain))):
         perm = np.empty(len(domain), dtype=np.int32)
         perm[np.asarray(order, dtype=np.int32)] = \
@@ -366,13 +349,13 @@ def factorize_by_sort(values: np.ndarray) -> DictEncoding:
 
 
 def factorize(values) -> DictEncoding:
-    """Dictionary-encode one column.
+    """Dictionary-encode one key column.
 
     Fixed-width string arrays take the hashed path, other numpy arrays of
-    scalar dtype :func:`factorize_by_sort` (either way the domain is
-    sorted and decoded to Python scalars); anything else goes through a
-    dict factorizer that keeps the original value objects, so nothing
-    observable changes for relations built from Python rows.
+    scalar dtype :func:`factorize_by_sort`; anything else must hold key
+    cells of one type (:func:`key_type`; :class:`EncodingError`
+    otherwise) and goes through a dict factorizer that keeps the value
+    objects. Either way the domain is sorted and holds Python scalars.
     """
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
@@ -382,34 +365,15 @@ def factorize(values) -> DictEncoding:
             enc = _factorize_strings(values)
             if enc is not None:
                 return enc
-        if kind in _TYPED_KINDS \
-                and not (kind == "f" and np.isnan(values).any()):
-            # np.unique would merge NaNs (equal_nan) into one domain
-            # entry; the row engine kept every NaN its own group
-            # (nan != nan), so NaN-bearing floats take the dict path.
+        if kind in _TYPED_KINDS:
+            if kind == "f" and np.isnan(values).any():
+                raise EncodingError("a key cell cannot be NaN")
             return factorize_by_sort(values)
-        values = values.tolist()
+    values, _ = _key_cells(values)
     table: dict = {}
-    domain: list = []
-    codes = np.empty(len(values), dtype=np.int32)
-    lossy = False
-    try:
-        for i, v in enumerate(values):
-            code = table.setdefault(v, len(table))
-            codes[i] = code
-            if code == len(domain):
-                domain.append(v)
-            elif not lossy and type(domain[code]) is not type(v):
-                # An ==-equal value of another type (1/True, 2/2.0) was
-                # merged under this code; decoding would return the
-                # first-seen representative, not this row's object. Flag
-                # it so value-preserving operators use the row path.
-                lossy = True
-    except TypeError as exc:
-        raise EncodingError(f"column value is not hashable: {exc}") from exc
-    enc = _sort_domain(codes, domain)
-    enc.lossy = lossy
-    return enc
+    codes = np.fromiter((table.setdefault(v, len(table)) for v in values),
+                        dtype=np.int32, count=len(values))
+    return _sort_domain(codes, list(table))
 
 
 def combine_radix(code_columns: Sequence[np.ndarray],

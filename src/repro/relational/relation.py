@@ -18,10 +18,12 @@ construction, its derived forms (values, encoding, content hash) are
 computed once and cached.
 
 Each operator runs one way. The keyed ones — grouping, equality filters
-and ingest's retraction lookup — work on the encoded columns, so a column
-holding an unhashable cell makes them raise
-:class:`~repro.relational.encoding.EncodingError`. The value ones —
-``column``, ``rows``, appends and ``content_token`` — accept any cell.
+and ingest's retraction lookup — work on the encoded columns, which hold
+one cell type each (``bool``, ``int``, ``float`` or ``str``, no NaN), so
+a list cell, a NaN or a second cell type in the column or the query makes
+them raise :class:`~repro.relational.encoding.EncodingError`. The value
+ones — ``column``, ``rows``, appends and ``content_token`` — accept any
+cell, so a column that nothing keys on may hold anything.
 
 ``group_measure`` iterates in lexicographic key order — the order the
 composite-key kernels produce — rather than first-occurrence order;
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import csv
 import threading
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -120,21 +122,10 @@ class _Column:
         return np.asarray(self.values(), dtype=float)
 
     # -- derivation --------------------------------------------------------------
-    def keeps_codes(self) -> bool:
-        """Whether a row subset or an append stays in code form.
-
-        A lossy encoding (==-equal values of mixed numeric types merged
-        under one code) cannot reproduce the original row objects, so a
-        column that still holds those objects works from the values
-        instead.
-        """
-        return self._enc is not None \
-            and not (self._enc.lossy and self._values is not None)
-
     def take(self, indices: np.ndarray, index_list: list | None = None
              ) -> "_Column":
         """Row subset; stays in code/array form whenever possible."""
-        if self.keeps_codes():
+        if self._enc is not None:
             return _Column(enc=self._enc.take(indices))
         if self._array is not None:
             return _Column(array=self._array[indices])
@@ -145,7 +136,7 @@ class _Column:
     def takes_list_path(self) -> bool:
         """True when :meth:`take` will subset the Python value list
         (callers then precompute the shared index list once)."""
-        return not self.keeps_codes() and self._array is None
+        return self._enc is None and self._array is None
 
     def append_step(self, other: "_Column") -> tuple:
         """How ``other``'s rows append to this column: the one decision.
@@ -158,21 +149,20 @@ class _Column:
           array of the same dtype kind, so a small row-built delta never
           demotes the whole column to a Python list;
         * ``("concat", None)`` — every fallback that changes the
-          representation: an unhashable appended value, an extension
-          that would make a clean encoding lossy (decoding must keep
-          returning the original objects), a dtype-kind mismatch, a list
-          column. :meth:`concat` then rebuilds the column.
+          representation: an appended cell the encoding cannot take (a
+          list, or another cell type: only a column no hierarchy names
+          gets one, since ingest checks the others first), a dtype-kind
+          mismatch, a list column. :meth:`appended` then rebuilds the
+          column as a list of values.
 
         Nothing is concatenated here, so a pending relation can defer
         the first two branches and :meth:`appended` applies them now.
         """
-        if self.keeps_codes():
+        if self._enc is not None:
             try:
-                extended, codes = self._enc.extend_domain(other.values())
+                return ("extend", *self._enc.extend_domain(other.values()))
             except EncodingError:
-                return ("concat", None)
-            if not (extended.lossy and not self._enc.lossy):
-                return ("extend", extended, codes)
+                pass
         if self._array is not None:
             arr = other._array if other._array is not None \
                 else np.asarray(other.values())
@@ -186,25 +176,11 @@ class _Column:
             _, extended, codes = step
             return _Column(enc=DictEncoding(
                 np.concatenate([self._enc.codes, codes]), extended.domain,
-                extended.domain_sorted, lossy=extended.lossy))
+                extended.domain_sorted))
         if step[0] == "typed":
             return _Column(array=np.concatenate([self._array, step[1]]))
-        return self.concat(other)
-
-    def concat(self, other: "_Column") -> "_Column":
-        if self._values is not None and other._values is not None:
-            return _Column(values=self._values + other._values)
-        if self._array is not None and other._array is not None \
-                and self._array.dtype.kind == other._array.dtype.kind:
-            # Same dtype kind only: np.concatenate would otherwise
-            # silently promote (ints to strings/floats) instead of
-            # preserving values like the list path does.
-            return _Column(array=np.concatenate([self._array, other._array]))
-        if self._enc is not None and other._enc is not None \
-                and not (self._enc.lossy or other._enc.lossy):
-            merged = self._enc.concat(other._enc)
-            if not merged.lossy:  # cross-type merge across the domains
-                return _Column(enc=merged)
+        # Never np.concatenate here: it would silently promote (ints to
+        # strings or floats) instead of keeping each row's value.
         return _Column(values=self.values() + other.values())
 
     # -- fingerprints ------------------------------------------------------------
@@ -221,15 +197,8 @@ class _Column:
                                  np.ascontiguousarray(self._array).tobytes())
         else:
             try:
-                enc = self.encoding()
-            except EncodingError:
-                enc = None
-            if enc is not None and not enc.lossy:
-                token = enc.hash_token()
-            else:
-                # Unencodable or lossy ([1, True] and [1, 1] share codes
-                # and domain): hash the values themselves so different
-                # contents never share a fingerprint.
+                token = self.encoding().hash_token()
+            except EncodingError:  # not a key column: hash the values
                 token = digest_parts(repr(self.values()).encode())
         self._token = token
         return token
@@ -274,7 +243,7 @@ class _Deferred:
     @classmethod
     def taken(cls, column: _Column) -> "_Deferred":
         """``column`` in the form a row subset leaves it (see take())."""
-        if column.keeps_codes():
+        if column._enc is not None:
             return cls.of(column, "enc")
         return cls.of(column, "array" if column._array is not None
                       else "list")
@@ -311,9 +280,8 @@ class _Deferred:
         if self.kind == "array":
             return _Column(array=data)
         head = self.head
-        enc = DictEncoding(data, head.domain, head.domain_sorted,
-                           lossy=head.lossy)
-        enc._positions = head._positions
+        enc = DictEncoding(data, head.domain, head.domain_sorted)
+        enc._positions, enc._ranks = head._positions, head._ranks
         return _Column(enc=enc)
 
     def cells(self, positions: np.ndarray, n_base: int) -> list:
@@ -425,6 +393,19 @@ class _Pending:
                                         [e.cardinality for e in encs]))
                 cache.entries[tuple(names)] = entry
         return entry[1]
+
+
+def _typed_cells(texts: list[str]) -> list:
+    """A CSV column's cells as ints or floats when every one is the
+    canonical spelling of one, else as the strings themselves."""
+    for parse in (int, float):
+        try:
+            values = [parse(t) for t in texts]
+        except ValueError:
+            continue
+        if all(str(v) == t for v, t in zip(values, texts)):
+            return values
+    return texts
 
 
 class Relation:
@@ -562,23 +543,17 @@ class Relation:
         return cls._from_cols(schema, cols, n if n is not None else 0)
 
     @classmethod
-    def from_csv(cls, path: str, schema: Schema,
-                 converters: Mapping[str, Callable[[str], Any]] | None = None
-                 ) -> "Relation":
+    def from_csv(cls, path: str, schema: Schema) -> "Relation":
         """Load a relation from a CSV file with a header row.
 
-        Measures are converted to ``float`` by default, and such a
-        column is stored as one float64 array; pass ``converters`` to
-        override per-column parsing (the column then keeps the values
-        the converter returns). A header without one of the schema's
-        columns, or a row whose width differs from the header's, raises
-        :class:`SchemaError`; blank lines are skipped.
+        A measure column is stored as one float64 array. Every other
+        column gets one cell type, decided over the whole column: ``int``
+        when every cell is a canonical int (``str(int(cell)) == cell``,
+        so ``01`` is not one), else ``float`` when every cell is a
+        canonical float, else ``str``. A header without one of the
+        schema's columns, or a row whose width differs from the
+        header's, raises :class:`SchemaError`; blank lines are skipped.
         """
-        converters = dict(converters or {})
-        floats = [attr.name for attr in schema
-                  if attr.kind is AttributeKind.MEASURE
-                  and attr.name not in converters]
-        converters.update(dict.fromkeys(floats, float))
         with open(path, newline="") as f:
             reader = csv.reader(f)
             header = next(reader, [])
@@ -587,8 +562,7 @@ class Relation:
             if missing:
                 raise SchemaError(f"header has no column {missing[0]!r}")
             columns: dict[str, list] = {n: [] for n in schema.names}
-            parsers = [(where[n], converters.get(n, str), columns[n])
-                       for n in schema.names]
+            cells = [(where[n], columns[n]) for n in schema.names]
             for rec in reader:
                 if not rec:
                     continue
@@ -596,11 +570,12 @@ class Relation:
                     raise SchemaError(
                         f"line {reader.line_num} has {len(rec)} fields, "
                         f"the header {len(header)}")
-                for i, parse, column in parsers:
-                    column.append(parse(rec[i]))
+                for i, column in cells:
+                    column.append(rec[i])
         return cls.from_encoded(schema, {
-            n: np.asarray(c, dtype=np.float64) if n in floats else c
-            for n, c in columns.items()})
+            attr.name: np.asarray(columns[attr.name], dtype=np.float64)
+            if attr.kind is AttributeKind.MEASURE
+            else _typed_cells(columns[attr.name]) for attr in schema})
 
     # -- container protocol ----------------------------------------------------------
     def __len__(self) -> int:
@@ -692,9 +667,7 @@ class Relation:
             mask = hit if mask is None else mask & hit
         return self._take(np.flatnonzero(mask))
 
-    def _take(self, indices: Sequence[int] | np.ndarray) -> "Relation":
-        if not isinstance(indices, np.ndarray):
-            indices = np.asarray(indices, dtype=np.int64)
+    def _take(self, indices: np.ndarray) -> "Relation":
         index_list: list | None = None
         cols: dict[str, _Column] = {}
         for name, col in self._cols.items():
@@ -717,9 +690,9 @@ class Relation:
         (:meth:`_Column.append_step`), to its appended tail.
         Columns materialize when a reader first needs them, and exactly
         as the eager concatenations would have built them. A fallback
-        that changes a column's representation (a dtype-kind mismatch,
-        an unhashable value, an extension that would make a clean
-        encoding lossy) materializes this relation and appends eagerly.
+        that changes a column's representation (a dtype-kind mismatch, a
+        cell the column's encoding cannot take) materializes this
+        relation and appends eagerly.
         """
         if self.schema.names != other.schema.names:
             raise SchemaError("append requires identical schemas")

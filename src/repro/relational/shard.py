@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dataset import DatasetError, HierarchicalDataset
-from .encoding import DictEncoding, factorize
+from .encoding import DictEncoding, EncodingError, factorize
 from .relation import Relation
 from .schema import Schema, dimension, measure as measure_attr
 
@@ -34,15 +34,17 @@ def encode_columns_chunked(chunks: Iterable[Mapping[str, np.ndarray]],
     holds only ``int32`` codes plus the ``float64`` measure — never a
     full value-object image. A column given as a list (not an array) is
     encoded as it is, keeping its value objects, exactly as
-    :meth:`Relation.from_rows` would. A measure cell that is not a number
-    raises :class:`~repro.relational.dataset.DatasetError`. Returns
+    :meth:`Relation.from_rows` would. A measure cell that is not a
+    number, a dimension cell that cannot be a key, and chunks that give
+    a column two cell types raise
+    :class:`~repro.relational.dataset.DatasetError`. Returns
     ``(columns, n_rows)`` ready for :meth:`Relation.from_encoded`.
     """
     chunk_encs: dict[str, list[DictEncoding]] = {a: [] for a in attrs}
     measure_parts: list[np.ndarray] = []
     for chunk in chunks:
         for a in attrs:
-            chunk_encs[a].append(factorize(chunk[a]))
+            chunk_encs[a].append(_keyed(a, factorize, chunk[a]))
         try:
             measure_parts.append(np.asarray(chunk[measure_name],
                                             dtype=float))
@@ -56,18 +58,27 @@ def encode_columns_chunked(chunks: Iterable[Mapping[str, np.ndarray]],
             columns[a] = DictEncoding(np.empty(0, dtype=np.int32), [],
                                       domain_sorted=True)
             continue
-        merged, remaps = DictEncoding.merge(encs)
+        merged, remaps = _keyed(a, DictEncoding.merge, encs)
         codes = np.concatenate(
             [remap[enc.codes] for remap, enc in zip(remaps, encs)])
         column = DictEncoding(codes.astype(np.int32, copy=False),
-                              merged.domain, merged.domain_sorted,
-                              lossy=merged.lossy)
+                              merged.domain, merged.domain_sorted)
         column._positions = merged._positions
         columns[a] = column
     measure_col = (np.concatenate(measure_parts) if measure_parts
                    else np.empty(0))
     columns[measure_name] = measure_col
     return columns, int(len(measure_col))
+
+
+def _keyed(attr: str, operator, values):
+    """``operator(values)``, its :class:`EncodingError` (a chunk cell
+    that cannot be a key, or chunks giving ``attr`` two cell types) as
+    a :class:`DatasetError` naming the column."""
+    try:
+        return operator(values)
+    except EncodingError as exc:
+        raise DatasetError(f"dimension column {attr!r}: {exc}") from None
 
 
 def dataset_from_chunks(chunks: Iterable[Mapping[str, np.ndarray]],

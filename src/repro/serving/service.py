@@ -329,8 +329,12 @@ class ExplanationService:
                 executed += 1
                 t0 = time.perf_counter()
                 try:
-                    # Before the memo: its key reads k=0 as the default.
+                    # Before the memo: its key reads k=0 as the default,
+                    # and compares cells with == (1986.0 finds 1986).
                     check_top_k(request.k)
+                    engine.check_cells(request.filters, "filter")
+                    engine.check_cells(request.complaint.coordinates,
+                                       "complaint coordinate")
                     key = _recommend_key(engine, view_key, request)
                     if key is None:
                         recommendation = rank(request)
@@ -363,11 +367,11 @@ class ExplanationService:
         threaded through the relation, the cube (which checks the
         hierarchy FDs on its merged leaf keys) and the shared cache
         (entries are patched or retained under the new lineage
-        fingerprint, not dropped), and every open session of
-        the dataset fast-forwards — or, under a strict staleness policy,
-        raises until explicitly synced — instead of silently serving
-        pre-delta aggregates. Returns a summary with the new
-        ``data_version`` and the cache patch counters.
+        fingerprint, not dropped). No open session is touched: a "sync"
+        session reads the engine's version, and a strict one raises until
+        explicitly synced, instead of silently serving pre-delta
+        aggregates. Returns a summary with the new ``data_version`` and
+        the cache patch counters.
 
         Failure semantics: a validation failure (:class:`DeltaError` —
         the *request* is wrong) propagates unchanged with nothing
@@ -392,7 +396,6 @@ class ExplanationService:
                 self._degrade(dataset, exc)
                 raise IngestFailure(dataset, engine.data_version,
                                     exc) from exc
-            self._bump_sessions(dataset)
             self.health.mark_healthy(
                 dataset, version, recovered=self.health.is_degraded(dataset))
             after = self.cache.stats
@@ -404,21 +407,6 @@ class ExplanationService:
                 "cache_patched": after.patched - before.patched,
                 "cache_retained": after.retained - before.retained,
             }
-
-    def _bump_sessions(self, dataset: str) -> None:
-        """Fast-forward the dataset's open auto-sync sessions now.
-
-        Strict-policy sessions are deliberately left stale — their next
-        request raises ``StaleDataError`` until the owner calls
-        ``sync()`` — so a data change can never be silently mixed into
-        an in-flight strict analysis. Called with the dataset's write
-        lock held: the sessions being bumped cannot be serving a read.
-        """
-        with self._lock:
-            entries = list(self._sessions.items())
-        for name, (owner, session) in entries:
-            if owner == dataset and session.staleness == "sync":
-                session.sync()
 
     # -- degraded mode & recovery --------------------------------------------------
     def _degrade(self, dataset: str, exc: BaseException) -> None:
@@ -435,9 +423,9 @@ class ExplanationService:
         /datasets/{d}/refresh``). Under the write lock the engine
         rebuilds from its committed relation
         (:meth:`~repro.core.session.Reptile.refresh`), the old
-        fingerprint's cache entries are dropped, and the open sessions
-        are version-bumped: auto-sync ones fast-forward now, strict ones
-        raise until synced. A healthy dataset stays ``healthy``
+        fingerprint's cache entries are dropped, and the version bumps:
+        auto-sync sessions read it, strict ones raise until synced. A
+        healthy dataset stays ``healthy``
         throughout; a degraded one goes ``rebuilding`` and, on success,
         ``healthy`` with one more recorded rebuild. A failure (the
         ``serving.rebuild`` fault point included) degrades the dataset,
@@ -455,7 +443,6 @@ class ExplanationService:
                 engine.refresh()
                 if old_fingerprint is not None:
                     self.cache.invalidate(old_fingerprint)
-                self._bump_sessions(dataset)
         except Exception as exc:
             self._degrade(dataset, exc)
             return False

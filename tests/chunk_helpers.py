@@ -12,8 +12,8 @@ DIMENSIONS = ("district", "village", "year")
 def rows_to_chunks(rows, chunk_rows: int) -> list[dict]:
     """``rows`` cut into chunks of ``chunk_rows`` rows.
 
-    Dimension columns are object arrays, so NaN objects and mixed types
-    reach the chunk encoders as they are; the measure is ``float``.
+    Dimension columns are object arrays, so each cell reaches the chunk
+    encoders as the Python object it is; the measure is ``float``.
     """
     chunks = []
     for i in range(0, len(rows), chunk_rows):

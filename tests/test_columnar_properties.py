@@ -3,8 +3,8 @@
 Every hot operation of the columnar core — group-by, leaf-cube build,
 roll-up (with and without provenance filters) and filter — is checked
 for exact agreement with the frozen loops in ``repro.relational.rowref``
-on random relations (mixed string/int domains, duplicate rows, empty
-results), and the array form of the §2.2 counted-relation operators
+on random relations (string or int domains, one cell type per key
+column, duplicate rows, empty results), and the array form of the §2.2 counted-relation operators
 with the dict ``CountMap``'s loops. Counts and measures are
 integer-valued so float sums are order-independent and equality can be
 exact.
@@ -33,16 +33,31 @@ def _values(prefix: str, size: int):
         st.integers(0, size - 1))
 
 
+def _typed_values(prefix: str, size: int):
+    """One key column's cells: strings or ints, never both (a key
+    column holds one cell type); either exercises the dict factorizer."""
+    return st.sampled_from([
+        st.sampled_from([f"{prefix}{i}" for i in range(size)]),
+        st.integers(0, size - 1)])
+
+
 @st.composite
 def relations(draw, min_rows: int = 0, max_rows: int = 60):
     """Random (a, b, c, x) relations with duplicate-heavy key columns."""
     n = draw(st.integers(min_rows, max_rows))
     schema = Schema([dimension("a"), dimension("b"), dimension("c"),
                      measure("x")])
-    rows = [(draw(_values("a", 3)), draw(_values("b", 4)),
-             draw(_values("c", 3)), float(draw(st.integers(-50, 50))))
+    a, b, c = (draw(_typed_values(p, size))
+               for p, size in (("a", 3), ("b", 4), ("c", 3)))
+    rows = [(draw(a), draw(b), draw(c), float(draw(st.integers(-50, 50))))
             for _ in range(n)]
     return Relation.from_rows(schema, rows)
+
+
+def _mistyped(rel: Relation, conditions: dict) -> bool:
+    """Whether a condition's cell type differs from its column's."""
+    return any(rel.encoding(a).cell_type not in (None, type(v))
+               for a, v in conditions.items())
 
 
 @st.composite
@@ -103,6 +118,10 @@ class TestRelationOps:
                                          {"a": "a0", "b": "b1"},
                                          {"c": "nope"}]))
     def test_filter_equals(self, rel, conditions):
+        if _mistyped(rel, conditions):
+            with pytest.raises(encoding.EncodingError):
+                rel.filter_equals(conditions)
+            return
         assert rel.filter_equals(conditions) \
             == rowref.filter_equals(rel, conditions)
 
@@ -116,34 +135,27 @@ class TestRelationOps:
 
 
 def test_nan_dimension_values_group_like_row_path():
-    # nan != nan: the row engine kept every NaN row its own group, so the
-    # encoded path must too (np.unique alone would merge them).
-    rel = Relation(Schema([dimension("g"), measure("x")]),
-                   {"g": np.array([1.0, np.nan, np.nan]),
-                    "x": np.array([1.0, 2.0, 3.0])})
-    got = _group_rows(rel, ["g"])
-    want = rowref.group_rows(rel, ["g"])
-    # NaN keys are distinct objects on both paths, so compare the group
-    # structure rather than dicts (NaN keys never compare equal).
-    assert len(got) == len(want) == 3
-    assert sorted(got.values()) == sorted(want.values())
-    assert got[(1.0,)] == [0]
+    # A NaN key (nan != nan) has no group: grouping, on an array or a
+    # list column, raises the typed error the row path has no answer for.
+    for g in (np.array([1.0, np.nan, np.nan]), [1.0, float("nan"), 2.0]):
+        rel = Relation(Schema([dimension("g"), measure("x")]),
+                       {"g": g, "x": np.array([1.0, 2.0, 3.0])})
+        with pytest.raises(encoding.EncodingError, match="NaN"):
+            _group_rows(rel, ["g"])
 
 
 def test_mixed_numeric_types_preserved_in_derived_relations():
-    # 1/True and 2/2.0 share a group code (==-equal, like the old dict
-    # keys did), but derived relations must keep the original row
-    # objects, not the first-seen domain representative.
+    # 1, True and 2.0 are three cell types: no keyed operator merges
+    # them under one code; each raises. The value operators keep the
+    # original row objects.
     rel = Relation.from_rows(Schema([dimension("k"), measure("x")]),
                              [(1, 1.0), (True, 2.0), (2.0, 3.0), (2, 4.0)])
-    rel.encoding("k")  # intern first, as a cube build would
-    kept = rel.filter_equals({"k": 1})
-    assert kept.column("k") == (1, True)
-    assert [type(v) for v in kept.column("k")] == [int, bool]
-    kept = rel.filter_equals({"k": 2})
-    assert [type(v) for v in kept.column("k")] == [float, int]
-    # Grouping still merges ==-equal values, exactly like the row path.
-    assert len(_group_rows(rel, ["k"])) == len(rowref.group_rows(rel, ["k"]))
+    for keyed in (lambda: rel.encoding("k"), lambda: _group_rows(rel, ["k"]),
+                  lambda: rel.filter_equals({"k": 1})):
+        with pytest.raises(encoding.EncodingError, match="one cell type"):
+            keyed()
+    assert [type(v) for v in rel.column("k")] == [int, bool, float, int]
+    assert rel.without_rows([0]).column("k") == (True, 2.0, 2)
 
 
 def test_mixed_numeric_append_preserves_originals():
@@ -158,12 +170,14 @@ def test_mixed_numeric_append_preserves_originals():
 
 
 def test_nan_filter_value_matches_nothing():
+    # A NaN condition can match no row (nan != nan), and is not a key
+    # cell: the filter raises instead of answering empty.
     rel = Relation(Schema([dimension("g"), measure("x")]),
-                   {"g": np.array([1.0, np.nan, 3.0]),
+                   {"g": np.array([1.0, 2.0, 3.0]),
                     "x": np.array([1.0, 2.0, 3.0])})
-    stored_nan = rel.column("g")[1]
-    assert len(rel.filter_equals({"g": stored_nan})) == 0  # nan != nan
-    assert len(rowref.filter_equals(rel, {"g": stored_nan})) == 0
+    assert len(rowref.filter_equals(rel, {"g": float("nan")})) == 0
+    with pytest.raises(encoding.EncodingError, match="NaN"):
+        rel.filter_equals({"g": float("nan")})
 
 
 def test_lossy_columns_get_distinct_fingerprint_tokens():
@@ -281,6 +295,10 @@ class TestCubeEquivalence:
     def test_filtered_rollup(self, rel, filters):
         dataset = self._dataset(rel)
         cube = Cube(dataset)
+        if _mistyped(rel, filters):
+            with pytest.raises(encoding.EncodingError):
+                cube.view(("b",), filters)
+            return
         naive = rowref.rollup_view(rowref.leaf_states(dataset),
                                    dataset.leaf_group_by(), ("b",), filters)
         _states_equal(naive, cube.view(("b",), filters).groups)

@@ -10,10 +10,11 @@ from repro.datagen.correlate import (induce_correlation, rank_correlation,
 from repro.datagen.errors import (ErrorKind, ErrorSpec, corrupt,
                                   inject_drift, inject_duplicates,
                                   inject_missing)
-from repro.datagen.perf import chain_paths, deep_hierarchies, flat_hierarchies
 from repro.datagen.synthetic import (SyntheticConfig, make_auxiliary,
                                      make_dataset)
 from repro.datagen.workloads import absentee_like, compas_like
+from repro.experiments.perf import (chain_paths, deep_hierarchies,
+                                    flat_hierarchies)
 from repro.relational.cube import Cube
 
 

@@ -4,11 +4,12 @@ Every property threads randomly generated append/retract deltas through
 the incremental path — ``Cube.apply_delta``, ``Reptile.apply_delta``,
 patched serving-cache entries — and asserts *exact* equality against the
 frozen row-at-a-time rebuild in :mod:`repro.relational.deltaref`: same
-key sets (NaN keys compared by identity-faithful signatures), bitwise
+key sets, bitwise
 counts, and bitwise totals/sums of squares (measures are dyadic
 rationals, so float sums are order-independent and must match bit for
 bit). Covered shapes: appends to existing groups, new dimension values,
-new leaf paths, NaN dimension keys, retractions (down to emptying groups
+new leaf paths, NaN dimension keys (a typed error with the cube
+untouched), retractions (down to emptying groups
 and removing whole paths), and drill/ingest interleavings. The relation
 itself is checked too: its deferred appends and retractions must
 materialize bitwise to what the eager operators build.
@@ -127,10 +128,23 @@ def test_cube_apply_delta_matches_rebuild(evolution):
 
 @given(evolutions(allow_nan=True))
 def test_cube_delta_with_nan_keys_matches_rebuild(evolution):
-    base, deltas = evolution
+    """NaN is not a key cell: registration refuses a NaN year, and a
+    delta appending one raises DeltaError with the cube untouched, which
+    still matches the rebuild of the deltas it accepted."""
+    base, drawn = evolution
+    if any(math.isnan(r[2]) for r in base):
+        with pytest.raises(DatasetError, match="'year'"):
+            _dataset(base)
+        return
     cube = Cube(_dataset(base))
-    for delta in deltas:
+    deltas = []
+    for delta in drawn:
+        if any(math.isnan(y) for y in delta.appended.column("year")):
+            with pytest.raises(DeltaError, match="'year'"):
+                cube.apply_delta(delta)
+            break  # later deltas were drawn on top of this one
         cube.apply_delta(delta)
+        deltas.append(delta)
     oracle_ds = _rebuilt(base, deltas)
     deltaref.assert_groups_equal(
         cube.leaf_states, deltaref.rebuilt_leaf_states(oracle_ds))
@@ -359,18 +373,17 @@ def test_versioned_fingerprints_never_alias(evolution):
 # ``_Column.appended``, which materializes after every step. Every column
 # of the maintained relation, and of the same sequence materialized after
 # every step, must equal it bitwise (representation, code dtype and
-# bytes, domain values with their types, ``domain_sorted``, ``lossy``,
-# array dtype and bytes, list values), and the rows must equal the frozen
+# bytes, domain values with their types, ``domain_sorted``, array dtype
+# and bytes, list values), and the rows must equal the frozen
 # row-at-a-time oracle.
 
 REL_SCHEMA = Schema([dimension("a"), dimension("b"), measure("x")])
-#: Values a delta names: mostly plain ones, some new to the domain, and
-#: now and then a troublemaker — an ==-equal cross-type value (True == 1,
-#: 2.0 == 2) that forces the lossy fallback, an int that demotes a float
-#: array, or NaN.
+#: Values a delta names: mostly plain ones, and now and then one new to
+#: the domain. Each column keeps one cell type, so every column stays a
+#: key column that any step may intern.
 A_VALUES = (("p", "q", "r", "s"), ())
-B_VALUES = ((1, 2, 3), (True, 2.0, NAN))
-X_VALUES = ((0.5, 1.0, 2.0), (7, NAN))
+B_VALUES = ((1, 2, 3), (0, 7))
+X_VALUES = ((0.5, 1.0, 2.0), (7.0, -3.5))
 
 
 def _cell(draw, values) -> object:
@@ -406,7 +419,7 @@ def _signature(relation: Relation, name: str) -> tuple:
     if col._enc is not None:
         enc = col._enc
         sig.append(("enc", enc.codes.dtype.str, enc.codes.tobytes(),
-                    _objects(enc.domain), enc.domain_sorted, enc.lossy))
+                    _objects(enc.domain), enc.domain_sorted))
     if col._array is not None:
         sig.append(("array", col._array.dtype.str, col._array.tobytes()))
     if col._values is not None:
@@ -424,7 +437,7 @@ def _locate(relation: Relation, retracted: Relation):
 @st.composite
 def relation_histories(draw):
     """A base relation spec, columns to intern up front, and deltas."""
-    shape = draw(st.sampled_from(("rows", "typed", "lossy")))
+    shape = draw(st.sampled_from(("rows", "typed")))
     n = draw(st.integers(0, 14))
     base = [(draw(st.sampled_from(("p", "q", "r"))),
              draw(st.sampled_from((1, 2))),
@@ -462,17 +475,9 @@ def _base_relation(shape: str, base: list, intern: set) -> Relation:
         relation = Relation.from_rows(REL_SCHEMA, base)
     else:
         # The perfbench/dataset_from_chunks shape: encoded dimensions
-        # adopted as DictEncodings, the measure a float64 array. "lossy"
-        # adopts ``b`` as an encoding whose domain merged True with 1
-        # (as a chunked load of mixed-type chunks does): codes only, so
-        # appends keep extending it.
+        # adopted as DictEncodings, the measure a float64 array.
         cols = list(zip(*base)) if base else [(), (), ()]
-        if shape == "typed":
-            b = factorize(np.array(cols[1], dtype=np.int64))
-        else:
-            merged = factorize([True] + list(cols[1]))
-            b = DictEncoding(merged.codes[1:], merged.domain,
-                             merged.domain_sorted, lossy=merged.lossy)
+        b = factorize(np.array(cols[1], dtype=np.int64))
         relation = Relation.from_encoded(REL_SCHEMA, {
             "a": factorize(np.array(cols[0], dtype="<U1")), "b": b,
             "x": np.array(cols[2], dtype=np.float64)})

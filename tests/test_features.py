@@ -16,7 +16,9 @@ from repro.model.features import (AuxiliaryFeature, CustomFeature,
 from repro.relational import dataset_from_chunks
 from repro.relational.aggregates import AggState
 from repro.relational.cube import Cube, GroupView
-from repro.relational.dataset import AuxiliaryDataset, HierarchicalDataset
+from repro.relational.dataset import (AuxiliaryDataset, DatasetError,
+                                     HierarchicalDataset)
+from repro.relational.delta import Delta
 from repro.relational.encoding import factorize
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, dimension, measure
@@ -265,9 +267,9 @@ def _dataset(rows) -> HierarchicalDataset:
 
 class TestDesignProducts:
     def test_chunk_streamed_design_matches_python_sort_oracle(self):
-        """Chunk-streamed domains (not sort-friendly) take the
-        domain-rank lexsort; the design must equal the frozen Python-sort
-        oracle exactly."""
+        """Chunk-streamed domains (unsorted) take the lexsort over their
+        ``ranks()``; the design must equal the frozen Python-sort oracle
+        exactly."""
         # The second chunk introduces values that sort *before* the
         # first chunk's (extend_domain appends, so the union domain
         # comes out unsorted).
@@ -285,7 +287,7 @@ class TestDesignProducts:
         cube = Cube(dataset)
         view = cube.view(("district", "village"))
         enc = view.encodings[0]
-        assert not enc.sort_friendly()  # the path under test
+        assert not enc.domain_sorted  # the path under test
         vd = build_view_design(view, "mean", FeaturePlan(), ("district",))
         ref_keys, ref_y, ref_design = build_view_design_ref(
             view, "mean", FeaturePlan(), ("district",))
@@ -295,11 +297,17 @@ class TestDesignProducts:
         assert list(vd.design.sizes) == list(ref_design.sizes)
 
     def test_nan_domain_design_matches_python_sort_oracle(self):
-        """NaN domain values decline the rank table; the Python-sort
-        fallback must still match the oracle."""
+        """A NaN village is refused at registration, so no design sorts
+        one; a grown domain (an ingested village that sorts first) ranks
+        and matches the oracle."""
         rows = BASE_ROWS + [("d2", NAN, 2000, 2.0), ("d2", NAN, 2001, 4.0)]
-        cube = Cube(_dataset(rows))
+        with pytest.raises(DatasetError, match="'village'"):
+            _dataset(rows)
+        cube = Cube(_dataset(BASE_ROWS))
+        cube.apply_delta(Delta.from_rows(SCHEMA, [("d2", "a-v0", 2000, 2.0),
+                                                  ("d2", "a-v0", 2001, 4.0)]))
         view = cube.view(("district", "village"))
+        assert not view.encodings[1].domain_sorted  # the path under test
         vd = build_view_design(view, "mean", FeaturePlan(), ("district",))
         ref_keys, ref_y, ref_design = build_view_design_ref(
             view, "mean", FeaturePlan(), ("district",))
@@ -308,56 +316,51 @@ class TestDesignProducts:
         assert np.array_equal(vd.y, ref_y)
 
 
-#: Domain values for the rank-table property: ints, floats (signed
-#: zeros, NaN), bools, strings, and tuples (not a total-order type, so
-#: a grown domain holding one is sorted in full).
-RANK_VALUES = st.one_of(
+#: Domain values for the rank-table property: one key cell type per
+#: domain — ints, floats (a signed zero, huge and tiny), bools, strings.
+RANK_VALUES = st.sampled_from([
     st.integers(-5, 5), st.sampled_from([0.5, -0.0, 2.0, -3.5, 1e9]),
-    st.just(float("nan")), st.booleans(), st.sampled_from(["a", "b", "zz"]),
-    st.tuples(st.integers(0, 2)))
-#: Only values of total-order types and no NaN: growth extends unless
-#: a value ties (an int equal to a float merges lossy and declines).
-TOTAL_RANK_VALUES = st.one_of(
+    st.booleans(), st.sampled_from(["a", "b", "zz", "", "\x00"])])
+TOTAL_RANK_VALUES = st.sampled_from([
     st.integers(-50, 50), st.sampled_from([0.5, 2.0, -3.5, 1e9, 7.25]),
-    st.text("abc", max_size=3))
+    st.text("abc", max_size=3)])
 
 
 class TestDomainRankGrowth:
-    """A grown domain's rank table, extended from its prefix's memoized
-    table, equals a full re-sort — decline rules included."""
+    """A grown domain's rank table, one argsort memoized on the
+    encoding, equals a full re-sort of the domain."""
 
     @pytest.mark.parametrize("values", [RANK_VALUES, TOTAL_RANK_VALUES],
                              ids=["mixed", "total"])
     @given(data=st.data())
     def test_extended_ranks_equal_full_resort(self, values, data):
-        first = data.draw(st.lists(values, min_size=1, max_size=12))
-        deltas = data.draw(st.lists(st.lists(values, max_size=4),
+        cells = data.draw(values)
+        first = data.draw(st.lists(cells, min_size=1, max_size=12))
+        deltas = data.draw(st.lists(st.lists(cells, max_size=4),
                                     min_size=1, max_size=3))
         enc = factorize(list(first))
-        features._domain_ranks(enc)
         for delta in deltas:
             enc, _ = enc.extend_domain(delta)
-            got = features._domain_ranks(enc)
-            want = None if enc.lossy \
-                else features._sorted_ranks(enc.domain)
-            if want is None or got is None:
-                assert got is None and want is None
-            else:
-                assert got.tolist() == want.tolist()
+            order = sorted(range(enc.cardinality),
+                           key=enc.domain.__getitem__)
+            want = np.empty(enc.cardinality, dtype=np.int64)
+            want[order] = np.arange(enc.cardinality)
+            assert enc.ranks().tolist() == want.tolist()
 
     def test_growth_extends_without_full_sort(self, monkeypatch):
-        enc = factorize(["v3", "v1", 7, 2.5, "v2"])
-        assert features._domain_ranks(enc) is not None
+        """An extension that adds no value keeps the encoding object, and
+        with it the memoized ranks: no ingest into existing leaves
+        re-sorts a domain. A new value sorts once."""
+        enc, _ = factorize(["v3", "v1", "v2"]).extend_domain(["v0"])
+        ranks = enc.ranks()
+        assert ranks.tolist() == [1, 2, 3, 0]
         calls = []
-        full = features._sorted_ranks
-        monkeypatch.setattr(features, "_sorted_ranks",
-                            lambda domain: calls.append(1) or full(domain))
-        grown, _ = enc.extend_domain(["v0", 3, "v9", -1.0])
-        assert grown.domain is not enc.domain
-        got = features._domain_ranks(grown)
-        assert calls == []
-        assert got.tolist() == full(grown.domain).tolist()
-        # A new NaN leaves the decline to the full sort.
-        nan_grown, _ = grown.extend_domain([float("nan")])
-        assert features._domain_ranks(nan_grown) is None
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort",
+                            lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        same, codes = enc.extend_domain(["v1", "v0"])
+        assert same is enc and same.ranks() is ranks
+        assert codes.tolist() == [0, 3] and calls == []
+        grown, _ = enc.extend_domain(["v9", "v00"])
+        assert grown.ranks().tolist() == [2, 3, 4, 0, 5, 1]
         assert calls == [1]

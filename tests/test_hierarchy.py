@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.relational.encoding import EncodingError
 from repro.relational.hierarchy import (Dimensions, DrillState, Hierarchy,
                                         HierarchyError)
 from repro.relational.relation import Relation
@@ -17,11 +18,11 @@ FD_HIERARCHY = Hierarchy("geo", ["d", "v", "w"])
 
 
 def _object_values(prefix: str):
-    """Object-column values: strings, ==-equal 1/1.0, one shared NaN
-    object and fresh NaN objects (the dict path keys NaN by identity)."""
-    return st.one_of(
-        st.sampled_from([f"{prefix}0", f"{prefix}1", 1, 1.0, NAN]),
-        st.builds(float, st.just("nan")))
+    """List-column cells, one cell type per column (a key column holds
+    one): strings, ints or floats, all through the dict factorizer."""
+    return st.sampled_from([
+        st.sampled_from([f"{prefix}0", f"{prefix}1", f"{prefix}2"]),
+        st.integers(0, 2), st.sampled_from([0.5, 1.0, -2.0])])
 
 
 @st.composite
@@ -29,7 +30,7 @@ def fd_relations(draw):
     """Relations over ``d ← v ← w`` that satisfy the FDs or nearly do.
 
     Typed relations hold string and int arrays (the hashed and
-    ``np.unique`` encodings); object relations hold the mixed values of
+    ``np.unique`` encodings); object relations hold the lists of
     :func:`_object_values`. Half are cut down by ``filter_equals`` after
     their encodings are interned, so they share domains wider than
     their rows.
@@ -41,7 +42,7 @@ def fd_relations(draw):
             pools[name] = st.sampled_from(
                 [f"{name}0", f"{name}1", f"{name}\xe9"])
     else:
-        pools = {name: _object_values(name) for name in "dvw"}
+        pools = {name: draw(_object_values(name)) for name in "dvw"}
     n = draw(st.integers(0, 12))
     columns = {"w": [draw(pools["w"]) for _ in range(n)]}
     for parent, child in (("v", "w"), ("d", "v")):
@@ -74,8 +75,7 @@ def _row_scan_fd_error(relation, hierarchy):
     finds, as ``validate_fds`` words it, or None.
 
     Parents compare like dict keys (identity, then ``==``), the
-    equivalence the encoded columns use: a repeated NaN object is one
-    parent, two NaN objects are two.
+    equivalence the encoded columns use.
     """
     names = relation.schema.names
     rows = list(relation.rows())
@@ -137,15 +137,14 @@ class TestHierarchy:
             assert str(info.value) == want
 
     def test_repeated_nan_parent_object_is_one_parent(self):
-        # One NaN object under one child is no violation (the dict path
-        # gives it one code); the message names the real violation.
+        # NaN is not a key cell, one repeated object or not: the FD check
+        # encodes the parent column and raises the typed error instead of
+        # deciding whether the NaN rows are one parent.
         rel = Relation(Schema([dimension("d"), dimension("v")]),
-                       {"d": [NAN, NAN, "d1", "d2"],
+                       {"d": [NAN, NAN, 0.5, 0.5],
                         "v": ["v0", "v0", "v1", "v1"]})
-        with pytest.raises(HierarchyError) as info:
+        with pytest.raises(EncodingError, match="NaN"):
             Hierarchy("geo", ["d", "v"]).validate_fds(rel)
-        assert str(info.value) == \
-            "FD v → d violated: 'v1' maps to both 'd1' and 'd2'"
 
 
 class TestDimensions:

@@ -61,24 +61,30 @@ class TestExtendDomain:
         assert codes.tolist() == [enc.code_of("Alaje"), enc.code_of("Ofla")]
 
     def test_nan_values_get_fresh_codes(self):
-        from repro.relational.encoding import factorize
+        # NaN gets no code at all: neither a column nor an extension may
+        # hold one, and a float column takes only float cells.
+        from repro.relational.encoding import EncodingError, factorize
         nan = float("nan")
-        enc = factorize([1.0, nan, 2.0])
-        extended, codes = enc.extend_domain([nan, float("nan"), 1.0])
-        # The *same* NaN object matches its code; a new NaN object is a
-        # new domain entry — dict identity semantics, as in factorize.
-        assert codes[0] == enc.code_of(1.0) or True  # placeholder, below
-        nan_code = enc.codes[1]
-        assert codes.tolist()[0] == nan_code
-        assert codes.tolist()[1] == enc.cardinality
-        assert codes.tolist()[2] == extended.domain.index(1.0)
+        with pytest.raises(EncodingError, match="NaN"):
+            factorize([1.0, nan, 2.0])
+        enc = factorize([1.0, 2.0])
+        for cells in ([nan], [3.0, float("nan")]):
+            with pytest.raises(EncodingError, match="NaN"):
+                enc.extend_domain(cells)
+        extended, codes = enc.extend_domain([np.float64(3.0), 1.0])
+        assert codes.tolist() == [2, 0]
+        assert [type(v) for v in extended.domain] == [float] * 3
 
     def test_cross_type_merge_flags_lossy(self):
-        from repro.relational.encoding import factorize
+        # ==-equal cells of another type (True == 1, 2.0 == 2) get no code
+        # in an int column: the extension raises, naming both types.
+        from repro.relational.encoding import EncodingError, factorize
         enc = factorize([1, 2, 3])
-        extended, codes = enc.extend_domain([True, 2.0])
-        assert extended.lossy
-        assert codes.tolist() == [enc.code_of(1), enc.code_of(2)]
+        for cells, got in (([True], "bool"), ([2.0], "float"),
+                           (["4"], "str")):
+            with pytest.raises(EncodingError, match=f"{got}.*int"):
+                enc.extend_domain(cells)
+        assert enc.extend_domain([np.int64(2)])[0] is enc
 
 
 class TestRelationDelta:
@@ -127,12 +133,15 @@ class TestRelationDelta:
             locate_rows(tiny_relation, target)
 
     def test_locate_rows_nan_never_matches(self):
+        # A NaN retracted cell matches no row, and is a bad request: the
+        # lookup raises DeltaError (HTTP 400), never EncodingError.
         schema = Schema([dimension("a"), measure("x")])
         nan = float("nan")
-        relation = Relation.from_rows(schema, [(nan, 1.0), ("p", 2.0)])
-        target = Relation.from_rows(schema, [(nan, 1.0)])
-        with pytest.raises(DeltaError, match="matches no base row"):
-            locate_rows(relation, target)
+        relation = Relation.from_rows(schema, [(0.5, 1.0), (2.0, 2.0)])
+        for cell in (nan, "p", 2):
+            target = Relation.from_rows(schema, [(cell, 1.0)])
+            with pytest.raises(DeltaError, match="'a'"):
+                locate_rows(relation, target)
 
 
 # -- cube layer -----------------------------------------------------------------------
@@ -334,7 +343,10 @@ class TestEngineDelta:
         engine = Reptile(ofla_dataset, config=CONFIG)
         session = engine.session(group_by=["district", "year"])
         engine.refresh()
-        assert session.is_stale()
+        # A "sync" session reads the engine's version: never stale, and
+        # sync() changes nothing.
+        assert not session.is_stale()
+        assert session.data_version == engine.data_version == 1
         session.sync()
         assert not session.is_stale()
         assert session.data_version == engine.data_version == 1
@@ -547,16 +559,24 @@ class TestAuxiliaryLookupMemo:
         assert aux.lookup() is first  # built once, reused
 
     def test_mixed_type_keys_still_work_and_memoize(self):
-        # 1 and True merge under == exactly as the old row-dict path did.
+        # 1 and True are two cell types: such a join column cannot be
+        # keyed. One type per column keys and memoizes.
         from repro import AuxiliaryDataset
+        from repro.relational.encoding import EncodingError
         schema = Schema([dimension("k"), measure("m")])
-        aux = AuxiliaryDataset(
+        odd = AuxiliaryDataset(
             "odd", Relation.from_rows(schema, [(1, 4.0), (True, 6.0),
                                                ("x", 2.0)]),
             ["k"], ["m"])
+        with pytest.raises(EncodingError, match="one cell type"):
+            odd.lookup()
+        aux = AuxiliaryDataset(
+            "ints", Relation.from_rows(schema, [(1, 4.0), (1, 6.0),
+                                                (2, 2.0)]),
+            ["k"], ["m"])
         first = aux.lookup()
         assert first[(1,)] == {"m": 5.0}
-        assert first[("x",)] == {"m": 2.0}
+        assert first[(2,)] == {"m": 2.0}
         assert aux.lookup() is first
 
 

@@ -22,17 +22,18 @@ from repro.core.repair import (CustomRepairer, ModelRepairer,
                                RepairAlignmentError, RepairPrediction)
 from repro.model.features import (FeatureError, FeaturePlan, LagFeature,
                                   build_view_designs)
-from repro.relational import (Cube, HierarchicalDataset, Relation, Schema,
-                              dataset_from_chunks, dimension, measure)
+from repro.relational import (Cube, DatasetError, HierarchicalDataset,
+                              Relation, Schema, dataset_from_chunks,
+                              dimension, measure)
 from repro.relational.aggregates import AggState
 from repro.relational.cube import GroupView
-from repro.relational.encoding import decode_keys
+from repro.relational.encoding import EncodingError, decode_keys
 
 AGGREGATES = ["count", "sum", "mean", "std"]
 DIRECTIONS = [Direction.TOO_HIGH, Direction.TOO_LOW, Direction.TARGET]
 
 # Group specs: (count, mean, std) triples. min_size=1 keeps single-group
-# views in scope; NaN keys are injected separately below.
+# views in scope; keys are strings or floats (one cell type per view).
 group_specs = st.lists(
     st.tuples(st.integers(1, 30),
               st.floats(-40, 40, allow_nan=False),
@@ -42,10 +43,10 @@ group_specs = st.lists(
 prediction_values = st.floats(-60, 60, allow_nan=False)
 
 
-def build_view(specs, nan_key: bool = False) -> GroupView:
+def build_view(specs, float_keys: bool = False) -> GroupView:
     groups = {}
     for i, (count, mean, std) in enumerate(specs):
-        key = (float("nan"),) if nan_key and i == 0 else (f"g{i}",)
+        key = (0.5 - i,) if float_keys else (f"g{i}",)
         groups[key] = AggState.from_stats(count, mean, std)
     return GroupView(("g",), groups)
 
@@ -77,8 +78,8 @@ class TestScoringEquivalence:
            st.sampled_from(DIRECTIONS), prediction_values,
            st.booleans())
     def test_matches_oracle(self, specs, aggregate, direction, value,
-                            nan_key):
-        view = build_view(specs, nan_key=nan_key)
+                            float_keys):
+        view = build_view(specs, float_keys=float_keys)
         stats = ModelRepairer().statistics_for(aggregate)
         prediction = RepairPrediction(
             stats, {k: {s: value for s in stats} for k in view.groups})
@@ -210,9 +211,11 @@ class TestEndToEndEquivalence:
                                  (b.base_penalty, b.groups))
 
     def test_nan_dimension_values_match_oracle(self):
-        """NaN dimension values form their own groups (PR 2 semantics);
-        the array ranker must handle and rank them identically."""
-        cube = Cube(_random_dataset(seed=5, nan_years=True))
+        """NaN is not a key cell, so registration refuses NaN years (with
+        or without the FD check); float years rank as the oracle does."""
+        with pytest.raises(DatasetError, match="'year'.*NaN"):
+            _random_dataset(seed=5, nan_years=True)
+        cube = Cube(_random_dataset(seed=5))
         complaint = Complaint.too_high({"district": "d1"}, "mean")
         repairer = ModelRepairer(model="linear")
         args = (cube, ("district",), [("time", "year")], complaint,
@@ -282,8 +285,12 @@ class TestOneForm:
     @pytest.mark.parametrize("case", sorted(ONE_FORM_CASES))
     def test_hand_built_copy_matches_cube_view(self, case):
         source, attrs, filters, cluster = ONE_FORM_CASES[case]
+        if source == "nan":  # NaN is not a key cell: no view to copy
+            with pytest.raises(DatasetError, match="NaN"):
+                _random_dataset(3, nan_years=True)
+            return
         dataset = (_chunked_dataset(3) if source == "chunked"
-                   else _random_dataset(3, nan_years=source == "nan"))
+                   else _random_dataset(3))
         view = Cube(dataset).view(attrs, filters)
         copy = GroupView(view.group_attrs, dict(view.groups))
         assert _bits(copy.stats) == _bits(view.stats)
@@ -304,13 +311,16 @@ class TestOneForm:
             assert list(a.design.sizes) == list(b.design.sizes)
 
     def test_lossy_hand_built_keys_match_python_sort_oracle(self):
-        """Keys mixing ==-equal values of two types (1 and 1.0) share a
-        code; the design must still sort them as the oracle's Python
-        sort over the keys does (type name first)."""
+        """Keys mixing ==-equal values of two types (1 and 1.0) cannot
+        be encoded; keys of one type per column, inserted out of order,
+        sort as the oracle's Python sort over the keys does."""
         states = [AggState.from_stats(n, m, 1.0)
                   for n, m in ((3, 1.0), (4, 2.0), (5, 3.0), (2, 7.0))]
+        with pytest.raises(EncodingError, match="float and int"):
+            GroupView(("x", "y"), dict(zip(
+                [(1, "a"), (1.0, "b"), (2, "c"), (2.0, "a")], states)))
         view = GroupView(("x", "y"), dict(zip(
-            [(1, "a"), (1.0, "b"), (2, "c"), (2.0, "a")], states)))
+            [(3, "a"), (1, "b"), (2, "c"), (0, "a")], states)))
         assert decode_keys(view.key_codes, view.encodings) == view.key_list
         for cluster in ((), ("x",), ("y",)):
             design, = build_view_designs(view, ("mean",), FeaturePlan(),

@@ -534,7 +534,8 @@ class TestIntegerMeasureCells:
         assert column._array is not None
         assert column._array.dtype == np.float64
         assert relation.column("severity") == (3.0, 4.5)
-        assert relation.column("year") == ("2000", "2001")
+        # A column of canonical ints loads as ints, whole.
+        assert relation.column("year") == (2000, 2001)
 
 
 # -- the reply: per-type body, one send ------------------------------------------
@@ -585,9 +586,9 @@ class TestReplyBody:
            st.sampled_from(DIRECTIONS), ODD_FLOATS, st.booleans(),
            st.integers(0, 5))
     def test_ranked_records_give_the_walks_json(self, specs, aggregate,
-                                                direction, value, nan_key,
+                                                direction, value, float_keys,
                                                 version):
-        view = build_view(specs, nan_key=nan_key)
+        view = build_view(specs, float_keys=float_keys)
         stats = ("count", "mean")
         prediction = RepairPrediction(
             stats, {k: {s: value for s in stats} for k in view.groups})

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.factorized import HierarchyPaths
-from repro.relational.dataset import AuxiliaryDataset, HierarchicalDataset
+from repro.relational.dataset import (AuxiliaryDataset, DatasetError,
+                                     HierarchicalDataset)
 from repro.relational.delta import locate_rows
 from repro.relational.encoding import EncodingError
 from repro.relational.hierarchy import Hierarchy
@@ -101,24 +102,67 @@ LIST_CELL_CALLS = {
 }
 
 
+#: Registration checks every dimension column's cell type first, so the
+#: calls that register a dataset raise its DatasetError, naming the column.
+REGISTERING_CALLS = {"attribute_domain"}
+
+#: Columns no keyed operator accepts, beside the list cell: two cell
+#: types (even ==-equal ones) or a NaN.
+UNTYPED_COLUMNS = {
+    "mixed": [1, "a1"], "int-bool": [1, True], "int-float": [1, 1.0],
+    "nan": [float("nan"), 2.0],
+}
+
+
+def _raises_keyed(call):
+    if call in REGISTERING_CALLS:
+        return pytest.raises(DatasetError, match="'a'")
+    return pytest.raises(EncodingError)
+
+
 @pytest.mark.parametrize("call", sorted(LIST_CELL_CALLS))
 def test_list_cell_raises_encoding_error(call):
     rel = Relation.from_rows(Schema([dimension("a"), measure("x")]),
                              [(["unhashable"], 1.0), ("a1", 2.0)])
-    with pytest.raises(EncodingError):
+    with _raises_keyed(call):
         LIST_CELL_CALLS[call](rel)
+
+
+@pytest.mark.parametrize("column", sorted(UNTYPED_COLUMNS))
+@pytest.mark.parametrize("call", sorted(LIST_CELL_CALLS))
+def test_untyped_column_raises_encoding_error(call, column):
+    rel = Relation(Schema([dimension("a"), measure("x")]),
+                   {"a": UNTYPED_COLUMNS[column], "x": [1.0, 2.0]})
+    with _raises_keyed(call):
+        LIST_CELL_CALLS[call](rel)
+
+
+@pytest.mark.parametrize("column", sorted(UNTYPED_COLUMNS) + ["list"])
+def test_value_operators_take_any_cell(column):
+    cells = UNTYPED_COLUMNS.get(column, [["unhashable"], "a1"])
+    schema = Schema([dimension("a"), measure("x")])
+    rel = Relation(schema, {"a": cells, "x": [1.0, 2.0]})
+    assert list(rel.column("a")) == cells
+    assert [row[0] for row in rel.rows()] == cells
+    more = rel.with_rows_appended(Relation.from_rows(schema, [(3, 4.0)]))
+    assert list(more.column("a")) == cells + [3]
+    assert list(more.without_rows([0]).column("a")) == cells[1:] + [3]
+    assert rel.content_token("a") != Relation(
+        schema, {"a": ["b", "c"], "x": [1.0, 2.0]}).content_token("a")
 
 
 @pytest.mark.parametrize("level", ["root", "non-root"])
 def test_registration_with_list_cell_raises_encoding_error(level):
-    """The FD check encodes both levels of each adjacent pair, so a list
-    cell at either level raises the typed error, not a bare TypeError."""
+    """Registration checks each dimension column's cell type before the
+    FD check, so a list cell at either level raises DatasetError naming
+    the column, not a bare TypeError."""
     cell = ("d0", ["v0"], 1.0) if level == "non-root" \
         else (["d0"], "v0", 1.0)
     rel = Relation.from_rows(
         Schema([dimension("d"), dimension("v"), measure("x")]),
         [cell, ("d1", "v1", 2.0)])
-    with pytest.raises(EncodingError, match="not hashable"):
+    column = "'v'" if level == "non-root" else "'d'"
+    with pytest.raises(DatasetError, match=f"{column}.*got list"):
         HierarchicalDataset.build(rel, {"geo": ["d", "v"]}, "x")
 
 
@@ -155,12 +199,22 @@ class TestCsv(object):
         assert back == rel
 
     def test_custom_converter(self, tmp_path):
-        schema = Schema([dimension("year"), measure("v")])
+        # No per-column converter: each non-measure column gets one cell
+        # type, decided over the whole column.
+        schema = Schema([dimension("year"), dimension("place"),
+                         dimension("code"), dimension("rate"), measure("v")])
         path = tmp_path / "r.csv"
-        path.write_text("v,year,note\n1.5,1984,x\n\n2.5,1985,y\n")
-        back = Relation.from_csv(str(path), schema, converters={"year": int})
+        path.write_text("v,year,place,code,rate,note\n"
+                        "1.5,1984,101,01,0.5,x\n\n"
+                        "2.5,1985,Zata,2,1.0,y\n")
+        back = Relation.from_csv(str(path), schema)
         assert back.column("year") == (1984, 1985)
+        assert back.column("place") == ("101", "Zata")  # not int beside str
+        assert back.column("code") == ("01", "2")  # "01" is not canonical
+        assert back.column("rate") == (0.5, 1.0)
         assert back.column("v") == (1.5, 2.5)
+        with pytest.raises(TypeError):
+            Relation.from_csv(str(path), schema, converters={"year": int})
 
     @pytest.mark.parametrize("text, match", [
         ("a,x\na1,1.0\n", "header has no column 'b'"),

@@ -50,3 +50,29 @@ def test_served_imports_load_no_evaluation_code():
     loaded = json.loads(done.stdout)
     assert "repro.serving.server" in loaded
     assert [m for m in loaded if _denied(m)] == []
+
+
+PERF_PROGRAM = """
+import json, sys
+import repro, repro.cli, repro.serving.server
+served = set(sys.modules)
+import repro.datagen.perf
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "repro" and m not in served)))
+"""
+
+
+def test_drought_generator_loads_no_other_evaluation_code():
+    """The benchmarks' drought generator adds only the ``repro.datagen``
+    package to the served imports: the §5.1 hierarchy generators, which
+    need ``repro.factorized``, live in ``repro.experiments.perf``."""
+    path = os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", PERF_PROGRAM],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    added = json.loads(done.stdout)
+    assert "repro.datagen.perf" in added
+    assert [m for m in added
+            if _denied(m) and not m.startswith("repro.datagen")] == []

@@ -318,7 +318,8 @@ class TestIncrementalUnits:
             {n: years if n == "year" else relation.column(n)
              for n in relation.schema.names})
         engine.refresh()
-        assert session.is_stale()
+        assert not session.is_stale()  # a "sync" session reads it
+        assert session.data_version == engine.data_version == 1
         after = dict(session.view().groups)
         assert {year for _, year in after} == {1984, 1985, 1986, 1988}
         assert before != after

@@ -1,8 +1,8 @@
 """Chunked construction: unit coverage.
 
 Pins down (1) ``DictEncoding.merge`` union semantics — the first
-encoding's codes survive verbatim, NaN domain entries match by object
-identity, and cross-type ``==``-equal merges flag the union lossy; (2)
+encoding's codes survive verbatim, and NaN cells and inputs of two cell
+types raise ``EncodingError`` (a chunked build's ``DatasetError``); (2)
 ``encode_columns_chunked``, ``Relation.from_encoded`` and
 ``dataset_from_chunks`` against the row-built relation; and (3) the CLI
 rejecting removed flags. ``tests/test_shard_properties.py`` checks
@@ -11,8 +11,6 @@ rejecting removed flags. ``tests/test_shard_properties.py`` checks
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,8 @@ from repro import HierarchicalDataset, Relation, Schema, dimension, measure
 from repro.cli import build_parser
 from repro.relational import deltaref
 from repro.relational.cube import Cube
-from repro.relational.encoding import DictEncoding, factorize
+from repro.relational import DatasetError
+from repro.relational.encoding import DictEncoding, EncodingError, factorize
 from repro.relational.shard import (dataset_from_chunks,
                                     encode_columns_chunked)
 
@@ -71,37 +70,34 @@ class TestDictEncodingMerge:
         assert np.array_equal(chunked, single.codes)
 
     def test_nan_matches_by_object_identity(self):
-        # The same NaN object appearing in two shards is one domain
-        # entry; a distinct NaN object is its own entry — dict-key
-        # semantics, same as factorize's dict path.
-        other_nan = float("nan")
-        a = factorize(np.array([NAN, "x"], dtype=object))
-        b = factorize(np.array(["x", NAN], dtype=object))
-        merged, remaps = DictEncoding.merge([a, b])
-        nan_entries = [v for v in merged.domain
-                       if isinstance(v, float) and math.isnan(v)]
-        assert len(nan_entries) == 1
-        c = factorize(np.array([other_nan], dtype=object))
-        merged2, _ = DictEncoding.merge([a, c])
-        nan_entries2 = [v for v in merged2.domain
-                        if isinstance(v, float) and math.isnan(v)]
-        assert len(nan_entries2) == 2
+        # NaN is not a key cell, one shared object or not: no shard
+        # encodes it, so no merge has to decide whether two NaNs match.
+        for cells in ([NAN, 0.5], [NAN, NAN], [float("nan")]):
+            with pytest.raises(EncodingError, match="NaN"):
+                factorize(np.array(cells, dtype=object))
+        with pytest.raises(DatasetError, match="'year'"):
+            dataset_from_chunks(
+                [dict(chunk, year=np.array([2000.0, NAN]))
+                 for chunk in TestChunkedConstruction.CHUNKS],
+                HIERARCHIES, "sev")
 
     def test_cross_type_equal_values_flag_lossy(self):
+        # 1 and 1.0 are ==-equal cells of two types: a merge of an int
+        # and a float domain raises instead of folding one into the other.
         a = factorize(np.array([1, 2], dtype=object))
         b = factorize(np.array([1.0], dtype=object))
-        merged, remaps = DictEncoding.merge([a, b])
-        assert merged.lossy
-        # the float folded into int 1's existing code
-        assert remaps[1][b.codes[0]] == 0
-        assert merged.domain == [1, 2]
+        with pytest.raises(EncodingError, match="float.*int"):
+            DictEncoding.merge([a, b])
+        with pytest.raises(EncodingError, match="bool.*int"):
+            DictEncoding.merge([a, factorize([True])])
 
     def test_lossy_input_marks_union(self):
+        # A union holds its inputs' one cell type, and an empty input (no
+        # type yet) joins any.
         a = factorize(np.array(["x"], dtype=object))
         b = factorize(np.array(["y"], dtype=object))
-        b.lossy = True
-        merged, _ = DictEncoding.merge([a, b])
-        assert merged.lossy
+        merged, _ = DictEncoding.merge([factorize([]), a, b])
+        assert merged.cell_type is str and merged.domain == ["x", "y"]
 
     def test_merge_requires_input(self):
         with pytest.raises(ValueError):
@@ -161,10 +157,14 @@ class TestChunkedConstruction:
             Cube(dataset).leaf_states, Cube(flat).leaf_states)
 
     def test_list_columns_keep_their_value_objects(self):
-        # A list column is encoded as it is. Through np.asarray, [1, "x"]
-        # would become ["1", "x"], and a complaint on district 1 would
-        # find no group.
-        chunk = {"district": [1, "x", 1], "village": [10, "x-v0", 11],
+        # A list column is encoded as it is, keeping its value objects.
+        # One with two cell types ([1, "x"], which np.asarray would turn
+        # into ["1", "x"]) is refused, naming the column.
+        mixed = {"district": [1, "x"], "village": ["1-v0", "x-v0"],
+                 "year": [2000, 2001], "sev": [1.0, 2.0]}
+        with pytest.raises(DatasetError, match="'district'.*int and str"):
+            dataset_from_chunks([mixed], HIERARCHIES, "sev")
+        chunk = {"district": [1, 2, 1], "village": [10, 20, 11],
                  "year": [2000, 2001, 2000], "sev": [1.0, 2.0, 3.0]}
         rows = list(zip(*(chunk[name] for name in SCHEMA.names)))
         dataset = dataset_from_chunks([chunk], HIERARCHIES, "sev")

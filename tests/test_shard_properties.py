@@ -1,12 +1,12 @@
 """Chunked construction ≡ the row-at-a-time rebuild oracle (hypothesis).
 
-Random relations — dyadic measures, a NaN object allowed as a district
-and as a year — are cut into random chunks of 1–6 rows and streamed
+Random relations — dyadic measures, int or float years (one cell type
+per column) — are cut into random chunks of 1–6 rows and streamed
 through :func:`~repro.relational.shard.dataset_from_chunks`. The
 one-pass :class:`Cube` over that dataset must hold exactly the leaf
 groups :func:`~repro.relational.deltaref.rebuilt_leaf_states` rebuilds
 from the same rows loaded with :meth:`Relation.from_rows`: the same
-decoded keys (NaN keys included) and bitwise-equal count/total/sumsq.
+decoded keys and bitwise-equal count/total/sumsq.
 Measures are dyadic rationals, so float sums are order-independent.
 """
 
@@ -26,12 +26,9 @@ SCHEMA = Schema([dimension("district"), dimension("village"),
                  dimension("year"), measure("sev")])
 HIERARCHIES = {"geo": ["district", "village"], "time": ["year"]}
 
-#: One shared NaN object: rows drawn with it form a single group (dict
-#: identity semantics), in the chunked and the row-built relation alike.
-NAN = float("nan")
-
-DISTRICTS = ("d0", "d1", "d2", NAN)
-YEARS = (2000, 2001, NAN)
+DISTRICTS = ("d0", "d1", "d2")
+#: A year column holds ints or floats, never both.
+YEARS = ((2000, 2001, 1999), (2000.5, -1.0, 0.0))
 
 # Dyadic measures: every sum is exactly representable.
 measures = st.integers(-8, 24).map(lambda v: v / 2.0)
@@ -40,10 +37,11 @@ measures = st.integers(-8, 24).map(lambda v: v / 2.0)
 @st.composite
 def relations(draw):
     out = []
+    years = draw(st.sampled_from(YEARS))
     for _ in range(draw(st.integers(1, 16))):
         d = draw(st.sampled_from(DISTRICTS))
         v = f"{d}-v{draw(st.integers(0, 2))}"  # village -> district FD
-        out.append((d, v, draw(st.sampled_from(YEARS)), draw(measures)))
+        out.append((d, v, draw(st.sampled_from(years)), draw(measures)))
     return out
 
 
