@@ -209,8 +209,8 @@ class Reptile:
             return self.data_version
         delta = self._float_measure(delta)
         # Validate retractions at row granularity before touching state.
-        removed_idx = locate_rows(relation, delta.retracted) \
-            if len(delta.retracted) else None
+        removed_idx = locate_rows(relation, delta.retracted,
+                                  self.cube.leaf_attrs)
         old_fp = self.fingerprint
         new_fp: str | None = None
         if self.cache is not None:
@@ -225,7 +225,7 @@ class Reptile:
                 patch_cache_for_delta(self.cache, old_fp, new_fp, cube_delta,
                                       self.cube.leaf_attrs)
             new_rel = relation
-            if removed_idx is not None:
+            if len(removed_idx):
                 new_rel = new_rel.without_rows(removed_idx)
             if len(delta.appended):
                 new_rel = new_rel.with_rows_appended(delta.appended)
@@ -256,35 +256,32 @@ class Reptile:
                 self.cache.invalidate(new_fp)
 
     def _float_measure(self, delta: Delta) -> Delta:
-        """``delta`` with its appended measure cells as a float64 array.
+        """``delta`` with its measure cells as the float64 arrays the
+        cube sums, so a JSON ``7`` never demotes a float64 measure column
+        to a Python list, and retracts a row stored as ``7.0``.
 
-        Rejects, pre-mutation, appended measure cells the cube cannot
-        convert to a finite float: a malformed cell is a bad request,
-        not a fault. NaN (what a JSON ``null`` decodes to) is rejected
-        with ±inf: a NaN row could never be retracted (NaN matches no
-        cell) and would poison every fit over its groups. The accepted
-        cells are stored as the floats the cube sums, so an integer cell
-        (what a JSON ``7`` decodes to) appends to a float64 measure
-        column as float64 and never turns it into a Python list.
+        A cell that is no finite float (NaN is what a JSON ``null``
+        decodes to) is a bad request, rejected pre-mutation: a NaN row
+        could never be retracted and would poison every fit over it.
         """
-        appended = delta.appended
-        if not len(appended):
-            return delta
         measure = self.dataset.measure
-        try:
-            values = appended.measure_array(measure)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DeltaError(
-                f"appended measure {measure!r} is not "
-                f"numeric: {exc}") from None
-        if not np.isfinite(values).all():
-            raise DeltaError(
-                f"appended measure {measure!r} is not "
-                f"finite: NaN or ±inf in an appended row")
-        columns = {name: values if name == measure else appended.column(name)
-                   for name in appended.schema.names}
-        return Delta(Relation.from_encoded(appended.schema, columns),
-                     delta.retracted)
+        sides = []
+        for side, rows in (("appended", delta.appended),
+                           ("retracted", delta.retracted)):
+            if len(rows):
+                try:
+                    values = rows.measure_array(measure)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise DeltaError(f"{side} measure {measure!r} is not "
+                                     f"numeric: {exc}") from None
+                if not np.isfinite(values).all():
+                    raise DeltaError(f"{side} measure {measure!r} is not "
+                                     f"finite: NaN or ±inf in a row")
+                rows = Relation.from_encoded(rows.schema, {
+                    name: values if name == measure else rows.column(name)
+                    for name in rows.schema.names})
+            sides.append(rows)
+        return Delta(*sides)
 
     def check_cells(self, cells: Mapping, what: str) -> None:
         """Raise :class:`SessionError` unless each cell of ``cells`` that
@@ -297,11 +294,10 @@ class Reptile:
         """
         types = self.cube.cell_types()
         for attr, value in cells.items():
-            want = types.get(attr)
-            if want is None or (type(value) is want and value == value):
+            if attr not in types:
                 continue
             try:
-                check_cell_type(key_type(value), want)
+                check_cell_type(key_type(value), types[attr])
             except EncodingError as exc:
                 raise SessionError(f"{what} {attr!r}: {exc}") from None
 

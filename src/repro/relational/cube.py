@@ -290,7 +290,6 @@ class Cube:
         self._key_codes = gidx.key_codes
         self._stats = stats
         self._keys: list[Key] | None = None
-        self._cell_types: dict[str, type] | None = None
 
     def rebuild(self) -> None:
         """Recompute the leaf block from the current relation, in place.
@@ -311,15 +310,10 @@ class Cube:
             self._keys = decode_keys(self._key_codes, self._encodings)
         return self._keys
 
-    def cell_types(self) -> dict[str, type]:
-        """Each leaf attribute's key cell type, memoized (an attribute
-        with no rows yet is absent)."""
-        if self._cell_types is None:
-            self._cell_types = {
-                a: e.cell_type for a, e in zip(self.leaf_attrs,
-                                               self._encodings)
-                if e.cell_type is not None}
-        return self._cell_types
+    def cell_types(self) -> dict[str, type | None]:
+        """Each leaf attribute's key cell type (None before a row)."""
+        return {a: e.cell_type for a, e in zip(self.leaf_attrs,
+                                               self._encodings)}
 
     @property
     def leaf_stats(self) -> GroupStats:
@@ -387,7 +381,6 @@ class Cube:
         self._key_codes = key_codes
         self._stats = stats
         self._keys = None  # decoded-key cache is stale
-        self._cell_types = None  # an empty column may have got its type
         return CubeDelta(delta_codes, delta_stats, self._encodings)
 
     def _check_fds(self, key_codes: np.ndarray,

@@ -109,7 +109,7 @@ class HierarchicalDataset:
             if a not in relation.schema:
                 raise DatasetError(
                     f"hierarchy attribute {a!r} not in relation schema")
-            _cell_type(relation, a, "dimension column")
+            keyed(f"dimension column {a!r}", relation.encoding, a)
         try:
             finite = np.isfinite(relation.measure_array(measure)).all()
         except (TypeError, ValueError) as exc:
@@ -151,9 +151,10 @@ class HierarchicalDataset:
                 raise DatasetError(
                     f"auxiliary dataset {aux.name!r} joins on {a!r}, which is "
                     f"not a dimension attribute") from None
-            want = _cell_type(self.relation, a, "dimension column")
-            got = _cell_type(aux.relation, a,
-                             f"auxiliary dataset {aux.name!r} join column")
+            want = keyed(f"dimension column {a!r}", self.relation.encoding,
+                         a).cell_type
+            got = keyed(f"auxiliary dataset {aux.name!r} join column {a!r}",
+                        aux.relation.encoding, a).cell_type
             if want is not None and got is not None and got is not want:
                 raise DatasetError(
                     f"auxiliary dataset {aux.name!r} joins on {a!r} with "
@@ -196,10 +197,11 @@ class HierarchicalDataset:
                 f"measure={self.measure!r})")
 
 
-def _cell_type(relation: Relation, attribute: str, what: str) -> type | None:
-    """The one key cell type of a column (None when it has no rows), or
-    :class:`DatasetError` naming the column and what is wrong."""
+def keyed(what: str, operator, *args):
+    """``operator(*args)``, its :class:`EncodingError` (a cell that
+    cannot be a key, or a column of two cell types) raised as a
+    :class:`DatasetError` naming ``what``."""
     try:
-        return relation.encoding(attribute).cell_type
+        return operator(*args)
     except EncodingError as exc:
-        raise DatasetError(f"{what} {attribute!r}: {exc}") from None
+        raise DatasetError(f"{what}: {exc}") from None

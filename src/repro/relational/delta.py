@@ -20,19 +20,20 @@ to every derived structure *incrementally* instead of rebuilding:
   whole fingerprint generation.
 
 Retraction semantics: each retracted row must match an existing base row
-on **every** column (``==`` per cell, and a keyed cell must have its
-column's cell type: a retracted ``1984.0`` in an int column is a
-:class:`DeltaError`, never a match). Duplicate rows are a bag —
-retracting removes the earliest matches in storage order. A retraction
-that cannot be matched raises :class:`DeltaError` before anything is
-mutated. The frozen row-at-a-time counterpart of this contract lives in
-:mod:`repro.relational.deltaref`; property tests assert both agree.
+on **every** column (``==`` per cell, so the measure's ``7`` finds
+``7.0``, but a key cell must have its column's cell type: a retracted
+``1984.0`` in an int year is a :class:`DeltaError`). Duplicate rows are
+a bag — retracting removes the earliest matches in storage order. A
+retraction that cannot be matched raises :class:`DeltaError` before
+anything is mutated. The frozen row-at-a-time counterpart of this
+contract lives in :mod:`repro.relational.deltaref`; property tests
+assert both agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -79,7 +80,8 @@ class Delta:
                 f"relation schema {list(schema.names)}")
 
 
-def locate_rows(relation: Relation, retracted: Relation) -> np.ndarray:
+def locate_rows(relation: Relation, retracted: Relation,
+                keys: Collection[str] = ()) -> np.ndarray:
     """Base row indices matching each retracted row (bag semantics).
 
     Matches on every column; for duplicated rows the *earliest* matching
@@ -94,28 +96,34 @@ def locate_rows(relation: Relation, retracted: Relation) -> np.ndarray:
     a vectorized scan of the rows appended since; retracted rows are
     skipped. A relation with pending appends and retractions is never
     materialized. A cold relation, with no column interned yet, interns
-    every column first, so a cell in it that cannot be a key raises
-    :class:`~repro.relational.encoding.EncodingError`; a column left
-    uninterned beside interned ones is only compared, so it may hold
-    one. Raises :class:`DeltaError` when a retracted cell of an interned
-    column has another cell type than the column, or when any
-    retraction finds no row left.
+    what it can first (if nothing, every live row is a candidate).
+
+    A retracted cell of a ``keys`` column (a dataset's hierarchy
+    attributes) must have that column's cell type, and a key column of
+    a cold relation must intern (:class:`EncodingError` otherwise); any
+    other column is compared with ``==``, so it takes any cell. Raises
+    :class:`DeltaError` for a retracted key cell of another type, or
+    when any retraction finds no row left.
     """
     if not len(retracted):
         return np.empty(0, dtype=np.int64)
     names = list(relation.schema.names)
     storage = relation._storage()
     keyed = storage.encoded()
-    if not keyed:  # a cold relation: intern every column
+    if not keyed:  # a cold relation: intern what can be interned
         for n in names:
-            relation.encoding(n)
+            try:
+                relation.encoding(n)
+            except EncodingError:
+                if n in keys:
+                    raise
         storage = relation._storage()
         keyed = storage.encoded()
     rest = [n for n in names if n not in keyed]
     heads = [storage.columns[n].head for n in keyed]
     # Retracted values are looked up per column: a value absent from the
     # current domain cannot identify any row, and one that cannot be a
-    # cell of the column (another type, NaN) is a bad request.
+    # cell of a key column (another type, NaN) is a bad request.
     n_ret = len(retracted)
     ret_codes = []
     missing = np.zeros(n_ret, dtype=bool)
@@ -125,8 +133,10 @@ def locate_rows(relation: Relation, retracted: Relation) -> np.ndarray:
             try:
                 code = head.code_of(value)
             except EncodingError as exc:
-                raise DeltaError(
-                    f"retracted {name!r} cell {value!r}: {exc}") from None
+                if name in keys:
+                    raise DeltaError(
+                        f"retracted {name!r} cell {value!r}: {exc}") from None
+                code = head.find(value)
             if code is None:
                 missing[i] = True
             else:
@@ -136,7 +146,12 @@ def locate_rows(relation: Relation, retracted: Relation) -> np.ndarray:
         i = int(np.flatnonzero(missing)[0])
         raise DeltaError(
             f"retracted row {retracted.row(i)!r} matches no base row")
-    candidates = _candidates(storage, keyed, heads, ret_codes)
+    if keyed:
+        candidates = _candidates(storage, keyed, heads, ret_codes)
+    else:
+        live = storage.live()
+        candidates = [np.arange(storage.n_base + storage.n_tail)
+                      if live is None else live] * n_ret
     positions = np.unique(np.concatenate(candidates))
     rest_values = {n: dict(zip(positions.tolist(),
                                storage.columns[n].cells(positions,

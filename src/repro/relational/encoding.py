@@ -190,9 +190,17 @@ class DictEncoding:
         this column's type (:func:`key_type`).
         """
         check_cell_type(key_type(value), self.cell_type)
+        return self.find(value)
+
+    def find(self, value) -> int | None:
+        """Code of the domain value ``==`` to ``value`` (``7`` finds
+        ``7.0``; an unhashable cell finds nothing), or None."""
         if self._positions is None:
             self._positions = {v: i for i, v in enumerate(self.domain)}
-        return self._positions.get(value)
+        try:
+            return self._positions.get(value)
+        except TypeError:
+            return None
 
     def take(self, indices: np.ndarray) -> "DictEncoding":
         """Row subset sharing this encoding's domain (no value copies)."""

@@ -125,9 +125,7 @@ class Hierarchy:
                 continue
             seen: dict = {}
             for p, c in zip(relation.column(parent), relation.column(child)):
-                # Parents compare like dict keys, as the encoding does:
-                # one NaN object repeated is one parent.
-                if c in seen and seen[c] is not p and seen[c] != p:
+                if c in seen and seen[c] != p:
                     raise HierarchyError(
                         f"FD {child} → {parent} violated: {c!r} maps to both "
                         f"{seen[c]!r} and {p!r}")

@@ -18,12 +18,13 @@ construction, its derived forms (values, encoding, content hash) are
 computed once and cached.
 
 Each operator runs one way. The keyed ones — grouping, equality filters
-and ingest's retraction lookup — work on the encoded columns, which hold
-one cell type each (``bool``, ``int``, ``float`` or ``str``, no NaN), so
-a list cell, a NaN or a second cell type in the column or the query makes
-them raise :class:`~repro.relational.encoding.EncodingError`. The value
-ones — ``column``, ``rows``, appends and ``content_token`` — accept any
-cell, so a column that nothing keys on may hold anything.
+and ingest's retraction lookup on the columns its caller names as keys —
+work on the encoded columns, which hold one cell type each (``bool``,
+``int``, ``float`` or ``str``, no NaN), so a list cell, a NaN or a second
+cell type in the column or the query makes them raise
+:class:`~repro.relational.encoding.EncodingError`. The value ones —
+``column``, ``rows``, appends, ``content_token`` and the retraction
+lookup's other columns — accept any cell.
 
 ``group_measure`` iterates in lexicographic key order — the order the
 composite-key kernels produce — rather than first-occurrence order;

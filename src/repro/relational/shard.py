@@ -17,8 +17,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DatasetError, HierarchicalDataset
-from .encoding import DictEncoding, EncodingError, factorize
+from .dataset import DatasetError, HierarchicalDataset, keyed
+from .encoding import DictEncoding, factorize
 from .relation import Relation
 from .schema import Schema, dimension, measure as measure_attr
 
@@ -44,7 +44,8 @@ def encode_columns_chunked(chunks: Iterable[Mapping[str, np.ndarray]],
     measure_parts: list[np.ndarray] = []
     for chunk in chunks:
         for a in attrs:
-            chunk_encs[a].append(_keyed(a, factorize, chunk[a]))
+            chunk_encs[a].append(
+                keyed(f"dimension column {a!r}", factorize, chunk[a]))
         try:
             measure_parts.append(np.asarray(chunk[measure_name],
                                             dtype=float))
@@ -58,7 +59,8 @@ def encode_columns_chunked(chunks: Iterable[Mapping[str, np.ndarray]],
             columns[a] = DictEncoding(np.empty(0, dtype=np.int32), [],
                                       domain_sorted=True)
             continue
-        merged, remaps = _keyed(a, DictEncoding.merge, encs)
+        merged, remaps = keyed(f"dimension column {a!r}",
+                               DictEncoding.merge, encs)
         codes = np.concatenate(
             [remap[enc.codes] for remap, enc in zip(remaps, encs)])
         column = DictEncoding(codes.astype(np.int32, copy=False),
@@ -69,16 +71,6 @@ def encode_columns_chunked(chunks: Iterable[Mapping[str, np.ndarray]],
                    else np.empty(0))
     columns[measure_name] = measure_col
     return columns, int(len(measure_col))
-
-
-def _keyed(attr: str, operator, values):
-    """``operator(values)``, its :class:`EncodingError` (a chunk cell
-    that cannot be a key, or chunks giving ``attr`` two cell types) as
-    a :class:`DatasetError` naming the column."""
-    try:
-        return operator(values)
-    except EncodingError as exc:
-        raise DatasetError(f"dimension column {attr!r}: {exc}") from None
 
 
 def dataset_from_chunks(chunks: Iterable[Mapping[str, np.ndarray]],

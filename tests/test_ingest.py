@@ -133,15 +133,22 @@ class TestRelationDelta:
             locate_rows(tiny_relation, target)
 
     def test_locate_rows_nan_never_matches(self):
-        # A NaN retracted cell matches no row, and is a bad request: the
-        # lookup raises DeltaError (HTTP 400), never EncodingError.
+        # A NaN retracted cell matches no row. In a key column it is a
+        # bad request, as is a cell of another type: the lookup raises
+        # DeltaError (HTTP 400), never EncodingError.
         schema = Schema([dimension("a"), measure("x")])
         nan = float("nan")
         relation = Relation.from_rows(schema, [(0.5, 1.0), (2.0, 2.0)])
         for cell in (nan, "p", 2):
-            target = Relation.from_rows(schema, [(cell, 1.0)])
+            target = Relation.from_rows(schema, [(cell, 2.0)])
             with pytest.raises(DeltaError, match="'a'"):
-                locate_rows(relation, target)
+                locate_rows(relation, target, keys=["a"])
+        # A column no caller names as a key is compared with ==: the
+        # measure's 2 finds 2.0, and so does a's.
+        assert locate_rows(relation, Relation.from_rows(
+            schema, [(2, 2)])).tolist() == [1]
+        with pytest.raises(DeltaError, match="matches no base row"):
+            locate_rows(relation, Relation.from_rows(schema, [(nan, 2.0)]))
 
 
 # -- cube layer -----------------------------------------------------------------------

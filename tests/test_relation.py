@@ -1,5 +1,7 @@
 """Tests for repro.relational.relation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -87,12 +89,13 @@ class TestGrouping:
 #: Keyed entry points: each keys a dict by a dimension cell, so an
 #: unhashable (list) cell cannot be a key and must raise the typed
 #: EncodingError, not a bare TypeError, and none falls back to a row loop.
+#: (``locate_rows`` keys only the columns its caller names.)
 LIST_CELL_CALLS = {
     "group_index": lambda rel: rel.group_index(["a"]),
     "group_measure": lambda rel: rel.group_measure(["a"], "x"),
     "filter_equals": lambda rel: rel.filter_equals({"a": "a1"}),
     "locate_rows": lambda rel: locate_rows(
-        rel, Relation.from_rows(rel.schema, [("a1", 2.0)])),
+        rel, Relation.from_rows(rel.schema, [("a1", 2.0)]), keys=["a"]),
     "auxiliary_lookup": lambda rel: AuxiliaryDataset(
         "aux", rel, ("a",), ("x",)).lookup(),
     "attribute_domain": lambda rel: HierarchicalDataset.build(
@@ -149,6 +152,13 @@ def test_value_operators_take_any_cell(column):
     assert list(more.without_rows([0]).column("a")) == cells[1:] + [3]
     assert rel.content_token("a") != Relation(
         schema, {"a": ["b", "c"], "x": [1.0, 2.0]}).content_token("a")
+    # A retraction not told that a is a key compares it with ==, also
+    # when no column interns and every row is a candidate.
+    assert locate_rows(rel, Relation.from_rows(
+        schema, [(cells[1], 2.0)])).tolist() == [1]
+    nothing_interns = Relation(schema, {"a": cells, "x": [math.nan, 2]})
+    assert locate_rows(nothing_interns, Relation.from_rows(
+        schema, [(cells[1], 2.0)])).tolist() == [1]
 
 
 @pytest.mark.parametrize("level", ["root", "non-root"])

@@ -117,6 +117,42 @@ class TestPhantomGroups:
         with pytest.raises(SessionError, match="'year'"):
             engine.session(filters={"year": year})
 
+    def test_measure_takes_any_number_cached_or_not(self):
+        """The measure is no key column: a JSON ``7`` appends as 7.0 and
+        then retracts that row, and an int retracts a row stored as a
+        float, on the served engine (whose fingerprint interned the
+        measure) and on a cache-less one alike."""
+        service, app = _app()
+        served = service.engine("data")
+        assert "severity" in served.dataset.relation._storage().encoded()
+        engine = Reptile(_demo_dataset(), config=CONFIG)
+        bodies = [{"rows": [["Ofla", "Zata", 1986, 7]]},
+                  {"retract": [["Ofla", "Zata", 1986, 7]]},
+                  {"rows": [["Alaje", "Bora", 1985, 3.0]]},
+                  {"retract": [["Alaje", "Bora", 1985, 3]]}]
+        for version, body in enumerate(bodies, start=1):
+            status, _, reply = app.dispatch("POST", "/datasets/data/ingest",
+                                            body)
+            assert status == 200 and reply["version"] == version, reply
+            engine.apply_delta(Delta.from_rows(
+                engine.dataset.relation.schema, body.get("rows", []),
+                body.get("retract", [])))
+        assert engine.data_version == len(bodies)
+        for bad in ("abc", None):  # refused as a measure, not as a row
+            status, _, reply = app.dispatch(
+                "POST", "/datasets/data/ingest",
+                {"retract": [["Ofla", "Zata", 1986, bad]]})
+            assert status == 400 and "retracted measure" in reply["error"]
+        assert _version(app) == len(bodies)
+        rows = sorted(served.dataset.relation.rows())
+        assert rows == sorted(engine.dataset.relation.rows())
+        assert rows == sorted(_demo_dataset().relation.rows())
+        assert served.cube.leaf_keys() == engine.cube.leaf_keys()
+        for stat in ("count", "total"):
+            np.testing.assert_array_equal(
+                getattr(served.cube.leaf_stats, stat),
+                getattr(engine.cube.leaf_stats, stat))
+
     def test_numpy_scalars_count_as_their_python_type(self):
         service, app = _app()
         engine = service.engine("data")
