@@ -46,13 +46,13 @@ test-delta:
 
 # The relational-layer gate: the columnar kernels against the frozen
 # rowref loops, the array counted relations against the dict CountMap's
-# §2.2 loops, the keyed/value operator rules of Relation (a list cell,
-# a NaN or a second cell type makes every keyed operator raise
-# EncodingError), the typed-key rule where data and requests enter
-# (registration, auxiliary joins, CSV typing, ingest and every request
-# cell through ServerApp.dispatch), hierarchies and the chunked build —
-# run without -x so one failing property still reports every other
-# failure.
+# §2.2 loops, Relation's typing rule (a list cell, a NaN or a second
+# cell type in any column but the measure raises EncodingError where the
+# relation is built, a measure cell that is no number SchemaError), the
+# typed-key rule where data and requests enter (registration, auxiliary
+# joins, CSV typing, ingest and every request cell through
+# ServerApp.dispatch), hierarchies and the chunked build — run without
+# -x so one failing property still reports every other failure.
 test-relational:
 	python -m pytest tests/test_columnar_properties.py tests/test_countmap.py \
 	    tests/test_factorized_array_properties.py tests/test_relation.py \
@@ -87,9 +87,9 @@ docs-check:
 # The CLI as a process (the tests call main() in process): the serve and
 # ingest demos run, serve --csv loads a village column holding 101 and
 # Zata (typed str as a whole), and a malformed batch file, a malformed
-# rows file and a str year ingested into the demo's int year column must
-# each exit with status 1 and exactly one line on stderr, so a traceback
-# fails.
+# rows file, a str measure cell ("7") and a str year ingested into the
+# demo's int year column must each exit with status 1 and exactly one
+# line on stderr, so a traceback fails.
 cli-smoke:
 	python -m repro serve --repeat 2 --iterations 2 > /dev/null
 	python -m repro ingest --iterations 2 > /dev/null
@@ -107,9 +107,11 @@ cli-smoke:
 	echo '[{"aggregate": "mean", "coordinates": {"year": 1986}, "k": -1}]' \
 	    > "$$dir/batch.json" && \
 	echo '[["Ofla", "Zata", 1986, true]]' > "$$dir/rows.json" && \
+	echo '[["Ofla", "Zata", 1986, "7"]]' > "$$dir/str_measure.json" && \
 	echo '[["Ofla", "Zata", "1986", 5.0]]' > "$$dir/str_year.json" && \
 	for run in "serve --batch $$dir/batch.json" \
 	           "ingest --rows $$dir/rows.json" \
+	           "ingest --rows $$dir/str_measure.json" \
 	           "ingest --rows $$dir/str_year.json"; do \
 	    status=0; \
 	    python -m repro $$run > /dev/null 2> "$$dir/stderr" || status=$$?; \

@@ -15,14 +15,18 @@ import os
 
 import pytest
 
+from repro.datagen import workloads
 from repro.experiments.endtoend import run_absentee, run_compas
 
-from bench_utils import SMOKE, fmt, report, smoke
+from bench_utils import SMOKE, fmt, report, report_json, smoke
 
 FULL = os.environ.get("REPRO_FULL_SCALE") == "1"
 ABSENTEE_ROWS = smoke(3_000, None if FULL else 40_000)
 COMPAS_ROWS = smoke(1_500, None if FULL else 20_000)
 EM_ITERATIONS = smoke(2, 20)
+#: The published row counts, which the generators default to.
+PUBLISHED_ROWS = {"absentee": workloads.ABSENTEE_ROWS,
+                  "compas": workloads.COMPAS_ROWS}
 
 
 def _describe(result):
@@ -53,6 +57,14 @@ def test_end_to_end(benchmark, dataset):
         lambda: runner(n_rows=rows, n_iterations=EM_ITERATIONS),
         rounds=1, iterations=1)
     report(f"fig10_{dataset}", _describe(result))
+    # One ledger row per invocation: cold is the Matlab-style baseline,
+    # warm the factorised pipeline, and the paper claims a >6x speedup.
+    report_json(f"fig10_{dataset}", [
+        {"op": f"invocation{t.invocation}",
+         "scale": rows or PUBLISHED_ROWS[dataset],
+         "cold": t.matlab_seconds, "warm": t.factorized_seconds,
+         "speedup": t.speedup, "dense": t.dense_seconds, "paper": 6}
+        for t in result.invocations])
     # The headline claim: factorised beats the Matlab-style baseline.
     if not SMOKE:  # tiny smoke sizes make the ratio meaningless
         assert result.overall_speedup > 1.0

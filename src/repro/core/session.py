@@ -23,7 +23,6 @@ from ..relational.dataset import HierarchicalDataset
 from ..relational.delta import Delta, DeltaError, locate_rows
 from ..relational.encoding import EncodingError, check_cell_type, key_type
 from ..relational.hierarchy import DrillState
-from ..relational.relation import Relation
 from ..robustness.faultinject import fault_point
 from .complaint import Complaint
 from .ranker import Recommendation, rank_candidates
@@ -188,29 +187,39 @@ class Reptile:
         :meth:`DrillSession.sync`. Raises
         :class:`~repro.relational.delta.DeltaError` — with nothing
         mutated — when a retraction matches no remaining base row, the
-        post-delta rows break a hierarchy FD, or a row carries a
-        hierarchy cell that cannot be a group key (another cell type than
-        its column's, a NaN, a list) or a measure that is not a finite
-        number.
+        post-delta rows break a hierarchy FD, a measure cell is not
+        finite, or a cell of any column has another type than its
+        column's.
 
-        Ingest is atomic. ``Cube.apply_delta`` assigns nothing until its
-        checks pass (hashability included: its domain extension is where
-        hierarchy cells become codes), so a rejected delta needs no
-        rollback. Any exception after it and up to the commit (the
-        ``ingest.commit`` fault point sits right before it) triggers
-        :meth:`_rollback_delta`, so an observer never sees the cube or
-        cache patched to a version the engine does not report. The
-        relation itself is copy-on-write (``new_rel`` is built aside and
-        swapped in at commit), so it needs no rollback.
+        Ingest is atomic. The next relation is built first, aside:
+        retractions located, appends typed against every column's
+        domain (copy-on-write, so a refused cell leaves nothing behind).
+        ``Cube.apply_delta`` then assigns nothing until its checks pass,
+        so a rejected delta needs no rollback. Any exception after it and
+        up to the commit (the ``ingest.commit`` fault point sits right
+        before it) triggers :meth:`_rollback_delta`, so an observer never
+        sees the cube or cache patched to a version the engine does not
+        report; the relation is swapped in only at the commit.
         """
         relation = self.dataset.relation
         delta.check_against(relation.schema)
         if delta.is_empty():
             return self.data_version
-        delta = self._float_measure(delta)
-        # Validate retractions at row granularity before touching state.
-        removed_idx = locate_rows(relation, delta.retracted,
-                                  self.cube.leaf_attrs)
+        measure = self.dataset.measure
+        for side, rows in (("appended", delta.appended),
+                           ("retracted", delta.retracted)):
+            if not np.isfinite(rows.measure_array(measure)).all():
+                raise DeltaError(f"{side} measure {measure!r} is not "
+                                 f"finite: NaN or ±inf in a row")
+        new_rel = relation
+        removed_idx = locate_rows(relation, delta.retracted)
+        if len(removed_idx):
+            new_rel = new_rel.without_rows(removed_idx)
+        if len(delta.appended):
+            try:
+                new_rel = new_rel.with_rows_appended(delta.appended)
+            except EncodingError as exc:
+                raise DeltaError(f"appended {exc}") from None
         old_fp = self.fingerprint
         new_fp: str | None = None
         if self.cache is not None:
@@ -224,11 +233,6 @@ class Reptile:
                 self.cube.fingerprint = self.fingerprint = new_fp
                 patch_cache_for_delta(self.cache, old_fp, new_fp, cube_delta,
                                       self.cube.leaf_attrs)
-            new_rel = relation
-            if len(removed_idx):
-                new_rel = new_rel.without_rows(removed_idx)
-            if len(delta.appended):
-                new_rel = new_rel.with_rows_appended(delta.appended)
             fault_point("ingest.commit", version=version)
         except Exception:
             self._rollback_delta(old_fp, new_fp)
@@ -254,34 +258,6 @@ class Reptile:
             self.fingerprint = old_fp
             if new_fp is not None:
                 self.cache.invalidate(new_fp)
-
-    def _float_measure(self, delta: Delta) -> Delta:
-        """``delta`` with its measure cells as the float64 arrays the
-        cube sums, so a JSON ``7`` never demotes a float64 measure column
-        to a Python list, and retracts a row stored as ``7.0``.
-
-        A cell that is no finite float (NaN is what a JSON ``null``
-        decodes to) is a bad request, rejected pre-mutation: a NaN row
-        could never be retracted and would poison every fit over it.
-        """
-        measure = self.dataset.measure
-        sides = []
-        for side, rows in (("appended", delta.appended),
-                           ("retracted", delta.retracted)):
-            if len(rows):
-                try:
-                    values = rows.measure_array(measure)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise DeltaError(f"{side} measure {measure!r} is not "
-                                     f"numeric: {exc}") from None
-                if not np.isfinite(values).all():
-                    raise DeltaError(f"{side} measure {measure!r} is not "
-                                     f"finite: NaN or ±inf in a row")
-                rows = Relation.from_encoded(rows.schema, {
-                    name: values if name == measure else rows.column(name)
-                    for name in rows.schema.names})
-            sides.append(rows)
-        return Delta(*sides)
 
     def check_cells(self, cells: Mapping, what: str) -> None:
         """Raise :class:`SessionError` unless each cell of ``cells`` that

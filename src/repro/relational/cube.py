@@ -335,7 +335,7 @@ class Cube:
         drive any group's count negative. The merged leaf block must
         keep every hierarchy FD (:meth:`_check_fds`), and every delta cell
         must extend its attribute's domain (a cell of another type than
-        its column's, a NaN or a list cannot be a group key). Each
+        its column's cannot be a group key). Each
         failure raises :class:`DeltaError` with the
         cube untouched: nothing is assigned until every check passes.
         Returns the :class:`CubeDelta` summary the upper layers patch

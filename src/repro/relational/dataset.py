@@ -14,7 +14,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoding import EncodingError
 from .hierarchy import Dimensions, HierarchyError
 from .relation import Relation
 
@@ -56,6 +55,10 @@ class AuxiliaryDataset:
             if a not in relation.schema:
                 raise DatasetError(
                     f"auxiliary dataset {name!r} lacks attribute {a!r}")
+        for m in self.measures:
+            if not relation.schema[m].is_measure():
+                raise DatasetError(f"auxiliary dataset {name!r} measure "
+                                   f"{m!r} is not a measure attribute")
 
     def lookup(self) -> dict[tuple, dict[str, float]]:
         """Map join key -> {measure: value}, averaging duplicate keys.
@@ -66,8 +69,7 @@ class AuxiliaryDataset:
         (the caching layer's ``spec_signature`` already relies on this),
         so every feature build after the first reuses the same mapping
         instead of re-materializing ``{tuple: dict}`` over full row
-        dicts on each access. An unhashable join-key cell raises
-        :class:`~repro.relational.encoding.EncodingError`.
+        dicts on each access.
         """
         cached = self.__dict__.get("_lookup_cache")
         if cached is not None:
@@ -88,12 +90,12 @@ class HierarchicalDataset:
     """Base relation + hierarchies + measures + auxiliary data.
 
     This is the object passed to :class:`repro.core.session.Reptile`.
-    Every dimension column holds one cell type — ``bool``, ``int``,
-    ``float`` or ``str``, never NaN — and every measure cell is a finite
-    number; anything else raises :class:`DatasetError`, the rule ingest
-    applies to appended rows (a NaN cell could never be retracted, and it
-    poisons every fit over its groups). ``validate=False`` skips only the
-    hierarchy FD check.
+    The relation typed every column when it was built (each dimension
+    column holds one key cell type); here the measure must be a measure
+    attribute and every measure cell finite, else :class:`DatasetError`
+    — the rule ingest applies to appended rows (a NaN cell could never
+    be retracted, and it poisons every fit over its groups).
+    ``validate=False`` skips only the hierarchy FD check.
     """
 
     def __init__(self, relation: Relation, dimensions: Dimensions,
@@ -105,17 +107,13 @@ class HierarchicalDataset:
         self.auxiliary: dict[str, AuxiliaryDataset] = {}
         if measure not in relation.schema:
             raise DatasetError(f"measure {measure!r} not in relation schema")
+        if not relation.schema[measure].is_measure():
+            raise DatasetError(f"{measure!r} is not a measure attribute")
         for a in dimensions.attributes():
             if a not in relation.schema:
                 raise DatasetError(
                     f"hierarchy attribute {a!r} not in relation schema")
-            keyed(f"dimension column {a!r}", relation.encoding, a)
-        try:
-            finite = np.isfinite(relation.measure_array(measure)).all()
-        except (TypeError, ValueError) as exc:
-            raise DatasetError(
-                f"measure {measure!r} is not numeric: {exc}") from None
-        if not finite:
+        if not np.isfinite(relation.measure_array(measure)).all():
             raise DatasetError(
                 f"measure {measure!r} is not finite: NaN or ±inf in a row")
         if validate:
@@ -151,10 +149,8 @@ class HierarchicalDataset:
                 raise DatasetError(
                     f"auxiliary dataset {aux.name!r} joins on {a!r}, which is "
                     f"not a dimension attribute") from None
-            want = keyed(f"dimension column {a!r}", self.relation.encoding,
-                         a).cell_type
-            got = keyed(f"auxiliary dataset {aux.name!r} join column {a!r}",
-                        aux.relation.encoding, a).cell_type
+            want = self.relation.encoding(a).cell_type
+            got = aux.relation.encoding(a).cell_type
             if want is not None and got is not None and got is not want:
                 raise DatasetError(
                     f"auxiliary dataset {aux.name!r} joins on {a!r} with "
@@ -173,7 +169,7 @@ class HierarchicalDataset:
     def attribute_domain(self, attribute: str) -> list:
         """Distinct values of a dimension attribute, sorted.
 
-        Served from the relation's interned dictionary encoding — the
+        Served from the relation's dictionary encoding — the
         domain is already the distinct value set, and is shared with the
         cube and the serving fingerprints.
         """
@@ -196,12 +192,3 @@ class HierarchicalDataset:
         return (f"HierarchicalDataset(n={len(self.relation)}, dims={dims}, "
                 f"measure={self.measure!r})")
 
-
-def keyed(what: str, operator, *args):
-    """``operator(*args)``, its :class:`EncodingError` (a cell that
-    cannot be a key, or a column of two cell types) raised as a
-    :class:`DatasetError` naming ``what``."""
-    try:
-        return operator(*args)
-    except EncodingError as exc:
-        raise DatasetError(f"{what}: {exc}") from None

@@ -20,12 +20,13 @@ to every derived structure *incrementally* instead of rebuilding:
   whole fingerprint generation.
 
 Retraction semantics: each retracted row must match an existing base row
-on **every** column (``==`` per cell, so the measure's ``7`` finds
-``7.0``, but a key cell must have its column's cell type: a retracted
-``1984.0`` in an int year is a :class:`DeltaError`). Duplicate rows are
-a bag — retracting removes the earliest matches in storage order. A
-retraction that cannot be matched raises :class:`DeltaError` before
-anything is mutated. The frozen row-at-a-time counterpart of this
+on **every** column: a measure compares as a float (both sides are typed
+``float64`` when the relations are built, so a retracted ``7`` finds a
+stored ``7.0``), and a key cell must have its column's cell type (a
+retracted ``1984.0`` in an int year is a :class:`DeltaError`). Duplicate
+rows are a bag — retracting removes the earliest matches in storage
+order. A retraction that cannot be matched raises :class:`DeltaError`
+before anything is mutated. The frozen row-at-a-time counterpart of this
 contract lives in :mod:`repro.relational.deltaref`; property tests
 assert both agree.
 """
@@ -33,13 +34,13 @@ assert both agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .encoding import EncodingError, comparable_keys
 from .relation import Relation
-from .schema import Schema
+from .schema import Schema, SchemaError
 
 
 class DeltaError(ValueError):
@@ -57,12 +58,19 @@ class Delta:
     def from_rows(cls, schema: Schema | Sequence,
                   appended: Iterable[Sequence] = (),
                   retracted: Iterable[Sequence] = ()) -> "Delta":
-        """Build a delta from plain row tuples."""
-        return cls(Relation.from_rows(schema, appended),
-                   Relation.from_rows(schema, retracted))
+        """Build a delta from plain row tuples, each column typed as
+        ``schema`` says (:class:`Relation`); a cell its column cannot
+        take raises :class:`DeltaError` naming the column."""
+        sides = []
+        for side, rows in (("appended", appended), ("retracted", retracted)):
+            try:
+                sides.append(Relation.from_rows(schema, rows))
+            except (EncodingError, SchemaError) as exc:
+                raise DeltaError(f"{side} rows: {exc}") from None
+        return cls(*sides)
 
     def __post_init__(self) -> None:
-        if self.appended.schema.names != self.retracted.schema.names:
+        if self.appended.schema != self.retracted.schema:
             raise DeltaError("append and retract schemas differ")
 
     @property
@@ -74,56 +82,39 @@ class Delta:
 
     def check_against(self, schema: Schema) -> None:
         """Raise unless this delta targets ``schema``."""
-        if self.schema.names != schema.names:
-            raise DeltaError(
-                f"delta schema {list(self.schema.names)} does not match "
-                f"relation schema {list(schema.names)}")
+        if self.schema != schema:
+            ours, theirs = ([f"{a.name}:{a.kind.value}" for a in s]
+                            for s in (self.schema, schema))
+            raise DeltaError(f"delta schema {ours} does not match "
+                             f"relation schema {theirs}")
 
 
-def locate_rows(relation: Relation, retracted: Relation,
-                keys: Collection[str] = ()) -> np.ndarray:
+def locate_rows(relation: Relation, retracted: Relation) -> np.ndarray:
     """Base row indices matching each retracted row (bag semantics).
 
     Matches on every column; for duplicated rows the *earliest* matching
     rows in storage order are taken, one per retracted occurrence.
-    Two-phase: the columns stored as codes (the dimensions the engine
-    has interned) find the candidate rows, and the other columns
-    (typically the measure) are compared per candidate — so retraction
-    never dictionary-encodes a measure column just to throw the encoding
-    away. Candidates come from a composite-key index over the base rows
+    Two-phase: the key columns, stored as codes, find the candidate rows,
+    and the measures are compared as floats per candidate. Candidates
+    come from a composite-key index over the base rows
     (:class:`~repro.relational.encoding.KeyIndex`), built on the first
     retraction and shared by every relation derived from that base, plus
     a vectorized scan of the rows appended since; retracted rows are
     skipped. A relation with pending appends and retractions is never
-    materialized. A cold relation, with no column interned yet, interns
-    what it can first (if nothing, every live row is a candidate).
+    materialized.
 
-    A retracted cell of a ``keys`` column (a dataset's hierarchy
-    attributes) must have that column's cell type, and a key column of
-    a cold relation must intern (:class:`EncodingError` otherwise); any
-    other column is compared with ``==``, so it takes any cell. Raises
-    :class:`DeltaError` for a retracted key cell of another type, or
-    when any retraction finds no row left.
+    Raises :class:`DeltaError` for a retracted key cell of another type
+    than its column's, or when any retraction finds no row left.
     """
     if not len(retracted):
         return np.empty(0, dtype=np.int64)
-    names = list(relation.schema.names)
     storage = relation._storage()
-    keyed = storage.encoded()
-    if not keyed:  # a cold relation: intern what can be interned
-        for n in names:
-            try:
-                relation.encoding(n)
-            except EncodingError:
-                if n in keys:
-                    raise
-        storage = relation._storage()
-        keyed = storage.encoded()
-    rest = [n for n in names if n not in keyed]
+    keyed = [n for n, col in storage.columns.items() if col.head is not None]
+    rest = [n for n, col in storage.columns.items() if col.head is None]
     heads = [storage.columns[n].head for n in keyed]
     # Retracted values are looked up per column: a value absent from the
     # current domain cannot identify any row, and one that cannot be a
-    # cell of a key column (another type, NaN) is a bad request.
+    # cell of the column (another type) is a bad request.
     n_ret = len(retracted)
     ret_codes = []
     missing = np.zeros(n_ret, dtype=bool)
@@ -133,10 +124,8 @@ def locate_rows(relation: Relation, retracted: Relation,
             try:
                 code = head.code_of(value)
             except EncodingError as exc:
-                if name in keys:
-                    raise DeltaError(
-                        f"retracted {name!r} cell {value!r}: {exc}") from None
-                code = head.find(value)
+                raise DeltaError(
+                    f"retracted {name!r} cell {value!r}: {exc}") from None
             if code is None:
                 missing[i] = True
             else:
@@ -164,15 +153,7 @@ def locate_rows(relation: Relation, retracted: Relation,
         hit = None
         exhausted = False
         for idx in rows.tolist():
-            ok = True
-            for n in rest:
-                try:
-                    ok = rest_values[n][idx] == ret_rest[n][i]
-                except (TypeError, ValueError):
-                    ok = False
-                if not ok:
-                    break
-            if ok:
+            if all(rest_values[n][idx] == ret_rest[n][i] for n in rest):
                 if idx in taken:
                     exhausted = True  # a copy exists but is spoken for
                     continue

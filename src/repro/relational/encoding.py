@@ -1,6 +1,6 @@
 """Dictionary encoding: the columnar substrate under the relational layer.
 
-Every dimension column is stored (or lazily interned) as a pair
+Every column but the measure is stored as a pair
 ``(codes, domain)``: an ``int32`` numpy array of per-row codes plus the
 ordered list of distinct values, so ``domain[codes[i]]`` is row ``i``'s
 value. The hot relational operations — group-by, provenance filters,
@@ -59,10 +59,10 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 class EncodingError(ValueError):
     """Raised when a cell cannot be a key: not a ``bool``, ``int``,
     ``float`` or ``str`` (an unhashable list, say), NaN, or of another
-    type than its column's. Every keyed operator (grouping, equality
-    filters, retraction lookup, domain extension) raises it, with no
-    row-loop fallback; the value operators (column, rows, appends, the
-    content digest) accept any cell."""
+    type than its column's. A relation's constructors raise it, naming
+    the column, for a non-measure cell, and every keyed operator
+    (equality filters, retraction lookup, domain extension, so appends)
+    for a cell of a query or a delta, with no row-loop fallback."""
 
 
 def digest_parts(*parts: bytes) -> bytes:
@@ -190,17 +190,9 @@ class DictEncoding:
         this column's type (:func:`key_type`).
         """
         check_cell_type(key_type(value), self.cell_type)
-        return self.find(value)
-
-    def find(self, value) -> int | None:
-        """Code of the domain value ``==`` to ``value`` (``7`` finds
-        ``7.0``; an unhashable cell finds nothing), or None."""
         if self._positions is None:
             self._positions = {v: i for i, v in enumerate(self.domain)}
-        try:
-            return self._positions.get(value)
-        except TypeError:
-            return None
+        return self._positions.get(value)
 
     def take(self, indices: np.ndarray) -> "DictEncoding":
         """Row subset sharing this encoding's domain (no value copies)."""

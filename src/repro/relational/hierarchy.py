@@ -109,9 +109,7 @@ class Hierarchy:
     def validate_fds(self, relation: Relation) -> None:
         """Check ``A_{i+1} → A_i`` holds in ``relation`` for all levels.
 
-        Raises :class:`HierarchyError` on the first violated dependency,
-        and :class:`~repro.relational.encoding.EncodingError` when a
-        hierarchy column holds an unhashable cell.
+        Raises :class:`HierarchyError` on the first violated dependency.
         :func:`fd_violation` decides over the encoded code arrays; the
         per-row loop only runs to reconstruct the exact error message
         once a violation is detected.

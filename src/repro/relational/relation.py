@@ -5,26 +5,25 @@ auxiliary sensing datasets, and the like. It holds what the served system
 reads — columns, dictionary encodings, composite-key grouping, equality
 filters — and the O(delta) appends and retractions of ingest, on top of a
 dictionary-encoded columnar core (:mod:`repro.relational.encoding`): each
-column is interned once into an ``int32`` code array plus a value domain,
-and every hot operation runs as a vectorized composite-key kernel instead
-of a per-row Python loop.
+key column is an ``int32`` code array plus a value domain, and every hot
+operation runs as a vectorized composite-key kernel instead of a per-row
+Python loop.
+
+Each column is typed once, where the relation is built, in the one form
+its schema kind fixes: a ``measure(...)`` attribute is a ``float64``
+array, every other attribute a dictionary encoding of one key cell type
+(``bool``, ``int``, ``float`` or ``str``, no NaN). A cell the column
+cannot take (a list, a NaN or a second cell type in a key column; a
+``str``, ``bool`` or ``None`` in a measure) raises at construction,
+naming the column. So every operator runs one way: grouping, equality
+filters, appends and ingest's retraction lookup work on codes, and
+measures are summed and compared as floats.
 
 A relation is immutable: ``column()`` returns a column's values as a
 tuple, ``rows()`` yields tuples, and every operator returns a new
 relation, so data changes only by building a new relation (delta ingest
-does, in O(delta)). Columns produced by encoded operators stay in code
-form until someone asks for the values. Because no column changes after
-construction, its derived forms (values, encoding, content hash) are
-computed once and cached.
-
-Each operator runs one way. The keyed ones — grouping, equality filters
-and ingest's retraction lookup on the columns its caller names as keys —
-work on the encoded columns, which hold one cell type each (``bool``,
-``int``, ``float`` or ``str``, no NaN), so a list cell, a NaN or a second
-cell type in the column or the query makes them raise
-:class:`~repro.relational.encoding.EncodingError`. The value ones —
-``column``, ``rows``, appends, ``content_token`` and the retraction
-lookup's other columns — accept any cell.
+does, in O(delta)). Because no column changes after construction, its
+content hash is computed once and cached.
 
 ``group_measure`` iterates in lexicographic key order — the order the
 composite-key kernels produce — rather than first-occurrence order;
@@ -48,251 +47,155 @@ import numpy as np
 
 from .encoding import (DictEncoding, EncodingError, GroupIndex, KeyIndex,
                        digest_parts, factorize)
-from .schema import Attribute, AttributeKind, Schema, SchemaError
+from .schema import Attribute, Schema, SchemaError
 
 Row = tuple
 Key = tuple
 
 
 class _Column:
-    """One column in exactly one canonical form: list, typed array or codes.
+    """One column in the one form its schema kind fixes: a ``float64``
+    array for a measure, a :class:`DictEncoding` for every other
+    attribute.
 
-    * ``list`` — as handed to the constructor (value objects preserved);
-    * ``array`` — a typed 1-D numpy array (fast path for bulk data);
-    * ``encoding`` — codes + domain, produced by encoded operators.
-
-    A column never changes after construction, so derived
-    representations (the encoding of a list column, the list of an
-    encoded column, the content hash) are cached. The list is internal:
-    the public ``Relation.column`` hands out a tuple copy.
+    A column never changes after construction, so its content hash is
+    cached. Its values are handed out only as copies.
     """
 
-    __slots__ = ("_values", "_array", "_enc", "_token")
+    __slots__ = ("_array", "_enc", "_token")
 
-    def __init__(self, values: list | None = None,
-                 array: np.ndarray | None = None,
+    def __init__(self, array: np.ndarray | None = None,
                  enc: DictEncoding | None = None):
-        self._values = values
         self._array = array
         self._enc = enc
         self._token: bytes | None = None
 
     @classmethod
-    def from_input(cls, values) -> "_Column":
-        """Owning column from caller-supplied data (copies, so later
-        edits of the caller's sequence never reach the relation)."""
-        if isinstance(values, np.ndarray) and values.ndim == 1 \
-                and values.dtype.kind in "biufUS":
-            return cls(array=values.copy())
-        return cls(values=list(values))
+    def typed(cls, attr: Attribute, values, copy: bool) -> "_Column":
+        """``values`` typed as ``attr``'s kind says: a measure becomes a
+        ``float64`` array (a copy unless ``copy`` is false), any other
+        attribute a :class:`DictEncoding` (a given one is adopted as it
+        is). A cell the column cannot take raises, naming the column:
+        :class:`SchemaError` for a measure cell that is no ``int`` or
+        ``float``, :class:`EncodingError` for a key cell."""
+        if attr.is_measure():
+            return cls(array=_measure_cells(attr.name, values, copy))
+        if isinstance(values, DictEncoding):
+            return cls(enc=values)
+        try:
+            return cls(enc=factorize(values))
+        except EncodingError as exc:
+            raise EncodingError(f"column {attr.name!r}: {exc}") from None
 
     def __len__(self) -> int:
-        if self._values is not None:
-            return len(self._values)
-        if self._array is not None:
-            return len(self._array)
-        return len(self._enc.codes)
+        return len(self._array if self._enc is None else self._enc.codes)
 
-    # -- representations ---------------------------------------------------------
     def values(self) -> list:
-        """The values as a list (cached; never handed out)."""
-        if self._values is None:
-            if self._array is not None:
-                self._values = self._array.tolist()
-            else:
-                self._values = self._enc.decode()
-        return self._values
-
-    def encoding(self) -> DictEncoding:
-        """Dictionary encoding (cached)."""
+        """The values as a fresh list."""
         if self._enc is None:
-            self._enc = factorize(self._array if self._array is not None
-                                  else self._values)
-        return self._enc
+            return self._array.tolist()
+        return self._enc.decode()
 
-    def float_array(self) -> np.ndarray:
-        """The column as a fresh float array (measure accessor)."""
-        if self._array is not None:
-            return self._array.astype(float)
-        if self._values is None and self._enc is not None:
-            try:
-                return np.asarray(self._enc.objects,
-                                  dtype=float)[self._enc.codes]
-            except (TypeError, ValueError):
-                pass
-        return np.asarray(self.values(), dtype=float)
+    def cell(self, i: int):
+        """Row ``i``'s value."""
+        if self._enc is None:
+            return float(self._array[i])
+        return self._enc.domain[self._enc.codes[i]]
 
-    # -- derivation --------------------------------------------------------------
-    def take(self, indices: np.ndarray, index_list: list | None = None
-             ) -> "_Column":
-        """Row subset; stays in code/array form whenever possible."""
-        if self._enc is not None:
-            return _Column(enc=self._enc.take(indices))
-        if self._array is not None:
+    def take(self, indices: np.ndarray) -> "_Column":
+        """Row subset (an encoding shares its domain)."""
+        if self._enc is None:
             return _Column(array=self._array[indices])
-        values = self._values
-        idx = index_list if index_list is not None else indices.tolist()
-        return _Column(values=[values[i] for i in idx])
+        return _Column(enc=self._enc.take(indices))
 
-    def takes_list_path(self) -> bool:
-        """True when :meth:`take` will subset the Python value list
-        (callers then precompute the shared index list once)."""
-        return self._enc is None and self._array is None
-
-    def append_step(self, other: "_Column") -> tuple:
-        """How ``other``'s rows append to this column: the one decision.
-
-        * ``("extend", extended, codes)`` — a clean encoding extends its
-          domain (:meth:`DictEncoding.extend_domain`): the old domain
-          stays a prefix, old codes survive verbatim, ``codes`` encodes
-          ``other``;
-        * ``("typed", array)`` — a typed array takes ``other`` as an
-          array of the same dtype kind, so a small row-built delta never
-          demotes the whole column to a Python list;
-        * ``("concat", None)`` — every fallback that changes the
-          representation: an appended cell the encoding cannot take (a
-          list, or another cell type: only a column no hierarchy names
-          gets one, since ingest checks the others first), a dtype-kind
-          mismatch, a list column. :meth:`appended` then rebuilds the
-          column as a list of values.
-
-        Nothing is concatenated here, so a pending relation can defer
-        the first two branches and :meth:`appended` applies them now.
-        """
-        if self._enc is not None:
-            try:
-                return ("extend", *self._enc.extend_domain(other.values()))
-            except EncodingError:
-                pass
-        if self._array is not None:
-            arr = other._array if other._array is not None \
-                else np.asarray(other.values())
-            if arr.ndim == 1 and arr.dtype.kind == self._array.dtype.kind:
-                return ("typed", arr)
-        return ("concat", None)
-
-    def appended(self, other: "_Column", step: tuple) -> "_Column":
-        """This column with ``other``'s rows appended as ``step`` says."""
-        if step[0] == "extend":
-            _, extended, codes = step
-            return _Column(enc=DictEncoding(
-                np.concatenate([self._enc.codes, codes]), extended.domain,
-                extended.domain_sorted))
-        if step[0] == "typed":
-            return _Column(array=np.concatenate([self._array, step[1]]))
-        # Never np.concatenate here: it would silently promote (ints to
-        # strings or floats) instead of keeping each row's value.
-        return _Column(values=self.values() + other.values())
-
-    # -- fingerprints ------------------------------------------------------------
     def hash_token(self) -> bytes:
-        """Stable content digest; reuses the interned encoding's hash.
+        """Stable content digest (cached): a measure hashes its raw
+        bytes, a key column reuses its encoding's hash."""
+        if self._token is None:
+            self._token = self._enc.hash_token() if self._enc is not None \
+                else digest_parts(str(self._array.dtype).encode(),
+                                  self._array.tobytes())
+        return self._token
 
-        Deterministic per canonical representation: a typed array hashes
-        its raw bytes, everything else hashes (domain, codes). Cached.
-        """
-        if self._token is not None:
-            return self._token
-        if self._array is not None:
-            token = digest_parts(str(self._array.dtype).encode(),
-                                 np.ascontiguousarray(self._array).tobytes())
-        else:
-            try:
-                token = self.encoding().hash_token()
-            except EncodingError:  # not a key column: hash the values
-                token = digest_parts(repr(self.values()).encode())
-        self._token = token
-        return token
+
+#: The cell types a measure column takes (a numpy scalar counts as one).
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+
+
+def _measure_cells(name: str, values, copy: bool) -> np.ndarray:
+    """A measure column as a 1-D ``float64`` array; :class:`SchemaError`
+    naming the column for a cell that is no ``int`` or ``float`` (a
+    ``bool``, a ``str``, ``None``)."""
+    if not (isinstance(values, np.ndarray) and values.ndim == 1
+            and values.dtype.kind in "iuf"):
+        values = list(values)
+        if not set(map(type, values)) <= {int, float}:
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, _NUMBER_TYPES):
+                    raise SchemaError(
+                        f"measure {name!r} cell {v!r} is not a number")
+    try:
+        return (np.array if copy else np.asarray)(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise SchemaError(f"measure {name!r}: {exc}") from None
 
 
 class _Deferred:
     """One column of a pending relation: base storage plus appended tail.
 
-    ``kind`` is the form the eager operators leave the column in:
-
-    * ``"enc"`` — codes over ``head``, the base domain as every append so
-      far extended it (``base`` is the base :class:`DictEncoding`);
-    * ``"array"`` — a typed array (``base`` is the base array);
-    * ``"list"`` — Python values (``base`` is the base list; a list
-      column defers retractions only, its appends take the fallback).
-
-    ``tail`` holds the appended rows, each batch encoded at append time
-    (codes against the extended domain, or the typed array), in the
-    dtype the eager concatenations reach: every append concatenates onto
-    the tail exactly as the eager append concatenates onto the column.
+    A measure has no ``head``: ``base`` is its ``float64`` array and
+    ``tail`` the appended values. A key column's ``base`` is its
+    :class:`DictEncoding`, ``head`` that encoding as every append so far
+    extended it, and ``tail`` the appended rows' codes against ``head``.
+    Each batch is typed when it is appended, and concatenates onto the
+    tail exactly as an eager append concatenates onto the column.
     """
 
-    __slots__ = ("kind", "base", "head", "tail")
+    __slots__ = ("base", "head", "tail")
 
-    def __init__(self, kind: str, base, head: DictEncoding | None = None,
-                 tail: np.ndarray | None = None):
-        self.kind = kind
+    def __init__(self, base, head: DictEncoding | None, tail: np.ndarray):
         self.base = base
         self.head = head
         self.tail = tail
 
     @classmethod
-    def of(cls, column: _Column, kind: str) -> "_Deferred":
-        """``column`` as the base of a deferred column of ``kind``."""
-        if kind == "enc":
-            return cls("enc", column._enc, column._enc,
-                       column._enc.codes[:0])
-        if kind == "array":
-            return cls("array", column._array, None, column._array[:0])
-        return cls("list", column._values)
+    def of(cls, column: _Column) -> "_Deferred":
+        """``column`` as the base of a deferred column with no tail."""
+        if column._enc is None:
+            return cls(column._array, None, column._array[:0])
+        return cls(column._enc, column._enc, column._enc.codes[:0])
 
-    @classmethod
-    def taken(cls, column: _Column) -> "_Deferred":
-        """``column`` in the form a row subset leaves it (see take())."""
-        if column._enc is not None:
-            return cls.of(column, "enc")
-        return cls.of(column, "array" if column._array is not None
-                      else "list")
-
-    def view(self) -> _Column:
-        """A row-less stand-in with this column's representation, for
-        :meth:`_Column.append_step` to decide the next append on."""
-        if self.kind == "enc":
-            return _Column(enc=self.head)
-        if self.kind == "array":
-            return _Column(array=self.tail[:0])
-        return _Column(values=[])
-
-    def appended(self, step: tuple) -> "_Deferred":
-        """This column with one more batch on its tail, per ``step``."""
-        if step[0] == "extend":
-            _, extended, codes = step
-            return _Deferred("enc", self.base, extended,
-                             np.concatenate([self.tail, codes]))
-        return _Deferred("array", self.base, None,
-                         np.concatenate([self.tail, step[1]]))
+    def appended(self, other: _Column) -> "_Deferred":
+        """This column with ``other``'s rows on its tail: the one append
+        decision. A measure concatenates their floats. A key column
+        encodes them with :meth:`DictEncoding.extend_domain` (the old
+        domain stays a prefix, so old codes survive verbatim), which
+        raises :class:`EncodingError` for a cell of another type."""
+        if self.head is None:
+            return _Deferred(self.base, None,
+                             np.concatenate([self.tail, other._array]))
+        head, codes = self.head.extend_domain(other.values())
+        return _Deferred(self.base, head, np.concatenate([self.tail, codes]))
 
     def materialize(self, live: np.ndarray | None) -> _Column:
         """The eager column: the physical rows at ``live`` (None: all)."""
-        if self.kind == "list":
-            values = self.base
-            return _Column(values=list(values) if live is None
-                           else [values[i] for i in live.tolist()])
-        data = self.base.codes if self.kind == "enc" else self.base
+        head = self.head
+        data = self.base if head is None else self.base.codes
         if len(self.tail):
-            data = np.concatenate([data, self.tail], dtype=self.tail.dtype)
+            data = np.concatenate([data, self.tail])
         if live is not None:
             data = data[live]
-        if self.kind == "array":
+        if head is None:
             return _Column(array=data)
-        head = self.head
         enc = DictEncoding(data, head.domain, head.domain_sorted)
         enc._positions, enc._ranks = head._positions, head._ranks
         return _Column(enc=enc)
 
     def cells(self, positions: np.ndarray, n_base: int) -> list:
-        """Values at physical ``positions`` of an array or list column,
-        without materializing (encoded columns are matched by code)."""
-        if self.kind == "list":
-            values = self.base
-            return [values[i] for i in positions.tolist()]
+        """A measure's values at physical ``positions``, without
+        materializing (key columns are matched by code)."""
         in_tail = positions >= n_base
-        data = np.empty(len(positions), dtype=self.tail.dtype)
+        data = np.empty(len(positions))
         data[~in_tail] = self.base[positions[~in_tail]]
         data[in_tail] = self.tail[positions[in_tail] - n_base]
         return data.tolist()
@@ -333,17 +236,11 @@ class _Pending:
 
     @classmethod
     def stored(cls, relation: "Relation") -> "_Pending":
-        """A plain relation's own columns as they are stored, for reading.
-
-        Columns with a cached encoding read as codes, the rest as typed
-        arrays or values; nothing is copied or changed.
-        """
-        columns = {
-            name: _Deferred.of(col, "enc" if col._enc is not None
-                               else "array" if col._array is not None
-                               else "list")
-            for name, col in relation._store.items()}
-        return cls(columns, relation._n, 0, np.empty(0, dtype=np.int64),
+        """A plain relation's own columns as the base of a pending
+        relation with no change yet; nothing is copied."""
+        return cls({name: _Deferred.of(col)
+                    for name, col in relation._store.items()},
+                   relation._n, 0, np.empty(0, dtype=np.int64),
                    relation._indexes)
 
     def live(self) -> np.ndarray | None:
@@ -372,10 +269,6 @@ class _Pending:
         """Logical row indices of live physical positions."""
         return physical - np.searchsorted(self.dead, physical)
 
-    def encoded(self) -> list[str]:
-        """Names of the columns stored as codes."""
-        return [n for n, col in self.columns.items() if col.kind == "enc"]
-
     def key_index(self, names: Sequence[str]) -> KeyIndex:
         """The composite-key index of the base rows over ``names``.
 
@@ -394,6 +287,29 @@ class _Pending:
                                         [e.cardinality for e in encs]))
                 cache.entries[tuple(names)] = entry
         return entry[1]
+
+
+def _typed_columns(schema: Schema | Iterable[Attribute | str],
+                   columns: Mapping[str, Any], copy: bool
+                   ) -> tuple[Schema, dict[str, _Column], int]:
+    """The schema, each of its columns typed (:meth:`_Column.typed`) and
+    the row count; :class:`SchemaError` for a missing column or columns
+    of unequal length."""
+    if not isinstance(schema, Schema):
+        schema = Schema(schema)
+    cols: dict[str, _Column] = {}
+    n: int | None = None
+    for attr in schema:
+        if attr.name not in columns:
+            raise SchemaError(f"missing column {attr.name!r}")
+        col = _Column.typed(attr, columns[attr.name], copy)
+        if n is None:
+            n = len(col)
+        elif len(col) != n:
+            raise SchemaError(
+                f"column {attr.name!r} has length {len(col)}, expected {n}")
+        cols[attr.name] = col
+    return schema, cols, n or 0
 
 
 def _typed_cells(texts: list[str]) -> list:
@@ -418,9 +334,13 @@ class Relation:
         Column names/types; a :class:`Schema` or iterable of names.
     columns:
         Mapping from attribute name to a sequence of values. All columns
-        must have equal length. Missing columns raise. numpy arrays of
-        scalar dtype are copied into typed arrays (the columnar fast
-        path); any other sequence is copied into a list.
+        must have equal length. Missing columns raise. Each column is
+        typed here, once, as its schema kind says: a measure attribute
+        becomes a ``float64`` array and every other attribute a
+        :class:`~repro.relational.encoding.DictEncoding` of one key cell
+        type. A cell the column cannot take raises, naming the column:
+        :class:`~repro.relational.encoding.EncodingError` for a key cell,
+        :class:`SchemaError` for a measure cell that is no number.
 
     Immutable: ``column()`` returns a tuple, and every operator, delta
     ingest included, returns a new relation.
@@ -430,23 +350,8 @@ class Relation:
 
     def __init__(self, schema: Schema | Iterable[Attribute | str],
                  columns: Mapping[str, Sequence[Any]]):
-        if not isinstance(schema, Schema):
-            schema = Schema(schema)
-        self.schema = schema
-        cols: dict[str, _Column] = {}
-        n: int | None = None
-        for name in schema.names:
-            if name not in columns:
-                raise SchemaError(f"missing column {name!r}")
-            col = _Column.from_input(columns[name])
-            if n is None:
-                n = len(col)
-            elif len(col) != n:
-                raise SchemaError(
-                    f"column {name!r} has length {len(col)}, expected {n}")
-            cols[name] = col
-        self._store = cols
-        self._n = n if n is not None else 0
+        self.schema, self._store, self._n = _typed_columns(schema, columns,
+                                                           copy=True)
         self._pending = None
         self._indexes = _KeyIndexes()
 
@@ -515,33 +420,13 @@ class Relation:
 
         The out-of-core ingestion entry: a :class:`DictEncoding` column is
         installed as-is (codes + domain, no value materialization) and a
-        typed 1-D numpy array is adopted directly, so a coordinator that
-        streamed and encoded chunks never pays for a row-object image of
-        the data. The caller transfers ownership — mutating a passed
+        ``float64`` measure array is adopted directly, so a coordinator
+        that streamed and encoded chunks never pays for a row-object
+        image of the data. Any other column is typed as the constructor
+        types it. The caller transfers ownership — mutating a passed
         array afterwards corrupts the relation.
         """
-        if not isinstance(schema, Schema):
-            schema = Schema(schema)
-        cols: dict[str, _Column] = {}
-        n: int | None = None
-        for name in schema.names:
-            if name not in columns:
-                raise SchemaError(f"missing column {name!r}")
-            value = columns[name]
-            if isinstance(value, DictEncoding):
-                col = _Column(enc=value)
-            elif isinstance(value, np.ndarray) and value.ndim == 1 \
-                    and value.dtype.kind in "biufUS":
-                col = _Column(array=value)
-            else:
-                col = _Column(values=list(value))
-            if n is None:
-                n = len(col)
-            elif len(col) != n:
-                raise SchemaError(
-                    f"column {name!r} has length {len(col)}, expected {n}")
-            cols[name] = col
-        return cls._from_cols(schema, cols, n if n is not None else 0)
+        return cls._from_cols(*_typed_columns(schema, columns, copy=False))
 
     @classmethod
     def from_csv(cls, path: str, schema: Schema) -> "Relation":
@@ -575,7 +460,7 @@ class Relation:
                     column.append(rec[i])
         return cls.from_encoded(schema, {
             attr.name: np.asarray(columns[attr.name], dtype=np.float64)
-            if attr.kind is AttributeKind.MEASURE
+            if attr.is_measure()
             else _typed_cells(columns[attr.name]) for attr in schema})
 
     # -- container protocol ----------------------------------------------------------
@@ -597,37 +482,35 @@ class Relation:
         return sorted(map(repr, self.rows())) == sorted(map(repr, other.rows()))
 
     # -- accessors ---------------------------------------------------------------
+    def _column(self, name: str) -> _Column:
+        try:
+            return self._cols[name]
+        except KeyError:
+            raise SchemaError(f"no attribute named {name!r}") from None
+
     def column(self, name: str) -> tuple:
         """The values of column ``name``, as a tuple (O(rows) copy)."""
-        try:
-            return tuple(self._cols[name].values())
-        except KeyError:
-            raise SchemaError(f"no attribute named {name!r}") from None
+        return tuple(self._column(name).values())
 
     def encoding(self, name: str) -> DictEncoding:
-        """The interned dictionary encoding of column ``name``.
-
-        Raises :class:`~repro.relational.encoding.EncodingError` when the
-        column holds unhashable values.
-        """
-        try:
-            return self._cols[name].encoding()
-        except KeyError:
-            raise SchemaError(f"no attribute named {name!r}") from None
+        """The dictionary encoding of key column ``name``
+        (:class:`SchemaError` for a measure, which is no key column)."""
+        enc = self._column(name)._enc
+        if enc is None:
+            raise SchemaError(f"measure {name!r} is not a key column")
+        return enc
 
     def content_token(self, name: str) -> bytes:
         """A stable content digest of one column (no value copies)."""
-        try:
-            return self._cols[name].hash_token()
-        except KeyError:
-            raise SchemaError(f"no attribute named {name!r}") from None
+        return self._column(name).hash_token()
 
     def measure_array(self, name: str) -> np.ndarray:
-        """Column ``name`` as a float numpy array."""
-        try:
-            return self._cols[name].float_array()
-        except KeyError:
-            raise SchemaError(f"no attribute named {name!r}") from None
+        """Measure column ``name`` as a fresh ``float64`` array
+        (:class:`SchemaError` for a column that is no measure)."""
+        array = self._column(name)._array
+        if array is None:
+            raise SchemaError(f"{name!r} is not a measure attribute")
+        return array.copy()
 
     def rows(self) -> Iterator[Row]:
         """Iterate rows as tuples in storage order."""
@@ -635,7 +518,7 @@ class Relation:
         return zip(*cols) if cols else iter(() for _ in range(self._n))
 
     def row(self, i: int) -> Row:
-        return tuple(self._cols[n].values()[i] for n in self.schema.names)
+        return tuple(self._cols[n].cell(i) for n in self.schema.names)
 
     def key_tuples(self, names: Sequence[str]) -> list[Key]:
         """Rows projected to ``names``, as a list of tuples (with duplicates)."""
@@ -652,78 +535,56 @@ class Relation:
     def filter_equals(self, conditions: Mapping[str, Any]) -> "Relation":
         """Rows matching every ``attr == value`` condition.
 
-        Keyed: each condition's column is encoded, so a column that holds
-        an unhashable cell raises
-        :class:`~repro.relational.encoding.EncodingError`.
+        Keyed: every condition's value must have its column's key cell
+        type (:class:`~repro.relational.encoding.EncodingError`
+        otherwise), also when another condition already matches no row.
         """
         if not conditions:
             return self
         encs = [self.encoding(n) for n in conditions]
-        mask: np.ndarray | None = None
-        for enc, value in zip(encs, conditions.values()):
-            code = enc.code_of(value)
-            if code is None:
-                return self._take(np.empty(0, dtype=np.int64))
-            hit = enc.codes == code
-            mask = hit if mask is None else mask & hit
+        codes = [enc.code_of(v) for enc, v in zip(encs, conditions.values())]
+        if None in codes:
+            return self._take(np.empty(0, dtype=np.int64))
+        mask = np.ones(self._n, dtype=bool)
+        for enc, code in zip(encs, codes):
+            mask &= enc.codes == code
         return self._take(np.flatnonzero(mask))
 
     def _take(self, indices: np.ndarray) -> "Relation":
-        index_list: list | None = None
-        cols: dict[str, _Column] = {}
-        for name, col in self._cols.items():
-            if index_list is None and col.takes_list_path():
-                index_list = indices.tolist()
-            cols[name] = col.take(indices, index_list)
-        return Relation._from_cols(self.schema, cols, int(len(indices)))
+        return Relation._from_cols(
+            self.schema, {name: col.take(indices)
+                          for name, col in self._cols.items()},
+            len(indices))
 
     def with_rows_appended(self, other: "Relation") -> "Relation":
         """Bag union optimized for small appends (delta ingestion).
 
-        The schemas must be identical. Interned encodings are extended
-        in place of a re-encode: old codes survive verbatim
-        under a domain whose old entries keep their positions, so every
-        structure indexed by those codes (cube leaves, cached views)
-        stays valid after the append.
+        The schemas must be identical. Key encodings are extended in
+        place of a re-encode: old codes survive verbatim under a domain
+        whose old entries keep their positions, so every structure
+        indexed by those codes (cube leaves, cached views) stays valid
+        after the append. A key cell of another type than its column's
+        raises :class:`~repro.relational.encoding.EncodingError` naming
+        the column, and nothing is built.
 
         O(delta): the result shares this relation's column storage and
-        adds ``other``'s rows, encoded now against the extended domains
-        (:meth:`_Column.append_step`), to its appended tail.
-        Columns materialize when a reader first needs them, and exactly
-        as the eager concatenations would have built them. A fallback
-        that changes a column's representation (a dtype-kind mismatch, a
-        cell the column's encoding cannot take) materializes this
-        relation and appends eagerly.
+        adds ``other``'s rows, typed now (:meth:`_Deferred.appended`), to
+        its appended tail. Columns materialize when a reader first needs
+        them, and exactly as the eager concatenations would have built
+        them.
         """
-        if self.schema.names != other.schema.names:
+        if self.schema != other.schema:
             raise SchemaError("append requires identical schemas")
-        names = self.schema.names
-        deltas = other._cols
-        pending = self._pending
-        if pending is None:
-            cols = self._store
-            steps = {n: cols[n].append_step(deltas[n]) for n in names}
-        else:
-            steps = {n: pending.columns[n].view().append_step(deltas[n])
-                     for n in names}
-        n = self._n + other._n
-        if any(step[0] == "concat" for step in steps.values()):
-            cols = self._cols
-            return Relation._from_cols(
-                self.schema,
-                {name: cols[name].appended(deltas[name], steps[name])
-                 for name in names}, n)
-        if pending is None:
-            pending = _Pending(
-                {name: _Deferred.of(self._store[name],
-                                    "enc" if steps[name][0] == "extend"
-                                    else "array") for name in names},
-                self._n, 0, np.empty(0, dtype=np.int64), self._indexes)
+        pending = self._storage()
+        columns: dict[str, _Deferred] = {}
+        for name, col in pending.columns.items():
+            try:
+                columns[name] = col.appended(other._cols[name])
+            except EncodingError as exc:
+                raise EncodingError(f"column {name!r}: {exc}") from None
         return self._derived(_Pending(
-            {name: pending.columns[name].appended(steps[name])
-             for name in names},
-            pending.n_base, pending.n_tail + other._n, pending.dead,
-            pending.indexes), n)
+            columns, pending.n_base, pending.n_tail + other._n,
+            pending.dead, pending.indexes), self._n + other._n)
 
     def without_rows(self, indices: Sequence[int] | np.ndarray) -> "Relation":
         """Relation with the given row indices removed (delta retraction).
@@ -741,12 +602,7 @@ class Relation:
                 f"index {rows[out_of_range].flat[0]} is out of bounds for "
                 f"axis 0 with size {self._n}")
         logical = np.unique(np.where(rows < 0, rows + self._n, rows))
-        pending = self._pending
-        if pending is None:
-            pending = _Pending(
-                {name: _Deferred.taken(col)
-                 for name, col in self._store.items()},
-                self._n, 0, np.empty(0, dtype=np.int64), self._indexes)
+        pending = self._storage()
         physical = pending.physical(logical)
         dead = np.insert(pending.dead,
                          np.searchsorted(pending.dead, physical), physical)

@@ -17,8 +17,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DatasetError, HierarchicalDataset, keyed
-from .encoding import DictEncoding, factorize
+from .dataset import DatasetError, HierarchicalDataset
+from .encoding import DictEncoding, EncodingError, factorize
 from .relation import Relation
 from .schema import Schema, dimension, measure as measure_attr
 
@@ -84,3 +84,13 @@ def dataset_from_chunks(chunks: Iterable[Mapping[str, np.ndarray]],
     relation = Relation.from_encoded(schema, columns)
     return HierarchicalDataset.build(relation, dict(hierarchies),
                                      measure_name)
+
+
+def keyed(what: str, operator, *args):
+    """``operator(*args)``, its :class:`EncodingError` (a cell that
+    cannot be a key, or a column of two cell types) raised as a
+    :class:`DatasetError` naming ``what``."""
+    try:
+        return operator(*args)
+    except EncodingError as exc:
+        raise DatasetError(f"{what}: {exc}") from None

@@ -249,10 +249,10 @@ def dataset_fingerprint(dataset: HierarchicalDataset) -> str:
     covers the dataset's current relation and auxiliary registrations.
 
     The per-column digests come from ``Relation.content_token``, which
-    reuses the interned dictionary encodings (codes + domain) or raw
-    array bytes and memoizes the result on the immutable column — so a
-    rehash pays O(1) per column already hashed, and columns never
-    materialize Python lists just to be fingerprinted.
+    reuses each key column's dictionary encoding (codes + domain) or
+    the measure's raw ``float64`` bytes and memoizes the result on the
+    immutable column — so a rehash pays O(1) per column already hashed,
+    and no column is decoded just to be fingerprinted.
     """
     digest = hashlib.blake2b(digest_size=16)
     relation = dataset.relation
@@ -281,8 +281,8 @@ def delta_fingerprint(fingerprint: str, delta: Delta) -> str:
     versions (a version number would name two datasets' first ingests
     alike). The part before ``@``, the registration's content hash, is
     kept: an ingest names its data ``base@lineage``. The rows are
-    digested by ``repr``, as a column that resists encoding is (a delta
-    is a few rows: encoding them just to hash them costs more).
+    digested by ``repr``, as the delta typed them (a measure cell as a
+    float), so a JSON ``7`` and ``7.0`` name the same data.
     """
     digest = hashlib.blake2b(fingerprint.encode(), digest_size=16)
     digest.update(repr((list(delta.appended.rows()),

@@ -240,9 +240,10 @@ def parse_complaint_spec(spec) -> ComplaintRequest:
 def parse_delta_rows(specs, schema, measure: str) -> list[tuple]:
     """JSON rows (a list; None reads as none) -> tuples in ``schema``
     order, or :class:`RequestError` (400). A row is an object keyed by
-    column name or a list in schema order. A JSON boolean is not a
-    number, so a ``true`` measure cell is a bad request; ingest rejects
-    the other bad cells, unmatched retractions and broken FDs itself."""
+    column name or a list in schema order. A measure cell must be a JSON
+    number: a string (even ``"7"``), a boolean or a null is a bad
+    request. Ingest rejects the other bad cells, unmatched retractions
+    and broken FDs itself."""
     if specs is None:
         return []
     if not isinstance(specs, list):
@@ -268,7 +269,7 @@ def parse_delta_rows(specs, schema, measure: str) -> list[tuple]:
             raise RequestError(
                 f"each row must be an object or a list, got {spec!r}")
         cell = row[at]
-        if isinstance(cell, bool):
+        if isinstance(cell, bool) or not isinstance(cell, (int, float)):
             raise RequestError(
                 f"measure {measure!r} value {cell!r} is not a number")
         rows.append(tuple(row))

@@ -135,38 +135,43 @@ class TestRelationOps:
 
 
 def test_nan_dimension_values_group_like_row_path():
-    # A NaN key (nan != nan) has no group: grouping, on an array or a
-    # list column, raises the typed error the row path has no answer for.
+    # A NaN key (nan != nan) has no group: the relation refuses it where
+    # it is built, from an array or a list, with the typed error the row
+    # path has no answer for.
     for g in (np.array([1.0, np.nan, np.nan]), [1.0, float("nan"), 2.0]):
-        rel = Relation(Schema([dimension("g"), measure("x")]),
-                       {"g": g, "x": np.array([1.0, 2.0, 3.0])})
-        with pytest.raises(encoding.EncodingError, match="NaN"):
-            _group_rows(rel, ["g"])
+        with pytest.raises(encoding.EncodingError, match="'g'.*NaN"):
+            Relation(Schema([dimension("g"), measure("x")]),
+                     {"g": g, "x": np.array([1.0, 2.0, 3.0])})
 
 
 def test_mixed_numeric_types_preserved_in_derived_relations():
-    # 1, True and 2.0 are three cell types: no keyed operator merges
-    # them under one code; each raises. The value operators keep the
-    # original row objects.
-    rel = Relation.from_rows(Schema([dimension("k"), measure("x")]),
-                             [(1, 1.0), (True, 2.0), (2.0, 3.0), (2, 4.0)])
-    for keyed in (lambda: rel.encoding("k"), lambda: _group_rows(rel, ["k"]),
-                  lambda: rel.filter_equals({"k": 1})):
-        with pytest.raises(encoding.EncodingError, match="one cell type"):
-            keyed()
-    assert [type(v) for v in rel.column("k")] == [int, bool, float, int]
-    assert rel.without_rows([0]).column("k") == (True, 2.0, 2)
+    # 1, True and 2.0 are three cell types: no column merges them under
+    # one code, so building one raises. A column of each type keeps its
+    # type through every derived relation.
+    schema = Schema([dimension("k"), measure("x")])
+    with pytest.raises(encoding.EncodingError, match="'k'.*one cell type"):
+        Relation.from_rows(schema, [(1, 1.0), (True, 2.0), (2.0, 3.0)])
+    for cells in ([1, 2], [True, False], [1.0, 2.0]):
+        rel = Relation(schema, {"k": cells, "x": [1.0, 2.0]})
+        derived = rel.without_rows([0]).with_rows_appended(
+            Relation(schema, {"k": cells[:1], "x": [3.0]}))
+        assert derived.column("k") == (cells[1], cells[0])
+        assert {type(v) for v in derived.column("k")} == {type(cells[0])}
+        assert rel.filter_equals({"k": cells[1]}).column("k") == (cells[1],)
 
 
 def test_mixed_numeric_append_preserves_originals():
-    # Cross-type merge across two encoded relations' domains: the append
-    # must keep 1.0 a float even though the left domain holds int 1.
+    # No cross-type merge across two encoded relations' domains: 1.0
+    # cannot enter a column of int cells (1.0 == 1 would take 1's code),
+    # and the refused append leaves both relations as they were.
     left = Relation.from_encoded(Schema(["k"]),
                                  {"k": encoding.factorize([1, 2])})
     right = Relation.from_encoded(Schema(["k"]),
                                   {"k": encoding.factorize([1.0, 3.0])})
-    assert [type(v) for v in left.with_rows_appended(right).column("k")] \
-        == [int, int, float, float]
+    with pytest.raises(encoding.EncodingError, match="'k'.*float"):
+        left.with_rows_appended(right)
+    assert [type(v) for v in left.column("k")] == [int, int]
+    assert [type(v) for v in right.column("k")] == [float, float]
 
 
 def test_nan_filter_value_matches_nothing():
@@ -181,9 +186,11 @@ def test_nan_filter_value_matches_nothing():
 
 
 def test_lossy_columns_get_distinct_fingerprint_tokens():
-    a = Relation(Schema([dimension("k")]), {"k": [1, True]})
-    b = Relation(Schema([dimension("k")]), {"k": [1, 1]})
-    assert a.content_token("k") != b.content_token("k")
+    # Columns whose cells compare equal across types hash apart.
+    tokens = {Relation(Schema([dimension("k")]), {"k": cells})
+              .content_token("k")
+              for cells in ([1, 1], [True, True], [1.0, 1.0])}
+    assert len(tokens) == 3
 
 
 # -- hashed string factorization -----------------------------------------------------

@@ -9,7 +9,7 @@ from repro.relational.dataset import (AuxiliaryDataset, DatasetError,
                                       HierarchicalDataset)
 from repro.relational.relation import Relation
 from repro.relational.shard import dataset_from_chunks
-from repro.relational.schema import Schema, dimension, measure
+from repro.relational.schema import Schema, SchemaError, dimension, measure
 
 
 class TestDataset:
@@ -71,10 +71,14 @@ class TestMeasureCells:
     @pytest.mark.parametrize("validate", [True, False])
     @pytest.mark.parametrize("cell", sorted(BAD_MEASURE_CELLS))
     def test_build_rejects_bad_measure_cell(self, cell, validate):
-        rel = Relation.from_rows(
-            Schema([dimension("d"), dimension("v"), measure("x")]),
-            [("d1", "v1", 1.0), ("d1", "v2", BAD_MEASURE_CELLS[cell]),
-             ("d2", "v3", 3.0)])
+        schema = Schema([dimension("d"), dimension("v"), measure("x")])
+        rows = [("d1", "v1", 1.0), ("d1", "v2", BAD_MEASURE_CELLS[cell]),
+                ("d2", "v3", 3.0)]
+        if cell == "non-numeric":  # refused where the relation is built
+            with pytest.raises(SchemaError, match="measure 'x'"):
+                Relation.from_rows(schema, rows)
+            return
+        rel = Relation.from_rows(schema, rows)
         with pytest.raises(DatasetError, match="measure 'x'"):
             HierarchicalDataset.build(rel, GEO, "x", validate=validate)
 

@@ -30,6 +30,7 @@ from repro import (Complaint, Delta, DeltaError, HierarchicalDataset,
 from repro.relational import DatasetError, deltaref
 from repro.relational.cube import Cube
 from repro.relational.delta import locate_rows
+from repro.relational.relation import _Column
 from repro.relational.encoding import (DictEncoding, EncodingError,
                                        factorize)
 from repro.serving import AggregateCache
@@ -63,7 +64,9 @@ def _row(draw, districts, village_range, years):
 
 @st.composite
 def evolutions(draw, max_deltas: int = 3, allow_nan: bool = False):
-    """A base row set plus a sequence of valid deltas over it."""
+    """A base row set plus a sequence of valid deltas over it (with
+    ``allow_nan``, each delta as its appended and retracted row lists:
+    a NaN year cannot be typed into a :class:`Delta`)."""
     years = [2000, 2001] + ([NAN] if allow_nan else [])
     base = [_row(draw, DISTRICTS, 2, years)
             for _ in range(draw(st.integers(1, 12)))]
@@ -90,8 +93,10 @@ def evolutions(draw, max_deltas: int = 3, allow_nan: bool = False):
             keep = _row(draw, DISTRICTS, 2, [2000])
             appends = appends + [keep]
             current.append(keep)
-        deltas.append(Delta.from_rows(SCHEMA, appends, retracts))
-    return base, deltas
+        deltas.append((appends, retracts))
+    if allow_nan:
+        return base, deltas
+    return base, [Delta.from_rows(SCHEMA, *rows) for rows in deltas]
 
 
 def _dataset(rows) -> HierarchicalDataset:
@@ -129,21 +134,23 @@ def test_cube_apply_delta_matches_rebuild(evolution):
 
 @given(evolutions(allow_nan=True))
 def test_cube_delta_with_nan_keys_matches_rebuild(evolution):
-    """NaN is not a key cell: registration refuses a NaN year, and a
-    delta appending one raises DeltaError with the cube untouched, which
-    still matches the rebuild of the deltas it accepted."""
+    """NaN is not a key cell: a relation refuses a NaN year where it is
+    built, so registration never sees one, and a delta appending one
+    raises DeltaError before the cube sees it, which still matches the
+    rebuild of the deltas it accepted."""
     base, drawn = evolution
     if any(math.isnan(r[2]) for r in base):
-        with pytest.raises(DatasetError, match="'year'"):
+        with pytest.raises(EncodingError, match="'year'"):
             _dataset(base)
         return
     cube = Cube(_dataset(base))
     deltas = []
-    for delta in drawn:
-        if any(math.isnan(y) for y in delta.appended.column("year")):
+    for appends, retracts in drawn:
+        if any(math.isnan(r[2]) for r in appends):
             with pytest.raises(DeltaError, match="'year'"):
-                cube.apply_delta(delta)
+                Delta.from_rows(SCHEMA, appends, retracts)
             break  # later deltas were drawn on top of this one
+        delta = Delta.from_rows(SCHEMA, appends, retracts)
         cube.apply_delta(delta)
         deltas.append(delta)
     oracle_ds = _rebuilt(base, deltas)
@@ -370,19 +377,19 @@ def test_versioned_fingerprints_never_alias(evolution):
 #
 # ``with_rows_appended``/``without_rows`` defer their work (shared base
 # storage, an appended tail, dead positions). The reference is the eager
-# code those operators replaced, a mask-and-take retraction and
-# ``_Column.appended``, which materializes after every step. Every column
-# of the maintained relation, and of the same sequence materialized after
-# every step, must equal it bitwise (representation, code dtype and
-# bytes, domain values with their types, ``domain_sorted``, array dtype
-# and bytes, list values), and the rows must equal the frozen
-# row-at-a-time oracle.
+# code those operators replaced, a mask-and-take retraction and an append
+# that concatenates codes over the extended domain (floats for the
+# measure). Every column of the maintained relation, and of the same
+# sequence materialized after every step, must equal it bitwise
+# (representation, code dtype and bytes, domain values with their types,
+# ``domain_sorted``, array dtype and bytes), and the rows must equal the
+# frozen row-at-a-time oracle.
 
 REL_SCHEMA = Schema([dimension("a"), dimension("b"), measure("x")])
 #: Values a delta names: mostly plain ones, and now and then one new to
-#: the domain. The dimensions a and b keep one cell type each, so any
-#: step may intern them; the measure x now and then gets an int that
-#: demotes a float64 array, or NaN, and then no longer interns.
+#: the domain. The dimensions a and b keep one cell type each; the
+#: measure x now and then gets an int (stored as a float) or a NaN
+#: (which no retraction matches).
 A_VALUES = (("p", "q", "r", "s"), ())
 B_VALUES = ((1, 2, 3), (0, 7))
 X_VALUES = ((0.5, 1.0, 2.0), (7, NAN))
@@ -402,12 +409,22 @@ def _eager_without(relation: Relation, indices) -> Relation:
 
 
 def _eager_appended(relation: Relation, other: Relation) -> Relation:
+    """The eager append: a key column's codes concatenated over its
+    extended domain, a measure's float arrays concatenated."""
     cols, deltas = relation._cols, other._cols
-    return Relation._from_cols(
-        relation.schema,
-        {n: cols[n].appended(deltas[n], cols[n].append_step(deltas[n]))
-         for n in relation.schema.names},
-        len(relation) + len(other))
+    out = {}
+    for n in relation.schema.names:
+        col, delta = cols[n], deltas[n]
+        if col._enc is None:
+            out[n] = _Column(array=np.concatenate([col._array,
+                                                   delta._array]))
+            continue
+        extended, codes = col._enc.extend_domain(delta.values())
+        out[n] = _Column(enc=DictEncoding(
+            np.concatenate([col._enc.codes, codes]), extended.domain,
+            extended.domain_sorted))
+    return Relation._from_cols(relation.schema, out,
+                               len(relation) + len(other))
 
 
 def _objects(values) -> list:
@@ -424,8 +441,6 @@ def _signature(relation: Relation, name: str) -> tuple:
                     _objects(enc.domain), enc.domain_sorted))
     if col._array is not None:
         sig.append(("array", col._array.dtype.str, col._array.tobytes()))
-    if col._values is not None:
-        sig.append(("list", _objects(col._values)))
     return tuple(sig)
 
 
@@ -438,7 +453,8 @@ def _locate(relation: Relation, retracted: Relation):
 
 @st.composite
 def relation_histories(draw):
-    """A base relation spec, columns to intern up front, and deltas."""
+    """A base relation spec and deltas, each with the column a reader
+    reads after it (if any)."""
     shape = draw(st.sampled_from(("rows", "typed")))
     n = draw(st.integers(0, 14))
     base = [(draw(st.sampled_from(("p", "q", "r"))),
@@ -446,9 +462,6 @@ def relation_histories(draw):
              _cell(draw, X_VALUES) if shape == "rows"
              else draw(st.sampled_from((0.5, 1.0, 2.0))))
             for _ in range(n)]
-    # The engine interns every dimension; sometimes the measure too.
-    intern = set(REL_SCHEMA.names) if draw(st.booleans()) \
-        else draw(st.sets(st.sampled_from(REL_SCHEMA.names)))
     rows = list(base)
     steps = []
     for _ in range(draw(st.integers(1, 10))):
@@ -463,40 +476,25 @@ def relation_histories(draw):
                 retracts.append((_cell(draw, A_VALUES),
                                  _cell(draw, B_VALUES),
                                  _cell(draw, X_VALUES)))
-        # Sometimes a reader interns a column mid-history: later appends
-        # must then take the branch its cached encoding selects.
+        # Sometimes a reader reads a column mid-history, which
+        # materializes a pending relation: later appends start over.
         reader = draw(st.none() | st.sampled_from(REL_SCHEMA.names))
         steps.append((Delta.from_rows(REL_SCHEMA, appends, retracts),
                       reader))
         rows = rows + appends
-    return shape, base, intern, steps
+    return shape, base, steps
 
 
-def _base_relation(shape: str, base: list, intern: set) -> Relation:
+def _base_relation(shape: str, base: list) -> Relation:
     if shape == "rows":
-        relation = Relation.from_rows(REL_SCHEMA, base)
-    else:
-        # The perfbench/dataset_from_chunks shape: encoded dimensions
-        # adopted as DictEncodings, the measure a float64 array.
-        cols = list(zip(*base)) if base else [(), (), ()]
-        b = factorize(np.array(cols[1], dtype=np.int64))
-        relation = Relation.from_encoded(REL_SCHEMA, {
-            "a": factorize(np.array(cols[0], dtype="<U1")), "b": b,
-            "x": np.array(cols[2], dtype=np.float64)})
-    for name in sorted(intern):
-        _intern(relation, name)
-    return relation
-
-
-def _intern(relation: Relation, name: str) -> bool:
-    """Intern column ``name`` as a reader would, when its cells can be
-    keys; only x may hold cells that cannot (an int among floats, NaN)."""
-    try:
-        relation.encoding(name)
-    except EncodingError:
-        assert name == "x"
-        return False
-    return True
+        return Relation.from_rows(REL_SCHEMA, base)
+    # The perfbench/dataset_from_chunks shape: encoded dimensions
+    # adopted as DictEncodings, the measure a float64 array.
+    cols = list(zip(*base)) if base else [(), (), ()]
+    b = factorize(np.array(cols[1], dtype=np.int64))
+    return Relation.from_encoded(REL_SCHEMA, {
+        "a": factorize(np.array(cols[0], dtype="<U1")), "b": b,
+        "x": np.array(cols[2], dtype=np.float64)})
 
 
 def _rows_repr(relation: Relation) -> list:
@@ -517,10 +515,10 @@ def _same_rows(relation: Relation, oracle: Relation) -> bool:
 @settings(max_examples=150)
 @given(relation_histories())
 def test_maintained_relation_matches_eager(history):
-    shape, base, intern, steps = history
-    lazy = _base_relation(shape, base, intern)
-    stepwise = _base_relation(shape, base, intern)
-    eager = _base_relation(shape, base, intern)
+    shape, base, steps = history
+    lazy = _base_relation(shape, base)
+    stepwise = _base_relation(shape, base)
+    eager = _base_relation(shape, base)
     oracle = Relation.from_rows(REL_SCHEMA, base)
     for delta, reader in steps:
         located = [_locate(r, delta.retracted) if len(delta.retracted)
@@ -547,9 +545,9 @@ def test_maintained_relation_matches_eager(history):
             stepwise._materialize()
             eager = _eager_appended(eager, delta.appended)
         if reader is not None:
-            interned = [_intern(relation, reader)
-                        for relation in (lazy, stepwise, eager)]
-            assert interned[0] == interned[1] == interned[2]
+            read = [_objects(relation.column(reader))
+                    for relation in (lazy, stepwise, eager)]
+            assert read[0] == read[1] == read[2]
         pending = lazy._pending
         # Compaction: deferred rows never outnumber the base rows.
         assert pending is None \

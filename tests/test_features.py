@@ -16,10 +16,9 @@ from repro.model.features import (AuxiliaryFeature, CustomFeature,
 from repro.relational import dataset_from_chunks
 from repro.relational.aggregates import AggState
 from repro.relational.cube import Cube, GroupView
-from repro.relational.dataset import (AuxiliaryDataset, DatasetError,
-                                     HierarchicalDataset)
+from repro.relational.dataset import AuxiliaryDataset, HierarchicalDataset
 from repro.relational.delta import Delta
-from repro.relational.encoding import factorize
+from repro.relational.encoding import EncodingError, factorize
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema, dimension, measure
 
@@ -297,11 +296,11 @@ class TestDesignProducts:
         assert list(vd.design.sizes) == list(ref_design.sizes)
 
     def test_nan_domain_design_matches_python_sort_oracle(self):
-        """A NaN village is refused at registration, so no design sorts
-        one; a grown domain (an ingested village that sorts first) ranks
-        and matches the oracle."""
+        """A NaN village is refused where the relation is built, so no
+        design sorts one; a grown domain (an ingested village that sorts
+        first) ranks and matches the oracle."""
         rows = BASE_ROWS + [("d2", NAN, 2000, 2.0), ("d2", NAN, 2001, 4.0)]
-        with pytest.raises(DatasetError, match="'village'"):
+        with pytest.raises(EncodingError, match="'village'"):
             _dataset(rows)
         cube = Cube(_dataset(BASE_ROWS))
         cube.apply_delta(Delta.from_rows(SCHEMA, [("d2", "a-v0", 2000, 2.0),

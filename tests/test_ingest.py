@@ -134,21 +134,24 @@ class TestRelationDelta:
 
     def test_locate_rows_nan_never_matches(self):
         # A NaN retracted cell matches no row. In a key column it is a
-        # bad request, as is a cell of another type: the lookup raises
-        # DeltaError (HTTP 400), never EncodingError.
+        # bad request, as is a cell of another type: a NaN cannot be
+        # typed into the retraction, and the lookup of another type
+        # raises; both are DeltaError (HTTP 400), never EncodingError.
         schema = Schema([dimension("a"), measure("x")])
         nan = float("nan")
         relation = Relation.from_rows(schema, [(0.5, 1.0), (2.0, 2.0)])
-        for cell in (nan, "p", 2):
+        with pytest.raises(DeltaError, match="'a'.*NaN"):
+            Delta.from_rows(schema, (), [(nan, 2.0)])
+        for cell in ("p", 2):
             target = Relation.from_rows(schema, [(cell, 2.0)])
             with pytest.raises(DeltaError, match="'a'"):
-                locate_rows(relation, target, keys=["a"])
-        # A column no caller names as a key is compared with ==: the
-        # measure's 2 finds 2.0, and so does a's.
+                locate_rows(relation, target)
+        # The measure compares as a float: its 2 finds 2.0, and its NaN
+        # finds nothing.
         assert locate_rows(relation, Relation.from_rows(
-            schema, [(2, 2)])).tolist() == [1]
+            schema, [(2.0, 2)])).tolist() == [1]
         with pytest.raises(DeltaError, match="matches no base row"):
-            locate_rows(relation, Relation.from_rows(schema, [(nan, 2.0)]))
+            locate_rows(relation, Relation.from_rows(schema, [(2.0, nan)]))
 
 
 # -- cube layer -----------------------------------------------------------------------
@@ -299,11 +302,12 @@ class TestEngineDelta:
         assert len(engine.dataset.relation) == n
 
     @pytest.mark.parametrize("cached", [False, True])
-    def test_list_cell_outside_every_hierarchy_ingests_and_retracts(
+    def test_cell_outside_every_hierarchy_keeps_its_column_type(
             self, cached):
-        # Only hierarchy columns are keyed: a column no hierarchy names is
-        # appended and compared by value, so a list cell there ingests and
-        # retracts. In a hierarchy column it cannot be a group key.
+        # A column no hierarchy names is typed like every other: a list
+        # cell cannot be typed into a delta, and a cell of another type
+        # cannot be appended to it or retract from it. Each is a
+        # DeltaError naming the column, with nothing mutated.
         schema = Schema([dimension("district"), dimension("year"),
                          dimension("note"), measure("sev")])
         rows = [("Ofla", 1984, "ok", 1.0), ("Alaje", 1985, "ok", 2.0)]
@@ -312,18 +316,21 @@ class TestEngineDelta:
             {"geo": ["district"], "time": ["year"]}, "sev")
         engine = Reptile(dataset, config=CONFIG,
                          cache=AggregateCache() if cached else None)
-        odd = ("Ofla", 1984, ["x", 1], 5.0)
-        assert engine.apply_delta(Delta.from_rows(schema, [odd])) == 1
-        assert list(engine.dataset.relation.rows())[-1] == odd
-        assert engine.cube.group_state({"district": "Ofla"}).count == 2
-        assert engine.apply_delta(Delta.from_rows(schema, (), [odd])) == 2
-        assert list(engine.dataset.relation.rows()) == rows
-        with pytest.raises(DeltaError, match="'year' cell cannot be a "
-                                             "group key"):
-            engine.apply_delta(Delta.from_rows(
-                schema, [("Ofla", ["x"], "ok", 1.0)]))
-        assert engine.data_version == 2
+        relation = engine.dataset.relation
+        with pytest.raises(DeltaError, match="'note'.*list"):
+            Delta.from_rows(schema, [("Ofla", 1984, ["x", 1], 5.0)])
+        for appended, retracted in (([("Ofla", 1984, 7, 5.0)], ()),
+                                    ((), [("Ofla", 1984, 7, 1.0)])):
+            with pytest.raises(DeltaError, match="'note'"):
+                engine.apply_delta(
+                    Delta.from_rows(schema, appended, retracted))
+        assert engine.data_version == 0
+        assert engine.dataset.relation is relation
         assert engine.cube.group_state({"district": "Ofla"}).count == 1
+        assert relation.encoding("note").domain == ["ok"]
+        assert engine.apply_delta(Delta.from_rows(
+            schema, [("Ofla", 1984, "new", 5.0)])) == 1
+        assert engine.dataset.relation.encoding("note").cell_type is str
 
     def test_strict_session_raises_until_synced(self, ofla_dataset):
         engine = Reptile(ofla_dataset, config=CONFIG)
@@ -566,17 +573,14 @@ class TestAuxiliaryLookupMemo:
         assert aux.lookup() is first  # built once, reused
 
     def test_mixed_type_keys_still_work_and_memoize(self):
-        # 1 and True are two cell types: such a join column cannot be
-        # keyed. One type per column keys and memoizes.
+        # 1 and True are two cell types: the relation refuses such a
+        # join column where it is built. One type per column keys and
+        # memoizes.
         from repro import AuxiliaryDataset
         from repro.relational.encoding import EncodingError
         schema = Schema([dimension("k"), measure("m")])
-        odd = AuxiliaryDataset(
-            "odd", Relation.from_rows(schema, [(1, 4.0), (True, 6.0),
-                                               ("x", 2.0)]),
-            ["k"], ["m"])
-        with pytest.raises(EncodingError, match="one cell type"):
-            odd.lookup()
+        with pytest.raises(EncodingError, match="'k'.*one cell type"):
+            Relation.from_rows(schema, [(1, 4.0), (True, 6.0), ("x", 2.0)])
         aux = AuxiliaryDataset(
             "ints", Relation.from_rows(schema, [(1, 4.0), (1, 6.0),
                                                 (2, 2.0)]),

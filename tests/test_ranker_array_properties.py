@@ -22,9 +22,8 @@ from repro.core.repair import (CustomRepairer, ModelRepairer,
                                RepairAlignmentError, RepairPrediction)
 from repro.model.features import (FeatureError, FeaturePlan, LagFeature,
                                   build_view_designs)
-from repro.relational import (Cube, DatasetError, HierarchicalDataset,
-                              Relation, Schema, dataset_from_chunks,
-                              dimension, measure)
+from repro.relational import (Cube, HierarchicalDataset, Relation, Schema,
+                              dataset_from_chunks, dimension, measure)
 from repro.relational.aggregates import AggState
 from repro.relational.cube import GroupView
 from repro.relational.encoding import EncodingError, decode_keys
@@ -211,9 +210,10 @@ class TestEndToEndEquivalence:
                                  (b.base_penalty, b.groups))
 
     def test_nan_dimension_values_match_oracle(self):
-        """NaN is not a key cell, so registration refuses NaN years (with
-        or without the FD check); float years rank as the oracle does."""
-        with pytest.raises(DatasetError, match="'year'.*NaN"):
+        """NaN is not a key cell, so the relation refuses NaN years where
+        it is built, before any registration (with or without the FD
+        check); float years rank as the oracle does."""
+        with pytest.raises(EncodingError, match="'year'.*NaN"):
             _random_dataset(seed=5, nan_years=True)
         cube = Cube(_random_dataset(seed=5))
         complaint = Complaint.too_high({"district": "d1"}, "mean")
@@ -286,7 +286,7 @@ class TestOneForm:
     def test_hand_built_copy_matches_cube_view(self, case):
         source, attrs, filters, cluster = ONE_FORM_CASES[case]
         if source == "nan":  # NaN is not a key cell: no view to copy
-            with pytest.raises(DatasetError, match="NaN"):
+            with pytest.raises(EncodingError, match="NaN"):
                 _random_dataset(3, nan_years=True)
             return
         dataset = (_chunked_dataset(3) if source == "chunked"

@@ -1,13 +1,10 @@
 """Tests for repro.relational.relation."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.factorized import HierarchyPaths
-from repro.relational.dataset import (AuxiliaryDataset, DatasetError,
-                                     HierarchicalDataset)
+from repro.relational.dataset import AuxiliaryDataset, HierarchicalDataset
 from repro.relational.delta import locate_rows
 from repro.relational.encoding import EncodingError
 from repro.relational.hierarchy import Hierarchy
@@ -86,16 +83,15 @@ class TestGrouping:
         np.testing.assert_allclose(gm[("a2",)], [3.0, 4.0, 5.0])
 
 
-#: Keyed entry points: each keys a dict by a dimension cell, so an
-#: unhashable (list) cell cannot be a key and must raise the typed
-#: EncodingError, not a bare TypeError, and none falls back to a row loop.
-#: (``locate_rows`` keys only the columns its caller names.)
+#: Keyed entry points: each keys a dict by a dimension cell. A relation
+#: types every column where it is built, so none of them ever meets a
+#: cell that cannot be a key; each answers on the typed column.
 LIST_CELL_CALLS = {
     "group_index": lambda rel: rel.group_index(["a"]),
     "group_measure": lambda rel: rel.group_measure(["a"], "x"),
     "filter_equals": lambda rel: rel.filter_equals({"a": "a1"}),
     "locate_rows": lambda rel: locate_rows(
-        rel, Relation.from_rows(rel.schema, [("a1", 2.0)]), keys=["a"]),
+        rel, Relation.from_rows(rel.schema, [("a1", 2.0)])),
     "auxiliary_lookup": lambda rel: AuxiliaryDataset(
         "aux", rel, ("a",), ("x",)).lookup(),
     "attribute_domain": lambda rel: HierarchicalDataset.build(
@@ -104,76 +100,45 @@ LIST_CELL_CALLS = {
         Hierarchy("h", ["a"]), rel),
 }
 
-
-#: Registration checks every dimension column's cell type first, so the
-#: calls that register a dataset raise its DatasetError, naming the column.
-REGISTERING_CALLS = {"attribute_domain"}
-
-#: Columns no keyed operator accepts, beside the list cell: two cell
-#: types (even ==-equal ones) or a NaN.
+#: Columns no key column takes, beside the list cell: two cell types
+#: (even ==-equal ones) or a NaN.
 UNTYPED_COLUMNS = {
     "mixed": [1, "a1"], "int-bool": [1, True], "int-float": [1, 1.0],
     "nan": [float("nan"), 2.0],
 }
 
-
-def _raises_keyed(call):
-    if call in REGISTERING_CALLS:
-        return pytest.raises(DatasetError, match="'a'")
-    return pytest.raises(EncodingError)
+SCHEMA = Schema([dimension("a"), measure("x")])
+TYPED = {"a": ["a0", "a1"], "x": [1.0, 2.0]}
 
 
 @pytest.mark.parametrize("call", sorted(LIST_CELL_CALLS))
 def test_list_cell_raises_encoding_error(call):
-    rel = Relation.from_rows(Schema([dimension("a"), measure("x")]),
-                             [(["unhashable"], 1.0), ("a1", 2.0)])
-    with _raises_keyed(call):
-        LIST_CELL_CALLS[call](rel)
+    with pytest.raises(EncodingError, match="column 'a'.*got list"):
+        Relation.from_rows(SCHEMA, [(["unhashable"], 1.0), ("a1", 2.0)])
+    LIST_CELL_CALLS[call](Relation(SCHEMA, TYPED))
 
 
 @pytest.mark.parametrize("column", sorted(UNTYPED_COLUMNS))
 @pytest.mark.parametrize("call", sorted(LIST_CELL_CALLS))
 def test_untyped_column_raises_encoding_error(call, column):
-    rel = Relation(Schema([dimension("a"), measure("x")]),
-                   {"a": UNTYPED_COLUMNS[column], "x": [1.0, 2.0]})
-    with _raises_keyed(call):
-        LIST_CELL_CALLS[call](rel)
-
-
-@pytest.mark.parametrize("column", sorted(UNTYPED_COLUMNS) + ["list"])
-def test_value_operators_take_any_cell(column):
-    cells = UNTYPED_COLUMNS.get(column, [["unhashable"], "a1"])
-    schema = Schema([dimension("a"), measure("x")])
-    rel = Relation(schema, {"a": cells, "x": [1.0, 2.0]})
-    assert list(rel.column("a")) == cells
-    assert [row[0] for row in rel.rows()] == cells
-    more = rel.with_rows_appended(Relation.from_rows(schema, [(3, 4.0)]))
-    assert list(more.column("a")) == cells + [3]
-    assert list(more.without_rows([0]).column("a")) == cells[1:] + [3]
-    assert rel.content_token("a") != Relation(
-        schema, {"a": ["b", "c"], "x": [1.0, 2.0]}).content_token("a")
-    # A retraction not told that a is a key compares it with ==, also
-    # when no column interns and every row is a candidate.
-    assert locate_rows(rel, Relation.from_rows(
-        schema, [(cells[1], 2.0)])).tolist() == [1]
-    nothing_interns = Relation(schema, {"a": cells, "x": [math.nan, 2]})
-    assert locate_rows(nothing_interns, Relation.from_rows(
-        schema, [(cells[1], 2.0)])).tolist() == [1]
+    cells = UNTYPED_COLUMNS[column]
+    for build in (Relation, Relation.from_encoded):
+        with pytest.raises(EncodingError, match="column 'a'"):
+            build(SCHEMA, {"a": cells, "x": [1.0, 2.0]})
+    LIST_CELL_CALLS[call](Relation(SCHEMA, TYPED))
 
 
 @pytest.mark.parametrize("level", ["root", "non-root"])
 def test_registration_with_list_cell_raises_encoding_error(level):
-    """Registration checks each dimension column's cell type before the
-    FD check, so a list cell at either level raises DatasetError naming
-    the column, not a bare TypeError."""
+    """The relation refuses a list cell at either level where it is
+    built, naming the column, not with a bare TypeError."""
     cell = ("d0", ["v0"], 1.0) if level == "non-root" \
         else (["d0"], "v0", 1.0)
-    rel = Relation.from_rows(
-        Schema([dimension("d"), dimension("v"), measure("x")]),
-        [cell, ("d1", "v1", 2.0)])
     column = "'v'" if level == "non-root" else "'d'"
-    with pytest.raises(DatasetError, match=f"{column}.*got list"):
-        HierarchicalDataset.build(rel, {"geo": ["d", "v"]}, "x")
+    with pytest.raises(EncodingError, match=f"{column}.*got list"):
+        Relation.from_rows(
+            Schema([dimension("d"), dimension("v"), measure("x")]),
+            [cell, ("d1", "v1", 2.0)])
 
 
 class TestDerivedIsolation:
@@ -188,16 +153,20 @@ class TestDerivedIsolation:
         assert rel.column("a")[0] == "a1"
         retracted = rel.without_rows([0])
         for name in rel.schema.names:
+            col = rel._cols[name]
             assert retracted._pending.columns[name].base \
-                is rel._cols[name]._values
+                is (col._array if col._enc is None else col._enc)
         assert retracted.column("x") == (2.0, 3.0, 4.0, 5.0)
         assert rel.column("x") == (1.0, 2.0, 3.0, 4.0, 5.0)
 
     def test_concat_mixed_dtype_arrays_preserves_values(self):
+        # No silent stringification: a str cell cannot enter an int
+        # column, and the refused append leaves the column as it was.
         left = Relation(Schema(["k"]), {"k": np.array([1, 2])})
         right = Relation(Schema(["k"]), {"k": np.array(["a"])})
-        both = left.with_rows_appended(right)
-        assert both.column("k") == (1, 2, "a")  # no silent stringification
+        with pytest.raises(EncodingError, match="column 'k'.*str"):
+            left.with_rows_appended(right)
+        assert left.column("k") == (1, 2)
 
 
 class TestCsv(object):

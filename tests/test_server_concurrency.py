@@ -902,19 +902,18 @@ class TestRoutes:
 
     def test_failed_refresh_keeps_the_served_version(self):
         # A rebuild that raises part-way (here: a relation swapped in
-        # with a non-numeric measure cell) must leave the engine on the
-        # version it served: same data, same data_version.
+        # whose severity column is no measure, so the cube cannot sum
+        # it) must leave the engine on the version it served: same data,
+        # same data_version.
         service, app = make_service_app(28)
         app.dispatch("POST", "/datasets/data/sessions",
                      {"session_id": "s", "group_by": ["district"]})
         _, _, before = app.dispatch("GET", "/sessions/s/view")
         dataset = service.engine("data").dataset
         relation = dataset.relation
-        severity = ["oops"] + list(relation.column("severity"))[1:]
         dataset.relation = Relation(
-            relation.schema,
-            {n: severity if n == "severity" else relation.column(n)
-             for n in relation.schema.names})
+            Schema([dimension(n) for n in relation.schema.names]),
+            {n: relation.column(n) for n in relation.schema.names})
         status, _, payload = app.dispatch("POST", "/datasets/data/refresh")
         assert status == 503 and payload["degraded"] is True
         assert payload["data_version"] == 0

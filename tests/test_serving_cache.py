@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro import (Complaint, HierarchicalDataset, Relation, Reptile,
                    ReptileConfig, Schema, dimension, measure)
+from repro.relational.relation import _Column
 from repro.serving import (AggregateCache, CachingCube, ComplaintRequest,
                            ExplanationService, ServiceError,
                            dataset_fingerprint)
@@ -130,10 +133,9 @@ class TestFingerprint:
 
     def test_no_column_copies_on_large_dataset(self):
         # Fingerprinting a 10⁵-row array-backed dataset must hash the
-        # typed arrays / interned code arrays directly: no Python list
-        # may be materialized for any column, and the per-column tokens
-        # must be memoized so a second engine construction is O(1) per
-        # column.
+        # measure array / code arrays directly: no column may be decoded
+        # into a Python list, and the per-column tokens must be memoized
+        # so a second engine construction is O(1) per column.
         n = 100_000
         rng = np.random.default_rng(3)
         districts = np.array([f"d{i:02d}" for i in range(20)])
@@ -146,13 +148,13 @@ class TestFingerprint:
         dataset = HierarchicalDataset.build(
             relation, {"geo": ["district"], "time": ["year"]}, "severity",
             validate=False)
-        fp = dataset_fingerprint(dataset)
-        assert dataset_fingerprint(dataset) == fp
+        with mock.patch.object(_Column, "values", side_effect=AssertionError(
+                "fingerprinting decoded a column into a Python list")):
+            fp = dataset_fingerprint(dataset)
+            assert dataset_fingerprint(dataset) == fp
         for name in relation.schema.names:
-            col = relation._cols[name]
-            assert col._values is None, \
-                f"fingerprinting materialized a Python list for {name!r}"
-            assert col._token is not None  # memoized for the next engine
+            # memoized for the next engine
+            assert relation._cols[name]._token is not None
 
     def test_token_reuses_interned_encoding(self, ofla_dataset):
         # Once a dimension column is interned (e.g. by a cube build), the
@@ -167,7 +169,7 @@ class TestFingerprint:
         base = ofla_dataset.relation
         columns = {name: base.column(name) for name in base.schema.names}
         columns["other"] = rng.normal(size=len(base))
-        relation = Relation(list(base.schema) + ["other"], columns)
+        relation = Relation(list(base.schema) + [measure("other")], columns)
         a = HierarchicalDataset(relation, ofla_dataset.dimensions,
                                 "severity", validate=False)
         b = HierarchicalDataset(relation, ofla_dataset.dimensions,

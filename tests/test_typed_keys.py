@@ -1,8 +1,10 @@
 """One cell type per key column, checked where data and requests enter.
 
-Every dimension column holds cells of one type — ``bool``, ``int``,
-``float`` or ``str`` — and never NaN. Registration, chunked builds and
-auxiliary joins raise ``DatasetError``; ingest raises ``DeltaError``
+Every column but the measure holds cells of one type — ``bool``,
+``int``, ``float`` or ``str`` — and never NaN, and the measure holds
+numbers. A relation refuses any other cell where it is built
+(``EncodingError``/``SchemaError`` naming the column); chunked builds
+and auxiliary joins raise ``DatasetError``; ingest raises ``DeltaError``
 (HTTP 400, ``data_version`` unchanged, the dataset healthy); complaint
 coordinates, filters and drill coordinates answer 400 before any cache
 lookup, so an answer with the cache on equals the answer with it off.
@@ -19,12 +21,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Complaint, Delta, Reptile, ReptileConfig
+from repro import Complaint, Delta, DeltaError, Reptile, ReptileConfig
 from repro.cli import _demo_dataset
 from repro.core.session import DrillSession, SessionError
 from repro.relational import (AuxiliaryDataset, DatasetError,
-                              HierarchicalDataset, Relation, Schema,
-                              dataset_from_chunks, dimension, measure)
+                              EncodingError, HierarchicalDataset, Relation,
+                              Schema, SchemaError, dataset_from_chunks,
+                              dimension, measure)
 from repro.serving import ExplanationService, ServerApp
 
 CONFIG = ReptileConfig(n_em_iterations=2)
@@ -34,10 +37,21 @@ WRONG_YEARS = ["1984", 1984.0, True]
 YEARS = list(range(1984, 1990))
 
 
-def _app() -> tuple[ExplanationService, ServerApp]:
+def _app(dataset=None) -> tuple[ExplanationService, ServerApp]:
     service = ExplanationService(config=CONFIG, auto_rebuild=False)
-    service.register("data", _demo_dataset())
+    service.register("data", dataset or _demo_dataset())
     return service, ServerApp(service)
+
+
+def _noted_dataset() -> HierarchicalDataset:
+    """The demo dataset plus a str column ``note`` no hierarchy names."""
+    demo = _demo_dataset()
+    relation = demo.relation
+    columns = {n: relation.column(n) for n in relation.schema.names}
+    columns["note"] = ["ok"] * len(relation)
+    return HierarchicalDataset(
+        Relation(list(relation.schema) + ["note"], columns),
+        demo.dimensions, demo.measure)
 
 
 def _version(app: ServerApp) -> int:
@@ -120,11 +134,10 @@ class TestPhantomGroups:
     def test_measure_takes_any_number_cached_or_not(self):
         """The measure is no key column: a JSON ``7`` appends as 7.0 and
         then retracts that row, and an int retracts a row stored as a
-        float, on the served engine (whose fingerprint interned the
-        measure) and on a cache-less one alike."""
+        float, on the served engine (whose fingerprint hashed the
+        measure's float64 array) and on a cache-less one alike."""
         service, app = _app()
         served = service.engine("data")
-        assert "severity" in served.dataset.relation._storage().encoded()
         engine = Reptile(_demo_dataset(), config=CONFIG)
         bodies = [{"rows": [["Ofla", "Zata", 1986, 7]]},
                   {"retract": [["Ofla", "Zata", 1986, 7]]},
@@ -138,11 +151,11 @@ class TestPhantomGroups:
                 engine.dataset.relation.schema, body.get("rows", []),
                 body.get("retract", [])))
         assert engine.data_version == len(bodies)
-        for bad in ("abc", None):  # refused as a measure, not as a row
+        for bad in ("abc", "7", None):  # refused as a measure, not a row
             status, _, reply = app.dispatch(
                 "POST", "/datasets/data/ingest",
                 {"retract": [["Ofla", "Zata", 1986, bad]]})
-            assert status == 400 and "retracted measure" in reply["error"]
+            assert status == 400 and "measure 'severity'" in reply["error"]
         assert _version(app) == len(bodies)
         rows = sorted(served.dataset.relation.rows())
         assert rows == sorted(engine.dataset.relation.rows())
@@ -152,6 +165,40 @@ class TestPhantomGroups:
             np.testing.assert_array_equal(
                 getattr(served.cube.leaf_stats, stat),
                 getattr(engine.cube.leaf_stats, stat))
+
+    def test_cached_from_rows_engine_keeps_a_float_measure(self):
+        """The demo is built by ``Relation.from_rows``; under the served
+        (cached) engine, fresh measure values append to a float64 tail,
+        and the measure column stays an uninterned float64 array."""
+        service, app = _app()
+        for i in range(4):
+            status, _, reply = app.dispatch(
+                "POST", "/datasets/data/ingest",
+                {"rows": [["Ofla", "Zata", 1986, 7 + i / 8], ["Alaje",
+                                                              "Bora", 1985, i]]})
+            assert status == 200 and reply["version"] == i + 1, reply
+        column = service.engine("data").dataset.relation._cols["severity"]
+        assert column._enc is None
+        assert column._array.dtype == np.float64
+        assert column._array[-2:].tolist() == [7.375, 3.0]
+
+    @pytest.mark.parametrize("cell", [["x", 1], 7, 7.5, True, None],
+                             ids=repr)
+    def test_cell_outside_every_hierarchy_answers_400(self, cell):
+        """A column no hierarchy names is typed too: a list cell or a
+        cell of another type appended to it answers 400 naming it, the
+        data version stays, and the column stays encoded."""
+        service, app = _app(_noted_dataset())
+        status, _, reply = app.dispatch(
+            "POST", "/datasets/data/ingest",
+            {"rows": [["Ofla", "Zata", 1986, 5.0, cell]]})
+        assert status == 400 and "'note'" in reply["error"], reply
+        assert _version(app) == 0
+        assert not service.health.is_degraded("data")
+        relation = service.engine("data").dataset.relation
+        assert relation.encoding("note").domain == ["ok"]
+        assert app.dispatch("POST", "/datasets/data/ingest", {
+            "rows": [["Ofla", "Zata", 1986, 5.0, "new"]]})[0] == 200
 
     def test_numpy_scalars_count_as_their_python_type(self):
         service, app = _app()
@@ -207,13 +254,28 @@ class TestRegistration:
     ])
     def test_registration_names_the_column_and_both_types(self, years,
                                                           message):
-        relation = Relation.from_rows(
-            Schema([dimension("year"), measure("sev")]),
-            [(y, 1.0) for y in years])
-        for validate in (True, False):
-            with pytest.raises(DatasetError, match=f"'year'.*{message}"):
-                HierarchicalDataset.build(relation, {"time": ["year"]},
-                                          "sev", validate=validate)
+        # Refused where the relation registration needs is built.
+        with pytest.raises(EncodingError, match=f"'year'.*{message}"):
+            Relation.from_rows(Schema([dimension("year"), measure("sev")]),
+                               [(y, 1.0) for y in years])
+
+    @pytest.mark.parametrize("cell, message", [
+        ("7", "'7' is not a number"), (True, "True is not a number"),
+        (None, "None is not a number")])
+    def test_measure_cell_must_be_a_number(self, cell, message):
+        schema = Schema([dimension("year"), measure("sev")])
+        with pytest.raises(SchemaError, match=f"measure 'sev'.*{message}"):
+            Relation.from_rows(schema, [(1984, 1.0), (1985, cell)])
+        with pytest.raises(DeltaError, match=f"measure 'sev'.*{message}"):
+            Delta.from_rows(schema, [(1984, cell)])
+
+    def test_measure_must_be_a_measure_attribute(self):
+        relation = Relation.from_rows(Schema(["year", "sev"]),
+                                      [(1984, 1.0), (1985, 2.0)])
+        with pytest.raises(DatasetError, match="'sev' is not a measure"):
+            HierarchicalDataset.build(relation, {"time": ["year"]}, "sev")
+        with pytest.raises(DatasetError, match="'sev' is not a measure"):
+            AuxiliaryDataset("aux", relation, ["year"], ["sev"])
 
 
 # -- every JSON scalar at every entry point --------------------------------------
@@ -223,19 +285,24 @@ JSON_SCALARS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=False), st.booleans(),
     st.none(), st.sampled_from(["Ofla", "Zata", "Adishim"]))
 POSITIONS = ("append", "retract", "coordinate", "filter", "session_filter")
+#: The cell types each column of the noted dataset takes: the hierarchy
+#: columns', the str column no hierarchy names, and the measure's
+#: numbers (a bool is none).
+CELL_TYPES = {**{c: (t,) for c, t in COLUMN_TYPES.items()},
+              "note": (str,), "severity": (int, float)}
 
 _SHARED: list = []
 
 
 def _shared_app() -> tuple[ExplanationService, ServerApp]:
     if not _SHARED:
-        _SHARED.append(_app())
+        _SHARED.append(_app(_noted_dataset()))
     return _SHARED[0]
 
 
 def _request(position: str, column: str, cell) -> tuple[str, str, dict]:
     row = {"district": "Ofla", "village": "Adishim", "year": 1986,
-           "severity": 5.0, column: cell}
+           "severity": 5.0, "note": "ok", column: cell}
     if position in ("append", "retract"):
         key = "rows" if position == "append" else "retract"
         return "POST", "/datasets/data/ingest", {key: [row]}
@@ -250,14 +317,24 @@ def _request(position: str, column: str, cell) -> tuple[str, str, dict]:
     return "POST", "/datasets/data/sessions", {"filters": {column: cell}}
 
 
-@settings(max_examples=80, deadline=None,
+@st.composite
+def scalar_requests(draw) -> tuple[str, str, object]:
+    """A column, a position it can take a cell at (a column no hierarchy
+    names, and the measure, only in ingested rows) and a JSON scalar."""
+    column = draw(st.sampled_from(sorted(CELL_TYPES)))
+    positions = POSITIONS if column in COLUMN_TYPES \
+        else ("append", "retract")
+    return column, draw(st.sampled_from(positions)), draw(JSON_SCALARS)
+
+
+@settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(column=st.sampled_from(sorted(COLUMN_TYPES)),
-       position=st.sampled_from(POSITIONS), cell=JSON_SCALARS)
-def test_any_json_scalar_answers_200_only_when_typed(column, position, cell):
+@given(scalar_requests())
+def test_any_json_scalar_answers_200_only_when_typed(request):
+    column, position, cell = request
     service, app = _shared_app()
     before = _version(app)
-    typed = type(cell) is COLUMN_TYPES[column]
+    typed = type(cell) in CELL_TYPES[column]
     status, _, reply = app.dispatch(*_request(position, column, cell))
     if status in (200, 201):
         assert typed, (position, column, cell)
@@ -270,6 +347,9 @@ def test_any_json_scalar_answers_200_only_when_typed(column, position, cell):
         assert status == 400 and f"'{column}'" in reply["error"], reply
     assert not service.health.is_degraded("data")
     _assert_keys_typed(service)
+    relation = service.engine("data").dataset.relation
+    assert relation.encoding("note").cell_type is str
+    assert relation.measure_array("severity").dtype == np.float64
 
 
 # -- sessions: an ingest walks none of them -----------------------------------------
