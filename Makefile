@@ -15,10 +15,15 @@ test:
 
 # The serving concurrency gate: 50-seed stress schedules, hypothesis
 # interleavings vs the serialized oracle (one-shot recommends included),
-# the deterministic race-harness schedules, the cache's boundaries and
-# the one-shot recommendation memo (every hit equals a cache-less answer;
-# ingest, rollback and refresh recompute; answers are immutable) — run
-# without -x so one flaky schedule still reports every other failure.
+# the deterministic race-harness schedules, the raw-socket framing fuzz
+# (random request lines, header fields and bodies: a framed 2xx/4xx or a
+# degraded 503, then the next request or a close, never a hang or a
+# session opened by a refused request), the cache's boundaries and the
+# one-shot recommendation memo (every hit equals a cache-less answer;
+# ingest, rollback and refresh recompute; answers are immutable; the
+# byte-identity property: every memo reply is byte for byte the
+# json.dumps of a freshly built payload) — run without -x so one flaky
+# schedule still reports every other failure.
 test-concurrency:
 	python -m pytest tests/test_server_concurrency.py \
 	    tests/test_snapshot_properties.py tests/test_cache_boundaries.py \
@@ -87,9 +92,10 @@ docs-check:
 # The CLI as a process (the tests call main() in process): the serve and
 # ingest demos run, serve --csv loads a village column holding 101 and
 # Zata (typed str as a whole), and a malformed batch file, a malformed
-# rows file, a str measure cell ("7") and a str year ingested into the
-# demo's int year column must each exit with status 1 and exactly one
-# line on stderr, so a traceback fails.
+# rows file, a str measure cell ("7"), a str year ingested into the
+# demo's int year column and serve --csv on a CSV measure cell abc must
+# each exit with status 1 and exactly one line on stderr, so a
+# traceback fails (the last line naming the column and the CSV line).
 cli-smoke:
 	python -m repro serve --repeat 2 --iterations 2 > /dev/null
 	python -m repro ingest --iterations 2 > /dev/null
@@ -123,7 +129,21 @@ cli-smoke:
 	    fi; \
 	done; \
 	grep -q "'year'" "$$dir/stderr" || { \
-	    echo "cli-smoke: the str-year ingest must name 'year'" >&2; exit 1; }
+	    echo "cli-smoke: the str-year ingest must name 'year'" >&2; exit 1; } && \
+	printf 'district,village,year,sev\nOfla,Zata,1986,2.0\nOfla,Zata,1987,abc\n' \
+	    > "$$dir/bad_measure.csv" && \
+	status=0; \
+	python -m repro serve --csv "$$dir/bad_measure.csv" \
+	    --hierarchy geo=district,village --hierarchy time=year \
+	    --measure sev > /dev/null 2> "$$dir/stderr" || status=$$?; \
+	cat "$$dir/stderr"; \
+	if [ $$status -ne 1 ] || [ $$(wc -l < "$$dir/stderr") -ne 1 ] \
+	        || ! grep -q "'sev' cell 'abc' on line 3" "$$dir/stderr"; then \
+	    echo "cli-smoke: serve --csv must exit 1 with one line on stderr" \
+	         "naming the measure column and line of the cell abc" \
+	         "(exit $$status)" >&2; \
+	    exit 1; \
+	fi
 
 # Regenerate the paper figures (series land in benchmarks/out/).
 bench:

@@ -325,6 +325,27 @@ def _typed_cells(texts: list[str]) -> list:
     return texts
 
 
+def _csv_measure(name: str, texts: list[str],
+                 lines: list[int]) -> np.ndarray:
+    """A CSV measure column as float64, or :class:`SchemaError` naming
+    the first cell that is no number and its line."""
+    try:
+        return np.asarray(texts, dtype=np.float64)
+    except ValueError:
+        text, line = next((t, n) for t, n in zip(texts, lines)
+                          if not _is_number(t))
+    raise SchemaError(f"measure {name!r} cell {text!r} on line {line} "
+                      f"is not a number")
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 class Relation:
     """An in-memory relation with named columns.
 
@@ -437,8 +458,9 @@ class Relation:
         when every cell is a canonical int (``str(int(cell)) == cell``,
         so ``01`` is not one), else ``float`` when every cell is a
         canonical float, else ``str``. A header without one of the
-        schema's columns, or a row whose width differs from the
-        header's, raises :class:`SchemaError`; blank lines are skipped.
+        schema's columns, a row whose width differs from the header's,
+        or a measure cell that is no number raises :class:`SchemaError`
+        naming the (1-based) line; blank lines are skipped.
         """
         with open(path, newline="") as f:
             reader = csv.reader(f)
@@ -449,6 +471,7 @@ class Relation:
                 raise SchemaError(f"header has no column {missing[0]!r}")
             columns: dict[str, list] = {n: [] for n in schema.names}
             cells = [(where[n], columns[n]) for n in schema.names]
+            lines: list[int] = []
             for rec in reader:
                 if not rec:
                     continue
@@ -456,10 +479,11 @@ class Relation:
                     raise SchemaError(
                         f"line {reader.line_num} has {len(rec)} fields, "
                         f"the header {len(header)}")
+                lines.append(reader.line_num)
                 for i, column in cells:
                     column.append(rec[i])
         return cls.from_encoded(schema, {
-            attr.name: np.asarray(columns[attr.name], dtype=np.float64)
+            attr.name: _csv_measure(attr.name, columns[attr.name], lines)
             if attr.is_measure()
             else _typed_cells(columns[attr.name]) for attr in schema})
 

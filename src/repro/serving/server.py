@@ -27,9 +27,14 @@ The transport is the stdlib :class:`http.server.ThreadingHTTPServer`
 many execute at once). A reply's status line, headers and body go out
 in one ``sendall``, and accepted sockets set ``TCP_NODELAY``, so no
 segment of a reply waits for the client's delayed ACK (~40 ms per
-keep-alive request under Nagle). Request bodies need a
-``Content-Length``; a malformed one answers 400, a
-``Transfer-Encoding`` body 411, and both close the connection.
+keep-alive request under Nagle). The handler reads each request head
+itself (:func:`_read_head`) with ``http.client``'s limits, and refuses
+what the email parser let through: an obs-fold line, a line without a
+colon, whitespace before a colon and conflicting ``Content-Length``
+values answer 400. Request bodies need a ``Content-Length``; a
+malformed one answers 400, a ``Transfer-Encoding`` body 411, and every
+refusal closes the connection. A memo hit's reply is spliced around
+the encoding its cache entry keeps (:class:`EncodedReply`).
 :meth:`ReptileHTTPServer.shutdown_gracefully` stops accepting, lets
 in-flight requests drain, then closes.
 
@@ -64,6 +69,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -81,8 +87,8 @@ from .concurrency import (AdmissionController, BatchWindow, LockTimeout,
                           RequestTimeout, ServerOverloaded, Telemetry,
                           trace)
 from .health import IngestFailure
-from .service import (ComplaintRequest, ExplanationService, ServiceError,
-                      SessionExists)
+from .service import (NUMERIC_FAULTS, ComplaintRequest, ExplanationService,
+                      MemoEntry, ServiceError, SessionExists)
 
 __all__ = ["RequestError", "ServerApp", "ReptileHTTPServer", "serve_http",
            "parse_complaint_spec", "parse_delta_rows"]
@@ -155,6 +161,68 @@ def recommendation_payload(recommendation: Recommendation,
         "best_group": best[0] if best else None,
         "hierarchies": hierarchies,
     }
+
+
+#: The fields of a recommend reply that every memo hit shares.
+_SHARED_FIELDS = ("best_hierarchy", "best_group", "hierarchies")
+
+
+class EncodedReply(Mapping):
+    """The reply to a one-shot recommend answered from the memo entry
+    ``memo``, encoded when the transport sends it.
+
+    :attr:`body` is the same bytes as ``json.dumps`` of
+    :func:`recommendation_payload` plus the ``batched`` (and
+    ``degraded``) marker. The shared fields are encoded once, on the
+    entry's first send, and kept in it; each reply splices its own data
+    version and complaint (whose repr follows the request's coordinate
+    order) and the markers around them. An in-process caller of
+    :meth:`ServerApp.dispatch` reads the reply as the mapping it
+    encodes. (``json.dumps`` takes only dicts: pass it ``dict(reply)``.)
+    """
+
+    __slots__ = ("_memo", "_head", "_degraded", "_body", "_decoded")
+
+    def __init__(self, memo: MemoEntry, complaint: Complaint,
+                 data_version: int, degraded: bool):
+        self._memo = memo
+        self._head = {"data_version": data_version,
+                      "complaint": repr(complaint)}
+        self._degraded = degraded
+        self._body: bytes | None = None
+        self._decoded: dict | None = None
+
+    @property
+    def body(self) -> bytes:
+        if self._body is None:
+            memo = self._memo
+            if memo.encoded is None:
+                payload = recommendation_payload(
+                    memo.recommendation, self._head["data_version"])
+                memo.encoded = json.dumps(
+                    {f: payload[f] for f in _SHARED_FIELDS}).encode()[1:-1]
+            tail = b', "batched": true, "degraded": true}' \
+                if self._degraded else b', "batched": true}'
+            self._body = b"".join((json.dumps(self._head).encode()[:-1],
+                                   b", ", memo.encoded, tail))
+        return self._body
+
+    def _mapping(self) -> dict:
+        if self._decoded is None:
+            self._decoded = json.loads(self.body)
+        return self._decoded
+
+    def __getitem__(self, key):
+        return self._mapping()[key]
+
+    def __iter__(self):
+        return iter(self._mapping())
+
+    def __len__(self) -> int:
+        return len(self._mapping())
+
+    def __repr__(self) -> str:
+        return f"EncodedReply({self._mapping()!r})"
 
 
 def view_payload(view: GroupView, data_version: int,
@@ -285,6 +353,14 @@ def _degraded_reply(error: str, dataset: str, data_version: int):
         "data_version": data_version, "retry_after": 1}
 
 
+def _fault_reply(error: str, **fields):
+    """503 for a failure that is the server's, not the request's (an
+    injected fault, a numeric failure in a fit, a bug): marked degraded,
+    so a client retries instead of reading a 5xx as a bad request."""
+    return 503, {"Retry-After": "1"}, {
+        "error": error, "degraded": True, "retry_after": 1, **fields}
+
+
 # -- the application -------------------------------------------------------------
 class ServerApp:
     """Routes HTTP requests onto an :class:`ExplanationService`.
@@ -368,6 +444,8 @@ class ServerApp:
                                                "retry_after": 1}
         except IngestFailure as exc:
             return _degraded_reply(str(exc), exc.dataset, exc.data_version)
+        except NUMERIC_FAULTS as exc:  # a ValueError, but no bad request
+            return _fault_reply(f"{type(exc).__name__}: {exc}")
         except (RequestError, SessionError, DeltaError, ValueError,
                 TypeError) as exc:
             return 400, {}, {"error": str(exc)}
@@ -376,9 +454,7 @@ class ServerApp:
             # fault, a bug) must answer as a degraded 503, never
             # as a raw 500 — reads of the last good snapshot keep working
             # and the client knows to retry.
-            return 503, {"Retry-After": "1"}, {
-                "error": f"{type(exc).__name__}: {exc}", "degraded": True,
-                "retry_after": 1}
+            return _fault_reply(f"{type(exc).__name__}: {exc}")
         finally:
             with self._inflight_cond:
                 self._inflight -= 1
@@ -604,7 +680,11 @@ class ServerApp:
         return 200, {}, {"session_id": sid, "data_version": version}
 
     def _dataset_recommend(self, name: str, body):
-        """One-shot recommend; concurrent same-view requests coalesce."""
+        """One-shot recommend; concurrent same-view requests coalesce.
+
+        A memo hit answers with an :class:`EncodedReply`; a miss builds
+        its payload as a session recommend does.
+        """
         request = parse_complaint_spec(body)
         self.service.engine(name)  # unknown dataset -> 404 before batching
         try:
@@ -617,8 +697,14 @@ class ServerApp:
             return [(item, result.data_version) for item in result.items]
 
         item, version = self.batches.run(key, request, execute)
+        if item.fault:
+            return _fault_reply(item.error, data_version=version)
         if item.error is not None:
             return 400, {}, {"error": item.error, "data_version": version}
+        if item.memo is not None:
+            return 200, {}, EncodedReply(
+                item.memo, request.complaint, version,
+                self.service.health.is_degraded(name))
         payload = recommendation_payload(item.recommendation, version)
         payload["batched"] = True
         return 200, {}, self._degraded_marker(name, payload)
@@ -664,11 +750,67 @@ _DEADLINED = frozenset({"view", "recommend", "batch_recommend"})
 
 
 # -- the HTTP transport ----------------------------------------------------------
+#: http.client's limits on a request head: a line of at most 65,536
+#: bytes, and at most 100 lines after the request line, the blank line
+#: that ends the head included.
+_MAX_LINE = 65536
+_MAX_HEAD_LINES = 100
+#: An RFC 9110 field name (a token): no whitespace, no colon.
+_FIELD_NAME = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+_VERSION = re.compile(r"HTTP/1\.([0-9]{1,10})")
+_METHODS = ("GET", "POST", "DELETE")
+
+
+class _HeadError(Exception):
+    """A request head the handler refuses: ``(status, message)``."""
+
+
+def _read_head(rfile) -> dict[str, str]:
+    """The header fields of one request head, read from ``rfile`` up to
+    its blank line (or the end of the stream), names lower-cased; the
+    first of repeated fields wins.
+
+    Stricter than the email parser ``http.client`` uses: a folded
+    (obs-fold) line, a line without a colon, a name with whitespace
+    before its colon and ``Content-Length`` values that disagree are a
+    400 (:class:`_HeadError`), as RFC 9112 asks of a server; an
+    over-long line or too many lines are a 431, as in ``http.client``.
+    """
+    fields: dict[str, str] = {}
+    for _ in range(_MAX_HEAD_LINES):
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _HeadError(431, "header line too long")
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, colon, value = line.partition(b":")
+        if not colon or not _FIELD_NAME.fullmatch(name):
+            raise _HeadError(400, f"malformed header line {line[:80]!r}")
+        key = name.decode("ascii").lower()
+        text = value.strip(b" \t\r\n").decode("iso-8859-1")
+        if fields.setdefault(key, text) != text \
+                and key == "content-length":
+            raise _HeadError(400, "conflicting Content-Length values")
+    raise _HeadError(431, f"more than {_MAX_HEAD_LINES} header lines")
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """Thin JSON shell around :meth:`ServerApp.dispatch`."""
+    """Thin JSON shell around :meth:`ServerApp.dispatch`.
+
+    It reads each request head itself (:func:`_read_head`), not through
+    ``http.client.parse_headers`` and the email parser, and it speaks
+    HTTP/1.x only: every reply, a refusal included, has a status line.
+    A request line that is not ``GET``/``POST``/``DELETE``, a target and
+    ``HTTP/1.x`` answers 400 (405 for another method) and closes.
+    ``Connection`` and ``Expect: 100-continue`` are handled as
+    :class:`BaseHTTPRequestHandler` handles them.
+    """
 
     app: ServerApp  # set on the per-server subclass
     protocol_version = "HTTP/1.1"
+    # A refusal of a request line gets a status line too (the stdlib
+    # default, HTTP/0.9, would send a bare body).
+    default_request_version = "HTTP/1.1"
     # TCP_NODELAY on each accepted socket. _reply sends the header block
     # and the body with one sendall, but a reply larger than one segment
     # still leaves as several segments, and under Nagle the last, partial
@@ -680,17 +822,58 @@ class _Handler(BaseHTTPRequestHandler):
         if not self.quiet:  # pragma: no cover - debug aid
             super().log_message(format, *args)
 
+    def parse_request(self) -> bool:
+        """Read the request line in ``raw_requestline`` and the head
+        after it; False once a refusal is sent (or on a blank line)."""
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline,
+                               "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        version = _VERSION.fullmatch(words[2]) if len(words) == 3 else None
+        if version is None:
+            self._refuse(400, f"bad request line "
+                              f"{self.requestline[:80]!r}: this server "
+                              f"speaks HTTP/1.x")
+            return False
+        if words[0] not in _METHODS:
+            self._refuse(405, f"method {words[0][:20]!r} is not allowed",
+                         Allow=", ".join(_METHODS))
+            return False
+        self.command, self.path, self.request_version = words
+        if self.path.startswith("//"):  # never an absolute-URI redirect
+            self.path = "/" + self.path.lstrip("/")
+        try:
+            self.headers = _read_head(self.rfile)
+        except _HeadError as exc:
+            self._refuse(*exc.args)
+            return False
+        connection = self.headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            int(version[1]) == 0 and connection != "keep-alive")
+        if (self.headers.get("expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
     def _handle(self, method: str) -> None:
-        if "Transfer-Encoding" in self.headers:
-            self._refuse_body(411, "request bodies need a Content-Length; "
-                                   "Transfer-Encoding is not supported")
+        if "transfer-encoding" in self.headers:
+            self._refuse(411, "request bodies need a Content-Length; "
+                              "Transfer-Encoding is not supported")
             return
-        declared = self.headers.get("Content-Length", "0").strip()
+        declared = self.headers.get("content-length", "0")
         if not (declared.isascii() and declared.isdigit()):
-            self._refuse_body(400, f"invalid Content-Length {declared!r}")
+            self._refuse(400, f"invalid Content-Length {declared!r}")
             return
         length = int(declared)
         raw = self.rfile.read(length) if length else b""
+        if len(raw) < length:
+            self._refuse(400, "the request body ended before its "
+                              "Content-Length")
+            return
         if raw:
             try:
                 body = json.loads(raw)
@@ -710,14 +893,16 @@ class _Handler(BaseHTTPRequestHandler):
                 "error": f"{type(exc).__name__}: {exc}", "degraded": True}
         self._reply(status, headers, payload)
 
-    def _refuse_body(self, status: int, error: str) -> None:
-        """Answer a request whose body cannot be framed, then hang up:
-        the stream cannot be re-synchronised past it."""
+    def _refuse(self, status: int, error: str, **headers: str) -> None:
+        """Answer a request whose head or body cannot be framed, then
+        hang up: the stream cannot be re-synchronised past it."""
         self.close_connection = True
-        self._reply(status, {"Connection": "close"}, {"error": error})
+        self._reply(status, dict(headers, Connection="close"),
+                    {"error": error})
 
-    def _reply(self, status: int, headers: dict, payload: dict) -> None:
-        data = json.dumps(payload).encode()
+    def _reply(self, status: int, headers: dict, payload: Mapping) -> None:
+        data = payload.body if isinstance(payload, EncodedReply) \
+            else json.dumps(payload).encode()
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -726,12 +911,9 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_header(key, value)
             # end_headers() would send the header block on its own: the
             # blank line and the body join it instead, and the unbuffered
-            # writer hands all of it to one sendall. (An HTTP/0.9 reply
-            # has no header block, so the buffer never started.)
-            head = getattr(self, "_headers_buffer", [])
-            if head:
-                head.append(b"\r\n")
-            self.wfile.write(b"".join(head) + data)
+            # writer hands all of it to one sendall.
+            self._headers_buffer.append(b"\r\n")
+            self.wfile.write(b"".join(self._headers_buffer) + data)
             self._headers_buffer = []
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             pass  # client went away mid-reply; nothing to salvage

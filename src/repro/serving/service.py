@@ -28,6 +28,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence, TypeVar
 
+import numpy as np
+
 from ..core.complaint import Complaint
 from ..core.ranker import Recommendation
 from ..core.session import DrillSession, Reptile, ReptileConfig, check_top_k
@@ -41,6 +43,11 @@ from .engine import freeze_filters, plan_signature
 from .health import HealthRegistry, IngestFailure
 
 R = TypeVar("R")
+
+#: Numeric failures raised inside a fit (``LinAlgError`` is a
+#: ``ValueError``): the data or the model failed, not the request, so
+#: the HTTP front end answers them as a degraded 503, never a 400.
+NUMERIC_FAULTS = (np.linalg.LinAlgError, FloatingPointError)
 
 
 class ServiceError(KeyError):
@@ -69,19 +76,42 @@ class ComplaintRequest:
         return (tuple(self.group_by), freeze_filters(self.filters))
 
 
+class MemoEntry:
+    """One ``"recommend"`` cache entry: a memoized answer, and a slot for
+    the part of its reply that every hit shares.
+
+    The HTTP front end encodes that part (everything but the caller's
+    data version, complaint and markers) when it first sends a hit and
+    keeps the bytes here, so the encoding lives and dies with the
+    entry: whatever reaps the entry (an ingest, a rebuild, an LRU
+    eviction) reaps it too.
+    """
+
+    __slots__ = ("recommendation", "encoded", "__weakref__")
+
+    def __init__(self, recommendation: Recommendation):
+        self.recommendation = recommendation
+        self.encoded: bytes | None = None
+
+
 @dataclass
 class BatchItem:
     """One request's outcome inside a :class:`BatchResult`.
 
     Exactly one of ``recommendation``/``error`` is set: a request that
     raises (bad coordinates, exhausted hierarchies, ...) is reported
-    here instead of aborting the rest of the batch.
+    here instead of aborting the rest of the batch. ``fault`` marks an
+    error that is no fault of the request (a numeric failure inside a
+    fit, :data:`NUMERIC_FAULTS`), and ``memo`` the cache entry a memo
+    hit was answered from (None on a miss or a bypass).
     """
 
     request: ComplaintRequest
     recommendation: Recommendation | None
     seconds: float
     error: str | None = None
+    fault: bool = False
+    memo: MemoEntry | None = None
 
 
 @dataclass
@@ -290,10 +320,11 @@ class ExplanationService:
         ``data_version`` reported on the result.
 
         Whole answers are memoized too, as the cache's ``"recommend"``
-        kind: a request asked before at the same data fingerprint skips
-        the session and the ranking sweep. Every caller gets the same
-        immutable :class:`~repro.core.ranker.Recommendation`, carrying
-        its own complaint.
+        kind (a :class:`MemoEntry`): a request asked before at the same
+        data fingerprint skips the session and the ranking sweep. Every
+        caller gets the same immutable
+        :class:`~repro.core.ranker.Recommendation`, carrying its own
+        complaint, and a hit's item names its entry (``memo``).
         """
         engine = self.engine(dataset)
         with self.locks.read(dataset):
@@ -336,20 +367,31 @@ class ExplanationService:
                     engine.check_cells(request.complaint.coordinates,
                                        "complaint coordinate")
                     key = _recommend_key(engine, view_key, request)
+                    memo = None
                     if key is None:
                         recommendation = rank(request)
                     else:
-                        recommendation = self.cache.get_or_compute(
-                            key, lambda: rank(request))
+                        filled: list[MemoEntry] = []
+
+                        def fill() -> MemoEntry:
+                            filled.append(MemoEntry(rank(request)))
+                            return filled[0]
+
+                        entry = self.cache.get_or_compute(key, fill)
+                        memo = None if filled else entry
+                        recommendation = entry.recommendation
                         if recommendation.complaint is not request.complaint:
                             recommendation = replace(
                                 recommendation, complaint=request.complaint)
                     items[i] = BatchItem(request, recommendation,
-                                         time.perf_counter() - t0)
+                                         time.perf_counter() - t0,
+                                         memo=memo)
                 except Exception as exc:  # isolate the failing request
                     items[i] = BatchItem(request, None,
                                          time.perf_counter() - t0,
-                                         error=f"{type(exc).__name__}: {exc}")
+                                         error=f"{type(exc).__name__}: {exc}",
+                                         fault=isinstance(exc,
+                                                          NUMERIC_FAULTS))
         with self._lock:
             self._recommend_count += executed
             self._recommend_seconds += time.perf_counter() - start

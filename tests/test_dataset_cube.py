@@ -61,9 +61,11 @@ class TestDataset:
         assert ofla_dataset.leaf_group_by() == ("district", "village", "year")
 
 
-#: Measure cells registration rejects, as ingest rejects them in appends.
+#: Measure cells registration rejects, as ingest rejects them in appends
+#: (a huge finite cell pushes Σ|x| past MEASURE_BOUND).
 BAD_MEASURE_CELLS = {"nan": float("nan"), "+inf": float("inf"),
-                     "-inf": float("-inf"), "non-numeric": "high"}
+                     "-inf": float("-inf"), "non-numeric": "high",
+                     "+huge": 1.7e308, "-huge": -1.7e308}
 GEO = {"geo": ["d", "v"]}
 
 

@@ -672,6 +672,8 @@ class TestHTTPIngestMeasureCells:
         pytest.param(3, float("-inf"), id="measure-neg-inf"),
         pytest.param(3, None, id="measure-null"),
         pytest.param(3, float("nan"), id="measure-nan"),
+        pytest.param(3, 1.7e308, id="measure-huge"),
+        pytest.param(3, -1.7e308, id="measure-neg-huge"),
         pytest.param(1, ["x"], id="leaf-list"),
         pytest.param(0, {"a": 1}, id="new-leaf-ancestor-object"),
         pytest.param(2, ["x"], id="year-list")])
@@ -695,6 +697,42 @@ class TestHTTPIngestMeasureCells:
         assert health["datasets"]["data"]["state"] == "healthy"
         assert service.engine("data").data_version == 0
         assert rebuilds == []
+
+    @pytest.mark.parametrize("cell", [1.7e308, -1.7e308])
+    def test_overflowing_measure_is_refused_and_recommends_answer(self,
+                                                                  cell):
+        """Two finite cells whose sums of squares overflow: at ingest a
+        400 with nothing applied, so the demo's mean-by-district and
+        std-by-year recommends keep answering 200 (they answered 400
+        ``LinAlgError`` when the cells got in). Cells whose Σ|x| stays
+        within the bound keep every fit finite."""
+        from repro.cli import _demo_dataset
+        from repro.relational.dataset import MEASURE_BOUND
+        from repro.serving.server import ServerApp
+        service = ExplanationService(config=CONFIG, auto_rebuild=False)
+        service.register("data", _demo_dataset(0))
+        app = ServerApp(service)
+        row = ["Ofla", "Zata", 1986, cell]
+        status, _, payload = app.dispatch(
+            "POST", "/datasets/data/ingest", {"rows": [row, row]})
+        assert status == 400 and "'severity'" in payload["error"], payload
+        assert service.engine("data").data_version == 0
+        spread = MEASURE_BOUND / 4 * math.copysign(1.0, cell)
+        status, _, _ = app.dispatch("POST", "/datasets/data/ingest",
+                                    {"rows": [row[:3] + [spread]] * 2})
+        assert status == 200
+        for aggregate, coords in (("mean", {"district": "Ofla"}),
+                                  ("std", {"year": 1986})):
+            status, _, reply = app.dispatch(
+                "POST", "/datasets/data/recommend",
+                {"aggregate": aggregate, "coordinates": coords,
+                 "group_by": list(coords)})
+            assert status == 200, reply
+        status, _, payload = app.dispatch(
+            "POST", "/datasets/data/ingest",
+            {"rows": [row[:3] + [spread]] * 3})  # Σ|x| past the bound
+        assert status == 400 and "too large" in payload["error"], payload
+        assert service.engine("data").data_version == 1
 
     def test_json_int_measure_keeps_the_float_column(self):
         service, app, coords = self._app()

@@ -18,8 +18,12 @@ must never change an answer:
 Two engines over identical rows start with one fingerprint, so an
 ingest must name its data by lineage (old fingerprint plus the delta's
 rows), not by version number. The reply side is checked too: the
-per-type reply body gives the JSON of the generic ``jsonable`` walk,
-and each reply leaves in one ``sendall``.
+per-type reply body gives the JSON of the generic ``jsonable`` walk; a
+memo hit's reply, spliced around the encoding its entry keeps, is byte
+for byte the ``json.dumps`` of a freshly built payload, whatever
+ingests, refreshes, auxiliary registrations, evictions and degraded
+spells come between; the encoding dies with its entry; and each reply
+leaves in one ``sendall``.
 
 Severities are integer-valued so float sums are bitwise exact.
 """
@@ -27,9 +31,11 @@ Severities are integer-valued so float sums are bitwise exact.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import http.client
 import json
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -37,7 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.robustness.faultinject as fi
-from repro import Complaint, Reptile, ReptileConfig
+from repro import AuxiliaryDataset, Complaint, Reptile, ReptileConfig
 from repro.core.complaint import Direction
 from repro.core.ranker import (DrilldownRecommendation, Recommendation,
                                ScoredGroup, score_drilldown)
@@ -47,9 +53,10 @@ from repro.relational import (HierarchicalDataset, Relation, Schema,
                               dimension, measure)
 from repro.serving import ExplanationService
 from repro.serving.health import IngestFailure
-from repro.serving.server import (ReptileHTTPServer, ServerApp, jsonable,
-                                  recommendation_payload)
-from repro.serving.service import ComplaintRequest
+from repro.serving.server import (EncodedReply, ReptileHTTPServer,
+                                  ServerApp, jsonable, parse_complaint_spec,
+                                  recommendation_payload, serve_http)
+from repro.serving.service import ComplaintRequest, MemoEntry
 from test_ranker_array_properties import (AGGREGATES, DIRECTIONS,
                                           build_view, complaint_for,
                                           group_specs)
@@ -611,6 +618,183 @@ class TestReplyBody:
             "h2": DrilldownRecommendation("h2", "b", p2, second)})
         assert json.dumps(recommendation_payload(rec, 9)) \
             == json.dumps(walk_payload(rec, 9))
+
+
+# -- memo replies, byte for byte ----------------------------------------------
+def spec_of(r: ComplaintRequest, reverse: bool = False) -> dict:
+    """The HTTP body of ``r``; ``reverse`` lists its coordinates the
+    other way round (the same memo key, another complaint repr)."""
+    coords = list(r.complaint.coordinates.items())
+    spec = {"aggregate": r.complaint.aggregate,
+            "direction": {Direction.TOO_LOW: "too_low",
+                          Direction.TOO_HIGH: "too_high",
+                          Direction.TARGET: "should_be"}[
+                              r.complaint.direction],
+            "coordinates": dict(coords[::-1] if reverse else coords),
+            "group_by": list(r.group_by), "filters": dict(r.filters)}
+    if r.complaint.target is not None:
+        spec["target"] = r.complaint.target
+    if r.k is not None:
+        spec["k"] = r.k
+    return spec
+
+
+def expected_reply(service: ExplanationService, spec: dict) -> bytes:
+    """The reply body built the slow way: a fresh ``submit_batch``, then
+    ``json.dumps`` of its payload plus the markers."""
+    result = service.submit_batch("data", [parse_complaint_spec(spec)])
+    item, = result.items
+    assert item.error is None, item.error
+    payload = recommendation_payload(item.recommendation,
+                                     result.data_version)
+    payload["batched"] = True
+    if service.health.is_degraded("data"):
+        payload["degraded"] = True
+    return json.dumps(payload).encode()
+
+
+def rain(n: int) -> AuxiliaryDataset:
+    return AuxiliaryDataset(
+        f"rain{n}", Relation.from_rows(
+            Schema([dimension("village"), measure(f"rain{n}")]),
+            [(f"{d}v{v}", float((3 * v + n) % 7 + 1))
+             for d in DISTRICTS for v in range(3)]),
+        ["village"], [f"rain{n}"])
+
+
+@st.composite
+def memo_scripts(draw) -> tuple[int, list]:
+    """A cache bound and a sequence of operations: asks drawn from a
+    small pool (so they repeat), each maybe with its coordinates listed
+    the other way round, between ingests, refreshes, auxiliary
+    registrations and failed ingests that degrade the dataset. Every
+    script ends degraded, asking each request of its pool twice."""
+    pool = draw(st.lists(complaint_requests(), min_size=1, max_size=3))
+    asks = st.tuples(st.just("ask"), st.sampled_from(pool), st.booleans())
+    others = st.sampled_from([("ingest",), ("refresh",), ("auxiliary",),
+                              ("degrade",)])
+    ops = draw(st.lists(st.one_of(asks, asks, others), max_size=10))
+    tail = [("ask", r, reverse) for r in pool for reverse in (False, True)]
+    return draw(st.sampled_from([3, 4096])), ops + [("degrade",)] + tail
+
+
+class TestMemoReplyBytes:
+    @given(memo_scripts())
+    @settings(max_examples=30, deadline=None)
+    def test_every_reply_is_the_fresh_payloads_json(self, script):
+        """Each one-shot reply over HTTP, memo hit or not, is byte for
+        byte ``json.dumps`` of a payload built from a fresh
+        ``submit_batch``; ``dispatch`` hands out the same mapping."""
+        max_entries, ops = script
+        service = ExplanationService(max_entries=max_entries, config=CONFIG,
+                                     auto_rebuild=False)
+        service.register("data", make_dataset())
+        app = ServerApp(service)
+        server, thread = serve_http(service)
+        conn = http.client.HTTPConnection(*server.server_address[:2],
+                                          timeout=30)
+        try:
+            for n, op in enumerate(ops):
+                if op[0] == "ingest":
+                    service.ingest("data", [("d1", "d1v2", 2001, 4.0)])
+                elif op[0] == "refresh":
+                    assert service.try_rebuild("data")
+                elif op[0] == "auxiliary":
+                    service.engine("data").dataset.add_auxiliary(rain(n))
+                elif op[0] == "degrade":
+                    fi.inject("ingest.commit", kind="error")
+                    try:
+                        with pytest.raises(IngestFailure):
+                            service.ingest("data", [("d0", "d0v0", 2000,
+                                                     2.0)])
+                    finally:
+                        fi.clear_faults()
+                    assert service.health.is_degraded("data")
+                else:
+                    spec = spec_of(op[1], reverse=op[2])
+                    conn.request("POST", "/datasets/data/recommend",
+                                 json.dumps(spec))
+                    reply = conn.getresponse()
+                    body = reply.read()
+                    assert reply.status == 200, body
+                    # Right after the HTTP ask, the same one in process
+                    # is a hit: the miss stores its answer last, so even
+                    # a 3-entry cache keeps it.
+                    status, _, payload = app.dispatch(
+                        "POST", "/datasets/data/recommend", dict(spec))
+                    assert status == 200
+                    assert isinstance(payload, EncodedReply)
+                    want = expected_reply(service, spec)
+                    assert body == want and payload.body == want
+                    assert payload == json.loads(want)
+        finally:
+            conn.close()
+            server.shutdown_gracefully(10)
+            thread.join(10)
+
+    def test_a_hit_splices_the_callers_complaint(self):
+        service = fresh_service()
+        app = ServerApp(service)
+        spec = {"aggregate": "mean", "direction": "too_high",
+                "coordinates": {"district": "d1", "year": 2001},
+                "group_by": ["district", "year"], "k": 2}
+        flipped = dict(spec, coordinates={"year": 2001, "district": "d1"})
+        _, _, miss = app.dispatch("POST", "/datasets/data/recommend", spec)
+        _, _, hit = app.dispatch("POST", "/datasets/data/recommend", flipped)
+        assert isinstance(hit, EncodedReply) and not isinstance(miss,
+                                                                EncodedReply)
+        assert fills(service) == 1
+        assert hit.body == expected_reply(service, flipped)
+        assert hit["complaint"] != miss["complaint"]
+        assert dict(hit, complaint=miss["complaint"]) == miss
+
+
+class TestEncodedReplyLifetime:
+    """The encoded part of a memo reply lives in its cache entry, and
+    whatever reaps the entry reaps the bytes: there is no second store."""
+
+    BODY = {"aggregate": "mean", "coordinates": {"district": "d0"},
+            "group_by": ["district"]}
+
+    def entry(self, service: ExplanationService) -> MemoEntry:
+        app = ServerApp(service)
+        for _ in range(2):
+            status, _, reply = app.dispatch(
+                "POST", "/datasets/data/recommend", dict(self.BODY))
+            assert status == 200
+        assert isinstance(reply, EncodedReply)
+        key, = memo_keys(service)
+        entry = service.cache.get(key)
+        assert entry.encoded is None  # encoded on the first send
+        body = reply.body
+        assert entry.encoded is not None and entry.encoded in body
+        return entry
+
+    @pytest.mark.parametrize("reap", ["ingest", "refresh", "eviction"])
+    def test_the_encoding_dies_with_its_entry(self, reap):
+        service = fresh_service()
+        entry = weakref.ref(self.entry(service))
+        if reap == "ingest":
+            service.ingest("data", [("d2", "d2v1", 2002, 3.0)])
+        elif reap == "refresh":
+            assert service.try_rebuild("data")
+        else:
+            service.cache.max_entries = 1
+            ask(service, request({"year": 2000}, group_by=["year"]))
+        gc.collect()
+        assert entry() is None
+
+    def test_an_auxiliary_registration_never_reads_the_old_encoding(self):
+        service = fresh_service()
+        old = self.entry(service)
+        service.engine("data").dataset.add_auxiliary(rain(0))
+        status, _, reply = ServerApp(service).dispatch(
+            "POST", "/datasets/data/recommend", dict(self.BODY))
+        assert status == 200 and not isinstance(reply, EncodedReply)
+        assert len(memo_keys(service)) == 2  # the old key is never asked
+        assert json.dumps(reply).encode() \
+            == expected_reply(service, self.BODY)
+        assert old.encoded is not None
 
 
 class _CountingSocket:

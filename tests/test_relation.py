@@ -199,6 +199,9 @@ class TestCsv(object):
         ("a,x\na1,1.0\n", "header has no column 'b'"),
         ("a,b,x\na1,b1\n", "line 2 has 2 fields, the header 3"),
         ("a,b,x\na1,b1,1.0,extra\n", "line 2 has 4 fields, the header 3"),
+        ("a,b,x\na1,b1,1.0\n\na1,b2,abc\n",
+         "measure 'x' cell 'abc' on line 4 is not a number"),
+        ("a,b,x\na1,b1,\n", "measure 'x' cell '' on line 2 is not a number"),
     ])
     def test_malformed_file_raises_schema_error(self, rel, tmp_path, text,
                                                 match):

@@ -15,10 +15,11 @@ Three layers of evidence that concurrent serving is safe:
   mid-drill, writer preference over a reader convoy, and two threads
   racing a first-touch cache fill.
 * **Transport** — real-socket HTTP round trips (keep-alive replies
-  without the Nagle/delayed-ACK stall, request bodies that cannot be
-  framed refused), overload answers (429/503 + Retry-After), strict
-  staleness over HTTP (409), and graceful shutdown draining an
-  in-flight request.
+  without the Nagle/delayed-ACK stall, request heads and bodies that
+  cannot be framed refused, and a hypothesis framing fuzz writing random
+  heads and bodies to the socket), overload answers (429/503 +
+  Retry-After), strict staleness over HTTP (409), and graceful shutdown
+  draining an in-flight request.
 * **Group commit** — cross-request batching pinned at its trace points:
   same-view requests share the queued pass, other views never wait on
   it, a failed pass fails only its own callers, and a queued pass that
@@ -40,6 +41,8 @@ import urllib.parse
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import Complaint, Reptile
 from repro.relational import (HierarchicalDataset, Relation, Schema,
@@ -98,6 +101,32 @@ def wait_until(predicate, what: str, timeout: float = 5.0) -> None:
     while not predicate():
         assert time.monotonic() < deadline, f"timed out waiting for {what}"
         time.sleep(0.002)
+
+
+def read_reply(fp) -> tuple[int, dict, dict] | None:
+    """One framed reply from the socket file ``fp``: ``(status, headers,
+    JSON body)``, interim 1xx replies skipped; None once the server has
+    closed the connection. A reply must carry a ``Content-Length`` and
+    as many body bytes."""
+    while True:
+        try:
+            line = fp.readline(65537)
+        except (ConnectionResetError, BrokenPipeError):
+            return None  # closed with unread request bytes still queued
+        if not line:
+            return None
+        version, status = line.split(b" ", 2)[:2]
+        assert version == b"HTTP/1.1", line
+        headers = {}
+        while (field := fp.readline(65537)) != b"\r\n":
+            assert field, "the reply ended inside its head"
+            name, _, value = field.partition(b":")
+            headers[name.decode().lower()] = value.strip().decode()
+        if not 100 <= int(status) < 200:
+            break
+    body = fp.read(int(headers["content-length"]))
+    assert len(body) == int(headers["content-length"]), body
+    return int(status), headers, json.loads(body)
 
 
 def run_threads(threads: list[threading.Thread]) -> None:
@@ -617,6 +646,113 @@ class TestTransport:
             assert server.shutdown_gracefully(JOIN_TIMEOUT)
             thread.join(JOIN_TIMEOUT)
 
+    @pytest.mark.parametrize("request_line, fields, status", [
+        pytest.param(b"POST /datasets/data/sessions", [], 400,
+                     id="http-0.9"),
+        pytest.param(b"POST /datasets/data/sessions HTTP/2.0", [], 400,
+                     id="http-2.0"),
+        pytest.param(b"POST /datasets/data/sessions HTTP/1.1 x", [], 400,
+                     id="extra-word"),
+        pytest.param(b"PUT /datasets/data/sessions HTTP/1.1", [], 405,
+                     id="unknown-method"),
+        pytest.param(None, [b"X-A: 1", b" folded"], 400, id="obs-fold"),
+        pytest.param(None, [b"X-A: 1", b"\tfolded"], 400, id="obs-fold-tab"),
+        pytest.param(None, [b"NoColon"], 400, id="no-colon"),
+        pytest.param(None, [b"Host : x"], 400, id="space-before-colon"),
+        pytest.param(None, [b"Content-Length: 2", b"Content-Length: 3"],
+                     400, id="conflicting-lengths"),
+        pytest.param(None, [b"X-Long: " + b"a" * 65536], 431,
+                     id="long-line"),
+        pytest.param(None, [b"X-N: n"] * 100, 431, id="101-lines"),
+    ])
+    def test_malformed_heads_are_refused(self, request_line, fields,
+                                         status):
+        """A head the handler will not read answers 4xx with a status
+        line, closes the connection and opens no session. At the
+        email-parser reader, obs-fold, ``Host : x`` and conflicting
+        lengths answered 200 or 201; 99 fields still read."""
+        service = ExplanationService()
+        service.register("data", make_dataset(15))
+        server, thread = serve_http(service)
+        body = b'{"group_by": ["district"]}'
+        head = [request_line or b"POST /datasets/data/sessions HTTP/1.1",
+                *fields, b"Content-Length: %d" % len(body)]
+        try:
+            with socket.create_connection(server.server_address[:2],
+                                          timeout=10) as sock:
+                sock.sendall(b"\r\n".join(head) + b"\r\n\r\n" + body)
+                with sock.makefile("rb") as fp:
+                    got, headers, payload = read_reply(fp)
+                    assert (got, "error" in payload) == (status, True), \
+                        payload
+                    assert headers["connection"] == "close"
+                    assert read_reply(fp) is None
+            assert service.sessions == ()
+            with socket.create_connection(server.server_address[:2],
+                                          timeout=10) as sock:
+                sock.sendall(b"\r\n".join(head[:1] + [b"X-N: n"] * 98
+                                          + head[-1:]) + b"\r\n\r\n"
+                             + body)  # 99 fields and the blank line: read
+                with sock.makefile("rb") as fp:
+                    got, _, _ = read_reply(fp)
+            assert got == (201 if request_line is None else status)
+        finally:
+            assert server.shutdown_gracefully(JOIN_TIMEOUT)
+            thread.join(JOIN_TIMEOUT)
+
+    def test_random_heads_and_bodies_are_framed_or_refused(self):
+        """The framing fuzz: random request lines, header fields and
+        bodies written to a socket. Each first reply is framed, and a
+        2xx or 4xx or a degraded 503; then the connection answers a
+        following ``GET /healthz`` or closes. No reply takes longer
+        than the 10 s socket timeout, and a refused request opens no
+        session."""
+        service = ExplanationService()
+        service.register("data", make_dataset(14))
+        server, thread = serve_http(service)
+
+        @given(raw_requests())
+        @settings(max_examples=150, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        def exchange(case):
+            data, half_close = case
+            before = set(service.sessions)
+            with socket.create_connection(server.server_address[:2],
+                                          timeout=10) as sock, \
+                    sock.makefile("rb") as fp:
+                try:
+                    sock.sendall(data)
+                    if half_close:  # the body is short: end the stream
+                        sock.shutdown(socket.SHUT_WR)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # refused and closed before the rest was sent
+                replies = [read_reply(fp)]
+                assert replies[0] is not None, "closed without a reply"
+                if not half_close:
+                    try:
+                        sock.sendall(b"GET /healthz HTTP/1.1\r\n"
+                                     b"Host: t\r\n\r\n")
+                    except (BrokenPipeError, ConnectionResetError):
+                        pass
+                while replies[-1] is not None \
+                        and "status" not in replies[-1][2]:
+                    assert len(replies) < 4, replies
+                    replies.append(read_reply(fp))
+            for status, _, payload in filter(None, replies):
+                assert 200 <= status < 500 or (
+                    status == 503 and payload.get("degraded") is True), \
+                    (status, payload)
+            opened = set(service.sessions) - before
+            assert len(opened) == (replies[0][0] == 201), replies
+            for sid in opened:
+                service.close_session(sid)
+
+        try:
+            exchange()
+        finally:
+            assert server.shutdown_gracefully(JOIN_TIMEOUT)
+            thread.join(JOIN_TIMEOUT)
+
     def test_graceful_shutdown_drains_inflight_request(self, race):
         service = ExplanationService()
         service.register("data", make_dataset(6))
@@ -797,6 +933,42 @@ class TestTransport:
         assert status == 200, payload
 
 
+# -- raw requests for the framing fuzz ----------------------------------------
+FUZZ_BODIES = [b"", b'{"group_by": ["district"]}', b'{"group_by": 3}',
+               b"\xff{", b'{"aggregate": "mean", "coordinates": {}}']
+FUZZ_FIELDS = [b"X-Ok: fine", b" obs-fold", b"\tobs-fold", b"NoColon",
+               b"Host : x", b"X-Long: " + b"a" * 65536,
+               b"Transfer-Encoding: chunked", b"Expect: 100-continue",
+               b"Connection: close", b"Connection: keep-alive",
+               b"content-length: 2", b"Content-Length: 0"]
+
+
+@st.composite
+def raw_requests(draw) -> tuple[bytes, bool]:
+    """One request as bytes, and whether the client ends its stream
+    after it (when the body is shorter than its declared length, which
+    the server would otherwise wait for)."""
+    target = draw(st.sampled_from([b"POST /datasets/data/sessions",
+                                   b"POST /datasets/data/recommend",
+                                   b"GET /healthz"]))
+    version = draw(st.sampled_from([b" HTTP/1.1", b" HTTP/1.0", b"",
+                                    b" HTTP/0.9", b" HTTP/2.0",
+                                    b" HTTP/1.1 extra"]))
+    body = draw(st.sampled_from(FUZZ_BODIES))
+    fields = [b"Host: test"] + draw(st.lists(st.sampled_from(FUZZ_FIELDS),
+                                             max_size=3))
+    if draw(st.booleans()):
+        fields += [b"X-N: n"] * draw(st.sampled_from([97, 98, 99, 100]))
+    declared = draw(st.sampled_from([None, "same", "shorter", "longer"]))
+    length = {None: None, "same": len(body), "shorter": len(body) // 2,
+              "longer": len(body) + 5}[declared]
+    if length is not None:
+        fields.append(b"Content-Length: %d" % length)
+    fields = draw(st.permutations(fields))
+    data = b"\r\n".join([target + version, *fields]) + b"\r\n\r\n" + body
+    return data, length is not None and length > len(body)
+
+
 # -- the remaining routes -----------------------------------------------------------
 def make_service_app(seed: int) -> tuple[ExplanationService, ServerApp]:
     """One dataset and no background rebuild: a degraded state stays put."""
@@ -975,6 +1147,34 @@ class TestRoutes:
             {"aggregate": "mean", "direction": "should_be",
              "coordinates": {"district": "d0"}, "group_by": ["district"]})
         assert status == 400 and "target" in payload["error"]
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError,
+                                       FloatingPointError])
+    def test_a_numeric_failure_in_a_fit_is_a_degraded_503(self, error,
+                                                          monkeypatch):
+        """A fit that fails numerically is the server's fault, not the
+        request's: one-shot and session recommends answer the degraded
+        503 (a LinAlgError is a ValueError, which used to read as 400),
+        and the dataset's own health is untouched."""
+        from repro.model.multilevel import MultilevelModel
+
+        def fail(self, design, ys):
+            raise error("SVD did not converge")
+
+        service, app = make_service_app(28)
+        monkeypatch.setattr(MultilevelModel, "fit_predict_many", fail)
+        body = {"aggregate": "mean", "coordinates": {"district": "d0"}}
+        status, headers, payload = app.dispatch(
+            "POST", "/datasets/data/recommend",
+            dict(body, group_by=["district"]))
+        assert status == 503 and payload["degraded"] is True, payload
+        assert payload["data_version"] == 0 and "Retry-After" in headers
+        sid = app.dispatch("POST", "/datasets/data/sessions",
+                           {"group_by": ["district"]})[2]["session_id"]
+        status, _, payload = app.dispatch(
+            "POST", f"/sessions/{sid}/recommend", body)
+        assert status == 503 and payload["degraded"] is True, payload
+        assert not service.health.is_degraded("data")
 
 
 # -- group commit ----------------------------------------------------------------
