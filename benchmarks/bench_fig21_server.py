@@ -289,7 +289,9 @@ def _keepalive_leg(n: int) -> dict:
                 "POST", "/datasets/data/recommend", dict(RECOMMEND_BODY))
             assert status == 200, payload
         in_process = time.perf_counter() - start
-        expected = json.loads(json.dumps(payload))
+        # A memo hit's payload is a Mapping (an EncodedReply), which
+        # json.dumps takes only as a dict.
+        expected = json.loads(json.dumps(dict(payload)))
 
         host, port = server.server_address[:2]
         conn = http.client.HTTPConnection(host, port, timeout=60)

@@ -15,11 +15,9 @@ import threading
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
-
 from ..model.features import AuxiliaryFeature, FeaturePlan
 from ..relational.cube import Cube, GroupView
-from ..relational.dataset import HierarchicalDataset
+from ..relational.dataset import HierarchicalDataset, measure_fault
 from ..relational.delta import Delta, DeltaError, locate_rows
 from ..relational.encoding import EncodingError, check_cell_type, key_type
 from ..relational.hierarchy import DrillState
@@ -188,8 +186,9 @@ class Reptile:
         :class:`~repro.relational.delta.DeltaError` — with nothing
         mutated — when a retraction matches no remaining base row, the
         post-delta rows break a hierarchy FD, a measure cell is not
-        finite, or a cell of any column has another type than its
-        column's.
+        finite or passes
+        :data:`~repro.relational.dataset.MEASURE_LIMIT`, or a cell of
+        any column has another type than its column's.
 
         Ingest is atomic. The next relation is built first, aside:
         retractions located, appends typed against every column's
@@ -208,9 +207,9 @@ class Reptile:
         measure = self.dataset.measure
         for side, rows in (("appended", delta.appended),
                            ("retracted", delta.retracted)):
-            if not np.isfinite(rows.measure_array(measure)).all():
-                raise DeltaError(f"{side} measure {measure!r} is not "
-                                 f"finite: NaN or ±inf in a row")
+            fault = measure_fault(rows.measure_array(measure))
+            if fault is not None:
+                raise DeltaError(f"{side} measure {measure!r} {fault}")
         new_rel = relation
         removed_idx = locate_rows(relation, delta.retracted)
         if len(removed_idx):

@@ -26,8 +26,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .aggregates import AggState, GroupStats
-from .dataset import (MEASURE_BOUND, HierarchicalDataset,
-                      measure_magnitude)
+from .dataset import HierarchicalDataset
 from .delta import Delta, DeltaError
 from .encoding import (DictEncoding, EncodingError, combine_codes,
                        comparable_keys, decode_keys, factorize)
@@ -284,16 +283,12 @@ class Cube:
         """
         relation = self.dataset.relation
         gidx = relation.group_index(list(self.leaf_attrs))
-        values = relation.measure_array(self.dataset.measure)
-        stats = GroupStats.from_groups(gidx.gids, gidx.n_groups, values)
+        stats = GroupStats.from_groups(
+            gidx.gids, gidx.n_groups,
+            relation.measure_array(self.dataset.measure))
         self._encodings: tuple[DictEncoding, ...] = gidx.encodings
         self._key_codes = gidx.key_codes
         self._stats = stats
-        #: A bound on the leaf rows' Σ|x|: the rows times the largest
-        #: |x| at the build, then raised by each delta's, retracted
-        #: cells included (so it bounds every roll-up whatever a
-        #: retraction names).
-        self.abs_sum = measure_magnitude(values)
         self._keys: list[Key] | None = None
 
     def rebuild(self) -> None:
@@ -340,9 +335,7 @@ class Cube:
         drive any group's count negative. The merged leaf block must
         keep every hierarchy FD (:meth:`_check_fds`), and every delta cell
         must extend its attribute's domain (a cell of another type than
-        its column's cannot be a group key), and the leaf block's bound
-        on Σ|x| (:attr:`abs_sum`) must stay within
-        :data:`~repro.relational.dataset.MEASURE_BOUND`. Each
+        its column's cannot be a group key). Each
         failure raises :class:`DeltaError` with the
         cube untouched: nothing is assigned until every check passes.
         Returns the :class:`CubeDelta` summary the upper layers patch
@@ -373,12 +366,6 @@ class Cube:
             else np.empty(0),
             retracted.measure_array(self.dataset.measure) if n_ret
             else np.empty(0)])
-        abs_sum = self.abs_sum + measure_magnitude(values)
-        if not abs_sum <= MEASURE_BOUND:
-            raise DeltaError(
-                f"measure {self.dataset.measure!r} would be too large: "
-                f"its bound on Σ|x| would pass {MEASURE_BOUND:g}, where "
-                f"roll-ups and fits overflow")
         gids, delta_codes = combine_codes(columns, sizes, n_app + n_ret)
         delta_stats = GroupStats(
             np.bincount(gids, weights=sign, minlength=len(delta_codes)),
@@ -393,7 +380,6 @@ class Cube:
         self._encodings = tuple(new_encs)
         self._key_codes = key_codes
         self._stats = stats
-        self.abs_sum = abs_sum
         self._keys = None  # decoded-key cache is stale
         return CubeDelta(delta_codes, delta_stats, self._encodings)
 

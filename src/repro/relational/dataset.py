@@ -22,23 +22,28 @@ class DatasetError(ValueError):
     """Raised for inconsistent dataset definitions."""
 
 
-#: The largest bound on the sum of absolute measure values a dataset
-#: may hold. Every roll-up's total and total² and its sum of squares
-#: stay below its square (1e180), and the EM fit's products of a
-#: variance and a residual sum (~x³) below its cube (1e270): all finite
-#: in float64 (max 1.8e308). On the demo, a fit over two cells of 1e105
-#: already overflowed to NaN.
-MEASURE_BOUND = 1e90
+#: The largest |x| a measure cell may hold. Fewer than 1e19 rows fit
+#: in any memory, so every roll-up's Σ|x| stays below 1e89: its total
+#: and total² and its sum of squares below 1e178, and the EM fit's
+#: products of a variance and a residual sum (~x³) below 1e267, all
+#: finite in float64 (max 1.8e308). On the demo, a fit over two cells
+#: of 1e105 already overflowed to NaN.
+MEASURE_LIMIT = 1e70
 
 
-def measure_magnitude(values: np.ndarray) -> float:
-    """A bound on Σ|x| of a measure column, taken without a temporary
-    array: the row count times the largest |x|. NaN for a NaN cell and
-    inf for an infinite one, so ``not m <= MEASURE_BOUND`` catches
-    both."""
+def measure_fault(values: np.ndarray) -> str | None:
+    """Why a measure column's cells may not enter a dataset, or None:
+    a NaN or ±inf cell, or one whose |x| passes :data:`MEASURE_LIMIT`.
+    One min/max pass, no temporary array."""
     if not len(values):
-        return 0.0
-    return len(values) * max(-float(values.min()), float(values.max()))
+        return None
+    largest = max(-float(values.min()), float(values.max()))
+    if largest <= MEASURE_LIMIT:
+        return None
+    if not np.isfinite(largest):  # a NaN cell makes min and max NaN
+        return "is not finite: NaN or ±inf in a row"
+    return (f"is too large: a cell's |x| passes {MEASURE_LIMIT:g}, "
+            f"where roll-ups and fits overflow")
 
 
 @dataclass(frozen=True)
@@ -111,11 +116,10 @@ class HierarchicalDataset:
     This is the object passed to :class:`repro.core.session.Reptile`.
     The relation typed every column when it was built (each dimension
     column holds one key cell type); here the measure must be a measure
-    attribute, every measure cell finite and the rows times the
-    largest |x| at most :data:`MEASURE_BOUND`, else
-    :class:`DatasetError` — the rules ingest applies to the post-delta
-    data (a NaN cell could never be retracted, and a NaN or an
-    overflowing sum poisons every fit over its groups).
+    attribute and every measure cell finite with |x| at most
+    :data:`MEASURE_LIMIT`, else :class:`DatasetError` — the rule ingest
+    applies to each delta's cells (a NaN cell could never be retracted,
+    and a NaN or an overflowing sum poisons every fit over its groups).
     ``validate=False`` skips only the hierarchy FD check.
     """
 
@@ -134,15 +138,9 @@ class HierarchicalDataset:
             if a not in relation.schema:
                 raise DatasetError(
                     f"hierarchy attribute {a!r} not in relation schema")
-        values = relation.measure_array(measure)
-        if not measure_magnitude(values) <= MEASURE_BOUND:
-            if not np.isfinite(values).all():
-                raise DatasetError(f"measure {measure!r} is not finite: "
-                                   f"NaN or ±inf in a row")
-            raise DatasetError(
-                f"measure {measure!r} is too large: its rows times its "
-                f"largest |x| pass {MEASURE_BOUND:g}, where roll-ups and "
-                f"fits overflow")
+        fault = measure_fault(relation.measure_array(measure))
+        if fault is not None:
+            raise DatasetError(f"measure {measure!r} {fault}")
         if validate:
             try:
                 dimensions.validate(relation)

@@ -87,7 +87,7 @@ class MemoEntry:
     eviction) reaps it too.
     """
 
-    __slots__ = ("recommendation", "encoded", "__weakref__")
+    __slots__ = ("recommendation", "encoded")
 
     def __init__(self, recommendation: Recommendation):
         self.recommendation = recommendation

@@ -62,7 +62,7 @@ class TestDataset:
 
 
 #: Measure cells registration rejects, as ingest rejects them in appends
-#: (a huge finite cell pushes Σ|x| past MEASURE_BOUND).
+#: (a huge finite cell passes MEASURE_LIMIT).
 BAD_MEASURE_CELLS = {"nan": float("nan"), "+inf": float("inf"),
                      "-inf": float("-inf"), "non-numeric": "high",
                      "+huge": 1.7e308, "-huge": -1.7e308}

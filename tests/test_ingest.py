@@ -704,35 +704,47 @@ class TestHTTPIngestMeasureCells:
         """Two finite cells whose sums of squares overflow: at ingest a
         400 with nothing applied, so the demo's mean-by-district and
         std-by-year recommends keep answering 200 (they answered 400
-        ``LinAlgError`` when the cells got in). Cells whose Σ|x| stays
-        within the bound keep every fit finite."""
+        ``LinAlgError`` when the cells got in). The limit is on each
+        cell, so cells at it keep every fit finite, and they stay
+        appendable and retractable after a rebuild."""
         from repro.cli import _demo_dataset
-        from repro.relational.dataset import MEASURE_BOUND
+        from repro.relational.dataset import MEASURE_LIMIT
         from repro.serving.server import ServerApp
         service = ExplanationService(config=CONFIG, auto_rebuild=False)
         service.register("data", _demo_dataset(0))
         app = ServerApp(service)
+        engine = service.engine("data")
+
+        def ingest(body: dict) -> tuple[int, dict]:
+            status, _, payload = app.dispatch(
+                "POST", "/datasets/data/ingest", body)
+            return status, payload
+
+        def recommends_answer() -> None:
+            for aggregate, coords in (("mean", {"district": "Ofla"}),
+                                      ("std", {"year": 1986})):
+                status, _, reply = app.dispatch(
+                    "POST", "/datasets/data/recommend",
+                    {"aggregate": aggregate, "coordinates": coords,
+                     "group_by": list(coords)})
+                assert status == 200, reply
+
         row = ["Ofla", "Zata", 1986, cell]
-        status, _, payload = app.dispatch(
-            "POST", "/datasets/data/ingest", {"rows": [row, row]})
+        status, payload = ingest({"rows": [row, row]})
         assert status == 400 and "'severity'" in payload["error"], payload
-        assert service.engine("data").data_version == 0
-        spread = MEASURE_BOUND / 4 * math.copysign(1.0, cell)
-        status, _, _ = app.dispatch("POST", "/datasets/data/ingest",
-                                    {"rows": [row[:3] + [spread]] * 2})
-        assert status == 200
-        for aggregate, coords in (("mean", {"district": "Ofla"}),
-                                  ("std", {"year": 1986})):
-            status, _, reply = app.dispatch(
-                "POST", "/datasets/data/recommend",
-                {"aggregate": aggregate, "coordinates": coords,
-                 "group_by": list(coords)})
-            assert status == 200, reply
-        status, _, payload = app.dispatch(
-            "POST", "/datasets/data/ingest",
-            {"rows": [row[:3] + [spread]] * 3})  # Σ|x| past the bound
+        past = row[:3] + [2 * MEASURE_LIMIT * math.copysign(1.0, cell)]
+        status, payload = ingest({"rows": [past]})
         assert status == 400 and "too large" in payload["error"], payload
-        assert service.engine("data").data_version == 1
+        assert engine.data_version == 0
+        at = row[:3] + [MEASURE_LIMIT * math.copysign(1.0, cell)]
+        assert ingest({"rows": [at, at]})[0] == 200
+        recommends_answer()
+        assert service.try_rebuild("data")
+        assert ingest({"rows": [at, at]})[0] == 200
+        version = engine.data_version
+        assert ingest({"retract": [at] * 4})[0] == 200
+        assert engine.data_version == version + 1
+        recommends_answer()
 
     def test_json_int_measure_keeps_the_float_column(self):
         service, app, coords = self._app()

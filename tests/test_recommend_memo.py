@@ -31,11 +31,9 @@ Severities are integer-valued so float sums are bitwise exact.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import http.client
 import json
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -756,7 +754,8 @@ class TestEncodedReplyLifetime:
     BODY = {"aggregate": "mean", "coordinates": {"district": "d0"},
             "group_by": ["district"]}
 
-    def entry(self, service: ExplanationService) -> MemoEntry:
+    def entry(self, service: ExplanationService
+              ) -> tuple[tuple, MemoEntry]:
         app = ServerApp(service)
         for _ in range(2):
             status, _, reply = app.dispatch(
@@ -768,12 +767,12 @@ class TestEncodedReplyLifetime:
         assert entry.encoded is None  # encoded on the first send
         body = reply.body
         assert entry.encoded is not None and entry.encoded in body
-        return entry
+        return key, entry
 
     @pytest.mark.parametrize("reap", ["ingest", "refresh", "eviction"])
     def test_the_encoding_dies_with_its_entry(self, reap):
         service = fresh_service()
-        entry = weakref.ref(self.entry(service))
+        key, entry = self.entry(service)
         if reap == "ingest":
             service.ingest("data", [("d2", "d2v1", 2002, 3.0)])
         elif reap == "refresh":
@@ -781,12 +780,13 @@ class TestEncodedReplyLifetime:
         else:
             service.cache.max_entries = 1
             ask(service, request({"year": 2000}, group_by=["year"]))
-        gc.collect()
-        assert entry() is None
+        assert key not in service.cache
+        assert all(service.cache.get(k) is not entry
+                   for k in memo_keys(service))
 
     def test_an_auxiliary_registration_never_reads_the_old_encoding(self):
         service = fresh_service()
-        old = self.entry(service)
+        _, old = self.entry(service)
         service.engine("data").dataset.add_auxiliary(rain(0))
         status, _, reply = ServerApp(service).dispatch(
             "POST", "/datasets/data/recommend", dict(self.BODY))
